@@ -10,14 +10,14 @@
 //! cargo run -p sievestore-bench --release --bin loadgen -- \
 //!     --out results/BENCH_node.json
 //! cargo run -p sievestore-bench --release --bin loadgen -- \
-//!     --check ci/BENCH_node.json --tolerance 0.25 --gate
+//!     --check ci/BENCH_node.json --tolerance 0.25 --min-speedup 2.0
 //! ```
 //!
 //! With `--check`, fresh QPS is compared per flavor against the committed
 //! baseline; a drop of more than `--tolerance` fails the run. With
-//! `--gate`, the run additionally enforces the shared-nothing speedup,
-//! tiered by what the host can physically demonstrate: on >= 4 cores the
-//! sharded server must beat legacy by `--min-speedup` (default 2.0x), on
+//! `--min-speedup X`, the run additionally enforces the shared-nothing
+//! speedup, tiered by what the host can physically demonstrate: on >= 4
+//! cores the sharded server must beat legacy by `X`, on
 //! 2–3 cores it must reach parity, and on a single core — where workers
 //! merely time-slice — only a catastrophic-overhead bound (half of
 //! legacy) is asserted. `--smoke-faults` runs a fault-injection smoke
@@ -48,8 +48,8 @@ use sievestore_types::obs::{Histogram, HistogramSnapshot};
 const USAGE: &str = "\
 usage: loadgen [--connections N] [--depth D] [--read-pct P] [--keys K]
                [--zipf S] [--workers W] [--ops N] [--seed S] [--out FILE]
-               [--check BASELINE] [--tolerance T] [--gate]
-               [--min-speedup X] [--write-baseline] [--smoke-faults]
+               [--check BASELINE] [--tolerance T] [--min-speedup X]
+               [--write-baseline] [--smoke-faults]
 
 options:
   --connections N  concurrent client connections (default 32)
@@ -65,11 +65,9 @@ options:
                    nonzero on regression beyond --tolerance
   --tolerance T    allowed fractional QPS regression for --check
                    (default 0.25)
-  --gate           enforce the shared-nothing speedup, tiered by core
-                   count (>= 4 cores: --min-speedup; 2-3: parity;
-                   1: overhead bounded at 50 %)
-  --min-speedup X  sharded-over-legacy QPS ratio required on >= 4 cores
-                   with --gate (default 2.0)
+  --min-speedup X  speedup gate: enforce the sharded-over-legacy QPS
+                   ratio, tiered by core count (>= 4 cores: X;
+                   2-3: parity; 1: overhead bounded at 50 %)
   --write-baseline also refresh the committed ci/BENCH_node.json
   --smoke-faults   run the breaker fault smoke instead of the benchmark";
 
@@ -111,8 +109,7 @@ fn run() -> Result<ExitCode, String> {
     let mut out = "BENCH_node.json".to_string();
     let mut check: Option<String> = None;
     let mut tolerance: f64 = 0.25;
-    let mut gate = false;
-    let mut min_speedup: f64 = 2.0;
+    let mut min_speedup: Option<f64> = None;
     let mut write_baseline = false;
     let mut smoke_faults = false;
 
@@ -188,14 +185,14 @@ fn run() -> Result<ExitCode, String> {
                     return Err("--tolerance must be in [0, 1)".into());
                 }
             }
-            "--gate" => gate = true,
             "--min-speedup" => {
-                min_speedup = value("--min-speedup")?
+                let ratio: f64 = value("--min-speedup")?
                     .parse()
                     .map_err(|e| format!("bad --min-speedup: {e}"))?;
-                if min_speedup < 1.0 {
+                if ratio < 1.0 {
                     return Err("--min-speedup must be at least 1.0".into());
                 }
+                min_speedup = Some(ratio);
             }
             "--write-baseline" => write_baseline = true,
             "--smoke-faults" => smoke_faults = true,
@@ -301,7 +298,7 @@ fn run() -> Result<ExitCode, String> {
         }
     }
 
-    if gate {
+    if let Some(min_speedup) = min_speedup {
         let speedup = report.speedup().ok_or("both runs were just timed")?;
         let cores = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)

@@ -19,11 +19,11 @@
 //! always pass; re-baseline with `--write-baseline`, which rewrites
 //! `ci/BENCH_replay.json` from the fresh measurement in one command.
 //!
-//! With `--require-scaling`, the run additionally gates on multi-core
+//! With `--min-speedup X`, the run additionally gates on multi-core
 //! speedup, tiered by the host's core count: with four or more cores
 //! (CI's perf runners) the widest sharded configuration must beat the
-//! sequential engine by at least `--min-speedup` (default 1.3×) — a hard
-//! requirement, no escape hatch; with two or three cores it must merely
+//! sequential engine by at least `X` — a hard requirement, no escape
+//! hatch; with two or three cores it must merely
 //! beat sequential; on a single core, where parallel speedup is
 //! physically impossible and only coordination overhead can be measured,
 //! the bound degrades to keeping ≥ 50 % of sequential throughput.
@@ -69,9 +69,9 @@ use sievestore_types::{mix64, peak_rss_bytes, Micros, U64Map};
 
 const USAGE: &str = "\
 usage: replay_bench [--scale N|full] [--seed S] [--reps R] [--out FILE]
-                    [--check BASELINE] [--tolerance T] [--require-scaling]
-                    [--min-speedup X] [--write-baseline] [--eviction P]
-                    [--obs] [--spill DIR] [--max-rss-mb N]
+                    [--check BASELINE] [--tolerance T] [--min-speedup X]
+                    [--write-baseline] [--eviction P] [--obs] [--spill DIR]
+                    [--max-rss-mb N]
 
 options:
   --scale N       trace scale denominator (default 2048); 'full' is an
@@ -83,13 +83,10 @@ options:
   --check FILE    compare against a committed baseline report; exit
                   nonzero if any configuration's events/sec regresses
   --tolerance T   allowed fractional regression for --check (default 0.2)
-  --require-scaling
-                  exit nonzero unless the widest sharded run beats the
-                  sequential engine by --min-speedup (>= 4 cores), beats
-                  it at all (2-3 cores), or stays within 50 % of it
-                  (single-core hosts)
-  --min-speedup X sharded-over-sequential ratio required on >= 4 cores
-                  (default 1.3)
+  --min-speedup X scaling gate: exit nonzero unless the widest sharded
+                  run beats the sequential engine by X (>= 4 cores),
+                  beats it at all (2-3 cores), or stays within 50 % of
+                  it (single-core hosts)
   --write-baseline
                   also write the fresh report to ci/BENCH_replay.json,
                   so re-baselining the committed gate is one command
@@ -134,8 +131,7 @@ fn run() -> Result<ExitCode, String> {
     let mut out = "BENCH_replay.json".to_string();
     let mut check: Option<String> = None;
     let mut tolerance: f64 = 0.2;
-    let mut require_scaling = false;
-    let mut min_speedup: f64 = 1.3;
+    let mut min_speedup: Option<f64> = None;
     let mut write_baseline = false;
     let mut eviction = EvictionPolicy::default();
     let mut obs = false;
@@ -182,16 +178,16 @@ fn run() -> Result<ExitCode, String> {
                     return Err("--tolerance must be in [0, 1)".into());
                 }
             }
-            "--require-scaling" => require_scaling = true,
             "--min-speedup" => {
-                min_speedup = iter
+                let value: f64 = iter
                     .next()
                     .ok_or("--min-speedup needs a value")?
                     .parse()
                     .map_err(|e| format!("bad --min-speedup: {e}"))?;
-                if min_speedup < 1.0 {
+                if value < 1.0 {
                     return Err("--min-speedup must be at least 1.0".into());
                 }
+                min_speedup = Some(value);
             }
             "--write-baseline" => write_baseline = true,
             "--eviction" => {
@@ -407,7 +403,7 @@ fn run() -> Result<ExitCode, String> {
         }
     }
 
-    if require_scaling {
+    if let Some(min_speedup) = min_speedup {
         let wide_threads = *SHARD_COUNTS.last().expect("non-empty shard list");
         let seq = report
             .run_with("sequential", 1)

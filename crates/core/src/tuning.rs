@@ -1,22 +1,17 @@
-//! Scaling and tuning (§7's forward-looking issues).
+//! Tuning (one of §7's forward-looking issues).
 //!
-//! The paper closes with two deployment questions this module answers in
-//! code:
+//! The ADBA threshold `t` was hand-tuned to 10; on a different ensemble
+//! the right value differs. [`AdaptiveThreshold`] is a feedback
+//! controller that retunes `t` each epoch so the selected block set
+//! tracks a target cache occupancy, staying inside the paper's observed
+//! safe band (degradation below ~8, flat 8–20).
 //!
-//! * **Tuning** — the ADBA threshold `t` was hand-tuned to 10; on a
-//!   different ensemble the right value differs. [`AdaptiveThreshold`] is
-//!   a feedback controller that retunes `t` each epoch so the selected
-//!   block set tracks a target cache occupancy, staying inside the
-//!   paper's observed safe band (degradation below ~8, flat 8–20).
-//! * **Scaling** — one appliance's SSD and network eventually saturate.
-//!   [`ShardedSieveStore`] scales out by hashing blocks across several
-//!   independent appliances, preserving per-block policy behaviour
-//!   exactly (each block always lands on the same shard, so its miss
-//!   history is never split).
+//! §7's other question, scaling out, needs no type of its own: route
+//! blocks with [`sievestore_types::shard_of`] and build each appliance
+//! with [`SieveStoreBuilder::shard`](crate::SieveStoreBuilder::shard)
+//! (`examples/sharded_scaling.rs`).
 
-use sievestore_types::{Day, Micros, RequestKind, SieveError};
-
-use crate::appliance::{AccessOutcome, ApplianceStats, PolicySpec, SieveStore, SieveStoreBuilder};
+use sievestore_types::SieveError;
 
 /// Feedback controller for SieveStore-D's epoch threshold.
 ///
@@ -90,124 +85,9 @@ impl AdaptiveThreshold {
     }
 }
 
-/// A hash-sharded group of SieveStore appliances.
-///
-/// Blocks are routed by a stateless hash, so each block's entire miss
-/// history lands on one shard and the sieving decision sequence is
-/// identical to a single appliance's. Capacity, IOPS and network
-/// bandwidth all scale with the shard count (§7's scaling argument).
-///
-/// # Examples
-///
-/// ```
-/// use sievestore::tuning::ShardedSieveStore;
-/// use sievestore::PolicySpec;
-/// use sievestore_types::{Micros, RequestKind};
-///
-/// # fn main() -> Result<(), sievestore_types::SieveError> {
-/// let mut group = ShardedSieveStore::new(4, 1024, |_| PolicySpec::Aod)?;
-/// group.access(7, RequestKind::Read, Micros::from_secs(1));
-/// assert!(group.access(7, RequestKind::Read, Micros::from_secs(2)).is_hit());
-/// assert_eq!(group.shards(), 4);
-/// # Ok(())
-/// # }
-/// ```
-pub struct ShardedSieveStore {
-    nodes: Vec<SieveStore>,
-}
-
-impl std::fmt::Debug for ShardedSieveStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedSieveStore")
-            .field("shards", &self.nodes.len())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-impl ShardedSieveStore {
-    /// Creates `shards` appliances, each holding `capacity_per_shard`
-    /// frames, with per-shard policies from `policy_for`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SieveError::InvalidConfig`] for zero shards/capacity or
-    /// an invalid policy.
-    pub fn new(
-        shards: usize,
-        capacity_per_shard: usize,
-        mut policy_for: impl FnMut(usize) -> PolicySpec,
-    ) -> Result<Self, SieveError> {
-        if shards == 0 {
-            return Err(SieveError::InvalidConfig("need at least one shard".into()));
-        }
-        let nodes = (0..shards)
-            .map(|i| {
-                SieveStoreBuilder::new()
-                    .capacity_blocks(capacity_per_shard)
-                    .policy(policy_for(i))
-                    .build()
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedSieveStore { nodes })
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The shard index a block routes to (stateless SplitMix64 hash).
-    pub fn shard_of(&self, key: u64) -> usize {
-        let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % self.nodes.len() as u64) as usize
-    }
-
-    /// Routes one block access to its shard.
-    pub fn access(&mut self, key: u64, kind: RequestKind, now: Micros) -> AccessOutcome {
-        let shard = self.shard_of(key);
-        self.nodes[shard].access(key, kind, now)
-    }
-
-    /// Signals a day boundary to every shard; returns the total number of
-    /// blocks batch-installed across shards.
-    pub fn day_boundary(&mut self, day: Day) -> u64 {
-        self.nodes
-            .iter_mut()
-            .filter_map(|n| n.day_boundary(day))
-            .map(|t| t.allocated.len() as u64)
-            .sum()
-    }
-
-    /// Aggregated statistics across shards.
-    pub fn stats(&self) -> ApplianceStats {
-        let mut total = ApplianceStats::default();
-        for n in &self.nodes {
-            let s = n.stats();
-            total.read_hits += s.read_hits;
-            total.write_hits += s.write_hits;
-            total.read_misses += s.read_misses;
-            total.write_misses += s.write_misses;
-            total.allocation_writes += s.allocation_writes;
-            total.batch_allocations += s.batch_allocations;
-        }
-        total
-    }
-
-    /// Per-shard resident block counts (for balance diagnostics).
-    pub fn shard_loads(&self) -> Vec<usize> {
-        self.nodes.iter().map(|n| n.len_blocks()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{RngExt, SeedableRng};
-    use sievestore_sieve::TwoTierConfig;
 
     #[test]
     fn adaptive_threshold_validation() {
@@ -235,79 +115,5 @@ mod tests {
         let before = t.current();
         t.observe_epoch(800);
         assert_eq!(t.current(), before);
-    }
-
-    #[test]
-    fn sharding_preserves_per_block_behaviour() {
-        // A sharded group of AOD caches behaves exactly like one cache of
-        // the aggregate capacity when each shard never overflows.
-        let mut group = ShardedSieveStore::new(4, 1 << 12, |_| PolicySpec::Aod).unwrap();
-        let mut single = SieveStoreBuilder::new()
-            .capacity_blocks(4 << 12)
-            .policy(PolicySpec::Aod)
-            .build()
-            .unwrap();
-        let mut rng = SmallRng::seed_from_u64(8);
-        for i in 0..10_000u64 {
-            let key = rng.random_range(0..4000u64);
-            let now = Micros::from_secs(i);
-            let a = group.access(key, RequestKind::Read, now);
-            let b = single.access(key, RequestKind::Read, now);
-            assert_eq!(a.is_hit(), b.is_hit(), "access {i} key {key}");
-        }
-        assert_eq!(group.stats().hits(), single.stats().hits());
-    }
-
-    #[test]
-    fn sharded_sieving_decisions_are_stable() {
-        // The same block always routes to the same shard, so SieveStore-C
-        // admission happens after the same global miss count as unsharded.
-        let cfg = TwoTierConfig::paper_default()
-            .with_imct_entries(1 << 14)
-            .with_thresholds(2, 2);
-        let mut group =
-            ShardedSieveStore::new(3, 1 << 10, |_| PolicySpec::SieveStoreC(cfg)).unwrap();
-        let now = Micros::from_hours(1);
-        let mut allocated_at = None;
-        for i in 1..=10 {
-            if group.access(42, RequestKind::Read, now).is_allocation() {
-                allocated_at = Some(i);
-                break;
-            }
-        }
-        assert_eq!(allocated_at, Some(4), "t1=2 + t2=2 additional misses");
-    }
-
-    #[test]
-    fn shards_balance_under_uniform_keys() {
-        let mut group = ShardedSieveStore::new(8, 1 << 16, |_| PolicySpec::Aod).unwrap();
-        for key in 0..64_000u64 {
-            group.access(key, RequestKind::Write, Micros::new(key));
-        }
-        let loads = group.shard_loads();
-        let mean = 64_000.0 / 8.0;
-        for (i, &l) in loads.iter().enumerate() {
-            let dev = (l as f64 - mean).abs() / mean;
-            assert!(dev < 0.05, "shard {i} load {l} deviates {dev:.3} from mean");
-        }
-    }
-
-    #[test]
-    fn discrete_policies_batch_install_per_shard() {
-        let mut group =
-            ShardedSieveStore::new(2, 1 << 10, |_| PolicySpec::SieveStoreD { threshold: 2 })
-                .unwrap();
-        for _ in 0..3 {
-            group.access(1, RequestKind::Read, Micros::from_hours(1));
-            group.access(2, RequestKind::Read, Micros::from_hours(1));
-        }
-        let installed = group.day_boundary(Day::new(1));
-        assert_eq!(installed, 2, "both hot blocks install on their shards");
-        assert!(group
-            .access(1, RequestKind::Read, Micros::from_hours(25))
-            .is_hit());
-        assert!(group
-            .access(2, RequestKind::Read, Micros::from_hours(25))
-            .is_hit());
     }
 }

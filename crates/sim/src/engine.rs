@@ -31,8 +31,8 @@ use crossbeam::thread;
 use sievestore::{EvictionPolicy, PolicySpec, SieveStore, SieveStoreBuilder};
 use sievestore_extsort::CountingConfig;
 use sievestore_ssd::{OccupancyTracker, SsdSpec};
-use sievestore_trace::{ScenarioConfig, StreamMsg, SyntheticTrace, TraceStreamConfig};
-use sievestore_types::{Day, Request, SieveError, BLOCKS_PER_PAGE};
+use sievestore_trace::{ScenarioConfig, StreamMsg, SyntheticTrace, TraceStream, TraceStreamConfig};
+use sievestore_types::{Day, Minute, Request, RequestKind, SieveError, BLOCKS_PER_PAGE};
 
 use crate::metrics::{DayMetrics, SimResult};
 use crate::replay::{self, ReplayMode};
@@ -143,36 +143,66 @@ impl SimConfig {
         self.trace_stream.scenario = scenario;
         self
     }
+
+    /// The appliance this configuration runs `spec` on (the sharded
+    /// engine adds `.shard(s, n)`).
+    pub(crate) fn store_builder(&self, spec: PolicySpec) -> SieveStoreBuilder {
+        SieveStoreBuilder::new()
+            .capacity_blocks(self.capacity_blocks)
+            .policy(spec)
+            .eviction(self.eviction)
+            .counting(self.counting.clone())
+    }
 }
 
 /// Fails fast — with an error instead of the stream's panic — when the
-/// configured scenario does not fit the trace's ensemble.
-pub(crate) fn validate_scenario(trace: &SyntheticTrace, cfg: &SimConfig) -> Result<(), SieveError> {
-    cfg.trace_stream.scenario.validate(trace.config())
+/// configured scenario does not fit the trace's ensemble, or `server`
+/// selects a single server's slice under a cross-server stage.
+pub(crate) fn validate_scenario(
+    trace: &SyntheticTrace,
+    server: Option<usize>,
+    cfg: &SimConfig,
+) -> Result<(), SieveError> {
+    let scenario = &cfg.trace_stream.scenario;
+    scenario.validate(trace.config())?;
+    if server.is_some() && scenario.moves_across_servers() {
+        return Err(SieveError::InvalidConfig(
+            "cross-server scenario stages (failover) cannot replay a single server's slice".into(),
+        ));
+    }
+    Ok(())
 }
 
-/// One policy's in-flight simulation state.
-struct Run {
-    store: SieveStore,
-    days: Vec<DayMetrics>,
-    occupancy: OccupancyTracker,
-    charge_batch_moves: bool,
+/// The stream every replay path consumes: the whole ensemble, or one
+/// server's slice of it.
+pub(crate) fn open_stream(
+    trace: &SyntheticTrace,
+    server: Option<usize>,
+    cfg: &SimConfig,
+) -> TraceStream {
+    match server {
+        Some(idx) => trace.stream_server(idx, cfg.trace_stream.clone()),
+        None => trace.stream(cfg.trace_stream.clone()),
+    }
 }
 
-impl Run {
-    fn new(spec: PolicySpec, cfg: &SimConfig, total_minutes: usize) -> Result<Self, SieveError> {
-        Ok(Run {
-            store: SieveStoreBuilder::new()
-                .capacity_blocks(cfg.capacity_blocks)
-                .policy(spec)
-                .eviction(cfg.eviction)
-                .counting(cfg.counting.clone())
-                .build()?,
+fn pages(blocks: u64) -> u64 {
+    blocks.div_ceil(BLOCKS_PER_PAGE as u64)
+}
+
+/// The replay accounting core. A [`SimResult`] is its own accumulator:
+/// the sequential `Run` fills one per policy, the sharded engine one
+/// per shard plus the merged total, all through these functions.
+impl SimResult {
+    /// An empty result for `policy` over `trace`.
+    pub(crate) fn empty(policy: Arc<str>, trace: &SyntheticTrace, cfg: &SimConfig) -> Self {
+        SimResult {
+            policy,
+            capacity_blocks: cfg.capacity_blocks,
             days: Vec::new(),
-            occupancy: OccupancyTracker::new(cfg.ssd.clone(), total_minutes)
+            occupancy: OccupancyTracker::new(cfg.ssd.clone(), trace.days() as usize * 24 * 60)
                 .with_load_multiplier(cfg.load_multiplier),
-            charge_batch_moves: cfg.charge_batch_moves,
-        })
+        }
     }
 
     fn day_mut(&mut self, day: Day) -> &mut DayMetrics {
@@ -183,77 +213,150 @@ impl Run {
         &mut self.days[idx]
     }
 
+    /// Accounts one request — or one shard's fragment of one — from the
+    /// `(hit, allocated)` outcome of each of its blocks, counted on the
+    /// issue day. Device cost is charged at 4 KiB granularity, sub-page
+    /// remainders in full: hits at the issue `minute`, allocation fills
+    /// at `completion_minute`, once the underlying fetch has completed.
+    pub(crate) fn record_request(
+        &mut self,
+        minute: Minute,
+        completion_minute: Minute,
+        kind: RequestKind,
+        outcomes: impl Iterator<Item = (bool, bool)>,
+    ) {
+        let metrics = self.day_mut(minute.day());
+        let mut hit_blocks = 0u64;
+        let mut alloc_blocks = 0u64;
+        for (hit, allocated) in outcomes {
+            metrics.record_access(kind, hit, allocated);
+            hit_blocks += u64::from(hit);
+            alloc_blocks += u64::from(allocated);
+        }
+        if hit_blocks > 0 {
+            if kind.is_read() {
+                self.occupancy.record_read_pages(minute, pages(hit_blocks));
+            } else {
+                self.occupancy.record_write_pages(minute, pages(hit_blocks));
+            }
+        }
+        if alloc_blocks > 0 {
+            self.occupancy
+                .record_write_pages(completion_minute, pages(alloc_blocks));
+        }
+    }
+
+    /// Counts the `moved` blocks a discrete policy batch-installed at
+    /// `day`'s boundary.
+    pub(crate) fn record_batch_install(&mut self, day: Day, moved: u64) {
+        self.day_mut(day).batch_allocations = moved;
+    }
+
+    /// Charges `day`'s batch move to the occupancy series, its pages
+    /// spread evenly over the first hour of the day.
+    pub(crate) fn charge_batch_moves(&mut self, day: Day) {
+        let mut left = pages(self.day(day).batch_allocations);
+        let per_minute = left.div_ceil(60);
+        let mut minute = day.start().minute().index();
+        while left > 0 {
+            let chunk = per_minute.min(left);
+            self.occupancy
+                .record_write_pages(Minute::new(minute), chunk);
+            left -= chunk;
+            minute += 1;
+        }
+    }
+
+    /// Folds a partial result — one shard's, or one server's — into the
+    /// merged total (commutative integer sums — see [`DayMetrics::merge`]).
+    pub(crate) fn absorb(&mut self, part: &SimResult) {
+        if part.days.len() > self.days.len() {
+            self.days.resize(part.days.len(), DayMetrics::default());
+        }
+        for (total, d) in self.days.iter_mut().zip(&part.days) {
+            total.merge(d);
+        }
+        self.occupancy.merge(&part.occupancy);
+    }
+}
+
+/// One policy's in-flight sequential simulation state.
+struct Run {
+    store: SieveStore,
+    result: SimResult,
+    charge_batch_moves: bool,
+}
+
+impl Run {
+    fn new(spec: PolicySpec, trace: &SyntheticTrace, cfg: &SimConfig) -> Result<Self, SieveError> {
+        Ok(Run {
+            result: SimResult::empty(Arc::from(spec.name()), trace, cfg),
+            store: cfg.store_builder(spec).build()?,
+            charge_batch_moves: cfg.charge_batch_moves,
+        })
+    }
+
     fn on_day_boundary(&mut self, day: Day) {
         if let Some(transition) = self.store.day_boundary(day) {
-            let moved = transition.allocated.len() as u64;
-            self.day_mut(day).batch_allocations = moved;
-            if self.charge_batch_moves && moved > 0 {
-                // Spread the moves evenly over the first hour of the day.
-                let pages = moved.div_ceil(BLOCKS_PER_PAGE as u64);
-                let start = day.start().minute();
-                let per_minute = pages.div_ceil(60);
-                for m in 0..60u32 {
-                    let minute = sievestore_types::Minute::new(start.index() + m);
-                    let chunk = per_minute.min(pages.saturating_sub(per_minute * m as u64));
-                    if chunk == 0 {
-                        break;
-                    }
-                    self.occupancy.record_write_pages(minute, chunk);
-                }
+            self.result
+                .record_batch_install(day, transition.allocated.len() as u64);
+            if self.charge_batch_moves {
+                self.result.charge_batch_moves(day);
             }
         }
     }
 
     fn process_request(&mut self, req: &Request) {
-        let day = req.timestamp.day();
-        let minute = req.timestamp.minute();
-        let mut read_hit_blocks = 0u64;
-        let mut write_hit_blocks = 0u64;
-        let mut alloc_blocks = 0u64;
-        for (i, key) in req.blocks().enumerate() {
-            let t = req.block_completion_time(i as u32);
-            let outcome = self.store.access(key.raw(), req.kind, t);
-            let hit = outcome.is_hit();
-            let allocated = outcome.is_allocation();
-            self.day_mut(day).record_access(req.kind, hit, allocated);
-            if hit {
-                if req.kind.is_read() {
-                    read_hit_blocks += 1;
-                } else {
-                    write_hit_blocks += 1;
-                }
-            }
-            if allocated {
-                alloc_blocks += 1;
-            }
-        }
-        // Device accounting at 4 KiB granularity, sub-page remainders
-        // charged in full. Hits are served at issue time; allocation
-        // fills start once the underlying fetch completed.
-        if read_hit_blocks > 0 {
-            self.occupancy
-                .record_read_pages(minute, read_hit_blocks.div_ceil(BLOCKS_PER_PAGE as u64));
-        }
-        if write_hit_blocks > 0 {
-            self.occupancy
-                .record_write_pages(minute, write_hit_blocks.div_ceil(BLOCKS_PER_PAGE as u64));
-        }
-        if alloc_blocks > 0 {
-            let completion_minute = req.completion_time().minute();
-            self.occupancy.record_write_pages(
-                completion_minute,
-                alloc_blocks.div_ceil(BLOCKS_PER_PAGE as u64),
-            );
-        }
+        let store = &mut self.store;
+        self.result.record_request(
+            req.timestamp.minute(),
+            req.completion_time().minute(),
+            req.kind,
+            req.blocks().enumerate().map(|(i, key)| {
+                let t = req.block_completion_time(i as u32);
+                let outcome = store.access(key.raw(), req.kind, t);
+                (outcome.is_hit(), outcome.is_allocation())
+            }),
+        );
     }
 
-    fn finish(self, policy: Arc<str>, capacity_blocks: usize) -> SimResult {
-        SimResult {
-            policy,
-            capacity_blocks,
-            days: self.days,
-            occupancy: self.occupancy,
+    /// The sequential replay loop: each chunk is replayed as it arrives,
+    /// so the day is never buffered. With a `log`, a day's snapshot is
+    /// emitted when the next day starts: its counters are final there,
+    /// since accesses land on the issue day and batch installs were
+    /// counted at that day's boundary.
+    fn replay(
+        &mut self,
+        trace: &SyntheticTrace,
+        server: Option<usize>,
+        cfg: &SimConfig,
+        mut log: Option<&mut SnapshotLog>,
+    ) -> Result<(), SieveError> {
+        let mut stream = open_stream(trace, server, cfg);
+        let mut current: Option<Day> = None;
+        let mut emit = |result: &SimResult, finished: Option<Day>| {
+            if let (Some(log), Some(day)) = (log.as_deref_mut(), finished) {
+                log.push_day(result.day(day));
+            }
+        };
+        while let Some(msg) = stream.next_msg() {
+            match msg {
+                StreamMsg::StartDay(day) => {
+                    emit(&self.result, current);
+                    self.on_day_boundary(day);
+                    current = Some(day);
+                }
+                StreamMsg::Chunk(chunk) => {
+                    for req in &chunk {
+                        self.process_request(req);
+                    }
+                    stream.recycle(chunk);
+                }
+                StreamMsg::Failed(e) => return Err(e),
+            }
         }
+        emit(&self.result, current);
+        Ok(())
     }
 }
 
@@ -307,43 +410,16 @@ pub fn simulate_with_snapshots(
     spec: PolicySpec,
     cfg: &SimConfig,
 ) -> Result<(SimResult, SnapshotLog), SieveError> {
-    validate_scenario(trace, cfg)?;
+    validate_scenario(trace, None, cfg)?;
     if let ReplayMode::Sharded(n) = cfg.replay {
         let (result, _stats) = replay::simulate_sharded(trace, spec, cfg, n)?;
         let log = SnapshotLog::from_result(&result);
         return Ok((result, log));
     }
-    let total_minutes = trace.days() as usize * 24 * 60;
-    let name: Arc<str> = Arc::from(spec.name());
-    let mut run = Run::new(spec, cfg, total_minutes)?;
-    let mut log = SnapshotLog::new(name.clone(), cfg.capacity_blocks);
-    let mut stream = trace.stream(cfg.trace_stream.clone());
-    let mut current: Option<Day> = None;
-    while let Some(msg) = stream.next_msg() {
-        match msg {
-            StreamMsg::StartDay(day) => {
-                // The previous day's counters are final here: accesses
-                // land on the issue day and batch installs were charged
-                // at that day's boundary.
-                if let Some(prev) = current {
-                    log.push_day(run.days.get(prev.as_usize()).copied().unwrap_or_default());
-                }
-                run.on_day_boundary(day);
-                current = Some(day);
-            }
-            StreamMsg::Chunk(chunk) => {
-                for req in &chunk {
-                    run.process_request(req);
-                }
-                stream.recycle(chunk);
-            }
-            StreamMsg::Failed(e) => return Err(e),
-        }
-    }
-    if let Some(prev) = current {
-        log.push_day(run.days.get(prev.as_usize()).copied().unwrap_or_default());
-    }
-    Ok((run.finish(name, cfg.capacity_blocks), log))
+    let mut run = Run::new(spec, trace, cfg)?;
+    let mut log = SnapshotLog::new(run.result.policy.clone(), cfg.capacity_blocks);
+    run.replay(trace, None, cfg, Some(&mut log))?;
+    Ok((run.result, log))
 }
 
 /// Simulates one policy over a *single server's* slice of the trace
@@ -359,32 +435,13 @@ pub fn simulate_server(
     spec: PolicySpec,
     cfg: &SimConfig,
 ) -> Result<SimResult, SieveError> {
-    validate_scenario(trace, cfg)?;
-    if cfg.trace_stream.scenario.moves_across_servers() {
-        return Err(SieveError::InvalidConfig(
-            "cross-server scenario stages (failover) cannot replay a single server's slice".into(),
-        ));
-    }
+    validate_scenario(trace, Some(server_idx), cfg)?;
     if let ReplayMode::Sharded(n) = cfg.replay {
         return replay::simulate_server_sharded(trace, server_idx, spec, cfg, n).map(|(r, _)| r);
     }
-    let total_minutes = trace.days() as usize * 24 * 60;
-    let name: Arc<str> = Arc::from(spec.name());
-    let mut run = Run::new(spec, cfg, total_minutes)?;
-    let mut stream = trace.stream_server(server_idx, cfg.trace_stream.clone());
-    while let Some(msg) = stream.next_msg() {
-        match msg {
-            StreamMsg::StartDay(day) => run.on_day_boundary(day),
-            StreamMsg::Chunk(chunk) => {
-                for req in &chunk {
-                    run.process_request(req);
-                }
-                stream.recycle(chunk);
-            }
-            StreamMsg::Failed(e) => return Err(e),
-        }
-    }
-    Ok(run.finish(name, cfg.capacity_blocks))
+    let mut run = Run::new(spec, trace, cfg)?;
+    run.replay(trace, Some(server_idx), cfg, None)?;
+    Ok(run.result)
 }
 
 /// Simulates several policies over one trace, generating each day's
@@ -400,7 +457,7 @@ pub fn simulate_many(
     specs: Vec<PolicySpec>,
     cfg: &SimConfig,
 ) -> Result<Vec<SimResult>, SieveError> {
-    validate_scenario(trace, cfg)?;
+    validate_scenario(trace, None, cfg)?;
     if let ReplayMode::Sharded(n) = cfg.replay {
         // Sharded replay parallelizes *within* each policy, so policies
         // run one after another instead of fanning out across threads.
@@ -409,35 +466,17 @@ pub fn simulate_many(
             .map(|spec| replay::simulate_sharded(trace, spec, cfg, n).map(|(r, _)| r))
             .collect();
     }
-    let total_minutes = trace.days() as usize * 24 * 60;
-    let names: Vec<Arc<str>> = specs.iter().map(|s| Arc::from(s.name())).collect();
     let mut runs: Vec<Run> = specs
         .into_iter()
-        .map(|s| Run::new(s, cfg, total_minutes))
+        .map(|s| Run::new(s, trace, cfg))
         .collect::<Result<_, _>>()?;
 
-    let mut stream = trace.stream(cfg.trace_stream.clone());
     if let [run] = runs.as_mut_slice() {
-        // One policy: replay each chunk as it arrives — the day is
-        // never buffered, so peak trace memory is the stream pipeline's
-        // few chunks.
-        while let Some(msg) = stream.next_msg() {
-            match msg {
-                StreamMsg::StartDay(day) => run.on_day_boundary(day),
-                StreamMsg::Chunk(chunk) => {
-                    for req in &chunk {
-                        run.process_request(req);
-                    }
-                    stream.recycle(chunk);
-                }
-                StreamMsg::Failed(e) => return Err(e),
-            }
-        }
+        run.replay(trace, None, cfg, None)?;
     } else {
         // Several policies: accumulate one day (requests are generated
         // once) and fan the policies out across threads at each day
-        // boundary, as before — but overlapped with generation of the
-        // next day.
+        // boundary, overlapped with generation of the next day.
         let replay_day = |day: Day, requests: &[Request], runs: &mut [Run]| {
             thread::scope(|scope| {
                 for run in runs.iter_mut() {
@@ -451,6 +490,7 @@ pub fn simulate_many(
             })
             .map_err(|_| SieveError::InvalidConfig("simulation worker panicked".into()))
         };
+        let mut stream = open_stream(trace, None, cfg);
         let mut day_buf: Vec<Request> = Vec::new();
         let mut current: Option<Day> = None;
         while let Some(msg) = stream.next_msg() {
@@ -474,11 +514,7 @@ pub fn simulate_many(
         }
     }
 
-    Ok(runs
-        .into_iter()
-        .zip(names)
-        .map(|(run, name)| run.finish(name, cfg.capacity_blocks))
-        .collect())
+    Ok(runs.into_iter().map(|run| run.result).collect())
 }
 
 #[cfg(test)]

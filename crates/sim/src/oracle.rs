@@ -1,13 +1,16 @@
 //! Oracle pre-passes over the trace.
 //!
 //! The ideal configurations in the paper are clairvoyant: they know each
-//! day's most-accessed blocks in advance. These helpers scan the trace
-//! once per day and produce the per-day top-fraction selections used by
-//! the `Ideal` policy and the §5.3 per-server comparison.
+//! day's most-accessed blocks in advance. [`ideal_top_selections`]
+//! counts the streamed trace one day at a time and produces the per-day
+//! top-fraction selections used by the `Ideal` policy and the §5.3
+//! per-server comparison; [`day_counts`] / [`server_day_counts`] count
+//! one materialized day (the reference the streamed pass is tested
+//! against).
 
 use std::collections::HashMap;
 
-use sievestore_trace::SyntheticTrace;
+use sievestore_trace::{StreamMsg, SyntheticTrace, TraceStreamConfig};
 use sievestore_types::Day;
 
 /// Per-day block access counts plus derived top-fraction selections.
@@ -20,16 +23,14 @@ pub struct DayCounts {
 impl DayCounts {
     /// Builds counts from an iterator of `(block, n)` increments.
     pub fn from_blocks(blocks: impl Iterator<Item = u64>) -> Self {
-        let mut counts: HashMap<u64, u64> = HashMap::new();
-        let mut total = 0;
-        for b in blocks {
-            *counts.entry(b).or_insert(0) += 1;
-            total += 1;
-        }
-        DayCounts {
-            counts,
-            total_accesses: total,
-        }
+        let mut day = DayCounts::default();
+        blocks.for_each(|b| day.record(b));
+        day
+    }
+
+    fn record(&mut self, block: u64) {
+        *self.counts.entry(block).or_insert(0) += 1;
+        self.total_accesses += 1;
     }
 
     /// Number of distinct blocks accessed.
@@ -89,6 +90,10 @@ pub fn server_day_counts(trace: &SyntheticTrace, server_idx: usize, day: Day) ->
 ///
 /// Returns `(selections, covered_accesses, total_accesses)` — the latter
 /// two per day, for normalizing Figure 5's ideal bar.
+///
+/// One pass over the trace stream: a day's counts are finalised when the
+/// next day starts, so only one day's count table is ever held — never a
+/// day's requests.
 pub fn ideal_top_selections(
     trace: &SyntheticTrace,
     fraction: f64,
@@ -96,12 +101,35 @@ pub fn ideal_top_selections(
     let mut selections = Vec::with_capacity(trace.days() as usize);
     let mut covered = Vec::with_capacity(trace.days() as usize);
     let mut totals = Vec::with_capacity(trace.days() as usize);
-    for d in 0..trace.days() {
-        let counts = day_counts(trace, Day::new(d));
+    let mut finalise = |counts: DayCounts| {
         let (sel, cov) = counts.top_fraction(fraction);
         totals.push(counts.total_accesses());
         covered.push(cov);
         selections.push(sel);
+    };
+    let mut counts: Option<DayCounts> = None;
+    let mut stream = trace.stream(TraceStreamConfig::default());
+    while let Some(msg) = stream.next_msg() {
+        match msg {
+            StreamMsg::StartDay(_) => {
+                if let Some(done) = counts.replace(DayCounts::default()) {
+                    finalise(done);
+                }
+            }
+            StreamMsg::Chunk(chunk) => {
+                let day = counts.as_mut().expect("chunks follow their StartDay");
+                for req in &chunk {
+                    req.blocks().for_each(|b| day.record(b.raw()));
+                }
+                stream.recycle(chunk);
+            }
+            // Only spill-mode generation can fail, and the default
+            // stream configuration never spills.
+            StreamMsg::Failed(e) => panic!("in-memory trace stream failed: {e}"),
+        }
+    }
+    if let Some(done) = counts {
+        finalise(done);
     }
     (selections, covered, totals)
 }
@@ -155,6 +183,21 @@ mod tests {
             // The skew means the top 1% covers far more than 1% of accesses.
             let share = covered[d] as f64 / totals[d] as f64;
             assert!(share > 0.02, "day {d} top-1% share {share}");
+        }
+    }
+
+    #[test]
+    fn streamed_selections_match_the_materialized_day_counts() {
+        let trace = SyntheticTrace::new(EnsembleConfig::tiny(3)).unwrap();
+        let (sel, covered, totals) = ideal_top_selections(&trace, 0.01);
+        assert_eq!(sel.len(), trace.days() as usize);
+        for d in 0..trace.days() {
+            let counts = day_counts(&trace, Day::new(d));
+            let (want_sel, want_cov) = counts.top_fraction(0.01);
+            let d = d as usize;
+            assert_eq!(sel[d], want_sel, "day {d}");
+            assert_eq!(covered[d], want_cov, "day {d}");
+            assert_eq!(totals[d], counts.total_accesses(), "day {d}");
         }
     }
 

@@ -109,7 +109,7 @@ pub fn drive_cost_comparison(servers: usize, ensemble_drives: u32) -> (u32, u32)
 /// the servers, each server's requests run against its private cache, and
 /// the per-day metrics and per-minute device loads are combined with the
 /// commutative merges ([`crate::metrics::DayMetrics::merge`],
-/// [`sievestore_ssd::OccupancyTracker::merge`]).
+/// [`sievestore_ssd::OccupancyTracker::merge`]) the sharded engine uses.
 ///
 /// `spec_for` builds each server's policy (stateful policies must not be
 /// shared across servers).
@@ -129,20 +129,10 @@ pub fn simulate_per_server(
     for s in 0..servers {
         let sub_cfg = cfg.clone().with_capacity_blocks(per_server);
         let result = crate::engine::simulate_server(trace, s, spec_for(s), &sub_cfg)?;
-        combined = Some(match combined {
-            None => result,
-            Some(mut acc) => {
-                if result.days.len() > acc.days.len() {
-                    acc.days
-                        .resize(result.days.len(), crate::metrics::DayMetrics::default());
-                }
-                for (a, m) in acc.days.iter_mut().zip(&result.days) {
-                    a.merge(m);
-                }
-                acc.occupancy.merge(&result.occupancy);
-                acc
-            }
-        });
+        match &mut combined {
+            None => combined = Some(result),
+            Some(acc) => acc.absorb(&result),
+        }
     }
     let mut result = combined.expect("ensemble has at least one server");
     result.policy = format!("per-server {}", result.policy).into();

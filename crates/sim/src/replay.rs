@@ -43,37 +43,22 @@
 //!   computes the selection the sequential policy would produce, and
 //!   hands each worker its hash-partition of it to install locally —
 //!   for SieveStore-D within capacity this is the contribution vectors
-//!   handed straight back, with no merge at all. Workers report their
-//!   install sizes on a side channel the coordinator drains after the
-//!   replay, so the boundary's only blocking step is the contribution
-//!   gather; there is no global cache, no global install, and no
-//!   per-day resident-set clone/broadcast. Because the per-shard
+//!   handed straight back, with no merge at all. Each worker counts
+//!   its install in its own share of the result, so the boundary's only
+//!   blocking step is the contribution gather. Because the per-shard
 //!   resident sets partition the global one, the summed
 //!   allocated/retained/evicted counts equal the sequential install's
 //!   exactly, and epoch rotation stays globally ordered.
 //!
-//! # Adaptive batching
-//!
-//! The coordinator streams groups in batches whose size adapts at run
-//! time (`BatchTuner`): each hot-path send samples the destination
-//! channel's occupancy — mostly-empty channels mean starving workers
-//! (the coordinator is the bottleneck), so batches grow to amortize the
-//! per-send overhead; mostly-full channels mean backpressure, so batches
-//! shrink toward the floor to keep day-boundary drains short. When the
-//! `obs` layer is live, day boundaries additionally consult the
-//! [`ReplayChannelWaitNanos`](sievestore_types::obs::HistId) and
-//! [`ReplayDayBarrierNanos`](sievestore_types::obs::HistId) histogram
-//! deltas for the same decision with real latency medians. Batch size
-//! never affects results — it only changes message granularity, never
-//! per-shard event order.
-//!
 //! # Determinism
 //!
-//! Per-day [`DayMetrics`] merge with commutative integer sums
-//! ([`DayMetrics::merge`]), so the merged report does not depend on
-//! worker scheduling — replaying the same trace at any shard count is
-//! reproducible, and [`ReplayMode::Sharded`]`(1)` is byte-identical to
-//! the sequential engine for every policy. For `n > 1` the per-key
+//! Each shard fills its own [`SimResult`] through the sequential
+//! engine's accounting functions, and per-day metrics merge with
+//! commutative integer sums ([`crate::DayMetrics::merge`]), so the
+//! merged report does not depend on worker scheduling — replaying the
+//! same trace at any shard count is reproducible, and
+//! [`ReplayMode::Sharded`]`(1)` is byte-identical to the sequential
+//! engine for every policy. For `n > 1` the per-key
 //! policy decisions are exact (hash-sliced metastate, global batch
 //! state), which makes discrete policies byte-identical at any shard
 //! count and continuous policies byte-identical whenever capacity is
@@ -95,19 +80,18 @@ use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use crossbeam::thread;
 
 use sievestore::policy::RandSieveBlkD;
-use sievestore::{PolicySpec, SieveStore, SieveStoreBuilder};
+use sievestore::{PolicySpec, SieveStore};
 use sievestore_cache::BatchCache;
-use sievestore_extsort::{CountingConfig, InMemoryCounter};
+use sievestore_extsort::CountingConfig;
 use sievestore_sieve::{random_block_selection, DiscreteSieve};
-use sievestore_ssd::OccupancyTracker;
 use sievestore_trace::{StreamMsg, SyntheticTrace};
 use sievestore_types::{
     obs_count, obs_enabled, obs_observe, shard_of, Day, Micros, Minute, Request, RequestKind,
-    SieveError, U64Set, BLOCKS_PER_PAGE,
+    SieveError, U64Set,
 };
 
-use crate::engine::SimConfig;
-use crate::metrics::{DayMetrics, SimResult};
+use crate::engine::{open_stream, validate_scenario, SimConfig};
+use crate::metrics::SimResult;
 
 /// How the engine walks the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -173,7 +157,6 @@ impl ReplayStats {
 /// One request's blocks restricted to a single shard, with everything a
 /// worker needs to mirror the sequential engine's accounting.
 struct Group {
-    day: Day,
     minute: Minute,
     completion_minute: Minute,
     kind: RequestKind,
@@ -188,178 +171,19 @@ enum ToWorker {
     /// policies only).
     Boundary,
     /// Install this shard's partition of the day's epoch selection into
-    /// the worker's local cache and report the install size (discrete
-    /// only).
+    /// the worker's local cache and count the install (discrete only).
     Install(Day, Vec<u64>),
 }
 
-/// Starting batch size: groups buffered per shard before a channel send.
-/// Large enough that the channel round-trip amortizes to noise per
-/// event, small enough that a batch (~56 bytes/group header plus
-/// recycled block buffers) stays cheap to shuttle and the consumer
-/// pipeline stays busy. [`BatchTuner`] adapts from here at run time.
-const START_GROUPS: usize = 1024;
-/// Smallest batch the tuner will shrink to.
-const MIN_GROUPS: usize = 128;
-/// Largest batch the tuner will grow to.
-const MAX_GROUPS: usize = 8192;
-/// Hot-path sends between occupancy-based retunes.
-const TUNE_WINDOW: u64 = 64;
-/// In-flight batches per worker channel (backpressure bound).
+/// Groups buffered per shard before a queue push: large enough that the
+/// ~1 µs push is noise against the batch's ≥ 50 µs of worker time, small
+/// enough that day-boundary drains stay short. Fixed by measurement
+/// (DESIGN.md §5f has the candidates tried); it sets message granularity
+/// only, never per-shard event order, so no simulated metric depends on
+/// it.
+const BATCH_GROUPS: usize = 1024;
+/// In-flight batches per shard queue (backpressure bound).
 const CHANNEL_DEPTH: usize = 8;
-
-/// A channel-wait median above this (100 µs) reads as "workers starve
-/// between batches" — grow the batch.
-const HIGH_WAIT_NS: u64 = 100_000;
-/// A day-barrier median above this (10 ms) with cheap channel waits
-/// reads as "boundary drains dominate" — shrink the batch.
-const HIGH_BARRIER_NS: u64 = 10_000_000;
-
-/// Run-time batch sizing off live backpressure signals.
-///
-/// Two inputs drive one knob (the group count per channel send):
-///
-/// * **Channel occupancy** (always on): each hot-path send samples how
-///   many batches sit unconsumed in the destination channel. A window
-///   of mostly-empty observations means the workers outrun the
-///   coordinator — per-send routing overhead is the bottleneck, so the
-///   batch doubles (up to [`MAX_GROUPS`]). Mostly-full means the
-///   channel is pushing back — halving (down to [`MIN_GROUPS`]) keeps
-///   less replay in flight and day-boundary drains short.
-/// * **Latency histograms** (when the obs layer records): at each day
-///   boundary the tuner takes the delta of the global
-///   `ReplayChannelWaitNanos` / `ReplayDayBarrierNanos` histograms since
-///   the previous boundary and applies the same policy to their
-///   medians: expensive channel waits grow the batch, expensive
-///   barriers with cheap waits shrink it.
-///
-/// Batch size only changes message granularity — per-shard event order,
-/// and therefore every simulated metric, is independent of it.
-#[derive(Debug)]
-struct BatchTuner {
-    groups: usize,
-    sends: u64,
-    empty: u64,
-    full: u64,
-    wait_seen: sievestore_types::obs::HistogramSnapshot,
-    barrier_seen: sievestore_types::obs::HistogramSnapshot,
-}
-
-impl BatchTuner {
-    fn new() -> Self {
-        use sievestore_types::obs;
-        // Baseline the global histograms so deltas cover this run only.
-        let (wait_seen, barrier_seen) = if obs_enabled!() {
-            let reg = obs::global();
-            (
-                reg.histogram(obs::HistId::ReplayChannelWaitNanos)
-                    .snapshot(),
-                reg.histogram(obs::HistId::ReplayDayBarrierNanos).snapshot(),
-            )
-        } else {
-            (
-                obs::HistogramSnapshot::empty(),
-                obs::HistogramSnapshot::empty(),
-            )
-        };
-        BatchTuner {
-            groups: START_GROUPS,
-            sends: 0,
-            empty: 0,
-            full: 0,
-            wait_seen,
-            barrier_seen,
-        }
-    }
-
-    /// The current batch size target.
-    fn target(&self) -> usize {
-        self.groups
-    }
-
-    /// Samples one hot-path send: `queued` is the destination channel's
-    /// occupancy just before the send.
-    fn observe_send(&mut self, queued: usize) {
-        self.sends += 1;
-        if queued == 0 {
-            self.empty += 1;
-        } else if queued >= CHANNEL_DEPTH - 1 {
-            self.full += 1;
-        }
-        if self.sends >= TUNE_WINDOW {
-            if self.empty * 2 >= self.sends {
-                self.grow();
-            } else if self.full * 2 >= self.sends {
-                self.shrink();
-            }
-            self.sends = 0;
-            self.empty = 0;
-            self.full = 0;
-        }
-    }
-
-    /// Consults the obs layer's latency histograms at a day boundary
-    /// (no-op unless recording is live).
-    fn observe_day_boundary(&mut self) {
-        use sievestore_types::obs;
-        if !obs_enabled!() {
-            return;
-        }
-        let reg = obs::global();
-        let wait = reg
-            .histogram(obs::HistId::ReplayChannelWaitNanos)
-            .snapshot();
-        let barrier = reg.histogram(obs::HistId::ReplayDayBarrierNanos).snapshot();
-        let wait_delta = Self::delta(&wait, &self.wait_seen);
-        let barrier_delta = Self::delta(&barrier, &self.barrier_seen);
-        self.wait_seen = wait;
-        self.barrier_seen = barrier;
-        self.retune_from_latency(&wait_delta, &barrier_delta);
-    }
-
-    /// The decision core, separated from the global registry for direct
-    /// testing: medians of the *per-day* latency deltas pick a direction.
-    fn retune_from_latency(
-        &mut self,
-        wait: &sievestore_types::obs::HistogramSnapshot,
-        barrier: &sievestore_types::obs::HistogramSnapshot,
-    ) {
-        let wait_median = wait.quantile_floor(0.5);
-        match wait_median {
-            Some(w) if w >= HIGH_WAIT_NS => self.grow(),
-            _ => {
-                if barrier.quantile_floor(0.5) >= Some(HIGH_BARRIER_NS)
-                    && wait_median.unwrap_or(0) < HIGH_WAIT_NS
-                {
-                    self.shrink();
-                }
-            }
-        }
-    }
-
-    fn grow(&mut self) {
-        self.groups = (self.groups * 2).min(MAX_GROUPS);
-    }
-
-    fn shrink(&mut self) {
-        self.groups = (self.groups / 2).max(MIN_GROUPS);
-    }
-
-    fn delta(
-        current: &sievestore_types::obs::HistogramSnapshot,
-        previous: &sievestore_types::obs::HistogramSnapshot,
-    ) -> sievestore_types::obs::HistogramSnapshot {
-        let mut d = sievestore_types::obs::HistogramSnapshot::empty();
-        for (out, (cur, prev)) in d
-            .buckets
-            .iter_mut()
-            .zip(current.buckets.iter().zip(&previous.buckets))
-        {
-            *out = cur.saturating_sub(*prev);
-        }
-        d
-    }
-}
 
 /// Buffer-recycling protocol: workers return every processed batch here
 /// (groups cleared, `Vec` capacities intact) and the coordinator reuses
@@ -372,14 +196,6 @@ struct BufferPool {
 }
 
 impl BufferPool {
-    fn new(returns: Receiver<Vec<Group>>) -> Self {
-        BufferPool {
-            groups: Vec::new(),
-            batches: Vec::new(),
-            returns,
-        }
-    }
-
     /// Harvests every batch the workers have returned so far.
     fn reclaim(&mut self) {
         while let Ok(mut batch) = self.returns.try_recv() {
@@ -392,19 +208,13 @@ impl BufferPool {
 
     /// A group with empty (possibly pre-sized) `blocks`, recycled when
     /// available.
-    fn group(&mut self, day: Day, req: &Request) -> Group {
-        let mut g = self.groups.pop().unwrap_or_else(|| Group {
-            day,
+    fn group(&mut self, req: &Request) -> Group {
+        Group {
             minute: req.timestamp.minute(),
             completion_minute: req.completion_time().minute(),
             kind: req.kind,
-            blocks: Vec::new(),
-        });
-        g.day = day;
-        g.minute = req.timestamp.minute();
-        g.completion_minute = req.completion_time().minute();
-        g.kind = req.kind;
-        g
+            blocks: self.groups.pop().map(|g| g.blocks).unwrap_or_default(),
+        }
     }
 
     /// An empty batch `Vec`, recycled when available.
@@ -413,8 +223,9 @@ impl BufferPool {
     }
 }
 
-/// Per-shard bookkeeping for discrete policies. Only the *counting* side
-/// lives on the shard; the epoch cache is global at the coordinator.
+/// Per-shard epoch bookkeeping for discrete policies: the *counting*
+/// side of the policy. The shard's slice of the epoch cache sits beside
+/// it in [`WorkerKind::Discrete`].
 enum DiscreteBook {
     SieveD {
         sieve: DiscreteSieve<sievestore_extsort::EpochCounter>,
@@ -559,9 +370,6 @@ enum WorkerKind {
         /// keys in total across all shards) can never locally truncate.
         resident: BatchCache,
         contribute: Sender<(usize, Vec<u64>)>,
-        /// `(day, blocks installed)` reports, drained by the coordinator
-        /// after the replay — it never blocks on them.
-        moved: Sender<(Day, u64)>,
     },
 }
 
@@ -570,18 +378,10 @@ enum WorkerKind {
 /// processes the shard's next message.
 struct ShardState {
     kind: WorkerKind,
-    days: Vec<DayMetrics>,
-    occupancy: OccupancyTracker,
+    /// This shard's share of the merged result.
+    result: SimResult,
     /// Processed batches go back to the coordinator for reuse.
     recycle: Sender<Vec<Group>>,
-}
-
-fn day_slot(days: &mut Vec<DayMetrics>, day: Day) -> &mut DayMetrics {
-    let idx = day.as_usize();
-    if idx >= days.len() {
-        days.resize(idx + 1, DayMetrics::default());
-    }
-    &mut days[idx]
 }
 
 impl ShardState {
@@ -613,28 +413,27 @@ impl ShardState {
                 }
             }
             ToWorker::Install(day, selection) => {
-                if let WorkerKind::Discrete {
-                    resident, moved, ..
-                } = &mut self.kind
-                {
+                if let WorkerKind::Discrete { resident, .. } = &mut self.kind {
                     let transition = resident.install_epoch(selection);
-                    // The coordinator drains these after the replay;
-                    // it may already have stopped listening if a
-                    // sibling worker panicked.
-                    let _ = moved.send((day, transition.allocated.len() as u64));
+                    // The shard's share of the day's batch move; the
+                    // merge sums the shares into the global count.
+                    self.result
+                        .record_batch_install(day, transition.allocated.len() as u64);
                 }
             }
         }
     }
 
-    /// Mirrors `Run::process_request` for the shard's slice of one
-    /// request. Page accounting rounds per fragment (see module docs).
+    /// Accounts the shard's fragment of one request exactly as the
+    /// sequential engine accounts a whole one; page accounting therefore
+    /// rounds per fragment (see module docs).
     fn process_group(&mut self, g: &Group) {
-        let mut read_hit_blocks = 0u64;
-        let mut write_hit_blocks = 0u64;
-        let mut alloc_blocks = 0u64;
-        for &(key, t) in &g.blocks {
-            let (hit, allocated) = match &mut self.kind {
+        let kind = &mut self.kind;
+        self.result.record_request(
+            g.minute,
+            g.completion_minute,
+            g.kind,
+            g.blocks.iter().map(|&(key, t)| match kind {
                 WorkerKind::Continuous(store) => {
                     let outcome = store.access(key, g.kind, t);
                     (outcome.is_hit(), outcome.is_allocation())
@@ -644,32 +443,8 @@ impl ShardState {
                     // Discrete misses never allocate mid-epoch.
                     (resident.contains(key), false)
                 }
-            };
-            day_slot(&mut self.days, g.day).record_access(g.kind, hit, allocated);
-            if hit {
-                if g.kind.is_read() {
-                    read_hit_blocks += 1;
-                } else {
-                    write_hit_blocks += 1;
-                }
-            }
-            if allocated {
-                alloc_blocks += 1;
-            }
-        }
-        let bpp = BLOCKS_PER_PAGE as u64;
-        if read_hit_blocks > 0 {
-            self.occupancy
-                .record_read_pages(g.minute, read_hit_blocks.div_ceil(bpp));
-        }
-        if write_hit_blocks > 0 {
-            self.occupancy
-                .record_write_pages(g.minute, write_hit_blocks.div_ceil(bpp));
-        }
-        if alloc_blocks > 0 {
-            self.occupancy
-                .record_write_pages(g.completion_minute, alloc_blocks.div_ceil(bpp));
-        }
+            }),
+        );
     }
 }
 
@@ -723,13 +498,27 @@ impl ShardRig {
         let mut q = self.queue.lock().expect("queue lock");
         while q.items.len() >= CHANNEL_DEPTH {
             if self.state.is_poisoned() {
-                return Err(SieveError::InvalidConfig("replay worker panicked".into()));
+                return Err(worker_panicked());
             }
             q = self.cond.wait_timeout(q, PUSH_WAIT).expect("queue lock").0;
         }
         q.items.push_back(msg);
         self.cond.notify_all();
         Ok(())
+    }
+
+    /// Ships the pending `groups`, if any, leaving `replacement` in
+    /// their place.
+    fn push_batch(
+        &self,
+        groups: &mut Vec<Group>,
+        replacement: Vec<Group>,
+    ) -> Result<(), SieveError> {
+        if groups.is_empty() {
+            return Ok(());
+        }
+        obs_count!(ReplayBatchesSent, 1);
+        self.push(ToWorker::Batch(std::mem::replace(groups, replacement)))
     }
 
     /// Marks the queue complete; workers exit once every queue is both
@@ -739,11 +528,6 @@ impl ShardRig {
         self.cond.notify_all();
     }
 
-    /// Messages currently queued (the batch tuner's occupancy sample).
-    fn queued(&self) -> usize {
-        self.queue.lock().expect("queue lock").items.len()
-    }
-
     /// Whether this shard can never produce work again.
     fn drained(&self) -> bool {
         let q = self.queue.lock().expect("queue lock");
@@ -751,27 +535,19 @@ impl ShardRig {
     }
 }
 
-/// Outcome of one attempt to run a shard's next message.
-enum Take {
-    /// One message was executed under the shard's state lock.
-    Processed,
-    /// The queue had nothing to run.
-    Empty,
-    /// Another worker holds the shard's state (steal attempts only).
-    Busy,
-}
-
-/// Pops and executes at most one message from `rig`. The state lock is
+/// Pops and executes at most one message from `rig`; `false` if the
+/// queue was empty or — steal attempts only, which never block behind a
+/// busy owner — another worker holds the shard's state. The state lock is
 /// taken *first* and held across both the pop and the processing — that
 /// is the whole determinism argument — and exactly one message runs per
 /// acquisition, so a stalled owner's stealers (or a stealing owner's
 /// returns) interleave at message granularity instead of waiting out a
 /// whole batch backlog.
-fn try_process_one(rig: &ShardRig, steal: bool) -> Take {
+fn try_process_one(rig: &ShardRig, steal: bool) -> bool {
     let mut state = if steal {
         match rig.state.try_lock() {
             Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => return Take::Busy,
+            Err(TryLockError::WouldBlock) => return false,
             Err(TryLockError::Poisoned(e)) => panic!("shard state poisoned: {e}"),
         }
     } else {
@@ -786,11 +562,11 @@ fn try_process_one(rig: &ShardRig, steal: bool) -> Take {
                 rig.cond.notify_all();
                 msg
             }
-            None => return Take::Empty,
+            None => return false,
         }
     };
     state.process(msg);
-    Take::Processed
+    true
 }
 
 /// One replay worker: drains its own shard's queue, then steals single
@@ -807,9 +583,8 @@ fn worker_loop(id: usize, rigs: &[ShardRig], steals: &AtomicU64, stall: Option<D
             if let Some(nap) = stall {
                 std::thread::sleep(nap);
             }
-            match try_process_one(own, false) {
-                Take::Processed => continue,
-                Take::Empty | Take::Busy => break,
+            if !try_process_one(own, false) {
+                break;
             }
         }
         // Steal sweep: at most one message from the first available
@@ -818,7 +593,7 @@ fn worker_loop(id: usize, rigs: &[ShardRig], steals: &AtomicU64, stall: Option<D
         let mut stole = false;
         for offset in 1..rigs.len() {
             let victim = &rigs[(id + offset) % rigs.len()];
-            if matches!(try_process_one(victim, true), Take::Processed) {
+            if try_process_one(victim, true) {
                 steals.fetch_add(1, Ordering::Relaxed);
                 stole = true;
                 break;
@@ -843,9 +618,13 @@ fn worker_loop(id: usize, rigs: &[ShardRig], steals: &AtomicU64, stall: Option<D
     }
 }
 
+fn worker_panicked() -> SieveError {
+    SieveError::InvalidConfig("replay worker panicked".into())
+}
+
 /// Receives one epoch contribution during the day-boundary gather,
 /// watching for worker panics: the shard states live in coordinator-
-/// owned rigs, so a dead worker no longer disconnects the channel and a
+/// owned rigs, so a dead worker does not disconnect the channel and a
 /// plain `recv` could block forever.
 fn recv_contribution(
     rx: &Receiver<(usize, Vec<u64>)>,
@@ -854,12 +633,10 @@ fn recv_contribution(
     loop {
         match rx.try_recv() {
             Ok(pair) => return Ok(pair),
-            Err(TryRecvError::Disconnected) => {
-                return Err(SieveError::InvalidConfig("replay worker panicked".into()));
-            }
+            Err(TryRecvError::Disconnected) => return Err(worker_panicked()),
             Err(TryRecvError::Empty) => {
                 if rigs.iter().any(|r| r.state.is_poisoned()) {
-                    return Err(SieveError::InvalidConfig("replay worker panicked".into()));
+                    return Err(worker_panicked());
                 }
                 std::thread::sleep(Duration::from_micros(100));
             }
@@ -935,29 +712,17 @@ fn run_sharded(
             "cache capacity must be nonzero".into(),
         ));
     }
-    crate::engine::validate_scenario(trace, cfg)?;
-    if server.is_some() && cfg.trace_stream.scenario.moves_across_servers() {
-        return Err(SieveError::InvalidConfig(
-            "cross-server scenario stages (failover) cannot replay a single server's slice".into(),
-        ));
-    }
-    let total_minutes = trace.days() as usize * 24 * 60;
+    validate_scenario(trace, server, cfg)?;
     let name: Arc<str> = Arc::from(spec.name());
-    let fresh_tracker = || {
-        OccupancyTracker::new(cfg.ssd.clone(), total_minutes)
-            .with_load_multiplier(cfg.load_multiplier)
-    };
 
     // Coordinator-side discrete state: the epoch selection plan. The
     // epoch caches themselves live on the workers, one hash-partition
     // each. `None` for continuous policies.
     let mut plan: Option<BatchPlan> = match &spec {
-        PolicySpec::SieveStoreD { threshold } => {
-            // Validate exactly as the sequential builder would.
-            DiscreteSieve::new(InMemoryCounter::new(), *threshold)?;
-            Some(BatchPlan::SieveD)
-        }
+        // Its threshold is validated when the shards' books are built.
+        PolicySpec::SieveStoreD { .. } => Some(BatchPlan::SieveD),
         PolicySpec::RandSieveBlkD { fraction, seed } => {
+            // Validate exactly as the sequential builder would.
             RandSieveBlkD::new(*fraction, *seed)?;
             Some(BatchPlan::BlkD {
                 fraction: *fraction,
@@ -972,19 +737,11 @@ fn run_sharded(
     };
 
     let (contrib_tx, contrib_rx) = channel::unbounded::<(usize, Vec<u64>)>();
-    let (moved_tx, moved_rx) = channel::unbounded::<(Day, u64)>();
     let (recycle_tx, recycle_rx) = channel::unbounded::<Vec<Group>>();
     let mut rigs = Vec::with_capacity(shards);
     for s in 0..shards {
         let kind = if plan.is_none() {
-            WorkerKind::Continuous(
-                SieveStoreBuilder::new()
-                    .capacity_blocks(cfg.capacity_blocks)
-                    .policy(spec.clone())
-                    .eviction(cfg.eviction)
-                    .shard(s, shards)
-                    .build()?,
-            )
+            WorkerKind::Continuous(cfg.store_builder(spec.clone()).shard(s, shards).build()?)
         } else {
             let book = match &spec {
                 PolicySpec::SieveStoreD { threshold } => DiscreteBook::SieveD {
@@ -999,18 +756,15 @@ fn run_sharded(
                 book,
                 resident: BatchCache::new(cfg.capacity_blocks),
                 contribute: contrib_tx.clone(),
-                moved: moved_tx.clone(),
             }
         };
         rigs.push(ShardRig::new(ShardState {
             kind,
-            days: Vec::new(),
-            occupancy: fresh_tracker(),
+            result: SimResult::empty(name.clone(), trace, cfg),
             recycle: recycle_tx.clone(),
         }));
     }
     drop(contrib_tx);
-    drop(moved_tx);
     drop(recycle_tx);
 
     let steals = AtomicU64::new(0);
@@ -1020,10 +774,7 @@ fn run_sharded(
         for id in 0..shards {
             let rigs = &rigs;
             let steals = &steals;
-            let nap = match stall {
-                Some((worker, nap)) if worker == id => Some(nap),
-                _ => None,
-            };
+            let nap = stall.and_then(|(worker, nap)| (worker == id).then_some(nap));
             scope.spawn(move |_| worker_loop(id, rigs, steals, nap));
         }
 
@@ -1031,23 +782,18 @@ fn run_sharded(
         // failure or worker panic) is captured so the queues still
         // close and the scope still joins before it propagates.
         let coordinate = || -> Result<(), SieveError> {
-            let mut stream = match server {
-                Some(idx) => trace.stream_server(idx, cfg.trace_stream.clone()),
-                None => trace.stream(cfg.trace_stream.clone()),
-            };
+            let mut stream = open_stream(trace, server, cfg);
             let mut pending: Vec<Vec<Group>> = (0..shards).map(|_| Vec::new()).collect();
             let mut scratch: Vec<Vec<(u64, Micros)>> = (0..shards).map(|_| Vec::new()).collect();
-            let mut pool = BufferPool::new(recycle_rx);
-            let mut tuner = BatchTuner::new();
-            // Chunks always follow their day's `StartDay`, so this
-            // placeholder is overwritten before any group is built.
-            let mut day = Day::new(0);
+            let mut pool = BufferPool {
+                groups: Vec::new(),
+                batches: Vec::new(),
+                returns: recycle_rx,
+            };
             while let Some(msg) = stream.next_msg() {
                 match msg {
-                    StreamMsg::StartDay(d) => {
-                        day = d;
+                    StreamMsg::StartDay(day) => {
                         obs_count!(ReplayDayBoundaries, 1);
-                        tuner.observe_day_boundary();
                         if let Some(plan) = plan.as_mut() {
                             let barrier_started = obs_enabled!().then(std::time::Instant::now);
                             // Boundary barrier: drain in-flight work and
@@ -1055,13 +801,9 @@ fn run_sharded(
                             // the gather is the only blocking step. Each
                             // shard then installs its partition of the
                             // merged selection into its local epoch
-                            // cache and reports the install size
-                            // asynchronously.
+                            // cache, asynchronously.
                             for (rig, groups) in rigs.iter().zip(&mut pending) {
-                                if !groups.is_empty() {
-                                    obs_count!(ReplayBatchesSent, 1);
-                                    rig.push(ToWorker::Batch(std::mem::take(groups)))?;
-                                }
+                                rig.push_batch(groups, Vec::new())?;
                                 rig.push(ToWorker::Boundary)?;
                             }
                             let mut contributions: Vec<Vec<u64>> =
@@ -1101,17 +843,11 @@ fn run_sharded(
                                 // group: the group's cleared buffer
                                 // becomes the next request's scratch, so
                                 // neither side ever reallocates.
-                                let mut group = pool.group(day, req);
+                                let mut group = pool.group(req);
                                 std::mem::swap(&mut group.blocks, &mut scratch[s]);
                                 pending[s].push(group);
-                                if pending[s].len() >= tuner.target() {
-                                    let replacement = pool.batch();
-                                    obs_count!(ReplayBatchesSent, 1);
-                                    tuner.observe_send(rigs[s].queued());
-                                    rigs[s].push(ToWorker::Batch(std::mem::replace(
-                                        &mut pending[s],
-                                        replacement,
-                                    )))?;
+                                if pending[s].len() >= BATCH_GROUPS {
+                                    rigs[s].push_batch(&mut pending[s], pool.batch())?;
                                 }
                             }
                         }
@@ -1121,10 +857,7 @@ fn run_sharded(
                 }
             }
             for (rig, groups) in rigs.iter().zip(&mut pending) {
-                if !groups.is_empty() {
-                    obs_count!(ReplayBatchesSent, 1);
-                    rig.push(ToWorker::Batch(std::mem::take(groups)))?;
-                }
+                rig.push_batch(groups, Vec::new())?;
             }
             Ok(())
         };
@@ -1136,75 +869,25 @@ fn run_sharded(
         }
         result
     });
-    match scope_result {
-        Ok(result) => result?,
-        // A worker panic unwinds through the scope (its queue state is
-        // unrecoverable); surface it as a replay error.
-        Err(_) => {
-            return Err(SieveError::InvalidConfig("replay worker panicked".into()));
-        }
-    }
+    // A worker panic unwinds through the scope (its queue state is
+    // unrecoverable); surface it as a replay error.
+    scope_result.map_err(|_| worker_panicked())??;
 
-    let mut shard_results = Vec::with_capacity(shards);
+    let mut merged = SimResult::empty(name, trace, cfg);
     for rig in rigs {
-        let state = rig
-            .state
-            .into_inner()
-            .map_err(|_| SieveError::InvalidConfig("replay worker panicked".into()))?;
-        shard_results.push((state.days, state.occupancy));
+        let state = rig.state.into_inner().map_err(|_| worker_panicked())?;
+        merged.absorb(&state.result);
     }
-
-    let mut days: Vec<DayMetrics> = Vec::new();
-    let mut occupancy = fresh_tracker();
-    // Workers have joined, so every per-shard install report is queued.
-    // Sum them per day and account exactly as the sequential engine
-    // does: the day's batch_allocations plus (optionally) the moved
-    // pages spread over the boundary hour — total first, then one
-    // page-rounding, so the occupancy series matches the sequential
-    // charge at any shard count.
-    let mut moved_by_day: Vec<u64> = Vec::new();
-    while let Ok((day, moved)) = moved_rx.try_recv() {
-        let idx = day.as_usize();
-        if idx >= moved_by_day.len() {
-            moved_by_day.resize(idx + 1, 0);
+    if cfg.charge_batch_moves {
+        // Charged on the merged per-day totals — total first, then one
+        // page-rounding — so the occupancy series matches the sequential
+        // charge at any shard count.
+        for day in 0..merged.days.len() {
+            merged.charge_batch_moves(Day::new(day as u16));
         }
-        moved_by_day[idx] += moved;
-    }
-    for (idx, &moved) in moved_by_day.iter().enumerate() {
-        let day = Day::new(idx as u16);
-        day_slot(&mut days, day).batch_allocations = moved;
-        if cfg.charge_batch_moves && moved > 0 {
-            // Spread the moves evenly over the first hour of the day,
-            // exactly as the sequential engine does.
-            let pages = moved.div_ceil(BLOCKS_PER_PAGE as u64);
-            let start = day.start().minute();
-            let per_minute = pages.div_ceil(60);
-            for m in 0..60u32 {
-                let minute = Minute::new(start.index() + m);
-                let chunk = per_minute.min(pages.saturating_sub(per_minute * m as u64));
-                if chunk == 0 {
-                    break;
-                }
-                occupancy.record_write_pages(minute, chunk);
-            }
-        }
-    }
-    for (shard_days, shard_occ) in shard_results {
-        if shard_days.len() > days.len() {
-            days.resize(shard_days.len(), DayMetrics::default());
-        }
-        for (total, d) in days.iter_mut().zip(&shard_days) {
-            total.merge(d);
-        }
-        occupancy.merge(&shard_occ);
     }
     Ok((
-        SimResult {
-            policy: name,
-            capacity_blocks: cfg.capacity_blocks,
-            days,
-            occupancy,
-        },
+        merged,
         ReplayStats {
             per_shard_blocks,
             steals: steals.load(Ordering::Relaxed),
@@ -1300,6 +983,36 @@ mod tests {
     }
 
     #[test]
+    fn batch_move_charge_is_identical_at_any_shard_count() {
+        // The spread is charged on the merged per-day totals, so the
+        // write load it adds cannot depend on how the installs were
+        // partitioned.
+        let trace = tiny();
+        let spec = PolicySpec::SieveStoreD { threshold: 5 };
+        let plain = cfg(&trace, 16384);
+        let charged = plain.clone().with_charge_batch_moves(true);
+        let added = |charged: &SimResult, plain: &SimResult| {
+            charged.occupancy.total_write_bytes() - plain.occupancy.total_write_bytes()
+        };
+        let want = added(
+            &simulate(&trace, spec.clone(), &charged).unwrap(),
+            &simulate(&trace, spec.clone(), &plain).unwrap(),
+        );
+        assert!(want > 0.0);
+        for shards in [1usize, 2, 4] {
+            let got = added(
+                &simulate_sharded(&trace, spec.clone(), &charged, shards)
+                    .unwrap()
+                    .0,
+                &simulate_sharded(&trace, spec.clone(), &plain, shards)
+                    .unwrap()
+                    .0,
+            );
+            assert_eq!(got, want, "{shards} shards");
+        }
+    }
+
+    #[test]
     fn continuous_sieve_matches_with_ample_capacity() {
         let trace = tiny();
         let c = cfg(&trace, 1 << 20);
@@ -1351,66 +1064,6 @@ mod tests {
         expected.sort_unstable();
         assert_eq!(installed, expected);
         assert_eq!(installed.len(), capacity);
-    }
-
-    #[test]
-    fn tuner_grows_on_empty_channels_and_clamps_at_max() {
-        let mut tuner = BatchTuner::new();
-        assert_eq!(tuner.target(), START_GROUPS);
-        for _ in 0..TUNE_WINDOW {
-            tuner.observe_send(0);
-        }
-        assert_eq!(tuner.target(), START_GROUPS * 2);
-        for _ in 0..10 * TUNE_WINDOW {
-            tuner.observe_send(0);
-        }
-        assert_eq!(tuner.target(), MAX_GROUPS);
-    }
-
-    #[test]
-    fn tuner_shrinks_on_full_channels_and_clamps_at_min() {
-        let mut tuner = BatchTuner::new();
-        for _ in 0..10 * TUNE_WINDOW {
-            tuner.observe_send(CHANNEL_DEPTH - 1);
-        }
-        assert_eq!(tuner.target(), MIN_GROUPS);
-    }
-
-    #[test]
-    fn tuner_holds_steady_on_mixed_occupancy() {
-        let mut tuner = BatchTuner::new();
-        for i in 0..TUNE_WINDOW {
-            // Neither mostly-empty nor mostly-full.
-            tuner.observe_send(if i % 4 == 0 { 0 } else { 2 });
-        }
-        assert_eq!(tuner.target(), START_GROUPS);
-    }
-
-    #[test]
-    fn tuner_latency_deltas_steer_batch_size() {
-        use sievestore_types::obs::HistogramSnapshot;
-        let mut tuner = BatchTuner::new();
-        let quiet = HistogramSnapshot::empty();
-
-        // Expensive channel waits (median 2^17 ns ≥ HIGH_WAIT_NS):
-        // workers starve between batches, so the batch grows.
-        let mut slow_wait = HistogramSnapshot::empty();
-        slow_wait.buckets[18] = 100;
-        tuner.retune_from_latency(&slow_wait, &quiet);
-        assert_eq!(tuner.target(), START_GROUPS * 2);
-
-        // Expensive barriers (median 2^24 ns ≥ HIGH_BARRIER_NS) while
-        // waits stay cheap: boundary drains dominate, so it shrinks.
-        let mut cheap_wait = HistogramSnapshot::empty();
-        cheap_wait.buckets[4] = 100;
-        let mut slow_barrier = HistogramSnapshot::empty();
-        slow_barrier.buckets[25] = 10;
-        tuner.retune_from_latency(&cheap_wait, &slow_barrier);
-        assert_eq!(tuner.target(), START_GROUPS);
-
-        // No samples this day: hold position.
-        tuner.retune_from_latency(&quiet, &quiet);
-        assert_eq!(tuner.target(), START_GROUPS);
     }
 
     #[test]

@@ -3,40 +3,48 @@
 //! Run with: `cargo run --release --example sharded_scaling`
 //!
 //! When one appliance's SSD or network saturates, blocks can be hashed
-//! across several independent appliances. Because a block's entire miss
-//! history lands on one shard, sieving decisions are unchanged; capacity
-//! and IOPS scale with the shard count. This example also shows the
-//! adaptive threshold controller keeping SieveStore-D's selection inside
-//! a cache budget.
+//! across several independent appliances — with the workspace's one
+//! sharding: `shard_of` routes a block, `SieveStoreBuilder::shard(s, n)`
+//! builds shard `s` with its slice of the capacity and of the sieve
+//! metastate. Because a block's entire miss history lands on one shard,
+//! sieving decisions are unchanged; capacity and IOPS scale with the
+//! shard count. This example also shows the adaptive threshold
+//! controller keeping SieveStore-D's selection inside a cache budget.
 
-use sievestore::tuning::{AdaptiveThreshold, ShardedSieveStore};
-use sievestore::PolicySpec;
+use sievestore::tuning::AdaptiveThreshold;
+use sievestore::{PolicySpec, SieveStore, SieveStoreBuilder};
 use sievestore_sieve::TwoTierConfig;
-use sievestore_trace::{EnsembleConfig, SyntheticTrace};
-use sievestore_types::{Day, SieveError};
+use sievestore_trace::{EnsembleConfig, SyntheticTrace, TraceStreamConfig};
+use sievestore_types::{shard_of, SieveError};
 
 fn main() -> Result<(), SieveError> {
     let trace = SyntheticTrace::new(EnsembleConfig::tiny(7).with_days(3))?;
+    let policy = PolicySpec::SieveStoreC(TwoTierConfig::paper_default().with_imct_entries(1 << 14));
 
     for shards in [1usize, 2, 4] {
-        let mut group = ShardedSieveStore::new(shards, 16_384 / shards, |_| {
-            PolicySpec::SieveStoreC(TwoTierConfig::paper_default().with_imct_entries(1 << 14))
-        })?;
-        for d in 0..trace.days() {
-            group.day_boundary(Day::new(d));
-            for req in trace.day_requests(Day::new(d)) {
-                for block in req.blocks() {
-                    group.access(block.raw(), req.kind, req.timestamp);
-                }
+        let mut nodes: Vec<SieveStore> = (0..shards)
+            .map(|s| {
+                SieveStoreBuilder::new()
+                    .capacity_blocks(16_384)
+                    .policy(policy.clone())
+                    .shard(s, shards)
+                    .build()
+            })
+            .collect::<Result<_, _>>()?;
+        for req in trace.stream(TraceStreamConfig::default()).requests() {
+            for (i, block) in req.blocks().enumerate() {
+                let key = block.raw();
+                let now = req.block_completion_time(i as u32);
+                nodes[shard_of(key, shards)].access(key, req.kind, now);
             }
         }
-        let stats = group.stats();
-        let loads = group.shard_loads();
+        let hits: u64 = nodes.iter().map(|n| n.stats().hits()).sum();
+        let accesses: u64 = nodes.iter().map(|n| n.stats().accesses()).sum();
+        let allocs: u64 = nodes.iter().map(|n| n.stats().allocation_writes).sum();
+        let loads: Vec<usize> = nodes.iter().map(SieveStore::len_blocks).collect();
         println!(
-            "{shards} shard(s): hit ratio {:5.1}%  alloc-writes {:>6}  resident/shard {:?}",
-            100.0 * stats.hit_ratio(),
-            stats.allocation_writes,
-            loads,
+            "{shards} shard(s): hit ratio {:5.1}%  alloc-writes {allocs:>6}  resident/shard {loads:?}",
+            100.0 * hits as f64 / accesses as f64,
         );
     }
 
