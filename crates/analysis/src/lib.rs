@@ -26,6 +26,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod binning;
 pub mod cdf;

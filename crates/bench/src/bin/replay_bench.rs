@@ -638,7 +638,7 @@ fn micro_phase(reps: usize) -> Vec<MicroReport> {
     );
 
     // Steady-state misses against a bounded tracked set: after the first
-    // lap every key resolves to an existing slab counter.
+    // lap every key resolves to an existing counter.
     let mut mct = Mct::new(WindowConfig::paper_default());
     let now = Micros::from_hours(1);
     record(

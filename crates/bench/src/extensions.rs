@@ -179,8 +179,7 @@ mod tests {
     use super::*;
 
     fn harness() -> Harness {
-        let dir = std::env::temp_dir().join(format!("sievestore-ext-{}", std::process::id()));
-        Harness::smoke(dir).unwrap()
+        crate::test_harness("ext")
     }
 
     #[test]

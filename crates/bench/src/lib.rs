@@ -11,6 +11,7 @@
 //! read the same nine policy runs).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod cost;
 pub mod extensions;
@@ -302,6 +303,17 @@ impl Harness {
             day_totals,
         })
     }
+}
+
+/// A smoke harness over a results directory of its own. Tests run on
+/// parallel threads and each deletes its directory when done, so two
+/// tests must never be handed the same one.
+#[cfg(test)]
+pub(crate) fn test_harness(tag: &str) -> Harness {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("sievestore-{tag}-{}-{n}", std::process::id()));
+    Harness::smoke(dir).expect("smoke harness builds")
 }
 
 #[cfg(test)]

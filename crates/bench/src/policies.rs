@@ -288,8 +288,7 @@ mod tests {
     use super::*;
 
     fn harness() -> Harness {
-        let dir = std::env::temp_dir().join(format!("sievestore-policies-{}", std::process::id()));
-        Harness::smoke(dir).unwrap()
+        crate::test_harness("policies")
     }
 
     #[test]

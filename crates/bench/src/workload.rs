@@ -378,8 +378,7 @@ mod tests {
     use super::*;
 
     fn harness() -> Harness {
-        let dir = std::env::temp_dir().join(format!("sievestore-workload-{}", std::process::id()));
-        Harness::smoke(dir).unwrap()
+        crate::test_harness("workload")
     }
 
     #[test]

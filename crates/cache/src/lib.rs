@@ -33,6 +33,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod batch;
 mod frames;

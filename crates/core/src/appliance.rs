@@ -418,6 +418,15 @@ impl SieveStore {
         }
     }
 
+    /// Hints that `key` is about to be [`access`](SieveStore::access)ed.
+    /// Issuing it for every block of a request before accessing the
+    /// first overlaps the policy's metastate cache misses; it never
+    /// changes an outcome.
+    #[inline]
+    pub fn prefetch(&self, key: u64) {
+        self.policy.prefetch(key);
+    }
+
     /// Signals the start of calendar day `day`. Discrete policies install
     /// their batch selection; the returned transition reports the moves
     /// (allocation-writes for newly installed blocks are added to the

@@ -54,6 +54,7 @@
 //! (per-figure experiment harness).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod analytical;
 pub mod appliance;

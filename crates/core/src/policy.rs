@@ -69,6 +69,11 @@ pub trait AllocationPolicy {
     fn is_discrete(&self) -> bool {
         false
     }
+
+    /// Hints that `key` is about to be accessed, so a policy with large
+    /// in-memory metastate can start fetching it. Purely a performance
+    /// hint: it must change no state, and callers may skip it.
+    fn prefetch(&self, _key: u64) {}
 }
 
 /// Allocate-on-demand: every miss allocates.
@@ -206,6 +211,10 @@ impl AllocationPolicy for SieveStoreC {
         } else {
             MissDecision::Bypass
         }
+    }
+
+    fn prefetch(&self, key: u64) {
+        self.sieve.prefetch(key);
     }
 }
 

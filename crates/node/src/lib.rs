@@ -42,6 +42,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod backing;
 pub mod client;

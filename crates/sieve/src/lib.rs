@@ -6,9 +6,11 @@
 //! sieving data structure the paper describes:
 //!
 //! * [`WindowedCounter`] / [`WindowConfig`] — discretized sliding-window
-//!   miss counts (`W` = 8 h in `k` = 4 subwindows);
-//! * [`Imct`] — the fixed-size, aliased imprecise miss-count table;
-//! * [`Mct`] — the precise, prunable miss-count table;
+//!   miss counts (`W` = 8 h in `k` = 4 subwindows), one 32-byte value;
+//! * [`Imct`] — the fixed-size, aliased imprecise miss-count table, a
+//!   flat array of those values (one cache line per miss);
+//! * [`Mct`] — the precise, prunable miss-count table, a hash map with
+//!   the same values stored in its slots;
 //! * [`TwoTierSieve`] — SieveStore-C's IMCT→MCT admission pipeline
 //!   (`t1` = 9 imprecise, then `t2` = 4 precise misses);
 //! * [`DiscreteSieve`] — SieveStore-D's epoch access-count rule
@@ -29,6 +31,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod discrete;
 pub mod random;

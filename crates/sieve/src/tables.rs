@@ -12,10 +12,25 @@
 //! * [`Mct`] — the *precise miss-count table*: a hash table keyed by exact
 //!   block, populated only for blocks that already passed the IMCT
 //!   threshold, and pruned periodically to drop stale entries.
+//!
+//! Both store [`WindowedCounter`]s by value — 32 bytes, two to a cache
+//! line — so a miss costs one line in the IMCT and, for graduated blocks,
+//! one probe in the MCT.
 
-use sievestore_types::{mix64, Micros, U64Map};
+use sievestore_types::{mix64, prefetch_read, Micros, U64Map};
 
-use crate::window::{WindowConfig, WindowedCounter};
+use crate::window::{SubwindowClock, WindowConfig, WindowedCounter};
+
+/// How a key's hash becomes a local slot: global slot `hash mod total`,
+/// then local index `global / stride`. When `total` is a power of two
+/// (so `stride`, which divides it, is one too) both steps are exact bit
+/// operations: `h & (total - 1) == h % total`, and `>> log2(stride)` is
+/// the division.
+#[derive(Debug, Clone, Copy)]
+enum SlotIndex {
+    Mask { mask: u64, shift: u32 },
+    Modulo { total: u64, stride: u64 },
+}
 
 /// The imprecise (aliased) miss-count table.
 ///
@@ -42,12 +57,9 @@ use crate::window::{WindowConfig, WindowedCounter};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Imct {
-    entries: Vec<WindowedCounter>,
-    config: WindowConfig,
-    /// Modulus of the logical (unsharded) table this one is a slice of.
-    total_slots: u64,
-    /// Number of shards the logical table is split across (1 = whole).
-    stride: u64,
+    entries: Box<[WindowedCounter]>,
+    clock: SubwindowClock,
+    index: SlotIndex,
 }
 
 impl Imct {
@@ -58,12 +70,7 @@ impl Imct {
     /// Panics if `entries == 0`.
     pub fn new(entries: usize, config: WindowConfig) -> Self {
         assert!(entries > 0, "imct needs at least one entry");
-        Imct {
-            entries: vec![WindowedCounter::new(config.subwindows); entries],
-            config,
-            total_slots: entries as u64,
-            stride: 1,
-        }
+        Imct::for_shard(entries, 0, 1, config)
     }
 
     /// Creates shard `shard` of a logical `total_entries`-slot table split
@@ -89,11 +96,18 @@ impl Imct {
             total_entries.is_multiple_of(shards) && total_entries > 0,
             "shard count must divide the imct slot count"
         );
+        let (total, stride) = (total_entries as u64, shards as u64);
         Imct {
-            entries: vec![WindowedCounter::new(config.subwindows); total_entries / shards],
-            config,
-            total_slots: total_entries as u64,
-            stride: shards as u64,
+            entries: vec![WindowedCounter::new(config.subwindows); total_entries / shards].into(),
+            clock: SubwindowClock::new(config),
+            index: if total.is_power_of_two() {
+                SlotIndex::Mask {
+                    mask: total - 1,
+                    shift: stride.trailing_zeros(),
+                }
+            } else {
+                SlotIndex::Modulo { total, stride }
+            },
         }
     }
 
@@ -110,41 +124,59 @@ impl Imct {
     /// The local slot a key maps to (exposed for aliasing tests). For a
     /// sharded table this is only meaningful for keys routed to this
     /// shard (`shard_of(key, shards)` equal to this shard's index).
+    #[inline]
     pub fn slot_of(&self, key: u64) -> usize {
-        let global = mix64(key) % self.total_slots;
-        (global / self.stride) as usize
+        let hash = mix64(key);
+        (match self.index {
+            SlotIndex::Mask { mask, shift } => (hash & mask) >> shift,
+            SlotIndex::Modulo { total, stride } => (hash % total) / stride,
+        }) as usize
+    }
+
+    /// The global subwindow `now` falls in.
+    #[inline]
+    pub(crate) fn subwindow(&mut self, now: Micros) -> u64 {
+        self.clock.index(now)
     }
 
     /// Records a miss for `key` at time `now`; returns the slot's
     /// in-window total (which may include aliased contributions).
     pub fn record_miss(&mut self, key: u64, now: Micros) -> u32 {
-        let sub = self.config.subwindow_index(now);
+        let sub = self.subwindow(now);
+        self.record_at(key, sub)
+    }
+
+    /// [`Imct::record_miss`] at an already resolved subwindow.
+    #[inline]
+    pub(crate) fn record_at(&mut self, key: u64, sub: u64) -> u32 {
         let slot = self.slot_of(key);
         self.entries[slot].record(sub)
     }
 
     /// The slot's in-window total without recording.
     pub fn peek(&mut self, key: u64, now: Micros) -> u32 {
-        let sub = self.config.subwindow_index(now);
+        let sub = self.subwindow(now);
         let slot = self.slot_of(key);
         self.entries[slot].total(sub)
     }
 
-    /// Approximate resident size in bytes.
+    /// Hints the CPU to fetch `key`'s slot ahead of a probable
+    /// [`Imct::record_miss`]. Changes no state.
+    #[inline]
+    pub fn prefetch(&self, key: u64) {
+        prefetch_read(&self.entries[self.slot_of(key)]);
+    }
+
+    /// Resident size in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.entries.len() * (self.config.subwindows as usize * 4 + 16)
+        std::mem::size_of_val(&*self.entries)
     }
 }
 
-/// The precise miss-count table.
-///
-/// Counters live in a slab (`Vec<WindowedCounter>`) indexed by an
-/// open-addressing [`U64Map`] from block key to slab slot. Pruned or
-/// removed entries push their slot onto a free list and the counter is
-/// [`reset`](WindowedCounter::reset) on reuse, so its subwindow buffer is
-/// allocated exactly once per slot for the lifetime of the table —
-/// steady-state churn (blocks graduating in, going stale, being pruned)
-/// allocates nothing.
+/// The precise miss-count table: an open-addressing [`U64Map`] from block
+/// key to a [`WindowedCounter`] stored in the map slot itself, so steady-
+/// state churn (blocks graduating in, going stale, being pruned)
+/// allocates nothing and a miss is a single probe.
 ///
 /// # Examples
 ///
@@ -160,49 +192,45 @@ impl Imct {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mct {
-    /// Block key → slab slot.
-    index: U64Map<u32>,
-    /// Counter storage; slots are recycled through `free`.
-    slab: Vec<WindowedCounter>,
-    /// Slab slots whose entries were pruned or removed, ready for reuse.
-    free: Vec<u32>,
-    config: WindowConfig,
+    counters: U64Map<WindowedCounter>,
+    clock: SubwindowClock,
+    /// A zeroed counter of the configured `k`, copied into each new entry.
+    blank: WindowedCounter,
 }
 
 impl Mct {
     /// Creates an empty table.
     pub fn new(config: WindowConfig) -> Self {
         Mct {
-            index: U64Map::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            config,
+            counters: U64Map::new(),
+            clock: SubwindowClock::new(config),
+            blank: WindowedCounter::new(config.subwindows),
         }
     }
 
     /// Number of tracked blocks.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.counters.len()
     }
 
     /// Whether no block is tracked.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.counters.is_empty()
     }
 
-    /// Grabs a reset counter slot, reusing a freed one when available.
-    fn alloc_slot(&mut self) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize].reset();
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("mct slab exceeds u32 slots");
-                self.slab.push(WindowedCounter::new(self.config.subwindows));
-                slot
-            }
+    /// `key`'s counter, and whether this call created it (zero count,
+    /// live at subwindow `sub`).
+    #[inline]
+    pub(crate) fn entry(&mut self, key: u64, sub: u64) -> (&mut WindowedCounter, bool) {
+        let mut created = false;
+        let counter = self.counters.get_or_insert_with(key, || {
+            created = true;
+            self.blank
+        });
+        if created {
+            counter.observe(sub);
         }
+        (counter, created)
     }
 
     /// Ensures an entry exists for `key` (zero count, live at `now`);
@@ -210,79 +238,48 @@ impl Mct {
     /// from the IMCT: the graduating miss itself does not count toward
     /// the *additional* `t2` misses.
     pub fn ensure(&mut self, key: u64, now: Micros) -> bool {
-        if self.index.contains_key(key) {
-            return true;
-        }
-        let sub = self.config.subwindow_index(now);
-        let slot = self.alloc_slot();
-        self.slab[slot as usize].observe(sub);
-        self.index.insert(key, slot);
-        false
+        let sub = self.clock.index(now);
+        !self.entry(key, sub).1
     }
 
     /// Records a miss for `key`; returns `key`'s exact in-window count.
     pub fn record_miss(&mut self, key: u64, now: Micros) -> u32 {
-        let sub = self.config.subwindow_index(now);
-        let slot = match self.index.get(key) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.alloc_slot();
-                self.index.insert(key, slot);
-                slot
-            }
-        };
-        self.slab[slot as usize].record(sub)
+        let sub = self.clock.index(now);
+        self.entry(key, sub).0.record(sub)
     }
 
     /// `key`'s exact in-window count without recording.
     pub fn peek(&mut self, key: u64, now: Micros) -> u32 {
-        let sub = self.config.subwindow_index(now);
-        match self.index.get(key) {
-            Some(&slot) => self.slab[slot as usize].total(sub),
-            None => 0,
-        }
+        let sub = self.clock.index(now);
+        self.counters.get_mut(key).map_or(0, |c| c.total(sub))
     }
 
     /// Drops entries whose whole window has expired ("periodically we
     /// prune the MCT to eliminate stale blocks"). Returns how many were
-    /// removed. Freed counter slots are recycled by later insertions.
+    /// removed.
     pub fn prune(&mut self, now: Micros) -> usize {
-        let sub = self.config.subwindow_index(now);
-        let before = self.index.len();
-        let (slab, free) = (&mut self.slab, &mut self.free);
-        self.index.retain(|_, slot| {
-            let stale = slab[*slot as usize].is_stale(sub);
-            if stale {
-                free.push(*slot);
-            }
-            !stale
-        });
-        before - self.index.len()
+        let sub = self.clock.index(now);
+        let before = self.counters.len();
+        self.counters.retain(|_, counter| !counter.is_stale(sub));
+        before - self.counters.len()
     }
 
     /// Removes a specific key (used when a block gets allocated and no
     /// longer needs miss tracking).
     pub fn remove(&mut self, key: u64) -> bool {
-        match self.index.remove(key) {
-            Some(slot) => {
-                self.free.push(slot);
-                true
-            }
-            None => false,
-        }
+        self.counters.remove(key).is_some()
     }
 
-    /// Approximate resident size in bytes.
+    /// Resident size in bytes: every map slot holds a key and a counter.
     pub fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes()
-            + self.slab.len() * (self.config.subwindows as usize * 4 + 24)
-            + self.free.len() * 4
+        self.counters.memory_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::reference::BoxedCounter;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -404,13 +401,44 @@ mod tests {
     }
 
     #[test]
-    fn memory_estimates_scale() {
-        let imct = Imct::new(1000, cfg());
-        assert!(imct.memory_bytes() >= 1000 * 16);
+    fn memory_is_the_real_slot_size_times_the_slot_count() {
+        // 32 B per IMCT slot; 8 B key + 32 B counter per MCT map slot.
+        assert_eq!(Imct::new(1000, cfg()).memory_bytes(), 1000 * 32);
+        assert_eq!(
+            Imct::for_shard(1 << 10, 1, 4, cfg()).memory_bytes(),
+            256 * 32
+        );
         let mut mct = Mct::new(cfg());
-        let base = mct.memory_bytes();
+        assert_eq!(mct.memory_bytes(), 0);
         mct.record_miss(1, Micros::from_hours(0));
-        assert!(mct.memory_bytes() > base);
+        assert_eq!(mct.memory_bytes(), mct.counters.slots() * 40);
+        assert!(mct.counters.slots() > 0);
+    }
+
+    #[test]
+    fn slots_follow_the_modulo_mapping_at_any_table_size() {
+        // The mask path (powers of two) and the `%` path pick the same
+        // slot `mix64(key) % n` would; shards store slot `g` at `g / n`.
+        for total in [1usize, 2, 64, 1 << 12, 3, 100, 96, 1000] {
+            let whole = Imct::new(total, cfg());
+            for key in (0..3000u64).chain([u64::MAX, u64::MAX - 1]) {
+                let global = mix64(key) % total as u64;
+                assert_eq!(
+                    whole.slot_of(key) as u64,
+                    global,
+                    "{total} slots, key {key}"
+                );
+                for shards in [2usize, 4, 5, 8] {
+                    if total % shards != 0 {
+                        continue;
+                    }
+                    let shard = sievestore_types::shard_of(key, shards);
+                    assert_eq!(shard as u64, global % shards as u64);
+                    let part = Imct::for_shard(total, shard, shards, cfg());
+                    assert_eq!(part.slot_of(key) as u64, global / shards as u64);
+                }
+            }
+        }
     }
 
     proptest! {
@@ -430,6 +458,49 @@ mod tests {
             }
             for (&k, &true_count) in &exact {
                 prop_assert!(imct.peek(k, now) >= true_count);
+            }
+        }
+
+        /// Across subwindows, the MCT is a map from key to the reference
+        /// counter: every call returns what a `HashMap` of boxed counters
+        /// returns, through creation, removal and pruning.
+        #[test]
+        fn mct_matches_a_map_of_reference_counters(
+            ops in proptest::collection::vec((0u8..5, 0u64..24, 0u64..40), 0..400),
+            k in 1u32..=WindowConfig::MAX_SUBWINDOWS,
+        ) {
+            let config = WindowConfig::new(Micros::from_hours(8), k);
+            let mut mct = Mct::new(config);
+            let mut model: HashMap<u64, BoxedCounter> = HashMap::new();
+            for (op, key, hour) in ops {
+                let now = Micros::from_hours(hour);
+                let sub = config.subwindow_index(now);
+                match op {
+                    0 => {
+                        let existed = model.contains_key(&key);
+                        model.entry(key).or_insert_with(|| {
+                            let mut fresh = BoxedCounter::new(k);
+                            fresh.observe(sub);
+                            fresh
+                        });
+                        prop_assert_eq!(mct.ensure(key, now), existed);
+                    }
+                    1 => {
+                        let want = model.entry(key).or_insert_with(|| BoxedCounter::new(k)).record(sub);
+                        prop_assert_eq!(mct.record_miss(key, now), want);
+                    }
+                    2 => prop_assert_eq!(mct.remove(key), model.remove(&key).is_some()),
+                    3 => {
+                        let before = model.len();
+                        model.retain(|_, c| !c.is_stale(sub));
+                        prop_assert_eq!(mct.prune(now), before - model.len());
+                    }
+                    _ => {
+                        let want = model.get_mut(&key).map_or(0, |c| c.total(sub));
+                        prop_assert_eq!(mct.peek(key, now), want);
+                    }
+                }
+                prop_assert_eq!(mct.len(), model.len());
             }
         }
 

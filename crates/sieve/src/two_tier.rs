@@ -72,11 +72,19 @@ impl TwoTierConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SieveError::InvalidConfig`] for a zero-sized IMCT or zero
-    /// thresholds.
+    /// Returns [`SieveError::InvalidConfig`] for a zero-sized IMCT, zero
+    /// thresholds, or a subwindow count outside
+    /// `1..=`[`WindowConfig::MAX_SUBWINDOWS`].
     pub fn validate(&self) -> Result<(), SieveError> {
         if self.imct_entries == 0 {
             return Err(SieveError::InvalidConfig("imct_entries must be > 0".into()));
+        }
+        if !WindowConfig::fits(self.window.subwindows) {
+            return Err(SieveError::InvalidConfig(format!(
+                "subwindows must be 1 to {}, got {}",
+                WindowConfig::MAX_SUBWINDOWS,
+                self.window.subwindows
+            )));
         }
         if self.t1 == 0 || self.t2 == 0 {
             return Err(SieveError::InvalidConfig(
@@ -142,12 +150,12 @@ pub struct TwoTierSieve {
     imct: Imct,
     mct: Mct,
     misses_seen: u64,
-    /// Subwindow of the most recent miss; MCT pruning triggers when it
+    /// Latest subwindow any miss fell in; MCT pruning triggers when it
     /// advances, so prune timing is a function of trace time alone (not
     /// of how many misses this instance happened to observe — which
     /// keeps a sharded sieve's per-key state identical to a sequential
     /// one's).
-    last_sub: Option<u64>,
+    last_sub: u64,
     /// Diagnostics: how many misses graduated past the IMCT.
     graduated: u64,
     /// Diagnostics: how many allocations were granted.
@@ -161,16 +169,7 @@ impl TwoTierSieve {
     ///
     /// Returns [`SieveError::InvalidConfig`] if `config` fails validation.
     pub fn new(config: TwoTierConfig) -> Result<Self, SieveError> {
-        config.validate()?;
-        Ok(TwoTierSieve {
-            imct: Imct::new(config.imct_entries, config.window),
-            mct: Mct::new(config.window),
-            config,
-            misses_seen: 0,
-            last_sub: None,
-            graduated: 0,
-            granted: 0,
-        })
+        TwoTierSieve::for_shard(config, 0, 1)
     }
 
     /// Creates shard `shard` of a sieve split across `shards` parallel
@@ -202,7 +201,7 @@ impl TwoTierSieve {
             mct: Mct::new(config.window),
             config,
             misses_seen: 0,
-            last_sub: None,
+            last_sub: 0,
             graduated: 0,
             granted: 0,
         })
@@ -226,31 +225,21 @@ impl TwoTierSieve {
     /// interleaved misses of other keys.
     pub fn on_miss(&mut self, key: u64, now: Micros) -> bool {
         self.misses_seen += 1;
-        let sub = self.config.window.subwindow_index(now);
-        match self.last_sub {
-            Some(prev) if sub > prev => {
-                self.mct.prune(now);
-                self.last_sub = Some(sub);
-            }
-            None => self.last_sub = Some(sub),
-            _ => {}
+        let sub = self.imct.subwindow(now);
+        if sub > self.last_sub {
+            self.mct.prune(now);
+            self.last_sub = sub;
         }
-        let imct_count = self.imct.record_miss(key, now);
-        if imct_count < self.config.t1 {
+        if self.imct.record_at(key, sub) < self.config.t1 {
             obs_count!(SieveRejections, 1);
             return false;
         }
         self.graduated += 1;
         obs_count!(SieveGraduations, 1);
-        if !self.mct.ensure(key, now) {
-            // The miss that first graduates a block past the IMCT does not
-            // count toward the *additional* t2 precise misses.
-            obs_count!(SieveRejections, 1);
-            obs_gauge_set!(MctTrackedBlocks, self.mct.len() as i64);
-            return false;
-        }
-        let mct_count = self.mct.record_miss(key, now);
-        let admitted = mct_count >= self.config.t2;
+        let (counter, created) = self.mct.entry(key, sub);
+        // The miss that first graduates a block past the IMCT does not
+        // count toward the *additional* t2 precise misses.
+        let admitted = !created && counter.record(sub) >= self.config.t2;
         if admitted {
             self.granted += 1;
             self.mct.remove(key);
@@ -260,6 +249,14 @@ impl TwoTierSieve {
         }
         obs_gauge_set!(MctTrackedBlocks, self.mct.len() as i64);
         admitted
+    }
+
+    /// Hints the CPU to fetch the metastate a coming
+    /// [`TwoTierSieve::on_miss`] for `key` will touch. A hint only: no
+    /// count, clock or decision ever depends on whether it was issued.
+    #[inline]
+    pub fn prefetch(&self, key: u64) {
+        self.imct.prefetch(key);
     }
 
     /// Total misses processed.
@@ -282,7 +279,7 @@ impl TwoTierSieve {
         self.mct.len()
     }
 
-    /// Approximate metastate footprint in bytes (IMCT + MCT).
+    /// Metastate footprint in bytes (IMCT + MCT).
     pub fn memory_bytes(&self) -> usize {
         self.imct.memory_bytes() + self.mct.memory_bytes()
     }
@@ -318,6 +315,59 @@ mod tests {
             .validate()
             .is_err());
         assert!(TwoTierSieve::new(TwoTierConfig::paper_default().with_thresholds(9, 0)).is_err());
+    }
+
+    #[test]
+    fn subwindow_counts_beyond_the_inline_width_are_an_error_not_a_panic() {
+        for subwindows in [0, WindowConfig::MAX_SUBWINDOWS + 1, 64] {
+            // A struct literal, since `WindowConfig::new` would panic first.
+            let window = WindowConfig {
+                subwindows,
+                ..WindowConfig::paper_default()
+            };
+            let cfg = TwoTierConfig::paper_default().with_window(window);
+            assert!(matches!(cfg.validate(), Err(SieveError::InvalidConfig(_))));
+            assert!(TwoTierSieve::new(cfg).is_err());
+            assert!(TwoTierSieve::for_shard(cfg, 0, 2).is_err());
+        }
+    }
+
+    #[test]
+    fn paper_default_metastate_is_no_larger_than_before_the_inline_layout() {
+        // 2^20 slots x 32 B and an empty MCT: what the boxed layout's
+        // `k * 4 + 16` formula reported for the same table (33.6 MB),
+        // though that one really held about twice as much.
+        let sieve = TwoTierSieve::new(TwoTierConfig::paper_default()).unwrap();
+        assert_eq!(sieve.memory_bytes(), (1 << 20) * (4 * 4 + 16));
+    }
+
+    #[test]
+    fn prefetch_hints_change_no_decision() {
+        let cfg = TwoTierConfig::paper_default()
+            .with_imct_entries(100)
+            .with_thresholds(3, 2);
+        let mut plain = TwoTierSieve::new(cfg).unwrap();
+        let mut hinted = TwoTierSieve::new(cfg).unwrap();
+        for i in 0..30_000u64 {
+            let key = if i % 3 == 0 { i % 17 } else { i };
+            let now = Micros::from_hours(i / 3000);
+            // Hints for the key itself, for keys never missed, and none.
+            match i % 4 {
+                0 => hinted.prefetch(key),
+                1 => (0..8).for_each(|j| hinted.prefetch(i.wrapping_mul(31) + j)),
+                2 => hinted.prefetch(u64::MAX - i),
+                _ => {}
+            }
+            assert_eq!(
+                hinted.on_miss(key, now),
+                plain.on_miss(key, now),
+                "miss {i}"
+            );
+        }
+        assert!(plain.granted() > 0);
+        assert_eq!(hinted.granted(), plain.granted());
+        assert_eq!(hinted.graduated(), plain.graduated());
+        assert_eq!(hinted.mct_len(), plain.mct_len());
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! if the current subwindow is `k` or more past the last update, all
 //! counters are stale and zeroed; otherwise only the skipped subwindows
 //! are cleared. The paper tunes `W` = 8 h with `k` = 4.
+//!
+//! A [`WindowedCounter`] is a plain 32-byte value with its counters
+//! inline, so a table of them is one flat allocation and a miss touches
+//! one cache line. That is why `k` is capped at
+//! [`WindowConfig::MAX_SUBWINDOWS`].
 
 use sievestore_types::Micros;
 
@@ -31,6 +36,10 @@ pub struct WindowConfig {
 }
 
 impl WindowConfig {
+    /// Most subwindows a counter holds: the width of its inline array
+    /// (the paper's tuned `k`, and the only one any experiment uses).
+    pub const MAX_SUBWINDOWS: u32 = 4;
+
     /// The paper's tuned parameters: `W` = 8 hours, `k` = 4.
     pub fn paper_default() -> Self {
         WindowConfig {
@@ -43,11 +52,21 @@ impl WindowConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the window is empty or `subwindows == 0`.
+    /// Panics if the window is empty or `subwindows` is outside
+    /// `1..=`[`Self::MAX_SUBWINDOWS`].
     pub fn new(window: Micros, subwindows: u32) -> Self {
         assert!(window.as_u64() > 0, "window must be nonempty");
-        assert!(subwindows > 0, "need at least one subwindow");
+        assert!(
+            Self::fits(subwindows),
+            "need between 1 and {} subwindows",
+            Self::MAX_SUBWINDOWS
+        );
         WindowConfig { window, subwindows }
+    }
+
+    /// Whether `subwindows` is a count a [`WindowedCounter`] can hold.
+    pub(crate) fn fits(subwindows: u32) -> bool {
+        (1..=Self::MAX_SUBWINDOWS).contains(&subwindows)
     }
 
     /// Length of one subwindow in microseconds.
@@ -61,52 +80,108 @@ impl WindowConfig {
     }
 }
 
+/// Maps instants to global subwindow indices, remembering the bounds of
+/// the subwindow it last resolved: trace time moves forward, so nearly
+/// every lookup is two compares and the division runs only when time
+/// crosses into another subwindow.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SubwindowClock {
+    sub_us: u64,
+    /// Start of the remembered subwindow, and its index.
+    start: u64,
+    sub: u64,
+}
+
+impl SubwindowClock {
+    pub(crate) fn new(config: WindowConfig) -> Self {
+        SubwindowClock {
+            sub_us: config.subwindow_us(),
+            start: 0,
+            sub: 0,
+        }
+    }
+
+    /// Same value as [`WindowConfig::subwindow_index`].
+    #[inline]
+    pub(crate) fn index(&mut self, now: Micros) -> u64 {
+        let t = now.as_u64();
+        if t < self.start || t - self.start >= self.sub_us {
+            self.sub = t / self.sub_us;
+            self.start = self.sub * self.sub_us;
+        }
+        self.sub
+    }
+}
+
 /// One entry's `k` subwindow counters plus its last-update index.
 ///
-/// This is the building block of both the aliased IMCT and the precise MCT.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// This is the building block of both the aliased IMCT and the precise
+/// MCT: a `Copy` value of exactly 32 bytes, aligned to its size so a
+/// table slot never straddles a 64-byte cache line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(align(32))]
 pub struct WindowedCounter {
-    counts: Box<[u32]>,
+    /// A ring of `k` live counters; slots from `k` up stay zero.
+    counts: [u32; WindowConfig::MAX_SUBWINDOWS as usize],
     last_sub: u64,
+    k: u8,
+    /// Ring position of subwindow `last_sub`.
+    cursor: u8,
     /// Whether the entry has ever been written (distinguishes subwindow 0).
     live: bool,
 }
 
+impl Default for WindowedCounter {
+    /// A zeroed counter of [`WindowConfig::MAX_SUBWINDOWS`] subwindows.
+    fn default() -> Self {
+        WindowedCounter::new(WindowConfig::MAX_SUBWINDOWS)
+    }
+}
+
 impl WindowedCounter {
     /// Creates a zeroed counter with `k` subwindows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subwindows` is outside
+    /// `1..=`[`WindowConfig::MAX_SUBWINDOWS`].
     pub fn new(subwindows: u32) -> Self {
+        assert!(
+            WindowConfig::fits(subwindows),
+            "a counter holds 1 to {} subwindows",
+            WindowConfig::MAX_SUBWINDOWS
+        );
         WindowedCounter {
-            counts: vec![0; subwindows as usize].into_boxed_slice(),
+            counts: [0; WindowConfig::MAX_SUBWINDOWS as usize],
             last_sub: 0,
+            k: subwindows as u8,
+            cursor: 0,
             live: false,
         }
     }
 
-    fn k(&self) -> u64 {
-        self.counts.len() as u64
-    }
-
     /// Expires subwindows between the last update and `now_sub`.
+    #[inline]
     fn roll_to(&mut self, now_sub: u64) {
         if !self.live {
-            self.counts.iter_mut().for_each(|c| *c = 0);
+            // Never-written counters are all zero already.
             self.last_sub = now_sub;
             self.live = true;
             return;
         }
-        if now_sub < self.last_sub {
-            // Out-of-order timestamps: fold into the current subwindow.
+        if now_sub <= self.last_sub {
+            // Same subwindow, or an out-of-order timestamp: fold into
+            // the current subwindow.
             return;
         }
-        let gap = now_sub - self.last_sub;
-        if gap >= self.k() {
-            // All counters are stale.
-            self.counts.iter_mut().for_each(|c| *c = 0);
-        } else {
-            // Clear only the subwindows that were skipped over.
-            for s in (self.last_sub + 1)..=now_sub {
-                self.counts[(s % self.k()) as usize] = 0;
+        // Clear the subwindows that were skipped over; a gap of `k` or
+        // more walks the whole ring, leaving every counter zero.
+        for _ in 0..(now_sub - self.last_sub).min(u64::from(self.k)) {
+            self.cursor += 1;
+            if self.cursor == self.k {
+                self.cursor = 0;
             }
+            self.counts[usize::from(self.cursor)] = 0;
         }
         self.last_sub = now_sub;
     }
@@ -119,10 +194,11 @@ impl WindowedCounter {
 
     /// Records one event at global subwindow `now_sub`; returns the total
     /// count within the live window after the increment.
+    #[inline]
     pub fn record(&mut self, now_sub: u64) -> u32 {
         self.roll_to(now_sub);
-        let idx = (self.last_sub % self.k()) as usize;
-        self.counts[idx] = self.counts[idx].saturating_add(1);
+        let count = &mut self.counts[usize::from(self.cursor)];
+        *count = count.saturating_add(1);
         self.total_unchecked()
     }
 
@@ -139,21 +215,125 @@ impl WindowedCounter {
 
     /// Whether the entry is entirely stale as of `now_sub` (safe to prune).
     pub fn is_stale(&self, now_sub: u64) -> bool {
-        !self.live || now_sub >= self.last_sub + self.k()
+        !self.live || now_sub.saturating_sub(self.last_sub) >= u64::from(self.k)
     }
 
     /// Zeroes the counter.
     pub fn reset(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.live = false;
-        self.last_sub = 0;
+        *self = WindowedCounter::new(u32::from(self.k));
+    }
+}
+
+/// The boxed counter this module shipped before the inline layout, kept
+/// as the reference model the inline one must agree with call for call.
+#[cfg(test)]
+pub(crate) mod reference {
+    #[derive(Debug, Clone)]
+    pub(crate) struct BoxedCounter {
+        counts: Box<[u32]>,
+        last_sub: u64,
+        live: bool,
+    }
+
+    impl BoxedCounter {
+        pub(crate) fn new(subwindows: u32) -> Self {
+            BoxedCounter {
+                counts: vec![0; subwindows as usize].into_boxed_slice(),
+                last_sub: 0,
+                live: false,
+            }
+        }
+
+        fn k(&self) -> u64 {
+            self.counts.len() as u64
+        }
+
+        fn roll_to(&mut self, now_sub: u64) {
+            if !self.live {
+                self.counts.iter_mut().for_each(|c| *c = 0);
+                self.last_sub = now_sub;
+                self.live = true;
+                return;
+            }
+            if now_sub < self.last_sub {
+                return;
+            }
+            let gap = now_sub - self.last_sub;
+            if gap >= self.k() {
+                self.counts.iter_mut().for_each(|c| *c = 0);
+            } else {
+                for s in (self.last_sub + 1)..=now_sub {
+                    self.counts[(s % self.k()) as usize] = 0;
+                }
+            }
+            self.last_sub = now_sub;
+        }
+
+        pub(crate) fn observe(&mut self, now_sub: u64) {
+            self.roll_to(now_sub);
+        }
+
+        pub(crate) fn record(&mut self, now_sub: u64) -> u32 {
+            self.roll_to(now_sub);
+            let idx = (self.last_sub % self.k()) as usize;
+            self.counts[idx] = self.counts[idx].saturating_add(1);
+            self.counts.iter().sum()
+        }
+
+        pub(crate) fn total(&mut self, now_sub: u64) -> u32 {
+            self.roll_to(now_sub);
+            self.counts.iter().sum()
+        }
+
+        pub(crate) fn is_stale(&self, now_sub: u64) -> bool {
+            !self.live || now_sub >= self.last_sub + self.k()
+        }
+
+        pub(crate) fn reset(&mut self) {
+            self.counts.iter_mut().for_each(|c| *c = 0);
+            self.live = false;
+            self.last_sub = 0;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::BoxedCounter;
     use super::*;
     use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Record(u64),
+        Total(u64),
+        Observe(u64),
+        IsStale(u64),
+        Reset,
+    }
+
+    /// Stamps that start late, revisit subwindow 0, step by less than
+    /// `k`, jump by `k` or more, and go backwards.
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let stamp = || {
+            prop_oneof![
+                0u64..12,
+                0u64..12,
+                990u64..1010,
+                Just(0u64),
+                any::<u32>().prop_map(u64::from)
+            ]
+        };
+        prop_oneof![
+            stamp().prop_map(Op::Record),
+            stamp().prop_map(Op::Record),
+            stamp().prop_map(Op::Record),
+            stamp().prop_map(Op::Total),
+            stamp().prop_map(Op::Observe),
+            stamp().prop_map(Op::IsStale),
+            Just(Op::Reset),
+        ]
+    }
 
     #[test]
     fn paper_default_is_8h_by_4() {
@@ -167,6 +347,20 @@ mod tests {
     #[should_panic(expected = "subwindow")]
     fn zero_subwindows_panics() {
         let _ = WindowConfig::new(Micros::from_hours(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "subwindow")]
+    fn more_subwindows_than_the_inline_width_panics() {
+        let _ = WindowConfig::new(Micros::from_hours(1), WindowConfig::MAX_SUBWINDOWS + 1);
+    }
+
+    #[test]
+    fn a_counter_is_one_aligned_half_cache_line() {
+        assert_eq!(std::mem::size_of::<WindowedCounter>(), 32);
+        assert_eq!(std::mem::align_of::<WindowedCounter>(), 32);
+        // A usable value even where a container fills in defaults.
+        assert_eq!(WindowedCounter::default().record(7), 1);
     }
 
     #[test]
@@ -243,12 +437,57 @@ mod tests {
     }
 
     proptest! {
+        /// The inline counter returns what the boxed one returned, for
+        /// every call of every sequence.
+        #[test]
+        fn inline_counter_matches_the_boxed_reference(
+            ops in proptest::collection::vec(op_strategy(), 0..400),
+            k in 1u32..=WindowConfig::MAX_SUBWINDOWS,
+        ) {
+            let mut inline = WindowedCounter::new(k);
+            let mut boxed = BoxedCounter::new(k);
+            for op in ops {
+                match op {
+                    Op::Record(s) => prop_assert_eq!(inline.record(s), boxed.record(s)),
+                    Op::Total(s) => prop_assert_eq!(inline.total(s), boxed.total(s)),
+                    Op::Observe(s) => {
+                        inline.observe(s);
+                        boxed.observe(s);
+                    }
+                    Op::IsStale(s) => prop_assert_eq!(inline.is_stale(s), boxed.is_stale(s)),
+                    Op::Reset => {
+                        inline.reset();
+                        boxed.reset();
+                    }
+                }
+            }
+        }
+
+        /// The clock's remembered subwindow never disagrees with the
+        /// division, whatever order instants arrive in and however short
+        /// the window (`subwindow_us` clamps to 1).
+        #[test]
+        fn clock_matches_the_division(
+            window_us in prop_oneof![1u64..10, 1u64..100_000, Just(Micros::from_hours(8).as_u64())],
+            k in 1u32..=WindowConfig::MAX_SUBWINDOWS,
+            instants in proptest::collection::vec(
+                prop_oneof![0u64..50, 0u64..1_000_000, any::<u64>()],
+                1..200,
+            ),
+        ) {
+            let config = WindowConfig::new(Micros::new(window_us), k);
+            let mut clock = SubwindowClock::new(config);
+            for t in instants {
+                prop_assert_eq!(clock.index(Micros::new(t)), config.subwindow_index(Micros::new(t)));
+            }
+        }
+
         /// The discretized window never counts events older than k
         /// subwindows and never forgets events in the current subwindow.
         #[test]
         fn window_bounds_hold(
             subs in proptest::collection::vec(0u64..40, 1..200),
-            k in 1u32..6,
+            k in 1u32..=WindowConfig::MAX_SUBWINDOWS,
         ) {
             let mut sorted = subs.clone();
             sorted.sort_unstable();

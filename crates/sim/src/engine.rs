@@ -308,6 +308,12 @@ impl Run {
 
     fn process_request(&mut self, req: &Request) {
         let store = &mut self.store;
+        // Start every block's metastate fetch before the first access
+        // needs one, so the cache misses overlap instead of queueing.
+        // Discrete policies decide nothing per miss: nothing to fetch.
+        if !store.is_discrete() {
+            req.blocks().for_each(|key| store.prefetch(key.raw()));
+        }
         self.result.record_request(
             req.timestamp.minute(),
             req.completion_time().minute(),

@@ -29,6 +29,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod belady;
 pub mod engine;

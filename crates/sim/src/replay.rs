@@ -429,6 +429,10 @@ impl ShardState {
     /// rounds per fragment (see module docs).
     fn process_group(&mut self, g: &Group) {
         let kind = &mut self.kind;
+        if let WorkerKind::Continuous(store) = kind {
+            // As in the sequential engine: overlap the metastate fetches.
+            g.blocks.iter().for_each(|&(key, _)| store.prefetch(key));
+        }
         self.result.record_request(
             g.minute,
             g.completion_minute,

@@ -28,6 +28,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod io;
 pub mod model;

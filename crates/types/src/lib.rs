@@ -26,6 +26,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod error;
 pub mod fastmap;
@@ -111,6 +112,33 @@ pub const fn mix64(key: u64) -> u64 {
 pub fn shard_of(key: u64, shards: usize) -> usize {
     assert!(shards > 0, "shard count must be nonzero");
     (mix64(key) % shards as u64) as usize
+}
+
+/// Hints the CPU to pull the cache line holding `target` toward L1 ahead
+/// of a later access. Purely a performance hint: it reads no value,
+/// changes no state and never faults, so callers may issue it for data
+/// they might not touch. A no-op off x86_64.
+///
+/// # Examples
+///
+/// ```
+/// let table = vec![0u64; 1024];
+/// sievestore_types::prefetch_read(&table[512]);
+/// assert_eq!(table[512], 0);
+/// ```
+#[inline(always)]
+#[allow(unsafe_code)]
+pub fn prefetch_read<T>(target: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: `_mm_prefetch` needs only SSE, which every x86_64
+        // target has; it is a hint that dereferences nothing, and the
+        // address comes from a live reference anyway.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(target).cast()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = target;
 }
 
 #[cfg(test)]

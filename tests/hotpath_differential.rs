@@ -1,6 +1,6 @@
 //! Differential guard for the allocation-free hot-path refactor.
 //!
-//! The `U64Map`-backed `LruCache`, the slab-backed `Mct`, the `U64Set`
+//! The `U64Map`-backed `LruCache`, the `U64Map`-backed `Mct`, the `U64Set`
 //! `BatchCache` and the fast `InMemoryCounter` must be *semantically
 //! invisible*: every policy's per-day metrics over a seeded trace have to
 //! match, bit for bit, the metrics the pre-refactor `std::collections`
