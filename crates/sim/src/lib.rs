@@ -48,8 +48,6 @@ pub use per_server::{
     drive_cost_comparison, ensemble_ideal_capture, per_server_ideal_capture, simulate_per_server,
     CaptureSeries,
 };
-#[doc(hidden)]
-pub use replay::simulate_sharded_with_stall;
 pub use replay::{simulate_server_sharded, simulate_sharded, ReplayMode, ReplayStats};
 pub use sievestore::EvictionPolicy;
 pub use sievestore_trace::{ScenarioConfig, ScenarioStage};

@@ -4,11 +4,10 @@
 //! The sequential engine ([`crate::simulate`]) processes every block
 //! access in trace order on one thread. This module hash-partitions the
 //! block-id space across `n` worker shards with
-//! [`sievestore_types::shard_of`] — the same partition function
-//! [`sievestore_analysis`-style counting](sievestore_types::shard_of)
-//! uses — so each worker owns a disjoint slice of the sieve metastate and
-//! cache frames and sees its partition's accesses in global trace order
-//! (a subsequence of the sequential stream).
+//! [`sievestore_types::shard_of`] — the partition function the analysis
+//! pipeline's counting uses — so each worker owns a disjoint slice of the
+//! sieve metastate and cache frames and sees its partition's accesses in
+//! global trace order (a subsequence of the sequential stream).
 //!
 //! # Architecture
 //!
@@ -16,20 +15,21 @@
 //!   trace as bounded request chunks — day *N + 1* generates while day
 //!   *N* replays, and the whole pipeline never materializes a full day
 //!   (with spill-mode generation, peak trace memory is one server-day).
-//! * The **coordinator** (caller thread) consumes the stream, splits
-//!   each request's blocks by shard, and pushes per-shard block-group
-//!   batches into bounded per-shard work queues (backpressure keeps the
-//!   pipeline memory-bounded).
-//! * **Work-stealing**: each shard's queue is paired with a mutex over
-//!   the shard's replay state. A message is popped *and processed while
-//!   holding that state lock*, so the shard's FIFO event order — and
-//!   therefore every simulated metric — is independent of which worker
-//!   thread executes it. A worker that drains its own queue steals one
-//!   message at a time from loaded siblings (`try_lock`, never blocking
-//!   behind a busy owner), which attacks day-barrier imbalance without
-//!   touching the determinism argument: scheduling chooses *who* runs a
-//!   shard's next message, never *what order* the shard's messages run
-//!   in.
+//! * The **coordinator** (caller thread) consumes the stream and appends
+//!   each request's blocks to the owning shard's pending **flat batch**:
+//!   one header per request fragment (`minute`, `completion_minute`,
+//!   `kind`, `len`) plus every fragment's `(block key, access time)`
+//!   pairs back to back — two allocations per batch however many
+//!   fragments it carries, freed by the worker. A batch of
+//!   `BATCH_GROUPS` fragments goes down the shard's bounded queue
+//!   (backpressure keeps the pipeline memory-bounded).
+//! * **Each worker owns its shard**: the shard's replay state is moved
+//!   into the worker thread, which drains that one queue until the
+//!   coordinator hangs up and returns its share of the result through
+//!   the join. The hand-off is the only synchronisation and per-shard
+//!   FIFO is stream order, so no simulated metric depends on scheduling.
+//!   A dead worker drops its channel ends, which turns the coordinator's
+//!   next blocking `send` or `recv` on it into an error.
 //! * **Continuous policies** (AOD, WMNA, SieveStore-C, RandSieve-C) are
 //!   built per shard via [`sievestore::SieveStoreBuilder::shard`]: the
 //!   IMCT is slot-sliced so per-key sieve state is bit-identical to the
@@ -39,44 +39,36 @@
 //!   per-shard bookkeeping (epoch access counts / accessed sets) *and* a
 //!   per-shard epoch cache: each worker owns a [`BatchCache`] holding
 //!   exactly its shard's slice of the global resident set. At each day
-//!   boundary the coordinator gathers every shard's contribution,
-//!   computes the selection the sequential policy would produce, and
-//!   hands each worker its hash-partition of it to install locally —
-//!   for SieveStore-D within capacity this is the contribution vectors
-//!   handed straight back, with no merge at all. Each worker counts
-//!   its install in its own share of the result, so the boundary's only
-//!   blocking step is the contribution gather. Because the per-shard
-//!   resident sets partition the global one, the summed
-//!   allocated/retained/evicted counts equal the sequential install's
-//!   exactly, and epoch rotation stays globally ordered.
+//!   boundary the coordinator gathers every shard's contribution — the
+//!   boundary's only blocking step — computes the selection the
+//!   sequential policy would produce, and hands each worker its
+//!   hash-partition of it to install and count locally (for SieveStore-D
+//!   within capacity, the contribution vectors handed straight back).
+//!   The per-shard resident sets partition the global one, so the summed
+//!   install counts equal the sequential install's exactly, and epoch
+//!   rotation stays globally ordered.
 //!
 //! # Determinism
 //!
 //! Each shard fills its own [`SimResult`] through the sequential
-//! engine's accounting functions, and per-day metrics merge with
-//! commutative integer sums ([`crate::DayMetrics::merge`]), so the
-//! merged report does not depend on worker scheduling — replaying the
-//! same trace at any shard count is reproducible, and
-//! [`ReplayMode::Sharded`]`(1)` is byte-identical to the sequential
-//! engine for every policy. For `n > 1` the per-key
-//! policy decisions are exact (hash-sliced metastate, global batch
-//! state), which makes discrete policies byte-identical at any shard
-//! count and continuous policies byte-identical whenever capacity is
-//! ample (no evictions); a global LRU's eviction order is inherently
-//! sequential, so under capacity pressure per-shard LRUs are an
-//! approximation. RandSieve-C reseeds per shard (its RNG is consumed in
-//! global miss order, which sharding cannot reproduce). Device
-//! *occupancy* rounds sub-page remainders per request-shard fragment
-//! rather than per request, so sharded page counts are an upper bound of
-//! sequential ones (equal at one shard); all block-level metrics are
-//! unaffected. See DESIGN.md §"Sharded replay" for the full argument.
+//! engine's accounting functions and the shares merge with commutative
+//! integer sums ([`crate::DayMetrics::merge`]), so a replay is
+//! reproducible at any shard count and [`ReplayMode::Sharded`]`(1)` is
+//! byte-identical to the sequential engine for every policy. For `n > 1`
+//! per-key policy decisions are exact (hash-sliced metastate, global
+//! batch state): discrete policies are byte-identical at any shard count,
+//! continuous ones whenever capacity is ample — a global LRU's eviction
+//! order is inherently sequential, so under capacity pressure per-shard
+//! LRUs are an approximation, and RandSieve-C reseeds per shard (its RNG
+//! is consumed in global miss order). Device *occupancy* rounds sub-page
+//! remainders per request-shard fragment rather than per request, so
+//! sharded page counts are an upper bound of sequential ones (equal at
+//! one shard); block-level metrics are unaffected. DESIGN.md §5b has the
+//! full argument.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, TryLockError};
-use std::time::Duration;
+use std::sync::Arc;
 
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{self, Receiver, Sender};
 use crossbeam::thread;
 
 use sievestore::policy::RandSieveBlkD;
@@ -84,7 +76,7 @@ use sievestore::{PolicySpec, SieveStore};
 use sievestore_cache::BatchCache;
 use sievestore_extsort::CountingConfig;
 use sievestore_sieve::{random_block_selection, DiscreteSieve};
-use sievestore_trace::{StreamMsg, SyntheticTrace};
+use sievestore_trace::{StreamMsg, SyntheticTrace, TraceStream};
 use sievestore_types::{
     obs_count, obs_enabled, obs_observe, shard_of, Day, Micros, Minute, Request, RequestKind,
     SieveError, U64Set,
@@ -129,8 +121,7 @@ impl ReplayMode {
 pub struct ReplayStats {
     /// Block accesses routed to each shard.
     pub per_shard_blocks: Vec<u64>,
-    /// Queue messages executed by a worker other than the shard's owner
-    /// (work-stealing; 0 when the load stayed balanced).
+    /// Always 0; kept for the repo benchmark's `sim.replay.steals` probe.
     pub steals: u64,
 }
 
@@ -154,19 +145,42 @@ impl ReplayStats {
     }
 }
 
-/// One request's blocks restricted to a single shard, with everything a
-/// worker needs to mirror the sequential engine's accounting.
+/// One request's fragment on a single shard: what a worker needs to
+/// account the next `len` entries of its batch's `blocks`.
 struct Group {
     minute: Minute,
     completion_minute: Minute,
     kind: RequestKind,
-    /// `(block key, per-block access time)` in request order.
+    len: u32,
+}
+
+/// One shard's request fragments in stream order, stored flat.
+#[derive(Default)]
+struct Batch {
+    groups: Vec<Group>,
+    /// Every group's `(block key, per-block access time)` pairs, back to
+    /// back, each group's in request order.
     blocks: Vec<(u64, Micros)>,
+    /// How many of `blocks` the `groups` cover; the rest belong to the
+    /// request being routed.
+    grouped: usize,
+}
+
+impl Batch {
+    /// Each group with its slice of `blocks`, in stream order.
+    fn fragments(&self) -> impl Iterator<Item = (&Group, &[(u64, Micros)])> {
+        let mut rest = &self.blocks[..];
+        self.groups.iter().map(move |g| {
+            let (blocks, tail) = rest.split_at(g.len as usize);
+            rest = tail;
+            (g, blocks)
+        })
+    }
 }
 
 enum ToWorker {
     /// Replay these groups in order.
-    Batch(Vec<Group>),
+    Batch(Batch),
     /// Day boundary: send the shard's epoch contribution (discrete
     /// policies only).
     Boundary,
@@ -185,44 +199,6 @@ const BATCH_GROUPS: usize = 1024;
 /// In-flight batches per shard queue (backpressure bound).
 const CHANNEL_DEPTH: usize = 8;
 
-/// Buffer-recycling protocol: workers return every processed batch here
-/// (groups cleared, `Vec` capacities intact) and the coordinator reuses
-/// them for subsequent sends, so steady-state replay allocates no group
-/// or batch buffers at all — only the warmup builds them.
-struct BufferPool {
-    groups: Vec<Group>,
-    batches: Vec<Vec<Group>>,
-    returns: Receiver<Vec<Group>>,
-}
-
-impl BufferPool {
-    /// Harvests every batch the workers have returned so far.
-    fn reclaim(&mut self) {
-        while let Ok(mut batch) = self.returns.try_recv() {
-            debug_assert!(batch.iter().all(|g| g.blocks.is_empty()));
-            obs_count!(ReplayBatchesRecycled, 1);
-            self.groups.append(&mut batch);
-            self.batches.push(batch);
-        }
-    }
-
-    /// A group with empty (possibly pre-sized) `blocks`, recycled when
-    /// available.
-    fn group(&mut self, req: &Request) -> Group {
-        Group {
-            minute: req.timestamp.minute(),
-            completion_minute: req.completion_time().minute(),
-            kind: req.kind,
-            blocks: self.groups.pop().map(|g| g.blocks).unwrap_or_default(),
-        }
-    }
-
-    /// An empty batch `Vec`, recycled when available.
-    fn batch(&mut self) -> Vec<Group> {
-        self.batches.pop().unwrap_or_default()
-    }
-}
-
 /// Per-shard epoch bookkeeping for discrete policies: the *counting*
 /// side of the policy. The shard's slice of the epoch cache sits beside
 /// it in [`WorkerKind::Discrete`].
@@ -238,6 +214,23 @@ enum DiscreteBook {
 }
 
 impl DiscreteBook {
+    /// The bookkeeping one shard keeps for `spec`, validated exactly as
+    /// the sequential builder would; `None` for continuous policies.
+    fn new(spec: &PolicySpec, counting: &CountingConfig) -> Result<Option<Self>, SieveError> {
+        Ok(match spec {
+            PolicySpec::SieveStoreD { threshold } => Some(DiscreteBook::SieveD {
+                sieve: DiscreteSieve::new(counting.counter()?, *threshold)?,
+                counting: counting.clone(),
+            }),
+            PolicySpec::RandSieveBlkD { fraction, seed } => {
+                RandSieveBlkD::new(*fraction, *seed)?;
+                Some(DiscreteBook::BlkD(U64Set::new()))
+            }
+            PolicySpec::IdealTop1 { .. } => Some(DiscreteBook::Ideal),
+            _ => None,
+        })
+    }
+
     fn record(&mut self, key: u64) {
         match self {
             DiscreteBook::SieveD { sieve, .. } => sieve.record_access(key),
@@ -250,89 +243,65 @@ impl DiscreteBook {
 
     /// The shard's epoch contribution, sorted ascending — for disjoint
     /// key partitions, sorting the concatenation of these reproduces the
-    /// sequential policy's selection input exactly.
-    fn contribution(&mut self) -> Vec<u64> {
+    /// sequential policy's selection input exactly. Fails if the counting
+    /// backend cannot finish the epoch or start the next (spill I/O).
+    fn contribution(&mut self) -> Result<Vec<u64>, SieveError> {
         match self {
-            DiscreteBook::SieveD { sieve, counting } => {
-                let next = counting
-                    .counter()
-                    .expect("epoch counting backend failed to restart");
-                sieve.end_epoch(next).expect("access counting failed")
-            }
+            DiscreteBook::SieveD { sieve, counting } => sieve.end_epoch(counting.counter()?),
             DiscreteBook::BlkD(accessed) => {
                 let mut v: Vec<u64> = accessed.iter().collect();
                 v.sort_unstable();
                 accessed.clear(); // keeps the table allocation for the next epoch
-                v
+                Ok(v)
             }
-            DiscreteBook::Ideal => Vec::new(),
+            DiscreteBook::Ideal => Ok(Vec::new()),
         }
     }
 }
 
-/// Coordinator-side epoch selection logic, mirroring each discrete
-/// policy's `on_day_boundary` over the merged shard contributions.
-enum BatchPlan {
-    SieveD,
-    BlkD {
-        fraction: f64,
-        seed: u64,
-        epoch: u64,
-    },
-    Ideal {
-        selections: Vec<Vec<u64>>,
-    },
-}
-
-impl BatchPlan {
-    /// The day's epoch selection, already split into per-shard installs.
-    ///
-    /// `contributions[s]` is shard `s`'s (sorted, duplicate-free, hash-
-    /// disjoint) epoch contribution. The returned partition is exactly
-    /// what the sequential policy's global `install_epoch` would keep —
-    /// same dedupe, same in-order truncation at `capacity` — restricted
-    /// to each shard's key ownership, so per-shard installs sum to the
-    /// global transition (see module docs).
-    fn select_sharded(
-        &mut self,
-        day: Day,
-        contributions: Vec<Vec<u64>>,
-        shards: usize,
-        capacity: usize,
-    ) -> Vec<Vec<u64>> {
-        match self {
-            BatchPlan::SieveD => {
-                let total: usize = contributions.iter().map(Vec::len).sum();
-                if total <= capacity {
-                    // The sequential sieve would select the full sorted
-                    // concatenation and nothing would be truncated, so
-                    // the contributions are already the partition — the
-                    // common case costs no merge at all.
-                    contributions
-                } else {
-                    let mut all: Vec<u64> = contributions.into_iter().flatten().collect();
-                    all.sort_unstable();
-                    partition_selection(all, shards, capacity)
-                }
-            }
-            BatchPlan::BlkD {
-                fraction,
-                seed,
-                epoch,
-            } => {
-                let mut accessed: Vec<u64> = contributions.into_iter().flatten().collect();
-                accessed.sort_unstable();
-                *epoch += 1;
-                let selection =
-                    random_block_selection(accessed.into_iter(), *fraction, *seed ^ *epoch);
-                partition_selection(selection, shards, capacity)
-            }
-            BatchPlan::Ideal { selections } => partition_selection(
-                selections.get(day.as_usize()).cloned().unwrap_or_default(),
-                shards,
-                capacity,
-            ),
+/// The day's epoch selection — what `spec`'s sequential policy returns
+/// from its `epoch`-th `on_day_boundary` — already split into per-shard
+/// installs.
+///
+/// `contributions[s]` is shard `s`'s sorted, duplicate-free, hash-disjoint
+/// epoch contribution. The returned partition is exactly what the
+/// sequential policy's global `install_epoch` would keep — same dedupe,
+/// same in-order truncation at `capacity` — restricted to each shard's
+/// keys, so per-shard installs sum to the global transition.
+fn select_sharded(
+    spec: &PolicySpec,
+    epoch: u64,
+    day: Day,
+    contributions: Vec<Vec<u64>>,
+    capacity: usize,
+) -> Vec<Vec<u64>> {
+    let shards = contributions.len();
+    let merged = |contributions: Vec<Vec<u64>>| {
+        let mut all: Vec<u64> = contributions.into_iter().flatten().collect();
+        all.sort_unstable();
+        all
+    };
+    match spec {
+        PolicySpec::IdealTop1 { selections } => {
+            let selection = selections.get(day.as_usize()).into_iter().flatten();
+            partition_selection(selection.copied(), shards, capacity)
         }
+        PolicySpec::RandSieveBlkD { fraction, seed } => {
+            let accessed = merged(contributions).into_iter();
+            let selection = random_block_selection(accessed, *fraction, *seed ^ epoch);
+            partition_selection(selection, shards, capacity)
+        }
+        PolicySpec::SieveStoreD { .. } => {
+            // Within capacity the sequential sieve would select the full
+            // sorted concatenation and nothing would be truncated, so the
+            // contributions are already the partition — the common case
+            // costs no merge at all.
+            if contributions.iter().map(Vec::len).sum::<usize>() <= capacity {
+                return contributions;
+            }
+            partition_selection(merged(contributions), shards, capacity)
+        }
+        _ => unreachable!("continuous policies have no epoch selection"),
     }
 }
 
@@ -352,73 +321,60 @@ fn partition_selection(
         if seen.len() >= capacity {
             break;
         }
-        if !seen.insert(key) {
-            continue;
+        if seen.insert(key) {
+            parts[shard_of(key, shards)].push(key);
         }
-        parts[shard_of(key, shards)].push(key);
     }
     parts
 }
 
+/// A discrete shard's answer to [`ToWorker::Boundary`].
+type Contribution = Result<Vec<u64>, SieveError>;
+
 enum WorkerKind {
     Continuous(SieveStore),
     Discrete {
-        shard: usize,
         book: DiscreteBook,
         /// This shard's slice of the global resident set. Sized to the
         /// full logical capacity so a partitioned install (≤ capacity
         /// keys in total across all shards) can never locally truncate.
         resident: BatchCache,
-        contribute: Sender<(usize, Vec<u64>)>,
+        /// Capacity 1 and one contribution per boundary, each gathered
+        /// before the next boundary is sent: this send never blocks.
+        reply: Sender<Contribution>,
     },
 }
 
 /// One shard's replay state: its policy slice plus its private metrics.
-/// Lives behind [`ShardRig::state`]; whichever worker holds that lock
-/// processes the shard's next message.
+/// Owned by the shard's worker thread for the whole replay.
 struct ShardState {
     kind: WorkerKind,
     /// This shard's share of the merged result.
     result: SimResult,
-    /// Processed batches go back to the coordinator for reuse.
-    recycle: Sender<Vec<Group>>,
 }
 
 impl ShardState {
-    /// Executes one queue message. The caller holds the shard's state
-    /// lock, so messages of one shard always run serialized and in FIFO
-    /// order — the whole determinism argument rests on this.
+    /// Executes one queue message.
     fn process(&mut self, msg: ToWorker) {
         match msg {
-            ToWorker::Batch(mut groups) => {
-                for g in &mut groups {
-                    self.process_group(g);
-                    g.blocks.clear();
+            ToWorker::Batch(batch) => {
+                for (g, blocks) in batch.fragments() {
+                    self.process_group(g, blocks);
                 }
-                // Return the batch for reuse; the coordinator may
-                // already be gone during the final drain.
-                let _ = self.recycle.send(groups);
             }
             ToWorker::Boundary => {
-                if let WorkerKind::Discrete {
-                    shard,
-                    book,
-                    contribute,
-                    ..
-                } = &mut self.kind
-                {
-                    contribute
-                        .send((*shard, book.contribution()))
-                        .expect("coordinator outlives workers");
+                if let WorkerKind::Discrete { book, reply, .. } = &mut self.kind {
+                    // The gather end is only ever gone on the coordinator's
+                    // own error path, which hangs up this worker's queue next.
+                    let _ = reply.send(book.contribution());
                 }
             }
             ToWorker::Install(day, selection) => {
                 if let WorkerKind::Discrete { resident, .. } = &mut self.kind {
-                    let transition = resident.install_epoch(selection);
                     // The shard's share of the day's batch move; the
                     // merge sums the shares into the global count.
-                    self.result
-                        .record_batch_install(day, transition.allocated.len() as u64);
+                    let moved = resident.install_epoch(selection).allocated.len();
+                    self.result.record_batch_install(day, moved as u64);
                 }
             }
         }
@@ -427,17 +383,17 @@ impl ShardState {
     /// Accounts the shard's fragment of one request exactly as the
     /// sequential engine accounts a whole one; page accounting therefore
     /// rounds per fragment (see module docs).
-    fn process_group(&mut self, g: &Group) {
+    fn process_group(&mut self, g: &Group, blocks: &[(u64, Micros)]) {
         let kind = &mut self.kind;
         if let WorkerKind::Continuous(store) = kind {
             // As in the sequential engine: overlap the metastate fetches.
-            g.blocks.iter().for_each(|&(key, _)| store.prefetch(key));
+            blocks.iter().for_each(|&(key, _)| store.prefetch(key));
         }
         self.result.record_request(
             g.minute,
             g.completion_minute,
             g.kind,
-            g.blocks.iter().map(|&(key, t)| match kind {
+            blocks.iter().map(|&(key, t)| match kind {
                 WorkerKind::Continuous(store) => {
                     let outcome = store.access(key, g.kind, t);
                     (outcome.is_hit(), outcome.is_allocation())
@@ -452,173 +408,18 @@ impl ShardState {
     }
 }
 
-/// Pending messages for one shard; `closed` once the coordinator has
-/// pushed the trace's last message.
-struct ShardQueue {
-    items: VecDeque<ToWorker>,
-    closed: bool,
-}
-
-/// One shard's bounded work queue paired with its replay state. Any
-/// worker may execute the shard's next message, but only while holding
-/// `state` — and the pop happens under that same lock, so per-shard
-/// FIFO order is independent of which thread runs it (see module docs).
-struct ShardRig {
-    queue: Mutex<ShardQueue>,
-    /// Signals both directions on `queue`: workers wait here for work,
-    /// the coordinator waits here for queue space.
-    cond: Condvar,
-    state: Mutex<ShardState>,
-}
-
-/// How long an idle worker parks before rescanning every queue for
-/// stealable work.
-const IDLE_WAIT: Duration = Duration::from_millis(1);
-/// How long a backpressured push waits between worker-health checks.
-const PUSH_WAIT: Duration = Duration::from_millis(50);
-
-impl ShardRig {
-    fn new(state: ShardState) -> Self {
-        ShardRig {
-            queue: Mutex::new(ShardQueue {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            cond: Condvar::new(),
-            state: Mutex::new(state),
-        }
-    }
-
-    /// Enqueues one message, blocking while the queue holds
-    /// [`CHANNEL_DEPTH`] messages (the backpressure bound that keeps
-    /// replay memory fixed).
-    ///
-    /// # Errors
-    ///
-    /// Fails if a worker panicked mid-replay (poisoned shard state):
-    /// with no worker left to drain, a full queue would otherwise block
-    /// the coordinator forever.
-    fn push(&self, msg: ToWorker) -> Result<(), SieveError> {
-        let mut q = self.queue.lock().expect("queue lock");
-        while q.items.len() >= CHANNEL_DEPTH {
-            if self.state.is_poisoned() {
-                return Err(worker_panicked());
-            }
-            q = self.cond.wait_timeout(q, PUSH_WAIT).expect("queue lock").0;
-        }
-        q.items.push_back(msg);
-        self.cond.notify_all();
-        Ok(())
-    }
-
-    /// Ships the pending `groups`, if any, leaving `replacement` in
-    /// their place.
-    fn push_batch(
-        &self,
-        groups: &mut Vec<Group>,
-        replacement: Vec<Group>,
-    ) -> Result<(), SieveError> {
-        if groups.is_empty() {
-            return Ok(());
-        }
-        obs_count!(ReplayBatchesSent, 1);
-        self.push(ToWorker::Batch(std::mem::replace(groups, replacement)))
-    }
-
-    /// Marks the queue complete; workers exit once every queue is both
-    /// closed and empty.
-    fn close(&self) {
-        self.queue.lock().expect("queue lock").closed = true;
-        self.cond.notify_all();
-    }
-
-    /// Whether this shard can never produce work again.
-    fn drained(&self) -> bool {
-        let q = self.queue.lock().expect("queue lock");
-        q.closed && q.items.is_empty()
-    }
-}
-
-/// Pops and executes at most one message from `rig`; `false` if the
-/// queue was empty or — steal attempts only, which never block behind a
-/// busy owner — another worker holds the shard's state. The state lock is
-/// taken *first* and held across both the pop and the processing — that
-/// is the whole determinism argument — and exactly one message runs per
-/// acquisition, so a stalled owner's stealers (or a stealing owner's
-/// returns) interleave at message granularity instead of waiting out a
-/// whole batch backlog.
-fn try_process_one(rig: &ShardRig, steal: bool) -> bool {
-    let mut state = if steal {
-        match rig.state.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => return false,
-            Err(TryLockError::Poisoned(e)) => panic!("shard state poisoned: {e}"),
-        }
-    } else {
-        rig.state.lock().expect("shard state poisoned")
-    };
-    let msg = {
-        let mut q = rig.queue.lock().expect("queue lock");
-        match q.items.pop_front() {
-            Some(msg) => {
-                // Wake the coordinator (queue space freed) before the
-                // potentially long processing step.
-                rig.cond.notify_all();
-                msg
-            }
-            None => return false,
-        }
-    };
-    state.process(msg);
-    true
-}
-
-/// One replay worker: drains its own shard's queue, then steals single
-/// messages from loaded siblings, and exits once every queue is closed
-/// and empty. `stall` is the imbalance test hook — it sleeps before
-/// each own-queue attempt, outside all locks, so the worker's queue
-/// backs up and siblings must steal to keep the replay moving.
-fn worker_loop(id: usize, rigs: &[ShardRig], steals: &AtomicU64, stall: Option<Duration>) {
-    let own = &rigs[id];
+/// One replay worker: owns `state`, drains the shard's queue in order
+/// until the coordinator hangs up, and returns the shard's result.
+fn run_worker(mut state: ShardState, queue: Receiver<ToWorker>) -> SimResult {
     loop {
-        // Own queue first: in the balanced case this is the whole loop
-        // and the state lock is uncontended.
-        loop {
-            if let Some(nap) = stall {
-                std::thread::sleep(nap);
-            }
-            if !try_process_one(own, false) {
-                break;
-            }
-        }
-        // Steal sweep: at most one message from the first available
-        // sibling, then back to the own queue (its backlog, if one
-        // appeared meanwhile, has priority).
-        let mut stole = false;
-        for offset in 1..rigs.len() {
-            let victim = &rigs[(id + offset) % rigs.len()];
-            if try_process_one(victim, true) {
-                steals.fetch_add(1, Ordering::Relaxed);
-                stole = true;
-                break;
-            }
-        }
-        if stole {
-            continue;
-        }
-        if rigs.iter().all(ShardRig::drained) {
-            return;
-        }
-        // Nothing runnable anywhere right now: park briefly on the own
-        // queue's condvar (pushes notify it) and rescan.
-        let waited = obs_enabled!().then(std::time::Instant::now);
-        let q = own.queue.lock().expect("queue lock");
-        if q.items.is_empty() && !q.closed {
-            let _ = own.cond.wait_timeout(q, IDLE_WAIT).expect("queue lock");
-        }
-        if let Some(started) = waited {
+        let idle_since = obs_enabled!().then(std::time::Instant::now);
+        let Ok(msg) = queue.recv() else {
+            return state.result;
+        };
+        if let Some(started) = idle_since {
             obs_observe!(ReplayChannelWaitNanos, started.elapsed().as_nanos() as u64);
         }
+        state.process(msg);
     }
 }
 
@@ -626,26 +427,31 @@ fn worker_panicked() -> SieveError {
     SieveError::InvalidConfig("replay worker panicked".into())
 }
 
-/// Receives one epoch contribution during the day-boundary gather,
-/// watching for worker panics: the shard states live in coordinator-
-/// owned rigs, so a dead worker does not disconnect the channel and a
-/// plain `recv` could block forever.
-fn recv_contribution(
-    rx: &Receiver<(usize, Vec<u64>)>,
-    rigs: &[ShardRig],
-) -> Result<(usize, Vec<u64>), SieveError> {
-    loop {
-        match rx.try_recv() {
-            Ok(pair) => return Ok(pair),
-            Err(TryRecvError::Disconnected) => return Err(worker_panicked()),
-            Err(TryRecvError::Empty) => {
-                if rigs.iter().any(|r| r.state.is_poisoned()) {
-                    return Err(worker_panicked());
-                }
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        }
+/// Hands `msg` to a shard's worker, blocking while its queue holds
+/// [`CHANNEL_DEPTH`] messages (the backpressure bound that keeps replay
+/// memory fixed). Fails if the worker panicked: unwinding dropped its
+/// end of the queue, so the send returns instead of blocking forever.
+fn push(queue: &Sender<ToWorker>, msg: ToWorker) -> Result<(), SieveError> {
+    queue.send(msg).map_err(|_| worker_panicked())
+}
+
+/// Ships a shard's pending batch, if any, leaving an empty one in its place.
+fn ship(queue: &Sender<ToWorker>, pending: &mut Batch) -> Result<(), SieveError> {
+    if pending.groups.is_empty() {
+        return Ok(());
     }
+    obs_count!(ReplayBatchesSent, 1);
+    push(queue, ToWorker::Batch(std::mem::take(pending)))
+}
+
+/// The day-boundary gather, the boundary's only blocking step: every
+/// shard's epoch contribution, in shard order. A shard's counting failure
+/// comes back as is; a panicked worker's contribution sender was dropped
+/// by unwinding, so its receive fails instead of blocking forever.
+fn gather(from: &[Receiver<Contribution>]) -> Result<Vec<Vec<u64>>, SieveError> {
+    from.iter()
+        .map(|shard| shard.recv().map_err(|_| worker_panicked())?)
+        .collect()
 }
 
 /// Simulates one policy over the whole trace with `shards` parallel
@@ -655,14 +461,15 @@ fn recv_contribution(
 ///
 /// Returns [`SieveError::InvalidConfig`] for a zero shard count, an
 /// invalid policy configuration, an unsatisfiable metastate split (e.g.
-/// `shards` not dividing SieveStore-C's IMCT), or a worker panic.
+/// `shards` not dividing SieveStore-C's IMCT) or a worker panic, and the
+/// counting backend's own error when epoch counting fails.
 pub fn simulate_sharded(
     trace: &SyntheticTrace,
     spec: PolicySpec,
     cfg: &SimConfig,
     shards: usize,
 ) -> Result<(SimResult, ReplayStats), SieveError> {
-    run_sharded(trace, None, spec, cfg, shards, None)
+    run_sharded(trace, None, spec, cfg, shards)
 }
 
 /// Sharded variant of [`crate::simulate_server`]: replays a single
@@ -678,24 +485,7 @@ pub fn simulate_server_sharded(
     cfg: &SimConfig,
     shards: usize,
 ) -> Result<(SimResult, ReplayStats), SieveError> {
-    run_sharded(trace, Some(server_idx), spec, cfg, shards, None)
-}
-
-/// Test hook: as [`simulate_sharded`], but worker `stall_worker` sleeps
-/// `stall` before each of its own-queue messages, forcing the queue
-/// imbalance that work-stealing exists to fix. Metrics must stay
-/// byte-identical to the unstalled replay; only [`ReplayStats::steals`]
-/// changes.
-#[doc(hidden)]
-pub fn simulate_sharded_with_stall(
-    trace: &SyntheticTrace,
-    spec: PolicySpec,
-    cfg: &SimConfig,
-    shards: usize,
-    stall_worker: usize,
-    stall: Duration,
-) -> Result<(SimResult, ReplayStats), SieveError> {
-    run_sharded(trace, None, spec, cfg, shards, Some((stall_worker, stall)))
+    run_sharded(trace, Some(server_idx), spec, cfg, shards)
 }
 
 fn run_sharded(
@@ -704,7 +494,6 @@ fn run_sharded(
     spec: PolicySpec,
     cfg: &SimConfig,
     shards: usize,
-    stall: Option<(usize, Duration)>,
 ) -> Result<(SimResult, ReplayStats), SieveError> {
     if shards == 0 {
         return Err(SieveError::InvalidConfig(
@@ -719,168 +508,54 @@ fn run_sharded(
     validate_scenario(trace, server, cfg)?;
     let name: Arc<str> = Arc::from(spec.name());
 
-    // Coordinator-side discrete state: the epoch selection plan. The
-    // epoch caches themselves live on the workers, one hash-partition
-    // each. `None` for continuous policies.
-    let mut plan: Option<BatchPlan> = match &spec {
-        // Its threshold is validated when the shards' books are built.
-        PolicySpec::SieveStoreD { .. } => Some(BatchPlan::SieveD),
-        PolicySpec::RandSieveBlkD { fraction, seed } => {
-            // Validate exactly as the sequential builder would.
-            RandSieveBlkD::new(*fraction, *seed)?;
-            Some(BatchPlan::BlkD {
-                fraction: *fraction,
-                seed: *seed,
-                epoch: 0,
-            })
-        }
-        PolicySpec::IdealTop1 { selections } => Some(BatchPlan::Ideal {
-            selections: selections.clone(),
-        }),
-        _ => None,
-    };
-
-    let (contrib_tx, contrib_rx) = channel::unbounded::<(usize, Vec<u64>)>();
-    let (recycle_tx, recycle_rx) = channel::unbounded::<Vec<Group>>();
-    let mut rigs = Vec::with_capacity(shards);
+    let mut states = Vec::with_capacity(shards);
+    // Discrete policies: one contribution channel per shard, its sender
+    // inside the worker-owned state. Empty for continuous policies.
+    let mut contributions = Vec::new();
     for s in 0..shards {
-        let kind = if plan.is_none() {
-            WorkerKind::Continuous(cfg.store_builder(spec.clone()).shard(s, shards).build()?)
-        } else {
-            let book = match &spec {
-                PolicySpec::SieveStoreD { threshold } => DiscreteBook::SieveD {
-                    sieve: DiscreteSieve::new(cfg.counting.counter()?, *threshold)?,
-                    counting: cfg.counting.clone(),
-                },
-                PolicySpec::RandSieveBlkD { .. } => DiscreteBook::BlkD(U64Set::new()),
-                _ => DiscreteBook::Ideal,
-            };
-            WorkerKind::Discrete {
-                shard: s,
-                book,
-                resident: BatchCache::new(cfg.capacity_blocks),
-                contribute: contrib_tx.clone(),
-            }
-        };
-        rigs.push(ShardRig::new(ShardState {
-            kind,
-            result: SimResult::empty(name.clone(), trace, cfg),
-            recycle: recycle_tx.clone(),
-        }));
-    }
-    drop(contrib_tx);
-    drop(recycle_tx);
-
-    let steals = AtomicU64::new(0);
-    let mut per_shard_blocks = vec![0u64; shards];
-
-    let scope_result = thread::scope(|scope| {
-        for id in 0..shards {
-            let rigs = &rigs;
-            let steals = &steals;
-            let nap = stall.and_then(|(worker, nap)| (worker == id).then_some(nap));
-            scope.spawn(move |_| worker_loop(id, rigs, steals, nap));
-        }
-
-        // The coordinator body runs on this thread; its error (stream
-        // failure or worker panic) is captured so the queues still
-        // close and the scope still joins before it propagates.
-        let coordinate = || -> Result<(), SieveError> {
-            let mut stream = open_stream(trace, server, cfg);
-            let mut pending: Vec<Vec<Group>> = (0..shards).map(|_| Vec::new()).collect();
-            let mut scratch: Vec<Vec<(u64, Micros)>> = (0..shards).map(|_| Vec::new()).collect();
-            let mut pool = BufferPool {
-                groups: Vec::new(),
-                batches: Vec::new(),
-                returns: recycle_rx,
-            };
-            while let Some(msg) = stream.next_msg() {
-                match msg {
-                    StreamMsg::StartDay(day) => {
-                        obs_count!(ReplayDayBoundaries, 1);
-                        if let Some(plan) = plan.as_mut() {
-                            let barrier_started = obs_enabled!().then(std::time::Instant::now);
-                            // Boundary barrier: drain in-flight work and
-                            // gather every shard's epoch contribution —
-                            // the gather is the only blocking step. Each
-                            // shard then installs its partition of the
-                            // merged selection into its local epoch
-                            // cache, asynchronously.
-                            for (rig, groups) in rigs.iter().zip(&mut pending) {
-                                rig.push_batch(groups, Vec::new())?;
-                                rig.push(ToWorker::Boundary)?;
-                            }
-                            let mut contributions: Vec<Vec<u64>> =
-                                (0..shards).map(|_| Vec::new()).collect();
-                            for _ in 0..shards {
-                                let (shard, contribution) = recv_contribution(&contrib_rx, &rigs)?;
-                                contributions[shard] = contribution;
-                            }
-                            let parts = plan.select_sharded(
-                                day,
-                                contributions,
-                                shards,
-                                cfg.capacity_blocks,
-                            );
-                            for (rig, part) in rigs.iter().zip(parts) {
-                                rig.push(ToWorker::Install(day, part))?;
-                            }
-                            if let Some(started) = barrier_started {
-                                obs_observe!(
-                                    ReplayDayBarrierNanos,
-                                    started.elapsed().as_nanos() as u64
-                                );
-                            }
-                        }
-                    }
-                    StreamMsg::Chunk(requests) => {
-                        for req in &requests {
-                            pool.reclaim();
-                            route_request(req, shards, &mut scratch);
-                            for s in 0..shards {
-                                if scratch[s].is_empty() {
-                                    continue;
-                                }
-                                per_shard_blocks[s] += scratch[s].len() as u64;
-                                obs_count!(ReplayEventsRouted, scratch[s].len() as u64);
-                                // Swap the routed blocks into a recycled
-                                // group: the group's cleared buffer
-                                // becomes the next request's scratch, so
-                                // neither side ever reallocates.
-                                let mut group = pool.group(req);
-                                std::mem::swap(&mut group.blocks, &mut scratch[s]);
-                                pending[s].push(group);
-                                if pending[s].len() >= BATCH_GROUPS {
-                                    rigs[s].push_batch(&mut pending[s], pool.batch())?;
-                                }
-                            }
-                        }
-                        stream.recycle(requests);
-                    }
-                    StreamMsg::Failed(e) => return Err(e),
+        let kind = match DiscreteBook::new(&spec, &cfg.counting)? {
+            Some(book) => {
+                let (reply, contribution) = channel::bounded(1);
+                contributions.push(contribution);
+                WorkerKind::Discrete {
+                    book,
+                    resident: BatchCache::new(cfg.capacity_blocks),
+                    reply,
                 }
             }
-            for (rig, groups) in rigs.iter().zip(&mut pending) {
-                rig.push_batch(groups, Vec::new())?;
+            None => {
+                WorkerKind::Continuous(cfg.store_builder(spec.clone()).shard(s, shards).build()?)
             }
-            Ok(())
         };
-        let result = coordinate();
-        // Close every queue — on success *and* on error — so the
-        // workers drain and exit and the scope can join.
-        for rig in &rigs {
-            rig.close();
-        }
-        result
+        states.push(ShardState {
+            kind,
+            result: SimResult::empty(name.clone(), trace, cfg),
+        });
+    }
+    let stream = open_stream(trace, server, cfg);
+
+    let joined = thread::scope(|scope| {
+        let (queues, workers): (Vec<_>, Vec<_>) = states
+            .into_iter()
+            .map(|state| {
+                let (queue, worker_end) = channel::bounded(CHANNEL_DEPTH);
+                (queue, scope.spawn(move |_| run_worker(state, worker_end)))
+            })
+            .unzip();
+
+        let routed = coordinate(stream, &spec, cfg.capacity_blocks, &queues, &contributions);
+        // Hang up every queue and join every worker before the
+        // coordinator's result propagates — on success *and* on error —
+        // so the workers drain and exit and nothing stays blocked.
+        drop(queues);
+        let parts: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+        routed.map(|per_shard_blocks| (per_shard_blocks, parts))
     });
-    // A worker panic unwinds through the scope (its queue state is
-    // unrecoverable); surface it as a replay error.
-    scope_result.map_err(|_| worker_panicked())??;
+    let (per_shard_blocks, parts) = joined.map_err(|_| worker_panicked())??;
 
     let mut merged = SimResult::empty(name, trace, cfg);
-    for rig in rigs {
-        let state = rig.state.into_inner().map_err(|_| worker_panicked())?;
-        merged.absorb(&state.result);
+    for part in parts {
+        merged.absorb(&part.map_err(|_| worker_panicked())?);
     }
     if cfg.charge_batch_moves {
         // Charged on the merged per-day totals — total first, then one
@@ -894,17 +569,92 @@ fn run_sharded(
         merged,
         ReplayStats {
             per_shard_blocks,
-            steals: steals.load(Ordering::Relaxed),
+            steals: 0,
         },
     ))
 }
 
-/// Splits one request's blocks into per-shard `(key, access time)` runs,
-/// preserving request order within each shard.
-fn route_request(req: &Request, shards: usize, scratch: &mut [Vec<(u64, Micros)>]) {
+/// The coordinator, on the caller's thread: routes the stream into the
+/// shards' queues and, for a discrete policy (one with `contributions`),
+/// runs the day-boundary barrier. Returns the blocks routed per shard.
+fn coordinate(
+    mut stream: TraceStream,
+    spec: &PolicySpec,
+    capacity: usize,
+    queues: &[Sender<ToWorker>],
+    contributions: &[Receiver<Contribution>],
+) -> Result<Vec<u64>, SieveError> {
+    let mut pending: Vec<Batch> = queues.iter().map(|_| Batch::default()).collect();
+    let mut per_shard_blocks = vec![0u64; queues.len()];
+    let mut epoch = 0u64;
+    while let Some(msg) = stream.next_msg() {
+        match msg {
+            StreamMsg::StartDay(day) => {
+                obs_count!(ReplayDayBoundaries, 1);
+                if !contributions.is_empty() {
+                    let barrier_started = obs_enabled!().then(std::time::Instant::now);
+                    // Boundary barrier: drain in-flight work and gather
+                    // every shard's epoch contribution. Each shard then
+                    // installs its partition of the merged selection into
+                    // its local epoch cache, asynchronously.
+                    for (queue, batch) in queues.iter().zip(&mut pending) {
+                        ship(queue, batch)?;
+                        push(queue, ToWorker::Boundary)?;
+                    }
+                    epoch += 1;
+                    let parts = select_sharded(spec, epoch, day, gather(contributions)?, capacity);
+                    for (queue, part) in queues.iter().zip(parts) {
+                        push(queue, ToWorker::Install(day, part))?;
+                    }
+                    if let Some(started) = barrier_started {
+                        obs_observe!(ReplayDayBarrierNanos, started.elapsed().as_nanos() as u64);
+                    }
+                }
+            }
+            StreamMsg::Chunk(requests) => {
+                for req in &requests {
+                    route_request(req, &mut pending, &mut per_shard_blocks);
+                    for (queue, batch) in queues.iter().zip(&mut pending) {
+                        if batch.groups.len() >= BATCH_GROUPS {
+                            ship(queue, batch)?;
+                        }
+                    }
+                }
+                stream.recycle(requests);
+            }
+            StreamMsg::Failed(e) => return Err(e),
+        }
+    }
+    for (queue, batch) in queues.iter().zip(&mut pending) {
+        ship(queue, batch)?;
+    }
+    Ok(per_shard_blocks)
+}
+
+/// Appends `req`'s blocks to the pending batch of each shard that owns
+/// some of them — one group per such shard, blocks in request order —
+/// and counts them into `per_shard_blocks`.
+fn route_request(req: &Request, pending: &mut [Batch], per_shard_blocks: &mut [u64]) {
+    let shards = pending.len();
     for (i, key) in req.blocks().enumerate() {
         let raw = key.raw();
-        scratch[shard_of(raw, shards)].push((raw, req.block_completion_time(i as u32)));
+        let at = req.block_completion_time(i as u32);
+        pending[shard_of(raw, shards)].blocks.push((raw, at));
+    }
+    for (batch, routed) in pending.iter_mut().zip(per_shard_blocks) {
+        let len = batch.blocks.len() - batch.grouped;
+        if len == 0 {
+            continue;
+        }
+        batch.grouped = batch.blocks.len();
+        batch.groups.push(Group {
+            minute: req.timestamp.minute(),
+            completion_minute: req.completion_time().minute(),
+            kind: req.kind,
+            len: len as u32,
+        });
+        *routed += len as u64;
+        obs_count!(ReplayEventsRouted, len as u64);
     }
 }
 
@@ -912,8 +662,11 @@ fn route_request(req: &Request, shards: usize, scratch: &mut [Vec<(u64, Micros)>
 mod tests {
     use super::*;
     use crate::engine::simulate;
+    use crate::snapshot::SnapshotLog;
+    use proptest::prelude::*;
     use sievestore_sieve::TwoTierConfig;
     use sievestore_trace::EnsembleConfig;
+    use sievestore_types::{BlockAddr, ServerId, VolumeId};
 
     fn tiny() -> SyntheticTrace {
         SyntheticTrace::new(EnsembleConfig::tiny(11)).unwrap()
@@ -1079,5 +832,168 @@ mod tests {
         };
         assert_eq!(stats.total_blocks(), 40);
         assert!((stats.imbalance() - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn push_to_a_dead_worker_is_an_error_not_a_hang() {
+        let (queue, worker_end) = channel::bounded(1);
+        push(&queue, ToWorker::Boundary).expect("live worker end");
+        drop(worker_end); // what a panicking worker's unwind does
+        assert!(push(&queue, ToWorker::Boundary).is_err(), "full queue");
+    }
+
+    #[test]
+    fn gather_from_a_dead_worker_is_an_error_not_a_hang() {
+        let (alive, first) = channel::bounded(1);
+        let (dead, second) = channel::bounded::<Contribution>(1);
+        alive.send(Ok(vec![7])).unwrap();
+        drop(dead);
+        assert!(gather(&[first, second]).is_err());
+    }
+
+    #[test]
+    fn counting_backend_failure_is_an_error_not_a_panic() {
+        // The spill root is a regular file, so the next epoch's counter
+        // cannot be created.
+        let path = std::env::temp_dir().join(format!("sieve-book-{}", std::process::id()));
+        std::fs::write(&path, b"not a directory").unwrap();
+        let mut book = DiscreteBook::SieveD {
+            sieve: DiscreteSieve::new(CountingConfig::InMemory.counter().unwrap(), 2).unwrap(),
+            counting: CountingConfig::spill(&path),
+        };
+        book.record(9);
+        let failed = book.contribution();
+        std::fs::remove_file(&path).ok();
+        let original = failed
+            .as_ref()
+            .expect_err("spill root is a file")
+            .to_string();
+        // ...and the gather hands the shard's own error on unchanged.
+        let (reply, contribution) = channel::bounded(1);
+        reply.send(failed).unwrap();
+        assert_eq!(gather(&[contribution]).unwrap_err().to_string(), original);
+        assert_ne!(original, worker_panicked().to_string());
+    }
+
+    #[test]
+    fn ideal_selection_past_the_last_day_is_empty() {
+        let spec = PolicySpec::IdealTop1 {
+            selections: vec![vec![1, 2, 3, 4]],
+        };
+        let empty = || vec![Vec::new(); 3];
+        let day0 = select_sharded(&spec, 1, Day::new(0), empty(), 16);
+        assert_eq!(day0.iter().map(Vec::len).sum::<usize>(), 4);
+        assert_eq!(select_sharded(&spec, 2, Day::new(1), empty(), 16), empty());
+    }
+
+    #[test]
+    fn blkd_selection_follows_the_sequential_seed_sequence() {
+        use sievestore::policy::AllocationPolicy;
+        let (fraction, seed, shards) = (0.25, 0xB10C, 3);
+        let spec = PolicySpec::RandSieveBlkD { fraction, seed };
+        let mut sequential = RandSieveBlkD::new(fraction, seed).unwrap();
+        for epoch in 1..=3u64 {
+            let accessed: Vec<u64> = (0..200).map(|i| i * 7 + epoch).collect();
+            let mut contributions = vec![Vec::new(); shards];
+            for &key in &accessed {
+                sequential.on_access(key, RequestKind::Read, Micros::new(0));
+                contributions[shard_of(key, shards)].push(key);
+            }
+            let day = Day::new(epoch as u16 - 1);
+            let mut want = sequential.on_day_boundary(day).expect("discrete");
+            let parts = select_sharded(&spec, epoch, day, contributions, 1 << 20);
+            let mut got: Vec<u64> = parts.into_iter().flatten().collect();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "epoch {epoch}");
+            assert_eq!(got.len(), 50);
+        }
+    }
+
+    /// Groups each shard receives during the busiest day of `trace`.
+    fn max_groups_in_a_day(trace: &SyntheticTrace, shards: usize) -> usize {
+        let mut stream = trace.stream(Default::default());
+        let mut pending: Vec<Batch> = (0..shards).map(|_| Batch::default()).collect();
+        let (mut most, mut routed) = (0, vec![0; shards]);
+        while let Some(msg) = stream.next_msg() {
+            match msg {
+                StreamMsg::StartDay(_) => pending.iter_mut().for_each(|b| *b = Batch::default()),
+                StreamMsg::Chunk(requests) => {
+                    for req in &requests {
+                        route_request(req, &mut pending, &mut routed);
+                    }
+                    most = most.max(pending.iter().map(|b| b.groups.len()).max().unwrap());
+                }
+                StreamMsg::Failed(e) => panic!("stream failed: {e}"),
+            }
+        }
+        most
+    }
+
+    #[test]
+    fn batches_shipped_mid_day_change_nothing() {
+        let trace = tiny();
+        let c = cfg(&trace, 1 << 20);
+        assert!(
+            max_groups_in_a_day(&trace, 2) > 2 * BATCH_GROUPS,
+            "the trace must fill several batches per shard within one day"
+        );
+        for spec in [PolicySpec::SieveStoreD { threshold: 5 }, PolicySpec::Wmna] {
+            let sequential = simulate(&trace, spec.clone(), &c).unwrap();
+            let (sharded, _) = simulate_sharded(&trace, spec, &c, 2).unwrap();
+            assert_eq!(sequential.days, sharded.days);
+            assert_eq!(
+                SnapshotLog::from_result(&sequential).to_jsonl(),
+                SnapshotLog::from_result(&sharded).to_jsonl()
+            );
+        }
+    }
+
+    proptest! {
+        /// Walking each shard's flat batch gives back every request's
+        /// blocks on that shard, in request order, at their per-block
+        /// completion times — one non-empty group per touched shard.
+        #[test]
+        fn flat_batches_reproduce_every_request(
+            raw in proptest::collection::vec((0u64..1 << 20, 1u32..=64, any::<bool>()), 1..40),
+            shards in 1usize..=8,
+        ) {
+            let requests: Vec<Request> = raw.iter().enumerate().map(|(i, &(block, len, write))| {
+                let kind = if write { RequestKind::Write } else { RequestKind::Read };
+                let start = BlockAddr::new(ServerId::new(0), VolumeId::new(0), block);
+                Request::new(Micros::from_secs(40 * i as u64), start, len, kind)
+                    .with_response_time(Micros::new(977 * u64::from(len)))
+            }).collect();
+            let mut pending: Vec<Batch> = (0..shards).map(|_| Batch::default()).collect();
+            let mut per_shard_blocks = vec![0u64; shards];
+            for req in &requests {
+                route_request(req, &mut pending, &mut per_shard_blocks);
+            }
+            let total: u64 = requests.iter().map(|r| u64::from(r.len_blocks)).sum();
+            prop_assert_eq!(per_shard_blocks.iter().sum::<u64>(), total);
+            for (s, batch) in pending.iter().enumerate() {
+                let grouped: u64 = batch.groups.iter().map(|g| u64::from(g.len)).sum();
+                prop_assert_eq!(grouped, per_shard_blocks[s]);
+                prop_assert_eq!(batch.blocks.len() as u64, per_shard_blocks[s]);
+                let mut fragments = batch.fragments();
+                for req in &requests {
+                    let want: Vec<(u64, Micros)> = req
+                        .blocks()
+                        .enumerate()
+                        .filter(|(_, key)| shard_of(key.raw(), shards) == s)
+                        .map(|(i, key)| (key.raw(), req.block_completion_time(i as u32)))
+                        .collect();
+                    if want.is_empty() {
+                        continue; // an untouched shard gets no group at all
+                    }
+                    let (g, got) = fragments.next().expect("one group per touched shard");
+                    prop_assert_eq!(got, &want[..]);
+                    prop_assert_eq!(g.minute, req.timestamp.minute());
+                    prop_assert_eq!(g.completion_minute, req.completion_time().minute());
+                    prop_assert_eq!(g.kind, req.kind);
+                }
+                prop_assert!(fragments.next().is_none());
+            }
+        }
     }
 }

@@ -71,8 +71,6 @@ pub enum CounterId {
     ReplayEventsRouted,
     /// Batches of request groups sent over worker channels.
     ReplayBatchesSent,
-    /// Processed batches returned to the coordinator's buffer pool.
-    ReplayBatchesRecycled,
     /// Day boundaries crossed by the replay coordinator.
     ReplayDayBoundaries,
     /// LRU cache hits (`touch` found the key resident).
@@ -121,10 +119,9 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in canonical (serialization) order.
-    pub const ALL: [CounterId; 25] = [
+    pub const ALL: [CounterId; 24] = [
         CounterId::ReplayEventsRouted,
         CounterId::ReplayBatchesSent,
-        CounterId::ReplayBatchesRecycled,
         CounterId::ReplayDayBoundaries,
         CounterId::CacheHits,
         CounterId::CacheMisses,
@@ -154,7 +151,6 @@ impl CounterId {
         match self {
             CounterId::ReplayEventsRouted => "replay_events_routed",
             CounterId::ReplayBatchesSent => "replay_batches_sent",
-            CounterId::ReplayBatchesRecycled => "replay_batches_recycled",
             CounterId::ReplayDayBoundaries => "replay_day_boundaries",
             CounterId::CacheHits => "cache_hits",
             CounterId::CacheMisses => "cache_misses",

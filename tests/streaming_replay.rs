@@ -10,19 +10,15 @@
 //! * replay figures (per-day metrics *and* day-snapshot JSONL bytes) are
 //!   invariant under the stream shape, the counting backend (in-memory
 //!   vs spill), the shard count (1, 2, 4), the eviction policy (LRU and
-//!   SIEVE) and the policy family (discrete and continuous);
-//! * the work-stealing scheduler actually steals under forced imbalance
-//!   and still reproduces the sequential figures exactly.
+//!   SIEVE) and the policy family (discrete and continuous).
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use sievestore::PolicySpec;
 use sievestore_extsort::CountingConfig;
 use sievestore_sieve::TwoTierConfig;
 use sievestore_sim::{
-    simulate, simulate_sharded, simulate_sharded_with_stall, simulate_with_snapshots,
-    EvictionPolicy, SimConfig, SnapshotLog,
+    simulate, simulate_sharded, simulate_with_snapshots, EvictionPolicy, SimConfig, SnapshotLog,
 };
 use sievestore_trace::{EnsembleConfig, StreamMsg, SyntheticTrace, TraceStreamConfig};
 use sievestore_types::{mix64, Day, Request, RequestKind};
@@ -230,40 +226,4 @@ fn sharded_streaming_matches_sequential_across_policies_and_eviction() {
             }
         }
     }
-}
-
-/// Forced imbalance: one worker stalls before each of its own messages,
-/// so its queue backs up and the other workers must steal. The metrics
-/// and snapshot bytes still match the sequential replay exactly — the
-/// safety argument is that stealing changes *who* runs a shard's next
-/// message, never the order — and the stats prove stealing happened.
-#[test]
-fn work_stealing_rebalances_without_changing_metrics() {
-    let trace = tiny_trace(23);
-    let base = cfg(&trace);
-    let spec = PolicySpec::SieveStoreD { threshold: 10 };
-    let sequential = simulate(&trace, spec.clone(), &base).expect("sequential");
-    let sequential_jsonl = SnapshotLog::from_result(&sequential).to_jsonl();
-
-    let (stalled, stats) =
-        simulate_sharded_with_stall(&trace, spec, &base, 4, 0, Duration::from_millis(2))
-            .expect("stalled sharded run");
-    assert_eq!(
-        sequential.days, stalled.days,
-        "work-stealing changed the replay metrics"
-    );
-    assert_eq!(
-        sequential_jsonl,
-        SnapshotLog::from_result(&stalled).to_jsonl(),
-        "work-stealing changed the snapshot bytes"
-    );
-    assert!(
-        stats.steals > 0,
-        "stalling a worker for 2ms per message must force steals (got {stats:?})"
-    );
-    assert_eq!(
-        stats.total_blocks(),
-        sequential.total().accesses(),
-        "stealing dropped or duplicated blocks"
-    );
 }
