@@ -12,9 +12,10 @@
 //!   in a fresh slot, so a torn write can corrupt only bytes that were
 //!   never acknowledged;
 //! * a **metadata journal** — fixed-size, sequenced, checksummed records
-//!   (allocate/evict/dirty/flush) appended and synced before write-back
-//!   acks. Recovery replays the journal's valid prefix to decide which
-//!   segment slots are live;
+//!   (allocate/evict/dirty/flush), appended a *group* at a time and
+//!   synced before anything in the group is acknowledged. Recovery
+//!   replays the journal's valid prefix to decide which segment slots
+//!   are live;
 //! * **dual journal files** with a generation-stamped header, so journal
 //!   compaction at open is crash-safe: the compacted copy is written to
 //!   the inactive file and published by writing its header (with a higher
@@ -48,18 +49,49 @@
 //!    journal and bump the generation, bounding journal growth across
 //!    restarts.
 //!
+//! # Group commit
+//!
+//! The unit of durability is the **group**: every mutation staged
+//! ([`DurableStore::stage_put`], [`DurableStore::stage_evict`],
+//! [`DurableStore::stage_mark_clean`]) since the last
+//! [`DurableStore::commit`]. Staging writes the frame record to a fresh
+//! slot *without* syncing and buffers the 32-byte journal record in
+//! memory; `commit` then runs
+//!
+//! 1. `frames.sync()` — if any frame was staged;
+//! 2. one `write_at(journal_end, group's records)` and one
+//!    `journal.sync()`;
+//! 3. the slots the group released join the free list.
+//!
+//! Two rules make a power cut anywhere in that sequence equivalent to a
+//! cut between two records of a one-record-at-a-time journal. **A
+//! journal record never reaches the media before its frame is synced**
+//! (records wait in memory until step 2), so whatever prefix of the
+//! group's records survives the cut, every frame it names is intact.
+//! **A slot released inside the open group is not reused inside it**
+//! (it waits until step 3), so no staged frame can overwrite a slot the
+//! on-media journal still vouches for. A torn append leaves a record
+//! prefix, which recovery's replay accepts and truncates after.
+//!
+//! A failed commit leaves the group open — its records and released
+//! slots are kept, nothing in it was acknowledged — and the next commit
+//! retries all of it. [`DurableStore::put`], [`DurableStore::evict`],
+//! [`DurableStore::mark_clean`] and [`DurableStore::shutdown`] are
+//! groups of one: stage, then commit, durable on return.
+//!
 //! The three crash-consistency invariants this buys (proved by the
-//! property suite in `tests/crash_consistency.rs`):
+//! property suite in `tests/crash_consistency.rs`, per operation and per
+//! group), where *acked* means the covering `commit()` returned `Ok`:
 //!
 //! 1. a frame that fails its checksum is **never served**;
 //! 2. **write-through data is never lost** (the backing store always
 //!    holds it; recovery can only lose warmth);
-//! 3. **write-back dirty data acked after its journaled dirty record is
-//!    durable survives restart**.
+//! 3. **acked write-back dirty data survives restart**, at exactly the
+//!    acked payload.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
 use std::path::Path;
 
 use sievestore_types::{DurableError, U64Map, BLOCK_SIZE};
@@ -202,7 +234,29 @@ impl FileMedia {
 }
 
 impl Media for FileMedia {
+    #[cfg(unix)]
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        use std::os::unix::fs::FileExt;
+        let mut filled = 0;
+        while filled < buf.len() {
+            match self
+                .file
+                .read_at(&mut buf[filled..], offset + filled as u64)
+            {
+                // EOF: the rest of the range reads as zeroes.
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        buf[filled..].fill(0);
+        Ok(())
+    }
+
+    #[cfg(not(unix))]
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        use std::io::{Read, Seek, SeekFrom};
         let mut file = &self.file;
         let len = file.metadata()?.len();
         buf.fill(0);
@@ -214,7 +268,14 @@ impl Media for FileMedia {
         file.read_exact(&mut buf[..available])
     }
 
+    #[cfg(unix)]
     fn write_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
+        std::os::unix::fs::FileExt::write_all_at(&self.file, data, offset)
+    }
+
+    #[cfg(not(unix))]
+    fn write_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
+        use std::io::{Seek, SeekFrom, Write};
         self.file.seek(SeekFrom::Start(offset))?;
         self.file.write_all(data)
     }
@@ -401,16 +462,15 @@ fn decode_file_header(buf: &[u8; FILE_HEADER_LEN], magic: [u8; 8]) -> Result<u32
     Ok(u32::from_le_bytes(buf[12..16].try_into().unwrap()))
 }
 
-fn encode_frame_record(key: u64, seq: u64, flags: u32, payload: &Block) -> Vec<u8> {
-    let mut buf = vec![0u8; FRAME_RECORD_LEN];
+fn encode_frame_record(key: u64, seq: u64, flags: u32, payload: &Block, buf: &mut [u8]) {
+    debug_assert_eq!(buf.len(), FRAME_RECORD_LEN);
     buf[0..8].copy_from_slice(&key.to_le_bytes());
     buf[8..16].copy_from_slice(&seq.to_le_bytes());
     buf[16..20].copy_from_slice(&flags.to_le_bytes());
-    // bytes 20..24 reserved (zero)
+    buf[20..24].fill(0); // reserved
     buf[32..].copy_from_slice(payload);
     let crc = crc64(&[&buf[0..24], payload]);
     buf[24..32].copy_from_slice(&crc.to_le_bytes());
-    buf
 }
 
 /// A CRC-valid frame decoded from a segment slot.
@@ -621,9 +681,23 @@ pub struct DurableStore {
     slot_of: U64Map<u32>,
     /// slot → key (u64::MAX = free). Drives scrub and slot accounting.
     slot_key: Vec<u64>,
+    /// Slots a put may take: free on media as well as in memory.
     free: Vec<u32>,
+    /// Slots released inside the open group. The on-media journal still
+    /// vouches for them, so they join `free` only once the group's
+    /// records are durable.
+    pending_free: Vec<u32>,
+    /// The open group's journal records, encoded, in order. They reach
+    /// the journal media only in [`DurableStore::commit`], after the
+    /// frames they vouch for are synced.
+    pending: Vec<u8>,
+    /// Whether a frame was written since the last frame sync.
+    frames_unsynced: bool,
+    /// Scratch for encoding one frame record.
+    frame_buf: Box<[u8; FRAME_RECORD_LEN]>,
     next_seq: u64,
-    /// Whether the journal currently ends with a clean-shutdown marker.
+    /// Whether the journal (staged records included) ends with a
+    /// clean-shutdown marker.
     shutdown_marked: bool,
 }
 
@@ -701,6 +775,10 @@ impl DurableStore {
             slot_of: U64Map::with_capacity(slot_count as usize),
             slot_key: vec![u64::MAX; slot_count as usize],
             free: (0..slot_count).rev().collect(),
+            pending_free: Vec::new(),
+            pending: Vec::new(),
+            frames_unsynced: false,
+            frame_buf: Box::new([0; FRAME_RECORD_LEN]),
             next_seq: 1,
             shutdown_marked: false,
         };
@@ -915,6 +993,10 @@ impl DurableStore {
             slot_of,
             slot_key,
             free,
+            pending_free: Vec::new(),
+            pending: Vec::new(),
+            frames_unsynced: false,
+            frame_buf: Box::new([0; FRAME_RECORD_LEN]),
             next_seq: max_seq + 1,
             shutdown_marked: false,
         };
@@ -966,7 +1048,7 @@ impl DurableStore {
         };
         // Records first (the header slot stays invalid until they are
         // durable), then truncate stale bytes, sync, and publish.
-        let mut offset = FILE_HEADER_LEN as u64;
+        let mut records = Vec::with_capacity(live.len() * JOURNAL_RECORD_LEN);
         for frame in live {
             let slot = *self.slot_of.get(frame.key).expect("live frame has a slot");
             let kind = if frame.dirty {
@@ -974,11 +1056,13 @@ impl DurableStore {
             } else {
                 JournalKind::AllocClean
             };
-            let rec = encode_journal_record(self.next_seq, kind, slot, frame.key);
+            records.extend_from_slice(&encode_journal_record(self.next_seq, kind, slot, frame.key));
             self.next_seq += 1;
-            target.write_at(offset, &rec)?;
-            offset += JOURNAL_RECORD_LEN as u64;
         }
+        if !records.is_empty() {
+            target.write_at(FILE_HEADER_LEN as u64, &records)?;
+        }
+        let offset = (FILE_HEADER_LEN + records.len()) as u64;
         target.truncate(offset)?;
         target.sync()?;
         target.write_at(0, &encode_file_header(JOURNAL_MAGIC, new_gen))?;
@@ -989,33 +1073,32 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Appends one journal record and makes it durable.
-    fn journal_append(&mut self, kind: JournalKind, slot: u32, key: u64) -> io::Result<()> {
-        self.shutdown_marked = false;
-        let rec = encode_journal_record(self.next_seq, kind, slot, key);
+    /// Appends one journal record to the open group (memory only).
+    fn stage_record(&mut self, kind: JournalKind, slot: u32, key: u64) {
+        self.shutdown_marked = kind == JournalKind::Shutdown;
+        self.pending
+            .extend_from_slice(&encode_journal_record(self.next_seq, kind, slot, key));
         self.next_seq += 1;
-        let offset = self.journal_end;
-        let journal = self.active_journal();
-        journal.write_at(offset, &rec)?;
-        journal.sync()?;
-        self.journal_end = offset + JOURNAL_RECORD_LEN as u64;
-        sievestore_types::obs_count!(DurableJournalRecords, 1);
-        Ok(())
     }
 
-    /// Persists `data` for `key`: frame bytes to a fresh slot (synced),
-    /// then the journal record (synced). Only after both are durable —
-    /// and therefore only after the data would survive a crash — does
-    /// this return, so a write-back ack ordered after `put` upholds the
-    /// durability invariant. An existing slot for `key` is freed after
-    /// the new one is journaled (never overwritten in place).
+    /// Stages `data` for `key` in the open group: the frame record is
+    /// written (not synced) to a fresh slot and its journal record is
+    /// buffered. Nothing staged is durable — and so nothing staged may be
+    /// acknowledged — until [`DurableStore::commit`] returns `Ok`. An
+    /// existing slot for `key` is released when the group commits (never
+    /// overwritten in place, never reused inside the group).
+    ///
+    /// When the free list is empty but the open group has released
+    /// slots, the group is committed first to make them reusable.
     ///
     /// # Errors
     ///
-    /// Propagates media failures; the previous slot (if any) stays
-    /// authoritative on error.
-    pub fn put(&mut self, key: u64, data: &Block, dirty: bool) -> io::Result<()> {
-        let old_slot = self.slot_of.get(key).copied();
+    /// Propagates media failures (of the frame write, or of the forced
+    /// commit); the previous slot (if any) stays authoritative on error.
+    pub fn stage_put(&mut self, key: u64, data: &Block, dirty: bool) -> io::Result<()> {
+        if self.free.is_empty() && !self.pending_free.is_empty() {
+            self.commit()?;
+        }
         let slot = self.free.pop().ok_or_else(|| {
             io::Error::other(format!(
                 "durable segment out of slots ({} occupied)",
@@ -1023,77 +1106,136 @@ impl DurableStore {
             ))
         })?;
         let flags = FLAG_OCCUPIED | if dirty { FLAG_DIRTY } else { 0 };
-        let rec = encode_frame_record(key, self.next_seq, flags, data);
+        encode_frame_record(key, self.next_seq, flags, data, &mut self.frame_buf[..]);
         if let Err(e) = self
             .frames
-            .write_at(Self::slot_offset(slot), &rec)
-            .and_then(|()| self.frames.sync())
+            .write_at(Self::slot_offset(slot), &self.frame_buf[..])
         {
             self.free.push(slot);
             return Err(e);
         }
+        self.frames_unsynced = true;
         let kind = if dirty {
             JournalKind::AllocDirty
         } else {
             JournalKind::AllocClean
         };
-        if let Err(e) = self.journal_append(kind, slot, key) {
-            self.free.push(slot);
-            return Err(e);
-        }
-        self.slot_of.insert(key, slot);
-        self.slot_key[slot as usize] = key;
-        if let Some(old) = old_slot {
+        self.stage_record(kind, slot, key);
+        if let Some(old) = self.slot_of.insert(key, slot) {
             self.slot_key[old as usize] = u64::MAX;
-            self.free.push(old);
+            self.pending_free.push(old);
         }
+        self.slot_key[slot as usize] = key;
         Ok(())
     }
 
-    /// Appends a clean-shutdown marker (idempotent) so the next open
-    /// can trust recovered clean frames. Without the marker, recovery
-    /// keeps only dirty frames — after a crash the backing store may
-    /// have advanced past a failed best-effort mirror, so clean frames
-    /// cannot be trusted.
+    /// Stages the record that `key`'s dirty data reached the backing
+    /// store.
+    pub fn stage_mark_clean(&mut self, key: u64) {
+        if let Some(slot) = self.slot_of.get(key).copied() {
+            self.stage_record(JournalKind::MarkClean, slot, key);
+        }
+    }
+
+    /// Stages the record that `key` left residency; its slot becomes
+    /// reusable when the group commits.
+    pub fn stage_evict(&mut self, key: u64) {
+        if let Some(slot) = self.slot_of.remove(key) {
+            self.stage_record(JournalKind::Evict, slot, key);
+            self.slot_key[slot as usize] = u64::MAX;
+            self.pending_free.push(slot);
+        }
+    }
+
+    /// Makes the open group durable: syncs the frame segment if any
+    /// frame was staged, then appends every buffered journal record in
+    /// one write and syncs the journal, then releases the group's slots.
+    /// Journal records never reach the media before the frames they
+    /// vouch for, so a power cut anywhere in here leaves a record
+    /// *prefix* of the group — a state the per-record protocol could
+    /// also have been cut in. An empty group costs nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates media failures. The group stays open — nothing in it
+    /// may be acknowledged — and the next commit retries all of it.
+    pub fn commit(&mut self) -> io::Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let mut syncs = 1;
+        if self.frames_unsynced {
+            self.frames.sync()?;
+            self.frames_unsynced = false;
+            syncs += 1;
+        }
+        let journal = match self.active {
+            ActiveJournal::A => &mut self.journal_a,
+            ActiveJournal::B => &mut self.journal_b,
+        };
+        journal.write_at(self.journal_end, &self.pending)?;
+        journal.sync()?;
+        let records = (self.pending.len() / JOURNAL_RECORD_LEN) as u64;
+        self.journal_end += self.pending.len() as u64;
+        self.pending.clear();
+        self.free.append(&mut self.pending_free);
+        sievestore_types::obs_count!(DurableJournalRecords, records);
+        sievestore_types::obs_count!(DurableSyncs, syncs);
+        sievestore_types::obs_count!(DurableCommits, 1);
+        sievestore_types::obs_observe!(DurableGroupRecords, records);
+        Ok(())
+    }
+
+    /// Persists `data` for `key` as a group of one: [`Self::stage_put`]
+    /// then [`Self::commit`]. The data is durable on return, so a
+    /// write-back ack ordered after `put` upholds the durability
+    /// invariant.
+    ///
+    /// # Errors
+    ///
+    /// Propagates media failures; nothing is durable on error.
+    pub fn put(&mut self, key: u64, data: &Block, dirty: bool) -> io::Result<()> {
+        self.stage_put(key, data, dirty)?;
+        self.commit()
+    }
+
+    /// Appends a clean-shutdown marker (idempotent) and commits, so the
+    /// next open can trust recovered clean frames. Without the marker,
+    /// recovery keeps only dirty frames — after a crash the backing
+    /// store may have advanced past a failed best-effort mirror, so
+    /// clean frames cannot be trusted.
     ///
     /// # Errors
     ///
     /// Propagates media failures; the next recovery then treats the
     /// shutdown as unclean, which is safe (merely colder).
     pub fn shutdown(&mut self) -> io::Result<()> {
-        if self.shutdown_marked {
-            return Ok(());
+        if !self.shutdown_marked {
+            self.stage_record(JournalKind::Shutdown, 0, 0);
         }
-        self.journal_append(JournalKind::Shutdown, 0, 0)?;
-        self.shutdown_marked = true;
-        Ok(())
+        self.commit()
     }
 
-    /// Journals that `key`'s dirty data reached the backing store.
+    /// Journals, durably, that `key`'s dirty data reached the backing
+    /// store: [`Self::stage_mark_clean`] then [`Self::commit`].
     ///
     /// # Errors
     ///
     /// Propagates media failures.
     pub fn mark_clean(&mut self, key: u64) -> io::Result<()> {
-        if let Some(slot) = self.slot_of.get(key).copied() {
-            self.journal_append(JournalKind::MarkClean, slot, key)?;
-        }
-        Ok(())
+        self.stage_mark_clean(key);
+        self.commit()
     }
 
-    /// Journals that `key` left residency and frees its slot.
+    /// Journals, durably, that `key` left residency and frees its slot:
+    /// [`Self::stage_evict`] then [`Self::commit`].
     ///
     /// # Errors
     ///
-    /// Propagates media failures; the slot stays occupied on error.
+    /// Propagates media failures.
     pub fn evict(&mut self, key: u64) -> io::Result<()> {
-        if let Some(slot) = self.slot_of.get(key).copied() {
-            self.journal_append(JournalKind::Evict, slot, key)?;
-            self.slot_of.remove(key);
-            self.slot_key[slot as usize] = u64::MAX;
-            self.free.push(slot);
-        }
-        Ok(())
+        self.stage_evict(key);
+        self.commit()
     }
 
     /// Whether `key` currently owns a slot.
@@ -1139,9 +1281,9 @@ impl DurableStore {
     /// Verifies up to `max_slots` slots starting at `start_slot`
     /// (wrapping), quarantining any occupied slot whose bytes no longer
     /// match their checksum — bit rot caught before it is ever served.
-    /// Quarantined keys are evicted from the store (journaled), and the
-    /// caller re-installs from its in-memory frame or re-fetches from
-    /// backing.
+    /// Quarantined keys' evictions are *staged*; the caller re-installs
+    /// from its in-memory frame (or re-fetches from backing later) and
+    /// commits the pass as one group.
     ///
     /// # Errors
     ///
@@ -1162,7 +1304,7 @@ impl DurableStore {
                 if ok {
                     pass.verified += 1;
                 } else {
-                    self.evict(key)?;
+                    self.stage_evict(key);
                     pass.quarantined.push(key);
                 }
             }
@@ -1408,6 +1550,25 @@ mod tests {
         assert_eq!(buf[7..], [0u8; 13], "zero-filled past EOF");
         m.truncate(12).unwrap();
         assert_eq!(m.len().unwrap(), 12);
+        // A read straddling EOF keeps the file's bytes and zero-fills
+        // the rest; one wholly past EOF is all zeroes. Neither moves
+        // the length.
+        let mut buf = [0xEEu8; 8];
+        m.read_at(8, &mut buf).unwrap();
+        assert_eq!(&buf, b"\0\0he\0\0\0\0", "straddling EOF");
+        let mut buf = [0xEEu8; 8];
+        m.read_at(12, &mut buf).unwrap();
+        assert_eq!(buf, [0u8; 8], "at EOF");
+        let mut buf = [0xEEu8; 8];
+        m.read_at(4096, &mut buf).unwrap();
+        assert_eq!(buf, [0u8; 8], "far past EOF");
+        assert_eq!(m.len().unwrap(), 12);
+        // Positional writes do not depend on a cursor.
+        m.write_at(2, b"ab").unwrap();
+        m.write_at(0, b"cd").unwrap();
+        let mut buf = [0u8; 4];
+        m.read_at(0, &mut buf).unwrap();
+        assert_eq!(&buf, b"cdab");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1428,5 +1589,196 @@ mod tests {
         assert_eq!(keys, vec![5, 6]);
         assert!(r.frames[0].dirty && !r.frames[1].dirty);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // -- group commit -------------------------------------------------------
+
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// Counts syncs and fails the next `fail_syncs` of them.
+    #[derive(Default)]
+    struct SyncScript {
+        syncs: AtomicU64,
+        fail_syncs: AtomicU64,
+    }
+
+    struct ScriptedMedia {
+        inner: MemMedia,
+        script: Arc<SyncScript>,
+    }
+
+    impl Media for ScriptedMedia {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+            self.inner.read_at(offset, buf)
+        }
+        fn write_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
+            self.inner.write_at(offset, data)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            if self.script.fail_syncs.load(Ordering::SeqCst) > 0 {
+                self.script.fail_syncs.fetch_sub(1, Ordering::SeqCst);
+                return Err(io::Error::other("injected sync failure"));
+            }
+            self.script.syncs.fetch_add(1, Ordering::SeqCst);
+            self.inner.sync()
+        }
+        fn len(&self) -> io::Result<u64> {
+            self.inner.len()
+        }
+        fn truncate(&mut self, len: u64) -> io::Result<()> {
+            self.inner.truncate(len)
+        }
+    }
+
+    /// A fresh store whose journals share one sync script (the frame
+    /// segment is plain memory), so `syncs` counts journal syncs only:
+    /// one per non-empty commit.
+    fn open_scripted(capacity: usize) -> (DurableStore, Arc<SyncScript>) {
+        let script = Arc::new(SyncScript::default());
+        let journal = || -> Box<dyn Media> {
+            Box::new(ScriptedMedia {
+                inner: MemMedia::new(),
+                script: Arc::clone(&script),
+            })
+        };
+        let media = DurableMediaSet {
+            frames: Box::new(MemMedia::new()),
+            journal_a: journal(),
+            journal_b: journal(),
+        };
+        let store = DurableStore::open(media, capacity).expect("format").store;
+        script.syncs.store(0, Ordering::SeqCst);
+        (store, script)
+    }
+
+    #[test]
+    fn a_slot_released_in_the_open_group_is_not_reused_before_commit() {
+        let mut r = open_mem(4);
+        r.store.put(1, &block(0x11), true).unwrap();
+        let first = *r.store.slot_of.get(1).unwrap();
+        // The on-media journal vouches for `first` until the group that
+        // supersedes it commits: nothing staged meanwhile may land there.
+        r.store.stage_put(1, &block(0x12), true).unwrap();
+        r.store.stage_evict(1);
+        for key in 2..6u64 {
+            r.store.stage_put(key, &block(key as u8), false).unwrap();
+            assert_ne!(*r.store.slot_of.get(key).unwrap(), first);
+        }
+        assert!(r.store.pending_free.contains(&first));
+        assert!(!r.store.free.contains(&first));
+        r.store.commit().unwrap();
+        assert!(r.store.pending_free.is_empty());
+        assert!(r.store.free.contains(&first), "released by the commit");
+    }
+
+    #[test]
+    fn running_out_of_free_slots_forces_exactly_one_commit() {
+        let (mut store, script) = open_scripted(2);
+        let slots = store.slots() as usize;
+        // Every rewrite of key 1 takes a fresh slot and releases the old
+        // one into the open group; with `slots` rewrites the free list
+        // runs dry exactly once.
+        for i in 0..=slots {
+            store.stage_put(1, &block(i as u8), true).unwrap();
+        }
+        assert_eq!(script.syncs.load(Ordering::SeqCst), 1, "one forced commit");
+        assert_eq!(
+            store.pending.len(),
+            JOURNAL_RECORD_LEN,
+            "only the put after the forced commit is still staged"
+        );
+        store.commit().unwrap();
+        assert_eq!(script.syncs.load(Ordering::SeqCst), 2);
+        let r = reopen(store, 2);
+        assert_eq!(r.report.quarantined, 0);
+        assert_eq!(*r.frames[0].data, block(slots as u8));
+    }
+
+    #[test]
+    fn a_failed_commit_keeps_the_group_open_and_the_next_one_lands_it() {
+        let (mut store, script) = open_scripted(8);
+        store.put(1, &block(0x11), true).unwrap();
+        store.stage_put(1, &block(0x12), true).unwrap();
+        store.stage_put(2, &block(0x22), true).unwrap();
+        let end = store.journal_end;
+        script.fail_syncs.store(1, Ordering::SeqCst);
+        assert!(store.commit().is_err());
+        assert_eq!(store.journal_end, end, "nothing was appended for good");
+        assert_eq!(store.pending.len(), 2 * JOURNAL_RECORD_LEN, "group open");
+        assert_eq!(store.pending_free.len(), 1, "key 1's old slot still held");
+        // More work joins the same group; the retry commits all of it.
+        store.stage_put(3, &block(0x33), true).unwrap();
+        store.commit().unwrap();
+        assert_eq!(store.journal_end, end + 3 * JOURNAL_RECORD_LEN as u64);
+        let r = reopen_unclean(store, 8);
+        assert_eq!(r.report.quarantined, 0);
+        assert_eq!(r.report.lost_dirty, 0);
+        let got: Vec<(u64, u8)> = r.frames.iter().map(|f| (f.key, f.data[0])).collect();
+        assert_eq!(got, vec![(1, 0x12), (2, 0x22), (3, 0x33)]);
+    }
+
+    #[test]
+    fn an_uncommitted_group_leaves_the_previous_state_recoverable() {
+        let mut r = open_mem(4);
+        r.store.put(1, &block(0x11), true).unwrap();
+        r.store.put(2, &block(0x22), true).unwrap();
+        // Staged but never committed: rewrites, an eviction and enough
+        // fresh keys to use every free slot. The frames are on the media
+        // (unsynced); the journal has not heard of any of it.
+        r.store.stage_put(1, &block(0x12), true).unwrap();
+        r.store.stage_evict(2);
+        let mut key = 3u64;
+        while !r.store.free.is_empty() {
+            r.store.stage_put(key, &block(key as u8), true).unwrap();
+            key += 1;
+        }
+        let r = reopen_unclean(r.store, 4);
+        assert_eq!(r.report.quarantined, 0);
+        assert_eq!(r.report.lost_dirty, 0);
+        let got: Vec<(u64, u8)> = r.frames.iter().map(|f| (f.key, f.data[0])).collect();
+        assert_eq!(got, vec![(1, 0x11), (2, 0x22)], "the pre-group state");
+    }
+
+    #[test]
+    fn an_empty_commit_touches_no_media() {
+        let (mut store, script) = open_scripted(4);
+        store.commit().unwrap();
+        store.stage_mark_clean(9); // not resident: stages nothing
+        store.stage_evict(9);
+        store.commit().unwrap();
+        assert_eq!(script.syncs.load(Ordering::SeqCst), 0);
+    }
+
+    /// The on-disk format did not move with group commit: an image
+    /// written by the per-record build (one synced journal record per
+    /// mutation, `fixtures/durable_v1_*.bin`) opens here, and what
+    /// this build appends to it is laid out the same way.
+    #[test]
+    fn a_per_record_builds_image_opens_and_extends() {
+        let media = DurableMediaSet {
+            frames: Box::new(MemMedia::from_bytes(
+                include_bytes!("../fixtures/durable_v1_frames.bin").to_vec(),
+            )),
+            journal_a: Box::new(MemMedia::from_bytes(
+                include_bytes!("../fixtures/durable_v1_journal_a.bin").to_vec(),
+            )),
+            journal_b: Box::new(MemMedia::from_bytes(
+                include_bytes!("../fixtures/durable_v1_journal_b.bin").to_vec(),
+            )),
+        };
+        let mut r = DurableStore::open(media, 4).expect("parent image opens");
+        assert!(!r.report.clean_shutdown, "the image is a crash image");
+        assert_eq!(r.report.journal_records, 6);
+        assert_eq!(r.report.dropped_clean, 1, "key 3 was clean");
+        assert_eq!((r.report.quarantined, r.report.lost_dirty), (0, 0));
+        let got: Vec<(u64, u8)> = r.frames.iter().map(|f| (f.key, f.data[0])).collect();
+        assert_eq!(got, vec![(1, 0xA2), (4, 0xD4)]);
+        r.store.stage_put(5, &block(0xE5), true).unwrap();
+        r.store.stage_put(1, &block(0xA3), true).unwrap();
+        r.store.commit().unwrap();
+        let r = reopen(r.store, 4);
+        let got: Vec<(u64, u8)> = r.frames.iter().map(|f| (f.key, f.data[0])).collect();
+        assert_eq!(got, vec![(4, 0xD4), (5, 0xE5), (1, 0xA3)]);
     }
 }

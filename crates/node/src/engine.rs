@@ -134,6 +134,9 @@ impl<B: BackingStore> CacheEngine<B> {
 
     /// Serves one read, instrumented; never panics the connection over
     /// a backing failure — errors become typed `0xFF` replies.
+    ///
+    /// What the request staged on the durable tier is *not* committed:
+    /// the caller owes one [`Self::commit`] before the reply leaves.
     pub(crate) fn handle_read(&mut self, key: u64, now: Micros) -> Reply {
         let observed = obs_enabled!().then(Instant::now);
         let reply = self.handle_read_inner(key, now);
@@ -165,7 +168,7 @@ impl<B: BackingStore> CacheEngine<B> {
             }
             NodeMode::Healthy | NodeMode::Probing => {
                 let started = Instant::now();
-                match self.cache.read(key, now) {
+                match self.cache.read_staged(key, now) {
                     Ok((data, outcome)) => {
                         if started.elapsed() > self.config.request_deadline {
                             self.record_failure();
@@ -211,7 +214,7 @@ impl<B: BackingStore> CacheEngine<B> {
         match self.breaker.mode() {
             NodeMode::Degraded => {
                 self.tick_degraded();
-                match self.cache.write_bypass(key, data) {
+                match self.cache.write_bypass_staged(key, data) {
                     Ok(()) => {
                         self.degraded_writes += 1;
                         obs_count!(NodeDegraded, 1);
@@ -225,7 +228,7 @@ impl<B: BackingStore> CacheEngine<B> {
             }
             NodeMode::Healthy | NodeMode::Probing => {
                 let started = Instant::now();
-                match self.cache.write(key, data, now) {
+                match self.cache.write_staged(key, data, now) {
                     Ok(outcome) => {
                         if started.elapsed() > self.config.request_deadline {
                             self.record_failure();
@@ -251,6 +254,35 @@ impl<B: BackingStore> CacheEngine<B> {
                 }
             }
         }
+    }
+
+    /// Commits the durable group every request since the last commit
+    /// staged into — the caller holds those requests' replies until this
+    /// returns. The commit is on the requests' clock: a failed one, or
+    /// one that alone overruns the request deadline, counts one
+    /// cache-path failure and returns the error reply that must replace
+    /// every reply of the window that is not already an error.
+    pub(crate) fn commit(&mut self) -> Result<(), Reply> {
+        let started = Instant::now();
+        let failure = match self.cache.commit() {
+            Err(e) => Reply::Error {
+                code: classify_backing(&e),
+                message: format!("durable commit failed: {e}"),
+            },
+            Ok(()) if started.elapsed() > self.config.request_deadline => {
+                obs_count!(NodeDeadlineOverruns, 1);
+                Reply::Error {
+                    code: ErrorCode::Deadline,
+                    message: format!(
+                        "durable commit overran the {:?} deadline",
+                        self.config.request_deadline
+                    ),
+                }
+            }
+            Ok(()) => return Ok(()),
+        };
+        self.record_failure();
+        Err(failure)
     }
 
     /// Serves a Flush request against this engine's slice.

@@ -24,14 +24,25 @@
 //! overrun [`NodeConfig::request_deadline`] are answered with a
 //! `Deadline` error instead of stalling the reply stream.
 //!
-//! # Pipelining
+//! # Pipelining and group commit
 //!
 //! Connections accept both plain frames (strictly in-order replies) and
 //! correlation-id envelopes (`0x10` requests answered with `0x90`
-//! replies); enveloped replies are batched into one `write_all` when the
-//! client has more requests already buffered, amortizing syscalls.
+//! replies). A connection serves every request the client has already
+//! pipelined — its *window* — and holds their replies; when no further
+//! request is buffered it commits the durable tier's open group once
+//! (one frame sync, one journal append + sync, whatever the window
+//! staged) and only then sends the replies, in one `write_all`. The
+//! store has one open group, so a connection's commit covers every
+//! mutation any connection staged before it: no reply — not a write's
+//! ack, not a read that saw another connection's still-uncommitted
+//! write — leaves before a commit that covers what it observed. If the
+//! commit fails, or alone overruns the request deadline, every reply of
+//! the window that is not already an error becomes an error reply and
+//! the breaker counts one failure; the group stays open and the next
+//! window's commit retries it.
 
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -140,6 +151,9 @@ impl PanicLedger {
 /// Shared server state.
 struct Shared<B: BackingStore> {
     engine: Mutex<CacheEngine<B>>,
+    /// Whether the cache has a durable tier, i.e. whether a window's
+    /// replies wait for a commit.
+    durable: bool,
     config: NodeConfig,
     /// Microseconds of "trace time" per real microsecond can't be known
     /// here, so the server simply timestamps requests with an atomic
@@ -384,6 +398,7 @@ impl<B: BackingStore + 'static> NodeServer<B> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
+            durable: cache.durable().is_some(),
             engine: Mutex::new(CacheEngine::new(cache, config, sink, breaker)),
             config,
             clock_us: AtomicU64::new(0),
@@ -567,8 +582,51 @@ impl Drop for ConnGuard<'_> {
     }
 }
 
+/// Most replies a window holds before it is committed and sent even
+/// though the client has more requests buffered (≈ 64 KiB of reads).
+const WINDOW_REPLIES: usize = 128;
+
+/// One connection's replies not yet sent: those of the requests the
+/// client had already pipelined when the window opened.
+struct Window {
+    held: Vec<(Option<u32>, Reply)>,
+    out: Vec<u8>,
+}
+
+impl Window {
+    /// Commits the durable group (so every mutation the held replies
+    /// acknowledge or observed is durable), then sends the replies. No
+    /// reply reaches the socket anywhere else.
+    fn release<B: BackingStore>(
+        &mut self,
+        shared: &Shared<B>,
+        stream: &mut TcpStream,
+    ) -> io::Result<()> {
+        if self.held.is_empty() {
+            return Ok(());
+        }
+        if shared.durable {
+            if let Err(failure) = shared.engine.lock().commit() {
+                for (_, reply) in &mut self.held {
+                    if !matches!(reply, Reply::Error { .. }) {
+                        *reply = failure.clone();
+                    }
+                }
+            }
+        }
+        self.out.clear();
+        for (corr, reply) in self.held.drain(..) {
+            match corr {
+                None => reply.encode_into(&mut self.out),
+                Some(corr) => PipedReply { corr, reply }.encode_into(&mut self.out),
+            }
+        }
+        stream.write_all(&self.out)
+    }
+}
+
 fn serve_connection<B: BackingStore + 'static>(
-    stream: TcpStream,
+    mut stream: TcpStream,
     shared: &Arc<Shared<B>>,
 ) -> io::Result<()> {
     shared.live_conns.fetch_add(1, Ordering::Relaxed);
@@ -577,22 +635,29 @@ fn serve_connection<B: BackingStore + 'static>(
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(shared.config.idle_timeout).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut out = Vec::new();
+    let mut window = Window {
+        held: Vec::new(),
+        out: Vec::new(),
+    };
     loop {
         let incoming = match Incoming::decode(&mut reader) {
             Ok(req) => req,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            // Idle timeout between frames: close quietly. The client
-            // reconnects transparently on its next request.
-            Err(e) if is_idle_timeout(&e) => return Ok(()),
+            // EOF, or the idle timeout between frames: close quietly
+            // (the client reconnects transparently on its next request).
+            // A window is only still held here if the stream ended
+            // mid-frame; its replies are owed all the same.
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof || is_idle_timeout(&e) => {
+                return window.release(shared, &mut stream);
+            }
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                Reply::Error {
-                    code: ErrorCode::Protocol,
-                    message: e.to_string(),
-                }
-                .encode(&mut writer)?;
-                return Ok(());
+                window.held.push((
+                    None,
+                    Reply::Error {
+                        code: ErrorCode::Protocol,
+                        message: e.to_string(),
+                    },
+                ));
+                return window.release(shared, &mut stream);
             }
             Err(e) => return Err(e),
         };
@@ -622,18 +687,14 @@ fn serve_connection<B: BackingStore + 'static>(
                 }
             }
             Request::Flush => shared.engine.lock().handle_flush(),
-            Request::Quit => return writer.flush(),
+            Request::Quit => return window.release(shared, &mut stream),
         };
-        out.clear();
-        match corr {
-            None => reply.encode_into(&mut out),
-            Some(corr) => PipedReply { corr, reply }.encode_into(&mut out),
-        }
-        writer.write_all(&out)?;
-        // Batch: only pay the flush syscall when no further request is
-        // already buffered (a pipelining client keeps the buffer full).
-        if reader.buffer().is_empty() {
-            writer.flush()?;
+        window.held.push((corr, reply));
+        // The window closes when the client has nothing further
+        // buffered (a pipelining client keeps the buffer full): one
+        // commit and one socket write for all of it.
+        if reader.buffer().is_empty() || window.held.len() >= WINDOW_REPLIES {
+            window.release(shared, &mut stream)?;
         }
     }
 }

@@ -25,13 +25,20 @@
 //! frame checksum and hands the survivors back; `new_durable` warms the
 //! policy with them so the node resumes with its working set intact.
 //!
+//! Mutations are *staged* into the durable store's open group and made
+//! durable together by [`DataCache::commit`] (frames synced, then one
+//! journal append, synced). Every public mutating call ends with that
+//! commit, so it is durable on return; the node's request engine calls
+//! the same bodies without it and commits once per pipelined window,
+//! holding the window's replies until the commit returns.
+//!
 //! The mirroring discipline follows the data's exposure:
 //!
-//! * **dirty frames** (write-back: the cache holds the only copy) are
-//!   made durable *before* the write is acknowledged — a put failure
-//!   fails the write;
+//! * **dirty frames** (write-back: the cache holds the only copy) must
+//!   be staged for the write to succeed — a put failure fails the write
+//!   — and are acknowledged only after the covering commit;
 //! * **clean frames** (a second copy exists on the backing store) are
-//!   mirrored best-effort — a media failure is counted
+//!   staged best-effort — a failed frame write is counted
 //!   (`durable_media_errors`) and the frame simply will not survive a
 //!   restart.
 
@@ -190,13 +197,13 @@ impl<B: BackingStore> DataCache<B> {
                 // stale backing copy and flushes drain it normally.
                 self.dirty.insert(frame.key);
                 self.frames.insert(frame.key, Some(frame.data));
-            } else if let Some(d) = self.durable.as_mut() {
+            } else {
                 // Clean and not re-admitted: retire the durable copy.
-                if d.evict(frame.key).is_err() {
-                    obs_count!(DurableMediaErrors, 1);
-                }
+                self.durable_evict(frame.key);
             }
         }
+        // Best-effort: the retirements only save a restart some work.
+        let _ = self.commit();
         obs_count!(DurableRecoveredFrames, report.recovered);
         obs_count!(DurableQuarantinedFrames, report.quarantined);
         obs_count!(DurableLostDirtyFrames, report.lost_dirty);
@@ -245,7 +252,35 @@ impl<B: BackingStore> DataCache<B> {
         self.frames.get(key).and_then(|f| f.as_deref()).copied()
     }
 
-    /// Mirrors a frame onto the durable tier.
+    /// Makes every mutation staged so far durable: one frame sync (if
+    /// any frame was staged) and one journal append + sync for the whole
+    /// group. Until this returns `Ok`, nothing staged may be
+    /// acknowledged; on `Err` the group stays open and the next commit
+    /// retries it. A no-op without a durable store or with nothing
+    /// staged.
+    ///
+    /// # Errors
+    ///
+    /// Propagates media failures.
+    pub fn commit(&mut self) -> io::Result<()> {
+        match self.durable.as_mut() {
+            Some(d) => d
+                .commit()
+                .inspect_err(|_| obs_count!(DurableMediaErrors, 1)),
+            None => Ok(()),
+        }
+    }
+
+    /// Ends a public call: commits what it staged (even when the call
+    /// itself failed part-way), reporting the call's own error first.
+    fn committed<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+        let commit = self.commit();
+        let value = result?;
+        commit?;
+        Ok(value)
+    }
+
+    /// Stages a frame onto the durable tier.
     ///
     /// `dirty` data (the only copy) propagates failures so callers never
     /// acknowledge an un-persisted write; clean mirrors are best-effort.
@@ -253,7 +288,7 @@ impl<B: BackingStore> DataCache<B> {
         let Some(d) = self.durable.as_mut() else {
             return Ok(());
         };
-        match d.put(key, data, dirty) {
+        match d.stage_put(key, data, dirty) {
             Ok(()) => Ok(()),
             Err(e) => {
                 obs_count!(DurableMediaErrors, 1);
@@ -266,28 +301,24 @@ impl<B: BackingStore> DataCache<B> {
         }
     }
 
-    /// Retires `key` from the durable tier, best-effort.
+    /// Stages `key`'s retirement from the durable tier.
     ///
-    /// On failure the stale durable copy survives a restart as a clean
-    /// extra frame — recovery re-admits or quarantines it; it can never
-    /// shadow newer data because recovery's journal replay orders by
-    /// sequence.
+    /// Should the record never commit, the stale durable copy survives a
+    /// restart as a clean extra frame — recovery re-admits or
+    /// quarantines it; it can never shadow newer data because recovery's
+    /// journal replay orders by sequence.
     fn durable_evict(&mut self, key: u64) {
         if let Some(d) = self.durable.as_mut() {
-            if d.evict(key).is_err() {
-                obs_count!(DurableMediaErrors, 1);
-            }
+            d.stage_evict(key);
         }
     }
 
-    /// Records on the durable tier that `key` reached the backing store,
-    /// best-effort: if the record fails, a restart re-flushes the frame —
-    /// an idempotent extra write, never data loss.
+    /// Stages the record that `key` reached the backing store. Should it
+    /// never commit, a restart re-flushes the frame — an idempotent extra
+    /// write, never data loss.
     fn durable_mark_clean(&mut self, key: u64) {
         if let Some(d) = self.durable.as_mut() {
-            if d.mark_clean(key).is_err() {
-                obs_count!(DurableMediaErrors, 1);
-            }
+            d.stage_mark_clean(key);
         }
     }
 
@@ -315,18 +346,18 @@ impl<B: BackingStore> DataCache<B> {
     /// Writes every dirty frame back to the backing store; returns how
     /// many blocks were flushed.
     ///
+    /// The flushed keys' clean records commit as one group.
+    ///
     /// # Errors
     ///
     /// Propagates the first backing-store failure; already-flushed
-    /// blocks stay clean, the failed key stays dirty.
+    /// blocks stay clean, the failed key stays dirty. A failed commit is
+    /// also an error: the blocks did reach the backing store, but a
+    /// restart would flush them again.
     pub fn flush(&mut self) -> io::Result<u64> {
         let keys: Vec<u64> = self.dirty.iter().collect();
-        let mut flushed = 0;
-        for key in keys {
-            self.flush_one(key)?;
-            flushed += 1;
-        }
-        Ok(flushed)
+        let result = keys.iter().try_for_each(|&key| self.flush_one(key));
+        self.committed(result.map(|()| keys.len() as u64))
     }
 
     /// Best-effort flush: keeps going past individual failures instead
@@ -339,6 +370,9 @@ impl<B: BackingStore> DataCache<B> {
                 flushed += 1;
             }
         }
+        // Best-effort here too: an uncommitted clean record only costs a
+        // restart an idempotent re-flush.
+        let _ = self.commit();
         (flushed, self.dirty.len() as u64)
     }
 
@@ -346,6 +380,7 @@ impl<B: BackingStore> DataCache<B> {
     /// frame checksums. Quarantined frames whose payload is still
     /// resident in memory are healed (re-written to a fresh slot); the
     /// rest will be re-fetched from the backing store on next access.
+    /// The pass's quarantines and heals commit as one group.
     ///
     /// Returns an empty pass when no durable store is attached or the
     /// media fails entirely (the failure is counted).
@@ -372,6 +407,7 @@ impl<B: BackingStore> DataCache<B> {
                 let _ = self.durable_put(key, &data, dirty);
             }
         }
+        let _ = self.commit();
         pass
     }
 
@@ -418,13 +454,29 @@ impl<B: BackingStore> DataCache<B> {
         })
     }
 
-    /// Reads one block through the cache.
+    /// Reads one block through the cache; whatever the read staged on
+    /// the durable tier (an allocation, a victim's retirement) is
+    /// committed before this returns.
     ///
     /// # Errors
     ///
     /// Propagates backing-store failures (cache state stays consistent:
-    /// policy metadata may register the miss, but no frame is installed).
+    /// policy metadata may register the miss, but no frame is installed)
+    /// and durable commit failures.
     pub fn read(&mut self, key: u64, now: Micros) -> io::Result<(Block, DataOutcome)> {
+        let result = self.read_staged(key, now);
+        self.committed(result)
+    }
+
+    /// [`Self::read`] without the commit, for callers that commit once
+    /// per group of operations (the node's request engine): the caller
+    /// owes one [`Self::commit`] before it lets the result out, because
+    /// the read may have observed a write that is still only staged.
+    ///
+    /// # Errors
+    ///
+    /// Propagates backing-store failures.
+    pub fn read_staged(&mut self, key: u64, now: Micros) -> io::Result<(Block, DataOutcome)> {
         let outcome = self.store.access(key, RequestKind::Read, now);
         if outcome.is_hit() {
             // A hit without a frame would be an internal inconsistency;
@@ -475,6 +527,18 @@ impl<B: BackingStore> DataCache<B> {
     ///
     /// Propagates backing-store and durable-store failures.
     pub fn write(&mut self, key: u64, data: &Block, now: Micros) -> io::Result<DataOutcome> {
+        let result = self.write_staged(key, data, now);
+        self.committed(result)
+    }
+
+    /// [`Self::write`] without the commit, for callers that commit once
+    /// per group of operations: the write is **not durable** — and must
+    /// not be acknowledged — until a later [`Self::commit`] returns `Ok`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates backing-store failures and durable staging failures.
+    pub fn write_staged(&mut self, key: u64, data: &Block, now: Micros) -> io::Result<DataOutcome> {
         let outcome = self.store.access(key, RequestKind::Write, now);
         if outcome.is_hit() {
             match self.write_policy {
@@ -538,9 +602,15 @@ impl<B: BackingStore> DataCache<B> {
     ///
     /// # Errors
     ///
-    /// Propagates backing-store failures; on failure neither the frame
-    /// nor the dirty bit changes.
+    /// Propagates backing-store failures (neither the frame nor the
+    /// dirty bit changes) and durable commit failures.
     pub fn write_bypass(&mut self, key: u64, data: &Block) -> io::Result<()> {
+        let result = self.write_bypass_staged(key, data);
+        self.committed(result)
+    }
+
+    /// [`Self::write_bypass`] without the commit.
+    pub(crate) fn write_bypass_staged(&mut self, key: u64, data: &Block) -> io::Result<()> {
         self.backing.write_block(key, data)?;
         let had_frame = match self.frames.get_mut(key).and_then(|f| f.as_deref_mut()) {
             Some(frame) => {
@@ -562,13 +632,22 @@ impl<B: BackingStore> DataCache<B> {
     /// newly selected blocks' payloads are staged from the backing store
     /// (the paper's staggered bulk moves).
     ///
+    /// The whole batch — retirements and installs — commits as one
+    /// group (two, when it needs the slots it has just released).
+    ///
     /// # Errors
     ///
-    /// Propagates backing-store failures while staging payloads.
+    /// Propagates backing-store failures while staging payloads, and
+    /// durable commit failures.
     pub fn day_boundary(&mut self, day: Day) -> io::Result<u64> {
         let Some(transition) = self.store.day_boundary(day) else {
             return Ok(0);
         };
+        let result = self.install_epoch(&transition.allocated);
+        self.committed(result)
+    }
+
+    fn install_epoch(&mut self, allocated: &[u64]) -> io::Result<u64> {
         // Flush dirty frames leaving residency, drop evicted frames, keep
         // retained ones, stage the newly selected blocks' payloads.
         let evicted: Vec<u64> = self
@@ -581,12 +660,12 @@ impl<B: BackingStore> DataCache<B> {
             self.frames.remove(key);
             self.durable_evict(key);
         }
-        for key in &transition.allocated {
+        for key in allocated {
             let data = self.backing.read_block(*key)?;
             self.durable_put(*key, &data, false)?;
             self.frames.insert(*key, Some(Box::new(data)));
         }
-        Ok(transition.allocated.len() as u64)
+        Ok(allocated.len() as u64)
     }
 
     /// Running policy statistics.

@@ -115,11 +115,15 @@ pub enum CounterId {
     DurableMediaErrors,
     /// Records appended to the durable metadata journal.
     DurableJournalRecords,
+    /// Media syncs issued by durable group commits.
+    DurableSyncs,
+    /// Durable group commits (one journal append each).
+    DurableCommits,
 }
 
 impl CounterId {
     /// Every counter, in canonical (serialization) order.
-    pub const ALL: [CounterId; 24] = [
+    pub const ALL: [CounterId; 26] = [
         CounterId::ReplayEventsRouted,
         CounterId::ReplayBatchesSent,
         CounterId::ReplayDayBoundaries,
@@ -144,6 +148,8 @@ impl CounterId {
         CounterId::DurableScrubbedFrames,
         CounterId::DurableMediaErrors,
         CounterId::DurableJournalRecords,
+        CounterId::DurableSyncs,
+        CounterId::DurableCommits,
     ];
 
     /// The counter's stable snake-case name (used in snapshots and JSON).
@@ -173,6 +179,8 @@ impl CounterId {
             CounterId::DurableScrubbedFrames => "durable_scrubbed_frames",
             CounterId::DurableMediaErrors => "durable_media_errors",
             CounterId::DurableJournalRecords => "durable_journal_records",
+            CounterId::DurableSyncs => "durable_syncs",
+            CounterId::DurableCommits => "durable_commits",
         }
     }
 
@@ -236,16 +244,19 @@ pub enum HistId {
     NodeWriteNanos,
     /// Durable-store crash-recovery wall time in nanoseconds.
     DurableRecoveryNanos,
+    /// Journal records made durable by one group commit.
+    DurableGroupRecords,
 }
 
 impl HistId {
     /// Every histogram, in canonical (serialization) order.
-    pub const ALL: [HistId; 5] = [
+    pub const ALL: [HistId; 6] = [
         HistId::ReplayChannelWaitNanos,
         HistId::ReplayDayBarrierNanos,
         HistId::NodeReadNanos,
         HistId::NodeWriteNanos,
         HistId::DurableRecoveryNanos,
+        HistId::DurableGroupRecords,
     ];
 
     /// The histogram's stable snake-case name.
@@ -256,6 +267,7 @@ impl HistId {
             HistId::NodeReadNanos => "node_read_ns",
             HistId::NodeWriteNanos => "node_write_ns",
             HistId::DurableRecoveryNanos => "durable_recovery_ns",
+            HistId::DurableGroupRecords => "durable_group_records",
         }
     }
 

@@ -27,8 +27,8 @@ use std::time::Duration;
 use sievestore::PolicySpec;
 use sievestore_node::{
     BackingStore, Block, CrashHandle, CrashPlan, CrashPointMedia, DataCache, DurableMediaSet,
-    FaultInjectingBacking, FaultPlan, MediaImage, MemBacking, MemMedia, NodeClient, NodeConfig,
-    NodeMode, NodeServerBuilder, RecoveryReport, WritePolicy,
+    DurableStore, FaultInjectingBacking, FaultPlan, MediaImage, MemBacking, MemMedia, NodeClient,
+    NodeConfig, NodeMode, NodeServerBuilder, RecoveryReport, WritePolicy,
 };
 use sievestore_types::obs::{CapturingSink, FieldValue};
 use sievestore_types::{Micros, SieveError};
@@ -338,6 +338,270 @@ fn power_cut_schedules_preserve_all_invariants_write_through() {
             if sweep % 13 == 5 { 1 } else { 0 },
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Group granularity: windows of staged operations closed by one commit,
+// the way the node's request engine drives the cache.
+// ---------------------------------------------------------------------------
+
+/// What the grouped workload observed before the cut. "Acknowledged"
+/// means the window's covering `commit()` returned `Ok`.
+struct GroupedTrace {
+    /// `shadow`: key → last acknowledged payload; `seen_fills`: every
+    /// fill ever attempted; `in_flight` is unused (see `cut_window`).
+    base: WorkloadTrace,
+    /// Every write of the window the cut landed in: none was
+    /// acknowledged, any of them may or may not have taken effect.
+    cut_window: HashMap<u64, Vec<Block>>,
+}
+
+/// Runs the deterministic workload in windows of 1..=8 staged ops, each
+/// closed by one `commit()`, until completion or power cut.
+fn run_workload_grouped(
+    cache: &mut DataCache<MemBacking>,
+    handle: &CrashHandle,
+    workload_seed: u64,
+) -> GroupedTrace {
+    let mut rng = workload_seed ^ 0x6A09_E667_F3BC_C908;
+    let mut trace = GroupedTrace {
+        base: empty_trace(false),
+        cut_window: HashMap::new(),
+    };
+    let mut i = 0u64;
+    while i < OPS && !trace.base.crashed {
+        let window_len = 1 + splitmix(&mut rng) % 8;
+        // The window's own writes, in order; reads inside the window
+        // see them although nothing has committed yet.
+        let mut window: Vec<(u64, Block)> = Vec::new();
+        for _ in 0..window_len {
+            let r = splitmix(&mut rng);
+            let key = r % KEY_SPACE;
+            let op = (r >> 8) % 10;
+            let now = Micros::from_secs(i);
+            i += 1;
+            if op < 6 {
+                let fill = (r >> 16) as u8;
+                trace.base.seen_fills.entry(key).or_default().push(fill);
+                window.push((key, block(fill)));
+                if let Err(e) = cache.write_staged(key, &block(fill), now) {
+                    assert!(handle.crashed(), "write failed without a power cut: {e}");
+                }
+            } else if op < 9 {
+                match cache.read_staged(key, now) {
+                    Ok((data, _)) => {
+                        let expect = window
+                            .iter()
+                            .rev()
+                            .find(|(k, _)| *k == key)
+                            .map(|(_, b)| *b)
+                            .or_else(|| trace.base.shadow.get(&key).copied())
+                            .unwrap_or(block(0));
+                        assert_eq!(data, expect, "pre-crash read of key {key} is stale");
+                    }
+                    Err(e) => assert!(handle.crashed(), "read failed without a power cut: {e}"),
+                }
+            } else if let Err(e) = cache.flush() {
+                assert!(handle.crashed(), "flush failed without a power cut: {e}");
+            }
+            if handle.crashed() {
+                break;
+            }
+        }
+        let committed = !handle.crashed() && cache.commit().is_ok();
+        if committed {
+            trace.base.shadow.extend(window);
+        } else {
+            assert!(handle.crashed(), "commit failed without a power cut");
+            trace.base.crashed = true;
+            for (key, data) in window {
+                trace.cut_window.entry(key).or_default().push(data);
+            }
+        }
+    }
+    trace
+}
+
+/// One grouped crash schedule: as `run_schedule`, at group granularity.
+fn run_schedule_grouped(schedule: u64, crash_at: u64, policy: WritePolicy, torn: bool, rot: u32) {
+    let mut plan = CrashPlan::no_crash(schedule).crash_at_step(crash_at);
+    if torn {
+        plan = plan.with_torn_tail();
+    }
+    if rot > 0 {
+        plan = plan.with_bit_rot(rot);
+    }
+    let mut rig = build_rig(plan, policy);
+    let workload_seed = 1 + schedule / 97;
+    let (trace, backing) = match rig.cache.take() {
+        Some(mut cache) => {
+            let trace = run_workload_grouped(&mut cache, &rig.handle, workload_seed);
+            let backing = clone_backing(&cache);
+            (trace, backing)
+        }
+        None => (
+            GroupedTrace {
+                base: empty_trace(true),
+                cut_window: HashMap::new(),
+            },
+            MemBacking::new(),
+        ),
+    };
+    let (mut cache, report) = match reboot(&rig.images, backing, policy) {
+        Ok(ok) => ok,
+        Err(e) => {
+            assert!(rot > 0, "schedule {schedule}: clean cut unrecoverable: {e}");
+            return;
+        }
+    };
+    if rot == 0 {
+        // Whatever the cut left of the open group — nothing, a torn
+        // prefix of its journal records, all of it — no frame the
+        // journal vouches for may be missing or overwritten.
+        assert_eq!(
+            report.quarantined, 0,
+            "schedule {schedule}: acked frame quarantined without bit rot"
+        );
+        assert_eq!(
+            report.lost_dirty, 0,
+            "schedule {schedule}: acked dirty frame lost without bit rot"
+        );
+        // Every key reads as its last acknowledged value, or — cut
+        // window only — as a value that window attempted.
+        for key in 0..KEY_SPACE {
+            let (data, _) = cache.read(key, Micros::from_secs(2_000 + key)).unwrap();
+            let acked = trace.base.shadow.get(&key).copied().unwrap_or(block(0));
+            let attempted = trace.cut_window.get(&key);
+            assert!(
+                data == acked || attempted.is_some_and(|a| a.contains(&data)),
+                "schedule {schedule}: key {key} reads {:#x}, acked {:#x}, cut window {:?} \
+                 (policy {policy:?})",
+                data[0],
+                acked[0],
+                attempted.map(|a| a.iter().map(|b| b[0]).collect::<Vec<_>>()),
+            );
+        }
+    }
+    assert_no_garbage(&mut cache, &trace.base);
+}
+
+/// Media mutation steps of an uncut grouped run.
+fn grouped_steps_for(policy: WritePolicy, workload_seed: u64) -> u64 {
+    let mut rig = build_rig(CrashPlan::no_crash(0), policy);
+    let mut cache = rig.cache.take().expect("no cut in the dry run");
+    let trace = run_workload_grouped(&mut cache, &rig.handle, workload_seed);
+    assert!(!trace.base.crashed);
+    rig.handle.steps()
+}
+
+#[test]
+fn power_cut_schedules_preserve_all_invariants_grouped_write_back() {
+    for sweep in 0..schedule_count() {
+        let total = grouped_steps_for(WritePolicy::WriteBack, 1 + sweep / 97);
+        run_schedule_grouped(
+            sweep,
+            sweep % total,
+            WritePolicy::WriteBack,
+            sweep.is_multiple_of(2),
+            if sweep % 11 == 7 { 2 } else { 0 },
+        );
+    }
+}
+
+#[test]
+fn power_cut_schedules_preserve_all_invariants_grouped_write_through() {
+    for sweep in 0..schedule_count() / 5 {
+        // `run_schedule_grouped` derives the workload from the schedule
+        // number the same way, so the step bound matches the run.
+        let schedule = 10_000 + sweep;
+        let total = grouped_steps_for(WritePolicy::WriteThrough, 1 + schedule / 97);
+        run_schedule_grouped(
+            schedule,
+            sweep % total,
+            WritePolicy::WriteThrough,
+            sweep % 2 == 1,
+            if sweep % 13 == 5 { 1 } else { 0 },
+        );
+    }
+}
+
+/// A group's journal records go to the media in one write. Tear that
+/// write at every byte the harness will pick: recovery must keep a
+/// *prefix* of the group's records — never a later record without the
+/// earlier ones, never a frame the surviving records do not vouch for.
+#[test]
+fn a_torn_group_append_recovers_a_record_prefix() {
+    const GROUP: u64 = 6;
+    let open = |plan: CrashPlan| {
+        let formatted = fresh_formatted_bytes();
+        let handle = CrashHandle::new(plan);
+        let frames = CrashPointMedia::with_initial(formatted.0, handle.clone());
+        let journal_a = CrashPointMedia::with_initial(formatted.1, handle.clone());
+        let journal_b = CrashPointMedia::with_initial(formatted.2, handle.clone());
+        let images = (frames.image(), journal_a.image(), journal_b.image());
+        let store = DurableStore::open(
+            DurableMediaSet {
+                frames: Box::new(frames),
+                journal_a: Box::new(journal_a),
+                journal_b: Box::new(journal_b),
+            },
+            CAPACITY,
+        )
+        .expect("formatted media opens")
+        .store;
+        (store, handle, images)
+    };
+    let stage = |store: &mut DurableStore| {
+        for key in 0..GROUP {
+            store
+                .stage_put(key, &block(0x50 + key as u8), true)
+                .unwrap();
+        }
+    };
+    // Dry run: the journal append is the second step of the commit
+    // (after the frame sync).
+    let (mut store, handle, _) = open(CrashPlan::no_crash(0));
+    stage(&mut store);
+    let append_step = handle.steps() + 1;
+    std::mem::forget(store);
+
+    let mut prefix_lengths = std::collections::BTreeSet::new();
+    for seed in 0..64u64 {
+        let (mut store, handle, images) = open(
+            CrashPlan::no_crash(seed)
+                .crash_at_step(append_step)
+                .with_torn_tail(),
+        );
+        stage(&mut store);
+        assert!(store.commit().is_err(), "the append is where the cut lands");
+        assert!(handle.crashed());
+        std::mem::forget(store);
+        let recovery = DurableStore::open(
+            DurableMediaSet {
+                frames: Box::new(MemMedia::from_bytes(images.0.bytes())),
+                journal_a: Box::new(MemMedia::from_bytes(images.1.bytes())),
+                journal_b: Box::new(MemMedia::from_bytes(images.2.bytes())),
+            },
+            CAPACITY,
+        )
+        .expect("a torn append is recoverable");
+        assert_eq!(recovery.report.quarantined, 0, "seed {seed}");
+        assert_eq!(recovery.report.lost_dirty, 0, "seed {seed}");
+        let keys: Vec<u64> = recovery.frames.iter().map(|f| f.key).collect();
+        let expect: Vec<u64> = (0..keys.len() as u64).collect();
+        assert_eq!(
+            keys, expect,
+            "seed {seed}: survivors are a prefix of the group"
+        );
+        for frame in &recovery.frames {
+            assert_eq!(*frame.data, block(0x50 + frame.key as u8));
+        }
+        prefix_lengths.insert(keys.len());
+    }
+    assert!(
+        prefix_lengths.len() > 2,
+        "the tear points sampled several prefix lengths: {prefix_lengths:?}"
+    );
 }
 
 #[test]

@@ -402,3 +402,341 @@ fn breaker_trips_and_recovers_under_pipelined_load() {
     client.quit().expect("quit");
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Group commit: a window's replies leave only after the covering commit.
+// ---------------------------------------------------------------------------
+
+mod group_commit {
+    use std::io::{ErrorKind, Read as _, Write as _};
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
+
+    use sievestore::PolicySpec;
+    use sievestore_node::{
+        DataCache, DurableMediaSet, ErrorCode, Media, MemBacking, NodeConfig, NodeMode, NodeServer,
+        NodeServerBuilder, PipedReply, PipedRequest, Reply, Request, WritePolicy,
+    };
+    use sievestore_types::Micros;
+
+    use super::block;
+
+    /// What the test tells the durable media to do, and what it saw.
+    #[derive(Default)]
+    struct Script {
+        syncs: AtomicU64,
+        fail_syncs: AtomicBool,
+        sync_delay_ms: AtomicU64,
+        /// When armed, the next sync reports that it was entered and
+        /// then waits to be released.
+        gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+    }
+
+    struct ScriptedMedia {
+        inner: Box<dyn Media>,
+        script: Arc<Script>,
+    }
+
+    impl Media for ScriptedMedia {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            self.inner.read_at(offset, buf)
+        }
+        fn write_at(&mut self, offset: u64, data: &[u8]) -> std::io::Result<()> {
+            self.inner.write_at(offset, data)
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            if let Some((entered, release)) = self.script.gate.lock().unwrap().take() {
+                entered.send(()).expect("test is waiting for the sync");
+                release.recv().expect("test releases the sync");
+            }
+            std::thread::sleep(Duration::from_millis(
+                self.script.sync_delay_ms.load(Ordering::SeqCst),
+            ));
+            if self.script.fail_syncs.load(Ordering::SeqCst) {
+                return Err(std::io::Error::other("injected sync failure"));
+            }
+            self.script.syncs.fetch_add(1, Ordering::SeqCst);
+            self.inner.sync()
+        }
+        fn len(&self) -> std::io::Result<u64> {
+            self.inner.len()
+        }
+        fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+            self.inner.truncate(len)
+        }
+    }
+
+    /// A durable write-back server on scripted file media under `dir`.
+    fn serve(dir: &std::path::Path, config: NodeConfig) -> (NodeServer<MemBacking>, Arc<Script>) {
+        std::fs::remove_dir_all(dir).ok();
+        let script = Arc::new(Script::default());
+        let set = DurableMediaSet::open_dir(dir).expect("media dir");
+        let wrap = |inner: Box<dyn Media>| -> Box<dyn Media> {
+            Box::new(ScriptedMedia {
+                inner,
+                script: Arc::clone(&script),
+            })
+        };
+        let media = DurableMediaSet {
+            frames: wrap(set.frames),
+            journal_a: wrap(set.journal_a),
+            journal_b: wrap(set.journal_b),
+        };
+        let (server, report) = NodeServerBuilder::new("127.0.0.1:0")
+            .config(config)
+            .serve_durable(
+                MemBacking::new(),
+                PolicySpec::Aod,
+                64,
+                WritePolicy::WriteBack,
+                media,
+            )
+            .expect("bind");
+        report.expect("fresh media formats");
+        (server, script)
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("sievestore-group-{tag}-{}", std::process::id()))
+    }
+
+    /// One pipelined window: `keys.len()` enveloped writes in a single
+    /// socket write; returns the replies in arrival order.
+    fn write_window(stream: &mut TcpStream, keys: std::ops::Range<u64>, fill: u8) -> Vec<Reply> {
+        let mut frames = Vec::new();
+        for key in keys.clone() {
+            PipedRequest {
+                corr: key as u32,
+                request: Request::Write {
+                    key,
+                    data: Box::new(block(fill.wrapping_add(key as u8))),
+                },
+            }
+            .encode_into(&mut frames);
+        }
+        stream.write_all(&frames).expect("send window");
+        keys.map(|_| PipedReply::decode(stream).expect("reply").reply)
+            .collect()
+    }
+
+    #[test]
+    fn a_window_whose_commit_fails_acks_nothing_and_a_committed_one_survives_restart() {
+        let dir = temp_dir("fail");
+        let config = NodeConfig {
+            breaker_threshold: 100, // keep the breaker out of this test
+            ..NodeConfig::default()
+        };
+        let (server, script) = serve(&dir, config);
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+
+        // Every sync fails: the window's eight writes were staged, the
+        // commit could not cover them, so not one of them is acked.
+        script.fail_syncs.store(true, Ordering::SeqCst);
+        let replies = write_window(&mut stream, 0..8, 0x10);
+        assert_eq!(replies.len(), 8);
+        for reply in &replies {
+            assert!(
+                matches!(
+                    reply,
+                    Reply::Error {
+                        code: ErrorCode::Transient,
+                        ..
+                    }
+                ),
+                "an uncommitted write was answered with {reply:?}"
+            );
+        }
+
+        // The media heals; the next window commits (carrying the failed
+        // group with it) and is acknowledged in full.
+        script.fail_syncs.store(false, Ordering::SeqCst);
+        let replies = write_window(&mut stream, 8..16, 0x80);
+        assert!(
+            replies.iter().all(|r| matches!(r, Reply::Write { .. })),
+            "{replies:?}"
+        );
+        Request::Quit.encode(&mut stream).expect("quit");
+        drop(stream);
+        server.shutdown();
+
+        // Restart on the same files: every acknowledged write is there,
+        // at exactly its payload.
+        let (mut cache, report) = DataCache::new_durable(
+            MemBacking::new(),
+            PolicySpec::Aod,
+            64,
+            DurableMediaSet::open_dir(&dir).expect("reopen media"),
+        )
+        .expect("recover");
+        assert_eq!((report.quarantined, report.lost_dirty), (0, 0));
+        for key in 8..16u64 {
+            let (data, _) = cache.read(key, Micros::from_secs(key)).expect("read back");
+            assert_eq!(data, block(0x80u8.wrapping_add(key as u8)), "key {key}");
+        }
+        // The unacknowledged window was in flight: all or nothing of
+        // each write, never anything else.
+        for key in 0..8u64 {
+            let (data, _) = cache
+                .read(key, Micros::from_secs(100 + key))
+                .expect("read back");
+            assert!(
+                data == block(0x10 + key as u8) || data == block(0),
+                "key {key} reads {:#x}",
+                data[0]
+            );
+        }
+        drop(cache);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_read_of_another_connections_uncommitted_write_waits_for_the_commit() {
+        let dir = temp_dir("order");
+        let (server, script) = serve(&dir, NodeConfig::default());
+        let syncs_before = script.syncs.load(Ordering::SeqCst);
+
+        // Connection A: one whole write, then the first bytes of a
+        // second frame — its window stays open (more is buffered), so
+        // the write is staged and nothing commits.
+        let mut a = TcpStream::connect(server.addr()).expect("connect a");
+        let mut first = Vec::new();
+        PipedRequest {
+            corr: 1,
+            request: Request::Write {
+                key: 5,
+                data: Box::new(block(0xAA)),
+            },
+        }
+        .encode_into(&mut first);
+        let mut second = Vec::new();
+        PipedRequest {
+            corr: 2,
+            request: Request::Write {
+                key: 6,
+                data: Box::new(block(0xBB)),
+            },
+        }
+        .encode_into(&mut second);
+        first.extend_from_slice(&second[..3]);
+        a.write_all(&first).expect("send a's open window");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.stats().write_misses + server.stats().write_hits == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "a's write never reached the engine"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            script.syncs.load(Ordering::SeqCst),
+            syncs_before,
+            "a's window is open: nothing has been synced"
+        );
+
+        // Connection B reads the key. The engine serves it a's staged
+        // payload; the reply may leave only after a commit that covers
+        // that write. Hold the commit's first sync and look.
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel();
+        *script.gate.lock().unwrap() = Some((entered_tx, release_rx));
+        let mut b = TcpStream::connect(server.addr()).expect("connect b");
+        Request::Read { key: 5 }
+            .encode(&mut b)
+            .expect("send b's read");
+        entered_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("b's reply waits on a commit");
+        b.set_nonblocking(true).expect("nonblocking");
+        let mut probe = [0u8; 1];
+        match b.peek(&mut probe) {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+            other => panic!("b's reply left before the covering sync: {other:?}"),
+        }
+        b.set_nonblocking(false).expect("blocking");
+        release_tx.send(()).expect("release the sync");
+        match Reply::decode(&mut b).expect("b's reply") {
+            Reply::Read { hit, data } => {
+                assert!(hit);
+                assert_eq!(*data, block(0xAA), "b saw a's staged write");
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+        assert!(
+            script.syncs.load(Ordering::SeqCst) >= syncs_before + 2,
+            "frames and journal were synced before b's reply"
+        );
+
+        // A completes its second frame and gets both acks.
+        a.write_all(&second[3..]).expect("finish a's window");
+        for corr in [1u32, 2] {
+            let piped = PipedReply::decode(&mut a).expect("a's reply");
+            assert_eq!(piped.corr, corr);
+            assert!(matches!(piped.reply, Reply::Write { .. }), "{piped:?}");
+        }
+        let mut rest = [0u8; 1];
+        a.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+        assert!(
+            matches!(a.read(&mut rest), Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+            "exactly two replies for a"
+        );
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_commit_that_overruns_the_deadline_fails_the_window() {
+        let dir = temp_dir("deadline");
+        let config = NodeConfig {
+            request_deadline: Duration::from_millis(20),
+            breaker_threshold: 1, // one failure opens the breaker
+            ..NodeConfig::default()
+        };
+        let (server, script) = serve(&dir, config);
+        sievestore_types::obs::set_enabled(true);
+        let overruns = || {
+            sievestore_types::obs::global()
+                .counter(sievestore_types::obs::CounterId::NodeDeadlineOverruns)
+        };
+        let overruns_before = overruns();
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+
+        // The engine calls are fast; the sync that makes them durable is
+        // not. The deadline covers it: the whole window fails, once.
+        script.sync_delay_ms.store(60, Ordering::SeqCst);
+        let replies = write_window(&mut stream, 0..3, 0x30);
+        for reply in &replies {
+            assert!(
+                matches!(
+                    reply,
+                    Reply::Error {
+                        code: ErrorCode::Deadline,
+                        ..
+                    }
+                ),
+                "a write whose commit overran was answered with {reply:?}"
+            );
+        }
+        assert_eq!(
+            server.mode(),
+            NodeMode::Degraded,
+            "the overrun counted as one cache-path failure"
+        );
+        if cfg!(feature = "obs") {
+            assert!(overruns() > overruns_before);
+        }
+
+        // With the media fast again the same connection is served.
+        script.sync_delay_ms.store(0, Ordering::SeqCst);
+        let replies = write_window(&mut stream, 3..6, 0x30);
+        assert!(
+            replies.iter().all(|r| matches!(r, Reply::Write { .. })),
+            "{replies:?}"
+        );
+        Request::Quit.encode(&mut stream).expect("quit");
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
