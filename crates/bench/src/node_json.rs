@@ -1,11 +1,12 @@
 //! The machine-readable serving benchmark report (`BENCH_node.json`)
 //! and the CI gates that consume it.
 //!
-//! `loadgen` drives the single-lock and shared-nothing node servers with
-//! the same pipelined workload and writes one of these per run: QPS plus
-//! latency quantiles per server flavor. CI gates twice — a ±tolerance
-//! QPS floor against the committed baseline ([`compare_node_reports`])
-//! and a shared-nothing/legacy speedup floor ([`speedup_gate`]).
+//! `loadgen` drives the node server at one shard and at several with
+//! the same pipelined workload and writes one of these per invocation:
+//! QPS plus latency quantiles per shard count. CI gates twice — a
+//! ±tolerance QPS floor against the committed baseline
+//! ([`compare_node_reports`]) and a sharded/one-shard ratio floor
+//! ([`speedup_gate`]).
 //!
 //! JSON plumbing is shared with the replay report (see
 //! [`crate::replay_json::Json`]); the workspace carries no serde.
@@ -15,12 +16,18 @@ use crate::replay_json::Json;
 /// Schema tag written into every serving report.
 pub const NODE_SCHEMA: &str = "sievestore-node-bench/v1";
 
+/// [`NodeRunReport::mode`] of the one-shard run.
+pub const ONE_SHARD: &str = "one-shard";
+
+/// [`NodeRunReport::mode`] of the run striped over several shards.
+pub const SHARDED: &str = "sharded";
+
 /// One timed server configuration inside a [`NodeBenchReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeRunReport {
-    /// `"legacy"` (single-lock) or `"sharded"` (shared-nothing).
+    /// [`ONE_SHARD`] or [`SHARDED`] — one server, two shard counts.
     pub mode: String,
-    /// Shard workers serving requests (1 for legacy).
+    /// Shards the cache was striped over.
     pub workers: usize,
     /// Wall-clock seconds for the timed window.
     pub wall_secs: f64,
@@ -53,7 +60,7 @@ pub struct NodeBenchReport {
     pub seed: u64,
     /// Requests completed per timed run.
     pub ops: u64,
-    /// One entry per server flavor.
+    /// One entry per shard count.
     pub runs: Vec<NodeRunReport>,
 }
 
@@ -152,21 +159,21 @@ impl NodeBenchReport {
         })
     }
 
-    /// The run entry for a server flavor, if present.
+    /// The run entry of a mode, if present.
     pub fn run_with_mode(&self, mode: &str) -> Option<&NodeRunReport> {
         self.runs.iter().find(|r| r.mode == mode)
     }
 
-    /// Shared-nothing QPS over legacy QPS, if both runs are present.
+    /// Sharded QPS over one-shard QPS, if both runs are present.
     pub fn speedup(&self) -> Option<f64> {
-        let legacy = self.run_with_mode("legacy")?;
-        let sharded = self.run_with_mode("sharded")?;
-        (legacy.qps > 0.0).then(|| sharded.qps / legacy.qps)
+        let one = self.run_with_mode(ONE_SHARD)?;
+        let sharded = self.run_with_mode(SHARDED)?;
+        (one.qps > 0.0).then(|| sharded.qps / one.qps)
     }
 }
 
 /// Gates `current` against `baseline`: the workloads must match and
-/// every baseline server flavor must be present with QPS no more than
+/// every baseline run must be present with QPS no more than
 /// `tolerance` below baseline (e.g. `0.2` = −20 %). Returns the per-run
 /// comparison lines on success and the failures on error. Faster runs
 /// always pass.
@@ -230,9 +237,9 @@ pub fn compare_node_reports(
     }
 }
 
-/// Gates the shared-nothing speedup: sharded QPS must be at least
-/// `min_speedup` × legacy QPS. A `min_speedup` of 0 disables the gate
-/// (single-core runners cannot demonstrate parallel speedup).
+/// Gates the cost of striping: sharded QPS must be at least
+/// `min_speedup` × one-shard QPS. A `min_speedup` of 0 disables the
+/// gate (single-core runners cannot demonstrate parallel speedup).
 ///
 /// # Errors
 ///
@@ -243,8 +250,8 @@ pub fn speedup_gate(report: &NodeBenchReport, min_speedup: f64) -> Result<String
     }
     let speedup = report
         .speedup()
-        .ok_or("report lacks both a legacy and a sharded run")?;
-    let line = format!("shared-nothing speedup {speedup:.2}x (floor {min_speedup:.2}x)");
+        .ok_or("report lacks both a one-shard and a sharded run")?;
+    let line = format!("sharded over one shard {speedup:.2}x (floor {min_speedup:.2}x)");
     if speedup < min_speedup {
         Err(format!("GATE FAILED {line}"))
     } else {
@@ -267,7 +274,7 @@ mod tests {
             ops: 200_000,
             runs: vec![
                 NodeRunReport {
-                    mode: "legacy".into(),
+                    mode: ONE_SHARD.into(),
                     workers: 1,
                     wall_secs: 2.0,
                     qps: 100_000.0,
@@ -277,7 +284,7 @@ mod tests {
                     p999_us: 4000,
                 },
                 NodeRunReport {
-                    mode: "sharded".into(),
+                    mode: SHARDED.into(),
                     workers: 4,
                     wall_secs: 0.8,
                     qps: 250_000.0,
@@ -343,7 +350,7 @@ mod tests {
         assert!(speedup_gate(&r, 0.0).is_ok());
 
         let mut half = report();
-        half.runs.retain(|run| run.mode == "legacy");
+        half.runs.retain(|run| run.mode == ONE_SHARD);
         assert!(speedup_gate(&half, 2.0).is_err());
         assert!(speedup_gate(&half, 0.0).is_ok());
     }

@@ -1,14 +1,12 @@
 //! The per-shard request engine: one [`DataCache`] plus its circuit
 //! breaker, deadline accounting and degraded counters.
 //!
-//! Both front ends drive requests through this one type — the legacy
-//! single-lock [`crate::server::NodeServer`] holds a `CacheEngine`
-//! behind a mutex, while the shared-nothing
-//! [`crate::sharded::ShardedNodeServer`] gives each worker thread its
-//! own engine outright. Because every read/write decision (breaker
-//! transitions, deadline overruns, degraded pass-through, error
-//! classification) lives here, the two servers are byte-identical on
-//! the wire by construction.
+//! [`crate::server::NodeServer`] holds one `CacheEngine` per shard, each
+//! behind its own mutex; a connection thread locks the shard that owns
+//! the request's key and drives the request through this type. Every
+//! read/write decision (breaker transitions, deadline overruns, degraded
+//! pass-through, error classification) lives here, so a node answers the
+//! same way whatever its shard count.
 
 use std::io;
 use std::sync::Arc;
@@ -18,7 +16,7 @@ use sievestore_types::obs::{Event, EventSink, FieldValue};
 use sievestore_types::{obs_count, obs_enabled, obs_observe, Micros};
 
 use crate::backing::{BackingStore, Block};
-use crate::protocol::{ErrorCode, NodeMode, Reply};
+use crate::protocol::{encode_read_into, ErrorCode, NodeMode, Reply};
 use crate::server::NodeConfig;
 use crate::store::DataCache;
 
@@ -74,21 +72,45 @@ pub(crate) fn classify_backing(err: &io::Error) -> ErrorCode {
     }
 }
 
-/// A point-in-time copy of one engine's counters, merged across shards
-/// at snapshot points (Stats replies, server accessors).
+/// A point-in-time copy of one engine's counters and health, merged
+/// across shards at snapshot points (Stats replies, server accessors).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct EngineSnapshot {
     pub stats: sievestore::ApplianceStats,
     pub resident_blocks: u64,
     pub degraded_reads: u64,
     pub degraded_writes: u64,
+    pub mode: NodeMode,
+}
+
+impl EngineSnapshot {
+    /// Folds another shard's snapshot in: counters add, and the node is
+    /// as unhealthy as its worst shard.
+    pub(crate) fn merge(&mut self, other: &EngineSnapshot) {
+        self.stats.read_hits += other.stats.read_hits;
+        self.stats.write_hits += other.stats.write_hits;
+        self.stats.read_misses += other.stats.read_misses;
+        self.stats.write_misses += other.stats.write_misses;
+        self.stats.allocation_writes += other.stats.allocation_writes;
+        self.stats.batch_allocations += other.stats.batch_allocations;
+        self.resident_blocks += other.resident_blocks;
+        self.degraded_reads += other.degraded_reads;
+        self.degraded_writes += other.degraded_writes;
+        let rank = |mode| match mode {
+            NodeMode::Healthy => 0,
+            NodeMode::Probing => 1,
+            NodeMode::Degraded => 2,
+        };
+        if rank(other.mode) > rank(self.mode) {
+            self.mode = other.mode;
+        }
+    }
 }
 
 /// The cache plus breaker; breaker transitions are judged atomically
-/// with the cache operations because one owner drives both (a mutex in
-/// the legacy server, thread affinity in the sharded one).
+/// with the cache operations because the shard's mutex covers both.
 pub(crate) struct CacheEngine<B: BackingStore> {
-    pub cache: DataCache<B>,
+    cache: DataCache<B>,
     breaker: Breaker,
     config: NodeConfig,
     /// Destination for structured breaker-transition events. Sinks run
@@ -119,35 +141,47 @@ impl<B: BackingStore> CacheEngine<B> {
         self.breaker.mode()
     }
 
-    pub(crate) fn sink(&self) -> &Arc<dyn EventSink> {
-        &self.sink
-    }
-
     pub(crate) fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             stats: *self.cache.stats(),
             resident_blocks: self.cache.resident_blocks() as u64,
             degraded_reads: self.degraded_reads,
             degraded_writes: self.degraded_writes,
+            mode: self.mode(),
         }
     }
 
-    /// Serves one read, instrumented; never panics the connection over
-    /// a backing failure — errors become typed `0xFF` replies.
+    /// Serves one read, instrumented, appending its reply frame to `out`
+    /// (enveloped under `corr`) straight from the block it read — a hit
+    /// is one copy, cache frame → `out`. Never panics the connection
+    /// over a backing failure: errors come back as the typed `0xFF`
+    /// reply the caller must encode instead, with `out` left as it was.
     ///
     /// What the request staged on the durable tier is *not* committed:
     /// the caller owes one [`Self::commit`] before the reply leaves.
-    pub(crate) fn handle_read(&mut self, key: u64, now: Micros) -> Reply {
+    pub(crate) fn handle_read(
+        &mut self,
+        key: u64,
+        now: Micros,
+        corr: Option<u32>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), Reply> {
         let observed = obs_enabled!().then(Instant::now);
-        let reply = self.handle_read_inner(key, now);
+        let result = self.handle_read_inner(key, now, corr, out);
         obs_count!(NodeReads, 1);
         if let Some(started) = observed {
             obs_observe!(NodeReadNanos, started.elapsed().as_nanos() as u64);
         }
-        reply
+        result
     }
 
-    fn handle_read_inner(&mut self, key: u64, now: Micros) -> Reply {
+    fn handle_read_inner(
+        &mut self,
+        key: u64,
+        now: Micros,
+        corr: Option<u32>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), Reply> {
         match self.breaker.mode() {
             NodeMode::Degraded => {
                 self.tick_degraded();
@@ -155,44 +189,45 @@ impl<B: BackingStore> CacheEngine<B> {
                     Ok(data) => {
                         self.degraded_reads += 1;
                         obs_count!(NodeDegraded, 1);
-                        Reply::Read {
-                            hit: false,
-                            data: Box::new(data),
-                        }
+                        encode_read_into(out, corr, false, &data);
+                        Ok(())
                     }
-                    Err(e) => Reply::Error {
+                    Err(e) => Err(Reply::Error {
                         code: classify_backing(&e),
                         message: format!("degraded read failed: {e}"),
-                    },
+                    }),
                 }
             }
             NodeMode::Healthy | NodeMode::Probing => {
                 let started = Instant::now();
-                match self.cache.read_staged(key, now) {
-                    Ok((data, outcome)) => {
+                let mark = out.len();
+                let served = self.cache.read_staged_with(key, now, |data, outcome| {
+                    encode_read_into(out, corr, outcome.hit, data);
+                });
+                match served {
+                    Ok(()) => {
                         if started.elapsed() > self.config.request_deadline {
+                            // The reply is already encoded: take it back.
+                            out.truncate(mark);
                             self.record_failure();
                             obs_count!(NodeDeadlineOverruns, 1);
-                            return Reply::Error {
+                            return Err(Reply::Error {
                                 code: ErrorCode::Deadline,
                                 message: format!(
                                     "read of block {key} overran the {:?} deadline",
                                     self.config.request_deadline
                                 ),
-                            };
+                            });
                         }
                         self.record_success();
-                        Reply::Read {
-                            hit: outcome.hit,
-                            data: Box::new(data),
-                        }
+                        Ok(())
                     }
                     Err(e) => {
                         self.record_failure();
-                        Reply::Error {
+                        Err(Reply::Error {
                             code: classify_backing(&e),
                             message: format!("backing read failed: {e}"),
-                        }
+                        })
                     }
                 }
             }

@@ -14,10 +14,15 @@
 //!   injection for exercising every failure path;
 //! * [`DataCache`] — policy decisions wired to actual 512-byte payloads
 //!   (write-through; the cache never holds the only copy);
-//! * [`NodeServer`] / [`NodeClient`] — the TCP front end, one thread per
-//!   connection, with per-request deadlines, a circuit breaker into
-//!   degraded pass-through mode ([`NodeConfig`]) and client-side
-//!   retries with reconnection ([`ClientConfig`], [`RetryPolicy`]).
+//! * [`NodeServer`] — the one TCP front end: a blocking thread per
+//!   connection over a cache striped across shards, one lock each
+//!   ([`NodeServerBuilder::serve`] / [`NodeServerBuilder::serve_durable`]
+//!   build it with one shard, [`NodeServerBuilder::serve_sharded`] with
+//!   several — [`ShardedNodeServer`] is the same type), with per-request
+//!   deadlines and a circuit breaker into degraded pass-through mode
+//!   ([`NodeConfig`]);
+//! * [`NodeClient`] / [`PipelinedClient`] — clients with retries and
+//!   reconnection ([`ClientConfig`], [`RetryPolicy`]).
 //!
 //! # Examples
 //!
@@ -51,7 +56,6 @@ mod engine;
 pub mod faults;
 pub mod protocol;
 pub mod server;
-pub mod sharded;
 pub mod store;
 
 pub use backing::{BackingStore, Block, FileBacking, MemBacking};
@@ -67,6 +71,5 @@ pub use faults::{
     MediaImage,
 };
 pub use protocol::{ErrorCode, Incoming, NodeMode, PipedReply, PipedRequest, Reply, Request};
-pub use server::{NodeConfig, NodeServer, NodeServerBuilder};
-pub use sharded::ShardedNodeServer;
+pub use server::{NodeConfig, NodeServer, NodeServerBuilder, ShardedNodeServer};
 pub use store::{DataCache, DataOutcome, WritePolicy};

@@ -206,12 +206,31 @@ fn write_frame<W: Write>(out: &mut W, payload: &[u8]) -> io::Result<()> {
     out.flush()
 }
 
-/// Appends one length-prefixed frame to `buf` without touching I/O —
-/// the batched (pipelined) paths build many frames and issue a single
-/// `write_all`, amortizing syscalls.
-fn frame_into(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
+/// Appends one length-prefixed frame to `buf` without touching I/O:
+/// the prefix is reserved, `body` pushes the payload straight into the
+/// caller's buffer, and the prefix is back-patched with its length — no
+/// temporary per frame. The batched (pipelined) paths build many frames
+/// and issue a single `write_all`, amortizing syscalls.
+fn frame_into(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let prefix = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    body(buf);
+    let len = (buf.len() - prefix - 4) as u32;
+    buf[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Serializes one frame whose payload `body` pushes — the I/O flavor of
+/// [`frame_into`], sharing the same bodies.
+fn encode_frame<W: Write>(out: &mut W, body: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    let mut payload = Vec::new();
+    body(&mut payload);
+    write_frame(out, &payload)
+}
+
+/// Pushes an envelope header: the tag and the correlation id.
+fn push_envelope(buf: &mut Vec<u8>, tag: u8, corr: u32) {
+    buf.push(tag);
+    buf.extend_from_slice(&corr.to_le_bytes());
 }
 
 fn read_frame<R: Read>(input: &mut R) -> io::Result<Vec<u8>> {
@@ -234,25 +253,22 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 impl Request {
-    /// The request's frame payload (tag byte onward, no length prefix).
-    fn payload(&self) -> Vec<u8> {
+    /// Pushes the request's frame payload (tag byte onward, no length
+    /// prefix).
+    fn push_body(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Read { key } => {
-                let mut p = Vec::with_capacity(9);
-                p.push(0x01);
-                p.extend_from_slice(&key.to_le_bytes());
-                p
+                buf.push(0x01);
+                buf.extend_from_slice(&key.to_le_bytes());
             }
             Request::Write { key, data } => {
-                let mut p = Vec::with_capacity(9 + BLOCK_SIZE);
-                p.push(0x02);
-                p.extend_from_slice(&key.to_le_bytes());
-                p.extend_from_slice(&data[..]);
-                p
+                buf.push(0x02);
+                buf.extend_from_slice(&key.to_le_bytes());
+                buf.extend_from_slice(&data[..]);
             }
-            Request::Stats => vec![0x03],
-            Request::Quit => vec![0x04],
-            Request::Flush => vec![0x05],
+            Request::Stats => buf.push(0x03),
+            Request::Quit => buf.push(0x04),
+            Request::Flush => buf.push(0x05),
         }
     }
 
@@ -294,13 +310,13 @@ impl Request {
     ///
     /// Propagates I/O errors from the writer.
     pub fn encode<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        write_frame(out, &self.payload())
+        encode_frame(out, |p| self.push_body(p))
     }
 
     /// Appends the request's frame to `buf` (no I/O, no flush) for
     /// batched pipelined writes.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        frame_into(buf, &self.payload());
+        frame_into(buf, |p| self.push_body(p));
     }
 
     /// Reads and parses one request frame.
@@ -328,13 +344,9 @@ pub struct PipedRequest {
 }
 
 impl PipedRequest {
-    fn payload(&self) -> Vec<u8> {
-        let inner = self.request.payload();
-        let mut p = Vec::with_capacity(5 + inner.len());
-        p.push(PIPED_REQUEST_TAG);
-        p.extend_from_slice(&self.corr.to_le_bytes());
-        p.extend_from_slice(&inner);
-        p
+    fn push_body(&self, buf: &mut Vec<u8>) {
+        push_envelope(buf, PIPED_REQUEST_TAG, self.corr);
+        self.request.push_body(buf);
     }
 
     fn parse(p: &[u8]) -> io::Result<Self> {
@@ -353,12 +365,12 @@ impl PipedRequest {
     ///
     /// Propagates I/O errors from the writer.
     pub fn encode<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        write_frame(out, &self.payload())
+        encode_frame(out, |p| self.push_body(p))
     }
 
     /// Appends the envelope's frame to `buf` (no I/O, no flush).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        frame_into(buf, &self.payload());
+        frame_into(buf, |p| self.push_body(p));
     }
 }
 
@@ -403,8 +415,8 @@ impl Incoming {
 /// Returns `Ok(None)` when the buffer does not yet hold a full frame,
 /// or `Some((consumed, payload_range))` where `consumed` counts the
 /// length prefix plus payload and `payload_range` indexes the payload
-/// bytes inside `buf`. The nonblocking sharded server feeds its read
-/// buffers through this.
+/// bytes inside `buf`. The server walks its connection read buffers
+/// with this.
 ///
 /// # Errors
 ///
@@ -424,18 +436,49 @@ pub fn split_frame(buf: &[u8]) -> io::Result<Option<(usize, std::ops::Range<usiz
     Ok(Some((total, 4..total)))
 }
 
+/// Pushes a read reply's payload straight from the block it answers
+/// with.
+fn push_read_body(buf: &mut Vec<u8>, hit: bool, data: &[u8; BLOCK_SIZE]) {
+    buf.extend_from_slice(&[0x81, hit as u8]);
+    buf.extend_from_slice(data);
+}
+
+/// Pushes one reply's frame payload: the envelope header when the
+/// request carried a correlation id, then whatever `body` pushes.
+fn push_reply(buf: &mut Vec<u8>, corr: Option<u32>, body: impl FnOnce(&mut Vec<u8>)) {
+    if let Some(corr) = corr {
+        push_envelope(buf, PIPED_REPLY_TAG, corr);
+    }
+    body(buf);
+}
+
+/// Appends `reply`'s frame to `buf` — the server's reply path, which
+/// holds the reply by reference and never builds a [`PipedReply`].
+pub(crate) fn encode_reply_into(buf: &mut Vec<u8>, corr: Option<u32>, reply: &Reply) {
+    frame_into(buf, |p| push_reply(p, corr, |p| reply.push_body(p)));
+}
+
+/// Appends a read reply's frame to `buf` straight from a borrowed block
+/// (a cache frame): one copy, no `Box`, byte-identical to
+/// [`encode_reply_into`] over the equivalent [`Reply::Read`].
+pub(crate) fn encode_read_into(
+    buf: &mut Vec<u8>,
+    corr: Option<u32>,
+    hit: bool,
+    data: &[u8; BLOCK_SIZE],
+) {
+    frame_into(buf, |p| {
+        push_reply(p, corr, |p| push_read_body(p, hit, data))
+    });
+}
+
 impl Reply {
-    /// The reply's frame payload (tag byte onward, no length prefix).
-    fn payload(&self) -> Vec<u8> {
+    /// Pushes the reply's frame payload (tag byte onward, no length
+    /// prefix).
+    fn push_body(&self, buf: &mut Vec<u8>) {
         match self {
-            Reply::Read { hit, data } => {
-                let mut p = Vec::with_capacity(2 + BLOCK_SIZE);
-                p.push(0x81);
-                p.push(*hit as u8);
-                p.extend_from_slice(&data[..]);
-                p
-            }
-            Reply::Write { hit } => vec![0x82, *hit as u8],
+            Reply::Read { hit, data } => push_read_body(buf, *hit, data),
+            Reply::Write { hit } => buf.extend_from_slice(&[0x82, *hit as u8]),
             Reply::Stats {
                 read_hits,
                 write_hits,
@@ -447,8 +490,7 @@ impl Reply {
                 degraded_writes,
                 mode,
             } => {
-                let mut p = Vec::with_capacity(2 + 64);
-                p.push(0x83);
+                buf.push(0x83);
                 for v in [
                     read_hits,
                     write_hits,
@@ -459,26 +501,20 @@ impl Reply {
                     degraded_reads,
                     degraded_writes,
                 ] {
-                    p.extend_from_slice(&v.to_le_bytes());
+                    buf.extend_from_slice(&v.to_le_bytes());
                 }
-                p.push(mode.to_u8());
-                p
+                buf.push(mode.to_u8());
             }
             Reply::Flush { flushed } => {
-                let mut p = Vec::with_capacity(9);
-                p.push(0x84);
-                p.extend_from_slice(&flushed.to_le_bytes());
-                p
+                buf.push(0x84);
+                buf.extend_from_slice(&flushed.to_le_bytes());
             }
             Reply::Error { code, message } => {
                 // Error messages must never themselves overflow a frame
                 // (pipelined envelopes add 5 bytes of header on top).
                 let message = &message.as_bytes()[..message.len().min(MAX_FRAME as usize - 7)];
-                let mut p = Vec::with_capacity(2 + message.len());
-                p.push(0xFF);
-                p.push(code.to_u8());
-                p.extend_from_slice(message);
-                p
+                buf.extend_from_slice(&[0xFF, code.to_u8()]);
+                buf.extend_from_slice(message);
             }
         }
     }
@@ -552,13 +588,13 @@ impl Reply {
     ///
     /// Propagates I/O errors from the writer.
     pub fn encode<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        write_frame(out, &self.payload())
+        encode_frame(out, |p| self.push_body(p))
     }
 
     /// Appends the reply's frame to `buf` (no I/O, no flush) for
     /// batched pipelined writes.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        frame_into(buf, &self.payload());
+        encode_reply_into(buf, None, self);
     }
 
     /// Reads and parses one reply frame.
@@ -585,15 +621,6 @@ pub struct PipedReply {
 }
 
 impl PipedReply {
-    fn payload(&self) -> Vec<u8> {
-        let inner = self.reply.payload();
-        let mut p = Vec::with_capacity(5 + inner.len());
-        p.push(PIPED_REPLY_TAG);
-        p.extend_from_slice(&self.corr.to_le_bytes());
-        p.extend_from_slice(&inner);
-        p
-    }
-
     /// Parses a reply-envelope frame payload.
     ///
     /// # Errors
@@ -616,12 +643,14 @@ impl PipedReply {
     ///
     /// Propagates I/O errors from the writer.
     pub fn encode<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        write_frame(out, &self.payload())
+        encode_frame(out, |p| {
+            push_reply(p, Some(self.corr), |p| self.reply.push_body(p));
+        })
     }
 
     /// Appends the envelope's frame to `buf` (no I/O, no flush).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        frame_into(buf, &self.payload());
+        encode_reply_into(buf, Some(self.corr), &self.reply);
     }
 
     /// Reads and parses one reply-envelope frame.
@@ -1027,5 +1056,207 @@ mod tests {
             let truncated = &bytes[..cut];
             prop_assert!(Request::decode(&mut &*truncated).is_err());
         }
+    }
+}
+
+/// Pins for the wire format itself: the encoders write into caller
+/// buffers behind a back-patched length prefix, and nothing about the
+/// bytes may move.
+#[cfg(test)]
+mod wire_format {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn request_of(kind: u8, key: u64, fill: &[u8]) -> Request {
+        match kind % 5 {
+            0 => Request::Read { key },
+            1 => {
+                let mut data = Box::new([0u8; BLOCK_SIZE]);
+                data.copy_from_slice(fill);
+                Request::Write { key, data }
+            }
+            2 => Request::Stats,
+            3 => Request::Quit,
+            _ => Request::Flush,
+        }
+    }
+
+    fn reply_of(kind: u8, v: u64, fill: &[u8], message_len: usize) -> Reply {
+        match kind % 5 {
+            0 => {
+                let mut data = Box::new([0u8; BLOCK_SIZE]);
+                data.copy_from_slice(fill);
+                Reply::Read {
+                    hit: v.is_multiple_of(2),
+                    data,
+                }
+            }
+            1 => Reply::Write {
+                hit: v.is_multiple_of(2),
+            },
+            2 => Reply::Stats {
+                read_hits: v,
+                write_hits: v.rotate_left(8),
+                read_misses: v.rotate_left(16),
+                write_misses: v.rotate_left(24),
+                allocation_writes: v.rotate_left(32),
+                resident_blocks: v.rotate_left(40),
+                degraded_reads: v.rotate_left(48),
+                degraded_writes: v.rotate_left(56),
+                mode: [NodeMode::Healthy, NodeMode::Degraded, NodeMode::Probing][(v % 3) as usize],
+            },
+            3 => Reply::Flush { flushed: v },
+            _ => Reply::Error {
+                code: [
+                    ErrorCode::Transient,
+                    ErrorCode::Fatal,
+                    ErrorCode::Protocol,
+                    ErrorCode::Deadline,
+                ][(v % 4) as usize],
+                message: "e".repeat(message_len),
+            },
+        }
+    }
+
+    /// `encode` into an empty writer.
+    fn written(encode: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode(&mut bytes).expect("vec write");
+        bytes
+    }
+
+    /// `encode_into` behind bytes already in the buffer, which it must
+    /// leave alone (the length prefix is patched in place).
+    fn appended(encode_into: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut buf = vec![0xEE; 3];
+        encode_into(&mut buf);
+        assert_eq!(buf[..3], [0xEE; 3]);
+        buf.split_off(3)
+    }
+
+    proptest! {
+        /// `encode_into` ≡ `encode`, byte for byte, for every request
+        /// and reply variant, plain and enveloped — error messages past
+        /// the truncation budget included — and each frame's prefix is
+        /// its payload's length.
+        #[test]
+        fn encode_into_matches_encode_for_every_variant(
+            kind in 0u8..5,
+            corr in any::<u32>(),
+            v in any::<u64>(),
+            fill in proptest::collection::vec(any::<u8>(), BLOCK_SIZE),
+            message_len in 0usize..(2 * MAX_FRAME as usize),
+        ) {
+            let request = request_of(kind, v, &fill);
+            let reply = reply_of(kind, v, &fill, message_len);
+            let piped_request = PipedRequest { corr, request: request.clone() };
+            let piped_reply = PipedReply { corr, reply: reply.clone() };
+            let pairs = [
+                (written(|w| request.encode(w)), appended(|b| request.encode_into(b))),
+                (written(|w| piped_request.encode(w)), appended(|b| piped_request.encode_into(b))),
+                (written(|w| reply.encode(w)), appended(|b| reply.encode_into(b))),
+                (written(|w| piped_reply.encode(w)), appended(|b| piped_reply.encode_into(b))),
+            ];
+            for (encoded, appended) in &pairs {
+                prop_assert_eq!(encoded, appended);
+                let len = u32::from_le_bytes(encoded[..4].try_into().expect("prefix"));
+                prop_assert_eq!(len as usize, encoded.len() - 4);
+                prop_assert!(len <= MAX_FRAME);
+            }
+            // The server's by-reference reply path writes the same bytes.
+            for corr in [None, Some(corr)] {
+                let by_ref = appended(|b| encode_reply_into(b, corr, &reply));
+                prop_assert_eq!(&by_ref, if corr.is_some() { &pairs[3].0 } else { &pairs[2].0 });
+                if let Reply::Read { hit, data } = &reply {
+                    prop_assert_eq!(appended(|b| encode_read_into(b, corr, *hit, data)), by_ref);
+                }
+            }
+        }
+    }
+
+    /// One committed vector per frame type.
+    #[test]
+    fn golden_bytes_per_frame_type() {
+        let key = 0x0102_0304_0506_0708u64;
+        let block = |fill: u8| Box::new([fill; BLOCK_SIZE]);
+        let with_block = |head: &[u8], fill: u8| [head, &[fill; BLOCK_SIZE][..]].concat();
+
+        let requests: [(Request, Vec<u8>); 5] = [
+            (
+                Request::Read { key },
+                vec![9, 0, 0, 0, 0x01, 8, 7, 6, 5, 4, 3, 2, 1],
+            ),
+            (
+                Request::Write {
+                    key,
+                    data: block(0xAB),
+                },
+                with_block(&[0x09, 0x02, 0, 0, 0x02, 8, 7, 6, 5, 4, 3, 2, 1], 0xAB),
+            ),
+            (Request::Stats, vec![1, 0, 0, 0, 0x03]),
+            (Request::Quit, vec![1, 0, 0, 0, 0x04]),
+            (Request::Flush, vec![1, 0, 0, 0, 0x05]),
+        ];
+        for (request, golden) in &requests {
+            assert_eq!(&appended(|b| request.encode_into(b)), golden, "{request:?}");
+        }
+        let piped = PipedRequest {
+            corr: 0xA1B2_C3D4,
+            request: Request::Read { key },
+        };
+        assert_eq!(
+            appended(|b| piped.encode_into(b)),
+            [14, 0, 0, 0, 0x10, 0xD4, 0xC3, 0xB2, 0xA1, 0x01, 8, 7, 6, 5, 4, 3, 2, 1]
+        );
+
+        let stats = Reply::Stats {
+            read_hits: 1,
+            write_hits: 2,
+            read_misses: 3,
+            write_misses: 4,
+            allocation_writes: 5,
+            resident_blocks: 6,
+            degraded_reads: 7,
+            degraded_writes: 8,
+            mode: NodeMode::Probing,
+        };
+        let mut stats_golden = vec![66, 0, 0, 0, 0x83];
+        for v in 1u8..=8 {
+            stats_golden.extend_from_slice(&[v, 0, 0, 0, 0, 0, 0, 0]);
+        }
+        stats_golden.push(2);
+        let replies: [(Reply, Vec<u8>); 5] = [
+            (
+                Reply::Read {
+                    hit: true,
+                    data: block(0x5A),
+                },
+                with_block(&[0x02, 0x02, 0, 0, 0x81, 1], 0x5A),
+            ),
+            (Reply::Write { hit: false }, vec![2, 0, 0, 0, 0x82, 0]),
+            (stats, stats_golden),
+            (
+                Reply::Flush { flushed: 0x0A0B },
+                vec![9, 0, 0, 0, 0x84, 0x0B, 0x0A, 0, 0, 0, 0, 0, 0],
+            ),
+            (
+                Reply::Error {
+                    code: ErrorCode::Deadline,
+                    message: "late".into(),
+                },
+                vec![6, 0, 0, 0, 0xFF, 0x04, b'l', b'a', b't', b'e'],
+            ),
+        ];
+        for (reply, golden) in &replies {
+            assert_eq!(&appended(|b| reply.encode_into(b)), golden, "{reply:?}");
+        }
+        let piped = PipedReply {
+            corr: 7,
+            reply: Reply::Write { hit: true },
+        };
+        assert_eq!(
+            appended(|b| piped.encode_into(b)),
+            [7, 0, 0, 0, 0x90, 7, 0, 0, 0, 0x82, 1]
+        );
     }
 }

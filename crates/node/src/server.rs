@@ -1,63 +1,94 @@
-//! The appliance's TCP front end (single-lock flavor).
+//! The appliance's TCP front end.
 //!
-//! One [`NodeServer`] owns a [`DataCache`] behind a mutex and serves the
-//! wire protocol over TCP, one thread per connection — the physical
-//! organization of the paper's Figure 4(c), with TCP standing in for
-//! iSCSI. A background clock maps wall-clock time onto trace time so the
-//! sieving windows advance. For the shared-nothing, thread-per-core
-//! engine that removes the mutex from the hot path, see
-//! [`crate::sharded::ShardedNodeServer`]; both are built with
-//! [`NodeServerBuilder`].
+//! One [`NodeServer`] serves the wire protocol over TCP, one blocking
+//! thread per connection — the physical organization of the paper's
+//! Figure 4(c), with TCP standing in for iSCSI: a dozen initiators with
+//! deep queues, not ten thousand sockets. The cache is striped over
+//! `n` shards, each a `CacheEngine` (cache slice, breaker, degraded
+//! counters) behind its own mutex; block `key` belongs to shard
+//! [`shard_of`]`(key, n)`. [`NodeServerBuilder::serve`] and
+//! [`NodeServerBuilder::serve_durable`] are the one-shard configuration,
+//! [`NodeServerBuilder::serve_sharded`] the `n`-shard one
+//! ([`ShardedNodeServer`]); all three run the same connection loop.
+//!
+//! # The lock rule
+//!
+//! A connection thread holds **at most one shard lock at a time**: a
+//! `Read` or `Write` takes only its key's shard; `Stats` and `Flush`
+//! visit the shards one after another in index order, as do the window
+//! commit, the scrubber and shutdown. Nothing waits for a second lock
+//! while holding a first, so there is no lock order to get wrong, and a
+//! `Stats` reply is exact — every counter is read under its lock.
+//!
+//! What stays global: the listener, the logical request clock (one
+//! `fetch_add` per read/write, so sieving windows advance identically
+//! whatever the shard count), the stop flag and the panic ledger.
+//!
+//! # Nothing polls
+//!
+//! A connection thread blocks in `read`; one wake-up hands it every
+//! request the client had pipelined, it serves them all out of its read
+//! buffer, writes their replies with one `write_all` and blocks again.
+//! An idle node uses no CPU.
 //!
 //! # Fault handling
 //!
 //! The server never tears down a connection because the *backing store*
 //! failed: backing errors become `0xFF` error replies carrying an
-//! [`ErrorCode`], and a circuit breaker tracks consecutive failures.
-//! After [`NodeConfig::breaker_threshold`] consecutive cache-path
-//! failures the node flips into **degraded pass-through mode**: requests
-//! are served directly against the ensemble (dirty frames stay
-//! authoritative), no frames are allocated, and dirty data is flushed
-//! best-effort. After [`NodeConfig::breaker_cooldown`] degraded requests
-//! the breaker half-opens and the next request probes the cache path;
-//! success closes the breaker, failure re-opens it. Requests that
-//! overrun [`NodeConfig::request_deadline`] are answered with a
-//! `Deadline` error instead of stalling the reply stream.
+//! [`ErrorCode`], and a circuit breaker per shard tracks consecutive
+//! failures. After [`NodeConfig::breaker_threshold`] consecutive
+//! cache-path failures a shard flips into **degraded pass-through
+//! mode**: its requests are served directly against the ensemble (dirty
+//! frames stay authoritative), no frames are allocated, and dirty data
+//! is flushed best-effort. After [`NodeConfig::breaker_cooldown`]
+//! degraded requests the breaker half-opens and the next request probes
+//! the cache path; success closes the breaker, failure re-opens it.
+//! Requests that overrun [`NodeConfig::request_deadline`] are answered
+//! with a `Deadline` error instead of stalling the reply stream.
+//!
+//! A panic on a connection thread — also one raised under a shard lock,
+//! e.g. by the backing store — is recorded ([`NodeServer::worker_panics`])
+//! and kills only that connection: the shard mutexes do not poison, and
+//! the node keeps serving every shard.
 //!
 //! # Pipelining and group commit
 //!
-//! Connections accept both plain frames (strictly in-order replies) and
-//! correlation-id envelopes (`0x10` requests answered with `0x90`
-//! replies). A connection serves every request the client has already
-//! pipelined — its *window* — and holds their replies; when no further
-//! request is buffered it commits the durable tier's open group once
-//! (one frame sync, one journal append + sync, whatever the window
-//! staged) and only then sends the replies, in one `write_all`. The
-//! store has one open group, so a connection's commit covers every
-//! mutation any connection staged before it: no reply — not a write's
-//! ack, not a read that saw another connection's still-uncommitted
-//! write — leaves before a commit that covers what it observed. If the
-//! commit fails, or alone overruns the request deadline, every reply of
-//! the window that is not already an error becomes an error reply and
-//! the breaker counts one failure; the group stays open and the next
-//! window's commit retries it.
+//! Connections accept both plain frames and correlation-id envelopes
+//! (`0x10` requests answered with `0x90` replies); replies leave in
+//! arrival order either way. A connection serves every request the
+//! client has already pipelined — its *window* — and holds their
+//! encoded replies; when its read buffer is drained (or 128 replies /
+//! 64 KiB are held) it commits
+//! the durable tier's open group (one frame sync, one journal append +
+//! sync, whatever the window staged) and only then sends the replies,
+//! in one `write_all`. A shard's store has one open group, so a
+//! connection's commit covers every mutation any connection staged on
+//! that shard before it: no reply — not a write's ack, not a read that
+//! saw another connection's still-uncommitted write — leaves before a
+//! commit that covers what it observed. If the commit fails, or alone
+//! overruns the request deadline, every reply of the window that is not
+//! already an error becomes an error reply and the breaker counts one
+//! failure; the group stays open and the next window's commit retries
+//! it.
 
-use std::io::{self, BufReader, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use sievestore_types::obs::{Event, EventSink, FieldValue, NoopSink};
-use sievestore_types::{obs_count, obs_enabled, obs_gauge_adjust, obs_observe, Micros};
+use sievestore_types::{obs_count, obs_enabled, obs_gauge_adjust, obs_observe, shard_of, Micros};
 
 use crate::backing::BackingStore;
-use crate::engine::{Breaker, CacheEngine};
-use crate::protocol::{ErrorCode, Incoming, NodeMode, PipedReply, Reply, Request};
-use crate::store::DataCache;
+use crate::engine::{Breaker, CacheEngine, EngineSnapshot};
+use crate::protocol::{
+    encode_reply_into, split_frame, ErrorCode, Incoming, NodeMode, Reply, Request, MAX_FRAME,
+};
+use crate::store::{DataCache, WritePolicy};
 
 /// Resilience tuning for a [`NodeServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,15 +129,15 @@ impl Default for NodeConfig {
     }
 }
 
-/// Worker-panic bookkeeping shared by both server flavors: shutdown
-/// must never hang (or silently succeed) because a thread died mid-work.
-pub(crate) struct PanicLedger {
+/// Connection-thread panic bookkeeping: shutdown must never hang (or
+/// silently succeed) because a thread died mid-work.
+struct PanicLedger {
     count: AtomicU64,
     first: Mutex<Option<String>>,
 }
 
 impl PanicLedger {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         PanicLedger {
             count: AtomicU64::new(0),
             first: Mutex::new(None),
@@ -116,7 +147,7 @@ impl PanicLedger {
     /// Records one panic, keeping the first payload message so
     /// post-mortems (and `Debug` prints) can say *what* died, not just
     /// how many times.
-    pub(crate) fn record(&self, payload: &(dyn std::any::Any + Send)) {
+    fn record(&self, payload: &(dyn std::any::Any + Send)) {
         self.count.fetch_add(1, Ordering::SeqCst);
         let message = payload
             .downcast_ref::<&'static str>()
@@ -130,16 +161,16 @@ impl PanicLedger {
     }
 
     /// The first recorded panic message, if any.
-    pub(crate) fn first_message(&self) -> Option<String> {
+    fn first_message(&self) -> Option<String> {
         self.first.lock().clone()
     }
 
-    pub(crate) fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.count.load(Ordering::SeqCst)
     }
 
     /// Emits one `node.worker.panic` event if any panic was recorded.
-    pub(crate) fn report(&self, sink: &dyn EventSink) {
+    fn report(&self, sink: &dyn EventSink) {
         let count = self.count();
         if count == 0 {
             return;
@@ -150,21 +181,48 @@ impl PanicLedger {
 
 /// Shared server state.
 struct Shared<B: BackingStore> {
-    engine: Mutex<CacheEngine<B>>,
+    /// The cache, striped: block `key` belongs to
+    /// `shards[shard_of(key, shards.len())]`. See the module docs for
+    /// the lock rule.
+    shards: Vec<Mutex<CacheEngine<B>>>,
     /// Whether the cache has a durable tier, i.e. whether a window's
     /// replies wait for a commit.
     durable: bool,
     config: NodeConfig,
+    sink: Arc<dyn EventSink>,
     /// Microseconds of "trace time" per real microsecond can't be known
     /// here, so the server simply timestamps requests with an atomic
-    /// logical clock advanced per request plus the caller-supplied base.
+    /// logical clock advanced per request.
     clock_us: AtomicU64,
     live_conns: AtomicU64,
     panics: PanicLedger,
     stop: AtomicBool,
 }
 
-/// Builds either server flavor from one fluent configuration.
+impl<B: BackingStore> Shared<B> {
+    /// Locks shard `index`, counting the times a request had to wait
+    /// for it (`node_shard_lock_contended`): the live signal for "is a
+    /// shard lagging / would more stripes help".
+    fn lock(&self, index: usize) -> impl std::ops::DerefMut<Target = CacheEngine<B>> + '_ {
+        let shard = &self.shards[index];
+        shard.try_lock().unwrap_or_else(|| {
+            obs_count!(NodeShardLockContended, 1);
+            shard.lock()
+        })
+    }
+
+    /// Every shard's counters and health, merged; shards are visited
+    /// one at a time in index order.
+    fn snapshot(&self) -> EngineSnapshot {
+        let mut merged = EngineSnapshot::default();
+        for index in 0..self.shards.len() {
+            merged.merge(&self.lock(index).snapshot());
+        }
+        merged
+    }
+}
+
+/// Builds a [`NodeServer`] from one fluent configuration.
 ///
 /// # Examples
 ///
@@ -217,7 +275,8 @@ impl NodeServerBuilder {
 
     /// Attaches a structured event sink receiving every circuit-breaker
     /// mode transition (`node.breaker.transition` events with
-    /// `from`/`to` fields), flush failures and worker panics.
+    /// `from`/`to` fields), flush failures, accept failures and
+    /// connection-thread panics.
     ///
     /// The sink runs inline on request threads, so it must be cheap and
     /// non-blocking (see [`sievestore_types::obs::EventSink`]).
@@ -227,17 +286,16 @@ impl NodeServerBuilder {
         self
     }
 
-    /// Sets the shard-worker count for [`Self::serve_sharded`]; `0`
-    /// (the default) sizes to the machine's available parallelism.
-    /// Ignored by the single-lock flavors.
+    /// Sets the shard count for [`Self::serve_sharded`]; `0` (the
+    /// default) sizes to the machine's available parallelism. Ignored
+    /// by the one-shard entry points.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
-    /// Spawns the single-lock, thread-per-connection server over an
-    /// already-built cache.
+    /// Spawns a one-shard server over an already-built cache.
     ///
     /// # Errors
     ///
@@ -246,11 +304,12 @@ impl NodeServerBuilder {
         self,
         cache: DataCache<B>,
     ) -> io::Result<NodeServer<B>> {
-        NodeServer::start(&self.addr, cache, self.config, self.sink, Breaker::closed())
+        let breaker = Breaker::closed();
+        NodeServer::start(&self.addr, vec![cache], self.config, self.sink, breaker)
     }
 
-    /// Spawns the single-lock server over a durable frame store: opens
-    /// (or formats) the media, runs crash recovery, warms the cache with
+    /// Spawns a one-shard server over a durable frame store: opens (or
+    /// formats) the media, runs crash recovery, warms the cache with
     /// the survivors and starts serving. Emits a
     /// `node.recovery.complete` event with the recovery counters.
     ///
@@ -273,7 +332,7 @@ impl NodeServerBuilder {
         backing: B,
         policy: sievestore::PolicySpec,
         capacity_blocks: usize,
-        write_policy: crate::store::WritePolicy,
+        write_policy: WritePolicy,
         media: crate::durable::DurableMediaSet,
     ) -> io::Result<(NodeServer<B>, Option<crate::durable::RecoveryReport>)> {
         let NodeServerBuilder {
@@ -282,7 +341,7 @@ impl NodeServerBuilder {
         let mut cache = DataCache::new(backing, policy, capacity_blocks)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?
             .with_write_policy(write_policy);
-        let started = obs_enabled!().then(std::time::Instant::now);
+        let started = obs_enabled!().then(Instant::now);
         match crate::durable::DurableStore::open(media, capacity_blocks) {
             Ok(recovery) => {
                 let report = cache.attach_recovery(recovery);
@@ -297,7 +356,8 @@ impl NodeServerBuilder {
                         .with("journal_records", FieldValue::U64(report.journal_records))
                         .with("generation", FieldValue::U64(report.generation as u64)),
                 );
-                let server = NodeServer::start(&addr, cache, config, sink, Breaker::closed())?;
+                let server =
+                    NodeServer::start(&addr, vec![cache], config, sink, Breaker::closed())?;
                 Ok((server, Some(report)))
             }
             Err(err) => {
@@ -310,17 +370,18 @@ impl NodeServerBuilder {
                 // degraded pass-through; the probe path restores
                 // healthy mode on its own.
                 let breaker = Breaker::open(&config);
-                let server = NodeServer::start(&addr, cache, config, sink, breaker)?;
+                let server = NodeServer::start(&addr, vec![cache], config, sink, breaker)?;
                 Ok((server, None))
             }
         }
     }
 
-    /// Spawns the shared-nothing, thread-per-core server: each worker
-    /// owns a disjoint cache slice keyed by
-    /// [`sievestore_types::shard_of`], cross-shard requests hop over
-    /// bounded SPSC rings, and no lock sits on the request path. See
-    /// [`crate::sharded::ShardedNodeServer`].
+    /// Spawns a server striped over [`Self::workers`] shards: each
+    /// shard owns a disjoint cache slice keyed by
+    /// [`sievestore_types::shard_of`] (the capacity split evenly, the
+    /// remainder spread over the first shards) behind its own lock,
+    /// over one shared handle to `backing`. See the
+    /// [module docs](self) for the lock rule.
     ///
     /// # Errors
     ///
@@ -330,41 +391,56 @@ impl NodeServerBuilder {
         backing: B,
         policy: sievestore::PolicySpec,
         capacity_blocks: usize,
-        write_policy: crate::store::WritePolicy,
-    ) -> io::Result<crate::sharded::ShardedNodeServer<B>> {
-        let workers = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        } else {
-            self.workers
+        write_policy: WritePolicy,
+    ) -> io::Result<ShardedNodeServer<B>> {
+        let shards = match self.workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
+            n => n,
         };
-        crate::sharded::ShardedNodeServer::start(
+        if capacity_blocks < shards {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("capacity {capacity_blocks} blocks cannot cover {shards} shards"),
+            ));
+        }
+        let backing = Arc::new(backing);
+        let caches = (0..shards)
+            .map(|index| {
+                // Spread the capacity remainder so the slices sum exactly.
+                let slice =
+                    capacity_blocks / shards + usize::from(index < capacity_blocks % shards);
+                DataCache::new(Arc::clone(&backing), policy.clone(), slice)
+                    .map(|cache| cache.with_write_policy(write_policy))
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        NodeServer::start(
             &self.addr,
-            backing,
-            policy,
-            capacity_blocks,
-            write_policy,
-            workers,
+            caches,
             self.config,
             self.sink,
+            Breaker::closed(),
         )
     }
 }
 
-/// A running SieveStore node (single-lock flavor).
+/// A node striped over several shards, as built by
+/// [`NodeServerBuilder::serve_sharded`]: the same server, with the one
+/// ensemble handle shared by every shard's cache slice.
+pub type ShardedNodeServer<B> = NodeServer<Arc<B>>;
+
+/// A running SieveStore node.
 ///
 /// # Examples
 ///
 /// ```
 /// use sievestore::PolicySpec;
-/// use sievestore_node::{DataCache, MemBacking, NodeClient, NodeServerBuilder};
+/// use sievestore_node::{MemBacking, NodeClient, NodeServerBuilder, WritePolicy};
 ///
 /// # fn main() -> std::io::Result<()> {
-/// let cache = DataCache::new(MemBacking::new(), PolicySpec::Aod, 64)
-///     .expect("valid appliance");
-/// let server = NodeServerBuilder::new("127.0.0.1:0").serve(cache)?;
+/// let server = NodeServerBuilder::new("127.0.0.1:0")
+///     .workers(2)
+///     .serve_sharded(MemBacking::new(), PolicySpec::Aod, 64, WritePolicy::WriteThrough)?;
 ///
 /// let mut client = NodeClient::connect(server.addr())?;
 /// client.write_block(3, &[1u8; 512])?;
@@ -390,7 +466,7 @@ pub struct NodeServer<B: BackingStore + 'static> {
 impl<B: BackingStore + 'static> NodeServer<B> {
     fn start(
         addr: &str,
-        cache: DataCache<B>,
+        caches: Vec<DataCache<B>>,
         config: NodeConfig,
         sink: Arc<dyn EventSink>,
         breaker: Breaker,
@@ -398,9 +474,15 @@ impl<B: BackingStore + 'static> NodeServer<B> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            durable: cache.durable().is_some(),
-            engine: Mutex::new(CacheEngine::new(cache, config, sink, breaker)),
+            durable: caches.iter().any(|cache| cache.durable().is_some()),
+            shards: caches
+                .into_iter()
+                .map(|cache| {
+                    Mutex::new(CacheEngine::new(cache, config, Arc::clone(&sink), breaker))
+                })
+                .collect(),
             config,
+            sink,
             clock_us: AtomicU64::new(0),
             live_conns: AtomicU64::new(0),
             panics: PanicLedger::new(),
@@ -430,14 +512,19 @@ impl<B: BackingStore + 'static> NodeServer<B> {
         self.addr
     }
 
-    /// Aggregate appliance statistics.
-    pub fn stats(&self) -> sievestore::ApplianceStats {
-        *self.shared.engine.lock().cache.stats()
+    /// Number of shards the cache is striped over.
+    pub fn workers(&self) -> usize {
+        self.shared.shards.len()
     }
 
-    /// The node's current health mode.
+    /// Aggregate appliance statistics, summed over the shards.
+    pub fn stats(&self) -> sievestore::ApplianceStats {
+        self.shared.snapshot().stats
+    }
+
+    /// The node's current health mode: the worst of any shard's mode.
     pub fn mode(&self) -> NodeMode {
-        self.shared.engine.lock().mode()
+        self.shared.snapshot().mode
     }
 
     /// Connections currently being served.
@@ -445,9 +532,9 @@ impl<B: BackingStore + 'static> NodeServer<B> {
         self.shared.live_conns.load(Ordering::Relaxed)
     }
 
-    /// Connection-thread panics caught so far. Panics never wedge
-    /// shutdown: they are recorded here and reported as one
-    /// `node.worker.panic` event when the server stops.
+    /// Connection-thread panics caught so far. A panic kills only its
+    /// connection and never wedges shutdown: it is recorded here and
+    /// reported as one `node.worker.panic` event when the server stops.
     pub fn worker_panics(&self) -> u64 {
         self.shared.panics.count()
     }
@@ -478,29 +565,30 @@ impl<B: BackingStore + 'static> NodeServer<B> {
         }
     }
 
-    /// Best-effort dirty-frame flush with bounded retries; failures must
-    /// not panic or hang shutdown on a dead backing, but neither may
-    /// they vanish silently — each failed round is counted
-    /// (`node_flush_failures`) and emits one `node.flush.failed` event,
-    /// and frames that never land remain journaled on the durable store
-    /// (when attached) for the next incarnation to recover.
+    /// Best-effort dirty-frame flush with bounded retries, shard by
+    /// shard; failures must not panic or hang shutdown on a dead
+    /// backing, but neither may they vanish silently — each failed round
+    /// is counted (`node_flush_failures`) and emits one
+    /// `node.flush.failed` event, and frames that never land remain
+    /// journaled on the durable store (when attached) for the next
+    /// incarnation to recover.
     fn flush_on_shutdown(&mut self) {
         if self.flushed {
             return;
         }
         self.flushed = true;
         let retries = self.shared.config.shutdown_flush_retries;
-        // A panicking backing store mid-flush must not escape: this
-        // runs from Drop, where an unwinding panic would abort.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.shared.engine.lock().shutdown_flush(retries);
-        }));
-        if let Err(payload) = result {
-            self.shared.panics.record(payload.as_ref());
+        for shard in &self.shared.shards {
+            // A panicking backing store mid-flush must not escape: this
+            // runs from Drop, where an unwinding panic would abort.
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                shard.lock().shutdown_flush(retries);
+            }));
+            if let Err(payload) = result {
+                self.shared.panics.record(payload.as_ref());
+            }
         }
-        self.shared
-            .panics
-            .report(self.shared.engine.lock().sink().as_ref());
+        self.shared.panics.report(self.shared.sink.as_ref());
     }
 }
 
@@ -528,7 +616,9 @@ fn scrub_loop<B: BackingStore + 'static>(shared: Arc<Shared<B>>, interval: Durat
         elapsed = Duration::ZERO;
         let batch = shared.config.scrub_batch;
         let pass = catch_unwind(AssertUnwindSafe(|| {
-            shared.engine.lock().scrub_pass(batch);
+            for shard in &shared.shards {
+                shard.lock().scrub_pass(batch);
+            }
         }));
         if let Err(payload) = pass {
             shared.panics.record(payload.as_ref());
@@ -537,7 +627,47 @@ fn scrub_loop<B: BackingStore + 'static>(shared: Arc<Shared<B>>, interval: Durat
     }
 }
 
+/// How long the acceptor waits after a failed `accept` before trying
+/// again: persistent failures (`EMFILE`) must not spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Shortest time between two `node.accept.failed` events of one error
+/// kind.
+const ACCEPT_EVENT_INTERVAL: Duration = Duration::from_secs(1);
+
+/// Rate limiter for `node.accept.failed`: when each error kind was last
+/// reported.
+#[derive(Default)]
+struct AcceptFailures {
+    reported: Vec<(io::ErrorKind, Instant)>,
+}
+
+impl AcceptFailures {
+    /// Reports a failed `accept` — at most one event per error kind per
+    /// [`ACCEPT_EVENT_INTERVAL`] — and returns how long to back off.
+    fn note(&mut self, err: &io::Error, now: Instant, sink: &dyn EventSink) -> Duration {
+        let kind = err.kind();
+        let due = match self.reported.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, last)) if now.duration_since(*last) < ACCEPT_EVENT_INTERVAL => false,
+            Some((_, last)) => {
+                *last = now;
+                true
+            }
+            None => {
+                self.reported.push((kind, now));
+                true
+            }
+        };
+        if due {
+            let errno = err.raw_os_error().map_or(-1, i64::from);
+            sink.record(&Event::new("node.accept.failed").with("errno", FieldValue::I64(errno)));
+        }
+        ACCEPT_BACKOFF
+    }
+}
+
 fn accept_loop<B: BackingStore + 'static>(listener: TcpListener, shared: Arc<Shared<B>>) {
+    let mut failures = AcceptFailures::default();
     for stream in listener.incoming() {
         if shared.stop.load(Ordering::SeqCst) {
             break;
@@ -558,12 +688,14 @@ fn accept_loop<B: BackingStore + 'static>(listener: TcpListener, shared: Arc<Sha
                     }
                 });
             }
-            Err(_) => continue,
+            Err(err) => {
+                std::thread::sleep(failures.note(&err, Instant::now(), shared.sink.as_ref()));
+            }
         }
     }
 }
 
-/// Whether a decode failure is the idle timeout firing between frames.
+/// Whether a socket error is the idle timeout firing.
 fn is_idle_timeout(err: &io::Error) -> bool {
     matches!(
         err.kind(),
@@ -583,18 +715,111 @@ impl Drop for ConnGuard<'_> {
 }
 
 /// Most replies a window holds before it is committed and sent even
-/// though the client has more requests buffered (≈ 64 KiB of reads).
+/// though the client has more requests buffered.
 const WINDOW_REPLIES: usize = 128;
 
-/// One connection's replies not yet sent: those of the requests the
-/// client had already pipelined when the window opened.
+/// Most reply bytes a window holds before it is committed and sent.
+const WINDOW_BYTES: usize = 64 * 1024;
+
+/// A connection's read buffer: room for many pipelined small frames,
+/// and always for one frame of the largest legal size.
+const READ_BUFFER: usize = 64 * 1024;
+
+/// One connection's unparsed inbound bytes, `buf[start..end]`.
+struct ReadBuffer {
+    buf: Box<[u8]>,
+    start: usize,
+    end: usize,
+}
+
+impl ReadBuffer {
+    fn new() -> Self {
+        ReadBuffer {
+            buf: vec![0; READ_BUFFER].into_boxed_slice(),
+            start: 0,
+            end: 0,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// Blocks until the socket yields more bytes; `Ok(0)` is EOF.
+    fn fill(&mut self, stream: &mut TcpStream) -> io::Result<usize> {
+        if self.is_empty() {
+            (self.start, self.end) = (0, 0);
+        } else if self.buf.len() - self.end < 4 + MAX_FRAME as usize {
+            // Keep room for the rest of the largest frame.
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        loop {
+            match stream.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Splits the next complete frame off the front and parses it;
+    /// `None` when the buffer holds no complete frame.
+    fn next_frame(&mut self) -> Option<io::Result<Incoming>> {
+        let pending = &self.buf[self.start..self.end];
+        match split_frame(pending) {
+            Ok(None) => None,
+            Ok(Some((consumed, payload))) => {
+                let incoming = Incoming::parse(&pending[payload]);
+                self.start += consumed;
+                Some(incoming)
+            }
+            Err(e) => Some(Err(e)),
+        }
+    }
+}
+
+/// One connection's replies not yet sent — those of the requests the
+/// client had already pipelined when the window opened — encoded back
+/// to back in `out`.
+#[derive(Default)]
 struct Window {
-    held: Vec<(Option<u32>, Reply)>,
     out: Vec<u8>,
+    /// `(offset in out, correlation id, is an error)` per held reply:
+    /// what a failed commit needs to rewrite every non-error reply.
+    held: Vec<(usize, Option<u32>, bool)>,
 }
 
 impl Window {
-    /// Commits the durable group (so every mutation the held replies
+    /// Holds `reply`.
+    fn push(&mut self, corr: Option<u32>, reply: &Reply) {
+        let error = matches!(reply, Reply::Error { .. });
+        self.held.push((self.out.len(), corr, error));
+        encode_reply_into(&mut self.out, corr, reply);
+    }
+
+    /// Holds the read reply `serve` appends to the output buffer, or
+    /// the error it returns instead.
+    fn push_read(
+        &mut self,
+        corr: Option<u32>,
+        serve: impl FnOnce(&mut Vec<u8>) -> Result<(), Reply>,
+    ) {
+        let offset = self.out.len();
+        match serve(&mut self.out) {
+            Ok(()) => self.held.push((offset, corr, false)),
+            Err(reply) => self.push(corr, &reply),
+        }
+    }
+
+    fn is_full(&self) -> bool {
+        self.held.len() >= WINDOW_REPLIES || self.out.len() >= WINDOW_BYTES
+    }
+
+    /// Commits the durable groups (so every mutation the held replies
     /// acknowledge or observed is durable), then sends the replies. No
     /// reply reaches the socket anywhere else.
     fn release<B: BackingStore>(
@@ -606,95 +831,212 @@ impl Window {
             return Ok(());
         }
         if shared.durable {
-            if let Err(failure) = shared.engine.lock().commit() {
-                for (_, reply) in &mut self.held {
-                    if !matches!(reply, Reply::Error { .. }) {
-                        *reply = failure.clone();
-                    }
+            // Every shard commits, in index order, whatever the others
+            // did; the window fails as one if any of them failed.
+            let mut failure = None;
+            for index in 0..shared.shards.len() {
+                if let Err(reply) = shared.lock(index).commit() {
+                    failure.get_or_insert(reply);
                 }
             }
-        }
-        self.out.clear();
-        for (corr, reply) in self.held.drain(..) {
-            match corr {
-                None => reply.encode_into(&mut self.out),
-                Some(corr) => PipedReply { corr, reply }.encode_into(&mut self.out),
+            if let Some(failure) = failure {
+                self.fail(&failure);
             }
         }
-        stream.write_all(&self.out)
+        let sent = stream.write_all(&self.out);
+        self.out.clear();
+        self.held.clear();
+        sent
+    }
+
+    /// Replaces every held reply that is not already an error with
+    /// `failure`, keeping order and correlation ids.
+    fn fail(&mut self, failure: &Reply) {
+        let replies = std::mem::take(&mut self.out);
+        let mut ends = self.held.iter().skip(1).map(|&(offset, ..)| offset);
+        for &(offset, corr, error) in &self.held {
+            let end = ends.next().unwrap_or(replies.len());
+            if error {
+                self.out.extend_from_slice(&replies[offset..end]);
+            } else {
+                encode_reply_into(&mut self.out, corr, failure);
+            }
+        }
     }
 }
 
 fn serve_connection<B: BackingStore + 'static>(
     mut stream: TcpStream,
-    shared: &Arc<Shared<B>>,
+    shared: &Shared<B>,
 ) -> io::Result<()> {
     shared.live_conns.fetch_add(1, Ordering::Relaxed);
     obs_gauge_adjust!(NodeLiveConnections, 1);
     let _guard = ConnGuard(&shared.live_conns);
     stream.set_nodelay(true).ok();
+    // One timeout for both directions: a client that stops sending is
+    // idle, and one that pipelines but never reads its replies must not
+    // pin this thread in `write_all` for good either.
     stream.set_read_timeout(shared.config.idle_timeout).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut window = Window {
-        held: Vec::new(),
-        out: Vec::new(),
-    };
+    stream.set_write_timeout(shared.config.idle_timeout).ok();
+    let mut inbound = ReadBuffer::new();
+    let mut window = Window::default();
     loop {
-        let incoming = match Incoming::decode(&mut reader) {
-            Ok(req) => req,
+        match inbound.fill(&mut stream) {
+            Ok(n) if n > 0 => {}
             // EOF, or the idle timeout between frames: close quietly
             // (the client reconnects transparently on its next request).
             // A window is only still held here if the stream ended
             // mid-frame; its replies are owed all the same.
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof || is_idle_timeout(&e) => {
-                return window.release(shared, &mut stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                window.held.push((
-                    None,
-                    Reply::Error {
+            Ok(_) => return window.release(shared, &mut stream),
+            Err(e) if is_idle_timeout(&e) => return window.release(shared, &mut stream),
+            Err(e) => return Err(e),
+        }
+        while let Some(incoming) = inbound.next_frame() {
+            let (corr, request) = match incoming {
+                Ok(Incoming::Plain(request)) => (None, request),
+                Ok(Incoming::Piped(piped)) => (Some(piped.corr), piped.request),
+                Err(e) => {
+                    let reply = Reply::Error {
                         code: ErrorCode::Protocol,
                         message: e.to_string(),
-                    },
-                ));
+                    };
+                    window.push(None, &reply);
+                    return window.release(shared, &mut stream);
+                }
+            };
+            if !serve_request(shared, &mut window, corr, request) {
                 return window.release(shared, &mut stream);
             }
-            Err(e) => return Err(e),
-        };
-        let (corr, request) = match incoming {
-            Incoming::Plain(request) => (None, request),
-            Incoming::Piped(piped) => (Some(piped.corr), piped.request),
-        };
-        // Logical per-request clock: one millisecond of trace time per
-        // request keeps sieving windows moving deterministically.
-        let now = Micros::new(shared.clock_us.fetch_add(1_000, Ordering::Relaxed));
-        let reply = match request {
-            Request::Read { key } => shared.engine.lock().handle_read(key, now),
-            Request::Write { key, data } => shared.engine.lock().handle_write(key, &data, now),
-            Request::Stats => {
-                let engine = shared.engine.lock();
-                let snap = engine.snapshot();
-                Reply::Stats {
-                    read_hits: snap.stats.read_hits,
-                    write_hits: snap.stats.write_hits,
-                    read_misses: snap.stats.read_misses,
-                    write_misses: snap.stats.write_misses,
-                    allocation_writes: snap.stats.allocation_writes,
-                    resident_blocks: snap.resident_blocks,
-                    degraded_reads: snap.degraded_reads,
-                    degraded_writes: snap.degraded_writes,
-                    mode: engine.mode(),
-                }
+            if window.is_full() {
+                window.release(shared, &mut stream)?;
             }
-            Request::Flush => shared.engine.lock().handle_flush(),
-            Request::Quit => return window.release(shared, &mut stream),
-        };
-        window.held.push((corr, reply));
+        }
         // The window closes when the client has nothing further
         // buffered (a pipelining client keeps the buffer full): one
-        // commit and one socket write for all of it.
-        if reader.buffer().is_empty() || window.held.len() >= WINDOW_REPLIES {
+        // commit and one socket write for all of it. The first bytes of
+        // a frame keep it open — the rest is already on its way.
+        if inbound.is_empty() {
             window.release(shared, &mut stream)?;
         }
+    }
+}
+
+/// Serves one request into `window`, under at most one shard lock at a
+/// time. Returns `false` for `Quit`.
+fn serve_request<B: BackingStore>(
+    shared: &Shared<B>,
+    window: &mut Window,
+    corr: Option<u32>,
+    request: Request,
+) -> bool {
+    // Logical per-request clock: one millisecond of trace time per
+    // read/write, globally ordered, keeps sieving windows moving
+    // deterministically whatever the shard count.
+    let tick = || Micros::new(shared.clock_us.fetch_add(1_000, Ordering::Relaxed));
+    let owner = |key| shard_of(key, shared.shards.len());
+    match request {
+        Request::Read { key } => {
+            let now = tick();
+            window.push_read(corr, |out| {
+                shared.lock(owner(key)).handle_read(key, now, corr, out)
+            });
+        }
+        Request::Write { key, data } => {
+            let now = tick();
+            let reply = shared.lock(owner(key)).handle_write(key, &data, now);
+            window.push(corr, &reply);
+        }
+        Request::Stats => {
+            let snap = shared.snapshot();
+            let reply = Reply::Stats {
+                read_hits: snap.stats.read_hits,
+                write_hits: snap.stats.write_hits,
+                read_misses: snap.stats.read_misses,
+                write_misses: snap.stats.write_misses,
+                allocation_writes: snap.stats.allocation_writes,
+                resident_blocks: snap.resident_blocks,
+                degraded_reads: snap.degraded_reads,
+                degraded_writes: snap.degraded_writes,
+                mode: snap.mode,
+            };
+            window.push(corr, &reply);
+        }
+        Request::Flush => {
+            // Every shard flushes, in index order; the first failure is
+            // the reply, as a single cache's flush reports its first.
+            let mut total = 0;
+            let mut failure = None;
+            for index in 0..shared.shards.len() {
+                match shared.lock(index).handle_flush() {
+                    Reply::Flush { flushed } => total += flushed,
+                    other => failure = failure.or(Some(other)),
+                }
+            }
+            window.push(corr, &failure.unwrap_or(Reply::Flush { flushed: total }));
+        }
+        Request::Quit => return false,
+    }
+    true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sievestore_types::obs::CapturingSink;
+
+    #[test]
+    fn accept_failures_back_off_and_report_once_per_kind_per_second() {
+        let sink = CapturingSink::new();
+        let mut failures = AcceptFailures::default();
+        let t0 = Instant::now();
+        let emfile = || io::Error::from_raw_os_error(24);
+        // A burst of one kind: every failure backs off, one is reported.
+        for ms in 0..50 {
+            let wait = failures.note(&emfile(), t0 + Duration::from_millis(ms), &sink);
+            assert_eq!(wait, ACCEPT_BACKOFF);
+        }
+        assert_eq!(sink.events().len(), 1);
+        // Another kind is reported in its own right.
+        let reset = io::Error::from(io::ErrorKind::ConnectionAborted);
+        failures.note(&reset, t0 + Duration::from_millis(60), &sink);
+        failures.note(&reset, t0 + Duration::from_millis(70), &sink);
+        assert_eq!(sink.events().len(), 2);
+        // A second later the persistent kind is reported again, once.
+        failures.note(&emfile(), t0 + Duration::from_millis(1_000), &sink);
+        failures.note(&emfile(), t0 + Duration::from_millis(1_010), &sink);
+        let events = sink.take();
+        assert_eq!(events.len(), 3);
+        assert!(events.iter().all(|e| e.name == "node.accept.failed"));
+        assert_eq!(
+            events[0].field("errno").expect("errno").to_string(),
+            "24",
+            "the OS error code rides along"
+        );
+    }
+
+    #[test]
+    fn a_failed_window_rewrites_every_reply_that_is_not_an_error() {
+        let ok = Reply::Write { hit: true };
+        let error = Reply::Error {
+            code: ErrorCode::Fatal,
+            message: "already failed".into(),
+        };
+        let failure = Reply::Error {
+            code: ErrorCode::Transient,
+            message: "durable commit failed".into(),
+        };
+        let mut window = Window::default();
+        window.push(None, &ok);
+        window.push(Some(7), &error);
+        window.push_read(Some(8), |out| {
+            crate::protocol::encode_read_into(out, Some(8), true, &[9; 512]);
+            Ok(())
+        });
+        window.fail(&failure);
+        let mut expect = Vec::new();
+        encode_reply_into(&mut expect, None, &failure);
+        encode_reply_into(&mut expect, Some(7), &error);
+        encode_reply_into(&mut expect, Some(8), &failure);
+        assert_eq!(window.out, expect);
     }
 }

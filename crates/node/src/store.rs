@@ -477,27 +477,36 @@ impl<B: BackingStore> DataCache<B> {
     ///
     /// Propagates backing-store failures.
     pub fn read_staged(&mut self, key: u64, now: Micros) -> io::Result<(Block, DataOutcome)> {
+        self.read_staged_with(key, now, |data, outcome| (*data, outcome))
+    }
+
+    /// The one read body: [`Self::read_staged`] with the block lent to
+    /// `serve` instead of copied out — a hit lends the resident frame
+    /// itself, so the node encodes its reply frame → output buffer in
+    /// one copy.
+    pub(crate) fn read_staged_with<R>(
+        &mut self,
+        key: u64,
+        now: Micros,
+        serve: impl FnOnce(&Block, DataOutcome) -> R,
+    ) -> io::Result<R> {
         let outcome = self.store.access(key, RequestKind::Read, now);
         if outcome.is_hit() {
             // A hit without a frame would be an internal inconsistency;
             // fall back to the backing store instead of panicking.
-            if let Some(data) = self.frame_copy(key) {
-                return Ok((
-                    data,
-                    DataOutcome {
-                        hit: true,
-                        allocated: false,
-                    },
-                ));
+            if let Some(frame) = self.frames.get(key).and_then(|f| f.as_deref()) {
+                let outcome = DataOutcome {
+                    hit: true,
+                    allocated: false,
+                };
+                return Ok(serve(frame, outcome));
             }
             let data = self.backing.read_block(key)?;
-            return Ok((
-                data,
-                DataOutcome {
-                    hit: false,
-                    allocated: false,
-                },
-            ));
+            let outcome = DataOutcome {
+                hit: false,
+                allocated: false,
+            };
+            return Ok(serve(&data, outcome));
         }
         // A dirty frame is authoritative even when the policy calls the
         // access a miss (recovery can leave a dirty frame the policy did
@@ -514,7 +523,7 @@ impl<B: BackingStore> DataCache<B> {
             _ => self.backing.read_block(key)?,
         };
         let result = self.apply_outcome(key, outcome, Some(&data), still_dirty)?;
-        Ok((data, result))
+        Ok(serve(&data, result))
     }
 
     /// Writes one block through the cache, honouring the write policy.

@@ -103,6 +103,8 @@ pub enum CounterId {
     ClientReconnects,
     /// Dirty frames left stranded by a failed shutdown-flush round.
     NodeFlushFailures,
+    /// Requests that found their shard's lock held and had to wait.
+    NodeShardLockContended,
     /// Frames restored (warm) from durable media on recovery.
     DurableRecoveredFrames,
     /// Frames quarantined for failed checksums (torn/rotted media).
@@ -123,7 +125,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in canonical (serialization) order.
-    pub const ALL: [CounterId; 26] = [
+    pub const ALL: [CounterId; 27] = [
         CounterId::ReplayEventsRouted,
         CounterId::ReplayBatchesSent,
         CounterId::ReplayDayBoundaries,
@@ -142,6 +144,7 @@ impl CounterId {
         CounterId::ClientRetries,
         CounterId::ClientReconnects,
         CounterId::NodeFlushFailures,
+        CounterId::NodeShardLockContended,
         CounterId::DurableRecoveredFrames,
         CounterId::DurableQuarantinedFrames,
         CounterId::DurableLostDirtyFrames,
@@ -173,6 +176,7 @@ impl CounterId {
             CounterId::ClientRetries => "client_retries",
             CounterId::ClientReconnects => "client_reconnects",
             CounterId::NodeFlushFailures => "node_flush_failures",
+            CounterId::NodeShardLockContended => "node_shard_lock_contended",
             CounterId::DurableRecoveredFrames => "durable_recovered_frames",
             CounterId::DurableQuarantinedFrames => "durable_quarantined_frames",
             CounterId::DurableLostDirtyFrames => "durable_lost_dirty_frames",
@@ -203,17 +207,14 @@ pub enum GaugeId {
     MctTrackedBlocks,
     /// TCP connections currently served by node servers.
     NodeLiveConnections,
-    /// Requests queued on node shard-worker rings (summed over workers).
-    NodeWorkerQueueDepth,
 }
 
 impl GaugeId {
     /// Every gauge, in canonical (serialization) order.
-    pub const ALL: [GaugeId; 4] = [
+    pub const ALL: [GaugeId; 3] = [
         GaugeId::CacheResidentFrames,
         GaugeId::MctTrackedBlocks,
         GaugeId::NodeLiveConnections,
-        GaugeId::NodeWorkerQueueDepth,
     ];
 
     /// The gauge's stable snake-case name.
@@ -222,7 +223,6 @@ impl GaugeId {
             GaugeId::CacheResidentFrames => "cache_resident_frames",
             GaugeId::MctTrackedBlocks => "mct_tracked_blocks",
             GaugeId::NodeLiveConnections => "node_live_connections",
-            GaugeId::NodeWorkerQueueDepth => "node_worker_queue_depth",
         }
     }
 
@@ -1079,13 +1079,15 @@ mod tests {
             snap.to_json_line(),
             "{\"counters\":{},\"gauges\":{},\"hists\":{}}"
         );
+        snap.set_counter(CounterId::NodeShardLockContended, 3);
         snap.set_counter(CounterId::CacheHits, 12);
         snap.set_gauge(GaugeId::MctTrackedBlocks, -1);
         snap.histogram_mut(HistId::NodeReadNanos).buckets[3] = 2;
         let line = snap.to_json_line();
         assert_eq!(
             line,
-            "{\"counters\":{\"cache_hits\":12},\"gauges\":{\"mct_tracked_blocks\":-1},\
+            "{\"counters\":{\"cache_hits\":12,\"node_shard_lock_contended\":3},\
+             \"gauges\":{\"mct_tracked_blocks\":-1},\
              \"hists\":{\"node_read_ns\":{\"4\":2}}}"
         );
         // Equal snapshots serialize to identical bytes.

@@ -11,172 +11,6 @@
 //!   `Sender`/`Receiver` names, used by the sharded replay engine to
 //!   stream work to its partition workers.
 
-/// Bounded single-producer single-consumer rings (the surface of the
-/// `crossbeam`-family `rtrb`/`ArrayQueue` idiom, restricted to SPSC).
-///
-/// A fixed-capacity circular buffer with one producer handle and one
-/// consumer handle. Push and pop are wait-free: each side owns its own
-/// index and only *loads* the other side's, so the hot path is two
-/// atomic operations and a slot move — no locks, no allocation. The
-/// sharded node server uses one ring per ordered worker pair to forward
-/// cross-shard requests without any shared lock.
-pub mod spsc {
-    use std::cell::UnsafeCell;
-    use std::mem::MaybeUninit;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    /// Cache-line padding so the producer's and consumer's indices never
-    /// share a line (the classic false-sharing trap in ring buffers).
-    #[repr(align(64))]
-    struct CachePadded<T>(T);
-
-    struct Ring<T> {
-        /// Slot storage; slot `i % capacity` is owned by the producer
-        /// until published (tail passes it), then by the consumer until
-        /// consumed (head passes it).
-        slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-        /// Next slot the consumer will take.
-        head: CachePadded<AtomicUsize>,
-        /// Next slot the producer will fill.
-        tail: CachePadded<AtomicUsize>,
-    }
-
-    // SAFETY: the head/tail protocol hands each slot to exactly one side
-    // at a time; `T: Send` is all that crossing threads requires.
-    unsafe impl<T: Send> Sync for Ring<T> {}
-    unsafe impl<T: Send> Send for Ring<T> {}
-
-    impl<T> Drop for Ring<T> {
-        fn drop(&mut self) {
-            let head = self.head.0.load(Ordering::Relaxed);
-            let tail = self.tail.0.load(Ordering::Relaxed);
-            for i in head..tail {
-                let slot = &self.slots[i % self.slots.len()];
-                // SAFETY: slots in [head, tail) hold initialized values
-                // that neither side will touch again (both handles are
-                // gone once the ring drops).
-                unsafe { (*slot.get()).assume_init_drop() };
-            }
-        }
-    }
-
-    /// The producing half of a ring; `Send` but not clonable — exactly
-    /// one producer may exist.
-    pub struct Producer<T> {
-        ring: Arc<Ring<T>>,
-        /// Cached head: the producer re-reads the shared head only when
-        /// the cache says the ring looks full.
-        head_cache: usize,
-    }
-
-    /// The consuming half of a ring; `Send` but not clonable.
-    pub struct Consumer<T> {
-        ring: Arc<Ring<T>>,
-        /// Cached tail, refreshed only when the ring looks empty.
-        tail_cache: usize,
-    }
-
-    /// Creates a bounded SPSC ring holding at most `capacity` values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
-        assert!(capacity > 0, "spsc ring capacity must be nonzero");
-        let slots = (0..capacity)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let ring = Arc::new(Ring {
-            slots,
-            head: CachePadded(AtomicUsize::new(0)),
-            tail: CachePadded(AtomicUsize::new(0)),
-        });
-        (
-            Producer {
-                ring: Arc::clone(&ring),
-                head_cache: 0,
-            },
-            Consumer {
-                ring,
-                tail_cache: 0,
-            },
-        )
-    }
-
-    impl<T> Producer<T> {
-        /// Appends `value`, or returns it back if the ring is full.
-        ///
-        /// # Errors
-        ///
-        /// Returns `Err(value)` when every slot is occupied.
-        pub fn push(&mut self, value: T) -> Result<(), T> {
-            let tail = self.ring.tail.0.load(Ordering::Relaxed);
-            if tail - self.head_cache == self.ring.slots.len() {
-                self.head_cache = self.ring.head.0.load(Ordering::Acquire);
-                if tail - self.head_cache == self.ring.slots.len() {
-                    return Err(value);
-                }
-            }
-            let slot = &self.ring.slots[tail % self.ring.slots.len()];
-            // SAFETY: slot `tail` is unpublished, so the producer owns it.
-            unsafe { (*slot.get()).write(value) };
-            self.ring.tail.0.store(tail + 1, Ordering::Release);
-            Ok(())
-        }
-
-        /// Messages currently queued (racy snapshot, like `Sender::len`).
-        pub fn len(&self) -> usize {
-            let tail = self.ring.tail.0.load(Ordering::Relaxed);
-            let head = self.ring.head.0.load(Ordering::Relaxed);
-            tail.saturating_sub(head)
-        }
-
-        /// Whether no message is queued right now.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// The fixed slot count.
-        pub fn capacity(&self) -> usize {
-            self.ring.slots.len()
-        }
-    }
-
-    impl<T> Consumer<T> {
-        /// Takes the oldest queued value, or `None` when the ring is
-        /// empty.
-        pub fn pop(&mut self) -> Option<T> {
-            let head = self.ring.head.0.load(Ordering::Relaxed);
-            if head == self.tail_cache {
-                self.tail_cache = self.ring.tail.0.load(Ordering::Acquire);
-                if head == self.tail_cache {
-                    return None;
-                }
-            }
-            let slot = &self.ring.slots[head % self.ring.slots.len()];
-            // SAFETY: slot `head` was published by the producer and not
-            // yet consumed, so the consumer owns it.
-            let value = unsafe { (*slot.get()).assume_init_read() };
-            self.ring.head.0.store(head + 1, Ordering::Release);
-            Some(value)
-        }
-
-        /// Messages currently queued (racy snapshot).
-        pub fn len(&self) -> usize {
-            let tail = self.ring.tail.0.load(Ordering::Relaxed);
-            let head = self.ring.head.0.load(Ordering::Relaxed);
-            tail.saturating_sub(head)
-        }
-
-        /// Whether no message is queued right now.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-}
-
 /// Scoped threads (the `crossbeam::thread` module surface).
 pub mod thread {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -440,76 +274,6 @@ mod tests {
             Err(channel::TryRecvError::Disconnected)
         ));
         assert!(rx.recv().is_err());
-    }
-
-    #[test]
-    fn spsc_ring_rejects_overflow_and_preserves_order() {
-        let (mut tx, mut rx) = super::spsc::ring::<u32>(4);
-        assert_eq!(tx.capacity(), 4);
-        assert!(tx.is_empty() && rx.is_empty());
-        for i in 0..4 {
-            tx.push(i).unwrap();
-        }
-        assert_eq!(tx.push(99), Err(99), "full ring returns the value");
-        assert_eq!(tx.len(), 4);
-        assert_eq!(rx.pop(), Some(0));
-        tx.push(4).unwrap();
-        for expect in 1..=4 {
-            assert_eq!(rx.pop(), Some(expect));
-        }
-        assert_eq!(rx.pop(), None);
-    }
-
-    #[test]
-    fn spsc_ring_streams_across_threads() {
-        let (mut tx, mut rx) = super::spsc::ring::<u64>(8);
-        thread::scope(|scope| {
-            scope.spawn(move |_| {
-                for i in 0..10_000u64 {
-                    let mut v = i;
-                    while let Err(back) = tx.push(v) {
-                        v = back;
-                        std::hint::spin_loop();
-                    }
-                }
-            });
-            let mut expect = 0u64;
-            while expect < 10_000 {
-                if let Some(got) = rx.pop() {
-                    assert_eq!(got, expect, "ring must preserve order");
-                    expect += 1;
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        })
-        .expect("no panics");
-    }
-
-    #[test]
-    fn spsc_ring_drops_undelivered_values() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct Counted(#[allow(dead_code)] Arc<()>);
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let (mut tx, mut rx) = super::spsc::ring::<Counted>(4);
-        let token = Arc::new(());
-        for _ in 0..3 {
-            assert!(tx.push(Counted(Arc::clone(&token))).is_ok());
-        }
-        drop(rx.pop());
-        let before = DROPS.load(Ordering::SeqCst);
-        drop((tx, rx));
-        assert_eq!(
-            DROPS.load(Ordering::SeqCst) - before,
-            2,
-            "undelivered slots must drop their values"
-        );
     }
 
     #[test]

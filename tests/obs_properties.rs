@@ -40,22 +40,23 @@ fn values() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(any::<u64>(), 0..40)
 }
 
-/// Arbitrary registry snapshots: every counter populated, both gauges,
-/// and one histogram chosen dependently via `prop_flat_map`.
+/// Arbitrary registry snapshots: every counter and every gauge
+/// populated, and one histogram chosen dependently via `prop_flat_map`.
 fn snapshot_strategy() -> impl Strategy<Value = MetricsSnapshot> {
     (
         proptest::collection::vec(0u64..1 << 30, CounterId::ALL.len()),
-        (-1_000i64..1_000, -1_000i64..1_000),
+        proptest::collection::vec(-1_000i64..1_000, GaugeId::ALL.len()),
         (0usize..HistId::ALL.len())
             .prop_flat_map(|idx| (Just(idx), proptest::collection::vec(any::<u64>(), 0..32))),
     )
-        .prop_map(|(counters, (frames, tracked), (hist_idx, hist_values))| {
+        .prop_map(|(counters, gauges, (hist_idx, hist_values))| {
             let mut snap = MetricsSnapshot::empty();
             for (id, v) in CounterId::ALL.into_iter().zip(counters) {
                 snap.set_counter(id, v);
             }
-            snap.set_gauge(GaugeId::CacheResidentFrames, frames);
-            snap.set_gauge(GaugeId::MctTrackedBlocks, tracked);
+            for (id, v) in GaugeId::ALL.into_iter().zip(gauges) {
+                snap.set_gauge(id, v);
+            }
             snap.histogram_mut(HistId::ALL[hist_idx])
                 .merge(&hist_from(&hist_values));
             snap
