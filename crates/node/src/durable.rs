@@ -53,31 +53,57 @@
 //!
 //! The unit of durability is the **group**: every mutation staged
 //! ([`DurableStore::stage_put`], [`DurableStore::stage_evict`],
-//! [`DurableStore::stage_mark_clean`]) since the last
-//! [`DurableStore::commit`]. Staging writes the frame record to a fresh
-//! slot *without* syncing and buffers the 32-byte journal record in
-//! memory; `commit` then runs
+//! [`DurableStore::stage_mark_clean`]) since the last commit. Staging is
+//! memory-only: the encoded 544-byte frame record, addressed to a fresh
+//! slot, and its 32-byte journal record are appended to the open group;
+//! no device is touched.
 //!
-//! 1. `frames.sync()` — if any frame was staged;
-//! 2. one `write_at(journal_end, group's records)` and one
-//!    `journal.sync()`;
-//! 3. the slots the group released join the free list.
+//! # Commit pipeline
+//!
+//! The devices sit behind two locks of their own (frames, journal), not
+//! behind whatever guards the store, and one procedure lands a group:
+//!
+//! 1. **seal** — under the frames lock, and briefly the store's guard:
+//!    take the open group (frame bytes, slots, journal bytes, released
+//!    slots, highest sequence number);
+//! 2. **stage 1** — write the frames (adjacent slots in one write) and
+//!    sync the segment;
+//! 3. **stage 2** — take the journal lock *before* letting go of the
+//!    frames lock, so groups reach the journal in the order they were
+//!    sealed; one append at the journal's end, one sync;
+//! 4. **finish** — still under the journal lock, and briefly the
+//!    store's guard: the slots the group released join the free list,
+//!    and the durable high-water mark moves to the group's last record.
+//!
+//! While one group is in stage 2 the next can be sealed and in stage 1:
+//! two syncs overlap, and the store's guard is never held across I/O.
+//! Lock order is frames → journal → store guard, never the reverse.
+//! [`DurableStore::commit`] is that procedure run by a single owner;
+//! [`crate::NodeServer`] runs it from connection threads, under the
+//! shard lock for steps 1 and 4 only, and skips it when the high-water
+//! mark already covers all that was staged.
 //!
 //! Two rules make a power cut anywhere in that sequence equivalent to a
 //! cut between two records of a one-record-at-a-time journal. **A
 //! journal record never reaches the media before its frame is synced**
-//! (records wait in memory until step 2), so whatever prefix of the
-//! group's records survives the cut, every frame it names is intact.
-//! **A slot released inside the open group is not reused inside it**
-//! (it waits until step 3), so no staged frame can overwrite a slot the
-//! on-media journal still vouches for. A torn append leaves a record
-//! prefix, which recovery's replay accepts and truncates after.
+//! (stage 2 follows stage 1, and journal order is seal order), so
+//! whatever prefix of the records survives the cut, every frame it names
+//! is intact. **A slot released inside a group is not reused until that
+//! group's records are durable** (step 4), so no frame can overwrite a
+//! slot the on-media journal still vouches for. A torn append leaves a
+//! record prefix, which recovery's replay accepts and truncates after.
+//! Frames reach the media at commit, not when staged, so the crash
+//! states are a subset of those of write-at-stage-time.
 //!
-//! A failed commit leaves the group open — its records and released
-//! slots are kept, nothing in it was acknowledged — and the next commit
-//! retries all of it. [`DurableStore::put`], [`DurableStore::evict`],
-//! [`DurableStore::mark_clean`] and [`DurableStore::shutdown`] are
-//! groups of one: stage, then commit, durable on return.
+//! Nothing of a failed land was acknowledged, and all of it is retried
+//! ahead of newer work. A group whose stage 1 failed returns to the head
+//! of the open group and is *written* again — a failed `fdatasync`
+//! reports once and leaves the pages clean, so syncing again proves
+//! nothing. Records whose stage 2 failed wait at the journal as the
+//! **carry**, which the next stage 2 writes ahead of its own records:
+//! a later group's `MarkClean`/`Evict` never reaches the journal without
+//! the `Alloc*` it follows. [`DurableStore::put`], `evict`, `mark_clean`
+//! and `shutdown` are groups of one: stage, commit, durable on return.
 //!
 //! The three crash-consistency invariants this buys (proved by the
 //! property suite in `tests/crash_consistency.rs`, per operation and per
@@ -88,13 +114,20 @@
 //!    holds it; recovery can only lose warmth);
 //! 3. **acked write-back dirty data survives restart**, at exactly the
 //!    acked payload.
+//!
+//! A pipeline is as deep as the free list allows: a store formatted
+//! with `SPARE_SLOTS` beyond a *full* cache has eight slots to stage
+//! into before a request must wait for a group in flight to finish.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::Arc;
 
-use sievestore_types::{DurableError, U64Map, BLOCK_SIZE};
+use parking_lot::Mutex;
+use sievestore_types::{obs_count, obs_observe, DurableError, U64Map, BLOCK_SIZE};
 
 use crate::backing::Block;
 
@@ -654,28 +687,192 @@ impl DurableMediaSet {
     }
 }
 
-/// Which journal file is taking appends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ActiveJournal {
-    A,
-    B,
+/// One group of staged mutations, encoded: one `FRAME_RECORD_LEN` record
+/// in `frames` per entry of `slots`; `records` in sequence order.
+#[derive(Default)]
+struct Group {
+    frames: Vec<u8>,
+    slots: Vec<u32>,
+    records: Vec<u8>,
+    /// Slots the group released: the on-media journal vouches for them
+    /// until `records` are durable, so they join `free` only then.
+    frees: Vec<u32>,
+    /// Highest sequence number in `records`.
+    high_seq: u64,
+}
+
+impl Group {
+    /// Appends `later`, a group staged after everything in `self`.
+    fn absorb(&mut self, later: &mut Group) {
+        self.frames.append(&mut later.frames);
+        self.slots.append(&mut later.slots);
+        self.records.append(&mut later.records);
+        self.frees.append(&mut later.frees);
+        self.high_seq = self.high_seq.max(later.high_seq);
+    }
+
+    /// Stage 1: every frame to its slot (adjacent slots in one write), sync.
+    fn write_frames(&self, media: &mut dyn Media) -> io::Result<()> {
+        let mut start = 0;
+        for i in 1..=self.slots.len() {
+            if i == self.slots.len() || self.slots[i] != self.slots[i - 1] + 1 {
+                media.write_at(
+                    DurableStore::slot_offset(self.slots[start]),
+                    &self.frames[start * FRAME_RECORD_LEN..i * FRAME_RECORD_LEN],
+                )?;
+                start = i;
+            }
+        }
+        media.sync()
+    }
+}
+
+/// The journal device pair and what is sealed but not yet durable on it.
+struct Journal {
+    /// Journal files A and B, and which of them is taking appends.
+    media: [Box<dyn Media>; 2],
+    active: usize,
+    /// Append offset in the active journal.
+    end: u64,
+    /// Records (and their frees) past stage 1, oldest first: the group
+    /// in stage 2 behind whatever a failed stage 2 left here.
+    carry: Group,
+}
+
+impl Journal {
+    /// Rewrites `records` (the live state) into the inactive journal and
+    /// publishes it by writing its header (generation `new_gen`) last. A
+    /// crash at any step leaves the previous journal authoritative.
+    fn compact(&mut self, records: &[u8], new_gen: u32) -> io::Result<()> {
+        let target = &mut self.media[1 - self.active];
+        // Records first (the header slot stays invalid until they are
+        // durable), then truncate stale bytes, sync, and publish.
+        if !records.is_empty() {
+            target.write_at(FILE_HEADER_LEN as u64, records)?;
+        }
+        let offset = (FILE_HEADER_LEN + records.len()) as u64;
+        target.truncate(offset)?;
+        target.sync()?;
+        target.write_at(0, &encode_file_header(JOURNAL_MAGIC, new_gen))?;
+        target.sync()?;
+        self.active = 1 - self.active;
+        self.end = offset;
+        Ok(())
+    }
+}
+
+/// A store's media, each device behind its own lock so a group can land
+/// without the store's owner being locked out (module docs, "Commit
+/// pipeline"). Lock order: `frames` → `journal` → the store's guard.
+pub(crate) struct CommitPipe {
+    frames: Mutex<Box<dyn Media>>,
+    journal: Mutex<Journal>,
+    /// Newest sequence number staged; written by the store's owner.
+    staged_seq: AtomicU64,
+    /// Newest sequence number durable in the journal.
+    durable_seq: AtomicU64,
+}
+
+/// Runs a closure on the store under its guard (a server's shard lock).
+pub(crate) type WithStore<'a> = &'a mut dyn FnMut(&mut dyn FnMut(&mut DurableStore));
+
+/// A sealed group on its way through stage 1. Dropped with anything
+/// left in it — stage 1 failed, or panicked — it goes back to the head
+/// of the store's open group, to be written again by the next land.
+struct Sealed<'a> {
+    group: Group,
+    with_store: WithStore<'a>,
+}
+
+impl Drop for Sealed<'_> {
+    fn drop(&mut self) {
+        let group = &mut self.group;
+        if !group.records.is_empty() {
+            (self.with_store)(&mut |store| {
+                group.absorb(&mut store.open);
+                std::mem::swap(group, &mut store.open);
+            });
+        }
+    }
+}
+
+impl CommitPipe {
+    /// Returns once every group sealed so far has finished or failed.
+    pub(crate) fn settle(&self) {
+        let frames = self.frames.lock();
+        let _journal = self.journal.lock();
+        drop(frames);
+    }
+
+    /// The one commit procedure: makes every mutation staged before the
+    /// call durable, whoever lands it. `with_store` is called only to
+    /// *seal* and to *finish*, never across media I/O. Returns whether
+    /// this call wrote anything (`false`: other landers covered it all).
+    /// On a media failure, whatever did not land stays queued (open
+    /// group or carry) for the next call, ahead of newer work.
+    pub(crate) fn land(&self, with_store: WithStore<'_>) -> io::Result<bool> {
+        if self.durable_seq.load(SeqCst) >= self.staged_seq.load(SeqCst) {
+            return Ok(false);
+        }
+        let mut frames = self.frames.lock();
+        // Seal: the open group leaves the store, in frames-lock order.
+        let mut sealed = Sealed {
+            group: Group::default(),
+            with_store,
+        };
+        (sealed.with_store)(&mut |store| sealed.group = std::mem::take(&mut store.open));
+        let mut syncs = 1;
+        if !sealed.group.slots.is_empty() {
+            sealed
+                .group
+                .write_frames(frames.as_mut())
+                .inspect_err(|_| obs_count!(DurableMediaErrors, 1))?;
+            sealed.group.frames.clear();
+            sealed.group.slots.clear();
+            syncs += 1;
+        }
+        // Hand over hand: the journal lock before the frames lock goes,
+        // so groups reach the journal in the order they were sealed.
+        let mut journal = self.journal.lock();
+        journal.carry.absorb(&mut sealed.group);
+        drop(frames);
+        if journal.carry.records.is_empty() {
+            // Every earlier lander has left stage 2: all is durable.
+            return Ok(false);
+        }
+        // Stage 2. On failure the carry stays: the next stage 2 rewrites
+        // it at this offset, ahead of its own records.
+        let journal = &mut *journal;
+        let (media, carry) = (&mut journal.media[journal.active], &mut journal.carry);
+        media
+            .write_at(journal.end, &carry.records)
+            .and_then(|()| media.sync())
+            .inspect_err(|_| obs_count!(DurableMediaErrors, 1))?;
+        let records = (carry.records.len() / JOURNAL_RECORD_LEN) as u64;
+        journal.end += carry.records.len() as u64;
+        carry.records.clear();
+        // Finish, still under the journal lock: whoever passes it after
+        // us finds these slots free and this group covered.
+        (sealed.with_store)(&mut |store| store.free.append(&mut carry.frees));
+        self.durable_seq.store(carry.high_seq, SeqCst);
+        obs_count!(DurableJournalRecords, records);
+        obs_count!(DurableSyncs, syncs);
+        obs_count!(DurableCommits, 1);
+        obs_observe!(DurableGroupRecords, records);
+        Ok(true)
+    }
 }
 
 /// A crash-consistent frame store: checksummed slot segment plus a
 /// sequenced metadata journal. See the [module docs](self) for the
 /// format and recovery semantics.
 ///
-/// The store tracks *placement* (key → slot) and writes through to
-/// media; residency policy and payload caching stay in
+/// The store tracks *placement* (key → slot) and stages mutations in
+/// memory; residency policy and payload caching stay in
 /// [`crate::DataCache`].
 pub struct DurableStore {
-    frames: Box<dyn Media>,
-    journal_a: Box<dyn Media>,
-    journal_b: Box<dyn Media>,
-    active: ActiveJournal,
+    pipe: Arc<CommitPipe>,
     generation: u32,
-    /// Append offset in the active journal.
-    journal_end: u64,
     slot_count: u32,
     /// key → occupied slot.
     slot_of: U64Map<u32>,
@@ -683,18 +880,9 @@ pub struct DurableStore {
     slot_key: Vec<u64>,
     /// Slots a put may take: free on media as well as in memory.
     free: Vec<u32>,
-    /// Slots released inside the open group. The on-media journal still
-    /// vouches for them, so they join `free` only once the group's
-    /// records are durable.
-    pending_free: Vec<u32>,
-    /// The open group's journal records, encoded, in order. They reach
-    /// the journal media only in [`DurableStore::commit`], after the
-    /// frames they vouch for are synced.
-    pending: Vec<u8>,
-    /// Whether a frame was written since the last frame sync.
-    frames_unsynced: bool,
-    /// Scratch for encoding one frame record.
-    frame_buf: Box<[u8; FRAME_RECORD_LEN]>,
+    /// The open group: everything staged since the last seal. None of
+    /// it has touched a device.
+    open: Group,
     next_seq: u64,
     /// Whether the journal (staged records included) ends with a
     /// clean-shutdown marker.
@@ -749,6 +937,37 @@ impl DurableStore {
         }
     }
 
+    /// Wraps opened media and recovered placement into a store.
+    fn assemble(
+        frames: Box<dyn Media>,
+        journal: Journal,
+        generation: u32,
+        slot_of: U64Map<u32>,
+        slot_key: Vec<u64>,
+        next_seq: u64,
+    ) -> Self {
+        let slot_count = slot_key.len() as u32;
+        DurableStore {
+            pipe: Arc::new(CommitPipe {
+                frames: Mutex::new(frames),
+                journal: Mutex::new(journal),
+                staged_seq: AtomicU64::new(next_seq - 1),
+                durable_seq: AtomicU64::new(next_seq - 1),
+            }),
+            generation,
+            slot_count,
+            slot_of,
+            free: (0..slot_count)
+                .rev()
+                .filter(|&s| slot_key[s as usize] == u64::MAX)
+                .collect(),
+            slot_key,
+            open: Group::default(),
+            next_seq,
+            shutdown_marked: false,
+        }
+    }
+
     /// Formats fresh media: segment header, and journal A at generation 1.
     fn format(
         mut frames: Box<dyn Media>,
@@ -764,26 +983,16 @@ impl DurableStore {
         journal_a.truncate(0)?;
         journal_a.write_at(0, &encode_file_header(JOURNAL_MAGIC, 1))?;
         journal_a.sync()?;
-        let store = DurableStore {
-            frames,
-            journal_a,
-            journal_b,
-            active: ActiveJournal::A,
-            generation: 1,
-            journal_end: FILE_HEADER_LEN as u64,
-            slot_count,
-            slot_of: U64Map::with_capacity(slot_count as usize),
-            slot_key: vec![u64::MAX; slot_count as usize],
-            free: (0..slot_count).rev().collect(),
-            pending_free: Vec::new(),
-            pending: Vec::new(),
-            frames_unsynced: false,
-            frame_buf: Box::new([0; FRAME_RECORD_LEN]),
-            next_seq: 1,
-            shutdown_marked: false,
+        let journal = Journal {
+            media: [journal_a, journal_b],
+            active: 0,
+            end: FILE_HEADER_LEN as u64,
+            carry: Group::default(),
         };
+        let slots = slot_count as usize;
+        let (slot_of, slot_key) = (U64Map::with_capacity(slots), vec![u64::MAX; slots]);
         Ok(Recovery {
-            store,
+            store: Self::assemble(frames, journal, 1, slot_of, slot_key, 1),
             frames: Vec::new(),
             report: RecoveryReport {
                 generation: 1,
@@ -811,12 +1020,13 @@ impl DurableStore {
             media.read_at(0, &mut header).ok()?;
             decode_file_header(&header, JOURNAL_MAGIC).ok()
         };
-        let gen_a = gen_of(journal_a.as_ref());
-        let gen_b = gen_of(journal_b.as_ref());
+        let media = [journal_a, journal_b];
+        let gen_a = gen_of(media[0].as_ref());
+        let gen_b = gen_of(media[1].as_ref());
         let (active, generation) = match (gen_a, gen_b) {
-            (Some(a), Some(b)) if b > a => (ActiveJournal::B, b),
-            (Some(a), _) => (ActiveJournal::A, a),
-            (None, Some(b)) => (ActiveJournal::B, b),
+            (Some(a), Some(b)) if b > a => (1, b),
+            (Some(a), _) => (0, a),
+            (None, Some(b)) => (1, b),
             (None, None) => {
                 return Err(DurableError::Corrupt {
                     what: "journal",
@@ -848,10 +1058,7 @@ impl DurableStore {
         }
 
         // 3. Journal replay (valid prefix only).
-        let journal = match active {
-            ActiveJournal::A => journal_a.as_ref(),
-            ActiveJournal::B => journal_b.as_ref(),
-        };
+        let journal = media[active].as_ref();
         let journal_len = journal.len()?;
         let mut offset = FILE_HEADER_LEN as u64;
         let mut rec_buf = [0u8; JOURNAL_RECORD_LEN];
@@ -977,36 +1184,32 @@ impl DurableStore {
                 dirty: *dirty,
             });
         }
-        let free: Vec<u32> = (0..slot_count)
-            .rev()
-            .filter(|&s| slot_key[s as usize] == u64::MAX)
-            .collect();
-
-        let mut store = DurableStore {
-            frames,
-            journal_a,
-            journal_b,
+        let mut journal = Journal {
+            media,
             active,
-            generation,
-            journal_end: offset,
-            slot_count,
-            slot_of,
-            slot_key,
-            free,
-            pending_free: Vec::new(),
-            pending: Vec::new(),
-            frames_unsynced: false,
-            frame_buf: Box::new([0; FRAME_RECORD_LEN]),
-            next_seq: max_seq + 1,
-            shutdown_marked: false,
+            end: offset,
+            carry: Group::default(),
         };
         // Drop the torn journal tail so a future append at this offset
         // can never be followed by stale-but-valid phantom records.
-        store.active_journal().truncate(offset)?;
-        store.active_journal().sync()?;
+        journal.media[active].truncate(offset)?;
+        journal.media[active].sync()?;
 
-        // 5. Crash-safe compaction into the inactive journal.
-        store.compact(&recovered)?;
+        // 5. Crash-safe compaction into the inactive journal: one record
+        // per surviving frame.
+        let mut next_seq = max_seq + 1;
+        let mut records = Vec::with_capacity(recovered.len() * JOURNAL_RECORD_LEN);
+        for frame in &recovered {
+            let slot = *slot_of.get(frame.key).expect("live frame has a slot");
+            let kind = if frame.dirty {
+                JournalKind::AllocDirty
+            } else {
+                JournalKind::AllocClean
+            };
+            records.extend_from_slice(&encode_journal_record(next_seq, kind, slot, frame.key));
+            next_seq += 1;
+        }
+        journal.compact(&records, generation + 1)?;
 
         let report = RecoveryReport {
             recovered: recovered.len() as u64,
@@ -1017,10 +1220,10 @@ impl DurableStore {
             journal_truncated,
             clean_shutdown,
             dropped_clean,
-            generation: store.generation,
+            generation: generation + 1,
         };
         Ok(Recovery {
-            store,
+            store: Self::assemble(frames, journal, generation + 1, slot_of, slot_key, next_seq),
             frames: recovered,
             report,
         })
@@ -1030,91 +1233,53 @@ impl DurableStore {
         FILE_HEADER_LEN as u64 + slot as u64 * FRAME_RECORD_LEN as u64
     }
 
-    fn active_journal(&mut self) -> &mut Box<dyn Media> {
-        match self.active {
-            ActiveJournal::A => &mut self.journal_a,
-            ActiveJournal::B => &mut self.journal_b,
-        }
+    /// The store's media and commit procedure, for an owner that keeps
+    /// the store behind a lock and lands groups outside it.
+    pub(crate) fn pipe(&self) -> Arc<CommitPipe> {
+        Arc::clone(&self.pipe)
     }
 
-    /// Rewrites the live state into the inactive journal and publishes
-    /// it by writing its higher-generation header last. A crash at any
-    /// step leaves the previous journal authoritative.
-    fn compact(&mut self, live: &[RecoveredFrame]) -> Result<(), DurableError> {
-        let new_gen = self.generation + 1;
-        let (target, new_active) = match self.active {
-            ActiveJournal::A => (&mut self.journal_b, ActiveJournal::B),
-            ActiveJournal::B => (&mut self.journal_a, ActiveJournal::A),
-        };
-        // Records first (the header slot stays invalid until they are
-        // durable), then truncate stale bytes, sync, and publish.
-        let mut records = Vec::with_capacity(live.len() * JOURNAL_RECORD_LEN);
-        for frame in live {
-            let slot = *self.slot_of.get(frame.key).expect("live frame has a slot");
-            let kind = if frame.dirty {
-                JournalKind::AllocDirty
-            } else {
-                JournalKind::AllocClean
-            };
-            records.extend_from_slice(&encode_journal_record(self.next_seq, kind, slot, frame.key));
-            self.next_seq += 1;
-        }
-        if !records.is_empty() {
-            target.write_at(FILE_HEADER_LEN as u64, &records)?;
-        }
-        let offset = (FILE_HEADER_LEN + records.len()) as u64;
-        target.truncate(offset)?;
-        target.sync()?;
-        target.write_at(0, &encode_file_header(JOURNAL_MAGIC, new_gen))?;
-        target.sync()?;
-        self.active = new_active;
-        self.generation = new_gen;
-        self.journal_end = offset;
-        Ok(())
+    /// Whether the next [`Self::stage_put`] would find no free slot: time
+    /// to commit, which frees the slots the open group released.
+    pub(crate) fn out_of_slots(&self) -> bool {
+        self.free.is_empty()
     }
 
-    /// Appends one journal record to the open group (memory only).
+    /// Appends one journal record to the open group.
     fn stage_record(&mut self, kind: JournalKind, slot: u32, key: u64) {
         self.shutdown_marked = kind == JournalKind::Shutdown;
-        self.pending
+        self.open
+            .records
             .extend_from_slice(&encode_journal_record(self.next_seq, kind, slot, key));
+        self.open.high_seq = self.next_seq;
+        self.pipe.staged_seq.store(self.next_seq, SeqCst);
         self.next_seq += 1;
     }
 
-    /// Stages `data` for `key` in the open group: the frame record is
-    /// written (not synced) to a fresh slot and its journal record is
-    /// buffered. Nothing staged is durable — and so nothing staged may be
-    /// acknowledged — until [`DurableStore::commit`] returns `Ok`. An
+    /// Stages `data` for `key` in the open group: the frame record,
+    /// addressed to a fresh slot, and its journal record are buffered in
+    /// memory — no device is touched. Nothing staged is durable, or may
+    /// be acknowledged, until [`DurableStore::commit`] returns `Ok`. An
     /// existing slot for `key` is released when the group commits (never
     /// overwritten in place, never reused inside the group).
     ///
-    /// When the free list is empty but the open group has released
-    /// slots, the group is committed first to make them reusable.
-    ///
     /// # Errors
     ///
-    /// Propagates media failures (of the frame write, or of the forced
-    /// commit); the previous slot (if any) stays authoritative on error.
+    /// Fails when no slot is free (a commit releases those the open group
+    /// superseded); the previous slot, if any, stays authoritative.
     pub fn stage_put(&mut self, key: u64, data: &Block, dirty: bool) -> io::Result<()> {
-        if self.free.is_empty() && !self.pending_free.is_empty() {
-            self.commit()?;
-        }
         let slot = self.free.pop().ok_or_else(|| {
             io::Error::other(format!(
-                "durable segment out of slots ({} occupied)",
-                self.slot_of.len()
+                "durable segment out of slots ({} occupied, {} awaiting a commit)",
+                self.slot_of.len(),
+                self.open.frees.len()
             ))
         })?;
         let flags = FLAG_OCCUPIED | if dirty { FLAG_DIRTY } else { 0 };
-        encode_frame_record(key, self.next_seq, flags, data, &mut self.frame_buf[..]);
-        if let Err(e) = self
-            .frames
-            .write_at(Self::slot_offset(slot), &self.frame_buf[..])
-        {
-            self.free.push(slot);
-            return Err(e);
-        }
-        self.frames_unsynced = true;
+        let at = self.open.frames.len();
+        self.open.frames.resize(at + FRAME_RECORD_LEN, 0);
+        encode_frame_record(key, self.next_seq, flags, data, &mut self.open.frames[at..]);
+        self.open.slots.push(slot);
         let kind = if dirty {
             JournalKind::AllocDirty
         } else {
@@ -1123,7 +1288,7 @@ impl DurableStore {
         self.stage_record(kind, slot, key);
         if let Some(old) = self.slot_of.insert(key, slot) {
             self.slot_key[old as usize] = u64::MAX;
-            self.pending_free.push(old);
+            self.open.frees.push(old);
         }
         self.slot_key[slot as usize] = key;
         Ok(())
@@ -1143,47 +1308,28 @@ impl DurableStore {
         if let Some(slot) = self.slot_of.remove(key) {
             self.stage_record(JournalKind::Evict, slot, key);
             self.slot_key[slot as usize] = u64::MAX;
-            self.pending_free.push(slot);
+            self.open.frees.push(slot);
         }
     }
 
-    /// Makes the open group durable: syncs the frame segment if any
-    /// frame was staged, then appends every buffered journal record in
-    /// one write and syncs the journal, then releases the group's slots.
-    /// Journal records never reach the media before the frames they
-    /// vouch for, so a power cut anywhere in here leaves a record
-    /// *prefix* of the group — a state the per-record protocol could
-    /// also have been cut in. An empty group costs nothing.
+    /// Stages a clean-shutdown marker unless the journal (staged records
+    /// included) already ends with one.
+    pub(crate) fn stage_shutdown(&mut self) {
+        if !self.shutdown_marked {
+            self.stage_record(JournalKind::Shutdown, 0, 0);
+        }
+    }
+
+    /// Makes everything staged durable — the
+    /// [commit pipeline](self#commit-pipeline) run inline by the store's
+    /// single owner. An empty group costs nothing.
     ///
     /// # Errors
     ///
-    /// Propagates media failures. The group stays open — nothing in it
-    /// may be acknowledged — and the next commit retries all of it.
+    /// Propagates media failures. Nothing in the group may be
+    /// acknowledged, and the next commit retries all of it.
     pub fn commit(&mut self) -> io::Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let mut syncs = 1;
-        if self.frames_unsynced {
-            self.frames.sync()?;
-            self.frames_unsynced = false;
-            syncs += 1;
-        }
-        let journal = match self.active {
-            ActiveJournal::A => &mut self.journal_a,
-            ActiveJournal::B => &mut self.journal_b,
-        };
-        journal.write_at(self.journal_end, &self.pending)?;
-        journal.sync()?;
-        let records = (self.pending.len() / JOURNAL_RECORD_LEN) as u64;
-        self.journal_end += self.pending.len() as u64;
-        self.pending.clear();
-        self.free.append(&mut self.pending_free);
-        sievestore_types::obs_count!(DurableJournalRecords, records);
-        sievestore_types::obs_count!(DurableSyncs, syncs);
-        sievestore_types::obs_count!(DurableCommits, 1);
-        sievestore_types::obs_observe!(DurableGroupRecords, records);
-        Ok(())
+        self.pipe().land(&mut |on_store| on_store(self)).map(drop)
     }
 
     /// Persists `data` for `key` as a group of one: [`Self::stage_put`]
@@ -1210,9 +1356,7 @@ impl DurableStore {
     /// Propagates media failures; the next recovery then treats the
     /// shutdown as unclean, which is safe (merely colder).
     pub fn shutdown(&mut self) -> io::Result<()> {
-        if !self.shutdown_marked {
-            self.stage_record(JournalKind::Shutdown, 0, 0);
-        }
+        self.stage_shutdown();
         self.commit()
     }
 
@@ -1271,11 +1415,10 @@ impl DurableStore {
             media.read_at(0, &mut bytes)?;
             Ok(bytes)
         };
-        Ok((
-            snap(self.frames.as_ref())?,
-            snap(self.journal_a.as_ref())?,
-            snap(self.journal_b.as_ref())?,
-        ))
+        let frames = snap(self.pipe.frames.lock().as_ref())?;
+        let journal = self.pipe.journal.lock();
+        let [a, b] = &journal.media;
+        Ok((frames, snap(a.as_ref())?, snap(b.as_ref())?))
     }
 
     /// Verifies up to `max_slots` slots starting at `start_slot`
@@ -1285,11 +1428,22 @@ impl DurableStore {
     /// from its in-memory frame (or re-fetches from backing later) and
     /// commits the pass as one group.
     ///
+    /// Slots whose frame is only staged are skipped, and a pass that
+    /// finds a group landing on the frame device examines nothing: the
+    /// caller may hold a lock the lander needs, so it must not wait.
+    ///
     /// # Errors
     ///
     /// Propagates media failures.
     pub fn scrub(&mut self, start_slot: u32, max_slots: u32) -> io::Result<ScrubPass> {
-        let mut pass = ScrubPass::default();
+        let mut pass = ScrubPass {
+            next_slot: start_slot,
+            ..ScrubPass::default()
+        };
+        let pipe = self.pipe();
+        let Some(frames) = pipe.frames.try_lock() else {
+            return Ok(pass);
+        };
         if self.slot_count == 0 {
             return Ok(pass);
         }
@@ -1298,8 +1452,8 @@ impl DurableStore {
         for _ in 0..max_slots.min(self.slot_count) {
             pass.scanned += 1;
             let key = self.slot_key[slot as usize];
-            if key != u64::MAX {
-                self.frames.read_at(Self::slot_offset(slot), &mut buf)?;
+            if key != u64::MAX && !self.open.slots.contains(&slot) {
+                frames.read_at(Self::slot_offset(slot), &mut buf)?;
                 let ok = matches!(&decode_frame_record(&buf), Ok(Some(rec)) if rec.key == key);
                 if ok {
                     pass.verified += 1;
@@ -1336,18 +1490,22 @@ mod tests {
     /// Reopens from the same bytes *without* a clean-shutdown marker,
     /// simulating a crash.
     fn reopen_unclean(store: DurableStore, capacity: usize) -> Recovery {
-        let take = |media: Box<dyn Media>| -> Vec<u8> {
-            let len = media.len().unwrap() as usize;
-            let mut bytes = vec![0u8; len];
-            media.read_at(0, &mut bytes).unwrap();
-            bytes
-        };
-        let media = DurableMediaSet {
-            frames: Box::new(MemMedia::from_bytes(take(store.frames))),
-            journal_a: Box::new(MemMedia::from_bytes(take(store.journal_a))),
-            journal_b: Box::new(MemMedia::from_bytes(take(store.journal_b))),
-        };
-        DurableStore::open(media, capacity).expect("reopen store")
+        DurableStore::open(media_copy(&store), capacity).expect("reopen store")
+    }
+
+    /// The bytes on `store`'s three devices, as fresh in-memory media.
+    fn media_copy(store: &DurableStore) -> DurableMediaSet {
+        let (frames, journal_a, journal_b) = store.clone_media_bytes().unwrap();
+        DurableMediaSet {
+            frames: Box::new(MemMedia::from_bytes(frames)),
+            journal_a: Box::new(MemMedia::from_bytes(journal_a)),
+            journal_b: Box::new(MemMedia::from_bytes(journal_b)),
+        }
+    }
+
+    /// Append offset in the active journal.
+    fn journal_end(store: &DurableStore) -> u64 {
+        store.pipe.journal.lock().end
     }
 
     #[test]
@@ -1421,9 +1579,11 @@ mod tests {
         // Flip one payload bit of key 2's slot behind the store's back.
         let offset = DurableStore::slot_offset(slot2) + FRAME_HEADER_LEN as u64 + 100;
         let mut byte = [0u8; 1];
-        r.store.frames.read_at(offset, &mut byte).unwrap();
+        let mut frames = r.store.pipe.frames.lock();
+        frames.read_at(offset, &mut byte).unwrap();
         byte[0] ^= 0x40;
-        r.store.frames.write_at(offset, &byte).unwrap();
+        frames.write_at(offset, &byte).unwrap();
+        drop(frames);
 
         let r = reopen(r.store, 8);
         assert_eq!(r.report.recovered, 1);
@@ -1440,7 +1600,12 @@ mod tests {
         r.store.put(2, &block(0x22), false).unwrap();
         let slot1 = *r.store.slot_of.get(1).unwrap();
         let offset = DurableStore::slot_offset(slot1) + FRAME_HEADER_LEN as u64;
-        r.store.frames.write_at(offset, &[0xFF]).unwrap();
+        r.store
+            .pipe
+            .frames
+            .lock()
+            .write_at(offset, &[0xFF])
+            .unwrap();
 
         let pass = r.store.scrub(0, r.store.slots()).unwrap();
         assert_eq!(pass.quarantined, vec![1]);
@@ -1476,7 +1641,7 @@ mod tests {
         r.store.put(1, &block(0x11), false).unwrap();
         r.store.shutdown().unwrap();
         r.store.shutdown().unwrap();
-        let end = r.store.journal_end;
+        let end = journal_end(&r.store);
         // A second shutdown with no intervening writes appends nothing.
         assert_eq!(
             end,
@@ -1499,7 +1664,7 @@ mod tests {
         let r = reopen(r.store, 8);
         // After compaction the journal holds one record per live frame.
         assert_eq!(
-            r.store.journal_end,
+            journal_end(&r.store),
             (FILE_HEADER_LEN + 4 * JOURNAL_RECORD_LEN) as u64
         );
         let r2 = reopen(r.store, 8);
@@ -1510,18 +1675,7 @@ mod tests {
     #[test]
     fn geometry_mismatch_is_rejected() {
         let r = open_mem(4);
-        let take = |media: Box<dyn Media>| -> Vec<u8> {
-            let len = media.len().unwrap() as usize;
-            let mut bytes = vec![0u8; len];
-            media.read_at(0, &mut bytes).unwrap();
-            bytes
-        };
-        let media = DurableMediaSet {
-            frames: Box::new(MemMedia::from_bytes(take(r.store.frames))),
-            journal_a: Box::new(MemMedia::from_bytes(take(r.store.journal_a))),
-            journal_b: Box::new(MemMedia::from_bytes(take(r.store.journal_b))),
-        };
-        let err = DurableStore::open(media, 64).unwrap_err();
+        let err = DurableStore::open(media_copy(&r.store), 64).unwrap_err();
         assert!(matches!(err, DurableError::Geometry(_)), "{err}");
     }
 
@@ -1603,9 +1757,25 @@ mod tests {
         fail_syncs: AtomicU64,
     }
 
+    /// Memory media that behaves like Linux under a failed `fdatasync`:
+    /// the error is reported once and the unsynced writes are gone, so
+    /// syncing again without writing again lands nothing. (Reads see
+    /// synced bytes only; the store reads no device between a write and
+    /// its sync.)
     struct ScriptedMedia {
         inner: MemMedia,
+        unsynced: Vec<(u64, Vec<u8>)>,
         script: Arc<SyncScript>,
+    }
+
+    impl ScriptedMedia {
+        fn boxed(script: &Arc<SyncScript>) -> Box<dyn Media> {
+            Box::new(ScriptedMedia {
+                inner: MemMedia::new(),
+                unsynced: Vec::new(),
+                script: Arc::clone(script),
+            })
+        }
     }
 
     impl Media for ScriptedMedia {
@@ -1613,15 +1783,20 @@ mod tests {
             self.inner.read_at(offset, buf)
         }
         fn write_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
-            self.inner.write_at(offset, data)
+            self.unsynced.push((offset, data.to_vec()));
+            Ok(())
         }
         fn sync(&mut self) -> io::Result<()> {
             if self.script.fail_syncs.load(Ordering::SeqCst) > 0 {
                 self.script.fail_syncs.fetch_sub(1, Ordering::SeqCst);
+                self.unsynced.clear();
                 return Err(io::Error::other("injected sync failure"));
             }
             self.script.syncs.fetch_add(1, Ordering::SeqCst);
-            self.inner.sync()
+            for (offset, data) in self.unsynced.drain(..) {
+                self.inner.write_at(offset, &data)?;
+            }
+            Ok(())
         }
         fn len(&self) -> io::Result<u64> {
             self.inner.len()
@@ -1631,25 +1806,21 @@ mod tests {
         }
     }
 
-    /// A fresh store whose journals share one sync script (the frame
-    /// segment is plain memory), so `syncs` counts journal syncs only:
-    /// one per non-empty commit.
-    fn open_scripted(capacity: usize) -> (DurableStore, Arc<SyncScript>) {
-        let script = Arc::new(SyncScript::default());
-        let journal = || -> Box<dyn Media> {
-            Box::new(ScriptedMedia {
-                inner: MemMedia::new(),
-                script: Arc::clone(&script),
-            })
-        };
+    /// A fresh store on scripted media: the journals share one sync
+    /// script (first of the pair: one sync per non-empty commit), the
+    /// frame segment has its own (second).
+    fn open_scripted(capacity: usize) -> (DurableStore, Arc<SyncScript>, Arc<SyncScript>) {
+        let journal = Arc::new(SyncScript::default());
+        let frames = Arc::new(SyncScript::default());
         let media = DurableMediaSet {
-            frames: Box::new(MemMedia::new()),
-            journal_a: journal(),
-            journal_b: journal(),
+            frames: ScriptedMedia::boxed(&frames),
+            journal_a: ScriptedMedia::boxed(&journal),
+            journal_b: ScriptedMedia::boxed(&journal),
         };
         let store = DurableStore::open(media, capacity).expect("format").store;
-        script.syncs.store(0, Ordering::SeqCst);
-        (store, script)
+        journal.syncs.store(0, Ordering::SeqCst);
+        frames.syncs.store(0, Ordering::SeqCst);
+        (store, journal, frames)
     }
 
     #[test]
@@ -1665,29 +1836,35 @@ mod tests {
             r.store.stage_put(key, &block(key as u8), false).unwrap();
             assert_ne!(*r.store.slot_of.get(key).unwrap(), first);
         }
-        assert!(r.store.pending_free.contains(&first));
+        assert!(r.store.open.frees.contains(&first));
         assert!(!r.store.free.contains(&first));
         r.store.commit().unwrap();
-        assert!(r.store.pending_free.is_empty());
+        assert!(r.store.open.frees.is_empty());
+        assert!(r.store.pipe.journal.lock().carry.frees.is_empty());
         assert!(r.store.free.contains(&first), "released by the commit");
     }
 
     #[test]
-    fn running_out_of_free_slots_forces_exactly_one_commit() {
-        let (mut store, script) = open_scripted(2);
+    fn running_out_of_free_slots_is_an_error_until_a_commit_releases_them() {
+        let (mut store, script, _) = open_scripted(2);
         let slots = store.slots() as usize;
         // Every rewrite of key 1 takes a fresh slot and releases the old
-        // one into the open group; with `slots` rewrites the free list
-        // runs dry exactly once.
-        for i in 0..=slots {
+        // one into the open group; after `slots` rewrites the free list
+        // is dry, and staging — which touches no device — says so
+        // instead of committing behind its caller's back.
+        for i in 0..slots {
             store.stage_put(1, &block(i as u8), true).unwrap();
         }
-        assert_eq!(script.syncs.load(Ordering::SeqCst), 1, "one forced commit");
-        assert_eq!(
-            store.pending.len(),
-            JOURNAL_RECORD_LEN,
-            "only the put after the forced commit is still staged"
-        );
+        assert!(store.out_of_slots());
+        let err = store.stage_put(1, &block(0xEE), true).unwrap_err();
+        assert!(err.to_string().contains("out of slots"), "{err}");
+        assert_eq!(script.syncs.load(Ordering::SeqCst), 0, "no hidden commit");
+        assert_eq!(store.open.records.len(), slots * JOURNAL_RECORD_LEN);
+        // One commit releases every superseded slot.
+        store.commit().unwrap();
+        assert_eq!(script.syncs.load(Ordering::SeqCst), 1);
+        assert_eq!(store.free.len(), slots - 1);
+        store.stage_put(1, &block(slots as u8), true).unwrap();
         store.commit().unwrap();
         assert_eq!(script.syncs.load(Ordering::SeqCst), 2);
         let r = reopen(store, 2);
@@ -1697,25 +1874,154 @@ mod tests {
 
     #[test]
     fn a_failed_commit_keeps_the_group_open_and_the_next_one_lands_it() {
-        let (mut store, script) = open_scripted(8);
+        let (mut store, script, _) = open_scripted(8);
         store.put(1, &block(0x11), true).unwrap();
         store.stage_put(1, &block(0x12), true).unwrap();
         store.stage_put(2, &block(0x22), true).unwrap();
-        let end = store.journal_end;
+        let end = journal_end(&store);
         script.fail_syncs.store(1, Ordering::SeqCst);
         assert!(store.commit().is_err());
-        assert_eq!(store.journal_end, end, "nothing was appended for good");
-        assert_eq!(store.pending.len(), 2 * JOURNAL_RECORD_LEN, "group open");
-        assert_eq!(store.pending_free.len(), 1, "key 1's old slot still held");
-        // More work joins the same group; the retry commits all of it.
+        assert_eq!(journal_end(&store), end, "nothing was appended for good");
+        // The frames landed; the records and the released slot wait at
+        // the journal for the next commit.
+        {
+            let journal = store.pipe.journal.lock();
+            assert_eq!(journal.carry.records.len(), 2 * JOURNAL_RECORD_LEN);
+            assert!(
+                journal.carry.frames.is_empty(),
+                "frame bytes stop at stage 1"
+            );
+            assert_eq!(journal.carry.frees.len(), 1, "key 1's old slot still held");
+        }
+        assert!(store.open.records.is_empty());
+        // More work is staged; the retry writes the failed records
+        // again (the failed sync dropped them) ahead of the new one.
         store.stage_put(3, &block(0x33), true).unwrap();
         store.commit().unwrap();
-        assert_eq!(store.journal_end, end + 3 * JOURNAL_RECORD_LEN as u64);
+        assert_eq!(journal_end(&store), end + 3 * JOURNAL_RECORD_LEN as u64);
+        assert!(store.pipe.journal.lock().carry.frees.is_empty());
         let r = reopen_unclean(store, 8);
         assert_eq!(r.report.quarantined, 0);
         assert_eq!(r.report.lost_dirty, 0);
         let got: Vec<(u64, u8)> = r.frames.iter().map(|f| (f.key, f.data[0])).collect();
         assert_eq!(got, vec![(1, 0x12), (2, 0x22), (3, 0x33)]);
+    }
+
+    /// Linux reports a failed `fdatasync` once and marks the pages
+    /// clean: syncing again would return `Ok` over frames that never
+    /// landed. The group keeps its frame bytes until they are synced, so
+    /// the retry writes every one of them again.
+    #[test]
+    fn a_failed_frame_sync_is_retried_by_writing_the_frames_again() {
+        let (mut store, journal, frames) = open_scripted(8);
+        store.put(1, &block(0x11), true).unwrap();
+        store.stage_put(1, &block(0x12), true).unwrap();
+        store.stage_put(2, &block(0x22), true).unwrap();
+        store.stage_evict(2);
+        store.stage_put(3, &block(0x33), true).unwrap();
+        let (frame_syncs, journal_syncs) = (
+            frames.syncs.load(Ordering::SeqCst),
+            journal.syncs.load(Ordering::SeqCst),
+        );
+        frames.fail_syncs.store(1, Ordering::SeqCst);
+        assert!(store.commit().is_err());
+        assert_eq!(
+            journal.syncs.load(Ordering::SeqCst),
+            journal_syncs,
+            "no record reaches the journal before its frame is synced"
+        );
+        // The whole group is back at the head of the open group, in
+        // order, its released slots still held.
+        assert_eq!(store.open.slots.len(), 3);
+        assert_eq!(store.open.frames.len(), 3 * FRAME_RECORD_LEN);
+        assert_eq!(store.open.records.len(), 4 * JOURNAL_RECORD_LEN);
+        assert_eq!(store.open.frees.len(), 2);
+        store.stage_put(4, &block(0x44), true).unwrap();
+        store.commit().unwrap();
+        assert_eq!(frames.syncs.load(Ordering::SeqCst), frame_syncs + 1);
+        assert!(store.open.records.is_empty() && store.open.frees.is_empty());
+        let r = reopen_unclean(store, 8);
+        assert_eq!((r.report.quarantined, r.report.lost_dirty), (0, 0));
+        let got: Vec<(u64, u8)> = r.frames.iter().map(|f| (f.key, f.data[0])).collect();
+        assert_eq!(got, vec![(1, 0x12), (3, 0x33), (4, 0x44)]);
+    }
+
+    #[test]
+    fn adjacent_slots_land_in_one_write() {
+        struct CountingWrites(MemMedia, Arc<AtomicU64>);
+        impl Media for CountingWrites {
+            fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+                self.0.read_at(offset, buf)
+            }
+            fn write_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
+                self.1.fetch_add(1, Ordering::SeqCst);
+                self.0.write_at(offset, data)
+            }
+            fn sync(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+            fn len(&self) -> io::Result<u64> {
+                self.0.len()
+            }
+            fn truncate(&mut self, len: u64) -> io::Result<()> {
+                self.0.truncate(len)
+            }
+        }
+        let writes = Arc::new(AtomicU64::new(0));
+        let media = DurableMediaSet {
+            frames: Box::new(CountingWrites(MemMedia::new(), Arc::clone(&writes))),
+            ..DurableMediaSet::in_memory()
+        };
+        let mut store = DurableStore::open(media, 8).expect("format").store;
+        writes.store(0, Ordering::SeqCst);
+        // A fresh store hands out slots 0, 1, 2, ...: one run.
+        for key in 0..5u64 {
+            store.stage_put(key, &block(key as u8 + 1), true).unwrap();
+        }
+        store.commit().unwrap();
+        assert_eq!(writes.load(Ordering::SeqCst), 1);
+        // Rewriting keys 0 and 4 frees slots 0 and 4: the next two puts
+        // are not neighbours, and land apart.
+        store.put(0, &block(0xA0), true).unwrap();
+        store.put(4, &block(0xA4), true).unwrap();
+        writes.store(0, Ordering::SeqCst);
+        store.stage_put(8, &block(0x08), true).unwrap();
+        store.stage_put(9, &block(0x09), true).unwrap();
+        store.commit().unwrap();
+        assert_eq!(writes.load(Ordering::SeqCst), 2);
+        let r = reopen_unclean(store, 8);
+        assert_eq!((r.report.recovered, r.report.quarantined), (7, 0));
+        for frame in &r.frames {
+            let expect = match frame.key {
+                0 => 0xA0,
+                4 => 0xA4,
+                8 | 9 => frame.key as u8,
+                key => key as u8 + 1,
+            };
+            assert_eq!(*frame.data, block(expect), "key {}", frame.key);
+        }
+    }
+
+    #[test]
+    fn scrub_skips_frames_that_are_only_staged_and_yields_to_a_lander() {
+        let mut r = open_mem(8);
+        r.store.put(1, &block(0x11), false).unwrap();
+        // Key 2's frame exists only in the open group: its slot reads
+        // as zeroes on the device, which is not rot.
+        r.store.stage_put(2, &block(0x22), false).unwrap();
+        let pass = r.store.scrub(0, r.store.slots()).unwrap();
+        assert_eq!(pass.verified, 1);
+        assert!(pass.quarantined.is_empty(), "a staged frame is healthy");
+        // While a group lands (the frame device is locked) a pass looks
+        // at nothing and keeps its place.
+        let pipe = r.store.pipe();
+        let landing = pipe.frames.lock();
+        let pass = r.store.scrub(3, r.store.slots()).unwrap();
+        assert_eq!((pass.scanned, pass.next_slot), (0, 3));
+        drop(landing);
+        r.store.commit().unwrap();
+        let pass = r.store.scrub(0, r.store.slots()).unwrap();
+        assert_eq!(pass.verified, 2);
     }
 
     #[test]
@@ -1724,15 +2030,17 @@ mod tests {
         r.store.put(1, &block(0x11), true).unwrap();
         r.store.put(2, &block(0x22), true).unwrap();
         // Staged but never committed: rewrites, an eviction and enough
-        // fresh keys to use every free slot. The frames are on the media
-        // (unsynced); the journal has not heard of any of it.
+        // fresh keys to use every free slot. No device has heard of any
+        // of it.
+        let before = r.store.clone_media_bytes().unwrap();
         r.store.stage_put(1, &block(0x12), true).unwrap();
         r.store.stage_evict(2);
         let mut key = 3u64;
-        while !r.store.free.is_empty() {
+        while !r.store.out_of_slots() {
             r.store.stage_put(key, &block(key as u8), true).unwrap();
             key += 1;
         }
+        assert!(before == r.store.clone_media_bytes().unwrap());
         let r = reopen_unclean(r.store, 4);
         assert_eq!(r.report.quarantined, 0);
         assert_eq!(r.report.lost_dirty, 0);
@@ -1742,7 +2050,7 @@ mod tests {
 
     #[test]
     fn an_empty_commit_touches_no_media() {
-        let (mut store, script) = open_scripted(4);
+        let (mut store, script, _) = open_scripted(4);
         store.commit().unwrap();
         store.stage_mark_clean(9); // not resident: stages nothing
         store.stage_evict(9);

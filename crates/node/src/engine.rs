@@ -16,6 +16,7 @@ use sievestore_types::obs::{Event, EventSink, FieldValue};
 use sievestore_types::{obs_count, obs_enabled, obs_observe, Micros};
 
 use crate::backing::{BackingStore, Block};
+use crate::durable::DurableStore;
 use crate::protocol::{encode_read_into, ErrorCode, NodeMode, Reply};
 use crate::server::NodeConfig;
 use crate::store::DataCache;
@@ -158,7 +159,7 @@ impl<B: BackingStore> CacheEngine<B> {
     /// reply the caller must encode instead, with `out` left as it was.
     ///
     /// What the request staged on the durable tier is *not* committed:
-    /// the caller owes one [`Self::commit`] before the reply leaves.
+    /// the caller lands it before the reply leaves.
     pub(crate) fn handle_read(
         &mut self,
         key: u64,
@@ -291,38 +292,21 @@ impl<B: BackingStore> CacheEngine<B> {
         }
     }
 
-    /// Commits the durable group every request since the last commit
-    /// staged into — the caller holds those requests' replies until this
-    /// returns. The commit is on the requests' clock: a failed one, or
-    /// one that alone overruns the request deadline, counts one
-    /// cache-path failure and returns the error reply that must replace
-    /// every reply of the window that is not already an error.
-    pub(crate) fn commit(&mut self) -> Result<(), Reply> {
-        let started = Instant::now();
-        let failure = match self.cache.commit() {
-            Err(e) => Reply::Error {
-                code: classify_backing(&e),
-                message: format!("durable commit failed: {e}"),
-            },
-            Ok(()) if started.elapsed() > self.config.request_deadline => {
-                obs_count!(NodeDeadlineOverruns, 1);
-                Reply::Error {
-                    code: ErrorCode::Deadline,
-                    message: format!(
-                        "durable commit overran the {:?} deadline",
-                        self.config.request_deadline
-                    ),
-                }
-            }
-            Ok(()) => return Ok(()),
-        };
-        self.record_failure();
-        Err(failure)
+    /// The cache's durable store, for the seal and finish steps of a
+    /// group landed outside this engine's lock.
+    pub(crate) fn durable_mut(&mut self) -> Option<&mut DurableStore> {
+        self.cache.durable_mut()
     }
 
-    /// Serves a Flush request against this engine's slice.
+    /// Whether the durable tier has no free slot for the next request to
+    /// stage into: the caller first lands the open group, outside this lock.
+    pub(crate) fn out_of_slots(&self) -> bool {
+        self.cache.durable().is_some_and(DurableStore::out_of_slots)
+    }
+
+    /// Serves a Flush request against this engine's slice (staged).
     pub(crate) fn handle_flush(&mut self) -> Reply {
-        match self.cache.flush() {
+        match self.cache.flush_staged() {
             Ok(flushed) => Reply::Flush { flushed },
             Err(e) => Reply::Error {
                 code: classify_backing(&e),
@@ -387,7 +371,7 @@ impl<B: BackingStore> CacheEngine<B> {
     /// `node.flush.failed` event per round. Returns how many frames
     /// remain dirty.
     pub(crate) fn flush_round(&mut self, context: &'static str) -> u64 {
-        let (flushed, still_dirty) = self.cache.flush_best_effort();
+        let (flushed, still_dirty) = self.cache.flush_best_effort_staged();
         if still_dirty > 0 {
             obs_count!(NodeFlushFailures, still_dirty);
             self.sink.record(
@@ -401,8 +385,8 @@ impl<B: BackingStore> CacheEngine<B> {
     }
 
     /// Shutdown sequence for this engine: bounded flush retries, then a
-    /// clean durable shutdown mark. Best-effort throughout — a dead
-    /// backing must not hang or panic the caller.
+    /// clean durable shutdown mark (staged: the caller lands it).
+    /// Best-effort — a dead backing must not hang or panic the caller.
     pub(crate) fn shutdown_flush(&mut self, retries: u32) {
         for _ in 0..=retries {
             if self.flush_round("shutdown") == 0 {
@@ -410,14 +394,16 @@ impl<B: BackingStore> CacheEngine<B> {
             }
         }
         // Mark the durable journal cleanly shut down so the next open
-        // recovers warm. Best-effort: on failure the next recovery is
-        // merely colder (clean frames dropped), never incorrect.
-        let _ = self.cache.shutdown_durable();
+        // recovers warm. Should the mark never land, the next recovery
+        // is merely colder (clean frames dropped), never incorrect.
+        if let Some(store) = self.cache.durable_mut() {
+            store.stage_shutdown();
+        }
     }
 
-    /// One bounded scrub pass; quarantined frames are reported.
+    /// One bounded scrub pass, staged; quarantined frames are reported.
     pub(crate) fn scrub_pass(&mut self, batch: u32) {
-        let pass = self.cache.scrub(batch);
+        let pass = self.cache.scrub_staged(batch);
         if !pass.quarantined.is_empty() {
             self.sink.record(
                 &Event::new("node.scrub.quarantined")

@@ -16,9 +16,12 @@
 //! A connection thread holds **at most one shard lock at a time**: a
 //! `Read` or `Write` takes only its key's shard; `Stats` and `Flush`
 //! visit the shards one after another in index order, as do the window
-//! commit, the scrubber and shutdown. Nothing waits for a second lock
-//! while holding a first, so there is no lock order to get wrong, and a
-//! `Stats` reply is exact — every counter is read under its lock.
+//! commit, the scrubber and shutdown. Nothing waits for a second shard
+//! lock while holding a first, and a `Stats` reply is exact — every
+//! counter is read under its lock. A durable shard's two media locks
+//! ([`crate::durable`], "Commit pipeline") come *before* its shard lock:
+//! **no shard lock is held across a media write or sync, or waits for
+//! one** — a commit takes it only to seal a group and release its slots.
 //!
 //! What stays global: the listener, the logical request clock (one
 //! `fetch_add` per read/write, so sieving windows advance identically
@@ -58,18 +61,21 @@
 //! arrival order either way. A connection serves every request the
 //! client has already pipelined — its *window* — and holds their
 //! encoded replies; when its read buffer is drained (or 128 replies /
-//! 64 KiB are held) it commits
-//! the durable tier's open group (one frame sync, one journal append +
-//! sync, whatever the window staged) and only then sends the replies,
-//! in one `write_all`. A shard's store has one open group, so a
-//! connection's commit covers every mutation any connection staged on
-//! that shard before it: no reply — not a write's ack, not a read that
-//! saw another connection's still-uncommitted write — leaves before a
-//! commit that covers what it observed. If the commit fails, or alone
-//! overruns the request deadline, every reply of the window that is not
-//! already an error becomes an error reply and the breaker counts one
-//! failure; the group stays open and the next window's commit retries
-//! it.
+//! 64 KiB are held) it makes sure a commit covers everything staged on
+//! each durable shard so far, and only then sends the replies, in one
+//! `write_all`. If the shard's durable high-water mark already covers
+//! it — another connection's commit did the work — that is two atomic
+//! loads. Otherwise the thread lands the shard's open group itself,
+//! outside the shard lock (frames written and synced, then one journal
+//! append + sync, overlapping the previous group's) while other
+//! connections are served: no reply — not a write's ack, not a read
+//! that saw another connection's still-uncommitted write — leaves
+//! before a commit that covers what it staged or saw. If the land
+//! fails, or the wait alone overruns the request deadline, every reply
+//! of the window that is not already an error becomes an error reply
+//! and the breaker counts one failure; what did not land is retried,
+//! first, by the next commit. A request that finds the durable tier out
+//! of free slots lands the open group before it takes the shard lock.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -84,7 +90,8 @@ use sievestore_types::obs::{Event, EventSink, FieldValue, NoopSink};
 use sievestore_types::{obs_count, obs_enabled, obs_gauge_adjust, obs_observe, shard_of, Micros};
 
 use crate::backing::BackingStore;
-use crate::engine::{Breaker, CacheEngine, EngineSnapshot};
+use crate::durable::{CommitPipe, DurableStore};
+use crate::engine::{classify_backing, Breaker, CacheEngine, EngineSnapshot};
 use crate::protocol::{
     encode_reply_into, split_frame, ErrorCode, Incoming, NodeMode, Reply, Request, MAX_FRAME,
 };
@@ -185,7 +192,10 @@ struct Shared<B: BackingStore> {
     /// `shards[shard_of(key, shards.len())]`. See the module docs for
     /// the lock rule.
     shards: Vec<Mutex<CacheEngine<B>>>,
-    /// Whether the cache has a durable tier, i.e. whether a window's
+    /// Each durable shard's media locks, taken before — never under —
+    /// the shard's lock.
+    pipes: Vec<Option<Arc<CommitPipe>>>,
+    /// Whether any shard has a durable tier, i.e. whether a window's
     /// replies wait for a commit.
     durable: bool,
     config: NodeConfig,
@@ -209,6 +219,74 @@ impl<B: BackingStore> Shared<B> {
             obs_count!(NodeShardLockContended, 1);
             shard.lock()
         })
+    }
+
+    /// Locks shard `index` to serve a read or write. On a durable node
+    /// the request needs a free slot to stage into, and nothing that
+    /// frees slots may run under the shard lock: the groups in flight
+    /// return theirs as they finish; failing that, landing the open
+    /// group does (and failing that, the request fails for want of one).
+    fn lock_for_request(
+        &self,
+        index: usize,
+    ) -> impl std::ops::DerefMut<Target = CacheEngine<B>> + '_ {
+        let engine = self.lock(index);
+        if !(self.durable && engine.out_of_slots()) {
+            return engine;
+        }
+        drop(engine);
+        if let Some(pipe) = &self.pipes[index] {
+            pipe.settle();
+        }
+        if self.lock(index).out_of_slots() {
+            let _ = self.land(index);
+        }
+        self.lock(index)
+    }
+
+    /// Makes everything staged on shard `index` durable, under the shard
+    /// lock only to seal the group and to release its slots.
+    fn land(&self, index: usize) -> io::Result<bool> {
+        let Some(pipe) = &self.pipes[index] else {
+            return Ok(false);
+        };
+        pipe.land(&mut |on_store| {
+            if let Some(store) = self.lock(index).durable_mut() {
+                on_store(store);
+            }
+        })
+    }
+
+    /// [`Self::land`] on a window's clock: a failed land, or one that
+    /// alone (waiting for another connection's included) overruns the
+    /// request deadline, counts one cache-path failure and returns the
+    /// reply that replaces every non-error reply of the window.
+    fn commit(&self, index: usize) -> Result<(), Reply> {
+        let started = Instant::now();
+        let landed = self.land(index);
+        obs_observe!(DurableCommitWaitNanos, started.elapsed().as_nanos() as u64);
+        let failure = match landed {
+            Err(e) => Reply::Error {
+                code: classify_backing(&e),
+                message: format!("durable commit failed: {e}"),
+            },
+            Ok(_) if started.elapsed() > self.config.request_deadline => {
+                obs_count!(NodeDeadlineOverruns, 1);
+                Reply::Error {
+                    code: ErrorCode::Deadline,
+                    message: format!(
+                        "durable commit overran the {:?} deadline",
+                        self.config.request_deadline
+                    ),
+                }
+            }
+            Ok(led) => {
+                obs_count!(DurableCommitsShared, u64::from(!led));
+                return Ok(());
+            }
+        };
+        self.lock(index).record_failure();
+        Err(failure)
     }
 
     /// Every shard's counters and health, merged; shards are visited
@@ -473,8 +551,13 @@ impl<B: BackingStore + 'static> NodeServer<B> {
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let pipes: Vec<_> = caches
+            .iter()
+            .map(|cache| cache.durable().map(DurableStore::pipe))
+            .collect();
         let shared = Arc::new(Shared {
-            durable: caches.iter().any(|cache| cache.durable().is_some()),
+            durable: pipes.iter().any(Option::is_some),
+            pipes,
             shards: caches
                 .into_iter()
                 .map(|cache| {
@@ -578,11 +661,12 @@ impl<B: BackingStore + 'static> NodeServer<B> {
         }
         self.flushed = true;
         let retries = self.shared.config.shutdown_flush_retries;
-        for shard in &self.shared.shards {
+        for (index, shard) in self.shared.shards.iter().enumerate() {
             // A panicking backing store mid-flush must not escape: this
             // runs from Drop, where an unwinding panic would abort.
             let result = catch_unwind(AssertUnwindSafe(|| {
                 shard.lock().shutdown_flush(retries);
+                let _ = self.shared.land(index);
             }));
             if let Err(payload) = result {
                 self.shared.panics.record(payload.as_ref());
@@ -616,8 +700,9 @@ fn scrub_loop<B: BackingStore + 'static>(shared: Arc<Shared<B>>, interval: Durat
         elapsed = Duration::ZERO;
         let batch = shared.config.scrub_batch;
         let pass = catch_unwind(AssertUnwindSafe(|| {
-            for shard in &shared.shards {
+            for (index, shard) in shared.shards.iter().enumerate() {
                 shard.lock().scrub_pass(batch);
+                let _ = shared.land(index);
             }
         }));
         if let Err(payload) = pass {
@@ -835,7 +920,7 @@ impl Window {
             // did; the window fails as one if any of them failed.
             let mut failure = None;
             for index in 0..shared.shards.len() {
-                if let Err(reply) = shared.lock(index).commit() {
+                if let Err(reply) = shared.commit(index) {
                     failure.get_or_insert(reply);
                 }
             }
@@ -933,17 +1018,15 @@ fn serve_request<B: BackingStore>(
     // read/write, globally ordered, keeps sieving windows moving
     // deterministically whatever the shard count.
     let tick = || Micros::new(shared.clock_us.fetch_add(1_000, Ordering::Relaxed));
-    let owner = |key| shard_of(key, shared.shards.len());
+    let owner = |key| shared.lock_for_request(shard_of(key, shared.shards.len()));
     match request {
         Request::Read { key } => {
             let now = tick();
-            window.push_read(corr, |out| {
-                shared.lock(owner(key)).handle_read(key, now, corr, out)
-            });
+            window.push_read(corr, |out| owner(key).handle_read(key, now, corr, out));
         }
         Request::Write { key, data } => {
             let now = tick();
-            let reply = shared.lock(owner(key)).handle_write(key, &data, now);
+            let reply = owner(key).handle_write(key, &data, now);
             window.push(corr, &reply);
         }
         Request::Stats => {

@@ -25,22 +25,23 @@
 //! frame checksum and hands the survivors back; `new_durable` warms the
 //! policy with them so the node resumes with its working set intact.
 //!
-//! Mutations are *staged* into the durable store's open group and made
-//! durable together by [`DataCache::commit`] (frames synced, then one
-//! journal append, synced). Every public mutating call ends with that
-//! commit, so it is durable on return; the node's request engine calls
-//! the same bodies without it and commits once per pipelined window,
-//! holding the window's replies until the commit returns.
+//! Mutations are *staged* — in memory — into the durable store's open
+//! group and made durable together by [`DataCache::commit`] (frames
+//! written and synced, then one journal append, synced). Every public
+//! mutating call ends with that commit, so it is durable on return; the
+//! node's server calls the same bodies without it and lands the group
+//! once per pipelined window, *outside* the lock the cache sits behind
+//! ([`crate::durable`], "Commit pipeline"), holding the window's replies
+//! until a commit covers them.
 //!
 //! The mirroring discipline follows the data's exposure:
 //!
 //! * **dirty frames** (write-back: the cache holds the only copy) must
-//!   be staged for the write to succeed — a put failure fails the write
+//!   be staged for the write to succeed — no free slot fails the write
 //!   — and are acknowledged only after the covering commit;
 //! * **clean frames** (a second copy exists on the backing store) are
-//!   staged best-effort — a failed frame write is counted
-//!   (`durable_media_errors`) and the frame simply will not survive a
-//!   restart.
+//!   staged best-effort — one that finds no free slot is counted
+//!   (`durable_media_errors`) and simply will not survive a restart.
 
 use std::io;
 use std::time::Instant;
@@ -232,6 +233,12 @@ impl<B: BackingStore> DataCache<B> {
         self.durable.as_ref()
     }
 
+    /// The attached durable store, for the seal and finish steps of a
+    /// group landed outside the lock this cache sits behind.
+    pub(crate) fn durable_mut(&mut self) -> Option<&mut DurableStore> {
+        self.durable.as_mut()
+    }
+
     /// Writes a clean-shutdown marker to the durable journal (if one is
     /// attached), letting the next open trust recovered clean frames.
     /// Idempotent; also invoked best-effort on drop.
@@ -252,21 +259,19 @@ impl<B: BackingStore> DataCache<B> {
         self.frames.get(key).and_then(|f| f.as_deref()).copied()
     }
 
-    /// Makes every mutation staged so far durable: one frame sync (if
-    /// any frame was staged) and one journal append + sync for the whole
-    /// group. Until this returns `Ok`, nothing staged may be
-    /// acknowledged; on `Err` the group stays open and the next commit
-    /// retries it. A no-op without a durable store or with nothing
-    /// staged.
+    /// Makes every mutation staged so far durable: the group's frames
+    /// written and synced, then one journal append + sync for the whole
+    /// group ([`DurableStore::commit`]). Until this returns `Ok`,
+    /// nothing staged may be acknowledged; on `Err` what did not land is
+    /// retried by the next commit. A no-op without a durable store or
+    /// with nothing staged.
     ///
     /// # Errors
     ///
     /// Propagates media failures.
     pub fn commit(&mut self) -> io::Result<()> {
         match self.durable.as_mut() {
-            Some(d) => d
-                .commit()
-                .inspect_err(|_| obs_count!(DurableMediaErrors, 1)),
+            Some(d) => d.commit(),
             None => Ok(()),
         }
     }
@@ -355,14 +360,29 @@ impl<B: BackingStore> DataCache<B> {
     /// also an error: the blocks did reach the backing store, but a
     /// restart would flush them again.
     pub fn flush(&mut self) -> io::Result<u64> {
+        let result = self.flush_staged();
+        self.committed(result)
+    }
+
+    /// [`Self::flush`] without the commit.
+    pub(crate) fn flush_staged(&mut self) -> io::Result<u64> {
         let keys: Vec<u64> = self.dirty.iter().collect();
-        let result = keys.iter().try_for_each(|&key| self.flush_one(key));
-        self.committed(result.map(|()| keys.len() as u64))
+        keys.iter().try_for_each(|&key| self.flush_one(key))?;
+        Ok(keys.len() as u64)
     }
 
     /// Best-effort flush: keeps going past individual failures instead
     /// of aborting on the first one. Returns `(flushed, still_dirty)`.
     pub fn flush_best_effort(&mut self) -> (u64, u64) {
+        let result = self.flush_best_effort_staged();
+        // Best-effort here too: an uncommitted clean record only costs a
+        // restart an idempotent re-flush.
+        let _ = self.commit();
+        result
+    }
+
+    /// [`Self::flush_best_effort`] without the commit.
+    pub(crate) fn flush_best_effort_staged(&mut self) -> (u64, u64) {
         let keys: Vec<u64> = self.dirty.iter().collect();
         let mut flushed = 0;
         for key in keys {
@@ -370,9 +390,6 @@ impl<B: BackingStore> DataCache<B> {
                 flushed += 1;
             }
         }
-        // Best-effort here too: an uncommitted clean record only costs a
-        // restart an idempotent re-flush.
-        let _ = self.commit();
         (flushed, self.dirty.len() as u64)
     }
 
@@ -385,6 +402,13 @@ impl<B: BackingStore> DataCache<B> {
     /// Returns an empty pass when no durable store is attached or the
     /// media fails entirely (the failure is counted).
     pub fn scrub(&mut self, max_slots: u32) -> ScrubPass {
+        let pass = self.scrub_staged(max_slots);
+        let _ = self.commit();
+        pass
+    }
+
+    /// [`Self::scrub`] without the commit.
+    pub(crate) fn scrub_staged(&mut self, max_slots: u32) -> ScrubPass {
         let cursor = self.scrub_cursor;
         let pass = match self.durable.as_mut() {
             Some(d) => match d.scrub(cursor, max_slots) {
@@ -407,7 +431,6 @@ impl<B: BackingStore> DataCache<B> {
                 let _ = self.durable_put(key, &data, dirty);
             }
         }
-        let _ = self.commit();
         pass
     }
 
@@ -670,6 +693,10 @@ impl<B: BackingStore> DataCache<B> {
             self.durable_evict(key);
         }
         for key in allocated {
+            if self.durable().is_some_and(DurableStore::out_of_slots) {
+                // The installs need the slots the retirements released.
+                self.commit()?;
+            }
             let data = self.backing.read_block(*key)?;
             self.durable_put(*key, &data, false)?;
             self.frames.insert(*key, Some(Box::new(data)));

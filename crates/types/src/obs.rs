@@ -121,11 +121,15 @@ pub enum CounterId {
     DurableSyncs,
     /// Durable group commits (one journal append each).
     DurableCommits,
+    /// Node windows released without leading a commit: another
+    /// connection's commit had covered, or went on to cover, all they
+    /// staged and saw.
+    DurableCommitsShared,
 }
 
 impl CounterId {
     /// Every counter, in canonical (serialization) order.
-    pub const ALL: [CounterId; 27] = [
+    pub const ALL: [CounterId; 28] = [
         CounterId::ReplayEventsRouted,
         CounterId::ReplayBatchesSent,
         CounterId::ReplayDayBoundaries,
@@ -153,6 +157,7 @@ impl CounterId {
         CounterId::DurableJournalRecords,
         CounterId::DurableSyncs,
         CounterId::DurableCommits,
+        CounterId::DurableCommitsShared,
     ];
 
     /// The counter's stable snake-case name (used in snapshots and JSON).
@@ -185,6 +190,7 @@ impl CounterId {
             CounterId::DurableJournalRecords => "durable_journal_records",
             CounterId::DurableSyncs => "durable_syncs",
             CounterId::DurableCommits => "durable_commits",
+            CounterId::DurableCommitsShared => "durable_commits_shared",
         }
     }
 
@@ -246,17 +252,21 @@ pub enum HistId {
     DurableRecoveryNanos,
     /// Journal records made durable by one group commit.
     DurableGroupRecords,
+    /// Nanoseconds a node window's replies waited, from the window's
+    /// close until a durable commit covered them.
+    DurableCommitWaitNanos,
 }
 
 impl HistId {
     /// Every histogram, in canonical (serialization) order.
-    pub const ALL: [HistId; 6] = [
+    pub const ALL: [HistId; 7] = [
         HistId::ReplayChannelWaitNanos,
         HistId::ReplayDayBarrierNanos,
         HistId::NodeReadNanos,
         HistId::NodeWriteNanos,
         HistId::DurableRecoveryNanos,
         HistId::DurableGroupRecords,
+        HistId::DurableCommitWaitNanos,
     ];
 
     /// The histogram's stable snake-case name.
@@ -268,6 +278,7 @@ impl HistId {
             HistId::NodeWriteNanos => "node_write_ns",
             HistId::DurableRecoveryNanos => "durable_recovery_ns",
             HistId::DurableGroupRecords => "durable_group_records",
+            HistId::DurableCommitWaitNanos => "durable_commit_wait_ns",
         }
     }
 

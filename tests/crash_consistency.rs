@@ -558,11 +558,15 @@ fn a_torn_group_append_recovers_a_record_prefix() {
                 .unwrap();
         }
     };
-    // Dry run: the journal append is the second step of the commit
-    // (after the frame sync).
+    // Dry run: a commit ends with the journal append and its sync, so
+    // the append is the last step but one — however many writes the
+    // frames took before it.
     let (mut store, handle, _) = open(CrashPlan::no_crash(0));
+    let opened = handle.steps();
     stage(&mut store);
-    let append_step = handle.steps() + 1;
+    assert_eq!(handle.steps(), opened, "staging touches no device");
+    store.commit().expect("no cut in the dry run");
+    let append_step = handle.steps() - 2;
     std::mem::forget(store);
 
     let mut prefix_lengths = std::collections::BTreeSet::new();
@@ -602,6 +606,357 @@ fn a_torn_group_append_recovers_a_record_prefix() {
         prefix_lengths.len() > 2,
         "the tear points sampled several prefix lengths: {prefix_lengths:?}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Pipelined commits: two groups in flight on a live server, group N+1's
+// frames written and synced while group N's journal sync is still
+// running (DESIGN §5e "Commit pipeline").
+// ---------------------------------------------------------------------------
+
+mod pipelined {
+    use std::collections::BTreeMap;
+    use std::io::Write as _;
+    use std::net::TcpStream;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Instant;
+
+    use sievestore_node::{Media, NodeServer, PipedReply, PipedRequest, Reply, Request};
+
+    use super::*;
+
+    /// What the media wrappers have seen since the test armed them, and
+    /// what the test has told them.
+    #[derive(Default)]
+    struct Stage {
+        armed: bool,
+        /// Group N's journal sync has arrived and waits for `released`.
+        parked: bool,
+        released: bool,
+        /// The parked sync fails (once) instead of reaching the device:
+        /// a stage-2 failure of N with N+1 already sealed.
+        fail_parked: bool,
+        /// Frame-device writes and syncs since arming.
+        frame_ops: u32,
+        frame_syncs: u32,
+    }
+
+    struct Ctl {
+        stage: Mutex<Stage>,
+        changed: Condvar,
+        handle: CrashHandle,
+    }
+
+    impl Ctl {
+        fn update(&self, f: impl FnOnce(&mut Stage)) {
+            f(&mut self.stage.lock().unwrap());
+            self.changed.notify_all();
+        }
+
+        /// Blocks until `ready` holds or the power is cut.
+        fn wait(&self, ready: impl Fn(&Stage) -> bool) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut stage = self.stage.lock().unwrap();
+            while !ready(&stage) && !self.handle.crashed() {
+                assert!(Instant::now() < deadline, "the commit pipeline stalled");
+                stage = self
+                    .changed
+                    .wait_timeout(stage, Duration::from_millis(1))
+                    .unwrap()
+                    .0;
+            }
+        }
+    }
+
+    /// Crash-point media that reports to, and parks for, the test.
+    struct Watched {
+        inner: CrashPointMedia,
+        journal: bool,
+        ctl: Arc<Ctl>,
+    }
+
+    impl Media for Watched {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            self.inner.read_at(offset, buf)
+        }
+        fn write_at(&mut self, offset: u64, data: &[u8]) -> std::io::Result<()> {
+            if !self.journal {
+                self.ctl.update(|s| s.frame_ops += u32::from(s.armed));
+            }
+            self.inner.write_at(offset, data)
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            if !self.journal {
+                let synced = self.inner.sync();
+                self.ctl.update(|s| {
+                    s.frame_ops += u32::from(s.armed);
+                    s.frame_syncs += u32::from(s.armed);
+                });
+                return synced;
+            }
+            let mut park = false;
+            self.ctl.update(|s| {
+                park = s.armed && !s.parked;
+                s.parked |= park;
+            });
+            if park {
+                self.ctl.wait(|s| s.released);
+                if self.ctl.stage.lock().unwrap().fail_parked {
+                    return Err(std::io::Error::other("injected journal sync failure"));
+                }
+            }
+            self.inner.sync()
+        }
+        fn len(&self) -> std::io::Result<u64> {
+            self.inner.len()
+        }
+        fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+            self.inner.truncate(len)
+        }
+    }
+
+    /// The three windows, in the order they are staged: A and B overlap
+    /// on keys 2 and 3, so the journal's order decides what they read as.
+    const WINDOWS: [&[(u64, u8)]; 3] = [
+        &[(0, 0xA0), (1, 0xA1), (2, 0xA2), (3, 0xA3)],
+        &[(2, 0xB2), (3, 0xB3), (4, 0xB4), (5, 0xB5), (6, 0xB6)],
+        &[(7, 0xC7)],
+    ];
+
+    fn send_window(stream: &mut TcpStream, writes: &[(u64, u8)]) {
+        let mut frames = Vec::new();
+        for &(key, fill) in writes {
+            PipedRequest {
+                corr: key as u32,
+                request: Request::Write {
+                    key,
+                    data: Box::new(block(fill)),
+                },
+            }
+            .encode_into(&mut frames);
+        }
+        stream.write_all(&frames).expect("send window");
+    }
+
+    /// Whether every write of the window was acknowledged.
+    fn acked(stream: &mut TcpStream, writes: &[(u64, u8)]) -> bool {
+        let replies: Vec<Reply> = writes
+            .iter()
+            .map(|_| {
+                PipedReply::decode(stream)
+                    .expect("a reply per request")
+                    .reply
+            })
+            .collect();
+        let acks = replies
+            .iter()
+            .filter(|r| matches!(r, Reply::Write { .. }))
+            .count();
+        assert!(
+            acks == 0 || acks == writes.len(),
+            "a window is acknowledged as one: {replies:?}"
+        );
+        acks > 0
+    }
+
+    struct Run {
+        /// Which of the windows were acknowledged.
+        acked: Vec<bool>,
+        images: (MediaImage, MediaImage, MediaImage),
+        /// Media steps taken by opening the store / by the whole run.
+        open_steps: u64,
+        steps: u64,
+        /// Frame-device operations seen while a third window waited
+        /// behind B, itself parked at the journal (`probe` runs only).
+        overtaking_ops: u32,
+    }
+
+    /// Window A is served and its land parked inside its journal sync;
+    /// window B is served, sealed, and its frames written and synced
+    /// meanwhile; then A's sync is let go (or failed, `fail_stage2`).
+    /// With `probe`, a third window arrives while both are in flight.
+    fn run(plan: CrashPlan, fail_stage2: bool, probe: bool) -> Run {
+        let formatted = fresh_formatted_bytes();
+        let handle = CrashHandle::new(plan);
+        let ctl = Arc::new(Ctl {
+            stage: Mutex::new(Stage {
+                fail_parked: fail_stage2,
+                ..Stage::default()
+            }),
+            changed: Condvar::new(),
+            handle: handle.clone(),
+        });
+        let mut images = Vec::new();
+        let mut watch = |bytes: Vec<u8>, journal: bool| -> Box<dyn Media> {
+            let inner = CrashPointMedia::with_initial(bytes, handle.clone());
+            images.push(inner.image());
+            Box::new(Watched {
+                inner,
+                journal,
+                ctl: Arc::clone(&ctl),
+            })
+        };
+        let media = DurableMediaSet {
+            frames: watch(formatted.0, false),
+            journal_a: watch(formatted.1, true),
+            journal_b: watch(formatted.2, true),
+        };
+        let images = (images[0].clone(), images[1].clone(), images[2].clone());
+        let (server, _): (NodeServer<MemBacking>, _) = NodeServerBuilder::new("127.0.0.1:0")
+            .config(NodeConfig {
+                request_deadline: Duration::from_secs(30),
+                breaker_threshold: 100,
+                ..NodeConfig::default()
+            })
+            .serve_durable(
+                MemBacking::new(),
+                PolicySpec::Aod,
+                CAPACITY,
+                WritePolicy::WriteBack,
+                media,
+            )
+            .expect("bind");
+        let open_steps = handle.steps();
+        let mut conns: Vec<TcpStream> = WINDOWS
+            .iter()
+            .map(|_| {
+                let stream = TcpStream::connect(server.addr()).expect("connect");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                stream
+            })
+            .collect();
+
+        ctl.update(|s| s.armed = true);
+        send_window(&mut conns[0], WINDOWS[0]);
+        ctl.wait(|s| s.parked);
+        send_window(&mut conns[1], WINDOWS[1]);
+        ctl.wait(|s| s.frame_syncs >= 2);
+        let mut overtaking_ops = 0;
+        if probe {
+            // B has nothing left to do on the frame device and must
+            // hold it until A lets go of the journal: a third group
+            // cannot reach the device — or the journal before B.
+            let quiet = ctl.stage.lock().unwrap().frame_ops;
+            send_window(&mut conns[2], WINDOWS[2]);
+            std::thread::sleep(Duration::from_millis(50));
+            overtaking_ops = ctl.stage.lock().unwrap().frame_ops - quiet;
+        }
+        ctl.update(|s| s.released = true);
+        let windows = if probe { 3 } else { 2 };
+        let acked = (0..windows)
+            .map(|i| acked(&mut conns[i], WINDOWS[i]))
+            .collect();
+        let steps = handle.steps();
+        drop(conns);
+        server.shutdown();
+        Run {
+            acked,
+            images,
+            open_steps,
+            steps,
+            overtaking_ops,
+        }
+    }
+
+    /// Reboots from what survived and checks it against the windows:
+    /// nothing quarantined or lost, the surviving state is the fold of a
+    /// *prefix* of the staged records in sequence order, and that prefix
+    /// covers every acknowledged window.
+    fn check(tag: &str, run: &Run) {
+        let recovery = DurableStore::open(
+            DurableMediaSet {
+                frames: Box::new(MemMedia::from_bytes(run.images.0.bytes())),
+                journal_a: Box::new(MemMedia::from_bytes(run.images.1.bytes())),
+                journal_b: Box::new(MemMedia::from_bytes(run.images.2.bytes())),
+            },
+            CAPACITY,
+        )
+        .unwrap_or_else(|e| panic!("{tag}: a clean cut is recoverable: {e}"));
+        assert_eq!(recovery.report.quarantined, 0, "{tag}");
+        assert_eq!(recovery.report.lost_dirty, 0, "{tag}");
+        let survived: BTreeMap<u64, u8> = recovery
+            .frames
+            .iter()
+            .map(|frame| {
+                assert!(
+                    frame.data.iter().all(|&b| b == frame.data[0]),
+                    "{tag}: key {} serves garbage",
+                    frame.key
+                );
+                (frame.key, frame.data[0])
+            })
+            .collect();
+        let staged: Vec<(u64, u8)> = WINDOWS[..run.acked.len()]
+            .iter()
+            .flat_map(|w| w.iter().copied())
+            .collect();
+        // The shortest prefix that covers every acknowledged window.
+        let mut must_cover = 0;
+        let mut end = 0;
+        for (window, &acked) in WINDOWS.iter().zip(&run.acked) {
+            end += window.len();
+            if acked {
+                must_cover = end;
+            }
+        }
+        let matches = (must_cover..=staged.len()).any(|prefix| {
+            let state: BTreeMap<u64, u8> = staged[..prefix].iter().copied().collect();
+            state == survived
+        });
+        assert!(
+            matches,
+            "{tag}: survivors {survived:x?} are no record prefix of {staged:x?} \
+             covering the first {must_cover} (acked {:?})",
+            run.acked
+        );
+    }
+
+    #[test]
+    fn power_cut_schedules_preserve_all_invariants_with_two_groups_in_flight() {
+        // Dry runs: both scenarios uncut — every window of the plain one
+        // acknowledged; the failed stage 2 fails A's window only, and
+        // B's land carries A's records to the journal ahead of its own.
+        let plain = run(CrashPlan::no_crash(0), false, false);
+        assert_eq!(plain.acked, [true, true]);
+        check("uncut", &plain);
+        let failed = run(CrashPlan::no_crash(0), true, false);
+        assert_eq!(failed.acked, [false, true]);
+        check("uncut, stage 2 of A failed", &failed);
+
+        for sweep in 0..schedule_count() {
+            let fail_stage2 = sweep % 2 == 1;
+            let dry = if fail_stage2 { &failed } else { &plain };
+            let span = dry.steps - dry.open_steps;
+            let step = dry.open_steps + (sweep / 2) % span;
+            let torn = (sweep / 2 / span).is_multiple_of(2);
+            let mut plan = CrashPlan::no_crash(sweep).crash_at_step(step);
+            if torn {
+                plan = plan.with_torn_tail();
+            }
+            let cut = run(plan, fail_stage2, false);
+            check(
+                &format!(
+                    "schedule {sweep} (step {step}, torn {torn}, failed stage 2 {fail_stage2})"
+                ),
+                &cut,
+            );
+        }
+    }
+
+    #[test]
+    fn a_group_keeps_the_frame_device_until_it_holds_the_journal() {
+        let probed = run(CrashPlan::no_crash(0), false, true);
+        assert_eq!(
+            probed.overtaking_ops, 0,
+            "a third group reached the frame device while its predecessor \
+             still waited for the journal: the journal's order is no longer \
+             the order the groups were sealed in"
+        );
+        assert_eq!(probed.acked, [true, true, true]);
+        check("three windows", &probed);
+    }
 }
 
 #[test]
