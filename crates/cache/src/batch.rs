@@ -6,6 +6,12 @@
 //! *i + 1*. If a block selected for the next epoch is already resident, the
 //! logical eviction-then-reallocation cancels out and no data moves; only
 //! the genuinely new blocks incur allocation-writes.
+//!
+//! The cache owns the epoch transition (what is allocated, retained,
+//! evicted, truncated at capacity). Under in-memory counting the sharded
+//! replay worker reads the per-access answer from the epoch table's
+//! resident bit instead (`sievestore_extsort::InMemoryCounter`, seeded from
+//! [`BatchCache::iter`] after every install) and never probes this set.
 
 use sievestore_types::{obs_count, obs_gauge_adjust, U64Set};
 
@@ -77,13 +83,25 @@ impl BatchCache {
 
     /// Whether `key` is resident this epoch.
     pub fn contains(&self, key: u64) -> bool {
-        let hit = self.resident.contains(key);
+        Self::count_lookup(self.resident.contains(key))
+    }
+
+    /// Counts a residency answer that came from the epoch table's
+    /// resident bit exactly as [`BatchCache::contains`] would have.
+    #[inline]
+    pub fn count_lookup(hit: bool) -> bool {
         if hit {
             obs_count!(CacheHits, 1);
         } else {
             obs_count!(CacheMisses, 1);
         }
         hit
+    }
+
+    /// Hints that `key` is about to be looked up. Changes no state.
+    #[inline]
+    pub fn prefetch(&self, key: u64) {
+        self.resident.prefetch(key);
     }
 
     /// Replaces the resident set with `selected`, computing the transition.

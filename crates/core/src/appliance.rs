@@ -420,11 +420,15 @@ impl SieveStore {
 
     /// Hints that `key` is about to be [`access`](SieveStore::access)ed.
     /// Issuing it for every block of a request before accessing the
-    /// first overlaps the policy's metastate cache misses; it never
-    /// changes an outcome.
+    /// first overlaps the cache misses on the policy's metastate (the
+    /// IMCT slot, or SieveStore-D's counter slot and epoch-cache slot);
+    /// it never changes an outcome.
     #[inline]
     pub fn prefetch(&self, key: u64) {
         self.policy.prefetch(key);
+        if let CacheKind::Batch(c) = &self.cache {
+            c.prefetch(key);
+        }
     }
 
     /// Signals the start of calendar day `day`. Discrete policies install
@@ -601,6 +605,33 @@ mod tests {
         assert_eq!(store.stats().batch_allocations, 1);
         // Day 1: hits on the installed block.
         assert_eq!(store.access(7, RequestKind::Write, t()), AccessOutcome::Hit);
+    }
+
+    #[test]
+    fn prefetch_hints_change_no_sievestore_d_outcome() {
+        let mut plain = build(PolicySpec::SieveStoreD { threshold: 3 }, 64);
+        let mut hinted = build(PolicySpec::SieveStoreD { threshold: 3 }, 64);
+        for i in 0..40_000u64 {
+            if i % 5000 == 0 {
+                let day = Day::new((i / 5000) as u16);
+                assert_eq!(hinted.day_boundary(day), plain.day_boundary(day));
+            }
+            let key = if i % 3 == 0 { i % 97 } else { i % 1009 };
+            // Hints for the key itself, for keys never accessed, and none.
+            match i % 4 {
+                0 => hinted.prefetch(key),
+                1 => (0..8).for_each(|j| hinted.prefetch(i.wrapping_mul(31) + j)),
+                2 => hinted.prefetch(u64::MAX - i),
+                _ => {}
+            }
+            assert_eq!(
+                hinted.access(key, RequestKind::Read, t()),
+                plain.access(key, RequestKind::Read, t()),
+                "access {i}"
+            );
+        }
+        assert!(plain.stats().hits() > 0 && plain.stats().batch_allocations > 0);
+        assert_eq!(hinted.stats(), plain.stats());
     }
 
     #[test]

@@ -59,7 +59,6 @@
 pub mod analytical;
 pub mod appliance;
 pub mod policy;
-pub mod tuning;
 
 pub use appliance::{AccessOutcome, ApplianceStats, PolicySpec, SieveStore, SieveStoreBuilder};
 pub use policy::{AllocationPolicy, MissDecision};

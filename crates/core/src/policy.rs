@@ -16,7 +16,7 @@
 
 use std::collections::HashSet;
 
-use sievestore_extsort::{CountingConfig, EpochCounter};
+use sievestore_extsort::{AccessCounter, CountingConfig, EpochCounter};
 use sievestore_sieve::{
     random_block_selection, DiscreteSieve, RandomMissSieve, TwoTierConfig, TwoTierSieve,
 };
@@ -257,7 +257,8 @@ impl AllocationPolicy for RandSieveC {
 ///
 /// Misses never allocate mid-epoch; day 0 bootstraps with an empty cache.
 /// The counting substrate is chosen by a
-/// [`CountingConfig`]: the in-memory map (default) or the budgeted
+/// [`CountingConfig`]: the in-memory epoch table (default; one slot per
+/// key, emptied in place at each boundary, prefetchable) or the budgeted
 /// spill-to-disk log for epochs whose distinct-key population exceeds RAM
 /// — the selection at each boundary is identical either way.
 #[derive(Debug)]
@@ -332,6 +333,10 @@ impl AllocationPolicy for SieveStoreD {
 
     fn is_discrete(&self) -> bool {
         true
+    }
+
+    fn prefetch(&self, key: u64) {
+        self.sieve.counter().prefetch(key);
     }
 }
 

@@ -16,9 +16,13 @@
 //! the final [`AccessCounts`], from which the blocks above the allocation
 //! threshold are selected.
 //!
-//! [`InMemoryCounter`] is a drop-in hash-map implementation of the same
+//! [`InMemoryCounter`] is the in-memory implementation of the same
 //! [`AccessCounter`] interface, used by fast simulations and as a test
-//! oracle for the external implementation.
+//! oracle for the external implementation: one 16-byte slot per key per
+//! epoch, `(key, count | resident bit)`, so counting an access and
+//! answering "did last epoch select this block?" is one probe of one
+//! cache line. The bit is seeded after each epoch install and never
+//! reaches a count; the table is emptied in place at the boundary.
 //!
 //! # Examples
 //!
@@ -47,7 +51,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 
-use sievestore_types::{SieveError, U64Map};
+use sievestore_types::{prefetch_read, SieveError, U64Map};
 
 /// Common interface over access counters (external log or in-memory map).
 pub trait AccessCounter {
@@ -77,6 +81,29 @@ pub trait AccessCounter {
         Self: Sized,
     {
         Ok(self.finish()?.keys_with_at_least(threshold))
+    }
+
+    /// [`AccessCounter::record`], answering whether `key` was
+    /// [seeded](AccessCounter::seed_resident) this epoch if the backend
+    /// keeps that bit; `None` sends the caller to the cache itself.
+    fn touch(&mut self, key: u64) -> Option<bool> {
+        self.record(key);
+        None
+    }
+
+    /// Marks `key` resident for this epoch without counting an access.
+    /// `touch` is right only if exactly the keys resident *after* each
+    /// epoch install are seeded. A no-op for backends without the bit.
+    fn seed_resident(&mut self, _key: u64) {}
+
+    /// Hints that `key` is about to be recorded. Changes no state.
+    fn prefetch(&self, _key: u64) {}
+
+    /// [`AccessCounter::finish_selection`] in place: selects, then empties
+    /// the counter (counts and resident marks) keeping its size. `None`,
+    /// the default: finish this counter by value and start a fresh one.
+    fn drain_selection(&mut self, _threshold: u64) -> Option<Vec<u64>> {
+        None
     }
 }
 
@@ -153,44 +180,159 @@ impl FromIterator<(u64, u64)> for AccessCounts {
     }
 }
 
-/// Straightforward hash-map counter; the test oracle and fast path.
+/// `word` bit 0: the key is resident in the epoch cache.
+const RESIDENT: u64 = 1;
+/// One access in a slot's `word` (the count sits above the resident bit).
+const ONE: u64 = 2;
+/// Smallest table (slots).
+const MIN_SLOTS: usize = 16;
+
+/// One key's epoch state; `word == 0` marks a vacant slot, so every
+/// `u64` — `u64::MAX` included — is a legal key. Sixteen-byte aligned:
+/// a slot never straddles a cache line.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(16))]
+struct Slot {
+    key: u64,
+    /// `count << 1 | resident`.
+    word: u64,
+}
+
+/// The in-memory epoch table: test oracle and fast path. See the
+/// [crate docs](crate) for the layout.
 ///
 /// # Examples
 ///
 /// ```
 /// use sievestore_extsort::{AccessCounter, InMemoryCounter};
 /// let mut counter = InMemoryCounter::new();
-/// counter.record(5);
+/// counter.seed_resident(5);
+/// assert_eq!(counter.touch(5), Some(true));
+/// assert_eq!(counter.touch(6), Some(false));
 /// counter.record(5);
 /// let counts = counter.finish().unwrap();
-/// assert_eq!(counts.get(5), 2);
+/// assert_eq!((counts.get(5), counts.len()), (2, 2));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct InMemoryCounter {
-    counts: U64Map<u64>,
+    /// Power-of-two length, linear probing, at most 3/4 occupied.
+    slots: Box<[Slot]>,
+    /// `64 - log2(slots.len())`: the Fibonacci multiply-shift.
+    shift: u32,
+    /// Occupied slots: touched or seeded.
+    used: usize,
+}
+
+impl Default for InMemoryCounter {
+    fn default() -> Self {
+        InMemoryCounter::new()
+    }
 }
 
 impl InMemoryCounter {
     /// Creates an empty counter.
     pub fn new() -> Self {
-        InMemoryCounter::default()
+        InMemoryCounter {
+            slots: vec![Slot::default(); MIN_SLOTS].into(),
+            shift: 64 - MIN_SLOTS.trailing_zeros(),
+            used: 0,
+        }
     }
 
     /// Current count for a key (0 if never seen).
     pub fn get(&self, key: u64) -> u64 {
-        self.counts.get(key).copied().unwrap_or(0)
+        self.slots[self.probe(key)].word / ONE
+    }
+
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The slot holding `key`, or the vacant slot where it would go.
+    #[inline]
+    fn probe(&self, key: u64) -> usize {
+        let mut i = self.home(key);
+        loop {
+            let slot = &self.slots[i];
+            if slot.word == 0 || slot.key == key {
+                return i;
+            }
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+    }
+
+    /// `key`'s slot, claimed (with a zero word the caller must make
+    /// nonzero) if the key was absent.
+    #[inline]
+    fn entry(&mut self, key: u64) -> &mut Slot {
+        let mut i = self.probe(key);
+        if self.slots[i].word == 0 {
+            if (self.used + 1) * 4 > self.slots.len() * 3 {
+                self.resize(self.slots.len() * 2);
+                i = self.probe(key);
+            }
+            self.slots[i].key = key;
+            self.used += 1;
+        }
+        &mut self.slots[i]
+    }
+
+    /// Keys counted at least `threshold` times, sorted ascending.
+    fn selection(&self, threshold: u64) -> Vec<u64> {
+        // `count >= t` is `word >= 2t` whatever the resident bit says; a
+        // seeded, never-touched key has count 0 and was not observed.
+        let floor = threshold.max(1).saturating_mul(ONE);
+        let selected = self.slots.iter().filter(|s| s.word >= floor);
+        let mut keys: Vec<u64> = selected.map(|s| s.key).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    fn resize(&mut self, slots: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![Slot::default(); slots].into());
+        self.shift = 64 - slots.trailing_zeros();
+        for slot in old.iter().filter(|s| s.word != 0) {
+            self.slots[self.probe(slot.key)] = *slot;
+        }
     }
 }
 
 impl AccessCounter for InMemoryCounter {
     fn record(&mut self, key: u64) {
-        *self.counts.get_or_insert_with(key, || 0) += 1;
+        self.touch(key);
     }
 
     fn finish(self) -> Result<AccessCounts, SieveError> {
-        Ok(AccessCounts {
-            counts: self.counts,
-        })
+        let counted = self.slots.iter().filter(|s| s.word >= ONE);
+        Ok(counted.map(|s| (s.key, s.word / ONE)).collect())
+    }
+
+    fn finish_selection(self, threshold: u64) -> Result<Vec<u64>, SieveError> {
+        Ok(self.selection(threshold))
+    }
+
+    fn drain_selection(&mut self, threshold: u64) -> Option<Vec<u64>> {
+        let keys = self.selection(threshold);
+        self.slots.fill(Slot::default());
+        self.used = 0;
+        Some(keys)
+    }
+
+    #[inline]
+    fn touch(&mut self, key: u64) -> Option<bool> {
+        let slot = self.entry(key);
+        slot.word += ONE;
+        Some(slot.word & RESIDENT != 0)
+    }
+
+    fn seed_resident(&mut self, key: u64) {
+        self.entry(key).word |= RESIDENT;
+    }
+
+    #[inline]
+    fn prefetch(&self, key: u64) {
+        prefetch_read(&self.slots[self.home(key)]);
     }
 }
 
@@ -590,32 +732,54 @@ impl CountingConfig {
 /// discrete sieve runs each epoch over.
 #[derive(Debug)]
 pub enum EpochCounter {
-    /// Hash-map backend.
+    /// The in-memory epoch table.
     InMemory(InMemoryCounter),
     /// Budgeted spill backend.
     Spill(SpillCounter),
 }
 
+/// Runs `$call` on whichever backend `$this` holds. The spill backend's
+/// hot map drains mid-epoch, so it cannot hold the resident bit: it keeps
+/// the trait's no-residency defaults, and its callers their separate
+/// residency probe.
+macro_rules! on_backend {
+    ($this:expr, $c:ident => $call:expr) => {
+        match $this {
+            EpochCounter::InMemory($c) => $call,
+            EpochCounter::Spill($c) => $call,
+        }
+    };
+}
+
 impl AccessCounter for EpochCounter {
     fn record(&mut self, key: u64) {
-        match self {
-            EpochCounter::InMemory(c) => c.record(key),
-            EpochCounter::Spill(c) => c.record(key),
-        }
+        on_backend!(self, c => c.record(key))
     }
 
     fn finish(self) -> Result<AccessCounts, SieveError> {
-        match self {
-            EpochCounter::InMemory(c) => c.finish(),
-            EpochCounter::Spill(c) => c.finish(),
-        }
+        on_backend!(self, c => c.finish())
     }
 
     fn finish_selection(self, threshold: u64) -> Result<Vec<u64>, SieveError> {
-        match self {
-            EpochCounter::InMemory(c) => c.finish_selection(threshold),
-            EpochCounter::Spill(c) => c.finish_selection(threshold),
-        }
+        on_backend!(self, c => c.finish_selection(threshold))
+    }
+
+    #[inline]
+    fn touch(&mut self, key: u64) -> Option<bool> {
+        on_backend!(self, c => c.touch(key))
+    }
+
+    fn seed_resident(&mut self, key: u64) {
+        on_backend!(self, c => c.seed_resident(key))
+    }
+
+    #[inline]
+    fn prefetch(&self, key: u64) {
+        on_backend!(self, c => c.prefetch(key))
+    }
+
+    fn drain_selection(&mut self, threshold: u64) -> Option<Vec<u64>> {
+        on_backend!(self, c => c.drain_selection(threshold))
     }
 }
 
@@ -908,6 +1072,128 @@ mod tests {
         let counts = log.finish().unwrap();
         assert_eq!(counts.get(5), 8);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resident_bit_never_leaks_into_a_count() {
+        let mut table = InMemoryCounter::new();
+        for key in [7, 8, u64::MAX] {
+            table.seed_resident(key);
+        }
+        assert!(table.clone().finish().unwrap().is_empty(), "seeded only");
+        assert_eq!(table.touch(7), Some(true));
+        assert_eq!(table.touch(7), Some(true));
+        assert_eq!(table.touch(u64::MAX), Some(true));
+        assert_eq!(table.touch(0), Some(false), "key 0 is not the vacancy mark");
+        table.seed_resident(7); // seeding twice, or after a touch, changes nothing
+        assert_eq!((table.get(7), table.get(8), table.get(0)), (2, 0, 1));
+        // Resident but touched fewer than `threshold` times: not selected;
+        // resident and never touched: not even at threshold 0.
+        assert_eq!(
+            table.clone().finish_selection(3).unwrap(),
+            Vec::<u64>::new()
+        );
+        assert_eq!(table.clone().finish_selection(2).unwrap(), vec![7]);
+        assert_eq!(
+            table.clone().finish_selection(0).unwrap(),
+            vec![0, 7, u64::MAX]
+        );
+        let counts = table.clone().finish().unwrap();
+        assert_eq!((counts.len(), counts.total_accesses()), (3, 4));
+        assert_eq!(counts.get(u64::MAX), 1);
+        // Draining leaves neither counts nor resident marks behind.
+        assert_eq!(table.drain_selection(1), Some(vec![0, 7, u64::MAX]));
+        assert_eq!(table.touch(7), Some(false));
+        assert_eq!(table.finish().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn drained_table_keeps_its_size_for_the_next_epoch() {
+        let mut table = InMemoryCounter::new();
+        let epoch = |table: &mut InMemoryCounter, keys: u64| {
+            (0..keys).for_each(|key| table.record(key.wrapping_mul(0x9E37_79B9)));
+        };
+        epoch(&mut table, 1000);
+        // The table only ever grows, and only by rehashing: an unchanged
+        // slot count is zero rehashes.
+        let grown = table.slots.len();
+        assert_eq!(grown, 2048, "grown from 16 slots, at most 3/4 full");
+        assert_eq!(table.drain_selection(1).map(|keys| keys.len()), Some(1000));
+        assert_eq!(table.slots.len(), grown, "draining keeps the size");
+        epoch(&mut table, 1000);
+        assert_eq!(table.slots.len(), grown, "no rehash in a same-sized epoch");
+        epoch(&mut table, 4000);
+        assert!(table.slots.len() > grown, "growth past the kept size");
+        assert_eq!(table.finish().unwrap().len(), 4000);
+    }
+
+    #[derive(Debug, Clone)]
+    enum TableOp {
+        Seed(u64),
+        Touch(u64),
+        /// Select at this threshold and start the next epoch in place.
+        EndEpoch(u64),
+    }
+
+    fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
+        // A small key space so the same key is seeded, touched and
+        // re-selected across epochs; the extremes ride along.
+        let key = || prop_oneof![0u64..48, 0u64..48, Just(u64::MAX), Just(0u64), any::<u64>()];
+        proptest::collection::vec(
+            prop_oneof![
+                key().prop_map(TableOp::Touch),
+                key().prop_map(TableOp::Touch),
+                key().prop_map(TableOp::Touch),
+                key().prop_map(TableOp::Seed),
+                (0u64..4).prop_map(TableOp::EndEpoch),
+            ],
+            0..400,
+        )
+    }
+
+    proptest! {
+        /// The fused table against a `HashMap` of counts beside a
+        /// `HashSet` of resident keys: every touch's answer, every count,
+        /// the distinct keys, the totals and the selection, over epochs
+        /// that reuse the table (growing past its kept size on the way).
+        #[test]
+        fn epoch_table_matches_map_and_set_reference(ops in table_ops()) {
+            use std::collections::{HashMap, HashSet};
+            let mut table = InMemoryCounter::new();
+            let mut counts: HashMap<u64, u64> = HashMap::new();
+            let mut resident: HashSet<u64> = HashSet::new();
+            for op in ops {
+                match op {
+                    TableOp::Seed(key) => {
+                        table.seed_resident(key);
+                        resident.insert(key);
+                    }
+                    TableOp::Touch(key) => {
+                        prop_assert_eq!(table.touch(key), Some(resident.contains(&key)));
+                        *counts.entry(key).or_insert(0) += 1;
+                        prop_assert_eq!(table.get(key), counts[&key]);
+                    }
+                    TableOp::EndEpoch(threshold) => {
+                        let totals = table.clone().finish().unwrap();
+                        prop_assert_eq!(totals.len(), counts.len());
+                        for (&k, &c) in &counts {
+                            prop_assert_eq!(totals.get(k), c);
+                        }
+                        let mut want: Vec<u64> = counts
+                            .iter()
+                            .filter(|&(_, &c)| c >= threshold)
+                            .map(|(&k, _)| k)
+                            .collect();
+                        want.sort_unstable();
+                        prop_assert_eq!(table.clone().finish_selection(threshold).unwrap(), want.clone());
+                        prop_assert_eq!(table.drain_selection(threshold), Some(want));
+                        counts.clear();
+                        resident.clear();
+                    }
+                }
+            }
+            prop_assert_eq!(table.finish().unwrap().len(), counts.len());
+        }
     }
 
     proptest! {

@@ -47,6 +47,16 @@
 //!   The per-shard resident sets partition the global one, so the summed
 //!   install counts equal the sequential install's exactly, and epoch
 //!   rotation stays globally ordered.
+//! * **One slot per access for SieveStore-D.** Under in-memory counting
+//!   a key's count and resident bit share one 16-byte counter slot, so a
+//!   block event is one probe of one cache line (no
+//!   `BatchCache::contains`), hinted `AHEAD` entries down the batch's flat
+//!   `blocks` array. The worker seeds the bits from what `Install` left
+//!   resident; `Install` follows `Boundary` on the shard's FIFO, so they
+//!   land in the new epoch's table before its first batch. The spill
+//!   backend's hot map drains, so it keeps the separate cache probe. The
+//!   coordinator routes with no division per block ([`shard_index`], one
+//!   division per request for the interpolated times).
 //!
 //! # Determinism
 //!
@@ -74,12 +84,12 @@ use crossbeam::thread;
 use sievestore::policy::RandSieveBlkD;
 use sievestore::{PolicySpec, SieveStore};
 use sievestore_cache::BatchCache;
-use sievestore_extsort::CountingConfig;
+use sievestore_extsort::{AccessCounter, CountingConfig};
 use sievestore_sieve::{random_block_selection, DiscreteSieve};
 use sievestore_trace::{StreamMsg, SyntheticTrace, TraceStream};
 use sievestore_types::{
-    obs_count, obs_enabled, obs_observe, shard_of, Day, Micros, Minute, Request, RequestKind,
-    SieveError, U64Set,
+    obs_count, obs_enabled, obs_observe, shard_index, shard_of, Day, Micros, Minute, Request,
+    RequestKind, SieveError, U64Set,
 };
 
 use crate::engine::{open_stream, validate_scenario, SimConfig};
@@ -167,13 +177,14 @@ struct Batch {
 }
 
 impl Batch {
-    /// Each group with its slice of `blocks`, in stream order.
+    /// Each group, in stream order, with `blocks` from the group's first
+    /// entry on: its own `len` entries, then what the worker reaches next.
     fn fragments(&self) -> impl Iterator<Item = (&Group, &[(u64, Micros)])> {
         let mut rest = &self.blocks[..];
         self.groups.iter().map(move |g| {
-            let (blocks, tail) = rest.split_at(g.len as usize);
-            rest = tail;
-            (g, blocks)
+            let upcoming = rest;
+            rest = &rest[g.len as usize..];
+            (g, upcoming)
         })
     }
 }
@@ -190,7 +201,8 @@ enum ToWorker {
 }
 
 /// Groups buffered per shard before a queue push: large enough that the
-/// ~1 µs push is noise against the batch's ≥ 50 µs of worker time, small
+/// ~1 µs push is noise against the batch's ≈ 0.2 ms of worker time (a
+/// full batch averages ≈ 8 000 block events at ≈ 28 ns each), small
 /// enough that day-boundary drains stay short. Fixed by measurement
 /// (DESIGN.md §5f has the candidates tried); it sets message granularity
 /// only, never per-shard event order, so no simulated metric depends on
@@ -198,6 +210,10 @@ enum ToWorker {
 const BATCH_GROUPS: usize = 1024;
 /// In-flight batches per shard queue (backpressure bound).
 const CHANNEL_DEPTH: usize = 8;
+/// How many entries down its batch's flat `blocks` array a discrete
+/// worker hints the counter slot it will touch: fixed by measurement
+/// (DESIGN.md §5f has the candidates tried), and no metric depends on it.
+const AHEAD: usize = 8;
 
 /// Per-shard epoch bookkeeping for discrete policies: the *counting*
 /// side of the policy. The shard's slice of the epoch cache sits beside
@@ -231,13 +247,32 @@ impl DiscreteBook {
         })
     }
 
-    fn record(&mut self, key: u64) {
+    /// Counts one access. `Some(hit)` when the counter also indexes the
+    /// shard's epoch cache (SieveStore-D's in-memory table: count and
+    /// residency from one slot); `None` leaves the answer to the cache.
+    #[inline]
+    fn touch(&mut self, key: u64) -> Option<bool> {
         match self {
-            DiscreteBook::SieveD { sieve, .. } => sieve.record_access(key),
+            DiscreteBook::SieveD { sieve, .. } => sieve.counter_mut().touch(key),
             DiscreteBook::BlkD(accessed) => {
                 accessed.insert(key);
+                None
             }
-            DiscreteBook::Ideal => {}
+            DiscreteBook::Ideal => None,
+        }
+    }
+
+    #[inline]
+    fn prefetch(&self, key: u64) {
+        if let DiscreteBook::SieveD { sieve, .. } = self {
+            sieve.counter().prefetch(key);
+        }
+    }
+
+    /// Marks `key` resident in the current epoch's counter.
+    fn seed_resident(&mut self, key: u64) {
+        if let DiscreteBook::SieveD { sieve, .. } = self {
+            sieve.counter_mut().seed_resident(key);
         }
     }
 
@@ -358,8 +393,8 @@ impl ShardState {
     fn process(&mut self, msg: ToWorker) {
         match msg {
             ToWorker::Batch(batch) => {
-                for (g, blocks) in batch.fragments() {
-                    self.process_group(g, blocks);
+                for (g, upcoming) in batch.fragments() {
+                    self.process_group(g, upcoming);
                 }
             }
             ToWorker::Boundary => {
@@ -370,21 +405,28 @@ impl ShardState {
                 }
             }
             ToWorker::Install(day, selection) => {
-                if let WorkerKind::Discrete { resident, .. } = &mut self.kind {
+                if let WorkerKind::Discrete { book, resident, .. } = &mut self.kind {
                     // The shard's share of the day's batch move; the
                     // merge sums the shares into the global count.
                     let moved = resident.install_epoch(selection).allocated.len();
                     self.result.record_batch_install(day, moved as u64);
+                    // Seed what the install kept, not what was selected.
+                    // `Install` follows `Boundary` on this FIFO, so the
+                    // bits land in the new epoch's counter before its
+                    // first batch.
+                    resident.iter().for_each(|key| book.seed_resident(key));
                 }
             }
         }
     }
 
-    /// Accounts the shard's fragment of one request exactly as the
-    /// sequential engine accounts a whole one; page accounting therefore
-    /// rounds per fragment (see module docs).
-    fn process_group(&mut self, g: &Group, blocks: &[(u64, Micros)]) {
+    /// Accounts the shard's fragment of one request — the first `g.len`
+    /// entries of `upcoming` — exactly as the sequential engine accounts
+    /// a whole one; page accounting therefore rounds per fragment (see
+    /// module docs).
+    fn process_group(&mut self, g: &Group, upcoming: &[(u64, Micros)]) {
         let kind = &mut self.kind;
+        let blocks = &upcoming[..g.len as usize];
         if let WorkerKind::Continuous(store) = kind {
             // As in the sequential engine: overlap the metastate fetches.
             blocks.iter().for_each(|&(key, _)| store.prefetch(key));
@@ -393,15 +435,20 @@ impl ShardState {
             g.minute,
             g.completion_minute,
             g.kind,
-            blocks.iter().map(|&(key, t)| match kind {
+            blocks.iter().enumerate().map(|(i, &(key, t))| match kind {
                 WorkerKind::Continuous(store) => {
                     let outcome = store.access(key, g.kind, t);
                     (outcome.is_hit(), outcome.is_allocation())
                 }
                 WorkerKind::Discrete { book, resident, .. } => {
-                    book.record(key);
+                    if let Some(&(soon, _)) = upcoming.get(i + AHEAD) {
+                        book.prefetch(soon);
+                    }
+                    let hit = book
+                        .touch(key)
+                        .map_or_else(|| resident.contains(key), BatchCache::count_lookup);
                     // Discrete misses never allocate mid-epoch.
-                    (resident.contains(key), false)
+                    (hit, false)
                 }
             }),
         );
@@ -586,6 +633,7 @@ fn coordinate(
 ) -> Result<Vec<u64>, SieveError> {
     let mut pending: Vec<Batch> = queues.iter().map(|_| Batch::default()).collect();
     let mut per_shard_blocks = vec![0u64; queues.len()];
+    let index = shard_index(queues.len());
     let mut epoch = 0u64;
     while let Some(msg) = stream.next_msg() {
         match msg {
@@ -613,7 +661,7 @@ fn coordinate(
             }
             StreamMsg::Chunk(requests) => {
                 for req in &requests {
-                    route_request(req, &mut pending, &mut per_shard_blocks);
+                    route_request(req, index, &mut pending, &mut per_shard_blocks);
                     for (queue, batch) in queues.iter().zip(&mut pending) {
                         if batch.groups.len() >= BATCH_GROUPS {
                             ship(queue, batch)?;
@@ -633,13 +681,16 @@ fn coordinate(
 
 /// Appends `req`'s blocks to the pending batch of each shard that owns
 /// some of them — one group per such shard, blocks in request order —
-/// and counts them into `per_shard_blocks`.
-fn route_request(req: &Request, pending: &mut [Batch], per_shard_blocks: &mut [u64]) {
-    let shards = pending.len();
-    for (i, key) in req.blocks().enumerate() {
-        let raw = key.raw();
-        let at = req.block_completion_time(i as u32);
-        pending[shard_of(raw, shards)].blocks.push((raw, at));
+/// and counts them into `per_shard_blocks`. No division per block: the
+/// shard comes from `index`, the times from one division per request.
+fn route_request(
+    req: &Request,
+    index: impl Fn(u64) -> usize,
+    pending: &mut [Batch],
+    per_shard_blocks: &mut [u64],
+) {
+    for (key, at) in req.blocks().zip(req.block_completion_times()) {
+        pending[index(key.raw())].blocks.push((key.raw(), at));
     }
     for (batch, routed) in pending.iter_mut().zip(per_shard_blocks) {
         let len = batch.blocks.len() - batch.grouped;
@@ -861,7 +912,7 @@ mod tests {
             sieve: DiscreteSieve::new(CountingConfig::InMemory.counter().unwrap(), 2).unwrap(),
             counting: CountingConfig::spill(&path),
         };
-        book.record(9);
+        book.touch(9);
         let failed = book.contribution();
         std::fs::remove_file(&path).ok();
         let original = failed
@@ -873,6 +924,63 @@ mod tests {
         reply.send(failed).unwrap();
         assert_eq!(gather(&[contribution]).unwrap_err().to_string(), original);
         assert_ne!(original, worker_panicked().to_string());
+    }
+
+    /// One single-group read batch over `keys`, all at minute 0 of `day`.
+    fn batch_of(day: u16, keys: &[u64]) -> ToWorker {
+        let at = Day::new(day).start();
+        ToWorker::Batch(Batch {
+            groups: vec![Group {
+                minute: at.minute(),
+                completion_minute: at.minute(),
+                kind: RequestKind::Read,
+                len: keys.len() as u32,
+            }],
+            blocks: keys.iter().map(|&key| (key, at)).collect(),
+            grouped: keys.len(),
+        })
+    }
+
+    #[test]
+    fn install_seeds_the_new_epochs_counter_with_what_the_cache_kept() {
+        let trace = tiny();
+        let capacity = 2;
+        let c = cfg(&trace, capacity);
+        let (reply, contribution) = channel::bounded(1);
+        let spec = PolicySpec::SieveStoreD { threshold: 2 };
+        let mut shard = ShardState {
+            kind: WorkerKind::Discrete {
+                book: DiscreteBook::new(&spec, &c.counting).unwrap().unwrap(),
+                resident: BatchCache::new(capacity),
+                reply,
+            },
+            result: SimResult::empty(Arc::from(spec.name()), &trace, &c),
+        };
+        // Epoch 0 earns three keys a frame; the cache has room for two.
+        shard.process(batch_of(0, &[5, 9, 5, 7, 9, 7, 3]));
+        assert_eq!(shard.result.day(Day::new(0)).read_hits, 0);
+        // The coordinator's order on this shard's FIFO: Boundary (the
+        // counter is drained), then Install, then the new epoch's batches.
+        shard.process(ToWorker::Boundary);
+        let selected = contribution.recv().unwrap().unwrap();
+        assert_eq!(selected, vec![5, 7, 9]);
+        shard.process(ToWorker::Install(Day::new(1), selected));
+        assert_eq!(shard.result.day(Day::new(1)).batch_allocations, 2);
+        // From here the hit/miss answer must come from the counter slot
+        // alone: empty the cache itself, so a probe of it would miss.
+        let WorkerKind::Discrete { resident, .. } = &mut shard.kind else {
+            unreachable!()
+        };
+        assert!(resident.contains(5) && resident.contains(7) && !resident.contains(9));
+        *resident = BatchCache::new(capacity);
+        // First access of each installed key reads "hit"; key 9 was
+        // selected but truncated at capacity, so it was never seeded.
+        shard.process(batch_of(1, &[5, 7, 9, 3, 5]));
+        let day1 = shard.result.day(Day::new(1));
+        assert_eq!((day1.read_hits, day1.read_misses), (3, 2));
+        // The seeds reached no count: only key 5 was touched twice.
+        shard.process(ToWorker::Boundary);
+        assert_eq!(contribution.recv().unwrap().unwrap(), vec![5]);
     }
 
     #[test]
@@ -920,7 +1028,7 @@ mod tests {
                 StreamMsg::StartDay(_) => pending.iter_mut().for_each(|b| *b = Batch::default()),
                 StreamMsg::Chunk(requests) => {
                     for req in &requests {
-                        route_request(req, &mut pending, &mut routed);
+                        route_request(req, shard_index(shards), &mut pending, &mut routed);
                     }
                     most = most.max(pending.iter().map(|b| b.groups.len()).max().unwrap());
                 }
@@ -967,7 +1075,7 @@ mod tests {
             let mut pending: Vec<Batch> = (0..shards).map(|_| Batch::default()).collect();
             let mut per_shard_blocks = vec![0u64; shards];
             for req in &requests {
-                route_request(req, &mut pending, &mut per_shard_blocks);
+                route_request(req, shard_index(shards), &mut pending, &mut per_shard_blocks);
             }
             let total: u64 = requests.iter().map(|r| u64::from(r.len_blocks)).sum();
             prop_assert_eq!(per_shard_blocks.iter().sum::<u64>(), total);
@@ -986,8 +1094,8 @@ mod tests {
                     if want.is_empty() {
                         continue; // an untouched shard gets no group at all
                     }
-                    let (g, got) = fragments.next().expect("one group per touched shard");
-                    prop_assert_eq!(got, &want[..]);
+                    let (g, upcoming) = fragments.next().expect("one group per touched shard");
+                    prop_assert_eq!(&upcoming[..g.len as usize], &want[..]);
                     prop_assert_eq!(g.minute, req.timestamp.minute());
                     prop_assert_eq!(g.completion_minute, req.completion_time().minute());
                     prop_assert_eq!(g.kind, req.kind);

@@ -165,6 +165,15 @@ impl<V: Default> U64Map<V> {
         }
     }
 
+    /// Hints the CPU to fetch `key`'s home slot ahead of a lookup.
+    /// Changes no state.
+    #[inline]
+    pub fn prefetch(&self, key: u64) {
+        if let Some(home) = self.keys.get(self.bucket(key)) {
+            crate::prefetch_read(home);
+        }
+    }
+
     /// Whether `key` is present.
     #[inline]
     pub fn contains_key(&self, key: u64) -> bool {
@@ -407,6 +416,12 @@ impl U64Set {
     #[inline]
     pub fn contains(&self, key: u64) -> bool {
         self.map.contains_key(key)
+    }
+
+    /// Hints the CPU to fetch `key`'s home slot ahead of a lookup.
+    #[inline]
+    pub fn prefetch(&self, key: u64) {
+        self.map.prefetch(key);
     }
 
     /// Adds `key`; returns whether it was newly inserted.

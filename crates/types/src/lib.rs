@@ -110,8 +110,24 @@ pub const fn mix64(key: u64) -> u64 {
 /// assert_eq!(shard_of(42, 4), shard_of(42, 4));
 /// ```
 pub fn shard_of(key: u64, shards: usize) -> usize {
+    shard_index(shards)(key)
+}
+
+/// [`shard_of`]`(_, shards)` with the count resolved once, for routing
+/// many keys: a mask where that is the same function (power-of-two
+/// counts), else the modulo, so the common case costs no division per key.
+///
+/// # Panics
+///
+/// Panics if `shards == 0`.
+pub fn shard_index(shards: usize) -> impl Fn(u64) -> usize + Copy {
     assert!(shards > 0, "shard count must be nonzero");
-    (mix64(key) % shards as u64) as usize
+    let shards = shards as u64;
+    let mask = shards.is_power_of_two().then(|| shards - 1);
+    move |key| match mask {
+        Some(mask) => (mix64(key) & mask) as usize,
+        None => (mix64(key) % shards) as usize,
+    }
 }
 
 /// Hints the CPU to pull the cache line holding `target` toward L1 ahead
@@ -144,6 +160,7 @@ pub fn prefetch_read<T>(target: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn block_page_constants_are_consistent() {
@@ -187,5 +204,21 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn shard_of_rejects_zero_shards() {
         let _ = shard_of(1, 0);
+    }
+
+    proptest! {
+        /// Mask or modulo, the index is the analysis pipeline's partition
+        /// function `mix64(key) % n` at every shard count.
+        #[test]
+        fn shard_index_is_mix64_modulo(keys in proptest::collection::vec(any::<u64>(), 1..64)) {
+            for shards in 1usize..=16 {
+                let index = shard_index(shards);
+                for &key in keys.iter().chain(&[0, u64::MAX]) {
+                    let want = (mix64(key) % shards as u64) as usize;
+                    prop_assert_eq!(index(key), want, "{} shards", shards);
+                    prop_assert_eq!(shard_of(key, shards), want);
+                }
+            }
+        }
     }
 }

@@ -155,6 +155,23 @@ impl Request {
         self.timestamp + Micros::new(frac)
     }
 
+    /// Every block's [`Request::block_completion_time`], in block order,
+    /// from one division for the whole request: each step adds the
+    /// quotient `response_time / len_blocks` and carries one microsecond
+    /// whenever the accumulated remainder reaches `len_blocks`.
+    pub fn block_completion_times(&self) -> impl ExactSizeIterator<Item = Micros> {
+        let (total, len) = (self.response_time.as_u64(), u64::from(self.len_blocks));
+        let (step, rem_step) = (total / len, total % len);
+        let (mut at, mut rem) = (self.timestamp, 0);
+        (0..self.len_blocks).map(move |_| {
+            rem += rem_step;
+            let carry = u64::from(rem >= len);
+            rem -= carry * len;
+            at += Micros::new(step + carry);
+            at
+        })
+    }
+
     /// Returns the number of 4 KiB pages this request occupies on a device,
     /// counting partially-covered pages in full (the paper's conservative
     /// treatment of the ~6% of requests that are not 4 KiB-aligned).
@@ -290,6 +307,26 @@ mod tests {
                 pages.insert(b.block() / crate::BLOCKS_PER_PAGE as u64);
             }
             prop_assert_eq!(req.pages(), pages.len() as u64);
+        }
+
+        /// The one-division iterator yields the closed form exactly,
+        /// single-block, zero-duration and long requests included.
+        #[test]
+        fn completion_time_iterator_matches_closed_form(
+            start in 0u64..1 << 40,
+            len in prop_oneof![Just(1u32), 1u32..64, 1u32..100_000],
+            response in prop_oneof![Just(0u64), 0u64..1000, 0u64..1 << 40],
+        ) {
+            let req = Request::new(Micros::new(start), addr(0), len, RequestKind::Read)
+                .with_response_time(Micros::new(response));
+            let times = req.block_completion_times();
+            prop_assert_eq!(times.len(), len as usize);
+            let mut seen = 0;
+            for (i, t) in times.enumerate() {
+                prop_assert_eq!(t, req.block_completion_time(i as u32), "block {}", i);
+                seen += 1;
+            }
+            prop_assert_eq!(seen, len);
         }
 
         #[test]

@@ -8,10 +8,8 @@
 //! builds shard `s` with its slice of the capacity and of the sieve
 //! metastate. Because a block's entire miss history lands on one shard,
 //! sieving decisions are unchanged; capacity and IOPS scale with the
-//! shard count. This example also shows the adaptive threshold
-//! controller keeping SieveStore-D's selection inside a cache budget.
+//! shard count.
 
-use sievestore::tuning::AdaptiveThreshold;
 use sievestore::{PolicySpec, SieveStore, SieveStoreBuilder};
 use sievestore_sieve::TwoTierConfig;
 use sievestore_trace::{EnsembleConfig, SyntheticTrace, TraceStreamConfig};
@@ -48,17 +46,6 @@ fn main() -> Result<(), SieveError> {
         );
     }
 
-    // Adaptive thresholding: keep SieveStore-D's daily selection near a
-    // 4k-block budget even as epoch volume swings.
-    println!("\nadaptive SieveStore-D threshold (budget 4,096 blocks):");
-    let mut controller = AdaptiveThreshold::new(10, 6, 20, 4_096)?;
-    for (epoch, selected) in [12_000u64, 9_000, 6_500, 5_000, 3_800, 1_500, 900]
-        .iter()
-        .enumerate()
-    {
-        let t = controller.observe_epoch(*selected);
-        println!("  epoch {epoch}: selected {selected:>6} blocks -> next threshold t={t}");
-    }
     println!(
         "\nSharding preserves per-block sieving decisions exactly (same shard\n\
          sees every miss of a block), so hit ratios match the single-node\n\

@@ -18,7 +18,8 @@ use sievestore::PolicySpec;
 use sievestore_extsort::CountingConfig;
 use sievestore_sieve::TwoTierConfig;
 use sievestore_sim::{
-    simulate, simulate_sharded, simulate_with_snapshots, EvictionPolicy, SimConfig, SnapshotLog,
+    simulate, simulate_sharded, simulate_with_snapshots, EvictionPolicy, ReplayMode, SimConfig,
+    SnapshotLog,
 };
 use sievestore_trace::{EnsembleConfig, StreamMsg, SyntheticTrace, TraceStreamConfig};
 use sievestore_types::{mix64, Day, Request, RequestKind};
@@ -161,6 +162,15 @@ fn replay_is_invariant_under_stream_shape_and_counting_backend() {
             "spilled-counting",
             base.clone()
                 .with_counting(CountingConfig::spill(spill_root.join("counts"))),
+        ),
+        (
+            // The spill backend cannot hold the resident bit: sharded
+            // workers fall back to probing their epoch cache, and a budget
+            // this small drains the hot map many times an epoch.
+            "spilled-counting-sharded",
+            base.clone()
+                .with_replay(ReplayMode::Sharded(2))
+                .with_counting(CountingConfig::spill(spill_root.join("counts3")).with_budget(64)),
         ),
         (
             "spilled-everything",
