@@ -1,26 +1,34 @@
-//! A blocking, fault-tolerant client for the appliance's wire protocol.
+//! The blocking, fault-tolerant client for the appliance's wire protocol
+//! (DESIGN §5g, "The client").
 //!
-//! [`NodeClient`] owns a lazily-(re)established TCP connection and wraps
-//! every request in a bounded retry loop:
+//! One connection core, [`PipelinedClient`]: up to `window` requests in
+//! flight as correlation-id envelopes on one lazily (re)dialled TCP
+//! connection. [`NodeClient`] is that core at window 1 behind
+//! call-and-return methods; it has no socket, retry loop or framing of
+//! its own.
 //!
-//! * **connect/read/write timeouts** ([`ClientConfig`]) so a hung node
-//!   cannot stall the caller forever;
-//! * **typed errors** ([`NodeError`]) so callers can tell transient
-//!   failures from fatal ones;
-//! * **bounded retries with exponential backoff and deterministic
-//!   jitter** ([`RetryPolicy`]) for transient server errors;
-//! * **transparent reconnects**: a transport failure drops the
-//!   connection, and the next attempt re-dials and re-frames the
-//!   request — block reads and writes are idempotent, so a retried
-//!   request is always safe.
+//! * **The server's I/O rule**: requests are encoded by reference into
+//!   one out buffer and written only when the client is about to block;
+//!   **every** reply the blocking `read` then delivers is parsed in place
+//!   and settled before it blocks again.
+//! * **One retry ladder**: a failed attempt — one operation's transient
+//!   error reply, or the whole window's when the connection fails — is
+//!   retried under the same correlation id, after one jittered
+//!   exponential back-off, while the [`RetryPolicy`] budget lasts.
+//! * **One error contract at every window**: a failure lands on the
+//!   operations it hit as a typed [`NodeError`] that keeps its cause,
+//!   bare after a single attempt, inside
+//!   [`NodeError::RetriesExhausted`] once a larger budget is spent.
 
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use sievestore_types::{obs_count, NodeError, BLOCK_SIZE};
 
-use crate::protocol::{ErrorCode, NodeMode, PipedReply, PipedRequest, Reply, Request};
+use crate::protocol::{
+    encode_request_into, ErrorCode, NodeMode, PipedReply, ReadBuffer, Reply, Request,
+};
 
 /// Appliance statistics as reported over the wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -147,279 +155,6 @@ impl Default for ClientConfig {
     }
 }
 
-/// One live framed connection.
-#[derive(Debug)]
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-/// A blocking connection to a [`NodeServer`](crate::NodeServer), with
-/// retries, timeouts and transparent reconnection.
-///
-/// See [`NodeServer`](crate::NodeServer) for an end-to-end example.
-#[derive(Debug)]
-pub struct NodeClient {
-    addr: SocketAddr,
-    config: ClientConfig,
-    conn: Option<Conn>,
-    /// Salt for deterministic backoff jitter, advanced per retry.
-    jitter_salt: u64,
-    retries: u64,
-    reconnects: u64,
-}
-
-impl NodeClient {
-    /// Connects to a node with the default [`ClientConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeError::Connect`] when the address does not resolve
-    /// or the connection cannot be established within the configured
-    /// timeout.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NodeError> {
-        Self::connect_with(addr, ClientConfig::default())
-    }
-
-    /// Connects to a node with an explicit configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeError::Connect`] when the address does not resolve
-    /// or the connection cannot be established within
-    /// [`ClientConfig::connect_timeout`].
-    pub fn connect_with(addr: impl ToSocketAddrs, config: ClientConfig) -> Result<Self, NodeError> {
-        let addr = addr
-            .to_socket_addrs()
-            .map_err(NodeError::Connect)?
-            .next()
-            .ok_or_else(|| {
-                NodeError::Connect(io::Error::new(
-                    io::ErrorKind::AddrNotAvailable,
-                    "address resolved to nothing",
-                ))
-            })?;
-        let mut client = NodeClient {
-            addr,
-            config,
-            conn: None,
-            jitter_salt: addr.port() as u64 ^ 0xD6E8_FEB8_6659_FD93,
-            retries: 0,
-            reconnects: 0,
-        };
-        client.ensure_connected()?;
-        Ok(client)
-    }
-
-    /// The resolved address this client (re)connects to.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Transient-failure retries performed so far.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Reconnections performed after transport failures (not counting
-    /// the initial connect).
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects
-    }
-
-    fn dial(&mut self) -> Result<Conn, NodeError> {
-        let stream = match self.config.connect_timeout {
-            Some(timeout) => TcpStream::connect_timeout(&self.addr, timeout),
-            None => TcpStream::connect(self.addr),
-        }
-        .map_err(NodeError::Connect)?;
-        stream.set_nodelay(true).ok();
-        stream
-            .set_read_timeout(self.config.read_timeout)
-            .map_err(NodeError::Connect)?;
-        stream
-            .set_write_timeout(self.config.write_timeout)
-            .map_err(NodeError::Connect)?;
-        let reader = BufReader::new(stream.try_clone().map_err(NodeError::Connect)?);
-        Ok(Conn {
-            reader,
-            writer: BufWriter::new(stream),
-        })
-    }
-
-    fn ensure_connected(&mut self) -> Result<&mut Conn, NodeError> {
-        if self.conn.is_none() {
-            let conn = self.dial()?;
-            self.conn = Some(conn);
-        }
-        Ok(self.conn.as_mut().expect("connection was just installed"))
-    }
-
-    /// One request/reply exchange on the current connection. Transport
-    /// failures poison the connection so the caller reconnects.
-    fn try_once(&mut self, request: &Request) -> Result<Reply, NodeError> {
-        let conn = self.ensure_connected()?;
-        let sent = request
-            .encode(&mut conn.writer)
-            .map_err(NodeError::from_transport);
-        if let Err(e) = sent {
-            self.conn = None;
-            return Err(e);
-        }
-        match Reply::decode(&mut conn.reader).map_err(NodeError::from_transport) {
-            Ok(reply) => Ok(reply),
-            Err(e) => {
-                // The stream is mid-frame or closed; it cannot be reused.
-                self.conn = None;
-                Err(e)
-            }
-        }
-    }
-
-    /// Sends `request` with bounded retries; transient server errors are
-    /// retried on the same connection, transport failures force a
-    /// reconnect before the next attempt.
-    fn call(&mut self, request: &Request) -> Result<Reply, NodeError> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let had_conn = self.conn.is_some();
-            let error = match self.try_once(request) {
-                Ok(Reply::Error { code, message }) => match code {
-                    ErrorCode::Transient => NodeError::NodeTransient(message),
-                    ErrorCode::Deadline => NodeError::Deadline(message),
-                    ErrorCode::Fatal => return Err(NodeError::NodeFatal(message)),
-                    ErrorCode::Protocol => return Err(NodeError::Protocol(message)),
-                },
-                Ok(reply) => {
-                    if !had_conn && attempt > 1 {
-                        self.reconnects += 1;
-                        obs_count!(ClientReconnects, 1);
-                    }
-                    return Ok(reply);
-                }
-                Err(e) if e.is_transient() => e,
-                Err(e) => return Err(e),
-            };
-            if attempt >= self.config.retry.attempts.max(1) {
-                // A single-attempt policy surfaces the raw error; only
-                // actual retry exhaustion gets the wrapper.
-                return Err(if attempt == 1 {
-                    error
-                } else {
-                    NodeError::RetriesExhausted {
-                        attempts: attempt,
-                        last: Box::new(error),
-                    }
-                });
-            }
-            self.retries += 1;
-            obs_count!(ClientRetries, 1);
-            self.jitter_salt = self.jitter_salt.wrapping_add(1);
-            let pause = self.config.retry.backoff(attempt, self.jitter_salt);
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
-            }
-        }
-    }
-
-    /// Reads one block; returns the payload and whether the cache hit.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`NodeError`]; transient failures have already
-    /// been retried per the [`RetryPolicy`].
-    pub fn read_block(&mut self, key: u64) -> Result<([u8; BLOCK_SIZE], bool), NodeError> {
-        match self.call(&Request::Read { key })? {
-            Reply::Read { hit, data } => Ok((*data, hit)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Writes one block (the node applies its configured write policy);
-    /// returns whether the cache held the block.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`NodeError`]; transient failures have already
-    /// been retried per the [`RetryPolicy`].
-    pub fn write_block(&mut self, key: u64, data: &[u8; BLOCK_SIZE]) -> Result<bool, NodeError> {
-        let request = Request::Write {
-            key,
-            data: Box::new(*data),
-        };
-        match self.call(&request)? {
-            Reply::Write { hit } => Ok(hit),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Fetches appliance statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`NodeError`]; transient failures have already
-    /// been retried per the [`RetryPolicy`].
-    pub fn stats(&mut self) -> Result<NodeStats, NodeError> {
-        match self.call(&Request::Stats)? {
-            Reply::Stats {
-                read_hits,
-                write_hits,
-                read_misses,
-                write_misses,
-                allocation_writes,
-                resident_blocks,
-                degraded_reads,
-                degraded_writes,
-                mode,
-            } => Ok(NodeStats {
-                read_hits,
-                write_hits,
-                read_misses,
-                write_misses,
-                allocation_writes,
-                resident_blocks,
-                degraded_reads,
-                degraded_writes,
-                mode,
-            }),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Flushes the node's dirty frames (write-back nodes); returns how
-    /// many blocks were written to the backing store.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`NodeError`]; transient failures have already
-    /// been retried per the [`RetryPolicy`].
-    pub fn flush(&mut self) -> Result<u64, NodeError> {
-        match self.call(&Request::Flush)? {
-            Reply::Flush { flushed } => Ok(flushed),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Closes the connection politely (best effort, never retried).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeError::Transport`] if the goodbye cannot be sent.
-    pub fn quit(mut self) -> Result<(), NodeError> {
-        if let Some(conn) = self.conn.as_mut() {
-            Request::Quit
-                .encode(&mut conn.writer)
-                .map_err(NodeError::from_transport)?;
-        }
-        Ok(())
-    }
-}
-
-fn unexpected(reply: Reply) -> NodeError {
-    NodeError::Protocol(format!("unexpected reply {reply:?}"))
-}
-
 /// The payload of one successfully completed pipelined operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpResult {
@@ -442,32 +177,30 @@ pub enum OpResult {
 pub struct Completion {
     /// The block key the operation targeted.
     pub key: u64,
-    /// The outcome; errors have already been retried per the
-    /// [`RetryPolicy`].
+    /// The outcome, after the retries [`RetryPolicy`] allows.
     pub result: Result<OpResult, NodeError>,
-    /// Wall-clock time from first submission to completion (including
-    /// any retries).
+    /// Wall-clock time from first submission to completion, retries and all.
     pub latency: Duration,
 }
 
 /// One request awaiting its correlated reply.
-struct InflightOp {
+struct Op {
     corr: u32,
     request: Request,
-    key: u64,
+    /// The block a pipelined operation targets; `None` for the request
+    /// of a [`PipelinedClient::call`], which takes the reply itself.
+    key: Option<u64>,
+    /// The attempt in progress (1-based).
     attempts: u32,
     started: Instant,
 }
 
-/// A pipelined connection: up to `window` requests in flight at once
-/// over correlation-id envelopes, with the same bounded-retry, timeout
-/// and transparent-reconnect semantics as [`NodeClient`].
-///
-/// Requests are submitted with [`PipelinedClient::read`] /
-/// [`PipelinedClient::write`]; completed operations come back as
-/// [`Completion`]s, possibly out of submission order. Encoded requests
-/// are buffered and written in batches — the flush syscall is only paid
-/// when the window fills or [`PipelinedClient::drain`] is called.
+/// The connection core: up to `window` requests in flight at once, with
+/// timeouts, bounded retries and transparent reconnection (see the
+/// [module docs](self)). Operations submitted with [`Self::read`] /
+/// [`Self::write`] come back as [`Completion`]s, possibly out of
+/// submission order; nothing is written until the window fills or the
+/// caller drains it.
 ///
 /// # Examples
 ///
@@ -495,11 +228,16 @@ pub struct PipelinedClient {
     addr: SocketAddr,
     config: ClientConfig,
     window: usize,
-    conn: Option<Conn>,
+    stream: Option<TcpStream>,
+    /// Encoded frames of in-flight operations, not yet written.
+    out: Vec<u8>,
+    inbound: ReadBuffer,
     next_corr: u32,
-    inflight: Vec<InflightOp>,
+    inflight: Vec<Op>,
     done: Vec<Completion>,
-    scratch: Vec<u8>,
+    /// Where the request of a [`Self::call`] finishes.
+    answer: Option<Result<Reply, NodeError>>,
+    /// Salt for deterministic backoff jitter, advanced per pause.
     jitter_salt: u64,
     retries: u64,
     reconnects: u64,
@@ -507,23 +245,19 @@ pub struct PipelinedClient {
 }
 
 impl PipelinedClient {
-    /// Connects with the default [`ClientConfig`] and the given window
-    /// (maximum requests in flight; clamped to at least 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NodeError::Connect`] when the address does not resolve
-    /// or the connection cannot be established.
+    /// [`Self::connect_with`] the default [`ClientConfig`].
     pub fn connect(addr: impl ToSocketAddrs, window: usize) -> Result<Self, NodeError> {
         Self::connect_with(addr, ClientConfig::default(), window)
     }
 
-    /// Connects with an explicit configuration.
+    /// Connects with at most `window` requests in flight (clamped to at
+    /// least 1).
     ///
     /// # Errors
     ///
     /// Returns [`NodeError::Connect`] when the address does not resolve
-    /// or the connection cannot be established.
+    /// or the connection cannot be established within
+    /// [`ClientConfig::connect_timeout`].
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         config: ClientConfig,
@@ -533,48 +267,39 @@ impl PipelinedClient {
             .to_socket_addrs()
             .map_err(NodeError::Connect)?
             .next()
-            .ok_or_else(|| {
-                NodeError::Connect(io::Error::new(
-                    io::ErrorKind::AddrNotAvailable,
-                    "address resolved to nothing",
-                ))
-            })?;
+            .ok_or_else(|| NodeError::Connect(io::ErrorKind::AddrNotAvailable.into()))?;
+        let window = window.max(1);
         let mut client = PipelinedClient {
             addr,
             config,
-            window: window.max(1),
-            conn: None,
+            window,
+            stream: None,
+            out: Vec::new(),
+            // Room for a window of read replies (prefix, envelope, tag,
+            // hit flag, block), up to the 64 KiB the server reads at once.
+            inbound: ReadBuffer::new(window.saturating_mul(11 + BLOCK_SIZE).min(1 << 16)),
             next_corr: 0,
             inflight: Vec::new(),
             done: Vec::new(),
-            scratch: Vec::new(),
+            answer: None,
             jitter_salt: addr.port() as u64 ^ 0xA076_1D64_78BD_642F,
             retries: 0,
             reconnects: 0,
             stale_replies: 0,
         };
-        client.conn = Some(client.dial()?);
+        client.stream = Some(client.dial().map_err(NodeError::Connect)?);
         Ok(client)
     }
 
-    fn dial(&self) -> Result<Conn, NodeError> {
+    fn dial(&self) -> io::Result<TcpStream> {
         let stream = match self.config.connect_timeout {
             Some(timeout) => TcpStream::connect_timeout(&self.addr, timeout),
             None => TcpStream::connect(self.addr),
-        }
-        .map_err(NodeError::Connect)?;
+        }?;
         stream.set_nodelay(true).ok();
-        stream
-            .set_read_timeout(self.config.read_timeout)
-            .map_err(NodeError::Connect)?;
-        stream
-            .set_write_timeout(self.config.write_timeout)
-            .map_err(NodeError::Connect)?;
-        let reader = BufReader::new(stream.try_clone().map_err(NodeError::Connect)?);
-        Ok(Conn {
-            reader,
-            writer: BufWriter::new(stream),
-        })
+        stream.set_read_timeout(self.config.read_timeout)?;
+        stream.set_write_timeout(self.config.write_timeout)?;
+        Ok(stream)
     }
 
     /// The resolved address this client (re)connects to.
@@ -592,307 +317,333 @@ impl PipelinedClient {
         self.retries
     }
 
-    /// Reconnections performed after transport failures (not counting
-    /// the initial connect).
+    /// Reconnections after transport failures (the first connect aside).
     pub fn reconnects(&self) -> u64 {
         self.reconnects
     }
 
-    /// Replies that matched no in-flight operation and were discarded
-    /// (their operation had already completed, e.g. with a transport
-    /// error during a reconnect).
+    /// Replies that matched no in-flight operation and were discarded.
     pub fn stale_replies(&self) -> u64 {
         self.stale_replies
     }
 
     /// Submits a pipelined read; returns any operations that completed
-    /// while making room in the window.
-    ///
-    /// # Errors
-    ///
-    /// Client-level failures only (reconnect budget exhausted, protocol
-    /// violations); per-operation failures surface in [`Completion`]s.
+    /// while making room in the window. Never `Err`: every failure
+    /// surfaces in a [`Completion`].
     pub fn read(&mut self, key: u64) -> Result<Vec<Completion>, NodeError> {
-        self.submit(key, Request::Read { key })
+        self.submit(Request::Read { key }, Some(key));
+        Ok(std::mem::take(&mut self.done))
     }
 
     /// Submits a pipelined write; returns any operations that completed
-    /// while making room in the window.
-    ///
-    /// # Errors
-    ///
-    /// Client-level failures only (reconnect budget exhausted, protocol
-    /// violations); per-operation failures surface in [`Completion`]s.
+    /// while making room in the window. Never `Err`: every failure
+    /// surfaces in a [`Completion`].
     pub fn write(
         &mut self,
         key: u64,
         data: &[u8; BLOCK_SIZE],
     ) -> Result<Vec<Completion>, NodeError> {
-        self.submit(
-            key,
-            Request::Write {
-                key,
-                data: Box::new(*data),
-            },
-        )
-    }
-
-    /// Waits for every in-flight operation and returns all completions.
-    ///
-    /// # Errors
-    ///
-    /// Client-level failures only; per-operation failures surface in
-    /// [`Completion`]s.
-    pub fn drain(&mut self) -> Result<Vec<Completion>, NodeError> {
-        while !self.inflight.is_empty() {
-            self.step_blocking()?;
-        }
-        if let Some(conn) = self.conn.as_mut() {
-            let _ = conn.writer.flush();
-        }
+        let data = Box::new(*data);
+        self.submit(Request::Write { key, data }, Some(key));
         Ok(std::mem::take(&mut self.done))
     }
 
-    /// Drains outstanding work, then closes the connection politely.
-    ///
-    /// # Errors
-    ///
-    /// Client-level failures from the final drain.
+    /// Waits for every in-flight operation and returns all completions.
+    /// Never `Err`: every failure surfaces in a [`Completion`].
+    pub fn drain(&mut self) -> Result<Vec<Completion>, NodeError> {
+        self.settle_all();
+        Ok(std::mem::take(&mut self.done))
+    }
+
+    /// Fetches appliance statistics once every operation in flight has
+    /// completed (the counts include them; their [`Completion`]s stay
+    /// for the next [`Self::drain`]). Fails with the typed [`NodeError`]
+    /// the retries ended in.
+    pub fn stats(&mut self) -> Result<NodeStats, NodeError> {
+        match self.call(Request::Stats)? {
+            Reply::Stats {
+                read_hits,
+                write_hits,
+                read_misses,
+                write_misses,
+                allocation_writes,
+                resident_blocks,
+                degraded_reads,
+                degraded_writes,
+                mode,
+            } => Ok(NodeStats {
+                read_hits,
+                write_hits,
+                read_misses,
+                write_misses,
+                allocation_writes,
+                resident_blocks,
+                degraded_reads,
+                degraded_writes,
+                mode,
+            }),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Flushes the node's dirty frames (write-back nodes) once every
+    /// operation in flight has completed; returns how many blocks were
+    /// written to the backing store. Fails as [`Self::stats`] does.
+    pub fn flush(&mut self) -> Result<u64, NodeError> {
+        match self.call(Request::Flush)? {
+            Reply::Flush { flushed } => Ok(flushed),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Drains outstanding work, then closes the connection politely
+    /// (the goodbye is best effort and never retried). Never `Err`.
     pub fn quit(mut self) -> Result<Vec<Completion>, NodeError> {
         let done = self.drain()?;
-        if let Some(conn) = self.conn.as_mut() {
-            let _ = Request::Quit.encode(&mut conn.writer);
+        if let Some(stream) = self.stream.as_mut() {
+            Request::Quit.encode_into(&mut self.out);
+            let _ = stream.write_all(&self.out);
         }
         Ok(done)
     }
 
-    fn submit(&mut self, key: u64, request: Request) -> Result<Vec<Completion>, NodeError> {
+    /// One request, alone in flight, and its reply: the window is
+    /// settled first, then the request rides the path of any other.
+    fn call(&mut self, request: Request) -> Result<Reply, NodeError> {
+        self.settle_all();
+        self.submit(request, None);
+        self.settle_all();
+        self.answer
+            .take()
+            .expect("a call's request finishes into `answer`")
+    }
+
+    fn settle_all(&mut self) {
+        while !self.inflight.is_empty() {
+            self.pump();
+        }
+    }
+
+    /// Touches the socket only to make room in a full window.
+    fn submit(&mut self, request: Request, key: Option<u64>) {
         while self.inflight.len() >= self.window {
-            self.step_blocking()?;
+            self.pump();
         }
         let corr = self.next_corr;
         self.next_corr = self.next_corr.wrapping_add(1);
-        let op = InflightOp {
+        self.send(Op {
             corr,
             request,
             key,
             attempts: 1,
             started: Instant::now(),
-        };
-        self.encode_op(&op)?;
+        });
+    }
+
+    fn send(&mut self, op: Op) {
+        encode_request_into(&mut self.out, Some(op.corr), &op.request);
         self.inflight.push(op);
-        Ok(std::mem::take(&mut self.done))
     }
 
-    /// Buffers one enveloped request; a transport failure on the way
-    /// out reconnects and resubmits the whole window.
-    fn encode_op(&mut self, op: &InflightOp) -> Result<(), NodeError> {
-        loop {
-            if self.conn.is_none() {
-                self.reestablish()?;
+    /// The one blocking step, taken only with operations in flight:
+    /// (re)dial, write everything encoded, block for replies, settle
+    /// every reply that arrived. A failure fails the window's attempt.
+    fn pump(&mut self) {
+        if self.stream.is_none() {
+            match self.dial() {
+                Ok(stream) => {
+                    self.stream = Some(stream);
+                    self.reconnects += 1;
+                    obs_count!(ClientReconnects, 1);
+                }
+                Err(e) => return self.fail_attempt(&e, NodeError::Connect),
             }
-            // Encode fresh on every attempt: reestablish() reuses
-            // `scratch` to resubmit the in-flight window, so a frame
-            // built before a reconnect would be clobbered (sending the
-            // window twice and dropping this op).
-            self.scratch.clear();
-            PipedRequest {
-                corr: op.corr,
-                request: op.request.clone(),
+        }
+        let stream = self.stream.as_mut().expect("just dialled");
+        let arrived = stream.write_all(&self.out).and_then(|()| {
+            self.out.clear();
+            match self.inbound.fill(stream)? {
+                0 => Err(io::ErrorKind::UnexpectedEof.into()),
+                _ => Ok(()),
             }
-            .encode_into(&mut self.scratch);
-            let conn = self.conn.as_mut().expect("reestablish installs a conn");
-            match conn.writer.write_all(&self.scratch) {
-                Ok(()) => return Ok(()),
-                Err(_) => self.on_transport_failure()?,
+        });
+        if let Err(e) = arrived {
+            return self.fail_attempt(&e, NodeError::from_transport);
+        }
+        while let Some(frame) = self.inbound.next_frame(PipedReply::parse) {
+            match frame {
+                Ok(piped) => self.settle(piped),
+                // Nothing behind a malformed frame can be trusted.
+                Err(e) => return self.fail_attempt(&e, NodeError::from_transport),
             }
         }
     }
 
-    /// Blocks for one reply (flushing buffered requests first) and
-    /// settles the operation it correlates with.
-    fn step_blocking(&mut self) -> Result<(), NodeError> {
-        loop {
-            if self.conn.is_none() {
-                self.reestablish()?;
-                if self.inflight.is_empty() {
-                    // Every pending op was dropped by retry exhaustion.
-                    return Ok(());
-                }
-            }
-            let conn = self.conn.as_mut().expect("reestablish installs a conn");
-            if conn.writer.flush().is_err() {
-                self.on_transport_failure()?;
-                continue;
-            }
-            match PipedReply::decode(&mut conn.reader) {
-                Ok(piped) => {
-                    if self.settle(piped)? {
-                        return Ok(());
-                    }
-                    // Stale reply discarded: keep reading for a live one.
-                }
-                Err(_) => self.on_transport_failure()?,
-            }
-        }
-    }
-
-    /// Routes one decoded reply to its in-flight operation. Returns
-    /// `false` for a stale reply — one whose operation is no longer in
-    /// flight (e.g. it already completed with a transport error during
-    /// a reconnect) — which is discarded rather than failing the whole
-    /// client.
-    fn settle(&mut self, piped: PipedReply) -> Result<bool, NodeError> {
+    /// Routes one reply to its in-flight operation; one that matches none
+    /// (its operation already completed) is counted and dropped.
+    fn settle(&mut self, piped: PipedReply) {
         let Some(pos) = self.inflight.iter().position(|op| op.corr == piped.corr) else {
             self.stale_replies += 1;
-            return Ok(false);
+            return;
         };
         let op = self.inflight.swap_remove(pos);
-        let settled = match (&op.request, piped.reply) {
+        let error = match piped.reply {
+            Reply::Error { code, message } => match code {
+                ErrorCode::Transient => NodeError::NodeTransient(message),
+                ErrorCode::Deadline => NodeError::Deadline(message),
+                ErrorCode::Fatal => NodeError::NodeFatal(message),
+                ErrorCode::Protocol => NodeError::Protocol(message),
+            },
+            reply => return self.finish(op, Ok(reply)),
+        };
+        if let Some(op) = self.charge(op, error) {
+            self.back_off(op.attempts - 1);
+            self.send(op);
+        }
+    }
+
+    /// Drops the failed connection and charges every operation in flight
+    /// the attempt, each with its own copy of the cause (typed by
+    /// `as_node`); the next [`Self::pump`] dials and sends the survivors.
+    fn fail_attempt(&mut self, cause: &io::Error, as_node: fn(io::Error) -> NodeError) {
+        self.stream = None;
+        self.inbound.clear();
+        self.out.clear();
+        let mut failed_attempts = 0;
+        for op in std::mem::take(&mut self.inflight) {
+            let error = as_node(io::Error::new(cause.kind(), cause.to_string()));
+            if let Some(op) = self.charge(op, error) {
+                failed_attempts = failed_attempts.max(op.attempts - 1);
+                self.send(op);
+            }
+        }
+        if failed_attempts > 0 {
+            self.back_off(failed_attempts);
+        }
+    }
+
+    /// Charges `op` the attempt that just failed. Returns it for another
+    /// while `error` is transient and the budget lasts; else completes
+    /// it, wrapping a transient error that spent a budget of several.
+    fn charge(&mut self, mut op: Op, mut error: NodeError) -> Option<Op> {
+        if error.is_transient() && op.attempts < self.config.retry.attempts.max(1) {
+            op.attempts += 1;
+            self.retries += 1;
+            obs_count!(ClientRetries, 1);
+            return Some(op);
+        }
+        if error.is_transient() && op.attempts > 1 {
+            let (attempts, last) = (op.attempts, Box::new(error));
+            error = NodeError::RetriesExhausted { attempts, last };
+        }
+        self.finish(op, Err(error));
+        None
+    }
+
+    /// Sleeps the pause that follows failed attempt number `attempt`.
+    fn back_off(&mut self, attempt: u32) {
+        self.jitter_salt = self.jitter_salt.wrapping_add(1);
+        std::thread::sleep(self.config.retry.backoff(attempt, self.jitter_salt));
+    }
+
+    fn finish(&mut self, op: Op, result: Result<Reply, NodeError>) {
+        let Some(key) = op.key else {
+            self.answer = Some(result);
+            return;
+        };
+        let result = result.and_then(|reply| match (&op.request, reply) {
             (Request::Read { .. }, Reply::Read { hit, data }) => Ok(OpResult::Read { hit, data }),
             (Request::Write { .. }, Reply::Write { hit }) => Ok(OpResult::Write { hit }),
-            (_, Reply::Error { code, message }) => match code {
-                ErrorCode::Transient => Err(NodeError::NodeTransient(message)),
-                ErrorCode::Deadline => Err(NodeError::Deadline(message)),
-                ErrorCode::Fatal => Err(NodeError::NodeFatal(message)),
-                ErrorCode::Protocol => Err(NodeError::Protocol(message)),
-            },
             (_, other) => Err(unexpected(other)),
-        };
-        match settled {
-            Ok(result) => {
-                self.done.push(Completion {
-                    key: op.key,
-                    result: Ok(result),
-                    latency: op.started.elapsed(),
-                });
-                Ok(true)
-            }
-            Err(error) if error.is_transient() => {
-                self.retry_or_complete(op, error)?;
-                Ok(true)
-            }
-            Err(error) => {
-                self.done.push(Completion {
-                    key: op.key,
-                    result: Err(error),
-                    latency: op.started.elapsed(),
-                });
-                Ok(true)
-            }
+        });
+        self.done.push(Completion {
+            key,
+            result,
+            latency: op.started.elapsed(),
+        });
+    }
+}
+
+fn unexpected(reply: Reply) -> NodeError {
+    NodeError::Protocol(format!("unexpected reply {reply:?}"))
+}
+
+/// A call-and-return connection to a [`NodeServer`](crate::NodeServer):
+/// [`PipelinedClient`] at window 1, so one request is in flight at a
+/// time and each method returns its reply, or the typed [`NodeError`]
+/// the retries ended in.
+///
+/// See [`NodeServer`](crate::NodeServer) for an end-to-end example.
+pub struct NodeClient(PipelinedClient);
+
+impl std::fmt::Debug for NodeClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("NodeClient").field(&self.0.addr).finish()
+    }
+}
+
+impl NodeClient {
+    /// [`Self::connect_with`] the default [`ClientConfig`].
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NodeError> {
+        Self::connect_with(addr, ClientConfig::default())
+    }
+
+    /// Connects to a node.
+    ///
+    /// # Errors
+    ///
+    /// [`NodeError::Connect`], as [`PipelinedClient::connect_with`].
+    pub fn connect_with(addr: impl ToSocketAddrs, config: ClientConfig) -> Result<Self, NodeError> {
+        PipelinedClient::connect_with(addr, config, 1).map(NodeClient)
+    }
+
+    /// The resolved address this client (re)connects to.
+    pub fn peer_addr(&self) -> SocketAddr {
+        self.0.peer_addr()
+    }
+
+    /// Transient-failure retries performed so far.
+    pub fn retries(&self) -> u64 {
+        self.0.retries()
+    }
+
+    /// Reconnections after transport failures (the first connect aside).
+    pub fn reconnects(&self) -> u64 {
+        self.0.reconnects()
+    }
+
+    /// Reads one block; returns the payload and whether the cache hit.
+    pub fn read_block(&mut self, key: u64) -> Result<([u8; BLOCK_SIZE], bool), NodeError> {
+        match self.0.call(Request::Read { key })? {
+            Reply::Read { hit, data } => Ok((*data, hit)),
+            other => Err(unexpected(other)),
         }
     }
 
-    /// Resubmits a transiently-failed operation (with backoff) until
-    /// its retry budget runs out, then completes it with the error.
-    fn retry_or_complete(&mut self, mut op: InflightOp, error: NodeError) -> Result<(), NodeError> {
-        if op.attempts >= self.config.retry.attempts.max(1) {
-            let result = if op.attempts == 1 {
-                error
-            } else {
-                NodeError::RetriesExhausted {
-                    attempts: op.attempts,
-                    last: Box::new(error),
-                }
-            };
-            self.done.push(Completion {
-                key: op.key,
-                result: Err(result),
-                latency: op.started.elapsed(),
-            });
-            return Ok(());
+    /// Writes one block (the node applies its configured write policy);
+    /// returns whether the cache held the block.
+    pub fn write_block(&mut self, key: u64, data: &[u8; BLOCK_SIZE]) -> Result<bool, NodeError> {
+        let data = Box::new(*data);
+        match self.0.call(Request::Write { key, data })? {
+            Reply::Write { hit } => Ok(hit),
+            other => Err(unexpected(other)),
         }
-        op.attempts += 1;
-        self.retries += 1;
-        obs_count!(ClientRetries, 1);
-        self.jitter_salt = self.jitter_salt.wrapping_add(1);
-        let pause = self.config.retry.backoff(op.attempts - 1, self.jitter_salt);
-        if !pause.is_zero() {
-            std::thread::sleep(pause);
-        }
-        self.encode_op(&op)?;
-        self.inflight.push(op);
-        Ok(())
     }
 
-    /// Handles a dead connection: every in-flight operation is charged
-    /// one attempt (replies it may have had in transit are lost),
-    /// exhausted ones complete with the transport error, and the rest
-    /// await resubmission by [`Self::reestablish`].
-    fn on_transport_failure(&mut self) -> Result<(), NodeError> {
-        self.conn = None;
-        let budget = self.config.retry.attempts.max(1);
-        let mut kept = Vec::with_capacity(self.inflight.len());
-        for mut op in self.inflight.drain(..) {
-            op.attempts += 1;
-            if op.attempts > budget {
-                self.done.push(Completion {
-                    key: op.key,
-                    result: Err(NodeError::RetriesExhausted {
-                        attempts: op.attempts - 1,
-                        last: Box::new(NodeError::Transport(io::Error::new(
-                            io::ErrorKind::BrokenPipe,
-                            "connection lost mid-pipeline",
-                        ))),
-                    }),
-                    latency: op.started.elapsed(),
-                });
-            } else {
-                self.retries += 1;
-                obs_count!(ClientRetries, 1);
-                kept.push(op);
-            }
-        }
-        self.inflight = kept;
-        self.jitter_salt = self.jitter_salt.wrapping_add(1);
-        let pause = self.config.retry.backoff(1, self.jitter_salt);
-        if !pause.is_zero() {
-            std::thread::sleep(pause);
-        }
-        Ok(())
+    /// Fetches appliance statistics.
+    pub fn stats(&mut self) -> Result<NodeStats, NodeError> {
+        self.0.stats()
     }
 
-    /// Re-dials and resubmits every surviving in-flight operation.
-    /// Connect failures are bounded by the retry budget.
-    fn reestablish(&mut self) -> Result<(), NodeError> {
-        let budget = self.config.retry.attempts.max(1);
-        let mut rounds = 0u32;
-        let conn = loop {
-            match self.dial() {
-                Ok(conn) => break conn,
-                Err(e) => {
-                    rounds += 1;
-                    if rounds >= budget {
-                        return Err(e);
-                    }
-                    self.jitter_salt = self.jitter_salt.wrapping_add(1);
-                    let pause = self.config.retry.backoff(rounds, self.jitter_salt);
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                }
-            }
-        };
-        self.reconnects += 1;
-        obs_count!(ClientReconnects, 1);
-        self.conn = Some(conn);
-        // Resubmit the window on the fresh connection, keeping the
-        // original correlation ids (they are unique while in flight).
-        self.scratch.clear();
-        for op in &self.inflight {
-            PipedRequest {
-                corr: op.corr,
-                request: op.request.clone(),
-            }
-            .encode_into(&mut self.scratch);
-        }
-        let conn = self.conn.as_mut().expect("just installed");
-        if conn.writer.write_all(&self.scratch).is_err() {
-            // The fresh connection died instantly; charge a round and
-            // let the caller's loop try again.
-            self.on_transport_failure()?;
-        }
-        Ok(())
+    /// Flushes the node's dirty frames (write-back nodes); returns how
+    /// many blocks were written to the backing store.
+    pub fn flush(&mut self) -> Result<u64, NodeError> {
+        self.0.flush()
+    }
+
+    /// Closes the connection politely (best effort; never `Err`).
+    pub fn quit(self) -> Result<(), NodeError> {
+        self.0.quit().map(drop)
     }
 }
 

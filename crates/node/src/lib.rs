@@ -21,8 +21,9 @@
 //!   several — [`ShardedNodeServer`] is the same type), with per-request
 //!   deadlines and a circuit breaker into degraded pass-through mode
 //!   ([`NodeConfig`]);
-//! * [`NodeClient`] / [`PipelinedClient`] — clients with retries and
-//!   reconnection ([`ClientConfig`], [`RetryPolicy`]).
+//! * [`PipelinedClient`] — the one client: a window of requests in
+//!   flight, timeouts, retries and reconnection ([`ClientConfig`],
+//!   [`RetryPolicy`]); [`NodeClient`] is it at window 1, call and return.
 //!
 //! # Examples
 //!

@@ -199,13 +199,6 @@ const PIPED_REQUEST_TAG: u8 = 0x10;
 /// Tag opening a pipelined reply envelope (`0x90 | u32 corr | payload`).
 const PIPED_REPLY_TAG: u8 = 0x90;
 
-fn write_frame<W: Write>(out: &mut W, payload: &[u8]) -> io::Result<()> {
-    let len = payload.len() as u32;
-    out.write_all(&len.to_le_bytes())?;
-    out.write_all(payload)?;
-    out.flush()
-}
-
 /// Appends one length-prefixed frame to `buf` without touching I/O:
 /// the prefix is reserved, `body` pushes the payload straight into the
 /// caller's buffer, and the prefix is back-patched with its length — no
@@ -219,12 +212,13 @@ fn frame_into(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     buf[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Serializes one frame whose payload `body` pushes — the I/O flavor of
-/// [`frame_into`], sharing the same bodies.
-fn encode_frame<W: Write>(out: &mut W, body: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
-    let mut payload = Vec::new();
-    body(&mut payload);
-    write_frame(out, &payload)
+/// Writes the one frame `encode_into` appends, then flushes: the I/O
+/// flavor of the four `encode_into` functions.
+fn write_encoded<W: Write>(out: &mut W, encode_into: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    let mut frame = Vec::new();
+    encode_into(&mut frame);
+    out.write_all(&frame)?;
+    out.flush()
 }
 
 /// Pushes an envelope header: the tag and the correlation id.
@@ -310,13 +304,13 @@ impl Request {
     ///
     /// Propagates I/O errors from the writer.
     pub fn encode<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        encode_frame(out, |p| self.push_body(p))
+        write_encoded(out, |buf| self.encode_into(buf))
     }
 
     /// Appends the request's frame to `buf` (no I/O, no flush) for
     /// batched pipelined writes.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        frame_into(buf, |p| self.push_body(p));
+        encode_request_into(buf, None, self);
     }
 
     /// Reads and parses one request frame.
@@ -343,12 +337,19 @@ pub struct PipedRequest {
     pub request: Request,
 }
 
-impl PipedRequest {
-    fn push_body(&self, buf: &mut Vec<u8>) {
-        push_envelope(buf, PIPED_REQUEST_TAG, self.corr);
-        self.request.push_body(buf);
-    }
+/// Appends `request`'s frame to `buf`, inside a pipelined envelope when
+/// `corr` is given — the client's send path, which holds the request by
+/// reference and never builds a [`PipedRequest`].
+pub(crate) fn encode_request_into(buf: &mut Vec<u8>, corr: Option<u32>, request: &Request) {
+    frame_into(buf, |p| {
+        if let Some(corr) = corr {
+            push_envelope(p, PIPED_REQUEST_TAG, corr);
+        }
+        request.push_body(p);
+    });
+}
 
+impl PipedRequest {
     fn parse(p: &[u8]) -> io::Result<Self> {
         if p.len() < 6 || p[0] != PIPED_REQUEST_TAG {
             return Err(bad("piped request envelope must carry corr + payload"));
@@ -365,12 +366,12 @@ impl PipedRequest {
     ///
     /// Propagates I/O errors from the writer.
     pub fn encode<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        encode_frame(out, |p| self.push_body(p))
+        write_encoded(out, |buf| self.encode_into(buf))
     }
 
     /// Appends the envelope's frame to `buf` (no I/O, no flush).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        frame_into(buf, |p| self.push_body(p));
+        encode_request_into(buf, Some(self.corr), &self.request);
     }
 }
 
@@ -415,8 +416,8 @@ impl Incoming {
 /// Returns `Ok(None)` when the buffer does not yet hold a full frame,
 /// or `Some((consumed, payload_range))` where `consumed` counts the
 /// length prefix plus payload and `payload_range` indexes the payload
-/// bytes inside `buf`. The server walks its connection read buffers
-/// with this.
+/// bytes inside `buf`. Server and client walk a connection's inbound
+/// bytes with this.
 ///
 /// # Errors
 ///
@@ -434,6 +435,77 @@ pub fn split_frame(buf: &[u8]) -> io::Result<Option<(usize, std::ops::Range<usiz
         return Ok(None);
     }
     Ok(Some((total, 4..total)))
+}
+
+/// One connection's unparsed inbound bytes, `buf[start..end]`: the frame
+/// reader both ends of a connection use. [`Self::fill`] blocks in one
+/// `read`; [`Self::next_frame`] then hands out, parsed in place, every
+/// frame that read delivered.
+pub(crate) struct ReadBuffer {
+    buf: Box<[u8]>,
+    start: usize,
+    end: usize,
+}
+
+impl ReadBuffer {
+    /// A buffer of `capacity` bytes, and never less than one frame of
+    /// the largest legal size.
+    pub(crate) fn new(capacity: usize) -> Self {
+        ReadBuffer {
+            buf: vec![0; capacity.max(4 + MAX_FRAME as usize)].into_boxed_slice(),
+            start: 0,
+            end: 0,
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// Forgets the buffered bytes (their connection is gone).
+    pub(crate) fn clear(&mut self) {
+        (self.start, self.end) = (0, 0);
+    }
+
+    /// Blocks until the stream yields more bytes; `Ok(0)` is EOF.
+    pub(crate) fn fill(&mut self, stream: &mut impl Read) -> io::Result<usize> {
+        if self.is_empty() {
+            self.clear();
+        } else if self.buf.len() - self.end < 4 + MAX_FRAME as usize {
+            // Keep room for the rest of the largest frame.
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        loop {
+            match stream.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Splits the next complete frame off the front and parses its
+    /// payload with `parse`; `None` when the buffer holds no complete
+    /// frame.
+    pub(crate) fn next_frame<T>(
+        &mut self,
+        parse: impl FnOnce(&[u8]) -> io::Result<T>,
+    ) -> Option<io::Result<T>> {
+        let pending = &self.buf[self.start..self.end];
+        match split_frame(pending) {
+            Ok(None) => None,
+            Ok(Some((consumed, payload))) => {
+                let parsed = parse(&pending[payload]);
+                self.start += consumed;
+                Some(parsed)
+            }
+            Err(e) => Some(Err(e)),
+        }
+    }
 }
 
 /// Pushes a read reply's payload straight from the block it answers
@@ -588,7 +660,7 @@ impl Reply {
     ///
     /// Propagates I/O errors from the writer.
     pub fn encode<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        encode_frame(out, |p| self.push_body(p))
+        write_encoded(out, |buf| self.encode_into(buf))
     }
 
     /// Appends the reply's frame to `buf` (no I/O, no flush) for
@@ -643,9 +715,7 @@ impl PipedReply {
     ///
     /// Propagates I/O errors from the writer.
     pub fn encode<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        encode_frame(out, |p| {
-            push_reply(p, Some(self.corr), |p| self.reply.push_body(p));
-        })
+        write_encoded(out, |buf| self.encode_into(buf))
     }
 
     /// Appends the envelope's frame to `buf` (no I/O, no flush).
@@ -862,15 +932,15 @@ mod tests {
         assert!(Request::decode(&mut huge.as_slice()).is_err());
         // Unknown tag.
         let mut bytes = Vec::new();
-        write_frame(&mut bytes, &[0x7E]).unwrap();
+        frame_into(&mut bytes, |p| p.extend_from_slice(&[0x7E]));
         assert!(Request::decode(&mut bytes.as_slice()).is_err());
         // Truncated read request.
         let mut bytes = Vec::new();
-        write_frame(&mut bytes, &[0x01, 1, 2]).unwrap();
+        frame_into(&mut bytes, |p| p.extend_from_slice(&[0x01, 1, 2]));
         assert!(Request::decode(&mut bytes.as_slice()).is_err());
         // Write without a full block.
         let mut bytes = Vec::new();
-        write_frame(&mut bytes, &[0x02; 20]).unwrap();
+        frame_into(&mut bytes, |p| p.extend_from_slice(&[0x02; 20]));
         assert!(Request::decode(&mut bytes.as_slice()).is_err());
     }
 

@@ -77,7 +77,7 @@
 //! first, by the next commit. A request that finds the durable tier out
 //! of free slots lands the open group before it takes the shard lock.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -93,7 +93,7 @@ use crate::backing::BackingStore;
 use crate::durable::{CommitPipe, DurableStore};
 use crate::engine::{classify_backing, Breaker, CacheEngine, EngineSnapshot};
 use crate::protocol::{
-    encode_reply_into, split_frame, ErrorCode, Incoming, NodeMode, Reply, Request, MAX_FRAME,
+    encode_reply_into, ErrorCode, Incoming, NodeMode, ReadBuffer, Reply, Request,
 };
 use crate::store::{DataCache, WritePolicy};
 
@@ -458,12 +458,20 @@ impl NodeServerBuilder {
     /// shard owns a disjoint cache slice keyed by
     /// [`sievestore_types::shard_of`] (the capacity split evenly, the
     /// remainder spread over the first shards) behind its own lock,
-    /// over one shared handle to `backing`. See the
-    /// [module docs](self) for the lock rule.
+    /// over one shared handle to `backing`. A continuous policy is
+    /// sliced with the cache
+    /// ([`SieveStoreBuilder::shard`](sievestore::SieveStoreBuilder::shard),
+    /// as sharded replay builds it): the shards' sieve tables sum to the
+    /// configured one, and a block meets the sieve state it would meet
+    /// in one whole cache. A discrete policy, which `shard` refuses, is
+    /// built whole on every shard, over that shard's capacity slice.
+    /// See the [module docs](self) for the lock rule.
     ///
     /// # Errors
     ///
-    /// Propagates bind failures and invalid cache configuration.
+    /// Propagates bind failures and invalid cache configuration — which
+    /// includes a shard count the policy cannot be sliced over (one that
+    /// does not divide SieveStore-C's IMCT), as in sharded replay.
     pub fn serve_sharded<B: BackingStore + 'static>(
         self,
         backing: B,
@@ -484,11 +492,22 @@ impl NodeServerBuilder {
         let backing = Arc::new(backing);
         let caches = (0..shards)
             .map(|index| {
-                // Spread the capacity remainder so the slices sum exactly.
-                let slice =
-                    capacity_blocks / shards + usize::from(index < capacity_blocks % shards);
-                DataCache::new(Arc::clone(&backing), policy.clone(), slice)
-                    .map(|cache| cache.with_write_policy(write_policy))
+                let builder = sievestore::SieveStoreBuilder::new().policy(policy.clone());
+                let builder = if policy.is_discrete() {
+                    // Spread the capacity remainder so the slices sum exactly.
+                    let slice =
+                        capacity_blocks / shards + usize::from(index < capacity_blocks % shards);
+                    builder.capacity_blocks(slice)
+                } else {
+                    builder
+                        .capacity_blocks(capacity_blocks)
+                        .shard(index, shards)
+                };
+                builder
+                    .build()
+                    .map(|store| {
+                        DataCache::over(Arc::clone(&backing), store).with_write_policy(write_policy)
+                    })
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
             })
             .collect::<io::Result<Vec<_>>>()?;
@@ -810,63 +829,6 @@ const WINDOW_BYTES: usize = 64 * 1024;
 /// and always for one frame of the largest legal size.
 const READ_BUFFER: usize = 64 * 1024;
 
-/// One connection's unparsed inbound bytes, `buf[start..end]`.
-struct ReadBuffer {
-    buf: Box<[u8]>,
-    start: usize,
-    end: usize,
-}
-
-impl ReadBuffer {
-    fn new() -> Self {
-        ReadBuffer {
-            buf: vec![0; READ_BUFFER].into_boxed_slice(),
-            start: 0,
-            end: 0,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// Blocks until the socket yields more bytes; `Ok(0)` is EOF.
-    fn fill(&mut self, stream: &mut TcpStream) -> io::Result<usize> {
-        if self.is_empty() {
-            (self.start, self.end) = (0, 0);
-        } else if self.buf.len() - self.end < 4 + MAX_FRAME as usize {
-            // Keep room for the rest of the largest frame.
-            self.buf.copy_within(self.start..self.end, 0);
-            (self.start, self.end) = (0, self.end - self.start);
-        }
-        loop {
-            match stream.read(&mut self.buf[self.end..]) {
-                Ok(n) => {
-                    self.end += n;
-                    return Ok(n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Splits the next complete frame off the front and parses it;
-    /// `None` when the buffer holds no complete frame.
-    fn next_frame(&mut self) -> Option<io::Result<Incoming>> {
-        let pending = &self.buf[self.start..self.end];
-        match split_frame(pending) {
-            Ok(None) => None,
-            Ok(Some((consumed, payload))) => {
-                let incoming = Incoming::parse(&pending[payload]);
-                self.start += consumed;
-                Some(incoming)
-            }
-            Err(e) => Some(Err(e)),
-        }
-    }
-}
-
 /// One connection's replies not yet sent — those of the requests the
 /// client had already pipelined when the window opened — encoded back
 /// to back in `out`.
@@ -963,7 +925,7 @@ fn serve_connection<B: BackingStore + 'static>(
     // pin this thread in `write_all` for good either.
     stream.set_read_timeout(shared.config.idle_timeout).ok();
     stream.set_write_timeout(shared.config.idle_timeout).ok();
-    let mut inbound = ReadBuffer::new();
+    let mut inbound = ReadBuffer::new(READ_BUFFER);
     let mut window = Window::default();
     loop {
         match inbound.fill(&mut stream) {
@@ -976,7 +938,7 @@ fn serve_connection<B: BackingStore + 'static>(
             Err(e) if is_idle_timeout(&e) => return window.release(shared, &mut stream),
             Err(e) => return Err(e),
         }
-        while let Some(incoming) = inbound.next_frame() {
+        while let Some(incoming) = inbound.next_frame(Incoming::parse) {
             let (corr, request) = match incoming {
                 Ok(Incoming::Plain(request)) => (None, request),
                 Ok(Incoming::Piped(piped)) => (Some(piped.corr), piped.request),

@@ -129,18 +129,25 @@ impl<B: BackingStore> DataCache<B> {
     /// Returns [`SieveError::InvalidConfig`] for an invalid policy or
     /// zero capacity.
     pub fn new(backing: B, policy: PolicySpec, capacity_blocks: usize) -> Result<Self, SieveError> {
-        Ok(DataCache {
-            store: SieveStoreBuilder::new()
-                .capacity_blocks(capacity_blocks)
-                .policy(policy)
-                .build()?,
+        let store = SieveStoreBuilder::new()
+            .capacity_blocks(capacity_blocks)
+            .policy(policy)
+            .build()?;
+        Ok(Self::over(backing, store))
+    }
+
+    /// A cache over `backing` driven by an already-built appliance (one
+    /// shard's slice of a policy, for the sharded server).
+    pub(crate) fn over(backing: B, store: SieveStore) -> Self {
+        DataCache {
+            store,
             frames: U64Map::new(),
             dirty: U64Set::new(),
             write_policy: WritePolicy::WriteThrough,
             backing,
             durable: None,
             scrub_cursor: 0,
-        })
+        }
     }
 
     /// Creates a cache backed by a durable frame store, recovering

@@ -4,16 +4,19 @@
 //! client would — while preserving the retry/breaker fault semantics of
 //! the serial path.
 
-use std::io::{BufReader, BufWriter, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use sievestore::PolicySpec;
+use sievestore_node::protocol::split_frame;
 use sievestore_node::{
     ClientConfig, DataCache, ErrorCode, FaultInjectingBacking, FaultPlan, Incoming, MemBacking,
     NodeClient, NodeConfig, NodeMode, NodeServerBuilder, OpResult, PipedReply, PipedRequest,
-    PipelinedClient, Reply, Request, RetryPolicy,
+    PipelinedClient, Reply, Request, RetryPolicy, WritePolicy,
 };
+use sievestore_types::NodeError;
 
 fn block(fill: u8) -> [u8; 512] {
     [fill; 512]
@@ -272,67 +275,127 @@ fn pipelined_op_fails_individually_when_retries_exhausted() {
     server.shutdown();
 }
 
-/// Regression: a transport failure surfacing inside a submit (the
-/// buffered `write_all` in `encode_op`) must reconnect transparently.
-/// The client once shared one scratch buffer between the op being
-/// encoded and the window resubmission, so after a reconnect the retry
-/// loop sent the whole window a second time — the server answered
-/// every correlation id twice and the new op's frame was lost.
-#[test]
-fn pipelined_client_survives_connection_loss_mid_submit() {
-    use std::io::Read as _;
+/// What a [`scripted_node`] saw on the connection it served.
+#[derive(Default)]
+struct Served {
+    /// Requests answered.
+    frames: u64,
+    /// `read()` calls that delivered at least one whole request.
+    reads: u64,
+    /// Whether the connection ended with a `Quit` frame, not a bare close.
+    quit: bool,
+}
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+/// A scripted node. Given `drop_first_after`, it reads at most that many
+/// bytes of its first connection and drops it unanswered (the unread
+/// rest turns the close into a reset). It then serves one connection the
+/// way the real server does: every complete frame of each `read()` is
+/// answered, all of a read's replies in one write.
+fn scripted_node(drop_first_after: Option<usize>) -> (SocketAddr, JoinHandle<Served>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let server = std::thread::spawn(move || {
-        // Conn 1: swallow a little, then drop without replying. The
-        // unread bytes left behind turn the close into an RST, so the
-        // client's next buffered flush fails mid-submit.
-        {
-            let (mut s, _) = listener.accept().expect("accept first conn");
-            let mut buf = [0u8; 1024];
-            let _ = s.read(&mut buf);
+    let node = std::thread::spawn(move || {
+        if let Some(limit) = drop_first_after {
+            let (mut doomed, _) = listener.accept().expect("accept the doomed connection");
+            let _ = doomed.read(&mut vec![0u8; limit]);
         }
-        // Conn 2: a well-behaved pipelined responder until quit.
-        let (s, _) = listener.accept().expect("accept second conn");
-        let mut reader = BufReader::new(s.try_clone().expect("clone"));
-        let mut writer = BufWriter::new(s);
-        while let Ok(Incoming::Piped(piped)) = Incoming::decode(&mut reader) {
-            let reply = match piped.request {
-                Request::Read { .. } => Reply::Read {
-                    hit: false,
-                    data: Box::new(block(0)),
-                },
-                Request::Write { .. } => Reply::Write { hit: false },
-                _ => Reply::Error {
-                    code: ErrorCode::Protocol,
-                    message: "unexpected request".into(),
-                },
-            };
-            let envelope = PipedReply {
-                corr: piped.corr,
-                reply,
-            };
-            envelope.encode(&mut writer).expect("encode reply");
-            writer.flush().expect("flush reply");
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut served = Served::default();
+        let (mut inbound, mut replies) = (Vec::new(), Vec::new());
+        let mut chunk = vec![0u8; 1 << 16];
+        loop {
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return served,
+                Ok(n) => inbound.extend_from_slice(&chunk[..n]),
+            }
+            let mut at = 0;
+            while let Some((consumed, payload)) = split_frame(&inbound[at..]).expect("framing") {
+                let incoming = Incoming::parse(&inbound[at..][payload]).expect("well-formed");
+                at += consumed;
+                let piped = match incoming {
+                    Incoming::Piped(piped) => piped,
+                    Incoming::Plain(Request::Quit) => {
+                        served.quit = true;
+                        return served;
+                    }
+                    Incoming::Plain(other) => panic!("unexpected plain {other:?}"),
+                };
+                let reply = match piped.request {
+                    Request::Read { .. } => Reply::Read {
+                        hit: false,
+                        data: Box::new(block(0)),
+                    },
+                    Request::Write { .. } => Reply::Write { hit: false },
+                    _ => Reply::Error {
+                        code: ErrorCode::Protocol,
+                        message: "unexpected request".into(),
+                    },
+                };
+                let corr = piped.corr;
+                PipedReply { corr, reply }.encode_into(&mut replies);
+                served.frames += 1;
+            }
+            inbound.drain(..at);
+            if !replies.is_empty() {
+                served.reads += 1;
+                stream.write_all(&replies).expect("write replies");
+                replies.clear();
+            }
         }
     });
+    (addr, node)
+}
 
+/// The window survives steady state: the client writes only when it is
+/// about to block and then settles every reply that arrived, so a full
+/// window refills in one write and the node finds the whole window in
+/// one `read()`. (A client that blocks for exactly one reply per submit
+/// decays into one request per syscall — 1.3 frames per read at window
+/// 8.) At window 1 there is exactly one request per read. The goodbye is
+/// a `Quit` frame on the wire at either window.
+#[test]
+fn the_window_stays_full_in_steady_state() {
+    const OPS: u64 = 10_000;
+    for (window, at_least) in [(1, 1.0), (8, 4.0)] {
+        let (addr, node) = scripted_node(None);
+        let mut client = PipelinedClient::connect(addr, window).expect("connect");
+        let mut done = Vec::new();
+        for key in 0..OPS {
+            done.extend(client.read(key).expect("submit"));
+        }
+        done.extend(client.quit().expect("quit"));
+        let served = node.join().expect("scripted node");
+
+        assert!(done.iter().all(|c| c.result.is_ok()));
+        let mut keys: Vec<u64> = done.iter().map(|c| c.key).collect();
+        keys.sort_unstable();
+        assert!(keys.into_iter().eq(0..OPS), "every op completes once");
+        assert_eq!(served.frames, OPS, "and was sent once");
+        let per_read = served.frames as f64 / served.reads as f64;
+        assert!(
+            (at_least..=window as f64).contains(&per_read),
+            "window {window}: {per_read:.2} frames per server read"
+        );
+        assert!(served.quit, "window {window}: no Quit frame on the wire");
+    }
+}
+
+/// A connection lost in the middle of a multi-frame write: the node
+/// takes 1 KiB — not two whole frames — of the first window's one write
+/// and resets. The client reconnects transparently and re-sends the
+/// window once, under the same correlation ids: every op completes
+/// exactly once and no reply is left over. (The client once sent a
+/// window twice after a reconnect and lost the op being submitted.)
+#[test]
+fn pipelined_client_survives_connection_loss_mid_submit() {
+    let (addr, node) = scripted_node(Some(1024));
     let config = ClientConfig {
         read_timeout: Some(Duration::from_secs(2)),
         ..fast_client()
     };
-    // Window larger than the op count, so the transport failure can
-    // only surface through a submit's write, never through a read.
-    let mut client = PipelinedClient::connect_with(addr, config, 64).expect("connect");
+    let mut client = PipelinedClient::connect_with(addr, config, 16).expect("connect");
     let mut done = Vec::new();
-    // Enough ops to overflow the 8 KiB write buffer and reach the dead
-    // socket; the pause lets conn 1's RST land before the next flush.
-    for key in 0..20u64 {
-        done.extend(client.write(key, &block(key as u8)).expect("submit"));
-    }
-    std::thread::sleep(Duration::from_millis(100));
-    for key in 20..48u64 {
+    for key in 0..48u64 {
         done.extend(client.write(key, &block(key as u8)).expect("submit"));
     }
     done.extend(client.drain().expect("drain after transparent reconnect"));
@@ -346,9 +409,108 @@ fn pipelined_client_survives_connection_loss_mid_submit() {
     keys.dedup();
     assert_eq!(keys.len(), 48, "no op completed twice");
     assert!(client.reconnects() >= 1, "the connection loss was observed");
+    assert_eq!(client.stale_replies(), 0, "the window was re-sent once");
 
     client.quit().expect("quit");
-    server.join().expect("server thread");
+    let served = node.join().expect("scripted node");
+    assert_eq!(served.frames, 48, "nothing was sent twice");
+}
+
+/// A transport failure keeps its cause at every window. A node that
+/// takes the connection and never answers makes every read time out:
+/// under a one-attempt policy the operation fails with that bare
+/// `io::Error` kind, under a larger budget with `RetriesExhausted`
+/// around it — from `NodeClient` (window 1) and in each `Completion` of
+/// a pipelined window alike.
+#[test]
+fn a_silent_node_fails_each_op_with_the_timeout_it_hit() {
+    // Never accepted: the kernel completes the handshakes and buffers
+    // what the clients write.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let timed_out = |error: &NodeError| {
+        matches!(error, NodeError::Transport(e)
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut))
+    };
+    for retry in [RetryPolicy::none(), RetryPolicy::default()] {
+        let config = ClientConfig {
+            read_timeout: Some(Duration::from_millis(50)),
+            retry,
+            ..ClientConfig::default()
+        };
+        let check = |error: &NodeError| match error {
+            NodeError::RetriesExhausted { attempts, last } if retry.attempts > 1 => {
+                assert_eq!(*attempts, retry.attempts);
+                assert!(timed_out(last), "{last:?}");
+            }
+            bare => assert!(retry.attempts == 1 && timed_out(bare), "{bare:?}"),
+        };
+        let mut serial = NodeClient::connect_with(addr, config).expect("connect");
+        check(&serial.read_block(1).expect_err("nobody answers"));
+
+        let mut piped = PipelinedClient::connect_with(addr, config, 8).expect("connect");
+        for key in 0..3 {
+            assert!(piped.read(key).expect("submit").is_empty());
+        }
+        let done = piped.drain().expect("drain");
+        assert_eq!(done.len(), 3);
+        for c in &done {
+            check(c.result.as_ref().expect_err("nobody answers"));
+        }
+    }
+}
+
+/// `stats()` and `flush()` ride the pipelined path: called with writes
+/// still in flight (not even written yet) they settle the window first,
+/// so their counts include it, and leave those writes' completions for
+/// the next `drain()`. `quit()` ends the connection at once at either
+/// window; the node does not wait out an idle timeout (it has none).
+#[test]
+fn control_ops_settle_the_window_and_keep_its_completions() {
+    let cache = DataCache::new(MemBacking::new(), PolicySpec::Aod, 64)
+        .expect("valid appliance")
+        .with_write_policy(WritePolicy::WriteBack);
+    let server = NodeServerBuilder::new("127.0.0.1:0")
+        .serve(cache)
+        .expect("bind");
+    let mut client = PipelinedClient::connect(server.addr(), 8).expect("connect");
+
+    for key in 0..5u64 {
+        let early = client.write(key, &block(key as u8)).expect("submit");
+        assert!(early.is_empty(), "the window is not full: nothing is sent");
+    }
+    assert_eq!(client.in_flight(), 5);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.write_hits + stats.write_misses, 5, "{stats:?}");
+    assert_eq!(client.in_flight(), 0);
+
+    let mut done = client.drain().expect("drain");
+    assert_eq!(done.len(), 5, "the settled writes' completions were kept");
+
+    for key in 5..8u64 {
+        client.write(key, &block(key as u8)).expect("submit");
+    }
+    assert_eq!(client.flush().expect("flush"), 8, "all eight were dirty");
+    done.extend(client.drain().expect("drain"));
+    assert_eq!(done.len(), 8);
+    for c in &done {
+        assert!(matches!(c.result, Ok(OpResult::Write { .. })), "{c:?}");
+    }
+
+    let serial = NodeClient::connect(server.addr()).expect("connect");
+    let gone = |expected| {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while server.live_connections() != expected {
+            assert!(Instant::now() < deadline, "connection still live");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    gone(2);
+    client.quit().expect("quit at window 8");
+    gone(1);
+    serial.quit().expect("quit at window 1");
+    gone(0);
+    server.shutdown();
 }
 
 /// Fault smoke for satellite (e): sustained faults trip the breaker

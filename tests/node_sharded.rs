@@ -215,6 +215,51 @@ fn sharded_matches_legacy_payloads_under_sieve_policy() {
     }
 }
 
+/// `serve_sharded` slices a continuous policy's sieve with the cache
+/// (`SieveStoreBuilder::shard`, as sharded replay does), so the shards'
+/// IMCTs sum to the configured table and a block meets the counters it
+/// would meet in one whole sieve. With a table small enough to alias
+/// (256 slots under 2 048 keys) and capacity enough never to evict, one
+/// connection replaying one tape reads the same counters at every shard
+/// count — and a count that cannot be sliced that way (3 does not
+/// divide 256) is refused, where a full-size table per shard would
+/// quietly alias differently from the whole sieve.
+#[test]
+fn sieved_counters_are_shard_count_invariant() {
+    let ops = workload(6_000, 2_048);
+    let serve = |workers| {
+        let policy = PolicySpec::SieveStoreC(
+            TwoTierConfig::paper_default()
+                .with_imct_entries(1 << 8)
+                .with_thresholds(2, 1),
+        );
+        NodeServerBuilder::new("127.0.0.1:0")
+            .workers(workers)
+            .serve_sharded(MemBacking::new(), policy, 4_096, WritePolicy::WriteThrough)
+    };
+    let refused = serve(3).err().expect("3 shards cannot slice 256 slots");
+    assert_eq!(refused.kind(), io::ErrorKind::InvalidInput, "{refused}");
+    let counters = SHARD_COUNTS.map(|workers| {
+        let server = serve(workers).expect("bind");
+        let mut client = NodeClient::connect(server.addr()).expect("connect");
+        for &(is_write, key) in &ops {
+            if is_write {
+                client.write_block(key, &block(key as u8)).expect("write");
+            } else {
+                client.read_block(key).expect("read");
+            }
+        }
+        let stats = client.stats().expect("stats");
+        client.quit().expect("quit");
+        server.shutdown();
+        assert!(stats.allocation_writes > 0, "the sieve admitted something");
+        assert!(stats.allocation_writes < stats.read_misses + stats.write_misses);
+        stats
+    });
+    assert_eq!(counters[0], counters[1], "1 shard against 2");
+    assert_eq!(counters[0], counters[2], "1 shard against 4");
+}
+
 /// The existing client fault semantics — bounded retries, per-shard
 /// breaker trip into degraded pass-through, probe-back recovery — hold
 /// at every shard count. Hammering one key keeps every fault on a
