@@ -12,6 +12,8 @@
 //!   sorted runs is bit-identical to sorting the concatenated day, which
 //!   is what makes streamed and materialized generation interchangeable
 //!   (pinned by this module's tests and `tests/streaming_replay.rs`).
+//!   The merge scans k cached 16-byte `(timestamp, block)` key prefixes
+//!   per request and builds a full key only where two prefixes tie.
 //! * A background thread generates per-server day runs and merges them
 //!   into chunks of [`TraceStreamConfig::chunk_requests`] requests,
 //!   delivered over a bounded channel ([`TraceStreamConfig::depth`]
@@ -48,6 +50,7 @@ pub type RequestOrderKey = (u64, u64, u32, u8, u64);
 /// two requests compare equal only when they are bitwise identical —
 /// which makes the sorted sequence of any request multiset unique, and
 /// merge-based streaming reproducible against materialized sorting.
+/// [`sort_requests`] and the stream's merge rely on it being timestamp-major.
 ///
 /// # Examples
 ///
@@ -81,9 +84,36 @@ pub fn request_order_key(r: &Request) -> RequestOrderKey {
 }
 
 /// Sorts requests by [`request_order_key`] (the order every trace API
-/// emits).
+/// emits): sorts 16-byte `(timestamp, index)` keys, permutes the requests
+/// into that order in place, then full-key-sorts only equal timestamps.
 pub fn sort_requests(requests: &mut [Request]) {
-    requests.sort_unstable_by_key(request_order_key);
+    sort_with(requests, &mut Vec::new());
+}
+
+/// [`sort_requests`] with a reused key buffer.
+pub(crate) fn sort_with(requests: &mut [Request], keys: &mut Vec<u128>) {
+    keys.clear();
+    for (i, r) in (0u64..).zip(requests.iter()) {
+        keys.push(u128::from(r.timestamp.as_u64()) << 64 | u128::from(i));
+    }
+    keys.sort_unstable();
+    // Position `i` takes the request at index `keys[i] as u64`: walk each
+    // cycle once by swaps, re-pointing visited positions at themselves.
+    for start in 0..requests.len() {
+        let mut dst = start;
+        loop {
+            let src = keys[dst] as u64 as usize;
+            keys[dst] = keys[dst] >> 64 << 64 | dst as u128;
+            if src == start {
+                break;
+            }
+            requests.swap(dst, src);
+            dst = src;
+        }
+    }
+    for tied in requests.chunk_by_mut(|a, b| a.timestamp == b.timestamp) {
+        tied.sort_unstable_by_key(request_order_key);
+    }
 }
 
 /// Default requests per streamed chunk (~2 MiB of `Request`s).
@@ -342,6 +372,7 @@ impl SyntheticTrace {
                     tx,
                     recycle_rx,
                     spare: Vec::new(),
+                    sort_keys: Vec::new(),
                 }
                 .run();
             })
@@ -380,6 +411,7 @@ struct Generator {
     /// Recycled buffers drained by [`Generator::consumer_gone`], reused
     /// before asking the channel again.
     spare: Vec<Vec<Request>>,
+    sort_keys: Vec<u128>,
 }
 
 impl Generator {
@@ -440,15 +472,13 @@ impl Generator {
     /// Generates every server's run for `day` in memory and merges them
     /// into chunks. Returns `false` if the consumer went away.
     fn emit_day_in_memory(&mut self, day: Day) -> bool {
-        let runs: Vec<Vec<Request>> = self
+        let mut runs: Vec<_> = self
             .servers()
             .into_iter()
-            .map(|s| self.trace.server_day_requests(s, day))
+            .map(|s| self.trace.server_day_requests(s, day, &mut self.sort_keys))
+            .map(Vec::into_iter)
             .collect();
-        let mut sources: Vec<std::vec::IntoIter<Request>> =
-            runs.into_iter().map(Vec::into_iter).collect();
-        let mut heads: Vec<Option<Request>> = sources.iter_mut().map(Iterator::next).collect();
-        self.merge_chunks(&mut heads, |i| sources[i].next()).is_ok()
+        self.merge_chunks(runs.len(), |i| runs[i].next()).is_ok()
     }
 
     /// Spill mode: writes each server run to disk as soon as it is
@@ -469,7 +499,7 @@ impl Generator {
             if self.consumer_gone() {
                 return Ok(false);
             }
-            let run = self.trace.server_day_requests(s, day);
+            let run = self.trace.server_day_requests(s, day, &mut self.sort_keys);
             let path = dir.join(format!("day{:04}-srv{s:02}.run", day.index()));
             // Registered before creation: a partially-written file from a
             // failed write below is still removed by the guard.
@@ -486,13 +516,8 @@ impl Generator {
             .iter()
             .map(|p| TraceReader::new(std::fs::File::open(p)?))
             .collect::<Result<Vec<_>, SieveError>>()?;
-        let mut pull = |i: usize| readers[i].next().transpose();
-        let mut heads: Vec<Option<Request>> = Vec::with_capacity(guard.paths.len());
-        for i in 0..guard.paths.len() {
-            heads.push(pull(i)?);
-        }
         let mut io_err: Option<SieveError> = None;
-        let delivered = self.merge_chunks(&mut heads, |i| match pull(i) {
+        let delivered = self.merge_chunks(readers.len(), |i| match readers[i].next().transpose() {
             Ok(next) => next,
             Err(e) => {
                 io_err = Some(e);
@@ -505,10 +530,7 @@ impl Generator {
         }
     }
 
-    /// K-way merge over `heads` (refilled by `next`), chunked and sent.
-    /// With the total [`request_order_key`] order, equal heads are
-    /// bitwise-identical requests, so the lowest-index tiebreak below
-    /// changes nothing about the produced byte sequence.
+    /// [`merge_runs`] over `runs` pulled by `next`, chunked and sent.
     ///
     /// The scenario transform runs here, on each merged request in its
     /// canonical position — after ordering, before chunking — which is
@@ -520,37 +542,60 @@ impl Generator {
     /// no meaning, so nothing downstream can tell.
     ///
     /// Returns `Err(())` when the consumer hung up.
-    fn merge_chunks<F>(&mut self, heads: &mut [Option<Request>], mut next: F) -> Result<(), ()>
+    fn merge_chunks<F>(&mut self, runs: usize, next: F) -> Result<(), ()>
     where
         F: FnMut(usize) -> Option<Request>,
     {
         let mut chunk = self.chunk_buf();
-        loop {
-            let mut min: Option<(usize, RequestOrderKey)> = None;
-            for (i, head) in heads.iter().enumerate() {
-                if let Some(req) = head {
-                    let key = request_order_key(req);
-                    if min.as_ref().is_none_or(|(_, k)| key < *k) {
-                        min = Some((i, key));
-                    }
-                }
-            }
-            let Some((i, _)) = min else { break };
-            let req = heads[i].take().expect("head present");
-            heads[i] = next(i);
+        merge_runs(runs, next, |req| {
             self.scenario.apply(req, &mut chunk);
-            if chunk.len() >= self.config.chunk_requests {
-                let full = std::mem::replace(&mut chunk, self.chunk_buf());
-                if self.tx.send(StreamMsg::Chunk(full)).is_err() {
-                    return Err(());
-                }
+            if chunk.len() < self.config.chunk_requests {
+                return Ok(());
             }
-        }
+            let full = std::mem::replace(&mut chunk, self.chunk_buf());
+            self.tx.send(StreamMsg::Chunk(full)).map_err(drop)
+        })?;
         if !chunk.is_empty() && self.tx.send(StreamMsg::Chunk(chunk)).is_err() {
             return Err(());
         }
         Ok(())
     }
+}
+
+/// K-way merge of `runs` sorted runs (`next(i)` pulls run `i`'s next
+/// request) into `emit`, stopping at the first `Err`. Fully equal heads
+/// are identical requests, so which goes first is moot.
+fn merge_runs<F, E>(runs: usize, mut next: F, mut emit: E) -> Result<(), ()>
+where
+    F: FnMut(usize) -> Option<Request>,
+    E: FnMut(Request) -> Result<(), ()>,
+{
+    fn key(r: &Request) -> u128 {
+        u128::from(r.timestamp.as_u64()) << 64 | u128::from(GlobalBlock::from(r.start).raw())
+    }
+    // (cached key prefix, head, run) per live run; an exhausted run leaves.
+    let mut live: Vec<(u128, Request, usize)> = (0..runs)
+        .filter_map(|run| next(run).map(|req| (key(&req), req, run)))
+        .collect();
+    while !live.is_empty() {
+        let mut min = 0;
+        for (i, head) in live.iter().enumerate().skip(1) {
+            let best = &live[min];
+            if head.0 < best.0
+                || (head.0 == best.0 && request_order_key(&head.1) < request_order_key(&best.1))
+            {
+                min = i;
+            }
+        }
+        let (_, req, run) = live[min];
+        if let Some(refill) = next(run) {
+            live[min] = (key(&refill), refill, run);
+        } else {
+            live.swap_remove(min);
+        }
+        emit(req)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -585,6 +630,97 @@ mod tests {
             }
         }
         (days, all)
+    }
+
+    /// Requests whose timestamps come from `stamps` (so at most four
+    /// distinct values) and whose other fields come from small domains,
+    /// so prefix ties, full-key ties and duplicates are all common.
+    fn tied_requests(stamps: &[u64], raw: &[(usize, u64)]) -> Vec<Request> {
+        use sievestore_types::{BlockAddr, Micros, RequestKind, ServerId, VolumeId};
+        raw.iter()
+            .map(|&(stamp, bits)| {
+                let start = BlockAddr::new(
+                    ServerId::new((bits % 3) as u8),
+                    VolumeId::new((bits >> 2 & 1) as u8),
+                    bits >> 4 & 7,
+                );
+                let kind = if bits >> 8 & 1 == 0 {
+                    RequestKind::Read
+                } else {
+                    RequestKind::Write
+                };
+                Request::new(
+                    Micros::new(stamps[stamp]),
+                    start,
+                    1 + (bits >> 9 & 1) as u32,
+                    kind,
+                )
+                .with_response_time(Micros::new(bits >> 10 & 1))
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sort_requests_is_the_full_key_sort(
+            stamps in proptest::collection::vec(0u64..1 << 40, 4),
+            raw in proptest::collection::vec((0usize..4, proptest::prelude::any::<u64>()), 0..64),
+            dups in proptest::collection::vec(proptest::prelude::any::<usize>(), 0..16),
+        ) {
+            let mut requests = tied_requests(&stamps, &raw);
+            for d in dups {
+                if !requests.is_empty() {
+                    requests.push(requests[d % requests.len()]);
+                }
+            }
+            let mut want = requests.clone();
+            want.sort_unstable_by_key(request_order_key);
+            let mut got = requests.clone();
+            sort_requests(&mut got);
+            proptest::prop_assert_eq!(&got, &want);
+            // A reused key buffer sorts a second, shorter input the same way.
+            let mut keys = Vec::new();
+            let mut again = requests.clone();
+            sort_with(&mut again, &mut keys);
+            let mut half = requests[..requests.len() / 2].to_vec();
+            sort_with(&mut half, &mut keys);
+            let mut half_want = requests[..requests.len() / 2].to_vec();
+            half_want.sort_unstable_by_key(request_order_key);
+            proptest::prop_assert_eq!(again, want);
+            proptest::prop_assert_eq!(half, half_want);
+        }
+
+        #[test]
+        fn merge_is_a_sort_of_the_concatenated_runs(
+            stamps in proptest::collection::vec(0u64..1 << 40, 4),
+            raw in proptest::collection::vec((0usize..4, proptest::prelude::any::<u64>()), 0..96),
+            cuts in proptest::collection::vec(0usize..96, 0..6),
+        ) {
+            // Runs of uneven length, some empty, cut from one tied pool:
+            // ties across runs, and runs that empty long before the rest.
+            let requests = tied_requests(&stamps, &raw);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(requests.len())).collect();
+            cuts.sort_unstable();
+            let mut runs: Vec<Vec<Request>> = Vec::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([requests.len()]) {
+                let mut run = requests[from..cut].to_vec();
+                sort_requests(&mut run);
+                runs.push(run);
+                from = cut;
+            }
+            let mut sources: Vec<std::vec::IntoIter<Request>> =
+                runs.into_iter().map(Vec::into_iter).collect();
+            let mut merged = Vec::new();
+            merge_runs(sources.len(), |i| sources[i].next(), |req| {
+                merged.push(req);
+                Ok(())
+            })
+            .unwrap();
+            let mut want = requests;
+            want.sort_unstable_by_key(request_order_key);
+            proptest::prop_assert_eq!(merged, want);
+        }
     }
 
     #[test]

@@ -117,7 +117,7 @@ struct ServerDayPlan {
     /// Fraction of requests that are reads.
     read_fraction: f64,
     /// Per-minute-of-day relative weights (cumulative, over active minutes).
-    minute_cum: Vec<f64>,
+    minutes: GuidedCdf,
     /// First active minute-of-day (nonzero only on a partial first day).
     first_minute: u32,
 }
@@ -480,7 +480,7 @@ impl SyntheticTrace {
             server: ServerId::new(server_idx as u8),
             volumes,
             read_fraction: server.read_fraction,
-            minute_cum,
+            minutes: GuidedCdf::new(minute_cum),
             first_minute,
         }
     }
@@ -495,18 +495,25 @@ impl SyntheticTrace {
     }
 
     /// Generates all requests of one server for one day, in time order.
-    pub(crate) fn server_day_requests(&self, server_idx: usize, day: Day) -> Vec<Request> {
+    pub(crate) fn server_day_requests(
+        &self,
+        server_idx: usize,
+        day: Day,
+        sort_keys: &mut Vec<u128>,
+    ) -> Vec<Request> {
         let plan = self.server_day_plan(server_idx, day.index());
         let mut rng = SmallRng::seed_from_u64(self.sub_seed(5, day.index(), server_idx));
         let day_base = day.start();
-        let capacity_hint: u64 = plan.volumes.iter().map(|v| v.random_requests).sum();
-        let mut out = Vec::with_capacity(capacity_hint as usize);
+        // An upper bound (a warm chunk draws at most `floor + 1`): no regrowth.
+        let bound = |v: &VolumeDayPlan| {
+            v.random_requests as usize + v.warm_map.len() * (v.warm_requests_per_chunk as usize + 1)
+        };
+        let mut out = Vec::with_capacity(plan.volumes.iter().map(bound).sum());
 
         for vol in &plan.volumes {
             // Head + cold: randomly sampled through the diurnal profile.
             for _ in 0..vol.random_requests {
-                let u = rng.random::<f64>();
-                let slot = partition_point(&plan.minute_cum, u);
+                let slot = plan.minutes.slot(rng.random::<f64>());
                 let minute_of_day = plan.first_minute + slot as u32;
                 let offset_us = rng.random_range(0..Micros::PER_MINUTE);
                 let timestamp =
@@ -584,7 +591,7 @@ impl SyntheticTrace {
                 }
             }
         }
-        crate::stream::sort_requests(&mut out);
+        crate::stream::sort_with(&mut out, sort_keys);
         out
     }
 
@@ -601,11 +608,12 @@ impl SyntheticTrace {
             day.index(),
             self.config.days
         );
+        let mut keys = Vec::new();
         let mut all: Vec<Request> = Vec::new();
         for server_idx in 0..self.config.servers.len() {
-            all.extend(self.server_day_requests(server_idx, day));
+            all.extend(self.server_day_requests(server_idx, day, &mut keys));
         }
-        crate::stream::sort_requests(&mut all);
+        crate::stream::sort_with(&mut all, &mut keys);
         all
     }
 
@@ -621,7 +629,7 @@ impl SyntheticTrace {
             "server out of range"
         );
         assert!(day.index() < self.config.days, "day out of range");
-        self.server_day_requests(server_idx, day)
+        self.server_day_requests(server_idx, day, &mut Vec::new())
     }
 
     /// Iterates over every request of the whole trace in time order,
@@ -667,19 +675,38 @@ impl Iterator for TraceIter<'_> {
     }
 }
 
-/// Index of the first cumulative entry `>= u` (branchless binary search).
-fn partition_point(cumulative: &[f64], u: f64) -> usize {
-    let mut lo = 0usize;
-    let mut hi = cumulative.len();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if cumulative[mid] < u {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
+/// A cumulative distribution (nondecreasing, ending at 1.0) with an exact
+/// guide table: `guide[j]` counts the entries below `j / GUIDE_BUCKETS` (a
+/// power of two, so exact). The count is monotone in the bound, so for `u`
+/// in bucket `j` the first entry `>= u` lies in `guide[j]..=guide[j + 1]`.
+#[derive(Debug, Clone)]
+struct GuidedCdf {
+    cum: Vec<f64>,
+    guide: Vec<u32>,
+}
+
+const GUIDE_BUCKETS: usize = 4096;
+
+impl GuidedCdf {
+    fn new(cum: Vec<f64>) -> Self {
+        let mut below = 0;
+        let guide = (0..=GUIDE_BUCKETS)
+            .map(|j| {
+                let edge = j as f64 / GUIDE_BUCKETS as f64;
+                below += cum[below..].iter().take_while(|&&c| c < edge).count();
+                below as u32
+            })
+            .collect();
+        GuidedCdf { cum, guide }
     }
-    lo.min(cumulative.len() - 1)
+
+    /// Index of the first entry `>= u`, clamped to the last entry: for
+    /// `u` in `[0, 1]`, exactly a binary search over all of `cum`.
+    fn slot(&self, u: f64) -> usize {
+        let j = ((u * GUIDE_BUCKETS as f64) as usize).min(GUIDE_BUCKETS - 1);
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        (lo + self.cum[lo..hi].partition_point(|&c| c < u)).min(self.cum.len() - 1)
+    }
 }
 
 #[cfg(test)]
@@ -687,6 +714,22 @@ mod tests {
     use super::*;
     use crate::model::Scale;
     use std::collections::HashMap;
+
+    /// Index of the first cumulative entry `>= u`, clamped to the last
+    /// entry: the full binary search [`GuidedCdf::slot`] must reproduce.
+    fn partition_point(cumulative: &[f64], u: f64) -> usize {
+        let mut lo = 0usize;
+        let mut hi = cumulative.len();
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if cumulative[mid] < u {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo.min(cumulative.len() - 1)
+    }
 
     fn tiny_trace(seed: u64) -> SyntheticTrace {
         SyntheticTrace::new(EnsembleConfig::tiny(seed)).unwrap()
@@ -906,13 +949,48 @@ mod tests {
         assert!(c > 2 * f, "coarse {c} vs fine {f}");
     }
 
+    proptest::proptest! {
+        #[test]
+        fn guided_slot_is_the_full_search(
+            weights in proptest::collection::vec(0u32..4, 1..1500),
+            heavy in proptest::collection::vec(0usize..1500, 0..4),
+            draws in proptest::collection::vec(proptest::prelude::any::<u64>(), 64),
+        ) {
+            // Zero weights make flat stretches; a few heavy minutes span
+            // many buckets, as burst minutes do.
+            let mut weights: Vec<f64> = weights.into_iter().map(f64::from).collect();
+            for h in heavy {
+                let at = h % weights.len();
+                weights[at] += 500.0;
+            }
+            let total: f64 = weights.iter().sum::<f64>().max(1.0);
+            let mut acc = 0.0;
+            let mut cum: Vec<f64> = weights
+                .iter()
+                .map(|w| {
+                    acc += w / total;
+                    acc.min(1.0)
+                })
+                .collect();
+            // Nondecreasing and ending at 1.0, as `minute_profile` builds it.
+            *cum.last_mut().unwrap() = 1.0;
+            let guided = GuidedCdf::new(cum.clone());
+            let edges = (0..=GUIDE_BUCKETS).map(|j| j as f64 / GUIDE_BUCKETS as f64);
+            let below_one = 1.0 - f64::EPSILON / 2.0;
+            let random = draws.iter().map(|&d| (d >> 11) as f64 / (1u64 << 53) as f64);
+            for u in edges.chain(cum.clone()).chain([0.0, below_one]).chain(random) {
+                proptest::prop_assert_eq!(guided.slot(u), partition_point(&cum, u), "u = {}", u);
+            }
+        }
+    }
+
     #[test]
     fn partition_point_finds_first_ge() {
         let cum = [0.25, 0.5, 0.75, 1.0];
-        assert_eq!(partition_point(&cum, 0.0), 0);
-        assert_eq!(partition_point(&cum, 0.25), 0);
-        assert_eq!(partition_point(&cum, 0.26), 1);
-        assert_eq!(partition_point(&cum, 0.99), 3);
-        assert_eq!(partition_point(&cum, 1.0), 3);
+        let guided = GuidedCdf::new(cum.to_vec());
+        for (u, want) in [(0.0, 0), (0.25, 0), (0.26, 1), (0.99, 3), (1.0, 3)] {
+            assert_eq!(partition_point(&cum, u), want, "u = {u}");
+            assert_eq!(guided.slot(u), want, "u = {u}");
+        }
     }
 }

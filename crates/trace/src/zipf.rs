@@ -33,6 +33,8 @@ pub struct Zipf {
     h_lo: f64,
     /// `H(n + 0.5)`: upper end of the inversion range.
     h_hi: f64,
+    /// [`Zipf::accept_bound`] of the head ranks `1..=64`, bit for bit.
+    accept: [f64; 64],
 }
 
 impl Zipf {
@@ -53,9 +55,13 @@ impl Zipf {
             s,
             h_lo: 0.0,
             h_hi: 0.0,
+            accept: [0.0; 64],
         };
         zipf.h_lo = zipf.h(0.5);
         zipf.h_hi = zipf.h(n as f64 + 0.5);
+        for k in 1..=n.min(zipf.accept.len() as u64) {
+            zipf.accept[k as usize - 1] = zipf.accept_bound(k as f64);
+        }
         Ok(zipf)
     }
 
@@ -87,9 +93,9 @@ impl Zipf {
         }
     }
 
-    /// Weight of rank `k`, `k^-s`.
-    fn weight(&self, k: f64) -> f64 {
-        k.powf(-self.s)
+    /// Top of rank `k`'s probability bar, `H(k - 1/2) + k^-s`.
+    fn accept_bound(&self, k: f64) -> f64 {
+        self.h(k - 0.5) + k.powf(-self.s)
     }
 
     /// Draws one rank in `1..=n`.
@@ -104,7 +110,8 @@ impl Zipf {
             // Accept if u fell inside the probability bar of rank k. Because
             // x^-s is convex and decreasing, the bar [H(k-1/2), H(k-1/2)+k^-s]
             // fits within [H(k-1/2), H(k+1/2)], making this a valid rejection.
-            if u <= self.h(k - 0.5) + self.weight(k) {
+            let tabled = self.accept.get(k as usize - 1).copied();
+            if u <= tabled.unwrap_or_else(|| self.accept_bound(k)) {
                 return k as u64;
             }
         }
@@ -124,6 +131,43 @@ mod tests {
             counts[zipf.sample(&mut rng) as usize] += 1;
         }
         counts
+    }
+
+    /// [`Zipf::sample`] with the acceptance bound always evaluated by the
+    /// formula, never read from the table.
+    fn sample_by_formula(zipf: &Zipf, rng: &mut SmallRng) -> u64 {
+        if zipf.n == 1 {
+            return 1;
+        }
+        loop {
+            let u = zipf.h_lo + rng.random::<f64>() * (zipf.h_hi - zipf.h_lo);
+            let k = zipf.h_inv(u).round().clamp(1.0, zipf.n as f64);
+            if u <= zipf.h(k - 0.5) + k.powf(-zipf.s) {
+                return k as u64;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tabled_acceptance_draws_the_formula_ranks(seed in proptest::prelude::any::<u64>()) {
+            for s in [0.0, 0.85, 0.9, 0.95, 1.0, 1.0 + 1e-9, 1.5] {
+                for n in [1u64, 2, 63, 64, 65, 1 << 40] {
+                    let zipf = Zipf::new(n, s).unwrap();
+                    let (mut tabled, mut formula) =
+                        (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+                    for _ in 0..500 {
+                        proptest::prop_assert_eq!(
+                            zipf.sample(&mut tabled),
+                            sample_by_formula(&zipf, &mut formula),
+                            "s = {}, n = {}", s, n
+                        );
+                    }
+                    // Same draws consumed: the streams stay in step.
+                    proptest::prop_assert_eq!(&tabled, &formula);
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * the stream's request sequence is byte-identical to the materialized
 //!   per-day sort, for every chunk size and in spill-to-disk mode, and
-//!   matches a committed golden digest;
+//!   matches committed golden digests (`tiny(42)`, and the benchmark's
+//!   `msr_like()` stream at 1/32768);
 //! * replay figures (per-day metrics *and* day-snapshot JSONL bytes) are
 //!   invariant under the stream shape, the counting backend (in-memory
 //!   vs spill), the shard count (1, 2, 4), the eviction policy (LRU and
@@ -21,7 +22,7 @@ use sievestore_sim::{
     simulate, simulate_sharded, simulate_with_snapshots, EvictionPolicy, ReplayMode, SimConfig,
     SnapshotLog,
 };
-use sievestore_trace::{EnsembleConfig, StreamMsg, SyntheticTrace, TraceStreamConfig};
+use sievestore_trace::{EnsembleConfig, Scale, StreamMsg, SyntheticTrace, TraceStreamConfig};
 use sievestore_types::{mix64, Day, Request, RequestKind};
 
 /// Large enough that no policy under the tiny traces ever evicts, so
@@ -128,6 +129,40 @@ fn stream_matches_materialized_and_golden_digest() {
 
 /// Pinned by `stream_matches_materialized_and_golden_digest`.
 const GOLDEN_TINY_42: u64 = 0xD915_971A_5A97_99D8;
+
+/// The benchmark's trace model, `EnsembleConfig::msr_like()` at scale
+/// 1/32768 with seed 1, streamed in memory and spilled. The benchmark's
+/// replay goldens are built on this stream; pinning it here makes a
+/// generator change trip the tier-1 tests too.
+#[test]
+fn msr_like_stream_matches_golden_digest() {
+    let trace = SyntheticTrace::new(
+        EnsembleConfig::msr_like()
+            .with_scale(Scale::new(32768).expect("valid scale"))
+            .with_seed(1),
+    )
+    .expect("msr_like trace");
+    let dir = scratch_dir("msr-like");
+    let shapes = [
+        ("in-memory", TraceStreamConfig::default()),
+        (
+            "spill",
+            TraceStreamConfig::default().with_spill_dir(dir.join("trace")),
+        ),
+    ];
+    for (name, shape) in shapes {
+        let (days, got) = drain(&trace, shape);
+        assert_eq!(days.len(), trace.days() as usize, "{name}: day markers");
+        assert_eq!(
+            got, GOLDEN_MSR_LIKE_32768_1,
+            "{name}: msr_like stream digest {got:#018X} moved"
+        );
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Pinned by `msr_like_stream_matches_golden_digest`.
+const GOLDEN_MSR_LIKE_32768_1: u64 = 0x9874_D3A3_6E76_32E4;
 
 /// Replay figures are invariant under the stream shape and the counting
 /// backend: per-day metrics and the exported day-snapshot bytes must not
