@@ -46,8 +46,8 @@ fn policy_simulation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sequential vs sharded replay of the same SieveStore-D simulation (the
-/// sharded engine produces identical metrics; this measures the speedup).
+/// The same SieveStore-D simulation at 1, 2 and 4 replay workers (every
+/// worker count produces identical metrics; this measures the speedup).
 fn replay_modes(c: &mut Criterion) {
     let trace = SyntheticTrace::new(EnsembleConfig::tiny(9)).expect("valid config");
     let blocks_per_run = trace_blocks(&trace);
@@ -58,10 +58,7 @@ fn replay_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("replay_modes");
     group.sample_size(10);
     group.throughput(Throughput::Elements(blocks_per_run));
-    group.bench_function("sequential", |b| {
-        b.iter(|| black_box(simulate(&trace, spec.clone(), &cfg).expect("valid policy")))
-    });
-    for shards in [2usize, 4] {
+    for shards in [1usize, 2, 4] {
         group.bench_with_input(
             BenchmarkId::new("sharded", shards),
             &shards,

@@ -34,9 +34,8 @@ options:
                so memory stays bounded
   --seed S     master RNG seed (default 0x51EE5704)
   --out DIR    CSV output directory (default results/)
-  --threads N  replay each simulation with N sharded workers (default 1:
-               the sequential engine; discrete policies are bit-identical
-               at any N)
+  --threads N  replay each simulation with N sharded workers (default 1,
+               at least 1; discrete policies are bit-identical at any N)
   --eviction P continuous caches replace frames with policy P: 'lru'
                (default) or 'sieve' (lock-free hit path); discrete
                policies use the epoch-batch cache regardless
@@ -138,6 +137,9 @@ fn run() -> Result<(), String> {
                     .ok_or("--threads needs a value")?
                     .parse()
                     .map_err(|e| format!("bad --threads: {e}"))?;
+                if threads == 0 {
+                    return Err("--threads must be at least 1".into());
+                }
             }
             "--eviction" => {
                 eviction = iter
@@ -197,9 +199,9 @@ fn run() -> Result<(), String> {
     }
     println!(
         "SieveStore experiments | 13-server ensemble, {} days, scale 1/{scale}, seed {seed:#x}, \
-         replay {:?}, eviction {}{}",
+         {} replay thread(s), eviction {}{}",
         harness.trace().days(),
-        harness.replay_mode(),
+        harness.threads(),
         harness.eviction(),
         if spill.is_some() { ", spill mode" } else { "" }
     );

@@ -1,10 +1,9 @@
 //! Replay-engine throughput benchmark and CI regression gate.
 //!
-//! Replays a fixed seeded synthetic trace through the sequential engine
-//! and the sharded engine at several thread counts, verifies the sharded
-//! per-day metrics are byte-identical to the sequential report, and
-//! writes a machine-readable `BENCH_replay.json` (events/sec, wall time,
-//! per-shard imbalance).
+//! Replays a fixed seeded synthetic trace through the replay engine at
+//! 1, 2 and 4 workers, verifies the wider runs' per-day metrics are
+//! byte-identical to the one-worker report, and writes a machine-readable
+//! `BENCH_replay.json` (events/sec, wall time, per-shard imbalance).
 //!
 //! ```text
 //! cargo run -p sievestore-bench --release --bin replay_bench -- \
@@ -21,12 +20,12 @@
 //!
 //! With `--min-speedup X`, the run additionally gates on multi-core
 //! speedup, tiered by the host's core count: with four or more cores
-//! (CI's perf runners) the widest sharded configuration must beat the
-//! sequential engine by at least `X` — a hard requirement, no escape
-//! hatch; with two or three cores it must merely
-//! beat sequential; on a single core, where parallel speedup is
-//! physically impossible and only coordination overhead can be measured,
-//! the bound degrades to keeping ≥ 50 % of sequential throughput.
+//! (CI's perf runners) 4 workers must beat 1 worker of the same engine by
+//! at least `X` — a hard requirement, no escape hatch; with two or three
+//! cores they must merely beat it; on a single core, where parallel
+//! speedup is physically impossible and only coordination overhead can
+//! be measured, the bound degrades to keeping ≥ 50 % of the one-worker
+//! throughput.
 //!
 //! Besides the end-to-end replays, each run times a set of hot-path
 //! micro-benchmarks (`U64Map` insert/get, `LruCache` touch/insert,
@@ -35,8 +34,8 @@
 //! structure. Micro figures are informational only; they are never gated.
 //!
 //! Every report also embeds the day-boundary snapshot export
-//! (`sievestore-day-snapshot/v1` JSONL) for the sequential run, and the
-//! differential check requires the sharded engines to reproduce it
+//! (`sievestore-day-snapshot/v1` JSONL) for the one-worker run, and the
+//! differential check requires the wider runs to reproduce it
 //! byte-for-byte. With `--obs`, runtime metrics recording is switched on
 //! and the observability-registry totals are embedded as diagnostics
 //! (full counters need a build with `--features obs`).
@@ -61,9 +60,7 @@ use sievestore_bench::replay_json::{compare_reports, MicroReport, ReplayReport, 
 use sievestore_cache::{LruCache, SieveCache};
 use sievestore_extsort::CountingConfig;
 use sievestore_sieve::{Mct, WindowConfig};
-use sievestore_sim::{
-    simulate, simulate_sharded, EvictionPolicy, SimConfig, SimResult, SnapshotLog,
-};
+use sievestore_sim::{simulate_sharded, EvictionPolicy, SimConfig, SimResult, SnapshotLog};
 use sievestore_trace::{EnsembleConfig, Scale, SyntheticTrace, TraceStreamConfig};
 use sievestore_types::{mix64, peak_rss_bytes, Micros, U64Map};
 
@@ -83,10 +80,9 @@ options:
   --check FILE    compare against a committed baseline report; exit
                   nonzero if any configuration's events/sec regresses
   --tolerance T   allowed fractional regression for --check (default 0.2)
-  --min-speedup X scaling gate: exit nonzero unless the widest sharded
-                  run beats the sequential engine by X (>= 4 cores),
-                  beats it at all (2-3 cores), or stays within 50 % of
-                  it (single-core hosts)
+  --min-speedup X scaling gate: exit nonzero unless 4 workers beat
+                  1 worker by X (>= 4 cores), beat it at all (2-3
+                  cores), or stay within 50 % of it (single-core hosts)
   --write-baseline
                   also write the fresh report to ci/BENCH_replay.json,
                   so re-baselining the committed gate is one command
@@ -110,8 +106,9 @@ options:
 /// The committed CI baseline `--write-baseline` refreshes.
 const CI_BASELINE: &str = "ci/BENCH_replay.json";
 
-/// Thread counts timed in addition to the sequential engine.
-const SHARD_COUNTS: [usize; 2] = [2, 4];
+/// Worker counts timed; the first is the reference the others must
+/// reproduce, the last the one the scaling gate holds against it.
+const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn main() -> ExitCode {
     match run() {
@@ -249,29 +246,9 @@ fn run() -> Result<ExitCode, String> {
 
     // Every configuration runs `reps` times; the fastest wall time is
     // reported, which damps transient scheduler noise on shared runners.
-    let mut sequential = None;
-    let mut seq_secs = f64::INFINITY;
-    for _ in 0..reps {
-        let started = Instant::now();
-        let result = simulate(&trace, spec.clone(), &cfg).map_err(|e| e.to_string())?;
-        seq_secs = seq_secs.min(started.elapsed().as_secs_f64());
-        sequential = Some(result);
-    }
-    let sequential = sequential.expect("reps >= 1");
-    // Built outside the timed region; the sharded runs below must
-    // reproduce these bytes exactly.
-    let snapshot_log = SnapshotLog::from_result(&sequential);
-    let events = sequential.total().accesses();
-    let mut runs = vec![RunReport {
-        mode: "sequential".into(),
-        threads: 1,
-        wall_secs: seq_secs,
-        events_per_sec: events as f64 / seq_secs,
-        imbalance: 1.0,
-    }];
-    print_run(runs.last().expect("just pushed"));
-
-    for &threads in &SHARD_COUNTS {
+    let mut reference: Option<(SimResult, SnapshotLog)> = None;
+    let mut runs = Vec::new();
+    for threads in WORKER_COUNTS {
         let mut best_secs = f64::INFINITY;
         let mut imbalance = 1.0;
         for _ in 0..reps {
@@ -280,8 +257,17 @@ fn run() -> Result<ExitCode, String> {
                 simulate_sharded(&trace, spec.clone(), &cfg, threads).map_err(|e| e.to_string())?;
             best_secs = best_secs.min(started.elapsed().as_secs_f64());
             imbalance = stats.imbalance();
-            verify_identical(&sequential, &snapshot_log, &result, threads)?;
+            if let Some((one, log)) = &reference {
+                verify_identical(one, log, &result, threads)?;
+            } else {
+                // The one-worker run is the reference; its log is built
+                // outside the timed region, and the wider runs must
+                // reproduce these bytes exactly.
+                let log = SnapshotLog::from_result(&result);
+                reference = Some((result, log));
+            }
         }
+        let events = reference.as_ref().expect("reps >= 1").0.total().accesses();
         runs.push(RunReport {
             mode: "sharded".into(),
             threads,
@@ -291,6 +277,8 @@ fn run() -> Result<ExitCode, String> {
         });
         print_run(runs.last().expect("just pushed"));
     }
+    let (one, snapshot_log) = reference.expect("reps >= 1");
+    let events = one.total().accesses();
 
     // Peak RSS is sampled before the micro phase: VmHWM is a process-wide
     // high-water mark, and the micro benchmarks allocate working sets that
@@ -404,50 +392,53 @@ fn run() -> Result<ExitCode, String> {
     }
 
     if let Some(min_speedup) = min_speedup {
-        let wide_threads = *SHARD_COUNTS.last().expect("non-empty shard list");
-        let seq = report
-            .run_with("sequential", 1)
-            .expect("sequential run is always first");
+        let wide_threads = *WORKER_COUNTS.last().expect("non-empty worker list");
+        let one = report
+            .run_with("sharded", 1)
+            .expect("one-worker run is always first");
         let wide = report
             .run_with("sharded", wide_threads)
-            .expect("widest sharded run was just timed");
+            .expect("widest run was just timed");
         let cores = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
         // Tiered by what the host can physically show. Four or more
-        // cores (the CI perf runners) must demonstrate a real win — the
-        // sharded engine has no reason to exist otherwise. Two or three
-        // cores must still beat sequential, just without the margin. On
-        // a single core parallel speedup is impossible — workers merely
+        // cores (the CI perf runners) must demonstrate a real win — more
+        // workers have no reason to exist otherwise. Two or three cores
+        // must still beat one worker, just without the margin. On a
+        // single core parallel speedup is impossible — workers merely
         // time-slice with the coordinator — so the assertion degrades to
-        // a catastrophic-regression bound: sharded keeps at least half
-        // the sequential throughput.
+        // a catastrophic-regression bound: the wide run keeps at least
+        // half the one-worker throughput.
         let (floor, criterion) = if cores >= 4 {
             (
-                min_speedup * seq.events_per_sec,
-                format!("sharded must beat sequential by {min_speedup:.2}x"),
+                min_speedup * one.events_per_sec,
+                format!("{wide_threads} workers must beat 1 by {min_speedup:.2}x"),
             )
         } else if cores >= 2 {
-            (seq.events_per_sec, "sharded must beat sequential".into())
+            (
+                one.events_per_sec,
+                format!("{wide_threads} workers must beat 1"),
+            )
         } else {
             (
-                0.5 * seq.events_per_sec,
+                0.5 * one.events_per_sec,
                 "overhead bounded at 50 %".to_string(),
             )
         };
-        let ratio = wide.events_per_sec / seq.events_per_sec;
+        let ratio = wide.events_per_sec / one.events_per_sec;
         if wide.events_per_sec < floor {
             eprintln!(
                 "scaling gate failed on {cores} core(s) ({criterion}): \
-                 sharded({wide_threads}) {:.0} events/s is {ratio:.2}x sequential \
+                 {wide_threads} workers {:.0} events/s is {ratio:.2}x 1 worker's \
                  {:.0} — floor {floor:.0}",
-                wide.events_per_sec, seq.events_per_sec
+                wide.events_per_sec, one.events_per_sec
             );
             return Ok(ExitCode::FAILURE);
         }
         println!(
             "scaling gate passed on {cores} core(s) ({criterion}): \
-             sharded({wide_threads}) is {ratio:.2}x sequential"
+             {wide_threads} workers are {ratio:.2}x 1 worker"
         );
     }
     Ok(ExitCode::SUCCESS)
@@ -486,14 +477,12 @@ fn write_step_summary(report: &ReplayReport, baseline: Option<&ReplayReport>) {
             run.mode, run.threads, run.events_per_sec, delta
         ));
     }
-    if let (Some(seq), Some(wide)) = (
-        report.run_with("sequential", 1),
-        report.runs.iter().rfind(|r| r.mode == "sharded"),
-    ) {
+    if let (Some(one), Some(wide)) = (report.runs.first(), report.runs.last()) {
         md.push_str(&format!(
-            "\nsharded({}) / sequential = **{:.2}x**\n",
+            "\n{} workers / {} = **{:.2}x**\n",
             wide.threads,
-            wide.events_per_sec / seq.events_per_sec
+            one.threads,
+            wide.events_per_sec / one.events_per_sec
         ));
     }
     if let Some(rss) = report.peak_rss_bytes {
@@ -663,33 +652,28 @@ fn print_run(run: &RunReport) {
 }
 
 /// The differential guarantee the bench rides on: a benchmark of a
-/// *wrong* parallel engine is meaningless, so every timed sharded run is
-/// also checked for metric equality with the sequential report — both the
+/// *wrong* parallel engine is meaningless, so every timed wider run is
+/// also checked for metric equality with the one-worker report — both the
 /// per-day counters and the exported day-snapshot JSONL bytes.
 fn verify_identical(
-    sequential: &SimResult,
-    sequential_log: &SnapshotLog,
-    sharded: &SimResult,
+    one: &SimResult,
+    one_log: &SnapshotLog,
+    wide: &SimResult,
     threads: usize,
 ) -> Result<(), String> {
-    if sequential.days != sharded.days {
+    if one.days != wide.days {
         return Err(format!(
-            "sharded replay at {threads} threads diverged from the sequential report \
+            "replay at {threads} workers diverged from the one-worker report \
              ({} vs {} days; first differing day: {:?})",
-            sharded.days.len(),
-            sequential.days.len(),
-            sequential
-                .days
-                .iter()
-                .zip(&sharded.days)
-                .position(|(a, b)| a != b)
+            wide.days.len(),
+            one.days.len(),
+            one.days.iter().zip(&wide.days).position(|(a, b)| a != b)
         ));
     }
-    let sharded_jsonl = SnapshotLog::from_result(sharded).to_jsonl();
-    if sequential_log.to_jsonl() != sharded_jsonl {
+    if one_log.to_jsonl() != SnapshotLog::from_result(wide).to_jsonl() {
         return Err(format!(
-            "day-snapshot JSONL at {threads} threads is not byte-identical to the \
-             sequential export despite equal day metrics"
+            "day-snapshot JSONL at {threads} workers is not byte-identical to the \
+             one-worker export despite equal day metrics"
         ));
     }
     Ok(())

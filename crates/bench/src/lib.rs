@@ -30,10 +30,9 @@ use sievestore::PolicySpec;
 use sievestore_extsort::CountingConfig;
 use sievestore_sieve::TwoTierConfig;
 use sievestore_sim::{
-    ideal_top_selections, simulate_many, EvictionPolicy, ReplayMode, SimConfig, SimResult,
-    SnapshotLog,
+    ideal_top_selections, simulate_many, EvictionPolicy, SimConfig, SimResult, SnapshotLog,
 };
-use sievestore_trace::{EnsembleConfig, Scale, SyntheticTrace, TraceStreamConfig};
+use sievestore_trace::{EnsembleConfig, Scale, SyntheticTrace};
 use sievestore_types::SieveError;
 
 /// Names of the policies simulated for Figures 5–9, in bar order.
@@ -95,7 +94,7 @@ impl PolicyRuns {
 pub struct Harness {
     trace: SyntheticTrace,
     results_dir: PathBuf,
-    replay: ReplayMode,
+    threads: usize,
     eviction: EvictionPolicy,
     spill: Option<PathBuf>,
     runs: Option<PolicyRuns>,
@@ -115,29 +114,29 @@ impl Harness {
         Ok(Harness {
             trace: SyntheticTrace::new(config)?,
             results_dir: results_dir.as_ref().to_path_buf(),
-            replay: ReplayMode::Sequential,
+            threads: 1,
             eviction: EvictionPolicy::default(),
             spill: None,
             runs: None,
         })
     }
 
-    /// Replays every simulation with `threads` sharded workers (`0`/`1`
-    /// select the sequential engine). Discrete-policy figures are
-    /// bit-identical at any thread count; continuous policies split the
-    /// cache and RNG per shard, so their figures can deviate slightly
+    /// Replays every simulation with `threads` sharded workers (1 by
+    /// default; 0 fails the first simulation). Discrete-policy figures
+    /// are bit-identical at any thread count; continuous policies split
+    /// the cache and RNG per shard, so their figures can deviate slightly
     /// under capacity pressure (see `sievestore_sim::replay`). Clears
     /// any cached runs.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.replay = ReplayMode::threads(threads);
+        self.threads = threads;
         self.runs = None;
         self
     }
 
-    /// The replay mode simulations run with.
-    pub fn replay_mode(&self) -> ReplayMode {
-        self.replay
+    /// The replay workers each simulation runs with.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// Switches the eviction policy the continuous caches replace with
@@ -171,6 +170,21 @@ impl Harness {
     /// The spill directory, when bounded-memory mode is on.
     pub fn spill_dir(&self) -> Option<&Path> {
         self.spill.as_deref()
+    }
+
+    /// `base` with the harness's replay workers, eviction policy and
+    /// spill mode applied — the configuration every experiment that
+    /// replays the trace runs with.
+    pub fn sim_config(&self, base: SimConfig) -> SimConfig {
+        let cfg = base.with_workers(self.threads).with_eviction(self.eviction);
+        match &self.spill {
+            None => cfg,
+            Some(root) => {
+                let stream = cfg.trace_stream.clone().with_spill_dir(root.join("trace"));
+                cfg.with_trace_stream(stream)
+                    .with_counting(CountingConfig::spill(root.join("counts")))
+            }
+        }
     }
 
     /// Creates a fast, small-scale harness (for tests and smoke runs).
@@ -252,21 +266,8 @@ impl Harness {
         let imct = imct_entries_for_scale(scale);
         let two_tier = TwoTierConfig::paper_default().with_imct_entries(imct);
 
-        let mut cfg16 = SimConfig::paper_16gb(scale)
-            .with_replay(self.replay)
-            .with_eviction(self.eviction);
-        let mut cfg32 = SimConfig::paper_32gb(scale)
-            .with_replay(self.replay)
-            .with_eviction(self.eviction);
-        if let Some(root) = &self.spill {
-            let stream = TraceStreamConfig::default().with_spill_dir(root.join("trace"));
-            cfg16 = cfg16
-                .with_trace_stream(stream.clone())
-                .with_counting(CountingConfig::spill(root.join("counts")));
-            cfg32 = cfg32
-                .with_trace_stream(stream)
-                .with_counting(CountingConfig::spill(root.join("counts")));
-        }
+        let cfg16 = self.sim_config(SimConfig::paper_16gb(scale));
+        let cfg32 = self.sim_config(SimConfig::paper_32gb(scale));
 
         let group16 = simulate_many(
             &self.trace,

@@ -275,9 +275,10 @@ fn write_value(value: &Json, indent: usize, out: &mut String) {
 /// One timed replay configuration inside a [`ReplayReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
-    /// `"sequential"` or `"sharded"`.
+    /// `"sharded"`; reports written before the replay engine was one
+    /// engine also carry a `"sequential"` run.
     pub mode: String,
-    /// Worker threads used (1 for sequential).
+    /// Replay workers used.
     pub threads: usize,
     /// Wall-clock seconds for the full replay.
     pub wall_secs: f64,

@@ -28,8 +28,7 @@ use std::path::Path;
 use sievestore::PolicySpec;
 use sievestore_sieve::TwoTierConfig;
 use sievestore_sim::{
-    simulate_many, EvictionPolicy, ReplayMode, ScenarioConfig, ScenarioStage, SimConfig, SimResult,
-    SnapshotLog,
+    simulate_many, EvictionPolicy, ScenarioConfig, ScenarioStage, SimConfig, SimResult, SnapshotLog,
 };
 use sievestore_types::{mix64, SieveError};
 
@@ -190,16 +189,10 @@ fn run_matrix(
     scenario: &ScenarioConfig,
 ) -> Result<Vec<SimResult>, SieveError> {
     let scale = h.scale();
-    let mut cfg = SimConfig::paper_16gb(scale)
-        .with_replay(h.replay_mode())
+    let cfg = h
+        .sim_config(SimConfig::paper_16gb(scale))
         .with_eviction(eviction)
         .with_scenario(scenario.clone());
-    if let Some(root) = h.spill_dir() {
-        cfg.trace_stream = cfg.trace_stream.with_spill_dir(root.join("trace"));
-        cfg = cfg.with_counting(sievestore_extsort::CountingConfig::spill(
-            root.join("counts"),
-        ));
-    }
     let two_tier = TwoTierConfig::paper_default().with_imct_entries(imct_entries_for_scale(scale));
     simulate_many(
         h.trace(),
@@ -331,10 +324,6 @@ pub fn run_scenarios(h: &mut Harness, ids: &[&str]) -> Result<String, SieveError
 /// Full provenance of a harness run: everything needed to regenerate
 /// the report bit-for-bit from a clean checkout.
 pub fn provenance(h: &Harness) -> Json {
-    let threads = match h.replay_mode() {
-        ReplayMode::Sequential => 1,
-        ReplayMode::Sharded(n) => n,
-    };
     Json::Obj(vec![
         (
             "trace_seed".into(),
@@ -346,7 +335,7 @@ pub fn provenance(h: &Harness) -> Json {
             "servers".into(),
             Json::Num(h.trace().config().servers.len() as f64),
         ),
-        ("threads".into(), Json::Num(threads as f64)),
+        ("threads".into(), Json::Num(h.threads() as f64)),
         ("eviction".into(), Json::Str(h.eviction().to_string())),
         ("spill".into(), Json::Bool(h.spill_dir().is_some())),
     ])

@@ -38,8 +38,8 @@ pub fn shadow(h: &mut Harness) -> Result<String, SieveError> {
 
     let mut per_eviction: Vec<Vec<SimResult>> = Vec::new();
     for eviction in [EvictionPolicy::Lru, EvictionPolicy::Sieve] {
-        let cfg = SimConfig::paper_16gb(scale)
-            .with_replay(h.replay_mode())
+        let cfg = h
+            .sim_config(SimConfig::paper_16gb(scale))
             .with_eviction(eviction);
         let two_tier =
             TwoTierConfig::paper_default().with_imct_entries(imct_entries_for_scale(scale));
@@ -122,5 +122,19 @@ mod tests {
             assert!(text.starts_with("{\"schema\":\"sievestore-day-snapshot/v1\""));
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shadow_replays_through_the_spill_dir() {
+        let h = crate::test_harness("shadow-spill");
+        let spill = h.results_dir().join("spill");
+        let mut h = h.with_spill(&spill);
+        shadow(&mut h).unwrap();
+        // Each stream spills under its own subdirectory of `trace/` and
+        // removes it when done; the root stays behind as the evidence.
+        let trace_root = spill.join("trace");
+        assert!(trace_root.is_dir(), "shadow ignored --spill");
+        assert_eq!(std::fs::read_dir(&trace_root).unwrap().count(), 0);
+        std::fs::remove_dir_all(h.results_dir()).ok();
     }
 }

@@ -16,27 +16,26 @@
 //!   but they are counted as allocation-writes in the daily totals.
 //!   Set [`SimConfig::charge_batch_moves`] to include them.
 //!
-//! Every entry point consumes the trace as a *stream*
-//! ([`SyntheticTrace::stream`]): a background generator produces day
-//! *N + 1* while day *N* replays, and no engine path materializes the
-//! whole trace. [`simulate_many`] runs several policies over one trace
-//! while generating each day's requests only once, processing the
-//! policies in parallel with crossbeam's scoped threads; with a single
-//! policy it replays chunk-by-chunk without buffering the day at all.
+//! Every entry point replays through one stream loop: the sharded
+//! engine of [`crate::replay`] at [`SimConfig::workers`] workers. It
+//! consumes the trace as a *stream* ([`SyntheticTrace::stream`]): a
+//! background generator produces day *N + 1* while day *N* replays, and
+//! nothing materializes the whole trace. [`simulate_many`] gives each
+//! policy a full replay of its own, several at once when the host has
+//! cores to spare.
 
 use std::sync::Arc;
 
-use crossbeam::thread;
-
-use sievestore::{EvictionPolicy, PolicySpec, SieveStore, SieveStoreBuilder};
+use sievestore::{EvictionPolicy, PolicySpec, SieveStoreBuilder};
 use sievestore_extsort::CountingConfig;
 use sievestore_ssd::{OccupancyTracker, SsdSpec};
-use sievestore_trace::{ScenarioConfig, StreamMsg, SyntheticTrace, TraceStream, TraceStreamConfig};
-use sievestore_types::{Day, Minute, Request, RequestKind, SieveError, BLOCKS_PER_PAGE};
+use sievestore_trace::{ScenarioConfig, SyntheticTrace, TraceStreamConfig};
+use sievestore_types::{Day, Minute, RequestKind, SieveError, BLOCKS_PER_PAGE};
 
 use crate::metrics::{DayMetrics, SimResult};
-use crate::replay::{self, ReplayMode};
+use crate::replay::{run_sharded, simulate_sharded};
 use crate::snapshot::SnapshotLog;
+use crate::sweep::sweep;
 
 /// Engine configuration shared by all policies in a run.
 #[derive(Debug, Clone)]
@@ -51,9 +50,9 @@ pub struct SimConfig {
     /// Charge discrete batch moves to the per-minute occupancy (spread
     /// over the boundary hour) instead of assuming slack scheduling.
     pub charge_batch_moves: bool,
-    /// How the engine walks the trace: the sequential reference path or
-    /// hash-partitioned sharded replay (see [`crate::replay`]).
-    pub replay: ReplayMode,
+    /// Replay workers, each owning one hash partition of the block
+    /// space (see [`crate::replay`]). 1 by default; 0 is rejected.
+    pub workers: usize,
     /// Block-cache eviction policy for continuous allocation policies
     /// (LRU by default, SIEVE for the lock-free hit path). Discrete
     /// policies use the epoch-batched cache regardless.
@@ -76,7 +75,7 @@ impl SimConfig {
             ssd: SsdSpec::x25e(),
             load_multiplier: scale_denominator as f64,
             charge_batch_moves: false,
-            replay: ReplayMode::Sequential,
+            workers: 1,
             eviction: EvictionPolicy::default(),
             counting: CountingConfig::InMemory,
             trace_stream: TraceStreamConfig::default(),
@@ -105,10 +104,10 @@ impl SimConfig {
         self
     }
 
-    /// Selects the replay mode (sequential or sharded).
+    /// Sets the number of replay workers.
     #[must_use]
-    pub fn with_replay(mut self, replay: ReplayMode) -> Self {
-        self.replay = replay;
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
         self
     }
 
@@ -135,17 +134,17 @@ impl SimConfig {
     }
 
     /// Applies an adversarial workload scenario to the replayed stream
-    /// (see [`sievestore_trace::scenario`]). Every engine entry point —
-    /// sequential, sharded, snapshot-exporting — replays the transformed
-    /// stream; the scenario is validated against the trace up front.
+    /// (see [`sievestore_trace::scenario`]). Every engine entry point
+    /// replays the transformed stream; the scenario is validated against
+    /// the trace up front.
     #[must_use]
     pub fn with_scenario(mut self, scenario: ScenarioConfig) -> Self {
         self.trace_stream.scenario = scenario;
         self
     }
 
-    /// The appliance this configuration runs `spec` on (the sharded
-    /// engine adds `.shard(s, n)`).
+    /// The appliance this configuration runs `spec` on (each shard adds
+    /// `.shard(s, n)`).
     pub(crate) fn store_builder(&self, spec: PolicySpec) -> SieveStoreBuilder {
         SieveStoreBuilder::new()
             .capacity_blocks(self.capacity_blocks)
@@ -155,44 +154,13 @@ impl SimConfig {
     }
 }
 
-/// Fails fast — with an error instead of the stream's panic — when the
-/// configured scenario does not fit the trace's ensemble, or `server`
-/// selects a single server's slice under a cross-server stage.
-pub(crate) fn validate_scenario(
-    trace: &SyntheticTrace,
-    server: Option<usize>,
-    cfg: &SimConfig,
-) -> Result<(), SieveError> {
-    let scenario = &cfg.trace_stream.scenario;
-    scenario.validate(trace.config())?;
-    if server.is_some() && scenario.moves_across_servers() {
-        return Err(SieveError::InvalidConfig(
-            "cross-server scenario stages (failover) cannot replay a single server's slice".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// The stream every replay path consumes: the whole ensemble, or one
-/// server's slice of it.
-pub(crate) fn open_stream(
-    trace: &SyntheticTrace,
-    server: Option<usize>,
-    cfg: &SimConfig,
-) -> TraceStream {
-    match server {
-        Some(idx) => trace.stream_server(idx, cfg.trace_stream.clone()),
-        None => trace.stream(cfg.trace_stream.clone()),
-    }
-}
-
 fn pages(blocks: u64) -> u64 {
     blocks.div_ceil(BLOCKS_PER_PAGE as u64)
 }
 
 /// The replay accounting core. A [`SimResult`] is its own accumulator:
-/// the sequential `Run` fills one per policy, the sharded engine one
-/// per shard plus the merged total, all through these functions.
+/// the replay engine fills one per shard plus the merged total, all
+/// through these functions.
 impl SimResult {
     /// An empty result for `policy` over `trace`.
     pub(crate) fn empty(policy: Arc<str>, trace: &SyntheticTrace, cfg: &SimConfig) -> Self {
@@ -280,98 +248,13 @@ impl SimResult {
     }
 }
 
-/// One policy's in-flight sequential simulation state.
-struct Run {
-    store: SieveStore,
-    result: SimResult,
-    charge_batch_moves: bool,
-}
-
-impl Run {
-    fn new(spec: PolicySpec, trace: &SyntheticTrace, cfg: &SimConfig) -> Result<Self, SieveError> {
-        Ok(Run {
-            result: SimResult::empty(Arc::from(spec.name()), trace, cfg),
-            store: cfg.store_builder(spec).build()?,
-            charge_batch_moves: cfg.charge_batch_moves,
-        })
-    }
-
-    fn on_day_boundary(&mut self, day: Day) {
-        if let Some(transition) = self.store.day_boundary(day) {
-            self.result
-                .record_batch_install(day, transition.allocated.len() as u64);
-            if self.charge_batch_moves {
-                self.result.charge_batch_moves(day);
-            }
-        }
-    }
-
-    fn process_request(&mut self, req: &Request) {
-        let store = &mut self.store;
-        // Start every block's metastate fetch before the first access
-        // needs one, so the cache misses overlap instead of queueing.
-        req.blocks().for_each(|key| store.prefetch(key.raw()));
-        self.result.record_request(
-            req.timestamp.minute(),
-            req.completion_time().minute(),
-            req.kind,
-            // The closed form, not `block_completion_times()`: here its
-            // division overlaps the access's cache misses, and the
-            // iterator's carried state measured 8-10 % slower (§5f).
-            req.blocks().enumerate().map(|(i, key)| {
-                let t = req.block_completion_time(i as u32);
-                let outcome = store.access(key.raw(), req.kind, t);
-                (outcome.is_hit(), outcome.is_allocation())
-            }),
-        );
-    }
-
-    /// The sequential replay loop: each chunk is replayed as it arrives,
-    /// so the day is never buffered. With a `log`, a day's snapshot is
-    /// emitted when the next day starts: its counters are final there,
-    /// since accesses land on the issue day and batch installs were
-    /// counted at that day's boundary.
-    fn replay(
-        &mut self,
-        trace: &SyntheticTrace,
-        server: Option<usize>,
-        cfg: &SimConfig,
-        mut log: Option<&mut SnapshotLog>,
-    ) -> Result<(), SieveError> {
-        let mut stream = open_stream(trace, server, cfg);
-        let mut current: Option<Day> = None;
-        let mut emit = |result: &SimResult, finished: Option<Day>| {
-            if let (Some(log), Some(day)) = (log.as_deref_mut(), finished) {
-                log.push_day(result.day(day));
-            }
-        };
-        while let Some(msg) = stream.next_msg() {
-            match msg {
-                StreamMsg::StartDay(day) => {
-                    emit(&self.result, current);
-                    self.on_day_boundary(day);
-                    current = Some(day);
-                }
-                StreamMsg::Chunk(chunk) => {
-                    for req in &chunk {
-                        self.process_request(req);
-                    }
-                    stream.recycle(chunk);
-                }
-                StreamMsg::Failed(e) => return Err(e),
-            }
-        }
-        emit(&self.result, current);
-        Ok(())
-    }
-}
-
-/// Simulates one policy over the whole trace.
+/// Simulates one policy over the whole trace, replayed by
+/// [`SimConfig::workers`] sharded workers.
 ///
 /// # Errors
 ///
-/// Returns [`SieveError::InvalidConfig`] if the policy or capacity is
-/// invalid.
+/// Returns [`SieveError::InvalidConfig`] if the policy, capacity or
+/// worker count is invalid.
 ///
 /// # Examples
 ///
@@ -394,38 +277,25 @@ pub fn simulate(
     spec: PolicySpec,
     cfg: &SimConfig,
 ) -> Result<SimResult, SieveError> {
-    let mut results = simulate_many(trace, vec![spec], cfg)?;
-    Ok(results.pop().expect("one spec yields one result"))
+    simulate_sharded(trace, spec, cfg, cfg.workers).map(|(result, _)| result)
 }
 
-/// Simulates one policy while exporting a deterministic day-boundary
-/// [`SnapshotLog`].
-///
-/// In sequential mode each day's snapshot is emitted *online*, as soon
-/// as the day finishes; in sharded mode the log is derived from the
-/// merged result. For discrete policies the two serialize to identical
-/// bytes at any shard count — see [`crate::snapshot`] for the contract
-/// (and `tests/sharded_replay.rs` for the pin).
+/// Simulates one policy and derives its deterministic day-boundary
+/// [`SnapshotLog`] from the result. For discrete policies the log has
+/// the same bytes at any worker count — see [`crate::snapshot`] for the
+/// contract (and `tests/sharded_replay.rs` for the pin).
 ///
 /// # Errors
 ///
-/// Returns [`SieveError::InvalidConfig`] if the policy or capacity is
-/// invalid.
+/// As [`simulate`].
 pub fn simulate_with_snapshots(
     trace: &SyntheticTrace,
     spec: PolicySpec,
     cfg: &SimConfig,
 ) -> Result<(SimResult, SnapshotLog), SieveError> {
-    validate_scenario(trace, None, cfg)?;
-    if let ReplayMode::Sharded(n) = cfg.replay {
-        let (result, _stats) = replay::simulate_sharded(trace, spec, cfg, n)?;
-        let log = SnapshotLog::from_result(&result);
-        return Ok((result, log));
-    }
-    let mut run = Run::new(spec, trace, cfg)?;
-    let mut log = SnapshotLog::new(run.result.policy.clone(), cfg.capacity_blocks);
-    run.replay(trace, None, cfg, Some(&mut log))?;
-    Ok((run.result, log))
+    let result = simulate(trace, spec, cfg)?;
+    let log = SnapshotLog::from_result(&result);
+    Ok((result, log))
 }
 
 /// Simulates one policy over a *single server's* slice of the trace
@@ -433,94 +303,35 @@ pub fn simulate_with_snapshots(
 ///
 /// # Errors
 ///
-/// Returns [`SieveError::InvalidConfig`] if the policy or capacity is
-/// invalid.
+/// As [`simulate`], and [`SieveError::InvalidConfig`] for a scenario
+/// that moves traffic across servers.
 pub fn simulate_server(
     trace: &SyntheticTrace,
     server_idx: usize,
     spec: PolicySpec,
     cfg: &SimConfig,
 ) -> Result<SimResult, SieveError> {
-    validate_scenario(trace, Some(server_idx), cfg)?;
-    if let ReplayMode::Sharded(n) = cfg.replay {
-        return replay::simulate_server_sharded(trace, server_idx, spec, cfg, n).map(|(r, _)| r);
-    }
-    let mut run = Run::new(spec, trace, cfg)?;
-    run.replay(trace, Some(server_idx), cfg, None)?;
-    Ok(run.result)
+    run_sharded(trace, Some(server_idx), spec, cfg, cfg.workers).map(|(result, _)| result)
 }
 
-/// Simulates several policies over one trace, generating each day's
-/// requests once and fanning the policies out across threads.
+/// Simulates several policies over one trace, each a full replay of its
+/// own. Replays run side by side on as many threads as the host has
+/// cores for, counting the [`SimConfig::workers`] each one spawns.
 ///
 /// Results are returned in the order of `specs`.
 ///
 /// # Errors
 ///
-/// Returns the first policy-construction error encountered.
+/// Returns the first error by `specs` order.
 pub fn simulate_many(
     trace: &SyntheticTrace,
     specs: Vec<PolicySpec>,
     cfg: &SimConfig,
 ) -> Result<Vec<SimResult>, SieveError> {
-    validate_scenario(trace, None, cfg)?;
-    if let ReplayMode::Sharded(n) = cfg.replay {
-        // Sharded replay parallelizes *within* each policy, so policies
-        // run one after another instead of fanning out across threads.
-        return specs
-            .into_iter()
-            .map(|spec| replay::simulate_sharded(trace, spec, cfg, n).map(|(r, _)| r))
-            .collect();
-    }
-    let mut runs: Vec<Run> = specs
-        .into_iter()
-        .map(|s| Run::new(s, trace, cfg))
-        .collect::<Result<_, _>>()?;
-
-    if let [run] = runs.as_mut_slice() {
-        run.replay(trace, None, cfg, None)?;
-    } else {
-        // Several policies: accumulate one day (requests are generated
-        // once) and fan the policies out across threads at each day
-        // boundary, overlapped with generation of the next day.
-        let replay_day = |day: Day, requests: &[Request], runs: &mut [Run]| {
-            thread::scope(|scope| {
-                for run in runs.iter_mut() {
-                    scope.spawn(move |_| {
-                        run.on_day_boundary(day);
-                        for req in requests {
-                            run.process_request(req);
-                        }
-                    });
-                }
-            })
-            .map_err(|_| SieveError::InvalidConfig("simulation worker panicked".into()))
-        };
-        let mut stream = open_stream(trace, None, cfg);
-        let mut day_buf: Vec<Request> = Vec::new();
-        let mut current: Option<Day> = None;
-        while let Some(msg) = stream.next_msg() {
-            match msg {
-                StreamMsg::StartDay(day) => {
-                    if let Some(prev) = current {
-                        replay_day(prev, &day_buf, &mut runs)?;
-                        day_buf.clear();
-                    }
-                    current = Some(day);
-                }
-                StreamMsg::Chunk(chunk) => {
-                    day_buf.extend_from_slice(&chunk);
-                    stream.recycle(chunk);
-                }
-                StreamMsg::Failed(e) => return Err(e),
-            }
-        }
-        if let Some(prev) = current {
-            replay_day(prev, &day_buf, &mut runs)?;
-        }
-    }
-
-    Ok(runs.into_iter().map(|run| run.result).collect())
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    sweep(specs, cores / cfg.workers.max(1), |spec| {
+        simulate(trace, spec, cfg)
+    })
 }
 
 #[cfg(test)]

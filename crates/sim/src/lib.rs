@@ -6,7 +6,9 @@
 //! request-completion time, and per-minute SSD load feeds the drive-IOPS
 //! occupancy model.
 //!
-//! * [`simulate`] / [`simulate_many`] — the engine ([`SimConfig`]);
+//! * [`simulate`] / [`simulate_many`] — the engine ([`SimConfig`]),
+//!   every entry point one stream loop: [`replay`] at
+//!   [`SimConfig::workers`] workers;
 //! * [`oracle`] — clairvoyant per-day top-fraction pre-passes;
 //! * [`per_server`] — the §5.3 ensemble-vs-per-server comparison;
 //! * [`sweep`](crate::sweep::sweep) — parallel sensitivity sweeps.
@@ -48,7 +50,7 @@ pub use per_server::{
     drive_cost_comparison, ensemble_ideal_capture, per_server_ideal_capture, simulate_per_server,
     CaptureSeries,
 };
-pub use replay::{simulate_server_sharded, simulate_sharded, ReplayMode, ReplayStats};
+pub use replay::{simulate_sharded, ReplayStats};
 pub use sievestore::EvictionPolicy;
 pub use sievestore_trace::{ScenarioConfig, ScenarioStage};
 pub use snapshot::{DaySnapshot, SnapshotLog, SNAPSHOT_SCHEMA};

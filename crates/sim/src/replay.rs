@@ -1,13 +1,13 @@
-//! Parallel sharded trace replay with deterministic, merge-identical
-//! metrics.
+//! The replay engine: sharded trace replay with deterministic,
+//! merge-identical metrics.
 //!
-//! The sequential engine ([`crate::simulate`]) processes every block
-//! access in trace order on one thread. This module hash-partitions the
-//! block-id space across `n` worker shards with
-//! [`sievestore_types::shard_of`] — the partition function the analysis
-//! pipeline's counting uses — so each worker owns a disjoint slice of the
-//! sieve metastate and cache frames and sees its partition's accesses in
-//! global trace order (a subsequence of the sequential stream).
+//! Every `simulate*` entry point runs here, at [`SimConfig::workers`]
+//! workers. The engine hash-partitions the block-id space across `n`
+//! worker shards with [`sievestore_types::shard_of`] — the partition
+//! function the analysis pipeline's counting uses — so each worker owns a
+//! disjoint slice of the sieve metastate and cache frames and sees its
+//! partition's accesses in global trace order (a subsequence of the
+//! stream). At one worker that is the whole stream, in order.
 //!
 //! # Architecture
 //!
@@ -41,11 +41,11 @@
 //!   exactly its shard's slice of the global resident set. At each day
 //!   boundary the coordinator gathers every shard's contribution — the
 //!   boundary's only blocking step — computes the selection the
-//!   sequential policy would produce, and hands each worker its
+//!   whole-trace policy would produce, and hands each worker its
 //!   hash-partition of it to install and count locally (for SieveStore-D
 //!   within capacity, the contribution vectors handed straight back).
 //!   The per-shard resident sets partition the global one, so the summed
-//!   install counts equal the sequential install's exactly, and epoch
+//!   install counts equal the one-cache install's exactly, and epoch
 //!   rotation stays globally ordered.
 //! * **One slot per access for SieveStore-D.** Under in-memory counting
 //!   a key's count and resident bit share one 16-byte counter slot, so a
@@ -60,21 +60,22 @@
 //!
 //! # Determinism
 //!
-//! Each shard fills its own [`SimResult`] through the sequential
-//! engine's accounting functions and the shares merge with commutative
-//! integer sums ([`crate::DayMetrics::merge`]), so a replay is
-//! reproducible at any shard count and [`ReplayMode::Sharded`]`(1)` is
-//! byte-identical to the sequential engine for every policy. For `n > 1`
-//! per-key policy decisions are exact (hash-sliced metastate, global
-//! batch state): discrete policies are byte-identical at any shard count,
-//! continuous ones whenever capacity is ample — a global LRU's eviction
-//! order is inherently sequential, so under capacity pressure per-shard
-//! LRUs are an approximation, and RandSieve-C reseeds per shard (its RNG
-//! is consumed in global miss order). Device *occupancy* rounds sub-page
-//! remainders per request-shard fragment rather than per request, so
-//! sharded page counts are an upper bound of sequential ones (equal at
-//! one shard); block-level metrics are unaffected. DESIGN.md §5b has the
-//! full argument.
+//! Each shard fills its own [`SimResult`] through the accounting core
+//! on `SimResult` and the shares merge with commutative integer sums
+//! ([`crate::DayMetrics::merge`]), so a replay is reproducible at any
+//! shard count. One worker is the appliance driven over the stream in
+//! order, occupancy included, for every policy (pinned against a
+//! hand-written loop in the tests here and in `tests/sharded_replay.rs`).
+//! For `n > 1` per-key policy decisions are exact (hash-sliced
+//! metastate, global batch state): discrete policies are byte-identical
+//! at any shard count, continuous ones whenever capacity is ample — a
+//! global LRU's eviction order is inherently sequential, so under
+//! capacity pressure per-shard LRUs are an approximation, and RandSieve-C
+//! reseeds per shard (its RNG is consumed in global miss order). Device
+//! *occupancy* rounds sub-page remainders per request-shard fragment
+//! rather than per request, so page counts at `n > 1` are an upper bound
+//! of one worker's; block-level metrics are unaffected. DESIGN.md §5b has
+//! the full argument.
 
 use std::sync::Arc;
 
@@ -92,39 +93,8 @@ use sievestore_types::{
     RequestKind, SieveError, U64Set,
 };
 
-use crate::engine::{open_stream, validate_scenario, SimConfig};
+use crate::engine::SimConfig;
 use crate::metrics::SimResult;
-
-/// How the engine walks the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplayMode {
-    /// One thread, strict trace order (the reference engine).
-    #[default]
-    Sequential,
-    /// Hash-partitioned replay across this many worker shards.
-    Sharded(usize),
-}
-
-impl ReplayMode {
-    /// The mode for a requested thread count: `0` or `1` select the
-    /// sequential engine, anything larger shards across that many
-    /// workers.
-    pub fn threads(n: usize) -> Self {
-        if n <= 1 {
-            ReplayMode::Sequential
-        } else {
-            ReplayMode::Sharded(n)
-        }
-    }
-
-    /// Number of replay worker threads this mode uses.
-    pub fn worker_count(self) -> usize {
-        match self {
-            ReplayMode::Sequential => 1,
-            ReplayMode::Sharded(n) => n,
-        }
-    }
-}
 
 /// Execution statistics of one sharded replay.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -231,7 +201,7 @@ enum DiscreteBook {
 
 impl DiscreteBook {
     /// The bookkeeping one shard keeps for `spec`, validated exactly as
-    /// the sequential builder would; `None` for continuous policies.
+    /// the appliance builder would; `None` for continuous policies.
     fn new(spec: &PolicySpec, counting: &CountingConfig) -> Result<Option<Self>, SieveError> {
         Ok(match spec {
             PolicySpec::SieveStoreD { threshold } => Some(DiscreteBook::SieveD {
@@ -278,7 +248,7 @@ impl DiscreteBook {
 
     /// The shard's epoch contribution, sorted ascending — for disjoint
     /// key partitions, sorting the concatenation of these reproduces the
-    /// sequential policy's selection input exactly. Fails if the counting
+    /// whole-trace policy's selection input exactly. Fails if the counting
     /// backend cannot finish the epoch or start the next (spill I/O).
     fn contribution(&mut self) -> Result<Vec<u64>, SieveError> {
         match self {
@@ -294,13 +264,13 @@ impl DiscreteBook {
     }
 }
 
-/// The day's epoch selection — what `spec`'s sequential policy returns
+/// The day's epoch selection — what `spec`'s appliance policy returns
 /// from its `epoch`-th `on_day_boundary` — already split into per-shard
 /// installs.
 ///
 /// `contributions[s]` is shard `s`'s sorted, duplicate-free, hash-disjoint
 /// epoch contribution. The returned partition is exactly what the
-/// sequential policy's global `install_epoch` would keep — same dedupe,
+/// appliance policy's global `install_epoch` would keep — same dedupe,
 /// same in-order truncation at `capacity` — restricted to each shard's
 /// keys, so per-shard installs sum to the global transition.
 fn select_sharded(
@@ -327,7 +297,7 @@ fn select_sharded(
             partition_selection(selection, shards, capacity)
         }
         PolicySpec::SieveStoreD { .. } => {
-            // Within capacity the sequential sieve would select the full
+            // Within capacity the whole-trace sieve would select the full
             // sorted concatenation and nothing would be truncated, so the
             // contributions are already the partition — the common case
             // costs no merge at all.
@@ -421,14 +391,14 @@ impl ShardState {
     }
 
     /// Accounts the shard's fragment of one request — the first `g.len`
-    /// entries of `upcoming` — exactly as the sequential engine accounts
-    /// a whole one; page accounting therefore rounds per fragment (see
-    /// module docs).
+    /// entries of `upcoming` — as one request; page accounting therefore
+    /// rounds per fragment (see module docs).
     fn process_group(&mut self, g: &Group, upcoming: &[(u64, Micros)]) {
         let kind = &mut self.kind;
         let blocks = &upcoming[..g.len as usize];
         if let WorkerKind::Continuous(store) = kind {
-            // As in the sequential engine: overlap the metastate fetches.
+            // Start every block's metastate fetch before the first
+            // access needs one, so the cache misses overlap.
             blocks.iter().for_each(|&(key, _)| store.prefetch(key));
         }
         self.result.record_request(
@@ -519,23 +489,9 @@ pub fn simulate_sharded(
     run_sharded(trace, None, spec, cfg, shards)
 }
 
-/// Sharded variant of [`crate::simulate_server`]: replays a single
-/// server's slice of the trace.
-///
-/// # Errors
-///
-/// As [`simulate_sharded`].
-pub fn simulate_server_sharded(
-    trace: &SyntheticTrace,
-    server_idx: usize,
-    spec: PolicySpec,
-    cfg: &SimConfig,
-    shards: usize,
-) -> Result<(SimResult, ReplayStats), SieveError> {
-    run_sharded(trace, Some(server_idx), spec, cfg, shards)
-}
-
-fn run_sharded(
+/// The replay loop behind every entry point: `server` selects one
+/// server's slice of the trace, `None` the whole ensemble.
+pub(crate) fn run_sharded(
     trace: &SyntheticTrace,
     server: Option<usize>,
     spec: PolicySpec,
@@ -606,8 +562,8 @@ fn run_sharded(
     }
     if cfg.charge_batch_moves {
         // Charged on the merged per-day totals — total first, then one
-        // page-rounding — so the occupancy series matches the sequential
-        // charge at any shard count.
+        // page-rounding — so the occupancy series is the same at any
+        // shard count.
         for day in 0..merged.days.len() {
             merged.charge_batch_moves(Day::new(day as u16));
         }
@@ -619,6 +575,33 @@ fn run_sharded(
             steals: 0,
         },
     ))
+}
+
+/// Fails fast — with an error instead of the stream's panic — when the
+/// configured scenario does not fit the trace's ensemble, or `server`
+/// selects a single server's slice under a cross-server stage.
+fn validate_scenario(
+    trace: &SyntheticTrace,
+    server: Option<usize>,
+    cfg: &SimConfig,
+) -> Result<(), SieveError> {
+    let scenario = &cfg.trace_stream.scenario;
+    scenario.validate(trace.config())?;
+    if server.is_some() && scenario.moves_across_servers() {
+        return Err(SieveError::InvalidConfig(
+            "cross-server scenario stages (failover) cannot replay a single server's slice".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// The stream every replay path consumes: the whole ensemble, or one
+/// server's slice of it.
+fn open_stream(trace: &SyntheticTrace, server: Option<usize>, cfg: &SimConfig) -> TraceStream {
+    match server {
+        Some(idx) => trace.stream_server(idx, cfg.trace_stream.clone()),
+        None => trace.stream(cfg.trace_stream.clone()),
+    }
 }
 
 /// The coordinator, on the caller's thread: routes the stream into the
@@ -727,20 +710,49 @@ mod tests {
         SimConfig::paper_16gb(trace.config().scale.denominator()).with_capacity_blocks(capacity)
     }
 
-    #[test]
-    fn threads_helper_picks_mode() {
-        assert_eq!(ReplayMode::threads(0), ReplayMode::Sequential);
-        assert_eq!(ReplayMode::threads(1), ReplayMode::Sequential);
-        assert_eq!(ReplayMode::threads(4), ReplayMode::Sharded(4));
-        assert_eq!(ReplayMode::Sharded(4).worker_count(), 4);
-        assert_eq!(ReplayMode::default(), ReplayMode::Sequential);
+    /// The reference the engine is held to: the appliance driven over
+    /// the stream in order, each whole request accounted as it comes —
+    /// no routing, batching, workers or merge.
+    fn reference(
+        trace: &SyntheticTrace,
+        server: Option<usize>,
+        spec: PolicySpec,
+        c: &SimConfig,
+    ) -> SimResult {
+        let mut result = SimResult::empty(Arc::from(spec.name()), trace, c);
+        let mut store = c.store_builder(spec).build().unwrap();
+        let mut stream = open_stream(trace, server, c);
+        while let Some(msg) = stream.next_msg() {
+            match msg {
+                StreamMsg::StartDay(day) => {
+                    if let Some(transition) = store.day_boundary(day) {
+                        result.record_batch_install(day, transition.allocated.len() as u64);
+                    }
+                }
+                StreamMsg::Chunk(chunk) => chunk.iter().for_each(|req| {
+                    result.record_request(
+                        req.timestamp.minute(),
+                        req.completion_time().minute(),
+                        req.kind,
+                        req.blocks().enumerate().map(|(i, key)| {
+                            let t = req.block_completion_time(i as u32);
+                            let outcome = store.access(key.raw(), req.kind, t);
+                            (outcome.is_hit(), outcome.is_allocation())
+                        }),
+                    );
+                }),
+                StreamMsg::Failed(e) => panic!("stream failed: {e}"),
+            }
+        }
+        result
     }
 
     #[test]
     fn zero_shards_is_rejected() {
         let trace = tiny();
-        let err = simulate_sharded(&trace, PolicySpec::Aod, &cfg(&trace, 1024), 0);
-        assert!(err.is_err());
+        let c = cfg(&trace, 1024);
+        assert!(simulate_sharded(&trace, PolicySpec::Aod, &c, 0).is_err());
+        assert!(simulate(&trace, PolicySpec::Aod, &c.with_workers(0)).is_err());
     }
 
     #[test]
@@ -755,18 +767,18 @@ mod tests {
                 seed: 3,
             },
         ] {
-            let seq = simulate(&trace, spec.clone(), &c).unwrap();
+            let want = reference(&trace, None, spec.clone(), &c);
             let (sharded, stats) = simulate_sharded(&trace, spec, &c, 1).unwrap();
-            assert_eq!(seq.days, sharded.days);
+            assert_eq!(want.days, sharded.days);
             assert_eq!(stats.per_shard_blocks.len(), 1);
-            for m in 0..seq
+            for m in 0..want
                 .occupancy
                 .len_minutes()
                 .max(sharded.occupancy.len_minutes())
             {
                 let minute = Minute::new(m as u32);
                 assert_eq!(
-                    seq.occupancy.load(minute),
+                    want.occupancy.load(minute),
                     sharded.occupancy.load(minute),
                     "minute {m}"
                 );
@@ -778,14 +790,13 @@ mod tests {
     fn discrete_metrics_are_identical_at_any_shard_count() {
         let trace = tiny();
         let c = cfg(&trace, 16384).with_charge_batch_moves(true);
-        let seq = simulate(&trace, PolicySpec::SieveStoreD { threshold: 5 }, &c).unwrap();
+        let spec = PolicySpec::SieveStoreD { threshold: 5 };
+        let want = reference(&trace, None, spec.clone(), &c);
         for shards in [2usize, 4, 8] {
-            let (sharded, stats) =
-                simulate_sharded(&trace, PolicySpec::SieveStoreD { threshold: 5 }, &c, shards)
-                    .unwrap();
-            assert_eq!(seq.days, sharded.days, "{shards} shards");
+            let (sharded, stats) = simulate_sharded(&trace, spec.clone(), &c, shards).unwrap();
+            assert_eq!(want.days, sharded.days, "{shards} shards");
             assert_eq!(stats.per_shard_blocks.len(), shards);
-            assert_eq!(stats.total_blocks(), seq.total().accesses());
+            assert_eq!(stats.total_blocks(), want.total().accesses());
             assert!(stats.imbalance() >= 1.0);
         }
     }
@@ -826,10 +837,10 @@ mod tests {
         let c = cfg(&trace, 1 << 20);
         let spec =
             PolicySpec::SieveStoreC(TwoTierConfig::paper_default().with_imct_entries(1 << 12));
-        let seq = simulate(&trace, spec.clone(), &c).unwrap();
+        let want = reference(&trace, None, spec.clone(), &c);
         for shards in [2usize, 4] {
             let (sharded, _) = simulate_sharded(&trace, spec.clone(), &c, shards).unwrap();
-            assert_eq!(seq.days, sharded.days, "{shards} shards");
+            assert_eq!(want.days, sharded.days, "{shards} shards");
         }
     }
 
@@ -839,9 +850,12 @@ mod tests {
         // Ample capacity: continuous-policy equality needs the
         // no-eviction regime (see module docs).
         let c = cfg(&trace, 1 << 20);
-        let seq = crate::engine::simulate_server(&trace, 0, PolicySpec::Wmna, &c).unwrap();
-        let (sharded, _) = simulate_server_sharded(&trace, 0, PolicySpec::Wmna, &c, 4).unwrap();
-        assert_eq!(seq.days, sharded.days);
+        let want = reference(&trace, Some(0), PolicySpec::Wmna, &c);
+        for workers in [1, 4] {
+            let c = c.clone().with_workers(workers);
+            let got = crate::engine::simulate_server(&trace, 0, PolicySpec::Wmna, &c).unwrap();
+            assert_eq!(want.days, got.days, "{workers} workers");
+        }
     }
 
     #[test]
@@ -1047,11 +1061,11 @@ mod tests {
             "the trace must fill several batches per shard within one day"
         );
         for spec in [PolicySpec::SieveStoreD { threshold: 5 }, PolicySpec::Wmna] {
-            let sequential = simulate(&trace, spec.clone(), &c).unwrap();
+            let want = reference(&trace, None, spec.clone(), &c);
             let (sharded, _) = simulate_sharded(&trace, spec, &c, 2).unwrap();
-            assert_eq!(sequential.days, sharded.days);
+            assert_eq!(want.days, sharded.days);
             assert_eq!(
-                SnapshotLog::from_result(&sequential).to_jsonl(),
+                SnapshotLog::from_result(&want).to_jsonl(),
                 SnapshotLog::from_result(&sharded).to_jsonl()
             );
         }

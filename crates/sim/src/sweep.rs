@@ -3,9 +3,9 @@
 //! A sweep runs one simulation per parameter point; points are independent
 //! so they fan out across threads. (This is parallelism *across* points;
 //! to parallelize *within* one simulation instead, set
-//! [`crate::ReplayMode::Sharded`] on the [`SimConfig`] — sweeps honour the
-//! configured replay mode per point, and sharded metrics merge to the
-//! same report.) [`sweep`] is the generic harness;
+//! [`SimConfig::workers`] — every point replays with the configured
+//! workers, and their shares merge to the same report.) [`sweep`] is the
+//! generic harness, and [`crate::simulate_many`] runs on it too;
 //! [`threshold_sweep`] and [`window_sweep`] are the two studies the paper
 //! summarizes: SieveStore-D is insensitive to thresholds in the 8–20
 //! range (but degrades below ~8), and SieveStore-C degrades for windows
@@ -190,13 +190,11 @@ mod tests {
     }
 
     #[test]
-    fn threshold_sweep_is_replay_mode_invariant() {
+    fn threshold_sweep_is_worker_count_invariant() {
         let t = trace();
-        let sequential = cfg(&t);
-        let sharded = sequential
-            .clone()
-            .with_replay(crate::replay::ReplayMode::Sharded(4));
-        let a = threshold_sweep(&t, &[5, 10], &sequential, 2).unwrap();
+        let one = cfg(&t);
+        let sharded = one.clone().with_workers(4);
+        let a = threshold_sweep(&t, &[5, 10], &one, 2).unwrap();
         let b = threshold_sweep(&t, &[5, 10], &sharded, 2).unwrap();
         for (pa, pb) in a.iter().zip(&b) {
             assert_eq!(pa.label, pb.label);

@@ -24,13 +24,16 @@
 //!   written to disk (the [`crate::TraceWriter`] binary format) as soon
 //!   as it is generated and the merge streams it back, so peak memory
 //!   drops from one full day to one *server*-day plus I/O buffers —
-//!   the mode full-scale replay runs in.
+//!   the mode full-scale replay runs in. Each stream spills into a
+//!   subdirectory of its own, so streams sharing a spill dir run side
+//!   by side.
 //!
 //! Consumers either drain [`TraceStream::next_msg`] (day markers +
 //! chunks, with buffer recycling) or flatten the stream through
 //! [`TraceStream::requests`].
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 
@@ -129,12 +132,13 @@ pub struct TraceStreamConfig {
     /// Bounded-channel depth: at most this many chunks in flight
     /// (generator backpressure).
     pub depth: usize,
-    /// When set, per-server day runs spill to this directory instead of
-    /// staying resident for the merge: peak generator memory drops from
-    /// one day to one server-day. The directory is created if needed and
-    /// run files are deleted as each day completes — including when the
-    /// stream is dropped mid-day or generation fails (the files are
-    /// guarded, never orphaned).
+    /// When set, per-server day runs spill under this directory instead
+    /// of staying resident for the merge: peak generator memory drops
+    /// from one day to one server-day. Each stream writes into a
+    /// process-unique subdirectory, created if needed and removed when
+    /// the stream ends; run files are deleted as each day completes —
+    /// including when the stream is dropped mid-day or generation fails
+    /// (the files are guarded, never orphaned).
     pub spill_dir: Option<PathBuf>,
     /// Adversarial transform chain applied to the merged request
     /// sequence (see [`crate::scenario`]). The default empty scenario is
@@ -350,6 +354,17 @@ impl SyntheticTrace {
     }
 
     fn stream_scoped(&self, scope: StreamScope, config: TraceStreamConfig) -> TraceStream {
+        let spill = config.spill_dir.as_deref().map(SpillDir::claim);
+        self.spawn_stream(scope, config, spill)
+    }
+
+    /// Starts the generator thread, spilling into `spill` if given.
+    fn spawn_stream(
+        &self,
+        scope: StreamScope,
+        config: TraceStreamConfig,
+        spill: Option<SpillDir>,
+    ) -> TraceStream {
         let scenario = CompiledScenario::compile(&config.scenario, self.config())
             .expect("scenario must validate against this trace's ensemble");
         let config = TraceStreamConfig {
@@ -369,6 +384,7 @@ impl SyntheticTrace {
                     scope,
                     config,
                     scenario,
+                    spill,
                     tx,
                     recycle_rx,
                     spare: Vec::new(),
@@ -382,6 +398,25 @@ impl SyntheticTrace {
             recycle_tx: Some(recycle_tx),
             handle: Some(handle),
         }
+    }
+}
+
+/// One stream's private spill directory, `<spill_dir>/stream-<pid>-<seq>`:
+/// two streams on one spill dir never write the same run file. Removed
+/// with whatever is left in it when dropped, i.e. when the stream ends.
+struct SpillDir(PathBuf);
+
+impl SpillDir {
+    fn claim(root: &Path) -> Self {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        SpillDir(root.join(format!("stream-{}-{seq:04}", std::process::id())))
+    }
+}
+
+impl Drop for SpillDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -406,6 +441,9 @@ struct Generator {
     scope: StreamScope,
     config: TraceStreamConfig,
     scenario: CompiledScenario,
+    /// Declared before `tx`, so it is removed before the consumer sees
+    /// the stream end.
+    spill: Option<SpillDir>,
     tx: mpsc::SyncSender<StreamMsg>,
     recycle_rx: mpsc::Receiver<Vec<Request>>,
     /// Recycled buffers drained by [`Generator::consumer_gone`], reused
@@ -421,9 +459,9 @@ impl Generator {
             if self.tx.send(StreamMsg::StartDay(day)).is_err() {
                 return; // consumer dropped
             }
-            let done = match &self.config.spill_dir {
+            let done = match &self.spill {
                 None => self.emit_day_in_memory(day),
-                Some(dir) => match self.emit_day_spilled(day, dir.clone()) {
+                Some(dir) => match self.emit_day_spilled(day, dir.0.clone()) {
                     Ok(done) => done,
                     Err(e) => {
                         let _ = self.tx.send(StreamMsg::Failed(e));
@@ -830,17 +868,17 @@ mod tests {
     #[test]
     fn spill_write_error_cleans_up_already_written_runs() {
         let trace = tiny();
-        let dir =
+        let root =
             std::env::temp_dir().join(format!("sievestore-stream-ioerr-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // Squat on server 1's run filename with a *directory*, so its
-        // `File::create` fails after server 0's run was already written:
+        let _ = std::fs::remove_dir_all(&root);
+        // The stream's own spill dir, named here so the test can squat
+        // in it: server 1's run filename is a *directory*, so its
+        // `File::create` fails after server 0's run was already written —
         // the exact mid-day I/O-error path that used to orphan files.
-        let blocker = dir.join("day0000-srv01.run");
-        std::fs::create_dir_all(&blocker).unwrap();
-        let cfg = TraceStreamConfig::default().with_spill_dir(&dir);
-        let mut stream = trace.stream(cfg);
+        let dir = root.join("stream");
+        std::fs::create_dir_all(dir.join("day0000-srv01.run")).unwrap();
+        let cfg = TraceStreamConfig::default().with_spill_dir(&root);
+        let mut stream = trace.spawn_stream(StreamScope::AllServers, cfg, Some(SpillDir(dir)));
         let mut failed = false;
         while let Some(msg) = stream.next_msg() {
             if let StreamMsg::Failed(_) = msg {
@@ -849,17 +887,16 @@ mod tests {
         }
         assert!(failed, "colliding run path must surface as Failed");
         drop(stream);
-        let leftover: Vec<_> = std::fs::read_dir(&dir)
+        let leftover: Vec<_> = std::fs::read_dir(&root)
             .unwrap()
             .filter_map(Result::ok)
             .map(|e| e.path())
-            .filter(|p| *p != blocker)
             .collect();
         assert!(
             leftover.is_empty(),
-            "srv00's run must be removed on the error path: {leftover:?}"
+            "the stream's spill dir must be removed on the error path: {leftover:?}"
         );
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -759,7 +759,7 @@ mod pipelined {
         acks > 0
     }
 
-    struct Run {
+    struct PipelinedRun {
         /// Which of the windows were acknowledged.
         acked: Vec<bool>,
         images: (MediaImage, MediaImage, MediaImage),
@@ -775,7 +775,7 @@ mod pipelined {
     /// window B is served, sealed, and its frames written and synced
     /// meanwhile; then A's sync is let go (or failed, `fail_stage2`).
     /// With `probe`, a third window arrives while both are in flight.
-    fn run(plan: CrashPlan, fail_stage2: bool, probe: bool) -> Run {
+    fn run(plan: CrashPlan, fail_stage2: bool, probe: bool) -> PipelinedRun {
         let formatted = fresh_formatted_bytes();
         let handle = CrashHandle::new(plan);
         let ctl = Arc::new(Ctl {
@@ -851,7 +851,7 @@ mod pipelined {
         let steps = handle.steps();
         drop(conns);
         server.shutdown();
-        Run {
+        PipelinedRun {
             acked,
             images,
             open_steps,
@@ -864,7 +864,7 @@ mod pipelined {
     /// nothing quarantined or lost, the surviving state is the fold of a
     /// *prefix* of the staged records in sequence order, and that prefix
     /// covers every acknowledged window.
-    fn check(tag: &str, run: &Run) {
+    fn check(tag: &str, run: &PipelinedRun) {
         let recovery = DurableStore::open(
             DurableMediaSet {
                 frames: Box::new(MemMedia::from_bytes(run.images.0.bytes())),

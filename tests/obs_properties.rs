@@ -13,7 +13,7 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use sievestore::PolicySpec;
-use sievestore_sim::{simulate_with_snapshots, ReplayMode, SimConfig};
+use sievestore_sim::{simulate_with_snapshots, SimConfig};
 use sievestore_trace::{EnsembleConfig, SyntheticTrace};
 use sievestore_types::obs::{
     self, bucket_floor, bucket_of, CounterId, GaugeId, HistId, Histogram, HistogramSnapshot,
@@ -182,10 +182,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// End to end: a `Sharded(N)` replay of a discrete policy exports a
-    /// day-boundary snapshot log byte-identical to the sequential
-    /// engine's online emission — totals, per-day lines, header, all of
-    /// it.
+    /// End to end: an N-worker replay of a discrete policy exports a
+    /// day-boundary snapshot log byte-identical to the one-worker
+    /// replay's — totals, per-day lines, header, all of it.
     #[test]
     fn sharded_day_snapshots_match_sequential(
         trace_seed in 0u64..1_000_000,
@@ -197,8 +196,8 @@ proptest! {
         let base = SimConfig::paper_16gb(trace.config().scale.denominator())
             .with_capacity_blocks(4_096);
         let (_, seq_log) =
-            simulate_with_snapshots(&trace, spec.clone(), &base).expect("sequential run");
-        let sharded_cfg = base.with_replay(ReplayMode::Sharded(shards));
+            simulate_with_snapshots(&trace, spec.clone(), &base).expect("one-worker run");
+        let sharded_cfg = base.with_workers(shards);
         let (_, sharded_log) =
             simulate_with_snapshots(&trace, spec, &sharded_cfg).expect("sharded run");
         prop_assert_eq!(seq_log.to_jsonl(), sharded_log.to_jsonl());

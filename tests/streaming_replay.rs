@@ -11,7 +11,9 @@
 //! * replay figures (per-day metrics *and* day-snapshot JSONL bytes) are
 //!   invariant under the stream shape, the counting backend (in-memory
 //!   vs spill), the shard count (1, 2, 4), the eviction policy (LRU and
-//!   SIEVE) and the policy family (discrete and continuous).
+//!   SIEVE) and the policy family (discrete and continuous);
+//! * streams sharing one spill dir run side by side without touching
+//!   each other's runs.
 
 use std::path::PathBuf;
 
@@ -19,8 +21,7 @@ use sievestore::PolicySpec;
 use sievestore_extsort::CountingConfig;
 use sievestore_sieve::TwoTierConfig;
 use sievestore_sim::{
-    simulate, simulate_sharded, simulate_with_snapshots, EvictionPolicy, ReplayMode, SimConfig,
-    SnapshotLog,
+    simulate, simulate_sharded, simulate_with_snapshots, EvictionPolicy, SimConfig, SnapshotLog,
 };
 use sievestore_trace::{EnsembleConfig, Scale, StreamMsg, SyntheticTrace, TraceStreamConfig};
 use sievestore_types::{mix64, Day, Request, RequestKind};
@@ -130,6 +131,28 @@ fn stream_matches_materialized_and_golden_digest() {
 /// Pinned by `stream_matches_materialized_and_golden_digest`.
 const GOLDEN_TINY_42: u64 = 0xD915_971A_5A97_99D8;
 
+/// Two streams on one spill dir, drained at the same time: each spills
+/// into a directory of its own, so each delivers the golden sequence.
+#[test]
+fn concurrent_streams_share_a_spill_dir() {
+    let trace = tiny_trace(42);
+    let dir = scratch_dir("shared-spill");
+    let shape = TraceStreamConfig::default()
+        .with_chunk_requests(64)
+        .with_depth(1)
+        .with_spill_dir(dir.join("trace"));
+    let digests: Vec<u64> = std::thread::scope(|scope| {
+        let drains: Vec<_> = (0..2)
+            .map(|_| scope.spawn(|| drain(&trace, shape.clone()).1))
+            .collect();
+        drains.into_iter().map(|d| d.join().unwrap()).collect()
+    });
+    assert_eq!(digests, [GOLDEN_TINY_42; 2]);
+    let leftover = std::fs::read_dir(dir.join("trace")).unwrap().count();
+    assert_eq!(leftover, 0, "each stream removes its own spill dir");
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// The benchmark's trace model, `EnsembleConfig::msr_like()` at scale
 /// 1/32768 with seed 1, streamed in memory and spilled. The benchmark's
 /// replay goldens are built on this stream; pinning it here makes a
@@ -204,7 +227,7 @@ fn replay_is_invariant_under_stream_shape_and_counting_backend() {
             // this small drains the hot map many times an epoch.
             "spilled-counting-sharded",
             base.clone()
-                .with_replay(ReplayMode::Sharded(2))
+                .with_workers(2)
                 .with_counting(CountingConfig::spill(spill_root.join("counts3")).with_budget(64)),
         ),
         (
@@ -232,8 +255,9 @@ fn replay_is_invariant_under_stream_shape_and_counting_backend() {
 }
 
 /// The satellite matrix: discrete and continuous policies, LRU and SIEVE
-/// eviction, shard counts 1/2/4 — all must reproduce the sequential
-/// metrics and day-snapshot bytes exactly under the streaming pipeline.
+/// eviction, shard counts 1/2/4 — all must reproduce the one-worker
+/// metrics and day-snapshot bytes exactly under the streaming pipeline
+/// (`tests/sharded_replay.rs` holds one worker to the appliance itself).
 #[test]
 fn sharded_streaming_matches_sequential_across_policies_and_eviction() {
     let trace = tiny_trace(11);
