@@ -123,16 +123,20 @@ pub fn latency(h: &mut Harness) -> Result<String, SieveError> {
 
 /// Simulated per-server deployment (quadrants III/IV): SieveStore-C and
 /// AOD with the 16 GB budget split evenly across the 13 servers, versus
-/// the shared ensemble cache.
+/// the shared ensemble cache, with the harness's eviction policy and
+/// spill mode. The ensemble rows replay on the harness's workers.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn per_server_sim(h: &mut Harness) -> Result<String, SieveError> {
     let scale = h.scale();
-    let cfg = SimConfig::paper_16gb(scale);
-    let imct = imct_entries_for_scale(scale);
-    let per_server_imct = (imct / 13).max(1 << 10);
+    // The per-server replays are small, and a sharded one needs its
+    // worker count to divide the IMCT, which `imct / 13` rarely allows:
+    // one worker keeps the table, and these rows, the same at any
+    // `--threads`.
+    let cfg = h.sim_config(SimConfig::paper_16gb(scale)).with_workers(1);
+    let per_server_imct = (imct_entries_for_scale(scale) / 13).max(1 << 10);
 
     let c_split = simulate_per_server(
         h.trace(),
@@ -206,5 +210,21 @@ mod tests {
         let out = per_server_sim(&mut h).unwrap();
         assert!(out.contains("per-server SieveStore-C"));
         std::fs::remove_dir_all(h.results_dir()).ok();
+    }
+
+    #[test]
+    fn per_server_rows_are_the_same_at_any_worker_count() {
+        // 2^14 / 13 IMCT slots per server is not a multiple of 8.
+        let per_server_rows = |h: &mut Harness| {
+            let out = per_server_sim(h).unwrap();
+            std::fs::remove_dir_all(h.results_dir()).ok();
+            out.lines()
+                .filter(|l| l.starts_with("per-server"))
+                .map(str::to_owned)
+                .collect::<Vec<_>>()
+        };
+        let one = per_server_rows(&mut harness());
+        assert_eq!(one.len(), 2);
+        assert_eq!(per_server_rows(&mut harness().with_threads(8)), one);
     }
 }

@@ -15,17 +15,19 @@ pub const THRESHOLDS: [u64; 6] = [4, 6, 8, 10, 14, 20];
 /// ~8 hours).
 pub const WINDOW_HOURS: [u64; 5] = [2, 4, 8, 16, 24];
 
-/// Runs both sweeps and renders the sensitivity tables.
+/// Runs both sweeps and renders the sensitivity tables, with the
+/// harness's replay workers, eviction policy and spill mode.
 ///
 /// # Errors
 ///
 /// Propagates simulation or CSV-writing failures.
 pub fn sensitivity(h: &mut Harness) -> Result<String, SieveError> {
     let scale = h.scale();
-    let cfg = SimConfig::paper_16gb(scale);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    let cfg = h.sim_config(SimConfig::paper_16gb(scale));
+    // Sweep points side by side on the cores their workers leave free,
+    // the rule `simulate_many` uses.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = (cores / cfg.workers.max(1)).max(1);
 
     let mut out = String::new();
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
@@ -108,5 +110,17 @@ mod tests {
         assert!(out.contains("window"));
         assert!(h.out_path("sensitivity.csv").exists());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sensitivity_counts_under_the_harness_spill_dir() {
+        let spill =
+            std::env::temp_dir().join(format!("sievestore-sens-spill-{}", std::process::id()));
+        let mut h = crate::test_harness("sens-spill").with_spill(&spill);
+        sensitivity(&mut h).unwrap();
+        // The threshold sweep's epoch counters were created under it.
+        assert!(spill.join("counts").is_dir(), "spill dir unused");
+        std::fs::remove_dir_all(&spill).ok();
+        std::fs::remove_dir_all(h.results_dir()).ok();
     }
 }

@@ -556,7 +556,8 @@ static SPILL_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::n
 /// Each counter claims a process-unique subdirectory under the configured
 /// spill root, so one [`CountingConfig`] can mint counters for many
 /// concurrent policies/epochs without collisions; the subdirectory is
-/// removed when the counter finishes (best-effort on abandon).
+/// removed when the counter finishes or is dropped unfinished (as the
+/// last epoch's counter of a replay is).
 ///
 /// # Examples
 ///
@@ -579,8 +580,19 @@ pub struct SpillCounter {
     hot: U64Map<u64>,
     budget: usize,
     log: AccessLog,
-    dir: PathBuf,
+    /// Declared after `log`, so the log's files are gone when it drops.
+    dir: SpillDir,
     spills: u64,
+}
+
+/// A counter's spill subdirectory, removed (once empty) when dropped.
+#[derive(Debug)]
+struct SpillDir(PathBuf);
+
+impl Drop for SpillDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir(&self.0);
+    }
 }
 
 impl SpillCounter {
@@ -610,7 +622,7 @@ impl SpillCounter {
             hot: U64Map::new(),
             budget,
             log,
-            dir,
+            dir: SpillDir(dir),
             spills: 0,
         })
     }
@@ -633,7 +645,9 @@ impl SpillCounter {
         self.spills += 1;
     }
 
-    fn into_log(mut self) -> (AccessLog, PathBuf) {
+    /// The log with every count drained into it, and the directory to
+    /// drop once the log is finished.
+    fn into_log(mut self) -> (AccessLog, SpillDir) {
         if !self.hot.is_empty() {
             self.drain_hot();
         }
@@ -650,17 +664,13 @@ impl AccessCounter for SpillCounter {
     }
 
     fn finish(self) -> Result<AccessCounts, SieveError> {
-        let (log, dir) = self.into_log();
-        let counts = log.finish()?;
-        let _ = fs::remove_dir(&dir);
-        Ok(counts)
+        let (log, _dir) = self.into_log();
+        log.finish()
     }
 
     fn finish_selection(self, threshold: u64) -> Result<Vec<u64>, SieveError> {
-        let (log, dir) = self.into_log();
-        let keys = log.finish_selecting(threshold)?;
-        let _ = fs::remove_dir(&dir);
-        Ok(keys)
+        let (log, _dir) = self.into_log();
+        log.finish_selecting(threshold)
     }
 }
 
@@ -1052,6 +1062,20 @@ mod tests {
             counter.record(k);
         }
         counter.finish().unwrap();
+        let leftover = fs::read_dir(&root).map(|d| d.count()).unwrap_or(0);
+        assert_eq!(leftover, 0, "epoch subdirectory must be removed");
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn an_unfinished_spill_counter_removes_its_directory_on_drop() {
+        let root = temp_dir("spill-drop");
+        let mut counter = SpillCounter::create(&root, 2, 3).unwrap();
+        for k in 0..100u64 {
+            counter.record(k);
+        }
+        assert!(counter.spills() > 0, "something reached the log");
+        drop(counter);
         let leftover = fs::read_dir(&root).map(|d| d.count()).unwrap_or(0);
         assert_eq!(leftover, 0, "epoch subdirectory must be removed");
         fs::remove_dir_all(&root).ok();

@@ -5,8 +5,8 @@
 //! blocks never trigger allocation-writes. This crate provides every
 //! sieving data structure the paper describes:
 //!
-//! * [`WindowedCounter`] / [`WindowConfig`] — discretized sliding-window
-//!   miss counts (`W` = 8 h in `k` = 4 subwindows), one 32-byte value;
+//! * [`WindowConfig`] — discretized sliding-window miss counts (`W` =
+//!   8 h in `k` = 4 subwindows), kept per block as one 8-byte value;
 //! * [`Imct`] — the fixed-size, aliased imprecise miss-count table, a
 //!   flat array of those values (one cache line per miss);
 //! * [`Mct`] — the precise, prunable miss-count table, a hash map with
@@ -43,4 +43,4 @@ pub use discrete::DiscreteSieve;
 pub use random::{random_block_selection, RandomMissSieve};
 pub use tables::{Imct, Mct};
 pub use two_tier::{TwoTierConfig, TwoTierSieve};
-pub use window::{WindowConfig, WindowedCounter};
+pub use window::WindowConfig;

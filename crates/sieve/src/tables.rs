@@ -13,13 +13,13 @@
 //!   block, populated only for blocks that already passed the IMCT
 //!   threshold, and pruned periodically to drop stale entries.
 //!
-//! Both store [`WindowedCounter`]s by value — 32 bytes, two to a cache
-//! line — so a miss costs one line in the IMCT and, for graduated blocks,
-//! one probe in the MCT.
+//! Both store the same 8-byte window counter by value — eight to a cache
+//! line, `k` and the stamp base kept once per table — so a miss costs one
+//! line in the IMCT and, for graduated blocks, one 16-byte MCT slot.
 
 use sievestore_types::{mix64, prefetch_read, Micros, U64Map};
 
-use crate::window::{SubwindowClock, WindowConfig, WindowedCounter};
+use crate::window::{Stamps, WindowConfig, WindowedCounter};
 
 /// How a key's hash becomes a local slot: global slot `hash mod total`,
 /// then local index `global / stride`. When `total` is a power of two
@@ -58,7 +58,7 @@ enum SlotIndex {
 #[derive(Debug, Clone)]
 pub struct Imct {
     entries: Box<[WindowedCounter]>,
-    clock: SubwindowClock,
+    stamps: Stamps,
     index: SlotIndex,
 }
 
@@ -98,8 +98,8 @@ impl Imct {
         );
         let (total, stride) = (total_entries as u64, shards as u64);
         Imct {
-            entries: vec![WindowedCounter::new(config.subwindows); total_entries / shards].into(),
-            clock: SubwindowClock::new(config),
+            entries: vec![WindowedCounter::default(); total_entries / shards].into(),
+            stamps: Stamps::new(config),
             index: if total.is_power_of_two() {
                 SlotIndex::Mask {
                     mask: total - 1,
@@ -136,11 +136,20 @@ impl Imct {
     /// The global subwindow `now` falls in.
     #[inline]
     pub(crate) fn subwindow(&mut self, now: Micros) -> u64 {
-        self.clock.index(now)
+        self.stamps.subwindow(now)
+    }
+
+    #[inline]
+    fn stamp(&mut self, sub: u64) -> u32 {
+        let entries = &mut self.entries;
+        self.stamps.stamp(sub, |shift| {
+            entries.iter_mut().for_each(|c| c.rebase(shift))
+        })
     }
 
     /// Records a miss for `key` at time `now`; returns the slot's
-    /// in-window total (which may include aliased contributions).
+    /// in-window total (which may include aliased contributions), each
+    /// subwindow's count saturating at 255.
     pub fn record_miss(&mut self, key: u64, now: Micros) -> u32 {
         let sub = self.subwindow(now);
         self.record_at(key, sub)
@@ -149,15 +158,17 @@ impl Imct {
     /// [`Imct::record_miss`] at an already resolved subwindow.
     #[inline]
     pub(crate) fn record_at(&mut self, key: u64, sub: u64) -> u32 {
+        let now = self.stamp(sub);
         let slot = self.slot_of(key);
-        self.entries[slot].record(sub)
+        self.entries[slot].record(now, self.stamps.k)
     }
 
-    /// The slot's in-window total without recording.
+    /// The slot's in-window total without recording (saturated alike).
     pub fn peek(&mut self, key: u64, now: Micros) -> u32 {
         let sub = self.subwindow(now);
+        let now = self.stamp(sub);
         let slot = self.slot_of(key);
-        self.entries[slot].total(sub)
+        self.entries[slot].total(now, self.stamps.k)
     }
 
     /// Hints the CPU to fetch `key`'s slot ahead of a probable
@@ -174,9 +185,8 @@ impl Imct {
 }
 
 /// The precise miss-count table: an open-addressing [`U64Map`] from block
-/// key to a [`WindowedCounter`] stored in the map slot itself, so steady-
-/// state churn (blocks graduating in, going stale, being pruned)
-/// allocates nothing and a miss is a single probe.
+/// key to a window counter in the map slot itself (16 bytes with the
+/// key), so steady-state churn allocates nothing and a miss is one probe.
 ///
 /// # Examples
 ///
@@ -193,9 +203,7 @@ impl Imct {
 #[derive(Debug, Clone)]
 pub struct Mct {
     counters: U64Map<WindowedCounter>,
-    clock: SubwindowClock,
-    /// A zeroed counter of the configured `k`, copied into each new entry.
-    blank: WindowedCounter,
+    stamps: Stamps,
 }
 
 impl Mct {
@@ -203,8 +211,7 @@ impl Mct {
     pub fn new(config: WindowConfig) -> Self {
         Mct {
             counters: U64Map::new(),
-            clock: SubwindowClock::new(config),
-            blank: WindowedCounter::new(config.subwindows),
+            stamps: Stamps::new(config),
         }
     }
 
@@ -218,19 +225,36 @@ impl Mct {
         self.counters.is_empty()
     }
 
-    /// `key`'s counter, and whether this call created it (zero count,
-    /// live at subwindow `sub`).
+    /// The stamp of subwindow `sub`, and `k`.
     #[inline]
-    pub(crate) fn entry(&mut self, key: u64, sub: u64) -> (&mut WindowedCounter, bool) {
+    fn stamp(&mut self, sub: u64) -> (u32, u32) {
+        let counters = &mut self.counters;
+        let stamp = self.stamps.stamp(sub, |shift| {
+            counters.retain(|_, c| {
+                c.rebase(shift);
+                true
+            })
+        });
+        (stamp, self.stamps.k)
+    }
+
+    /// `key`'s counter, and whether this call created it (blank at `now`).
+    #[inline]
+    fn entry(&mut self, key: u64, now: u32) -> (&mut WindowedCounter, bool) {
         let mut created = false;
         let counter = self.counters.get_or_insert_with(key, || {
             created = true;
-            self.blank
+            WindowedCounter::blank_at(now)
         });
-        if created {
-            counter.observe(sub);
-        }
         (counter, created)
+    }
+
+    /// A graduating miss at subwindow `sub`: [`Mct::ensure`] (`None`) or [`Mct::record_miss`].
+    #[inline]
+    pub(crate) fn graduate(&mut self, key: u64, sub: u64) -> Option<u32> {
+        let (now, k) = self.stamp(sub);
+        let (counter, created) = self.entry(key, now);
+        (!created).then(|| counter.record(now, k))
     }
 
     /// Ensures an entry exists for `key` (zero count, live at `now`);
@@ -238,29 +262,34 @@ impl Mct {
     /// from the IMCT: the graduating miss itself does not count toward
     /// the *additional* `t2` misses.
     pub fn ensure(&mut self, key: u64, now: Micros) -> bool {
-        let sub = self.clock.index(now);
-        !self.entry(key, sub).1
+        let sub = self.stamps.subwindow(now);
+        let (now, _) = self.stamp(sub);
+        !self.entry(key, now).1
     }
 
-    /// Records a miss for `key`; returns `key`'s exact in-window count.
+    /// Records a miss for `key`; returns `key`'s exact in-window count,
+    /// each subwindow's share saturating at 255 as in the IMCT.
     pub fn record_miss(&mut self, key: u64, now: Micros) -> u32 {
-        let sub = self.clock.index(now);
-        self.entry(key, sub).0.record(sub)
+        let sub = self.stamps.subwindow(now);
+        let (now, k) = self.stamp(sub);
+        self.entry(key, now).0.record(now, k)
     }
 
     /// `key`'s exact in-window count without recording.
     pub fn peek(&mut self, key: u64, now: Micros) -> u32 {
-        let sub = self.clock.index(now);
-        self.counters.get_mut(key).map_or(0, |c| c.total(sub))
+        let sub = self.stamps.subwindow(now);
+        let (now, k) = self.stamp(sub);
+        self.counters.get_mut(key).map_or(0, |c| c.total(now, k))
     }
 
     /// Drops entries whose whole window has expired ("periodically we
     /// prune the MCT to eliminate stale blocks"). Returns how many were
     /// removed.
     pub fn prune(&mut self, now: Micros) -> usize {
-        let sub = self.clock.index(now);
+        let sub = self.stamps.subwindow(now);
+        let (now, k) = self.stamp(sub);
         let before = self.counters.len();
-        self.counters.retain(|_, counter| !counter.is_stale(sub));
+        self.counters.retain(|_, counter| !counter.is_stale(now, k));
         before - self.counters.len()
     }
 
@@ -291,6 +320,17 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn empty_imct_panics() {
         let _ = Imct::new(0, cfg());
+    }
+
+    #[test]
+    #[should_panic(expected = "subwindows")]
+    fn a_table_refuses_more_subwindows_than_a_counter_holds() {
+        // A struct literal, since `WindowConfig::new` would panic first.
+        let window = WindowConfig {
+            subwindows: WindowConfig::MAX_SUBWINDOWS + 1,
+            ..cfg()
+        };
+        let _ = Mct::new(window);
     }
 
     #[test]
@@ -402,17 +442,69 @@ mod tests {
 
     #[test]
     fn memory_is_the_real_slot_size_times_the_slot_count() {
-        // 32 B per IMCT slot; 8 B key + 32 B counter per MCT map slot.
-        assert_eq!(Imct::new(1000, cfg()).memory_bytes(), 1000 * 32);
+        // 8 B per IMCT slot; 8 B key + 8 B counter per MCT map slot.
+        assert_eq!(Imct::new(1000, cfg()).memory_bytes(), 1000 * 8);
         assert_eq!(
             Imct::for_shard(1 << 10, 1, 4, cfg()).memory_bytes(),
-            256 * 32
+            256 * 8
         );
         let mut mct = Mct::new(cfg());
         assert_eq!(mct.memory_bytes(), 0);
         mct.record_miss(1, Micros::from_hours(0));
-        assert_eq!(mct.memory_bytes(), mct.counters.slots() * 40);
+        assert_eq!(mct.memory_bytes(), mct.counters.slots() * 16);
         assert!(mct.counters.slots() > 0);
+    }
+
+    /// `k` subwindows of 1 µs each, so an instant is a subwindow index.
+    fn micro(k: u32) -> WindowConfig {
+        WindowConfig::new(Micros::new(u64::from(k)), k)
+    }
+
+    #[test]
+    fn a_rebase_re_stamps_every_imct_slot_and_clears_the_stale_ones() {
+        let mut imct = Imct::new(16, micro(4));
+        let keys: Vec<u64> = (0..64).collect();
+        let mut model: Vec<BoxedCounter> = (0..16).map(|_| BoxedCounter::new(4)).collect();
+        let start = (1u64 << 32) + 3;
+        // Each pass moves the base: the first past 2^32, the next two by
+        // 2^30 + 1 and 2^30 + 2. A key's slot keeps the passes within `k`
+        // of each other and clears the older ones, as the model does.
+        let passes = [
+            start,
+            start + 2,
+            start + (1 << 30) + 1,
+            start + (1 << 31) + 3,
+        ];
+        for (pass, &sub) in passes.iter().enumerate() {
+            for &key in keys.iter().skip(pass % 2) {
+                let want = model[imct.slot_of(key)].record(sub);
+                assert_eq!(imct.record_miss(key, Micros::new(sub)), want, "key {key}");
+            }
+        }
+        // Late, but inside the lateness the stamps keep exact.
+        let late = start + (1 << 31);
+        for &key in &keys {
+            let want = model[imct.slot_of(key)].total(late);
+            assert_eq!(imct.peek(key, Micros::new(late)), want, "key {key}");
+        }
+    }
+
+    #[test]
+    fn a_rebase_keeps_the_mct_entries_and_their_counts() {
+        let mut mct = Mct::new(micro(4));
+        // The first miss moves the base to 2^30 behind it.
+        let start = (1u64 << 33) + 1;
+        mct.record_miss(1, Micros::new(start));
+        mct.record_miss(2, Micros::new(start + (1 << 30) - 2));
+        mct.record_miss(2, Micros::new(start + (1 << 30) - 1));
+        // 2^31 + 1 past the base: key 1 is stale and cleared, key 2 is
+        // re-stamped with both its counts.
+        let now = Micros::new(start + (1 << 30) + 1);
+        assert_eq!(mct.peek(2, now), 2);
+        assert_eq!(mct.len(), 2, "a rebase removes no entry");
+        assert_eq!(mct.prune(now), 1, "key 1 is pruned as stale");
+        assert_eq!(mct.peek(1, now), 0);
+        assert_eq!(mct.record_miss(2, now), 3);
     }
 
     #[test]
@@ -468,12 +560,20 @@ mod tests {
         fn mct_matches_a_map_of_reference_counters(
             ops in proptest::collection::vec((0u8..5, 0u64..24, 0u64..40), 0..400),
             k in 1u32..=WindowConfig::MAX_SUBWINDOWS,
+            micros in any::<bool>(),
         ) {
-            let config = WindowConfig::new(Micros::from_hours(8), k);
+            // Hours in any order, or 1 µs subwindows past 2^32: out of
+            // order by up to 40 within each run of 40 ops, and 2^29 on
+            // from one run to the next, which moves the base every few.
+            let config = if micros { micro(k) } else { WindowConfig::new(Micros::from_hours(8), k) };
             let mut mct = Mct::new(config);
             let mut model: HashMap<u64, BoxedCounter> = HashMap::new();
-            for (op, key, hour) in ops {
-                let now = Micros::from_hours(hour);
+            for (i, (op, key, step)) in ops.into_iter().enumerate() {
+                let now = if micros {
+                    Micros::new((1 << 32) + (i as u64 / 40) * (1 << 29) + step)
+                } else {
+                    Micros::from_hours(step)
+                };
                 let sub = config.subwindow_index(now);
                 match op {
                     0 => {

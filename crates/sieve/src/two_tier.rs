@@ -35,6 +35,10 @@ pub struct TwoTierConfig {
 }
 
 impl TwoTierConfig {
+    /// Largest `t1` or `t2`: the counters' per-subwindow counts saturate
+    /// at 255, which decides a `total ≥ t` exactly only up to here.
+    pub const MAX_THRESHOLD: u32 = 255;
+
     /// The paper's tuned parameters: `t1` = 9, `t2` = 4, `W` = 8 h, `k` = 4.
     /// The IMCT size defaults to 2^20 slots; scale it with the workload.
     pub fn paper_default() -> Self {
@@ -72,9 +76,9 @@ impl TwoTierConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SieveError::InvalidConfig`] for a zero-sized IMCT, zero
-    /// thresholds, or a subwindow count outside
-    /// `1..=`[`WindowConfig::MAX_SUBWINDOWS`].
+    /// Returns [`SieveError::InvalidConfig`] for a zero-sized IMCT,
+    /// thresholds outside `1..=`[`TwoTierConfig::MAX_THRESHOLD`], or a
+    /// subwindow count outside `1..=`[`WindowConfig::MAX_SUBWINDOWS`].
     pub fn validate(&self) -> Result<(), SieveError> {
         if self.imct_entries == 0 {
             return Err(SieveError::InvalidConfig("imct_entries must be > 0".into()));
@@ -86,10 +90,14 @@ impl TwoTierConfig {
                 self.window.subwindows
             )));
         }
-        if self.t1 == 0 || self.t2 == 0 {
-            return Err(SieveError::InvalidConfig(
-                "sieve thresholds must be positive".into(),
-            ));
+        let thresholds = 1..=Self::MAX_THRESHOLD;
+        if !thresholds.contains(&self.t1) || !thresholds.contains(&self.t2) {
+            return Err(SieveError::InvalidConfig(format!(
+                "sieve thresholds must be 1 to {}, got t1 = {}, t2 = {}",
+                Self::MAX_THRESHOLD,
+                self.t1,
+                self.t2
+            )));
         }
         Ok(())
     }
@@ -236,10 +244,12 @@ impl TwoTierSieve {
         }
         self.graduated += 1;
         obs_count!(SieveGraduations, 1);
-        let (counter, created) = self.mct.entry(key, sub);
         // The miss that first graduates a block past the IMCT does not
         // count toward the *additional* t2 precise misses.
-        let admitted = !created && counter.record(sub) >= self.config.t2;
+        let admitted = self
+            .mct
+            .graduate(key, sub)
+            .is_some_and(|total| total >= self.config.t2);
         if admitted {
             self.granted += 1;
             self.mct.remove(key);
@@ -333,12 +343,36 @@ mod tests {
     }
 
     #[test]
-    fn paper_default_metastate_is_no_larger_than_before_the_inline_layout() {
-        // 2^20 slots x 32 B and an empty MCT: what the boxed layout's
-        // `k * 4 + 16` formula reported for the same table (33.6 MB),
-        // though that one really held about twice as much.
+    fn thresholds_beyond_a_saturated_count_are_an_error_not_a_panic() {
+        for (t1, t2) in [(256, 4), (9, 256), (u32::MAX, 1)] {
+            let cfg = TwoTierConfig::paper_default().with_thresholds(t1, t2);
+            assert!(matches!(cfg.validate(), Err(SieveError::InvalidConfig(_))));
+            assert!(TwoTierSieve::new(cfg).is_err());
+        }
+        let top = TwoTierConfig::MAX_THRESHOLD;
+        let cfg = TwoTierConfig::paper_default().with_thresholds(top, top);
+        assert!(TwoTierSieve::new(cfg).is_ok());
+    }
+
+    #[test]
+    fn paper_default_metastate_is_a_quarter_of_the_32_byte_layout() {
+        // 2^20 slots x 8 B and an empty MCT: 8 MiB, where 32-byte slots
+        // (and the boxed layout's `k * 4 + 16` formula) gave 32 MiB.
         let sieve = TwoTierSieve::new(TwoTierConfig::paper_default()).unwrap();
-        assert_eq!(sieve.memory_bytes(), (1 << 20) * (4 * 4 + 16));
+        assert_eq!(sieve.memory_bytes(), (1 << 20) * 8);
+        assert_eq!(4 * sieve.memory_bytes(), (1 << 20) * (4 * 4 + 16));
+    }
+
+    #[test]
+    fn a_threshold_of_255_is_reached_through_saturated_counts() {
+        // One subwindow's count stops at 255; the decision it feeds still
+        // flips at exactly the miss the u32 counts flipped at.
+        let mut sieve = small(255, 255);
+        let now = Micros::from_hours(1);
+        for i in 1..255 + 255 {
+            assert!(!sieve.on_miss(5, now), "miss {i}");
+        }
+        assert!(sieve.on_miss(5, now), "miss 510 allocates");
     }
 
     #[test]

@@ -254,6 +254,28 @@ fn replay_is_invariant_under_stream_shape_and_counting_backend() {
     std::fs::remove_dir_all(&spill_root).ok();
 }
 
+/// A spill-counted discrete replay cleans up after itself: every epoch's
+/// counter directory is gone once `simulate` returns, the last epoch's
+/// (dropped without being finished) included, at one worker and at two.
+#[test]
+fn spill_counting_leaves_no_counter_directories() {
+    let trace = tiny_trace(42);
+    let root = scratch_dir("spill-leak");
+    for workers in [1, 2] {
+        let config = cfg(&trace)
+            .with_workers(workers)
+            .with_counting(CountingConfig::spill(&root));
+        simulate(&trace, PolicySpec::SieveStoreD { threshold: 10 }, &config).expect("replay");
+        let left: Vec<String> = std::fs::read_dir(&root)
+            .expect("spill root")
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("epoch-"))
+            .collect();
+        assert!(left.is_empty(), "{workers} worker(s) left {left:?}");
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// The satellite matrix: discrete and continuous policies, LRU and SIEVE
 /// eviction, shard counts 1/2/4 — all must reproduce the one-worker
 /// metrics and day-snapshot bytes exactly under the streaming pipeline
