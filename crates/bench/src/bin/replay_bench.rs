@@ -14,7 +14,9 @@
 //!
 //! With `--check`, the fresh measurement is compared against the
 //! committed baseline: any configuration whose events/sec falls more than
-//! `--tolerance` below the baseline fails the run (exit code 1). Speedups
+//! `--tolerance` below the baseline fails the run (exit code 1), and so
+//! does, on the baseline's scale and seed, a different event count or
+//! day-snapshot log — the simulated figures themselves moved. Speedups
 //! always pass; re-baseline with `--write-baseline`, which rewrites
 //! `ci/BENCH_replay.json` from the fresh measurement in one command.
 //!
@@ -78,7 +80,9 @@ options:
                   (default 3 — damps scheduler noise on shared runners)
   --out FILE      where to write the report (default BENCH_replay.json)
   --check FILE    compare against a committed baseline report; exit
-                  nonzero if any configuration's events/sec regresses
+                  nonzero if any configuration's events/sec regresses,
+                  or if on the same scale and seed the event count or
+                  day snapshots differ from the baseline's
   --tolerance T   allowed fractional regression for --check (default 0.2)
   --min-speedup X scaling gate: exit nonzero unless 4 workers beat
                   1 worker by X (>= 4 cores), beat it at all (2-3

@@ -493,9 +493,12 @@ impl ReplayReport {
 
 /// Gates `current` against `baseline`: every baseline run configuration
 /// must be present and its events/sec must not regress by more than
-/// `tolerance` (e.g. `0.2` = −20 %). Returns the per-run comparison
-/// lines on success and the failures on error. Faster-than-baseline runs
-/// pass (the fresh artifact is there to re-baseline from).
+/// `tolerance` (e.g. `0.2` = −20 %). On the baseline's workload (same
+/// scale and seed) the simulated figures must also be the baseline's
+/// exactly: the same `events` count and, when the baseline carries one,
+/// the same day-snapshot bytes. Returns the per-run comparison lines on
+/// success and the failures on error. Faster-than-baseline runs pass (the
+/// fresh artifact is there to re-baseline from).
 ///
 /// # Errors
 ///
@@ -512,6 +515,8 @@ pub fn compare_reports(
             "workload mismatch: current scale/seed {}/{:#x} vs baseline {}/{:#x}",
             current.scale, current.seed, baseline.scale, baseline.seed
         ));
+    } else {
+        failures.extend(figure_changes(current, baseline));
     }
     for base in &baseline.runs {
         let Some(run) = current.run_with(&base.mode, base.threads) else {
@@ -542,6 +547,37 @@ pub fn compare_reports(
     } else {
         Err(failures)
     }
+}
+
+/// How `current`'s simulated figures differ from `baseline`'s on the
+/// same workload: a different event count, or day-snapshot bytes that
+/// differ from the baseline's (named by their first differing line).
+fn figure_changes(current: &ReplayReport, baseline: &ReplayReport) -> Vec<String> {
+    let mut changes = Vec::new();
+    if current.events != baseline.events {
+        changes.push(format!(
+            "FIGURES changed: {} events vs baseline {}",
+            current.events, baseline.events
+        ));
+    }
+    let Some(want) = &baseline.day_snapshots_jsonl else {
+        return changes;
+    };
+    let got = current.day_snapshots_jsonl.as_deref().unwrap_or("");
+    if got != want {
+        let (got_lines, want_lines) = (got.lines().count(), want.lines().count());
+        let line = got
+            .lines()
+            .zip(want.lines())
+            .position(|(g, w)| g != w)
+            .unwrap_or(got_lines.min(want_lines));
+        changes.push(format!(
+            "FIGURES changed: day snapshots differ from the baseline's at line {} \
+             ({got_lines} lines vs {want_lines})",
+            line + 1
+        ));
+    }
+    changes
 }
 
 #[cfg(test)]
@@ -651,8 +687,8 @@ mod tests {
         assert!(back.day_snapshots_jsonl.is_none());
         assert!(back.obs_metrics.is_none());
         assert_eq!(back.runs, report().runs);
-        // Observability payloads are diagnostics: they never gate.
-        assert!(compare_reports(&back, &report(), 0.2).is_ok());
+        // Such a baseline gates events/s and the event count, as before.
+        assert!(compare_reports(&report(), &back, 0.2).is_ok());
     }
 
     #[test]
@@ -731,5 +767,34 @@ mod tests {
         let mut mismatched = report();
         mismatched.scale = 4096;
         assert!(compare_reports(&mismatched, &base, 0.2).is_err());
+    }
+
+    #[test]
+    fn comparison_fails_when_the_figures_change() {
+        let base = report();
+        // One byte of one day's snapshot: day 0's read hits 3 -> 4.
+        let mut moved = report();
+        let snapshots = moved.day_snapshots_jsonl.take().unwrap();
+        moved.day_snapshots_jsonl =
+            Some(snapshots.replacen("\"read_hits\":3", "\"read_hits\":4", 1));
+        assert_ne!(moved.day_snapshots_jsonl, base.day_snapshots_jsonl);
+        let failures = compare_reports(&moved, &base, 0.2).unwrap_err();
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("day snapshots differ"), "{failures:?}");
+        assert!(failures[0].contains("line 2"), "{failures:?}");
+
+        let mut recounted = report();
+        recounted.events += 1;
+        let failures = compare_reports(&recounted, &base, 0.2).unwrap_err();
+        assert!(failures[0].contains("events"), "{failures:?}");
+
+        let mut dropped = report();
+        dropped.day_snapshots_jsonl = None;
+        assert!(compare_reports(&dropped, &base, 0.2).is_err());
+
+        // A baseline without snapshots gates the event count only.
+        let mut old_base = report();
+        old_base.day_snapshots_jsonl = None;
+        assert!(compare_reports(&report(), &old_base, 0.2).is_ok());
     }
 }

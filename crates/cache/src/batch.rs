@@ -8,8 +8,8 @@
 //! the genuinely new blocks incur allocation-writes.
 //!
 //! The cache owns the epoch transition (what is allocated, retained,
-//! evicted, truncated at capacity). Under in-memory counting the sharded
-//! replay worker reads the per-access answer from the epoch table's
+//! evicted, truncated at capacity). Under in-memory counting the
+//! SieveStore appliance reads the per-access answer from the epoch table's
 //! resident bit instead (`sievestore_extsort::InMemoryCounter`, seeded from
 //! [`BatchCache::iter`] after every install) and never probes this set.
 

@@ -2,10 +2,12 @@
 //!
 //! [`SieveStore`] is the deployable unit the paper sketches — a transparent
 //! box that sits in front of a storage ensemble, absorbs block accesses,
-//! and serves the sieved hot set from solid-state media. It combines an
-//! [`AllocationPolicy`] with the matching cache organization (LRU for
-//! continuous policies, epoch-batched for discrete ones) and keeps running
-//! totals of hits, bypasses and allocation-writes.
+//! and serves the sieved hot set from solid-state media. It runs one of
+//! the Table 3 policies, named by a [`PolicySpec`], over the matching cache
+//! organization (LRU or SIEVE for continuous policies, epoch-batched for
+//! discrete ones) and keeps running totals of hits, bypasses and
+//! allocation-writes. It is also the replay engine's worker: one store per
+//! shard, for every policy.
 //!
 //! # Examples
 //!
@@ -28,15 +30,12 @@
 //! # }
 //! ```
 
-use sievestore_cache::{BatchCache, EpochTransition, EvictionPolicy, LruCache, SieveCache};
+use sievestore_cache::{EpochTransition, EvictionPolicy};
 use sievestore_extsort::CountingConfig;
 use sievestore_sieve::TwoTierConfig;
 use sievestore_types::{Day, Micros, RequestKind, SieveError};
 
-use crate::policy::{
-    AllocationPolicy, Aod, IdealTop1, MissDecision, RandSieveBlkD, RandSieveC, SieveStoreC,
-    SieveStoreD, Wmna,
-};
+use crate::policy::{Policy, PolicySpec};
 
 /// What happened to one block access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,131 +108,6 @@ impl ApplianceStats {
     }
 }
 
-/// Declarative policy selection for [`SieveStoreBuilder`].
-#[derive(Debug, Clone)]
-pub enum PolicySpec {
-    /// Allocate-on-demand (unsieved).
-    Aod,
-    /// Write-miss-no-allocate (unsieved).
-    Wmna,
-    /// SieveStore-C with the given two-tier sieve parameters.
-    SieveStoreC(TwoTierConfig),
-    /// SieveStore-D with the given per-epoch access-count threshold.
-    SieveStoreD {
-        /// Allocation threshold `t` (the paper uses 10).
-        threshold: u64,
-    },
-    /// RandSieve-C: allocate each miss with this probability.
-    RandSieveC {
-        /// Admission probability (the paper uses 0.01).
-        probability: f64,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// RandSieve-BlkD: batch-install a random fraction of each day's
-    /// accessed blocks.
-    RandSieveBlkD {
-        /// Selection fraction (the paper uses 0.01).
-        fraction: f64,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// The clairvoyant per-day oracle, with precomputed selections.
-    IdealTop1 {
-        /// Day-indexed block selections.
-        selections: Vec<Vec<u64>>,
-    },
-}
-
-impl PolicySpec {
-    /// The report name of the policy this spec builds.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PolicySpec::Aod => "AOD",
-            PolicySpec::Wmna => "WMNA",
-            PolicySpec::SieveStoreC(_) => "SieveStore-C",
-            PolicySpec::SieveStoreD { .. } => "SieveStore-D",
-            PolicySpec::RandSieveC { .. } => "RandSieve-C",
-            PolicySpec::RandSieveBlkD { .. } => "RandSieve-BlkD",
-            PolicySpec::IdealTop1 { .. } => "Ideal",
-        }
-    }
-
-    /// Whether this spec builds a discrete (epoch-batched) policy.
-    pub fn is_discrete(&self) -> bool {
-        matches!(
-            self,
-            PolicySpec::SieveStoreD { .. }
-                | PolicySpec::RandSieveBlkD { .. }
-                | PolicySpec::IdealTop1 { .. }
-        )
-    }
-
-    /// Builds the policy with an explicit epoch-counting backend for
-    /// SieveStore-D (other policies ignore it).
-    fn build_with_counting(
-        self,
-        counting: &CountingConfig,
-    ) -> Result<Box<dyn AllocationPolicy + Send>, SieveError> {
-        Ok(match self {
-            PolicySpec::Aod => Box::new(Aod::new()),
-            PolicySpec::Wmna => Box::new(Wmna::new()),
-            PolicySpec::SieveStoreC(cfg) => Box::new(SieveStoreC::new(cfg)?),
-            PolicySpec::SieveStoreD { threshold } => {
-                Box::new(SieveStoreD::with_counting(threshold, counting.clone())?)
-            }
-            PolicySpec::RandSieveC { probability, seed } => {
-                Box::new(RandSieveC::new(probability, seed)?)
-            }
-            PolicySpec::RandSieveBlkD { fraction, seed } => {
-                Box::new(RandSieveBlkD::new(fraction, seed)?)
-            }
-            PolicySpec::IdealTop1 { selections } => Box::new(IdealTop1::new(selections)),
-        })
-    }
-
-    /// Builds shard `shard` of a continuous policy split across `shards`
-    /// hash-partitioned replay workers. AOD/WMNA are stateless per key
-    /// and build unchanged; SieveStore-C builds with a sliced IMCT;
-    /// RandSieve-C reseeds per shard (shard 0 keeps the original seed so
-    /// a one-shard run is identical to the sequential policy).
-    ///
-    /// Discrete policies cannot be built per shard — their epoch batch
-    /// cache is a global structure the replay engine synchronizes at day
-    /// boundaries instead.
-    fn build_sharded(
-        self,
-        shard: usize,
-        shards: usize,
-    ) -> Result<Box<dyn AllocationPolicy + Send>, SieveError> {
-        if shard >= shards {
-            return Err(SieveError::InvalidConfig(format!(
-                "shard index {shard} out of range for {shards} shards"
-            )));
-        }
-        Ok(match self {
-            PolicySpec::Aod => Box::new(Aod::new()),
-            PolicySpec::Wmna => Box::new(Wmna::new()),
-            PolicySpec::SieveStoreC(cfg) => Box::new(SieveStoreC::for_shard(cfg, shard, shards)?),
-            PolicySpec::RandSieveC { probability, seed } => {
-                let seed = if shard == 0 {
-                    seed
-                } else {
-                    seed ^ sievestore_types::mix64(shard as u64)
-                };
-                Box::new(RandSieveC::new(probability, seed)?)
-            }
-            discrete => {
-                return Err(SieveError::InvalidConfig(format!(
-                    "discrete policy {} cannot be built per shard; \
-                     the replay engine batches it at epoch boundaries",
-                    discrete.name()
-                )))
-            }
-        })
-    }
-}
-
 /// Builder for [`SieveStore`].
 #[derive(Debug)]
 pub struct SieveStoreBuilder {
@@ -296,8 +170,9 @@ impl SieveStoreBuilder {
     /// Builds the appliance as shard `shard` of `shards` hash-partitioned
     /// replay workers: the policy's metastate is sliced to the shard's
     /// key partition and the capacity is split evenly. Only continuous
-    /// policies support this (discrete policies batch globally at epoch
-    /// boundaries instead — the replay engine handles them separately).
+    /// policies support this; a discrete policy's shard is a whole store
+    /// whose epoch installs the replay engine partitions
+    /// ([`PolicySpec::select_sharded`]).
     #[must_use]
     pub fn shard(mut self, shard: usize, shards: usize) -> Self {
         self.sharding = Some((shard, shards));
@@ -309,41 +184,41 @@ impl SieveStoreBuilder {
     /// # Errors
     ///
     /// Returns [`SieveError::InvalidConfig`] for a zero capacity, an
-    /// invalid policy configuration, or an unsatisfiable shard split.
+    /// invalid policy configuration, or an unsatisfiable shard split
+    /// (fewer frames than shards, a discrete policy, or a shard count
+    /// that does not divide SieveStore-C's IMCT).
     pub fn build(self) -> Result<SieveStore, SieveError> {
-        if self.capacity_blocks == 0 {
-            return Err(SieveError::InvalidConfig(
-                "cache capacity must be nonzero".into(),
-            ));
+        let (total, (shard, shards)) = (self.capacity_blocks, self.sharding.unwrap_or((0, 1)));
+        if shard >= shards {
+            return Err(SieveError::InvalidConfig(format!(
+                "shard index {shard} out of range for {shards} shards"
+            )));
         }
-        let (policy, capacity) = match self.sharding {
-            None => (
-                self.policy.build_with_counting(&self.counting)?,
-                self.capacity_blocks,
-            ),
-            Some((shard, shards)) => {
-                if shards == 0 {
-                    return Err(SieveError::InvalidConfig("shard count must be > 0".into()));
-                }
-                let base = self.capacity_blocks / shards;
-                let extra = usize::from(shard < self.capacity_blocks % shards);
-                (
-                    self.policy.build_sharded(shard, shards)?,
-                    (base + extra).max(1),
-                )
-            }
-        };
-        let cache = if policy.is_discrete() {
-            CacheKind::Batch(BatchCache::new(capacity))
-        } else {
-            match self.eviction {
-                EvictionPolicy::Lru => CacheKind::Lru(LruCache::new(capacity)),
-                EvictionPolicy::Sieve => CacheKind::Sieve(SieveCache::new(capacity)),
-            }
-        };
+        if total < shards {
+            // Zero frames, or fewer frames than shards.
+            return Err(SieveError::InvalidConfig(format!(
+                "cache capacity {total} blocks cannot cover {shards} shard(s)"
+            )));
+        }
+        if self.sharding.is_some() && self.policy.is_discrete() {
+            return Err(SieveError::InvalidConfig(format!(
+                "discrete policy {} cannot be built per shard; \
+                 the replay engine partitions its epoch installs",
+                self.policy.name()
+            )));
+        }
+        let capacity = total / shards + usize::from(shard < total % shards);
+        let policy = Policy::build(
+            &self.policy,
+            capacity,
+            self.eviction,
+            &self.counting,
+            (shard, shards),
+        )?;
         Ok(SieveStore {
-            cache,
+            spec: self.policy,
             policy,
+            epochs: 0,
             stats: ApplianceStats::default(),
         })
     }
@@ -355,24 +230,20 @@ impl Default for SieveStoreBuilder {
     }
 }
 
-#[derive(Debug)]
-enum CacheKind {
-    Lru(LruCache),
-    Sieve(SieveCache),
-    Batch(BatchCache),
-}
-
 /// The SieveStore appliance. See the [module docs](self) for an example.
 pub struct SieveStore {
-    cache: CacheKind,
-    policy: Box<dyn AllocationPolicy + Send>,
+    /// What the store runs; a discrete policy's selection rule lives here.
+    spec: PolicySpec,
+    policy: Policy,
+    /// Epochs ended so far.
+    epochs: u64,
     stats: ApplianceStats,
 }
 
 impl std::fmt::Debug for SieveStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SieveStore")
-            .field("policy", &self.policy.name())
+            .field("policy", &self.policy_name())
             .field("capacity", &self.capacity_blocks())
             .field("resident", &self.len_blocks())
             .field("stats", &self.stats)
@@ -382,70 +253,87 @@ impl std::fmt::Debug for SieveStore {
 
 impl SieveStore {
     /// Processes one 512-byte block access.
+    #[inline]
     pub fn access(&mut self, key: u64, kind: RequestKind, now: Micros) -> AccessOutcome {
-        self.policy.on_access(key, kind, now);
-        let hit = match &mut self.cache {
-            CacheKind::Lru(c) => c.touch(key),
-            CacheKind::Sieve(c) => c.touch(key),
-            CacheKind::Batch(c) => c.contains(key),
-        };
-        if hit {
-            self.policy.on_hit(key, kind, now);
-            match kind {
-                RequestKind::Read => self.stats.read_hits += 1,
-                RequestKind::Write => self.stats.write_hits += 1,
-            }
-            return AccessOutcome::Hit;
+        let outcome = self.policy.access(key, kind, now);
+        let stats = &mut self.stats;
+        match (outcome, kind) {
+            (AccessOutcome::Hit, RequestKind::Read) => stats.read_hits += 1,
+            (AccessOutcome::Hit, RequestKind::Write) => stats.write_hits += 1,
+            (_, RequestKind::Read) => stats.read_misses += 1,
+            (_, RequestKind::Write) => stats.write_misses += 1,
         }
-        match kind {
-            RequestKind::Read => self.stats.read_misses += 1,
-            RequestKind::Write => self.stats.write_misses += 1,
+        if outcome.is_allocation() {
+            stats.allocation_writes += 1;
         }
-        match self.policy.on_miss(key, kind, now) {
-            MissDecision::Bypass => AccessOutcome::BypassMiss,
-            MissDecision::Allocate => {
-                self.stats.allocation_writes += 1;
-                let evicted = match &mut self.cache {
-                    CacheKind::Lru(c) => c.insert(key),
-                    CacheKind::Sieve(c) => c.insert(key),
-                    // Discrete policies never reach here (they always
-                    // bypass), but allocate-into-batch is well-defined:
-                    // treat it as an epoch-local install.
-                    CacheKind::Batch(_) => None,
-                };
-                AccessOutcome::AllocatedMiss { evicted }
-            }
-        }
+        outcome
     }
 
     /// Hints that `key` is about to be [`access`](SieveStore::access)ed.
     /// Issuing it for every block of a request before accessing the
     /// first overlaps the cache misses on the policy's metastate (the
-    /// IMCT slot, or SieveStore-D's counter slot and epoch-cache slot);
-    /// it never changes an outcome.
+    /// IMCT slot, or SieveStore-D's counter slot); it never changes an
+    /// outcome.
     #[inline]
     pub fn prefetch(&self, key: u64) {
         self.policy.prefetch(key);
-        if let CacheKind::Batch(c) = &self.cache {
-            c.prefetch(key);
-        }
     }
 
-    /// Signals the start of calendar day `day`. Discrete policies install
-    /// their batch selection; the returned transition reports the moves
-    /// (allocation-writes for newly installed blocks are added to the
-    /// stats).
+    /// Signals the start of calendar day `day`. A discrete policy ends
+    /// its epoch and installs the selection: this store's
+    /// [contribution](SieveStore::epoch_contribution), through
+    /// [`PolicySpec::select_sharded`] as the one part, into
+    /// [`install_epoch`](SieveStore::install_epoch). The returned
+    /// transition reports the moves; `None` for continuous policies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counting substrate fails at the boundary (spill-log
+    /// I/O); [`epoch_contribution`](SieveStore::epoch_contribution)
+    /// returns that error instead.
     pub fn day_boundary(&mut self, day: Day) -> Option<EpochTransition> {
-        let selection = self.policy.on_day_boundary(day)?;
-        match &mut self.cache {
-            CacheKind::Batch(c) => {
-                let transition = c.install_epoch(selection);
-                self.stats.batch_allocations += transition.allocated.len() as u64;
-                self.stats.allocation_writes += transition.allocated.len() as u64;
-                Some(transition)
-            }
-            CacheKind::Lru(_) | CacheKind::Sieve(_) => None,
+        if !self.is_discrete() {
+            return None;
         }
+        let contribution = self
+            .epoch_contribution()
+            .expect("epoch access counting failed");
+        // Untruncated: the install truncates the one part itself and
+        // reports what overflowed.
+        let mut parts = self
+            .spec
+            .select_sharded(self.epochs, day, vec![contribution], usize::MAX);
+        self.install_epoch(parts.pop().expect("one part per contribution"))
+    }
+
+    /// Ends the current epoch and returns this store's contribution to
+    /// the epoch selection, sorted ascending: the keys SieveStore-D
+    /// counted at least `t` times, every key RandSieve-BlkD saw, nothing
+    /// for the oracle or a continuous policy. The first half of
+    /// [`day_boundary`](SieveStore::day_boundary), for a caller that
+    /// merges several stores' contributions.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the counting backend cannot finish the epoch or start the
+    /// next (spill-log I/O).
+    pub fn epoch_contribution(&mut self) -> Result<Vec<u64>, SieveError> {
+        self.epochs += 1;
+        self.policy.contribution()
+    }
+
+    /// Installs `selection` as the new epoch's resident set: selected
+    /// keys beyond capacity are dropped in order, and newly resident
+    /// blocks are counted as batch allocations and allocation-writes.
+    /// SieveStore-D's counter is seeded with what the install kept, so
+    /// its accesses answer hit-or-miss from the one slot they count in.
+    /// `None` (and no change) for continuous policies.
+    pub fn install_epoch(&mut self, selection: Vec<u64>) -> Option<EpochTransition> {
+        let transition = self.policy.install(selection)?;
+        let moved = transition.allocated.len() as u64;
+        self.stats.batch_allocations += moved;
+        self.stats.allocation_writes += moved;
+        Some(transition)
     }
 
     /// Installs `keys` as resident without consulting the policy or
@@ -455,66 +343,36 @@ impl SieveStore {
     /// crashed); callers should re-check [`SieveStore::contains`] for
     /// each key afterwards.
     ///
-    /// LRU caches insert in iteration order (later keys end up more
-    /// recently used); epoch-batched caches install the set as the
-    /// current epoch's selection.
+    /// LRU and SIEVE caches insert in iteration order (later keys end up
+    /// more recently used); epoch-batched caches add the keys to the
+    /// current epoch's resident set until it is full.
     pub fn warm(&mut self, keys: impl IntoIterator<Item = u64>) {
-        match &mut self.cache {
-            CacheKind::Lru(c) => {
-                for key in keys {
-                    if !c.contains(key) {
-                        c.insert(key);
-                    }
-                }
-            }
-            CacheKind::Sieve(c) => {
-                for key in keys {
-                    if !c.contains(key) {
-                        c.insert(key);
-                    }
-                }
-            }
-            CacheKind::Batch(c) => {
-                c.install_epoch(keys);
-            }
-        }
+        self.policy.warm(keys);
     }
 
     /// The policy's report name.
     pub fn policy_name(&self) -> &str {
-        self.policy.name()
+        self.spec.name()
     }
 
     /// Whether the appliance uses epoch-batched caching.
     pub fn is_discrete(&self) -> bool {
-        self.policy.is_discrete()
+        self.spec.is_discrete()
     }
 
     /// Cache capacity in 512-byte frames.
     pub fn capacity_blocks(&self) -> usize {
-        match &self.cache {
-            CacheKind::Lru(c) => c.capacity(),
-            CacheKind::Sieve(c) => c.capacity(),
-            CacheKind::Batch(c) => c.capacity(),
-        }
+        self.policy.occupancy().0
     }
 
     /// Currently resident frames.
     pub fn len_blocks(&self) -> usize {
-        match &self.cache {
-            CacheKind::Lru(c) => c.len(),
-            CacheKind::Sieve(c) => c.len(),
-            CacheKind::Batch(c) => c.len(),
-        }
+        self.policy.occupancy().1
     }
 
     /// Whether a block is resident (no recency side effects).
     pub fn contains(&self, key: u64) -> bool {
-        match &self.cache {
-            CacheKind::Lru(c) => c.contains(key),
-            CacheKind::Sieve(c) => c.contains(key),
-            CacheKind::Batch(c) => c.contains(key),
-        }
+        self.policy.contains(key)
     }
 
     /// Running totals.
@@ -558,6 +416,8 @@ mod tests {
         assert_eq!(s.allocation_writes, 1);
         assert_eq!(s.accesses(), 2);
         assert!((s.hit_ratio() - 0.5).abs() < 1e-12);
+        // Write misses allocate too.
+        assert!(store.access(2, RequestKind::Write, t()).is_allocation());
     }
 
     #[test]
@@ -581,6 +441,7 @@ mod tests {
         // A write to a resident block is a write hit.
         assert_eq!(store.access(1, RequestKind::Write, t()), AccessOutcome::Hit);
         assert_eq!(store.stats().write_hits, 1);
+        assert!(store.day_boundary(Day::new(1)).is_none());
     }
 
     #[test]
@@ -605,6 +466,145 @@ mod tests {
         assert_eq!(store.stats().batch_allocations, 1);
         // Day 1: hits on the installed block.
         assert_eq!(store.access(7, RequestKind::Write, t()), AccessOutcome::Hit);
+        // The next epoch starts fresh: one access earns nothing.
+        let transition = store.day_boundary(Day::new(2)).unwrap();
+        assert!(transition.allocated.is_empty());
+        assert_eq!(transition.evicted, 1);
+        assert!(!store.contains(7));
+    }
+
+    #[test]
+    fn sievestore_d_rejects_a_zero_threshold() {
+        assert!(SieveStoreBuilder::new()
+            .policy(PolicySpec::SieveStoreD { threshold: 0 })
+            .build()
+            .is_err());
+    }
+
+    /// Empties SieveStore-D's epoch cache behind the counter's back, so
+    /// only the counter's resident bits can still answer "hit".
+    fn forget_the_epoch_cache(store: &mut SieveStore) {
+        let Policy::Discrete { cache, .. } = &mut store.policy else {
+            unreachable!("a SieveStore-D store")
+        };
+        *cache = sievestore_cache::BatchCache::new(cache.capacity());
+    }
+
+    #[test]
+    fn sievestore_d_answers_from_the_counter_slot_the_install_seeded() {
+        // Epoch 0 earns keys 5, 7 and 9 a frame; the cache has room for two.
+        let mut store = build(PolicySpec::SieveStoreD { threshold: 2 }, 2);
+        for key in [5, 9, 5, 7, 9, 7, 3] {
+            assert!(store.access(key, RequestKind::Read, t()).is_miss());
+        }
+        let transition = store.day_boundary(Day::new(1)).unwrap();
+        assert_eq!((transition.allocated.len(), transition.overflowed), (2, 1));
+        assert!(store.contains(5) && store.contains(7) && !store.contains(9));
+        forget_the_epoch_cache(&mut store);
+        // First access of each kept key reads "hit"; key 9 was selected
+        // but truncated at capacity, so it was never seeded.
+        let hits = [5, 7, 9, 3, 5].map(|key| store.access(key, RequestKind::Read, t()).is_hit());
+        assert_eq!(hits, [true, true, false, false, true]);
+        // The seeds reached no count: only key 5 was touched twice.
+        let transition = store.day_boundary(Day::new(2)).unwrap();
+        assert_eq!(transition.allocated, vec![5]);
+    }
+
+    #[test]
+    fn sievestore_d_hits_from_the_first_access_after_warm() {
+        let mut store = build(PolicySpec::SieveStoreD { threshold: 3 }, 4);
+        store.access(1, RequestKind::Read, t());
+        store.warm([10, 11]);
+        store.warm([12, 10]);
+        forget_the_epoch_cache(&mut store);
+        for key in [10, 11, 12] {
+            assert!(store.access(key, RequestKind::Read, t()).is_hit(), "{key}");
+        }
+        assert!(store.access(1, RequestKind::Read, t()).is_miss());
+        assert_eq!(store.stats().allocation_writes, 0);
+    }
+
+    #[test]
+    fn sievestore_d_warm_adds_to_the_resident_set_until_full() {
+        let mut store = build(PolicySpec::SieveStoreD { threshold: 3 }, 2);
+        store.warm([10]);
+        store.warm([11, 12]);
+        assert!(store.contains(10) && store.contains(11) && !store.contains(12));
+        assert_eq!(store.len_blocks(), 2);
+    }
+
+    #[test]
+    fn sievestore_d_selection_is_backend_independent() {
+        // The spill counter keeps no resident bit, so it also pins the
+        // one-slot answer against the epoch cache's.
+        let dir = std::env::temp_dir().join(format!("sievestore-polspill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = |counting| {
+            let mut store = SieveStoreBuilder::new()
+                .capacity_blocks(64)
+                .policy(PolicySpec::SieveStoreD { threshold: 3 })
+                .counting(counting)
+                .build()
+                .unwrap();
+            let (mut outcomes, mut transitions) = (Vec::new(), Vec::new());
+            for day in 1..=3u64 {
+                for k in 0..100u64 {
+                    for _ in 0..(k + day) % 5 {
+                        outcomes.push(store.access(k, RequestKind::Read, t()));
+                    }
+                }
+                transitions.push(store.day_boundary(Day::new(day as u16)).unwrap());
+            }
+            (outcomes, transitions)
+        };
+        let in_memory = run(CountingConfig::InMemory);
+        let spill = run(CountingConfig::spill(&dir).with_budget(8));
+        assert!(!in_memory.1[0].allocated.is_empty());
+        assert!(in_memory.0.iter().any(|o| o.is_hit()));
+        assert_eq!(in_memory, spill);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rand_blkd_installs_a_fraction_of_the_accessed_keys() {
+        let spec = PolicySpec::RandSieveBlkD {
+            fraction: 0.1,
+            seed: 7,
+        };
+        let mut store = build(spec, 4096);
+        for k in 0..1000u64 {
+            assert_eq!(
+                store.access(k, RequestKind::Read, t()),
+                AccessOutcome::BypassMiss
+            );
+        }
+        let transition = store.day_boundary(Day::new(1)).unwrap();
+        assert_eq!(transition.allocated.len(), 100);
+        assert!(transition.allocated.iter().all(|&k| k < 1000));
+        // The second epoch saw no accesses.
+        assert_eq!(store.day_boundary(Day::new(2)).unwrap().evicted, 100);
+        assert_eq!(store.len_blocks(), 0);
+        let bad = PolicySpec::RandSieveBlkD {
+            fraction: 1.5,
+            seed: 0,
+        };
+        assert!(SieveStoreBuilder::new().policy(bad).build().is_err());
+    }
+
+    #[test]
+    fn rand_c_respects_probability_extremes() {
+        let rand_c = |probability| PolicySpec::RandSieveC {
+            probability,
+            seed: 1,
+        };
+        let mut never = build(rand_c(0.0), 256);
+        assert!((0..100).all(|k| !never.access(k, RequestKind::Read, t()).is_allocation()));
+        let mut always = build(rand_c(1.0), 256);
+        assert!((0..100).all(|k| always.access(k, RequestKind::Read, t()).is_allocation()));
+        assert!(SieveStoreBuilder::new()
+            .policy(rand_c(-0.1))
+            .build()
+            .is_err());
     }
 
     #[test]
@@ -649,6 +649,10 @@ mod tests {
         assert_eq!(transition.retained, 1);
         assert_eq!(transition.evicted, 1);
         assert!(!store.contains(1));
+        // Past its last day the oracle selects nothing.
+        let transition = store.day_boundary(Day::new(5)).unwrap();
+        assert!(transition.allocated.is_empty());
+        assert_eq!((transition.evicted, store.len_blocks()), (2, 0));
     }
 
     #[test]
@@ -685,6 +689,18 @@ mod tests {
             store.access(u64::MAX, RequestKind::Read, t()),
             AccessOutcome::Hit
         );
+    }
+
+    #[test]
+    fn sievestore_c_requires_repeated_misses() {
+        let cfg = TwoTierConfig::paper_default()
+            .with_imct_entries(1 << 12)
+            .with_thresholds(2, 1);
+        let mut store = build(PolicySpec::SieveStoreC(cfg), 16);
+        assert!(store.access(9, RequestKind::Read, t()).is_miss());
+        assert!(!store.access(9, RequestKind::Read, t()).is_allocation());
+        assert!(store.access(9, RequestKind::Read, t()).is_allocation());
+        assert!(store.access(9, RequestKind::Read, t()).is_hit());
     }
 
     #[test]
@@ -759,6 +775,27 @@ mod tests {
             .shard(2, 2)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn a_sharded_cache_needs_a_frame_per_shard() {
+        // Every shard needs a frame of its own: rounding a shard up to
+        // one frame would grow the logical cache behind the caller.
+        for shard in 0..4 {
+            let built = SieveStoreBuilder::new()
+                .capacity_blocks(2)
+                .policy(PolicySpec::Aod)
+                .shard(shard, 4)
+                .build();
+            assert!(built.is_err(), "shard {shard} of 4 over 2 frames");
+        }
+        let one_each = SieveStoreBuilder::new()
+            .capacity_blocks(4)
+            .policy(PolicySpec::Aod)
+            .shard(3, 4)
+            .build()
+            .unwrap();
+        assert_eq!(one_each.capacity_blocks(), 1);
     }
 
     #[test]

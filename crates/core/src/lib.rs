@@ -15,10 +15,10 @@
 //!
 //! Two practical sieves are provided:
 //!
-//! * **SieveStore-D** ([`policy::SieveStoreD`]) — discrete: counts every
+//! * **SieveStore-D** ([`PolicySpec::SieveStoreD`]) — discrete: counts every
 //!   access per epoch (offline-loggable via `sievestore-extsort`) and
 //!   batch-installs the blocks with ≥ 10 accesses at day boundaries.
-//! * **SieveStore-C** ([`policy::SieveStoreC`]) — continuous: allocates on
+//! * **SieveStore-C** ([`PolicySpec::SieveStoreC`]) — continuous: allocates on
 //!   the n-th miss within a recent window, gated through a two-tier
 //!   imprecise/precise miss-count table (`sievestore-sieve`).
 //!
@@ -58,8 +58,8 @@
 
 pub mod analytical;
 pub mod appliance;
-pub mod policy;
+mod policy;
 
-pub use appliance::{AccessOutcome, ApplianceStats, PolicySpec, SieveStore, SieveStoreBuilder};
-pub use policy::{AllocationPolicy, MissDecision};
+pub use appliance::{AccessOutcome, ApplianceStats, SieveStore, SieveStoreBuilder};
+pub use policy::PolicySpec;
 pub use sievestore_cache::EvictionPolicy;

@@ -1,4 +1,4 @@
-//! The allocation-policy abstraction and all policies from Table 3.
+//! The allocation policies of Table 3, as one closed enum.
 //!
 //! A policy answers one question — *does this missing block get a cache
 //! frame?* — plus, for the discrete policies, *which blocks are batch-
@@ -13,566 +13,500 @@
 //!
 //! plus the randomized baselines RandSieve-BlkD / RandSieve-C and the
 //! clairvoyant ideal (top 1 % of each day's blocks).
+//!
+//! [`PolicySpec`] names a policy. The appliance builds a private `Policy`
+//! from it, whose variants pair each policy's per-key state with the cache
+//! it runs over, so every call is static. A discrete epoch ends in two
+//! steps — each store's sorted *contribution*, then installing its part
+//! of the selection — and [`PolicySpec::select_sharded`] turns the
+//! contributions into those parts, for one store
+//! (`SieveStore::day_boundary`) or for the replay engine's shards alike.
 
-use std::collections::HashSet;
-
+use sievestore_cache::{BatchCache, EpochTransition, EvictionPolicy, LruCache, SieveCache};
 use sievestore_extsort::{AccessCounter, CountingConfig, EpochCounter};
-use sievestore_sieve::{
-    random_block_selection, DiscreteSieve, RandomMissSieve, TwoTierConfig, TwoTierSieve,
-};
-use sievestore_types::{Day, Micros, RequestKind, SieveError};
+use sievestore_sieve::{random_block_selection, DiscreteSieve, RandomMissSieve, TwoTierSieve};
+use sievestore_types::{mix64, shard_of, Day, Micros, RequestKind, SieveError, U64Set};
 
-/// Verdict for a missing block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MissDecision {
-    /// Bring the block into the cache (incurs an allocation-write).
-    Allocate,
-    /// Serve the miss from the underlying ensemble; no cache change.
-    Bypass,
-}
+use crate::appliance::AccessOutcome;
 
-impl MissDecision {
-    /// Whether the decision allocates.
-    pub const fn is_allocate(self) -> bool {
-        matches!(self, MissDecision::Allocate)
-    }
-}
-
-/// A cache-allocation policy (continuous or discrete).
-///
-/// Continuous policies decide per miss via
-/// [`AllocationPolicy::on_miss`]; discrete policies bypass every miss and
-/// instead return a batch selection from
-/// [`AllocationPolicy::on_day_boundary`].
-pub trait AllocationPolicy {
-    /// Short identifier used in reports ("AOD", "SieveStore-C", ...).
-    fn name(&self) -> &str;
-
-    /// Observes every block access (hit or miss). Discrete access-count
-    /// policies do their bookkeeping here.
-    fn on_access(&mut self, _key: u64, _kind: RequestKind, _now: Micros) {}
-
-    /// Observes a cache hit.
-    fn on_hit(&mut self, _key: u64, _kind: RequestKind, _now: Micros) {}
-
-    /// Decides a cache miss.
-    fn on_miss(&mut self, key: u64, kind: RequestKind, now: Micros) -> MissDecision;
-
-    /// Called when calendar day `day` begins. A `Some` return is the exact
-    /// set to batch-install for the new epoch (discrete policies);
-    /// `None` leaves the cache contents alone (continuous policies).
-    fn on_day_boundary(&mut self, _day: Day) -> Option<Vec<u64>> {
-        None
-    }
-
-    /// Whether the policy uses epoch-batched (discrete) caching.
-    fn is_discrete(&self) -> bool {
-        false
-    }
-
-    /// Hints that `key` is about to be accessed, so a policy with large
-    /// in-memory metastate can start fetching it. Purely a performance
-    /// hint: it must change no state, and callers may skip it.
-    fn prefetch(&self, _key: u64) {}
-}
-
-/// Allocate-on-demand: every miss allocates.
+/// Declarative policy selection for [`SieveStoreBuilder`](crate::SieveStoreBuilder).
 ///
 /// # Examples
 ///
 /// ```
-/// use sievestore::policy::{AllocationPolicy, Aod, MissDecision};
-/// use sievestore_types::{Micros, RequestKind};
+/// use sievestore::{PolicySpec, SieveStoreBuilder};
+/// use sievestore_types::{Micros, RequestKind::{Read, Write}};
 ///
-/// let mut aod = Aod::new();
-/// let d = aod.on_miss(1, RequestKind::Write, Micros::new(0));
-/// assert_eq!(d, MissDecision::Allocate);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Aod;
-
-impl Aod {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        Aod
-    }
-}
-
-impl AllocationPolicy for Aod {
-    fn name(&self) -> &str {
-        "AOD"
-    }
-
-    fn on_miss(&mut self, _key: u64, _kind: RequestKind, _now: Micros) -> MissDecision {
-        MissDecision::Allocate
-    }
-}
-
-/// Write-miss-no-allocate: only read misses allocate.
-///
-/// # Examples
-///
-/// ```
-/// use sievestore::policy::{AllocationPolicy, MissDecision, Wmna};
-/// use sievestore_types::{Micros, RequestKind};
-///
-/// let mut wmna = Wmna::new();
-/// assert_eq!(wmna.on_miss(1, RequestKind::Read, Micros::new(0)), MissDecision::Allocate);
-/// assert_eq!(wmna.on_miss(1, RequestKind::Write, Micros::new(0)), MissDecision::Bypass);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Wmna;
-
-impl Wmna {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        Wmna
-    }
-}
-
-impl AllocationPolicy for Wmna {
-    fn name(&self) -> &str {
-        "WMNA"
-    }
-
-    fn on_miss(&mut self, _key: u64, kind: RequestKind, _now: Micros) -> MissDecision {
-        if kind.is_read() {
-            MissDecision::Allocate
-        } else {
-            MissDecision::Bypass
-        }
-    }
-}
-
-/// SieveStore-C: hysteresis-based lazy allocation through the two-tier
-/// IMCT/MCT sieve.
-///
-/// # Examples
-///
-/// ```
-/// use sievestore::policy::SieveStoreC;
-/// use sievestore_sieve::TwoTierConfig;
-///
-/// let policy = SieveStoreC::new(TwoTierConfig::paper_default()).unwrap();
-/// assert_eq!(sievestore::policy::AllocationPolicy::name(&policy), "SieveStore-C");
+/// // WMNA allocates read misses only.
+/// let mut wmna = SieveStoreBuilder::new().policy(PolicySpec::Wmna).build().unwrap();
+/// assert!(!wmna.access(1, Write, Micros::new(0)).is_allocation());
+/// assert!(wmna.access(1, Read, Micros::new(0)).is_allocation());
 /// ```
 #[derive(Debug, Clone)]
-pub struct SieveStoreC {
-    sieve: TwoTierSieve,
+pub enum PolicySpec {
+    /// Allocate-on-demand (unsieved).
+    Aod,
+    /// Write-miss-no-allocate (unsieved).
+    Wmna,
+    /// SieveStore-C with the given two-tier sieve parameters.
+    SieveStoreC(sievestore_sieve::TwoTierConfig),
+    /// SieveStore-D with the given per-epoch access-count threshold.
+    SieveStoreD {
+        /// Allocation threshold `t` (the paper uses 10).
+        threshold: u64,
+    },
+    /// RandSieve-C: allocate each miss with this probability.
+    RandSieveC {
+        /// Admission probability (the paper uses 0.01).
+        probability: f64,
+        /// RNG seed.
+        seed: u64,
+    },
+    /// RandSieve-BlkD: batch-install a random fraction of each day's
+    /// accessed blocks.
+    RandSieveBlkD {
+        /// Selection fraction (the paper uses 0.01).
+        fraction: f64,
+        /// RNG seed.
+        seed: u64,
+    },
+    /// The clairvoyant per-day oracle, with precomputed selections.
+    IdealTop1 {
+        /// Day-indexed block selections.
+        selections: Vec<Vec<u64>>,
+    },
 }
 
-impl SieveStoreC {
-    /// Creates the policy with the given sieve parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SieveError::InvalidConfig`] if the sieve config is
-    /// invalid.
-    pub fn new(config: TwoTierConfig) -> Result<Self, SieveError> {
-        Ok(SieveStoreC {
-            sieve: TwoTierSieve::new(config)?,
-        })
-    }
-
-    /// Creates shard `shard` of the policy split across `shards` parallel
-    /// replay workers: its sieve owns the matching slice of the logical
-    /// IMCT (see [`TwoTierSieve::for_shard`]) and, fed only its
-    /// partition's misses, reproduces the whole sieve's decisions for
-    /// those keys exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SieveError::InvalidConfig`] if `shards` does not divide
-    /// `config.imct_entries` or `shard` is out of range.
-    pub fn for_shard(
-        config: TwoTierConfig,
-        shard: usize,
-        shards: usize,
-    ) -> Result<Self, SieveError> {
-        Ok(SieveStoreC {
-            sieve: TwoTierSieve::for_shard(config, shard, shards)?,
-        })
-    }
-
-    /// Access to the underlying sieve (metastate diagnostics).
-    pub fn sieve(&self) -> &TwoTierSieve {
-        &self.sieve
-    }
-}
-
-impl AllocationPolicy for SieveStoreC {
-    fn name(&self) -> &str {
-        "SieveStore-C"
-    }
-
-    fn on_miss(&mut self, key: u64, _kind: RequestKind, now: Micros) -> MissDecision {
-        if self.sieve.on_miss(key, now) {
-            MissDecision::Allocate
-        } else {
-            MissDecision::Bypass
+impl PolicySpec {
+    /// The report name of the policy this spec builds.
+    pub fn name(&self) -> &'static str {
+        match self {
+            PolicySpec::Aod => "AOD",
+            PolicySpec::Wmna => "WMNA",
+            PolicySpec::SieveStoreC(_) => "SieveStore-C",
+            PolicySpec::SieveStoreD { .. } => "SieveStore-D",
+            PolicySpec::RandSieveC { .. } => "RandSieve-C",
+            PolicySpec::RandSieveBlkD { .. } => "RandSieve-BlkD",
+            PolicySpec::IdealTop1 { .. } => "Ideal",
         }
     }
 
-    fn prefetch(&self, key: u64) {
-        self.sieve.prefetch(key);
-    }
-}
-
-/// RandSieve-C: allocates a random fraction of misses.
-#[derive(Debug, Clone)]
-pub struct RandSieveC {
-    sieve: RandomMissSieve,
-}
-
-impl RandSieveC {
-    /// Creates the policy; the paper samples 1 % of misses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SieveError::InvalidConfig`] if `probability` is outside
-    /// `[0, 1]`.
-    pub fn new(probability: f64, seed: u64) -> Result<Self, SieveError> {
-        Ok(RandSieveC {
-            sieve: RandomMissSieve::new(probability, seed)?,
-        })
-    }
-}
-
-impl AllocationPolicy for RandSieveC {
-    fn name(&self) -> &str {
-        "RandSieve-C"
-    }
-
-    fn on_miss(&mut self, _key: u64, _kind: RequestKind, _now: Micros) -> MissDecision {
-        if self.sieve.on_miss() {
-            MissDecision::Allocate
-        } else {
-            MissDecision::Bypass
-        }
-    }
-}
-
-/// SieveStore-D: counts every access during the day and batch-installs the
-/// blocks whose count reached the threshold at the day boundary.
-///
-/// Misses never allocate mid-epoch; day 0 bootstraps with an empty cache.
-/// The counting substrate is chosen by a
-/// [`CountingConfig`]: the in-memory epoch table (default; one slot per
-/// key, emptied in place at each boundary, prefetchable) or the budgeted
-/// spill-to-disk log for epochs whose distinct-key population exceeds RAM
-/// — the selection at each boundary is identical either way.
-#[derive(Debug)]
-pub struct SieveStoreD {
-    sieve: DiscreteSieve<EpochCounter>,
-    counting: CountingConfig,
-}
-
-impl SieveStoreD {
-    /// Creates the policy with the paper's threshold of 10 accesses/day.
-    pub fn paper_default() -> Self {
-        Self::new(DiscreteSieve::<EpochCounter>::PAPER_THRESHOLD).expect("paper threshold is valid")
-    }
-
-    /// Creates the policy with a custom threshold over in-memory counting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SieveError::InvalidConfig`] if `threshold == 0`.
-    pub fn new(threshold: u64) -> Result<Self, SieveError> {
-        Self::with_counting(threshold, CountingConfig::InMemory)
-    }
-
-    /// Creates the policy over an explicit counting backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SieveError::InvalidConfig`] if `threshold == 0`, or a
-    /// storage error if the spill backend cannot be set up.
-    pub fn with_counting(threshold: u64, counting: CountingConfig) -> Result<Self, SieveError> {
-        Ok(SieveStoreD {
-            sieve: DiscreteSieve::new(counting.counter()?, threshold)?,
-            counting,
-        })
-    }
-
-    /// The allocation threshold.
-    pub fn threshold(&self) -> u64 {
-        self.sieve.threshold()
-    }
-
-    /// The counting backend configuration.
-    pub fn counting(&self) -> &CountingConfig {
-        &self.counting
-    }
-}
-
-impl AllocationPolicy for SieveStoreD {
-    fn name(&self) -> &str {
-        "SieveStore-D"
-    }
-
-    fn on_access(&mut self, key: u64, _kind: RequestKind, _now: Micros) {
-        self.sieve.record_access(key);
-    }
-
-    fn on_miss(&mut self, _key: u64, _kind: RequestKind, _now: Micros) -> MissDecision {
-        MissDecision::Bypass
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the counting substrate fails at the boundary (spill-log
-    /// I/O); the infallible trait signature has nowhere to surface it.
-    fn on_day_boundary(&mut self, _day: Day) -> Option<Vec<u64>> {
-        let next = self
-            .counting
-            .counter()
-            .expect("epoch counting backend failed to restart");
-        Some(self.sieve.end_epoch(next).expect("access counting failed"))
-    }
-
-    fn is_discrete(&self) -> bool {
-        true
-    }
-
-    fn prefetch(&self, key: u64) {
-        self.sieve.counter().prefetch(key);
-    }
-}
-
-/// RandSieve-BlkD: batch-installs a random fraction of the blocks accessed
-/// in the previous day.
-#[derive(Debug)]
-pub struct RandSieveBlkD {
-    accessed: HashSet<u64>,
-    fraction: f64,
-    seed: u64,
-    epoch: u64,
-}
-
-impl RandSieveBlkD {
-    /// Creates the policy; the paper samples 1 % of accessed blocks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SieveError::InvalidConfig`] if `fraction` is outside
-    /// `[0, 1]`.
-    pub fn new(fraction: f64, seed: u64) -> Result<Self, SieveError> {
-        if !(0.0..=1.0).contains(&fraction) {
-            return Err(SieveError::InvalidConfig(format!(
-                "selection fraction must be in [0,1], got {fraction}"
-            )));
-        }
-        Ok(RandSieveBlkD {
-            accessed: HashSet::new(),
-            fraction,
-            seed,
-            epoch: 0,
-        })
-    }
-}
-
-impl AllocationPolicy for RandSieveBlkD {
-    fn name(&self) -> &str {
-        "RandSieve-BlkD"
-    }
-
-    fn on_access(&mut self, key: u64, _kind: RequestKind, _now: Micros) {
-        self.accessed.insert(key);
-    }
-
-    fn on_miss(&mut self, _key: u64, _kind: RequestKind, _now: Micros) -> MissDecision {
-        MissDecision::Bypass
-    }
-
-    fn on_day_boundary(&mut self, _day: Day) -> Option<Vec<u64>> {
-        let mut accessed: Vec<u64> = self.accessed.drain().collect();
-        accessed.sort_unstable(); // determinism independent of hash order
-        self.epoch += 1;
-        Some(random_block_selection(
-            accessed.into_iter(),
-            self.fraction,
-            self.seed ^ self.epoch,
-        ))
-    }
-
-    fn is_discrete(&self) -> bool {
-        true
-    }
-}
-
-/// The clairvoyant ideal: at the start of day *d* the cache is loaded with
-/// exactly day *d*'s top-1 % most-accessed blocks (precomputed by an
-/// oracle pre-pass over the trace).
-#[derive(Debug, Clone)]
-pub struct IdealTop1 {
-    /// Per-day selections, indexed by day.
-    selections: Vec<Vec<u64>>,
-}
-
-impl IdealTop1 {
-    /// Creates the oracle with one selection per day.
-    pub fn new(selections: Vec<Vec<u64>>) -> Self {
-        IdealTop1 { selections }
-    }
-
-    /// Number of days covered.
-    pub fn days(&self) -> usize {
-        self.selections.len()
-    }
-}
-
-impl AllocationPolicy for IdealTop1 {
-    fn name(&self) -> &str {
-        "Ideal"
-    }
-
-    fn on_miss(&mut self, _key: u64, _kind: RequestKind, _now: Micros) -> MissDecision {
-        MissDecision::Bypass
-    }
-
-    fn on_day_boundary(&mut self, day: Day) -> Option<Vec<u64>> {
-        Some(
-            self.selections
-                .get(day.as_usize())
-                .cloned()
-                .unwrap_or_default(),
+    /// Whether this spec builds a discrete (epoch-batched) policy.
+    pub fn is_discrete(&self) -> bool {
+        matches!(
+            self,
+            PolicySpec::SieveStoreD { .. }
+                | PolicySpec::RandSieveBlkD { .. }
+                | PolicySpec::IdealTop1 { .. }
         )
     }
 
-    fn is_discrete(&self) -> bool {
-        true
+    /// The `epoch`-th selection (epochs count boundaries from 1), starting
+    /// calendar day `day`, already split into per-shard installs.
+    ///
+    /// `contributions[s]` is shard `s`'s sorted, duplicate-free epoch
+    /// contribution ([`SieveStore::epoch_contribution`](crate::SieveStore::epoch_contribution)),
+    /// the shards' keys hash-disjoint ([`shard_of`]); one store is one
+    /// shard. The parts are exactly what one global
+    /// [`BatchCache::install_epoch`] of the selection would keep — same
+    /// dedupe, same in-order truncation at `capacity` — restricted to
+    /// each shard's keys, so per-shard installs sum to the global one. A
+    /// continuous policy selects nothing.
+    pub fn select_sharded(
+        &self,
+        epoch: u64,
+        day: Day,
+        contributions: Vec<Vec<u64>>,
+        capacity: usize,
+    ) -> Vec<Vec<u64>> {
+        let shards = contributions.len();
+        let merged = |contributions: Vec<Vec<u64>>| {
+            let mut all: Vec<u64> = contributions.into_iter().flatten().collect();
+            all.sort_unstable();
+            all
+        };
+        match self {
+            PolicySpec::IdealTop1 { selections } => {
+                let selection = selections.get(day.as_usize()).into_iter().flatten();
+                partition_selection(selection.copied(), shards, capacity)
+            }
+            PolicySpec::RandSieveBlkD { fraction, seed } => {
+                let accessed = merged(contributions).into_iter();
+                let selection = random_block_selection(accessed, *fraction, *seed ^ epoch);
+                partition_selection(selection, shards, capacity)
+            }
+            PolicySpec::SieveStoreD { .. } => {
+                // Within capacity the whole-trace sieve would select the full
+                // sorted concatenation and nothing would be truncated, so the
+                // contributions are already the partition — the common case
+                // costs no merge at all.
+                if contributions.iter().map(Vec::len).sum::<usize>() <= capacity {
+                    return contributions;
+                }
+                partition_selection(merged(contributions), shards, capacity)
+            }
+            _ => partition_selection([], shards, capacity),
+        }
+    }
+}
+
+/// Splits a global epoch selection into per-shard install lists,
+/// replicating [`BatchCache::install_epoch`]'s semantics: duplicates are
+/// kept once, and selection beyond `capacity` distinct keys is dropped
+/// in iteration order.
+fn partition_selection(
+    keys: impl IntoIterator<Item = u64>,
+    shards: usize,
+    capacity: usize,
+) -> Vec<Vec<u64>> {
+    let mut parts: Vec<Vec<u64>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut seen = U64Set::new();
+    for key in keys {
+        if seen.len() >= capacity {
+            break;
+        }
+        if seen.insert(key) {
+            parts[shard_of(key, shards)].push(key);
+        }
+    }
+    parts
+}
+
+/// A continuous policy's block cache.
+#[derive(Debug)]
+pub(crate) enum Frames {
+    Lru(LruCache),
+    Sieve(SieveCache),
+}
+
+/// Runs `$call` on whichever cache `$frames` holds.
+macro_rules! on_frames {
+    ($frames:expr, $c:ident => $call:expr) => {
+        match $frames {
+            Frames::Lru($c) => $call,
+            Frames::Sieve($c) => $call,
+        }
+    };
+}
+
+/// A continuous policy's answer to a miss.
+#[derive(Debug)]
+pub(crate) enum Admission {
+    Aod,
+    Wmna,
+    SieveC(TwoTierSieve),
+    RandC(RandomMissSieve),
+}
+
+/// A discrete policy's bookkeeping for the current epoch.
+#[derive(Debug)]
+pub(crate) enum Book {
+    /// SieveStore-D's access counter. In memory a key's count and the
+    /// epoch cache's resident bit share one slot, so an access is one
+    /// probe; the spill backend's hot map drains, so it has no bit.
+    SieveD {
+        sieve: DiscreteSieve<EpochCounter>,
+        /// Mints the next epoch's counter (each spill counter claims its
+        /// own subdirectory, so one config serves every shard).
+        counting: CountingConfig,
+    },
+    /// RandSieve-BlkD: the epoch's accessed keys.
+    BlkD(U64Set),
+    /// The oracle keeps none.
+    Ideal,
+}
+
+/// One policy's per-key state beside the cache it runs over. The
+/// selection rules of the discrete policies (BlkD's fraction and seed,
+/// the oracle's selections) stay in the [`PolicySpec`].
+#[derive(Debug)]
+pub(crate) enum Policy {
+    /// AOD, WMNA, SieveStore-C, RandSieve-C.
+    Continuous { cache: Frames, admit: Admission },
+    /// SieveStore-D, RandSieve-BlkD, the oracle.
+    Discrete { cache: BatchCache, book: Book },
+}
+
+impl Policy {
+    /// Builds `spec` over a `capacity`-frame cache, as shard `shard` of
+    /// `shards` (a whole store is shard 0 of 1). Continuous metastate is
+    /// sliced to the shard; discrete policies are always whole.
+    pub(crate) fn build(
+        spec: &PolicySpec,
+        capacity: usize,
+        eviction: EvictionPolicy,
+        counting: &CountingConfig,
+        (shard, shards): (usize, usize),
+    ) -> Result<Policy, SieveError> {
+        let admit = match spec {
+            PolicySpec::Aod => Admission::Aod,
+            PolicySpec::Wmna => Admission::Wmna,
+            PolicySpec::SieveStoreC(cfg) => {
+                Admission::SieveC(TwoTierSieve::for_shard(*cfg, shard, shards)?)
+            }
+            PolicySpec::RandSieveC { probability, seed } => {
+                // Shard 0 keeps the original seed, so one shard is the
+                // whole store.
+                let seed = if shard == 0 {
+                    *seed
+                } else {
+                    seed ^ mix64(shard as u64)
+                };
+                Admission::RandC(RandomMissSieve::new(*probability, seed)?)
+            }
+            discrete => {
+                let book = match discrete {
+                    PolicySpec::SieveStoreD { threshold } => Book::SieveD {
+                        sieve: DiscreteSieve::new(counting.counter()?, *threshold)?,
+                        counting: counting.clone(),
+                    },
+                    PolicySpec::RandSieveBlkD { fraction, .. } => {
+                        if !(0.0..=1.0).contains(fraction) {
+                            return Err(SieveError::InvalidConfig(format!(
+                                "selection fraction must be in [0,1], got {fraction}"
+                            )));
+                        }
+                        Book::BlkD(U64Set::new())
+                    }
+                    _ => Book::Ideal,
+                };
+                let cache = BatchCache::new(capacity);
+                return Ok(Policy::Discrete { cache, book });
+            }
+        };
+        let cache = match eviction {
+            EvictionPolicy::Lru => Frames::Lru(LruCache::new(capacity)),
+            EvictionPolicy::Sieve => Frames::Sieve(SieveCache::new(capacity)),
+        };
+        Ok(Policy::Continuous { cache, admit })
+    }
+
+    /// Processes one block access. Discrete misses never allocate.
+    #[inline]
+    pub(crate) fn access(&mut self, key: u64, kind: RequestKind, now: Micros) -> AccessOutcome {
+        let (cache, book) = match self {
+            Policy::Discrete { cache, book } => (cache, book),
+            Policy::Continuous { cache, admit } => {
+                if on_frames!(cache, c => c.touch(key)) {
+                    return AccessOutcome::Hit;
+                }
+                let admitted = match admit {
+                    Admission::Aod => true,
+                    Admission::Wmna => kind.is_read(),
+                    Admission::SieveC(sieve) => sieve.on_miss(key, now),
+                    Admission::RandC(sieve) => sieve.on_miss(),
+                };
+                if !admitted {
+                    return AccessOutcome::BypassMiss;
+                }
+                let evicted = on_frames!(cache, c => c.insert(key));
+                return AccessOutcome::AllocatedMiss { evicted };
+            }
+        };
+        let hit = match book {
+            Book::SieveD { sieve, .. } => sieve
+                .counter_mut()
+                .touch(key)
+                .map_or_else(|| cache.contains(key), BatchCache::count_lookup),
+            Book::BlkD(accessed) => {
+                accessed.insert(key);
+                cache.contains(key)
+            }
+            Book::Ideal => cache.contains(key),
+        };
+        if hit {
+            AccessOutcome::Hit
+        } else {
+            AccessOutcome::BypassMiss
+        }
+    }
+
+    /// Starts fetching the metastate an access of `key` reads first: the
+    /// IMCT slot, SieveStore-D's counter slot, or else the epoch cache's.
+    /// Changes no state.
+    #[inline]
+    pub(crate) fn prefetch(&self, key: u64) {
+        match self {
+            Policy::Continuous {
+                admit: Admission::SieveC(sieve),
+                ..
+            } => sieve.prefetch(key),
+            Policy::Continuous { .. } => {}
+            Policy::Discrete { cache, book } => match book {
+                Book::SieveD { sieve, .. } => match sieve.counter() {
+                    EpochCounter::InMemory(counter) => counter.prefetch(key),
+                    EpochCounter::Spill(_) => cache.prefetch(key),
+                },
+                Book::BlkD(_) | Book::Ideal => cache.prefetch(key),
+            },
+        }
+    }
+
+    /// Ends the epoch: this store's contribution to the selection, sorted
+    /// ascending — the keys SieveStore-D's counter selected, every key
+    /// RandSieve-BlkD saw, nothing otherwise. Fails if the counting
+    /// backend cannot finish the epoch or start the next (spill I/O).
+    pub(crate) fn contribution(&mut self) -> Result<Vec<u64>, SieveError> {
+        let Policy::Discrete { book, .. } = self else {
+            return Ok(Vec::new());
+        };
+        match book {
+            Book::SieveD { sieve, counting } => sieve.end_epoch(counting.counter()?),
+            Book::BlkD(accessed) => {
+                let mut keys: Vec<u64> = accessed.iter().collect();
+                keys.sort_unstable();
+                accessed.clear(); // keeps the table allocation for the next epoch
+                Ok(keys)
+            }
+            Book::Ideal => Ok(Vec::new()),
+        }
+    }
+
+    /// Installs `selection` as the epoch cache's resident set and seeds
+    /// SieveStore-D's counter with what the install kept. `None` for a
+    /// continuous policy.
+    pub(crate) fn install(&mut self, selection: Vec<u64>) -> Option<EpochTransition> {
+        let Policy::Discrete { cache, book } = self else {
+            return None;
+        };
+        let transition = cache.install_epoch(selection);
+        if let Book::SieveD { sieve, .. } = book {
+            // Seed what the install kept, not what was selected: the bits
+            // are right only if exactly the resident keys carry one.
+            let counter = sieve.counter_mut();
+            cache.iter().for_each(|key| counter.seed_resident(key));
+        }
+        Some(transition)
+    }
+
+    /// Makes `keys` resident without consulting the policy: LRU and SIEVE
+    /// frames insert them in order; an epoch cache adds them to what is
+    /// resident, in order, until full (no resident key leaves, so every
+    /// resident bit stays right).
+    pub(crate) fn warm(&mut self, keys: impl IntoIterator<Item = u64>) {
+        match self {
+            Policy::Continuous { cache, .. } => on_frames!(cache, c => {
+                for key in keys {
+                    if !c.contains(key) {
+                        c.insert(key);
+                    }
+                }
+            }),
+            Policy::Discrete { cache, .. } => {
+                let resident: Vec<u64> = cache.iter().chain(keys).collect();
+                self.install(resident);
+            }
+        }
+    }
+
+    /// The cache's `(capacity, resident frames)`.
+    pub(crate) fn occupancy(&self) -> (usize, usize) {
+        match self {
+            Policy::Continuous { cache, .. } => on_frames!(cache, c => (c.capacity(), c.len())),
+            Policy::Discrete { cache, .. } => (cache.capacity(), cache.len()),
+        }
+    }
+
+    /// Whether `key` is resident (no recency side effects).
+    pub(crate) fn contains(&self, key: u64) -> bool {
+        match self {
+            Policy::Continuous { cache, .. } => on_frames!(cache, c => c.contains(key)),
+            Policy::Discrete { cache, .. } => cache.contains(key),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn now() -> Micros {
-        Micros::from_hours(1)
-    }
+    use crate::SieveStoreBuilder;
 
     #[test]
-    fn aod_always_allocates() {
-        let mut p = Aod::new();
-        assert!(p.on_miss(1, RequestKind::Read, now()).is_allocate());
-        assert!(p.on_miss(1, RequestKind::Write, now()).is_allocate());
-        assert!(!p.is_discrete());
-        assert_eq!(p.name(), "AOD");
-    }
+    fn partition_selection_matches_a_global_install() {
+        // Duplicates plus more distinct keys than capacity: the
+        // partition must keep exactly what one global `install_epoch`
+        // would — same dedupe, same in-order truncation.
+        let capacity = 8;
+        let shards = 3;
+        let selection: Vec<u64> = vec![5, 9, 5, 1, 14, 2, 2, 7, 21, 33, 8, 40, 41, 42];
+        let mut global = BatchCache::new(capacity);
+        let global_install = global.install_epoch(selection.clone());
 
-    #[test]
-    fn wmna_allocates_read_misses_only() {
-        let mut p = Wmna::new();
-        assert!(p.on_miss(1, RequestKind::Read, now()).is_allocate());
-        assert!(!p.on_miss(1, RequestKind::Write, now()).is_allocate());
-        assert!(p.on_day_boundary(Day::new(1)).is_none());
-    }
-
-    #[test]
-    fn sievestore_c_requires_repeated_misses() {
-        let cfg = TwoTierConfig::paper_default()
-            .with_imct_entries(1 << 12)
-            .with_thresholds(2, 1);
-        let mut p = SieveStoreC::new(cfg).unwrap();
-        assert!(!p.on_miss(9, RequestKind::Read, now()).is_allocate());
-        assert!(!p.on_miss(9, RequestKind::Read, now()).is_allocate());
-        assert!(p.on_miss(9, RequestKind::Read, now()).is_allocate());
-        assert_eq!(p.sieve().granted(), 1);
-    }
-
-    #[test]
-    fn sievestore_d_is_discrete_and_thresholded() {
-        let mut p = SieveStoreD::new(3).unwrap();
-        assert!(p.is_discrete());
-        assert_eq!(p.threshold(), 3);
-        for _ in 0..3 {
-            p.on_access(5, RequestKind::Read, now());
-        }
-        p.on_access(6, RequestKind::Read, now());
-        // Misses never allocate mid-epoch.
-        assert!(!p.on_miss(5, RequestKind::Read, now()).is_allocate());
-        let selected = p.on_day_boundary(Day::new(1)).unwrap();
-        assert_eq!(selected, vec![5]);
-        // The next epoch starts fresh.
-        let selected = p.on_day_boundary(Day::new(2)).unwrap();
-        assert!(selected.is_empty());
-    }
-
-    #[test]
-    fn sievestore_d_paper_default_threshold_is_10() {
-        assert_eq!(SieveStoreD::paper_default().threshold(), 10);
-        assert!(SieveStoreD::new(0).is_err());
-    }
-
-    #[test]
-    fn sievestore_d_selection_is_backend_independent() {
-        let dir = std::env::temp_dir().join(format!("sievestore-polspill-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let configs = [
-            CountingConfig::InMemory,
-            CountingConfig::spill(&dir).with_budget(8),
-        ];
-        let mut selections = Vec::new();
-        for counting in configs {
-            let mut p = SieveStoreD::with_counting(3, counting).unwrap();
-            for k in 0..100u64 {
-                for _ in 0..(k % 5) {
-                    p.on_access(k, RequestKind::Read, now());
-                }
+        let parts = partition_selection(selection, shards, capacity);
+        assert_eq!(parts.len(), shards);
+        let mut installed: Vec<u64> = Vec::new();
+        for (s, part) in parts.into_iter().enumerate() {
+            for &key in &part {
+                assert_eq!(shard_of(key, shards), s, "key {key} routed wrong");
             }
-            selections.push(p.on_day_boundary(Day::new(1)).unwrap());
+            // Full logical capacity, as in the sharded engine: local
+            // installs never truncate.
+            let mut local = BatchCache::new(capacity);
+            installed.extend(local.install_epoch(part).allocated);
         }
-        assert!(!selections[0].is_empty());
-        assert_eq!(selections[0], selections[1]);
-        std::fs::remove_dir_all(&dir).ok();
+        installed.sort_unstable();
+        let mut expected = global_install.allocated.clone();
+        expected.sort_unstable();
+        assert_eq!(installed, expected);
+        assert_eq!(installed.len(), capacity);
     }
 
     #[test]
-    fn rand_blkd_selects_fraction_of_accessed() {
-        let mut p = RandSieveBlkD::new(0.1, 7).unwrap();
-        for k in 0..1000u64 {
-            p.on_access(k, RequestKind::Read, now());
+    fn ideal_selection_past_the_last_day_is_empty() {
+        let spec = PolicySpec::IdealTop1 {
+            selections: vec![vec![1, 2, 3, 4]],
+        };
+        let empty = || vec![Vec::new(); 3];
+        let day0 = spec.select_sharded(1, Day::new(0), empty(), 16);
+        assert_eq!(day0.iter().map(Vec::len).sum::<usize>(), 4);
+        assert_eq!(spec.select_sharded(2, Day::new(1), empty(), 16), empty());
+    }
+
+    #[test]
+    fn sievestore_d_within_capacity_hands_the_contributions_back() {
+        let spec = PolicySpec::SieveStoreD { threshold: 10 };
+        let contributions = vec![vec![4, 8], vec![], vec![1, 3, 9]];
+        let parts = spec.select_sharded(1, Day::new(1), contributions.clone(), 5);
+        assert_eq!(parts, contributions);
+        // Over capacity the merged selection truncates in key order.
+        let parts = spec.select_sharded(1, Day::new(1), contributions, 2);
+        let kept: Vec<u64> = parts.into_iter().flatten().collect();
+        assert_eq!(kept.len(), 2);
+        assert!(kept.contains(&1) && kept.contains(&3));
+    }
+
+    #[test]
+    fn continuous_policies_select_nothing() {
+        let parts = PolicySpec::Aod.select_sharded(1, Day::new(1), vec![vec![7]; 2], 16);
+        assert_eq!(parts, vec![Vec::<u64>::new(); 2]);
+    }
+
+    #[test]
+    fn blkd_selection_follows_the_sequential_seed_sequence() {
+        let (fraction, seed, shards) = (0.25, 0xB10C, 3);
+        let spec = PolicySpec::RandSieveBlkD { fraction, seed };
+        let mut sequential = SieveStoreBuilder::new()
+            .capacity_blocks(1 << 20)
+            .policy(spec.clone())
+            .build()
+            .unwrap();
+        for epoch in 1..=3u64 {
+            let accessed: Vec<u64> = (0..200).map(|i| i * 7 + epoch).collect();
+            let mut contributions = vec![Vec::new(); shards];
+            for &key in &accessed {
+                sequential.access(key, RequestKind::Read, Micros::new(0));
+                contributions[shard_of(key, shards)].push(key);
+            }
+            let day = Day::new(epoch as u16 - 1);
+            let transition = sequential.day_boundary(day).expect("discrete");
+            assert_eq!(transition.retained, 0, "each epoch's keys are new");
+            let mut want = transition.allocated;
+            let parts = spec.select_sharded(epoch, day, contributions, 1 << 20);
+            let mut got: Vec<u64> = parts.into_iter().flatten().collect();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "epoch {epoch}");
+            assert_eq!(got.len(), 50);
         }
-        assert!(!p.on_miss(1, RequestKind::Read, now()).is_allocate());
-        let sel = p.on_day_boundary(Day::new(1)).unwrap();
-        assert_eq!(sel.len(), 100);
-        assert!(sel.iter().all(|&k| k < 1000));
-        // Second epoch saw no accesses.
-        assert!(p.on_day_boundary(Day::new(2)).unwrap().is_empty());
-        assert!(RandSieveBlkD::new(1.5, 0).is_err());
-    }
-
-    #[test]
-    fn rand_c_respects_probability_extremes() {
-        let mut never = RandSieveC::new(0.0, 1).unwrap();
-        assert!((0..100).all(|_| !never.on_miss(1, RequestKind::Read, now()).is_allocate()));
-        let mut always = RandSieveC::new(1.0, 1).unwrap();
-        assert!((0..100).all(|_| always.on_miss(1, RequestKind::Read, now()).is_allocate()));
-        assert!(RandSieveC::new(-0.1, 0).is_err());
-    }
-
-    #[test]
-    fn ideal_returns_per_day_selections() {
-        let mut p = IdealTop1::new(vec![vec![1, 2], vec![3]]);
-        assert_eq!(p.days(), 2);
-        assert_eq!(p.on_day_boundary(Day::new(0)).unwrap(), vec![1, 2]);
-        assert_eq!(p.on_day_boundary(Day::new(1)).unwrap(), vec![3]);
-        assert!(p.on_day_boundary(Day::new(5)).unwrap().is_empty());
-        assert!(!p.on_miss(1, RequestKind::Read, now()).is_allocate());
-    }
-
-    #[test]
-    fn policies_compose_as_trait_objects() {
-        let mut policies: Vec<Box<dyn AllocationPolicy>> = vec![
-            Box::new(Aod::new()),
-            Box::new(Wmna::new()),
-            Box::new(SieveStoreD::paper_default()),
-        ];
-        for p in &mut policies {
-            let _ = p.on_miss(1, RequestKind::Read, now());
-        }
-        assert_eq!(policies[2].name(), "SieveStore-D");
     }
 }

@@ -181,36 +181,33 @@ impl SimResult {
         &mut self.days[idx]
     }
 
-    /// Accounts one request — or one shard's fragment of one — from the
-    /// `(hit, allocated)` outcome of each of its blocks, counted on the
-    /// issue day. Device cost is charged at 4 KiB granularity, sub-page
-    /// remainders in full: hits at the issue `minute`, allocation fills
-    /// at `completion_minute`, once the underlying fetch has completed.
+    /// Accounts one request — or one shard's fragment of one — of
+    /// `blocks` block accesses, `hits` of which hit and `allocated` of
+    /// which allocated, counted on the issue day. Device cost is charged
+    /// at 4 KiB granularity, sub-page remainders in full: hits at the
+    /// issue `minute`, allocation fills at `completion_minute`, once the
+    /// underlying fetch has completed.
     pub(crate) fn record_request(
         &mut self,
         minute: Minute,
         completion_minute: Minute,
         kind: RequestKind,
-        outcomes: impl Iterator<Item = (bool, bool)>,
+        blocks: u64,
+        hits: u64,
+        allocated: u64,
     ) {
-        let metrics = self.day_mut(minute.day());
-        let mut hit_blocks = 0u64;
-        let mut alloc_blocks = 0u64;
-        for (hit, allocated) in outcomes {
-            metrics.record_access(kind, hit, allocated);
-            hit_blocks += u64::from(hit);
-            alloc_blocks += u64::from(allocated);
-        }
-        if hit_blocks > 0 {
+        self.day_mut(minute.day())
+            .record_request(kind, blocks, hits, allocated);
+        if hits > 0 {
             if kind.is_read() {
-                self.occupancy.record_read_pages(minute, pages(hit_blocks));
+                self.occupancy.record_read_pages(minute, pages(hits));
             } else {
-                self.occupancy.record_write_pages(minute, pages(hit_blocks));
+                self.occupancy.record_write_pages(minute, pages(hits));
             }
         }
-        if alloc_blocks > 0 {
+        if allocated > 0 {
             self.occupancy
-                .record_write_pages(completion_minute, pages(alloc_blocks));
+                .record_write_pages(completion_minute, pages(allocated));
         }
     }
 

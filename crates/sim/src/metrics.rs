@@ -74,17 +74,16 @@ impl DayMetrics {
         self.batch_allocations += other.batch_allocations;
     }
 
-    /// Folds one block access outcome in.
-    pub fn record_access(&mut self, kind: RequestKind, hit: bool, allocated: bool) {
-        match (kind, hit) {
-            (RequestKind::Read, true) => self.read_hits += 1,
-            (RequestKind::Write, true) => self.write_hits += 1,
-            (RequestKind::Read, false) => self.read_misses += 1,
-            (RequestKind::Write, false) => self.write_misses += 1,
-        }
-        if allocated {
-            self.allocation_writes += 1;
-        }
+    /// Folds in one request's `blocks` accesses, `hits` of which hit and
+    /// `allocated` of which allocated a frame.
+    pub fn record_request(&mut self, kind: RequestKind, blocks: u64, hits: u64, allocated: u64) {
+        let (hit_count, miss_count) = match kind {
+            RequestKind::Read => (&mut self.read_hits, &mut self.read_misses),
+            RequestKind::Write => (&mut self.write_hits, &mut self.write_misses),
+        };
+        *hit_count += hits;
+        *miss_count += blocks - hits;
+        self.allocation_writes += allocated;
     }
 }
 
@@ -181,13 +180,13 @@ mod tests {
     }
 
     #[test]
-    fn record_access_routes_counts() {
+    fn record_request_routes_counts() {
         let mut d = DayMetrics::default();
-        d.record_access(RequestKind::Read, true, false);
-        d.record_access(RequestKind::Write, true, false);
-        d.record_access(RequestKind::Read, false, true);
-        d.record_access(RequestKind::Write, false, false);
+        d.record_request(RequestKind::Read, 2, 1, 1);
+        d.record_request(RequestKind::Write, 2, 1, 0);
         assert_eq!(d, metrics(1, 1, 1, 1, 1, 0));
+        d.record_request(RequestKind::Write, 3, 0, 2);
+        assert_eq!(d, metrics(1, 1, 1, 4, 3, 0));
     }
 
     #[test]

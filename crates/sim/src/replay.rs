@@ -30,33 +30,23 @@
 //!   FIFO is stream order, so no simulated metric depends on scheduling.
 //!   A dead worker drops its channel ends, which turns the coordinator's
 //!   next blocking `send` or `recv` on it into an error.
-//! * **Continuous policies** (AOD, WMNA, SieveStore-C, RandSieve-C) are
-//!   built per shard via [`sievestore::SieveStoreBuilder::shard`]: the
-//!   IMCT is slot-sliced so per-key sieve state is bit-identical to the
-//!   whole sieve's, and the LRU capacity is split evenly. Day boundaries
-//!   are no-ops for these policies, so workers run barrier-free.
-//! * **Discrete policies** (SieveStore-D, RandSieve-BlkD, Ideal) keep
-//!   per-shard bookkeeping (epoch access counts / accessed sets) *and* a
-//!   per-shard epoch cache: each worker owns a [`BatchCache`] holding
-//!   exactly its shard's slice of the global resident set. At each day
-//!   boundary the coordinator gathers every shard's contribution — the
-//!   boundary's only blocking step — computes the selection the
-//!   whole-trace policy would produce, and hands each worker its
-//!   hash-partition of it to install and count locally (for SieveStore-D
-//!   within capacity, the contribution vectors handed straight back).
-//!   The per-shard resident sets partition the global one, so the summed
-//!   install counts equal the one-cache install's exactly, and epoch
-//!   rotation stays globally ordered.
-//! * **One slot per access for SieveStore-D.** Under in-memory counting
-//!   a key's count and resident bit share one 16-byte counter slot, so a
-//!   block event is one probe of one cache line (no
-//!   `BatchCache::contains`), hinted `AHEAD` entries down the batch's flat
-//!   `blocks` array. The worker seeds the bits from what `Install` left
-//!   resident; `Install` follows `Boundary` on the shard's FIFO, so they
-//!   land in the new epoch's table before its first batch. The spill
-//!   backend's hot map drains, so it keeps the separate cache probe. The
-//!   coordinator routes with no division per block ([`shard_index`], one
-//!   division per request for the interpolated times).
+//! * **Every worker is one [`SieveStore`]**, the appliance itself. A
+//!   continuous policy's (AOD, WMNA, SieveStore-C, RandSieve-C) is built
+//!   per shard via [`sievestore::SieveStoreBuilder::shard`] — IMCT
+//!   slot-sliced, so per-key sieve state is the whole sieve's; capacity
+//!   split evenly — and runs barrier-free. A discrete policy's
+//!   (SieveStore-D, RandSieve-BlkD, Ideal) is built whole, at the full
+//!   logical capacity, and holds its shard's slice of the resident set.
+//!   At each day boundary the coordinator gathers every store's
+//!   [contribution](SieveStore::epoch_contribution), the boundary's only
+//!   blocking step, splits the selection with
+//!   [`PolicySpec::select_sharded`] — what the appliance's own
+//!   `day_boundary` calls with one part — and each worker
+//!   [installs](SieveStore::install_epoch) its part. `Install` follows
+//!   `Boundary` on the shard's FIFO, so SieveStore-D's counter is seeded
+//!   before the new epoch's first access, each a one-slot probe hinted
+//!   `AHEAD` entries down the batch. Routing costs no division per block
+//!   ([`shard_index`]).
 //!
 //! # Determinism
 //!
@@ -82,15 +72,11 @@ use std::sync::Arc;
 use crossbeam::channel::{self, Receiver, Sender};
 use crossbeam::thread;
 
-use sievestore::policy::RandSieveBlkD;
 use sievestore::{PolicySpec, SieveStore};
-use sievestore_cache::BatchCache;
-use sievestore_extsort::{AccessCounter, CountingConfig};
-use sievestore_sieve::{random_block_selection, DiscreteSieve};
 use sievestore_trace::{StreamMsg, SyntheticTrace, TraceStream};
 use sievestore_types::{
-    obs_count, obs_enabled, obs_observe, shard_index, shard_of, Day, Micros, Minute, Request,
-    RequestKind, SieveError, U64Set,
+    obs_count, obs_enabled, obs_observe, shard_index, Day, Micros, Minute, Request, RequestKind,
+    SieveError,
 };
 
 use crate::engine::SimConfig;
@@ -185,175 +171,18 @@ const CHANNEL_DEPTH: usize = 8;
 /// (DESIGN.md §5f has the candidates tried), and no metric depends on it.
 const AHEAD: usize = 8;
 
-/// Per-shard epoch bookkeeping for discrete policies: the *counting*
-/// side of the policy. The shard's slice of the epoch cache sits beside
-/// it in [`WorkerKind::Discrete`].
-enum DiscreteBook {
-    SieveD {
-        sieve: DiscreteSieve<sievestore_extsort::EpochCounter>,
-        /// Mints the next epoch's counter (each shard's spill counter
-        /// claims its own subdirectory, so one config serves them all).
-        counting: CountingConfig,
-    },
-    BlkD(U64Set),
-    Ideal,
-}
-
-impl DiscreteBook {
-    /// The bookkeeping one shard keeps for `spec`, validated exactly as
-    /// the appliance builder would; `None` for continuous policies.
-    fn new(spec: &PolicySpec, counting: &CountingConfig) -> Result<Option<Self>, SieveError> {
-        Ok(match spec {
-            PolicySpec::SieveStoreD { threshold } => Some(DiscreteBook::SieveD {
-                sieve: DiscreteSieve::new(counting.counter()?, *threshold)?,
-                counting: counting.clone(),
-            }),
-            PolicySpec::RandSieveBlkD { fraction, seed } => {
-                RandSieveBlkD::new(*fraction, *seed)?;
-                Some(DiscreteBook::BlkD(U64Set::new()))
-            }
-            PolicySpec::IdealTop1 { .. } => Some(DiscreteBook::Ideal),
-            _ => None,
-        })
-    }
-
-    /// Counts one access. `Some(hit)` when the counter also indexes the
-    /// shard's epoch cache (SieveStore-D's in-memory table: count and
-    /// residency from one slot); `None` leaves the answer to the cache.
-    #[inline]
-    fn touch(&mut self, key: u64) -> Option<bool> {
-        match self {
-            DiscreteBook::SieveD { sieve, .. } => sieve.counter_mut().touch(key),
-            DiscreteBook::BlkD(accessed) => {
-                accessed.insert(key);
-                None
-            }
-            DiscreteBook::Ideal => None,
-        }
-    }
-
-    #[inline]
-    fn prefetch(&self, key: u64) {
-        if let DiscreteBook::SieveD { sieve, .. } = self {
-            sieve.counter().prefetch(key);
-        }
-    }
-
-    /// Marks `key` resident in the current epoch's counter.
-    fn seed_resident(&mut self, key: u64) {
-        if let DiscreteBook::SieveD { sieve, .. } = self {
-            sieve.counter_mut().seed_resident(key);
-        }
-    }
-
-    /// The shard's epoch contribution, sorted ascending — for disjoint
-    /// key partitions, sorting the concatenation of these reproduces the
-    /// whole-trace policy's selection input exactly. Fails if the counting
-    /// backend cannot finish the epoch or start the next (spill I/O).
-    fn contribution(&mut self) -> Result<Vec<u64>, SieveError> {
-        match self {
-            DiscreteBook::SieveD { sieve, counting } => sieve.end_epoch(counting.counter()?),
-            DiscreteBook::BlkD(accessed) => {
-                let mut v: Vec<u64> = accessed.iter().collect();
-                v.sort_unstable();
-                accessed.clear(); // keeps the table allocation for the next epoch
-                Ok(v)
-            }
-            DiscreteBook::Ideal => Ok(Vec::new()),
-        }
-    }
-}
-
-/// The day's epoch selection — what `spec`'s appliance policy returns
-/// from its `epoch`-th `on_day_boundary` — already split into per-shard
-/// installs.
-///
-/// `contributions[s]` is shard `s`'s sorted, duplicate-free, hash-disjoint
-/// epoch contribution. The returned partition is exactly what the
-/// appliance policy's global `install_epoch` would keep — same dedupe,
-/// same in-order truncation at `capacity` — restricted to each shard's
-/// keys, so per-shard installs sum to the global transition.
-fn select_sharded(
-    spec: &PolicySpec,
-    epoch: u64,
-    day: Day,
-    contributions: Vec<Vec<u64>>,
-    capacity: usize,
-) -> Vec<Vec<u64>> {
-    let shards = contributions.len();
-    let merged = |contributions: Vec<Vec<u64>>| {
-        let mut all: Vec<u64> = contributions.into_iter().flatten().collect();
-        all.sort_unstable();
-        all
-    };
-    match spec {
-        PolicySpec::IdealTop1 { selections } => {
-            let selection = selections.get(day.as_usize()).into_iter().flatten();
-            partition_selection(selection.copied(), shards, capacity)
-        }
-        PolicySpec::RandSieveBlkD { fraction, seed } => {
-            let accessed = merged(contributions).into_iter();
-            let selection = random_block_selection(accessed, *fraction, *seed ^ epoch);
-            partition_selection(selection, shards, capacity)
-        }
-        PolicySpec::SieveStoreD { .. } => {
-            // Within capacity the whole-trace sieve would select the full
-            // sorted concatenation and nothing would be truncated, so the
-            // contributions are already the partition — the common case
-            // costs no merge at all.
-            if contributions.iter().map(Vec::len).sum::<usize>() <= capacity {
-                return contributions;
-            }
-            partition_selection(merged(contributions), shards, capacity)
-        }
-        _ => unreachable!("continuous policies have no epoch selection"),
-    }
-}
-
-/// Splits a global epoch selection into per-shard install lists,
-/// replicating [`BatchCache::install_epoch`]'s semantics: duplicates are
-/// kept once, and selection beyond `capacity` distinct keys is dropped
-/// in iteration order. Installing `parts[s]` into shard `s`'s cache is
-/// then exactly the global install restricted to that shard.
-fn partition_selection(
-    keys: impl IntoIterator<Item = u64>,
-    shards: usize,
-    capacity: usize,
-) -> Vec<Vec<u64>> {
-    let mut parts: Vec<Vec<u64>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut seen = U64Set::new();
-    for key in keys {
-        if seen.len() >= capacity {
-            break;
-        }
-        if seen.insert(key) {
-            parts[shard_of(key, shards)].push(key);
-        }
-    }
-    parts
-}
-
 /// A discrete shard's answer to [`ToWorker::Boundary`].
 type Contribution = Result<Vec<u64>, SieveError>;
 
-enum WorkerKind {
-    Continuous(SieveStore),
-    Discrete {
-        book: DiscreteBook,
-        /// This shard's slice of the global resident set. Sized to the
-        /// full logical capacity so a partitioned install (≤ capacity
-        /// keys in total across all shards) can never locally truncate.
-        resident: BatchCache,
-        /// Capacity 1 and one contribution per boundary, each gathered
-        /// before the next boundary is sent: this send never blocks.
-        reply: Sender<Contribution>,
-    },
-}
-
-/// One shard's replay state: its policy slice plus its private metrics.
-/// Owned by the shard's worker thread for the whole replay.
+/// One shard's replay state: its store plus its private metrics. Owned
+/// by the shard's worker thread for the whole replay.
 struct ShardState {
-    kind: WorkerKind,
+    store: SieveStore,
+    /// A discrete shard's answer to [`ToWorker::Boundary`]: capacity 1
+    /// and one contribution per boundary, each gathered before the next
+    /// boundary is sent, so this send never blocks. `None` for a
+    /// continuous shard.
+    reply: Option<Sender<Contribution>>,
     /// This shard's share of the merged result.
     result: SimResult,
 }
@@ -368,23 +197,18 @@ impl ShardState {
                 }
             }
             ToWorker::Boundary => {
-                if let WorkerKind::Discrete { book, reply, .. } = &mut self.kind {
+                if let Some(reply) = &self.reply {
                     // The gather end is only ever gone on the coordinator's
                     // own error path, which hangs up this worker's queue next.
-                    let _ = reply.send(book.contribution());
+                    let _ = reply.send(self.store.epoch_contribution());
                 }
             }
             ToWorker::Install(day, selection) => {
-                if let WorkerKind::Discrete { book, resident, .. } = &mut self.kind {
-                    // The shard's share of the day's batch move; the
-                    // merge sums the shares into the global count.
-                    let moved = resident.install_epoch(selection).allocated.len();
-                    self.result.record_batch_install(day, moved as u64);
-                    // Seed what the install kept, not what was selected.
-                    // `Install` follows `Boundary` on this FIFO, so the
-                    // bits land in the new epoch's counter before its
-                    // first batch.
-                    resident.iter().for_each(|key| book.seed_resident(key));
+                // The shard's share of the day's batch move; the merge
+                // sums the shares into the global count.
+                if let Some(transition) = self.store.install_epoch(selection) {
+                    let moved = transition.allocated.len() as u64;
+                    self.result.record_batch_install(day, moved);
                 }
             }
         }
@@ -394,34 +218,29 @@ impl ShardState {
     /// entries of `upcoming` — as one request; page accounting therefore
     /// rounds per fragment (see module docs).
     fn process_group(&mut self, g: &Group, upcoming: &[(u64, Micros)]) {
-        let kind = &mut self.kind;
+        let store = &mut self.store;
         let blocks = &upcoming[..g.len as usize];
-        if let WorkerKind::Continuous(store) = kind {
-            // Start every block's metastate fetch before the first
-            // access needs one, so the cache misses overlap.
+        // A continuous shard starts every block's metastate fetch before
+        // the first access needs one, so the cache misses overlap; a
+        // discrete one hints the counter slot `AHEAD` accesses early.
+        let discrete = self.reply.is_some();
+        if !discrete {
             blocks.iter().for_each(|&(key, _)| store.prefetch(key));
         }
-        self.result.record_request(
-            g.minute,
-            g.completion_minute,
-            g.kind,
-            blocks.iter().enumerate().map(|(i, &(key, t))| match kind {
-                WorkerKind::Continuous(store) => {
-                    let outcome = store.access(key, g.kind, t);
-                    (outcome.is_hit(), outcome.is_allocation())
+        let (mut hits, mut allocated) = (0u64, 0u64);
+        for (i, &(key, t)) in blocks.iter().enumerate() {
+            if discrete {
+                if let Some(&(soon, _)) = upcoming.get(i + AHEAD) {
+                    store.prefetch(soon);
                 }
-                WorkerKind::Discrete { book, resident, .. } => {
-                    if let Some(&(soon, _)) = upcoming.get(i + AHEAD) {
-                        book.prefetch(soon);
-                    }
-                    let hit = book
-                        .touch(key)
-                        .map_or_else(|| resident.contains(key), BatchCache::count_lookup);
-                    // Discrete misses never allocate mid-epoch.
-                    (hit, false)
-                }
-            }),
-        );
+            }
+            let outcome = store.access(key, g.kind, t);
+            hits += u64::from(outcome.is_hit());
+            allocated += u64::from(outcome.is_allocation());
+        }
+        let len = u64::from(g.len);
+        let result = &mut self.result;
+        result.record_request(g.minute, g.completion_minute, g.kind, len, hits, allocated);
     }
 }
 
@@ -511,27 +330,31 @@ pub(crate) fn run_sharded(
     validate_scenario(trace, server, cfg)?;
     let name: Arc<str> = Arc::from(spec.name());
 
+    // The oracle's selections stay with the coordinator, which selects
+    // for every shard.
+    let shard_spec = match &spec {
+        PolicySpec::IdealTop1 { .. } => PolicySpec::IdealTop1 { selections: vec![] },
+        other => other.clone(),
+    };
     let mut states = Vec::with_capacity(shards);
     // Discrete policies: one contribution channel per shard, its sender
     // inside the worker-owned state. Empty for continuous policies.
     let mut contributions = Vec::new();
     for s in 0..shards {
-        let kind = match DiscreteBook::new(&spec, &cfg.counting)? {
-            Some(book) => {
-                let (reply, contribution) = channel::bounded(1);
-                contributions.push(contribution);
-                WorkerKind::Discrete {
-                    book,
-                    resident: BatchCache::new(cfg.capacity_blocks),
-                    reply,
-                }
-            }
-            None => {
-                WorkerKind::Continuous(cfg.store_builder(spec.clone()).shard(s, shards).build()?)
-            }
+        let (store, reply) = if spec.is_discrete() {
+            let (reply, contribution) = channel::bounded(1);
+            contributions.push(contribution);
+            // Whole, at the full logical capacity, so a partitioned
+            // install (at most that many keys across all shards) never
+            // truncates locally.
+            (cfg.store_builder(shard_spec.clone()).build()?, Some(reply))
+        } else {
+            let store = cfg.store_builder(shard_spec.clone()).shard(s, shards);
+            (store.build()?, None)
         };
         states.push(ShardState {
-            kind,
+            store,
+            reply,
             result: SimResult::empty(name.clone(), trace, cfg),
         });
     }
@@ -633,7 +456,7 @@ fn coordinate(
                         push(queue, ToWorker::Boundary)?;
                     }
                     epoch += 1;
-                    let parts = select_sharded(spec, epoch, day, gather(contributions)?, capacity);
+                    let parts = spec.select_sharded(epoch, day, gather(contributions)?, capacity);
                     for (queue, part) in queues.iter().zip(parts) {
                         push(queue, ToWorker::Install(day, part))?;
                     }
@@ -700,7 +523,7 @@ mod tests {
     use proptest::prelude::*;
     use sievestore_sieve::TwoTierConfig;
     use sievestore_trace::EnsembleConfig;
-    use sievestore_types::{BlockAddr, ServerId, VolumeId};
+    use sievestore_types::{shard_of, BlockAddr, ServerId, VolumeId};
 
     fn tiny() -> SyntheticTrace {
         SyntheticTrace::new(EnsembleConfig::tiny(11)).unwrap()
@@ -730,16 +553,17 @@ mod tests {
                     }
                 }
                 StreamMsg::Chunk(chunk) => chunk.iter().for_each(|req| {
-                    result.record_request(
-                        req.timestamp.minute(),
-                        req.completion_time().minute(),
-                        req.kind,
-                        req.blocks().enumerate().map(|(i, key)| {
-                            let t = req.block_completion_time(i as u32);
-                            let outcome = store.access(key.raw(), req.kind, t);
-                            (outcome.is_hit(), outcome.is_allocation())
-                        }),
-                    );
+                    let (mut hits, mut allocated) = (0u64, 0u64);
+                    for (i, key) in req.blocks().enumerate() {
+                        let t = req.block_completion_time(i as u32);
+                        let outcome = store.access(key.raw(), req.kind, t);
+                        hits += u64::from(outcome.is_hit());
+                        allocated += u64::from(outcome.is_allocation());
+                    }
+                    let (minute, completion) =
+                        (req.timestamp.minute(), req.completion_time().minute());
+                    let blocks = u64::from(req.len_blocks);
+                    result.record_request(minute, completion, req.kind, blocks, hits, allocated);
                 }),
                 StreamMsg::Failed(e) => panic!("stream failed: {e}"),
             }
@@ -859,36 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_selection_matches_a_global_install() {
-        // Duplicates plus more distinct keys than capacity: the
-        // partition must keep exactly what one global `install_epoch`
-        // would — same dedupe, same in-order truncation.
-        let capacity = 8;
-        let shards = 3;
-        let selection: Vec<u64> = vec![5, 9, 5, 1, 14, 2, 2, 7, 21, 33, 8, 40, 41, 42];
-        let mut global = BatchCache::new(capacity);
-        let global_install = global.install_epoch(selection.clone());
-
-        let parts = partition_selection(selection, shards, capacity);
-        assert_eq!(parts.len(), shards);
-        let mut installed: Vec<u64> = Vec::new();
-        for (s, part) in parts.into_iter().enumerate() {
-            for &key in &part {
-                assert_eq!(shard_of(key, shards), s, "key {key} routed wrong");
-            }
-            // Full logical capacity, as in the sharded engine: local
-            // installs never truncate.
-            let mut local = BatchCache::new(capacity);
-            installed.extend(local.install_epoch(part).allocated);
-        }
-        installed.sort_unstable();
-        let mut expected = global_install.allocated.clone();
-        expected.sort_unstable();
-        assert_eq!(installed, expected);
-        assert_eq!(installed.len(), capacity);
-    }
-
-    #[test]
     fn imbalance_of_empty_stats_is_one() {
         assert_eq!(ReplayStats::default().imbalance(), 1.0);
         let stats = ReplayStats {
@@ -918,16 +712,19 @@ mod tests {
 
     #[test]
     fn counting_backend_failure_is_an_error_not_a_panic() {
-        // The spill root is a regular file, so the next epoch's counter
-        // cannot be created.
+        // The spill root turns into a regular file after the store is
+        // built, so the next epoch's counter cannot be created.
         let path = std::env::temp_dir().join(format!("sieve-book-{}", std::process::id()));
+        let mut store = sievestore::SieveStoreBuilder::new()
+            .capacity_blocks(16)
+            .policy(PolicySpec::SieveStoreD { threshold: 2 })
+            .counting(sievestore_extsort::CountingConfig::spill(&path))
+            .build()
+            .unwrap();
+        store.access(9, RequestKind::Read, Micros::new(0));
+        std::fs::remove_dir_all(&path).unwrap();
         std::fs::write(&path, b"not a directory").unwrap();
-        let mut book = DiscreteBook::SieveD {
-            sieve: DiscreteSieve::new(CountingConfig::InMemory.counter().unwrap(), 2).unwrap(),
-            counting: CountingConfig::spill(&path),
-        };
-        book.touch(9);
-        let failed = book.contribution();
+        let failed = store.epoch_contribution();
         std::fs::remove_file(&path).ok();
         let original = failed
             .as_ref()
@@ -956,18 +753,15 @@ mod tests {
     }
 
     #[test]
-    fn install_seeds_the_new_epochs_counter_with_what_the_cache_kept() {
+    fn a_discrete_worker_contributes_then_installs_its_part() {
         let trace = tiny();
         let capacity = 2;
         let c = cfg(&trace, capacity);
         let (reply, contribution) = channel::bounded(1);
         let spec = PolicySpec::SieveStoreD { threshold: 2 };
         let mut shard = ShardState {
-            kind: WorkerKind::Discrete {
-                book: DiscreteBook::new(&spec, &c.counting).unwrap().unwrap(),
-                resident: BatchCache::new(capacity),
-                reply,
-            },
+            store: c.store_builder(spec.clone()).build().unwrap(),
+            reply: Some(reply),
             result: SimResult::empty(Arc::from(spec.name()), &trace, &c),
         };
         // Epoch 0 earns three keys a frame; the cache has room for two.
@@ -980,56 +774,13 @@ mod tests {
         assert_eq!(selected, vec![5, 7, 9]);
         shard.process(ToWorker::Install(Day::new(1), selected));
         assert_eq!(shard.result.day(Day::new(1)).batch_allocations, 2);
-        // From here the hit/miss answer must come from the counter slot
-        // alone: empty the cache itself, so a probe of it would miss.
-        let WorkerKind::Discrete { resident, .. } = &mut shard.kind else {
-            unreachable!()
-        };
-        assert!(resident.contains(5) && resident.contains(7) && !resident.contains(9));
-        *resident = BatchCache::new(capacity);
-        // First access of each installed key reads "hit"; key 9 was
-        // selected but truncated at capacity, so it was never seeded.
+        // Key 9 was selected but truncated at capacity.
         shard.process(batch_of(1, &[5, 7, 9, 3, 5]));
         let day1 = shard.result.day(Day::new(1));
         assert_eq!((day1.read_hits, day1.read_misses), (3, 2));
-        // The seeds reached no count: only key 5 was touched twice.
+        // Only key 5 was touched twice in the new epoch.
         shard.process(ToWorker::Boundary);
         assert_eq!(contribution.recv().unwrap().unwrap(), vec![5]);
-    }
-
-    #[test]
-    fn ideal_selection_past_the_last_day_is_empty() {
-        let spec = PolicySpec::IdealTop1 {
-            selections: vec![vec![1, 2, 3, 4]],
-        };
-        let empty = || vec![Vec::new(); 3];
-        let day0 = select_sharded(&spec, 1, Day::new(0), empty(), 16);
-        assert_eq!(day0.iter().map(Vec::len).sum::<usize>(), 4);
-        assert_eq!(select_sharded(&spec, 2, Day::new(1), empty(), 16), empty());
-    }
-
-    #[test]
-    fn blkd_selection_follows_the_sequential_seed_sequence() {
-        use sievestore::policy::AllocationPolicy;
-        let (fraction, seed, shards) = (0.25, 0xB10C, 3);
-        let spec = PolicySpec::RandSieveBlkD { fraction, seed };
-        let mut sequential = RandSieveBlkD::new(fraction, seed).unwrap();
-        for epoch in 1..=3u64 {
-            let accessed: Vec<u64> = (0..200).map(|i| i * 7 + epoch).collect();
-            let mut contributions = vec![Vec::new(); shards];
-            for &key in &accessed {
-                sequential.on_access(key, RequestKind::Read, Micros::new(0));
-                contributions[shard_of(key, shards)].push(key);
-            }
-            let day = Day::new(epoch as u16 - 1);
-            let mut want = sequential.on_day_boundary(day).expect("discrete");
-            let parts = select_sharded(&spec, epoch, day, contributions, 1 << 20);
-            let mut got: Vec<u64> = parts.into_iter().flatten().collect();
-            want.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(got, want, "epoch {epoch}");
-            assert_eq!(got.len(), 50);
-        }
     }
 
     /// Groups each shard receives during the busiest day of `trace`.

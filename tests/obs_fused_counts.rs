@@ -1,9 +1,9 @@
 //! Hit/miss counters on the fused SieveStore-D path.
 //!
-//! Under in-memory counting the sharded worker reads each access's
-//! hit-or-miss answer from the epoch table's resident bit and never calls
-//! `BatchCache::contains`; the counters that call used to feed must still
-//! add up. On the `obs` build every routed block event is counted as
+//! Under in-memory counting the appliance, and so every replay worker,
+//! reads each access's hit-or-miss answer from the epoch table's resident
+//! bit and never calls `BatchCache::contains`; the counters that call
+//! used to feed must still add up. On the `obs` build every routed block event is counted as
 //! exactly one cache hit or miss; without the feature every counter stays
 //! at zero and the identity holds trivially.
 //!

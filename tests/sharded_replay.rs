@@ -15,6 +15,7 @@
 
 use proptest::prelude::*;
 use sievestore::{ApplianceStats, PolicySpec, SieveStoreBuilder};
+use sievestore_extsort::CountingConfig;
 use sievestore_sieve::TwoTierConfig;
 use sievestore_sim::{
     ideal_top_selections, simulate, simulate_sharded, simulate_with_snapshots, DayMetrics,
@@ -60,6 +61,7 @@ fn appliance(trace: &SyntheticTrace, spec: &PolicySpec, cfg: &SimConfig) -> Refe
         .capacity_blocks(cfg.capacity_blocks)
         .policy(spec.clone())
         .eviction(cfg.eviction)
+        .counting(cfg.counting.clone())
         .build()
         .expect("valid policy");
     let mut occupancy = OccupancyTracker::new(cfg.ssd.clone(), trace.days() as usize * 24 * 60)
@@ -241,6 +243,38 @@ fn day_snapshot_jsonl_is_byte_identical_across_shard_counts() {
         );
         assert_eq!(derived, SnapshotLog::from_result(&result));
     }
+}
+
+#[test]
+fn sievestore_d_one_slot_answer_matches_spill_counting_day_for_day() {
+    // Under in-memory counting an access reads hit-or-miss from the
+    // epoch counter's resident bit; the spill counter has no such bit,
+    // so its runs answer every access from the epoch cache instead —
+    // a reference independent of the seeding. Capacity 2 048 truncates
+    // installs, so selected-but-dropped keys must read "miss" too.
+    let trace = SyntheticTrace::new(EnsembleConfig::tiny(151)).unwrap();
+    let dir = std::env::temp_dir().join(format!("sievestore-onespill-{}", std::process::id()));
+    let spec = PolicySpec::SieveStoreD { threshold: 5 };
+    for capacity in [2_048, AMPLE_CAPACITY] {
+        let in_memory = cfg(&trace, capacity);
+        let spill = in_memory
+            .clone()
+            .with_counting(CountingConfig::spill(&dir).with_budget(4_096));
+        let want = appliance(&trace, &spec, &spill).days;
+        assert!(want[1..].iter().any(|day| day.read_hits > 0));
+        assert_eq!(appliance(&trace, &spec, &in_memory).days, want);
+        for workers in [1, 4] {
+            for (counting, c) in [("in-memory", &in_memory), ("spill", &spill)] {
+                let got = simulate(&trace, spec.clone(), &c.clone().with_workers(workers))
+                    .expect("replay");
+                assert_eq!(
+                    got.days, want,
+                    "{counting} counting at {workers} workers, capacity {capacity}"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The shard counts the ISSUE's SIEVE acceptance criteria pin.
