@@ -5,7 +5,7 @@
 //! plots each bin's mean access count against its percentile rank on
 //! log-log axes. [`PopularityBins`] reproduces that reduction.
 
-use crate::counting::BlockCounts;
+use sievestore_extsort::BlockCounts;
 
 /// One equal-population bin of the ranked popularity curve.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -7,7 +7,7 @@
 //! curves of two servers, two volumes or two days exhibits the skew
 //! *variation* of observation O2.
 
-use crate::counting::BlockCounts;
+use sievestore_extsort::BlockCounts;
 
 /// One sampled point of a popularity CDF.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 
 use sievestore_types::GlobalBlock;
 
-use crate::counting::BlockCounts;
+use sievestore_extsort::BlockCounts;
 
 /// Per-server share of a block selection.
 #[derive(Debug, Clone, PartialEq)]

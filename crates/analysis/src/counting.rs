@@ -1,5 +1,4 @@
-//! Per-block access counting — the raw material of every Figure 2/3
-//! analysis.
+//! Per-block access counting split across workers.
 //!
 //! Counting is a per-key reduction, so it splits cleanly across workers
 //! by hash partition (the paper frames SieveStore-D's offline counting
@@ -9,128 +8,8 @@
 //! [`BlockCounts::merge`] recombines shard results into a table equal to
 //! the single-pass one.
 
-use std::collections::HashMap;
-
-use sievestore_types::{shard_of, Request};
-
-/// Access counts per block over some slice of a trace (typically one
-/// calendar day, one server, or one volume).
-///
-/// # Examples
-///
-/// ```
-/// use sievestore_analysis::BlockCounts;
-///
-/// let counts = BlockCounts::from_blocks([1u64, 1, 2].into_iter());
-/// assert_eq!(counts.get(1), 2);
-/// assert_eq!(counts.unique_blocks(), 2);
-/// assert_eq!(counts.total_accesses(), 3);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BlockCounts {
-    counts: HashMap<u64, u64>,
-    total: u64,
-}
-
-impl BlockCounts {
-    /// Creates an empty count table.
-    pub fn new() -> Self {
-        BlockCounts::default()
-    }
-
-    /// Counts each block key produced by the iterator.
-    pub fn from_blocks(blocks: impl Iterator<Item = u64>) -> Self {
-        let mut c = BlockCounts::new();
-        for b in blocks {
-            c.record(b);
-        }
-        c
-    }
-
-    /// Counts every 512-byte block touched by the requests.
-    pub fn from_requests<'a>(requests: impl Iterator<Item = &'a Request>) -> Self {
-        BlockCounts::from_blocks(requests.flat_map(|r| r.blocks().map(|b| b.raw())))
-    }
-
-    /// Records one access.
-    pub fn record(&mut self, key: u64) {
-        *self.counts.entry(key).or_insert(0) += 1;
-        self.total += 1;
-    }
-
-    /// Access count of one block (0 if untouched).
-    pub fn get(&self, key: u64) -> u64 {
-        self.counts.get(&key).copied().unwrap_or(0)
-    }
-
-    /// Number of distinct blocks.
-    pub fn unique_blocks(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Total accesses.
-    pub fn total_accesses(&self) -> u64 {
-        self.total
-    }
-
-    /// Whether nothing was counted.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// All counts in descending order (the ranked popularity curve).
-    pub fn sorted_desc(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.counts.values().copied().collect();
-        v.sort_unstable_by(|a, b| b.cmp(a));
-        v
-    }
-
-    /// `(key, count)` pairs sorted by descending count, ties by key.
-    pub fn ranked(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
-        v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
-    }
-
-    /// The most-accessed `fraction` of blocks and the accesses they cover.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]`.
-    pub fn top_fraction(&self, fraction: f64) -> (Vec<u64>, u64) {
-        assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
-        let n = (self.counts.len() as f64 * fraction).round() as usize;
-        let mut ranked = self.ranked();
-        ranked.truncate(n);
-        let covered = ranked.iter().map(|&(_, c)| c).sum();
-        (ranked.into_iter().map(|(k, _)| k).collect(), covered)
-    }
-
-    /// Fraction of distinct blocks whose count is at most `limit`
-    /// (e.g. the paper's "99 % of blocks see 10 or fewer accesses").
-    pub fn fraction_with_at_most(&self, limit: u64) -> f64 {
-        if self.counts.is_empty() {
-            return 0.0;
-        }
-        let n = self.counts.values().filter(|&&c| c <= limit).count();
-        n as f64 / self.counts.len() as f64
-    }
-
-    /// Iterates over `(key, count)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts.iter().map(|(&k, &c)| (k, c))
-    }
-
-    /// Folds another count table into this one. Merging is commutative
-    /// and associative (integer sums per key), so shard results combine
-    /// into the same table in any order.
-    pub fn merge(&mut self, other: &BlockCounts) {
-        for (&k, &c) in &other.counts {
-            *self.counts.entry(k).or_insert(0) += c;
-        }
-        self.total += other.total;
-    }
-}
+use sievestore_extsort::BlockCounts;
+use sievestore_types::shard_of;
 
 /// Counts a block stream split across `shards` hash partitions (keyed by
 /// [`shard_of`], matching the replay engine's worker routing). Shard `s`
@@ -150,53 +29,9 @@ pub fn sharded_block_counts(blocks: impl Iterator<Item = u64>, shards: usize) ->
     parts
 }
 
-impl<'a> FromIterator<&'a Request> for BlockCounts {
-    fn from_iter<I: IntoIterator<Item = &'a Request>>(iter: I) -> Self {
-        BlockCounts::from_requests(iter.into_iter())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sievestore_types::{BlockAddr, Micros, RequestKind, ServerId, VolumeId};
-
-    #[test]
-    fn counting_and_ranking() {
-        let counts = BlockCounts::from_blocks([5u64, 5, 5, 3, 3, 9].into_iter());
-        assert_eq!(counts.sorted_desc(), vec![3, 2, 1]);
-        assert_eq!(counts.ranked(), vec![(5, 3), (3, 2), (9, 1)]);
-        assert_eq!(counts.total_accesses(), 6);
-        assert!(!counts.is_empty());
-    }
-
-    #[test]
-    fn from_requests_counts_blocks_not_requests() {
-        let req = Request::new(
-            Micros::new(0),
-            BlockAddr::new(ServerId::new(0), VolumeId::new(0), 8),
-            4,
-            RequestKind::Read,
-        );
-        let counts = BlockCounts::from_requests([req].iter());
-        assert_eq!(counts.total_accesses(), 4);
-        assert_eq!(counts.unique_blocks(), 4);
-        let counts: BlockCounts = [req, req].iter().collect();
-        assert_eq!(counts.total_accesses(), 8);
-        assert_eq!(counts.unique_blocks(), 4);
-    }
-
-    #[test]
-    fn top_fraction_and_low_reuse() {
-        let mut blocks = vec![1u64; 10]; // block 1: 10 accesses
-        blocks.extend(2..=100u64); // 99 one-touch blocks
-        let counts = BlockCounts::from_blocks(blocks.into_iter());
-        let (top, covered) = counts.top_fraction(0.01);
-        assert_eq!(top, vec![1]);
-        assert_eq!(covered, 10);
-        assert!((counts.fraction_with_at_most(1) - 0.99).abs() < 1e-12);
-        assert_eq!(counts.fraction_with_at_most(10), 1.0);
-    }
 
     #[test]
     fn sharded_counts_merge_to_single_pass_table() {
@@ -218,27 +53,5 @@ mod tests {
             }
             assert_eq!(merged, direct, "{shards} shards");
         }
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let a = BlockCounts::from_blocks([1u64, 1, 2].into_iter());
-        let b = BlockCounts::from_blocks([2u64, 3].into_iter());
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.get(2), 2);
-        assert_eq!(ab.total_accesses(), 5);
-    }
-
-    #[test]
-    fn empty_counts_are_well_behaved() {
-        let counts = BlockCounts::new();
-        assert!(counts.is_empty());
-        assert_eq!(counts.fraction_with_at_most(5), 0.0);
-        assert_eq!(counts.top_fraction(0.5), (vec![], 0));
-        assert!(counts.sorted_desc().is_empty());
     }
 }

@@ -3,7 +3,8 @@
 //! These are the reductions behind the paper's workload-characterization
 //! figures:
 //!
-//! * [`BlockCounts`] — per-block access counting over any trace slice;
+//! * [`BlockCounts`] — per-block access counting over any trace slice
+//!   (the count table of `sievestore-extsort`, re-exported);
 //! * [`PopularityBins`] — 10 000-bin ranked access-count curve
 //!   (Figure 2(a));
 //! * [`popularity_cdf`] — cumulative access distributions and zooms
@@ -40,5 +41,6 @@ pub use composition::{
     composition_by_server, consecutive_day_overlaps, containment_overlap, jaccard_overlap,
     ServerShare,
 };
-pub use counting::{sharded_block_counts, BlockCounts};
+pub use counting::sharded_block_counts;
 pub use report::{pct, thousands, write_csv, TextTable};
+pub use sievestore_extsort::BlockCounts;

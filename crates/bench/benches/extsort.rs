@@ -1,10 +1,10 @@
 //! The offline access-counting substrate: external hash-partitioned log
-//! vs the in-memory oracle.
+//! vs the in-memory epoch counter.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use sievestore_extsort::{AccessCounter, AccessLog, InMemoryCounter};
+use sievestore_extsort::{AccessLog, CountingConfig};
 
 const STREAM: usize = 100_000;
 const KEYS: u64 = 10_000;
@@ -21,11 +21,11 @@ fn in_memory(c: &mut Criterion) {
     group.throughput(Throughput::Elements(STREAM as u64));
     group.bench_function("in_memory", |b| {
         b.iter(|| {
-            let mut counter = InMemoryCounter::new();
+            let mut counter = CountingConfig::InMemory.counter().expect("in-memory");
             for &k in &keys {
                 counter.record(k);
             }
-            black_box(counter.finish().expect("in-memory"))
+            black_box(counter.finish_selection(1).expect("in-memory"))
         })
     });
     group.finish();

@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use sievestore_extsort::InMemoryCounter;
+use sievestore_extsort::CountingConfig;
 use sievestore_sieve::{DiscreteSieve, TwoTierConfig, TwoTierSieve};
 use sievestore_types::Micros;
 
@@ -41,10 +41,14 @@ fn two_tier_miss_stream(c: &mut Criterion) {
     group.finish();
 }
 
+fn paper_sieve() -> DiscreteSieve {
+    DiscreteSieve::new(&CountingConfig::InMemory, DiscreteSieve::PAPER_THRESHOLD).expect("valid")
+}
+
 fn discrete_record(c: &mut Criterion) {
     let mut group = c.benchmark_group("discrete_sieve");
     group.throughput(Throughput::Elements(1));
-    let mut sieve = DiscreteSieve::in_memory_paper_default();
+    let mut sieve = paper_sieve();
     let mut rng = SmallRng::seed_from_u64(3);
     group.bench_function("record_access", |b| {
         b.iter(|| {
@@ -56,14 +60,14 @@ fn discrete_record(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("end_epoch", keys), &keys, |b, &keys| {
             b.iter_with_setup(
                 || {
-                    let mut s = DiscreteSieve::in_memory_paper_default();
+                    let mut s = paper_sieve();
                     let mut rng = SmallRng::seed_from_u64(4);
                     for _ in 0..keys * 3 {
                         s.record_access(rng.random_range(0..keys));
                     }
                     s
                 },
-                |mut s| black_box(s.end_epoch(InMemoryCounter::new()).expect("in-memory")),
+                |mut s| black_box(s.end_epoch().expect("in-memory")),
             )
         });
     }

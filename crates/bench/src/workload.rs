@@ -3,6 +3,7 @@
 use sievestore_analysis::{
     composition_by_server, popularity_cdf, BlockCounts, PopularityBins, TextTable,
 };
+use sievestore_sim::{day_counts, server_day_counts};
 use sievestore_types::{Day, SieveError};
 
 use crate::Harness;
@@ -44,11 +45,6 @@ pub fn table1(h: &Harness) -> Result<String, SieveError> {
     ))
 }
 
-/// Counts for one ensemble day.
-fn ensemble_day_counts(h: &Harness, day: u16) -> BlockCounts {
-    BlockCounts::from_requests(h.trace().day_requests(Day::new(day)).iter())
-}
-
 /// Figure 2(a): binned block access-count distribution per day.
 ///
 /// # Errors
@@ -69,7 +65,7 @@ pub fn fig2a(h: &Harness) -> Result<String, SieveError> {
         "frac==never-reused".into(),
     ]);
     for d in 0..days {
-        let counts = ensemble_day_counts(h, d);
+        let counts = day_counts(h.trace(), Day::new(d));
         let bins = PopularityBins::from_counts(&counts, PopularityBins::PAPER_BINS);
         for b in bins.bins() {
             csv_rows.push(vec![
@@ -125,7 +121,7 @@ pub fn fig2bc(h: &Harness) -> Result<String, SieveError> {
         "accessed (GB, full-scale)".into(),
     ]);
     for d in 0..days {
-        let counts = ensemble_day_counts(h, d);
+        let counts = day_counts(h.trace(), Day::new(d));
         let cdf = popularity_cdf(&counts, 2000);
         for p in cdf.points() {
             csv_rows.push(vec![
@@ -177,7 +173,7 @@ pub fn fig2bc(h: &Harness) -> Result<String, SieveError> {
 /// CDF top-1 % share for one server on one day.
 #[cfg(test)]
 fn server_day_top1(h: &Harness, server: usize, day: u16) -> f64 {
-    let counts = BlockCounts::from_requests(h.trace().server_day(server, Day::new(day)).iter());
+    let counts = server_day_counts(h.trace(), server, Day::new(day));
     popularity_cdf(&counts, 500).top1_share()
 }
 
@@ -206,7 +202,7 @@ pub fn fig3a(h: &Harness) -> Result<String, SieveError> {
         "top-10% share".into(),
     ]);
     for (label, idx) in [("Prxy", prxy), ("Src1", src1)] {
-        let counts = BlockCounts::from_requests(h.trace().server_day(idx, Day::new(day)).iter());
+        let counts = server_day_counts(h.trace(), idx, Day::new(day));
         let cdf = popularity_cdf(&counts, 500);
         for p in cdf.points() {
             csv_rows.push(vec![
@@ -291,7 +287,7 @@ pub fn fig3c(h: &Harness) -> Result<String, SieveError> {
     let mut shares = Vec::new();
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     for d in 0..h.trace().days() {
-        let counts = BlockCounts::from_requests(h.trace().server_day(stg, Day::new(d)).iter());
+        let counts = server_day_counts(h.trace(), stg, Day::new(d));
         let cdf = popularity_cdf(&counts, 500);
         let share = cdf.top1_share();
         shares.push(share);
@@ -343,7 +339,7 @@ pub fn fig3d(h: &Harness) -> Result<String, SieveError> {
     let mut max_spread: f64 = 0.0;
     let mut per_server_ranges = vec![(f64::INFINITY, 0.0f64); servers];
     for d in 0..h.trace().days() {
-        let counts = ensemble_day_counts(h, d);
+        let counts = day_counts(h.trace(), Day::new(d));
         let (selection, _) = counts.top_fraction(0.01);
         let shares = composition_by_server(&selection, servers);
         let mut row = vec![d.to_string()];

@@ -9,9 +9,10 @@
 //!
 //! The cache owns the epoch transition (what is allocated, retained,
 //! evicted, truncated at capacity). Under in-memory counting the
-//! SieveStore appliance reads the per-access answer from the epoch table's
-//! resident bit instead (`sievestore_extsort::InMemoryCounter`, seeded from
-//! [`BatchCache::iter`] after every install) and never probes this set.
+//! SieveStore appliance reads the per-access answer from the epoch
+//! counter's resident bit instead (`sievestore_extsort::AccessCounter`,
+//! seeded from [`BatchCache::iter`] after every install) and never probes
+//! this set.
 
 use sievestore_types::{obs_count, obs_gauge_adjust, U64Set};
 

@@ -23,7 +23,7 @@
 //! (`SieveStore::day_boundary`) or for the replay engine's shards alike.
 
 use sievestore_cache::{BatchCache, EpochTransition, EvictionPolicy, LruCache, SieveCache};
-use sievestore_extsort::{AccessCounter, CountingConfig, EpochCounter};
+use sievestore_extsort::CountingConfig;
 use sievestore_sieve::{random_block_selection, DiscreteSieve, RandomMissSieve, TwoTierSieve};
 use sievestore_types::{mix64, shard_of, Day, Micros, RequestKind, SieveError, U64Set};
 
@@ -189,27 +189,24 @@ macro_rules! on_frames {
     };
 }
 
-/// A continuous policy's answer to a miss.
+/// A continuous policy's answer to a miss. The two-tier sieve is boxed:
+/// it is most of a continuous policy's size, and an epoch policy needs
+/// none of it.
 #[derive(Debug)]
 pub(crate) enum Admission {
     Aod,
     Wmna,
-    SieveC(TwoTierSieve),
+    SieveC(Box<TwoTierSieve>),
     RandC(RandomMissSieve),
 }
 
 /// A discrete policy's bookkeeping for the current epoch.
 #[derive(Debug)]
 pub(crate) enum Book {
-    /// SieveStore-D's access counter. In memory a key's count and the
-    /// epoch cache's resident bit share one slot, so an access is one
-    /// probe; the spill backend's hot map drains, so it has no bit.
-    SieveD {
-        sieve: DiscreteSieve<EpochCounter>,
-        /// Mints the next epoch's counter (each spill counter claims its
-        /// own subdirectory, so one config serves every shard).
-        counting: CountingConfig,
-    },
+    /// SieveStore-D's sieve. In memory a key's count and the epoch
+    /// cache's resident bit share one counter slot, so an access is one
+    /// probe; a spill counter's table drains, so it has no bit.
+    SieveD(DiscreteSieve),
     /// RandSieve-BlkD: the epoch's accessed keys.
     BlkD(U64Set),
     /// The oracle keeps none.
@@ -242,7 +239,7 @@ impl Policy {
             PolicySpec::Aod => Admission::Aod,
             PolicySpec::Wmna => Admission::Wmna,
             PolicySpec::SieveStoreC(cfg) => {
-                Admission::SieveC(TwoTierSieve::for_shard(*cfg, shard, shards)?)
+                Admission::SieveC(Box::new(TwoTierSieve::for_shard(*cfg, shard, shards)?))
             }
             PolicySpec::RandSieveC { probability, seed } => {
                 // Shard 0 keeps the original seed, so one shard is the
@@ -256,10 +253,9 @@ impl Policy {
             }
             discrete => {
                 let book = match discrete {
-                    PolicySpec::SieveStoreD { threshold } => Book::SieveD {
-                        sieve: DiscreteSieve::new(counting.counter()?, *threshold)?,
-                        counting: counting.clone(),
-                    },
+                    PolicySpec::SieveStoreD { threshold } => {
+                        Book::SieveD(DiscreteSieve::new(counting, *threshold)?)
+                    }
                     PolicySpec::RandSieveBlkD { fraction, .. } => {
                         if !(0.0..=1.0).contains(fraction) {
                             return Err(SieveError::InvalidConfig(format!(
@@ -304,7 +300,7 @@ impl Policy {
             }
         };
         let hit = match book {
-            Book::SieveD { sieve, .. } => sieve
+            Book::SieveD(sieve) => sieve
                 .counter_mut()
                 .touch(key)
                 .map_or_else(|| cache.contains(key), BatchCache::count_lookup),
@@ -333,10 +329,7 @@ impl Policy {
             } => sieve.prefetch(key),
             Policy::Continuous { .. } => {}
             Policy::Discrete { cache, book } => match book {
-                Book::SieveD { sieve, .. } => match sieve.counter() {
-                    EpochCounter::InMemory(counter) => counter.prefetch(key),
-                    EpochCounter::Spill(_) => cache.prefetch(key),
-                },
+                Book::SieveD(sieve) => sieve.counter().prefetch(key),
                 Book::BlkD(_) | Book::Ideal => cache.prefetch(key),
             },
         }
@@ -344,14 +337,14 @@ impl Policy {
 
     /// Ends the epoch: this store's contribution to the selection, sorted
     /// ascending — the keys SieveStore-D's counter selected, every key
-    /// RandSieve-BlkD saw, nothing otherwise. Fails if the counting
-    /// backend cannot finish the epoch or start the next (spill I/O).
+    /// RandSieve-BlkD saw, nothing otherwise. Fails if a spill counter
+    /// cannot read back or reopen its log.
     pub(crate) fn contribution(&mut self) -> Result<Vec<u64>, SieveError> {
         let Policy::Discrete { book, .. } = self else {
             return Ok(Vec::new());
         };
         match book {
-            Book::SieveD { sieve, counting } => sieve.end_epoch(counting.counter()?),
+            Book::SieveD(sieve) => sieve.end_epoch(),
             Book::BlkD(accessed) => {
                 let mut keys: Vec<u64> = accessed.iter().collect();
                 keys.sort_unstable();
@@ -370,7 +363,7 @@ impl Policy {
             return None;
         };
         let transition = cache.install_epoch(selection);
-        if let Book::SieveD { sieve, .. } = book {
+        if let Book::SieveD(sieve) = book {
             // Seed what the install kept, not what was selected: the bits
             // are right only if exactly the resident keys carry one.
             let counter = sieve.counter_mut();

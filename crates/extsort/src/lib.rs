@@ -1,4 +1,4 @@
-//! SieveStore-D's offline access-counting substrate.
+//! SieveStore-D's access counting.
 //!
 //! SieveStore-D (§3.2 of the paper) must count accesses for **every** block
 //! touched in an epoch — including blocks not resident in the cache — and
@@ -11,23 +11,26 @@
 //! 3. runs of the same address are counted and re-emitted as
 //!    `<address, n>` tuples.
 //!
-//! The reduction may run *incrementally* ([`AccessLog::compact`]) to keep
-//! log sizes bounded; at the epoch boundary [`AccessLog::finish`] produces
-//! the final [`AccessCounts`], from which the blocks above the allocation
-//! threshold are selected.
+//! [`AccessLog`] is that log. The reduction may run *incrementally*
+//! ([`AccessLog::compact`]) to keep log sizes bounded; at the epoch
+//! boundary [`AccessLog::finish_selection`] selects the blocks at or
+//! above the allocation threshold, or [`AccessLog::finish`] produces the
+//! full totals as [`BlockCounts`] — the one per-key count table, which
+//! the Ideal oracle and the trace analyses count days into as well.
 //!
-//! [`InMemoryCounter`] is the in-memory implementation of the same
-//! [`AccessCounter`] interface, used by fast simulations and as a test
-//! oracle for the external implementation: one 16-byte slot per key per
-//! epoch, `(key, count | resident bit)`, so counting an access and
-//! answering "did last epoch select this block?" is one probe of one
-//! cache line. The bit is seeded after each epoch install and never
-//! reaches a count; the table is emptied in place at the boundary.
+//! [`AccessCounter`] is the epoch counter SieveStore-D runs on, minted
+//! by a [`CountingConfig`]: one 16-byte slot per key per epoch,
+//! `(key, count | resident bit)`, so counting an access and answering
+//! "did last epoch select this block?" is one probe of one cache line.
+//! The bit is seeded after each epoch install and never reaches a count;
+//! the table is emptied in place at the boundary. Under spill counting
+//! the same table drains into an [`AccessLog`] whenever it holds its key
+//! budget, so memory stays bounded — and the bit cannot survive a drain.
 //!
 //! # Examples
 //!
 //! ```
-//! use sievestore_extsort::{AccessCounter, AccessLog, InMemoryCounter};
+//! use sievestore_extsort::AccessLog;
 //!
 //! # fn main() -> Result<(), sievestore_types::SieveError> {
 //! let dir = std::env::temp_dir().join("sievestore-doc-extsort");
@@ -51,132 +54,153 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 
-use sievestore_types::{prefetch_read, SieveError, U64Map};
+use sievestore_types::{prefetch_read, Request, SieveError, U64Map};
 
-/// Common interface over access counters (external log or in-memory map).
-pub trait AccessCounter {
-    /// Records one access to `key`.
-    fn record(&mut self, key: u64);
-
-    /// Finalizes the counter into per-key totals.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the underlying storage fails (the in-memory
-    /// implementation never fails).
-    fn finish(self) -> Result<AccessCounts, SieveError>;
-
-    /// Finalizes directly into the selected key set: every key accessed at
-    /// least `threshold` times, sorted ascending.
-    ///
-    /// This is the epoch-boundary operation SieveStore-D actually needs —
-    /// spill-backed implementations override it to avoid materializing
-    /// per-key totals for every distinct key of the epoch at once.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the underlying storage fails.
-    fn finish_selection(self, threshold: u64) -> Result<Vec<u64>, SieveError>
-    where
-        Self: Sized,
-    {
-        Ok(self.finish()?.keys_with_at_least(threshold))
-    }
-
-    /// [`AccessCounter::record`], answering whether `key` was
-    /// [seeded](AccessCounter::seed_resident) this epoch if the backend
-    /// keeps that bit; `None` sends the caller to the cache itself.
-    fn touch(&mut self, key: u64) -> Option<bool> {
-        self.record(key);
-        None
-    }
-
-    /// Marks `key` resident for this epoch without counting an access.
-    /// `touch` is right only if exactly the keys resident *after* each
-    /// epoch install are seeded. A no-op for backends without the bit.
-    fn seed_resident(&mut self, _key: u64) {}
-
-    /// Hints that `key` is about to be recorded. Changes no state.
-    fn prefetch(&self, _key: u64) {}
-
-    /// [`AccessCounter::finish_selection`] in place: selects, then empties
-    /// the counter (counts and resident marks) keeping its size. `None`,
-    /// the default: finish this counter by value and start a fresh one.
-    fn drain_selection(&mut self, _threshold: u64) -> Option<Vec<u64>> {
-        None
-    }
-}
-
-/// Final per-key access totals for an epoch.
+/// Per-block access totals over some slice of a trace: one epoch, one
+/// calendar day, one server or one volume.
 ///
-/// See the [crate-level documentation](crate) for an end-to-end example.
+/// Iteration order is unspecified; every derived figure (ranking,
+/// selection, fractions) is order-independent.
+///
+/// # Examples
+///
+/// ```
+/// use sievestore_extsort::BlockCounts;
+///
+/// let counts = BlockCounts::from_blocks([1u64, 1, 2].into_iter());
+/// assert_eq!(counts.get(1), 2);
+/// assert_eq!(counts.unique_blocks(), 2);
+/// assert_eq!(counts.total_accesses(), 3);
+/// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AccessCounts {
+pub struct BlockCounts {
     counts: U64Map<u64>,
+    total: u64,
 }
 
-impl AccessCounts {
+impl BlockCounts {
     /// Creates an empty count table.
     pub fn new() -> Self {
-        AccessCounts::default()
+        BlockCounts::default()
     }
 
-    /// Returns the access count for `key` (0 if never seen).
+    /// Counts each block key produced by the iterator.
+    pub fn from_blocks(blocks: impl Iterator<Item = u64>) -> Self {
+        let mut counts = BlockCounts::new();
+        blocks.for_each(|key| counts.record(key));
+        counts
+    }
+
+    /// Counts every 512-byte block touched by the requests.
+    pub fn from_requests<'a>(requests: impl Iterator<Item = &'a Request>) -> Self {
+        BlockCounts::from_blocks(requests.flat_map(|r| r.blocks().map(|b| b.raw())))
+    }
+
+    /// Records one access.
+    pub fn record(&mut self, key: u64) {
+        self.add(key, 1);
+    }
+
+    fn add(&mut self, key: u64, accesses: u64) {
+        *self.counts.get_or_insert_with(key, || 0) += accesses;
+        self.total += accesses;
+    }
+
+    /// Access count of one block (0 if untouched).
     pub fn get(&self, key: u64) -> u64 {
         self.counts.get(key).copied().unwrap_or(0)
     }
 
-    /// Number of distinct keys observed.
-    pub fn len(&self) -> usize {
+    /// Number of distinct blocks.
+    pub fn unique_blocks(&self) -> usize {
         self.counts.len()
     }
 
-    /// Whether no key was observed.
+    /// Total accesses.
+    pub fn total_accesses(&self) -> u64 {
+        self.total
+    }
+
+    /// Whether nothing was counted.
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
     }
 
-    /// Total number of recorded accesses.
-    pub fn total_accesses(&self) -> u64 {
-        self.counts.iter().map(|(_, &c)| c).sum()
+    /// All counts in descending order (the ranked popularity curve).
+    pub fn sorted_desc(&self) -> Vec<u64> {
+        let mut counts: Vec<u64> = self.iter().map(|(_, c)| c).collect();
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        counts
     }
 
-    /// Keys whose count is at least `threshold`, sorted ascending.
+    /// `(key, count)` pairs sorted by descending count, ties by key.
+    pub fn ranked(&self) -> Vec<(u64, u64)> {
+        let mut ranked: Vec<(u64, u64)> = self.iter().collect();
+        ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked
+    }
+
+    /// The most-accessed `fraction` of distinct blocks (ties broken by
+    /// key) and the accesses they cover: the Ideal oracle's rule, with
+    /// the paper's 1 %.
     ///
-    /// This is SieveStore-D's allocation rule: blocks with `count >= t`
-    /// in epoch *i* are batch-allocated for epoch *i + 1*.
+    /// # Panics
+    ///
+    /// Panics if `fraction` is outside `[0, 1]`.
+    pub fn top_fraction(&self, fraction: f64) -> (Vec<u64>, u64) {
+        assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
+        let n = (self.counts.len() as f64 * fraction).round() as usize;
+        let mut ranked = self.ranked();
+        ranked.truncate(n);
+        let covered = ranked.iter().map(|&(_, c)| c).sum();
+        (ranked.into_iter().map(|(k, _)| k).collect(), covered)
+    }
+
+    /// Keys whose count is at least `threshold`, sorted ascending:
+    /// SieveStore-D's allocation rule (blocks with `count >= t` in epoch
+    /// *i* are batch-allocated for epoch *i + 1*).
     pub fn keys_with_at_least(&self, threshold: u64) -> Vec<u64> {
-        let mut keys: Vec<u64> = self
-            .counts
-            .iter()
-            .filter(|&(_, &c)| c >= threshold)
-            .map(|(k, _)| k)
-            .collect();
+        let selected = self.iter().filter(|&(_, c)| c >= threshold);
+        let mut keys: Vec<u64> = selected.map(|(k, _)| k).collect();
         keys.sort_unstable();
         keys
     }
 
-    /// The `n` most-accessed keys (ties broken by key), descending count.
-    pub fn top_n(&self, n: usize) -> Vec<(u64, u64)> {
-        let mut all: Vec<(u64, u64)> = self.counts.iter().map(|(k, &c)| (k, c)).collect();
-        all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        all.truncate(n);
-        all
+    /// Fraction of distinct blocks whose count is at most `limit`
+    /// (e.g. the paper's "99 % of blocks see 10 or fewer accesses").
+    pub fn fraction_with_at_most(&self, limit: u64) -> f64 {
+        if self.counts.is_empty() {
+            return 0.0;
+        }
+        let n = self.iter().filter(|&(_, c)| c <= limit).count();
+        n as f64 / self.counts.len() as f64
     }
 
     /// Iterates over `(key, count)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts.iter().map(|(k, &c)| (k, c))
     }
+
+    /// Folds another count table into this one. Merging is commutative
+    /// and associative (integer sums per key), so shard results combine
+    /// into the same table in any order.
+    pub fn merge(&mut self, other: &BlockCounts) {
+        other.iter().for_each(|(k, c)| self.add(k, c));
+    }
 }
 
-impl FromIterator<(u64, u64)> for AccessCounts {
+/// Sums `(key, count)` tuples, merging duplicate keys.
+impl FromIterator<(u64, u64)> for BlockCounts {
     fn from_iter<I: IntoIterator<Item = (u64, u64)>>(iter: I) -> Self {
-        let mut counts: U64Map<u64> = U64Map::new();
-        for (k, c) in iter {
-            *counts.get_or_insert_with(k, || 0) += c;
-        }
-        AccessCounts { counts }
+        let mut counts = BlockCounts::new();
+        iter.into_iter().for_each(|(k, c)| counts.add(k, c));
+        counts
+    }
+}
+
+impl<'a> FromIterator<&'a Request> for BlockCounts {
+    fn from_iter<I: IntoIterator<Item = &'a Request>>(iter: I) -> Self {
+        BlockCounts::from_requests(iter.into_iter())
     }
 }
 
@@ -198,52 +222,59 @@ struct Slot {
     word: u64,
 }
 
-/// The in-memory epoch table: test oracle and fast path. See the
-/// [crate docs](crate) for the layout.
+/// SieveStore-D's epoch access counter, minted by
+/// [`CountingConfig::counter`]. See the [crate docs](crate) for the
+/// layout.
+///
+/// In memory the table holds the whole epoch, and [`touch`](Self::touch)
+/// answers residency from the slot it counts in. Under spill counting the
+/// table drains into the counter's [`AccessLog`] whenever it holds
+/// `budget` keys, so it keeps no resident bit: `touch` answers `None`
+/// and [`seed_resident`](Self::seed_resident) does nothing.
 ///
 /// # Examples
 ///
 /// ```
-/// use sievestore_extsort::{AccessCounter, InMemoryCounter};
-/// let mut counter = InMemoryCounter::new();
+/// use sievestore_extsort::CountingConfig;
+///
+/// let mut counter = CountingConfig::InMemory.counter().unwrap();
 /// counter.seed_resident(5);
 /// assert_eq!(counter.touch(5), Some(true));
 /// assert_eq!(counter.touch(6), Some(false));
 /// counter.record(5);
-/// let counts = counter.finish().unwrap();
-/// assert_eq!((counts.get(5), counts.len()), (2, 2));
+/// assert_eq!(counter.end_epoch(2).unwrap(), vec![5]);
+/// // The next epoch starts in the same table, with no count and no bit.
+/// assert_eq!(counter.touch(5), Some(false));
 /// ```
-#[derive(Debug, Clone)]
-pub struct InMemoryCounter {
+#[derive(Debug)]
+pub struct AccessCounter {
     /// Power-of-two length, linear probing, at most 3/4 occupied.
     slots: Box<[Slot]>,
     /// `64 - log2(slots.len())`: the Fibonacci multiply-shift.
     shift: u32,
     /// Occupied slots: touched or seeded.
     used: usize,
+    /// Where the table drains to under spill counting.
+    spill: Option<Spill>,
 }
 
-impl Default for InMemoryCounter {
-    fn default() -> Self {
-        InMemoryCounter::new()
+/// A spill-backed counter's log: one epoch's at a time, emptied in place
+/// at each boundary. The log lives in a subdirectory of its own, removed
+/// with it.
+#[derive(Debug)]
+struct Spill {
+    log: AccessLog,
+    /// The table drains once it holds this many keys.
+    budget: usize,
+}
+
+impl Drop for Spill {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.log.dir);
     }
 }
 
-impl InMemoryCounter {
-    /// Creates an empty counter.
-    pub fn new() -> Self {
-        InMemoryCounter {
-            slots: vec![Slot::default(); MIN_SLOTS].into(),
-            shift: 64 - MIN_SLOTS.trailing_zeros(),
-            used: 0,
-        }
-    }
-
-    /// Current count for a key (0 if never seen).
-    pub fn get(&self, key: u64) -> u64 {
-        self.slots[self.probe(key)].word / ONE
-    }
-
+impl AccessCounter {
     #[inline]
     fn home(&self, key: u64) -> usize {
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
@@ -278,17 +309,6 @@ impl InMemoryCounter {
         &mut self.slots[i]
     }
 
-    /// Keys counted at least `threshold` times, sorted ascending.
-    fn selection(&self, threshold: u64) -> Vec<u64> {
-        // `count >= t` is `word >= 2t` whatever the resident bit says; a
-        // seeded, never-touched key has count 0 and was not observed.
-        let floor = threshold.max(1).saturating_mul(ONE);
-        let selected = self.slots.iter().filter(|s| s.word >= floor);
-        let mut keys: Vec<u64> = selected.map(|s| s.key).collect();
-        keys.sort_unstable();
-        keys
-    }
-
     fn resize(&mut self, slots: usize) {
         let old = std::mem::replace(&mut self.slots, vec![Slot::default(); slots].into());
         self.shift = 64 - slots.trailing_zeros();
@@ -296,43 +316,95 @@ impl InMemoryCounter {
             self.slots[self.probe(slot.key)] = *slot;
         }
     }
-}
 
-impl AccessCounter for InMemoryCounter {
-    fn record(&mut self, key: u64) {
+    /// Records one access to `key`.
+    #[inline]
+    pub fn record(&mut self, key: u64) {
         self.touch(key);
     }
 
-    fn finish(self) -> Result<AccessCounts, SieveError> {
-        let counted = self.slots.iter().filter(|s| s.word >= ONE);
-        Ok(counted.map(|s| (s.key, s.word / ONE)).collect())
-    }
-
-    fn finish_selection(self, threshold: u64) -> Result<Vec<u64>, SieveError> {
-        Ok(self.selection(threshold))
-    }
-
-    fn drain_selection(&mut self, threshold: u64) -> Option<Vec<u64>> {
-        let keys = self.selection(threshold);
-        self.slots.fill(Slot::default());
-        self.used = 0;
-        Some(keys)
-    }
-
+    /// [`record`](Self::record), answering whether `key` was
+    /// [seeded](Self::seed_resident) this epoch; `None` under spill
+    /// counting, which sends the caller to the cache itself.
     #[inline]
-    fn touch(&mut self, key: u64) -> Option<bool> {
+    pub fn touch(&mut self, key: u64) -> Option<bool> {
         let slot = self.entry(key);
         slot.word += ONE;
-        Some(slot.word & RESIDENT != 0)
+        let resident = slot.word & RESIDENT != 0;
+        let Some(spill) = &self.spill else {
+            return Some(resident);
+        };
+        if self.used >= spill.budget {
+            self.spill_table();
+        }
+        None
     }
 
-    fn seed_resident(&mut self, key: u64) {
-        self.entry(key).word |= RESIDENT;
+    /// Marks `key` resident for this epoch without counting an access.
+    /// `touch` is right only if exactly the keys resident *after* each
+    /// epoch install are seeded. A no-op under spill counting.
+    pub fn seed_resident(&mut self, key: u64) {
+        if self.spill.is_none() {
+            self.entry(key).word |= RESIDENT;
+        }
     }
 
+    /// Hints that `key` is about to be counted. Changes no state.
     #[inline]
-    fn prefetch(&self, key: u64) {
+    pub fn prefetch(&self, key: u64) {
         prefetch_read(&self.slots[self.home(key)]);
+    }
+
+    /// Ends the epoch in place: returns every key counted at least
+    /// `threshold` times, sorted ascending, and empties the counter —
+    /// counts and resident marks — for the next epoch. The table keeps
+    /// its size; a spill log is read back and truncated, so one epoch's
+    /// log exists at a time.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the spill log cannot be read back or reopened
+    /// (never in memory).
+    pub fn end_epoch(&mut self, threshold: u64) -> Result<Vec<u64>, SieveError> {
+        let keys = self.select(threshold)?;
+        self.slots.fill(Slot::default());
+        self.used = 0;
+        Ok(keys)
+    }
+
+    /// Finalizes straight into the selection [`end_epoch`](Self::end_epoch)
+    /// would return, without readying a next epoch.
+    ///
+    /// # Errors
+    ///
+    /// As [`end_epoch`](Self::end_epoch).
+    pub fn finish_selection(mut self, threshold: u64) -> Result<Vec<u64>, SieveError> {
+        self.select(threshold)
+    }
+
+    fn select(&mut self, threshold: u64) -> Result<Vec<u64>, SieveError> {
+        if let Some(log) = self.spill_table() {
+            return log.finish_selection(threshold);
+        }
+        // `count >= t` is `word >= 2t` whatever the resident bit says; a
+        // seeded, never-touched key has count 0 and was not observed.
+        let floor = threshold.max(1).saturating_mul(ONE);
+        let selected = self.slots.iter().filter(|s| s.word >= floor);
+        let mut keys: Vec<u64> = selected.map(|s| s.key).collect();
+        keys.sort_unstable();
+        Ok(keys)
+    }
+
+    /// Under spill counting, drains the table's counts into the log as
+    /// pre-aggregated tuples and returns the log; in memory, `None`.
+    fn spill_table(&mut self) -> Option<&mut AccessLog> {
+        let spill = self.spill.as_mut()?;
+        for slot in self.slots.iter().filter(|s| s.word != 0) {
+            spill.log.record_count(slot.key, slot.word / ONE);
+        }
+        self.slots.fill(Slot::default());
+        self.used = 0;
+        Some(&mut spill.log)
     }
 }
 
@@ -374,12 +446,7 @@ impl AccessLog {
         fs::create_dir_all(&dir)?;
         let mut writers = Vec::with_capacity(partitions);
         for i in 0..partitions {
-            let file = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(partition_path(&dir, i))?;
-            writers.push(BufWriter::new(file));
+            writers.push(BufWriter::new(File::create(partition_path(&dir, i))?));
         }
         Ok(AccessLog {
             dir,
@@ -394,7 +461,8 @@ impl AccessLog {
         self.partitions
     }
 
-    /// Total tuples logged since creation (pre-reduction).
+    /// Total accesses logged since creation or the last
+    /// [`finish_selection`](Self::finish_selection) (pre-reduction).
     pub fn logged(&self) -> u64 {
         self.logged
     }
@@ -424,25 +492,29 @@ impl AccessLog {
     /// Logs one access as an `<address, 1>` tuple.
     ///
     /// I/O errors are deferred: the tuple goes into a buffered writer and
-    /// any failure surfaces at the next [`AccessLog::compact`] /
-    /// [`AccessLog::finish`] call, keeping this hot path infallible.
-    pub fn record_access(&mut self, key: u64) {
+    /// any failure surfaces at the next [`AccessLog::compact`] or
+    /// finishing call, keeping this hot path infallible.
+    pub fn record(&mut self, key: u64) {
         self.record_count(key, 1);
     }
 
-    /// Logs a pre-aggregated `<address, count>` tuple — how a budgeted
-    /// in-memory front (see [`SpillCounter`]) drains its hot map into the
-    /// log without replaying every individual access.
-    ///
-    /// I/O errors are deferred exactly as in [`AccessLog::record_access`].
-    pub fn record_count(&mut self, key: u64, count: u64) {
+    /// Logs a pre-aggregated `<address, count>` tuple — how a spill-backed
+    /// [`AccessCounter`] drains its table without replaying every access.
+    /// I/O errors are deferred as in [`AccessLog::record`].
+    fn record_count(&mut self, key: u64, count: u64) {
         let p = self.partition_of(key);
         let mut tuple = [0u8; TUPLE_BYTES];
         tuple[0..8].copy_from_slice(&key.to_le_bytes());
         tuple[8..16].copy_from_slice(&count.to_le_bytes());
-        // Errors deferred to compact()/finish(), which flush and re-read.
+        // Errors deferred to the next call that flushes and re-reads.
         let _ = self.writers[p].write_all(&tuple);
         self.logged += count;
+    }
+
+    /// Partition `i`, flushed, read back and reduced to one tuple per key.
+    fn reduced(&mut self, i: usize) -> Result<Vec<(u64, u64)>, SieveError> {
+        self.writers[i].flush()?;
+        Ok(reduce(read_tuples(&partition_path(&self.dir, i))?))
     }
 
     /// Incrementally reduces every partition: sort by key, merge runs into
@@ -454,9 +526,7 @@ impl AccessLog {
     /// Propagates I/O failures from reading or rewriting partitions.
     pub fn compact(&mut self) -> Result<(), SieveError> {
         for i in 0..self.partitions {
-            self.writers[i].flush()?;
-            let tuples = read_tuples(&partition_path(&self.dir, i))?;
-            let reduced = reduce(tuples);
+            let reduced = self.reduced(i)?;
             write_tuples(&partition_path(&self.dir, i), &reduced)?;
             let file = OpenOptions::new()
                 .append(true)
@@ -471,57 +541,39 @@ impl AccessLog {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn finish(mut self) -> Result<AccessCounts, SieveError> {
-        let mut counts: U64Map<u64> = U64Map::new();
+    pub fn finish(mut self) -> Result<BlockCounts, SieveError> {
+        let mut tuples = Vec::new();
         for i in 0..self.partitions {
-            self.writers[i].flush()?;
-            let tuples = read_tuples(&partition_path(&self.dir, i))?;
-            for (k, c) in reduce(tuples) {
-                *counts.get_or_insert_with(k, || 0) += c;
-            }
+            tuples.extend(self.reduced(i)?);
         }
-        Ok(AccessCounts { counts })
+        Ok(tuples.into_iter().collect())
     }
 
-    /// Finalizes straight into the threshold selection, one partition at a
-    /// time: peak memory is the largest partition plus the selected keys,
-    /// never the full distinct-key population. Keys come back sorted
-    /// ascending — identical to
-    /// [`AccessCounts::keys_with_at_least`] over [`AccessLog::finish`].
+    /// Selects every key logged at least `threshold` times, sorted
+    /// ascending — [`BlockCounts::keys_with_at_least`] over
+    /// [`AccessLog::finish`] — one partition at a time, so peak memory is
+    /// the largest partition plus the selected keys. Each partition is
+    /// truncated once read: the log is empty afterwards, ready for the
+    /// next epoch.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn finish_selecting(mut self, threshold: u64) -> Result<Vec<u64>, SieveError> {
+    pub fn finish_selection(&mut self, threshold: u64) -> Result<Vec<u64>, SieveError> {
         let mut keys = Vec::new();
         for i in 0..self.partitions {
-            self.writers[i].flush()?;
-            let tuples = read_tuples(&partition_path(&self.dir, i))?;
-            keys.extend(
-                reduce(tuples)
-                    .into_iter()
-                    .filter(|&(_, c)| c >= threshold)
-                    .map(|(k, _)| k),
-            );
+            let selected = self
+                .reduced(i)?
+                .into_iter()
+                .filter(|&(_, c)| c >= threshold);
+            keys.extend(selected.map(|(k, _)| k));
+            self.writers[i] = BufWriter::new(File::create(partition_path(&self.dir, i))?);
         }
+        self.logged = 0;
         // Partitions are hash-split, so a global sort restores the
-        // selection order the in-memory backend produces.
+        // selection order the in-memory table produces.
         keys.sort_unstable();
         Ok(keys)
-    }
-}
-
-impl AccessCounter for AccessLog {
-    fn record(&mut self, key: u64) {
-        self.record_access(key);
-    }
-
-    fn finish(self) -> Result<AccessCounts, SieveError> {
-        AccessLog::finish(self)
-    }
-
-    fn finish_selection(self, threshold: u64) -> Result<Vec<u64>, SieveError> {
-        AccessLog::finish_selecting(self, threshold)
     }
 }
 
@@ -533,8 +585,8 @@ impl Drop for AccessLog {
     }
 }
 
-/// Default distinct-key budget for [`SpillCounter`]'s hot map
-/// (~16 MiB of `U64Map` at 16 bytes/entry before load-factor headroom).
+/// Default distinct-key budget for a spill-backed counter's table
+/// (16 MiB of 16-byte slots at the table's densest).
 pub const DEFAULT_SPILL_BUDGET: usize = 1 << 20;
 /// Default partition count for spill-backed counting.
 pub const DEFAULT_SPILL_PARTITIONS: usize = 16;
@@ -543,137 +595,6 @@ pub const DEFAULT_SPILL_PARTITIONS: usize = 16;
 /// disjoint directories.
 static SPILL_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// Bounded-memory access counter: an in-memory hot map in front of an
-/// [`AccessLog`].
-///
-/// Counts accumulate in a `U64Map` until it holds `budget` distinct keys,
-/// then drain to the log as pre-aggregated `<key, count>` tuples
-/// ([`AccessLog::record_count`]) and the map resets — so resident memory
-/// is bounded by the budget no matter how many distinct blocks an epoch
-/// touches, while the common case (hot keys re-hit before a drain) stays
-/// a pure hash-map increment.
-///
-/// Each counter claims a process-unique subdirectory under the configured
-/// spill root, so one [`CountingConfig`] can mint counters for many
-/// concurrent policies/epochs without collisions; the subdirectory is
-/// removed when the counter finishes or is dropped unfinished (as the
-/// last epoch's counter of a replay is).
-///
-/// # Examples
-///
-/// ```
-/// use sievestore_extsort::{AccessCounter, SpillCounter};
-///
-/// # fn main() -> Result<(), sievestore_types::SieveError> {
-/// let dir = std::env::temp_dir().join("sievestore-doc-spill");
-/// let mut counter = SpillCounter::create(&dir, 2, 4)?; // tiny budget: spills often
-/// for key in [7u64, 9, 7, 3, 7, 9] {
-///     counter.record(key);
-/// }
-/// assert_eq!(counter.finish_selection(2)?, vec![7, 9]);
-/// # std::fs::remove_dir_all(&dir).ok();
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct SpillCounter {
-    hot: U64Map<u64>,
-    budget: usize,
-    log: AccessLog,
-    /// Declared after `log`, so the log's files are gone when it drops.
-    dir: SpillDir,
-    spills: u64,
-}
-
-/// A counter's spill subdirectory, removed (once empty) when dropped.
-#[derive(Debug)]
-struct SpillDir(PathBuf);
-
-impl Drop for SpillDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir(&self.0);
-    }
-}
-
-impl SpillCounter {
-    /// Creates a spill counter under `root` holding at most `budget`
-    /// distinct keys in memory, spilling into `partitions` log files.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the spill directory or log cannot be created,
-    /// or if `budget` or `partitions` is 0.
-    pub fn create(
-        root: impl AsRef<Path>,
-        budget: usize,
-        partitions: usize,
-    ) -> Result<Self, SieveError> {
-        if budget == 0 {
-            return Err(SieveError::InvalidConfig(
-                "spill counter needs a non-zero key budget".into(),
-            ));
-        }
-        let seq = SPILL_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = root
-            .as_ref()
-            .join(format!("epoch-{}-{seq:04}", std::process::id()));
-        let log = AccessLog::create(&dir, partitions)?;
-        Ok(SpillCounter {
-            hot: U64Map::new(),
-            budget,
-            log,
-            dir: SpillDir(dir),
-            spills: 0,
-        })
-    }
-
-    /// Distinct keys currently resident in the hot map.
-    pub fn resident_keys(&self) -> usize {
-        self.hot.len()
-    }
-
-    /// Times the hot map has drained to disk so far.
-    pub fn spills(&self) -> u64 {
-        self.spills
-    }
-
-    fn drain_hot(&mut self) {
-        for (k, &c) in self.hot.iter() {
-            self.log.record_count(k, c);
-        }
-        self.hot.clear();
-        self.spills += 1;
-    }
-
-    /// The log with every count drained into it, and the directory to
-    /// drop once the log is finished.
-    fn into_log(mut self) -> (AccessLog, SpillDir) {
-        if !self.hot.is_empty() {
-            self.drain_hot();
-        }
-        (self.log, self.dir)
-    }
-}
-
-impl AccessCounter for SpillCounter {
-    fn record(&mut self, key: u64) {
-        *self.hot.get_or_insert_with(key, || 0) += 1;
-        if self.hot.len() >= self.budget {
-            self.drain_hot();
-        }
-    }
-
-    fn finish(self) -> Result<AccessCounts, SieveError> {
-        let (log, _dir) = self.into_log();
-        log.finish()
-    }
-
-    fn finish_selection(self, threshold: u64) -> Result<Vec<u64>, SieveError> {
-        let (log, _dir) = self.into_log();
-        log.finish_selecting(threshold)
-    }
-}
-
 /// How an epoch's access counting should be backed.
 ///
 /// The selection produced at each epoch boundary is identical across
@@ -681,16 +602,16 @@ impl AccessCounter for SpillCounter {
 /// I/O.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum CountingConfig {
-    /// Everything in a hash map: fastest, memory proportional to the
-    /// epoch's distinct-key population.
+    /// Everything in the epoch table: fastest, memory proportional to
+    /// the epoch's distinct-key population.
     #[default]
     InMemory,
-    /// Budgeted hot map spilling to a partitioned on-disk log: memory
-    /// bounded by `budget` keys regardless of epoch size.
+    /// The epoch table drains into a partitioned on-disk log whenever it
+    /// holds `budget` keys: memory bounded regardless of epoch size.
     Spill {
         /// Root directory spill logs live under.
         dir: PathBuf,
-        /// Max distinct keys resident before a drain.
+        /// Max distinct keys in the table before a drain.
         budget: usize,
         /// Spill log partition count.
         partitions: usize,
@@ -707,7 +628,7 @@ impl CountingConfig {
         }
     }
 
-    /// Overrides the hot-map key budget (spill mode only; no-op for
+    /// Overrides the table's key budget (spill mode only; no-op for
     /// in-memory).
     #[must_use]
     pub fn with_budget(mut self, keys: usize) -> Self {
@@ -717,79 +638,43 @@ impl CountingConfig {
         self
     }
 
-    /// Creates a fresh counter for one epoch.
+    /// Creates a counter, which then counts every epoch in turn
+    /// ([`AccessCounter::end_epoch`]). A spill counter claims a
+    /// process-unique `epoch-*` subdirectory under the spill root, so one
+    /// config serves many concurrent counters; the subdirectory is
+    /// removed when the counter drops.
     ///
     /// # Errors
     ///
-    /// Returns an error if spill storage cannot be set up.
-    pub fn counter(&self) -> Result<EpochCounter, SieveError> {
-        match self {
-            CountingConfig::InMemory => Ok(EpochCounter::InMemory(InMemoryCounter::new())),
+    /// Returns an error if the spill budget is 0 or the spill log cannot
+    /// be created.
+    pub fn counter(&self) -> Result<AccessCounter, SieveError> {
+        let spill = match self {
+            CountingConfig::InMemory => None,
             CountingConfig::Spill {
                 dir,
                 budget,
                 partitions,
-            } => Ok(EpochCounter::Spill(SpillCounter::create(
-                dir,
-                *budget,
-                *partitions,
-            )?)),
-        }
-    }
-}
-
-/// An access counter minted from a [`CountingConfig`] — the backend the
-/// discrete sieve runs each epoch over.
-#[derive(Debug)]
-pub enum EpochCounter {
-    /// The in-memory epoch table.
-    InMemory(InMemoryCounter),
-    /// Budgeted spill backend.
-    Spill(SpillCounter),
-}
-
-/// Runs `$call` on whichever backend `$this` holds. The spill backend's
-/// hot map drains mid-epoch, so it cannot hold the resident bit: it keeps
-/// the trait's no-residency defaults, and its callers their separate
-/// residency probe.
-macro_rules! on_backend {
-    ($this:expr, $c:ident => $call:expr) => {
-        match $this {
-            EpochCounter::InMemory($c) => $call,
-            EpochCounter::Spill($c) => $call,
-        }
-    };
-}
-
-impl AccessCounter for EpochCounter {
-    fn record(&mut self, key: u64) {
-        on_backend!(self, c => c.record(key))
-    }
-
-    fn finish(self) -> Result<AccessCounts, SieveError> {
-        on_backend!(self, c => c.finish())
-    }
-
-    fn finish_selection(self, threshold: u64) -> Result<Vec<u64>, SieveError> {
-        on_backend!(self, c => c.finish_selection(threshold))
-    }
-
-    #[inline]
-    fn touch(&mut self, key: u64) -> Option<bool> {
-        on_backend!(self, c => c.touch(key))
-    }
-
-    fn seed_resident(&mut self, key: u64) {
-        on_backend!(self, c => c.seed_resident(key))
-    }
-
-    #[inline]
-    fn prefetch(&self, key: u64) {
-        on_backend!(self, c => c.prefetch(key))
-    }
-
-    fn drain_selection(&mut self, threshold: u64) -> Option<Vec<u64>> {
-        on_backend!(self, c => c.drain_selection(threshold))
+            } => {
+                if *budget == 0 {
+                    return Err(SieveError::InvalidConfig(
+                        "spill counter needs a non-zero key budget".into(),
+                    ));
+                }
+                let seq = SPILL_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let dir = dir.join(format!("epoch-{}-{seq:04}", std::process::id()));
+                Some(Spill {
+                    log: AccessLog::create(dir, *partitions)?,
+                    budget: *budget,
+                })
+            }
+        };
+        Ok(AccessCounter {
+            slots: vec![Slot::default(); MIN_SLOTS].into(),
+            shift: 64 - MIN_SLOTS.trailing_zeros(),
+            used: 0,
+            spill,
+        })
     }
 }
 
@@ -855,12 +740,61 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{RngExt, SeedableRng};
+    use sievestore_types::{BlockAddr, Micros, RequestKind, ServerId, VolumeId};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("sievestore-extsort-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The two counting backends, by the names of the types that held
+    /// them before there was one counter.
+    type InMemoryCounter = AccessCounter;
+    type SpillCounter = AccessCounter;
+
+    impl AccessCounter {
+        fn new() -> Self {
+            CountingConfig::InMemory.counter().unwrap()
+        }
+
+        fn create(
+            root: impl Into<PathBuf>,
+            budget: usize,
+            partitions: usize,
+        ) -> Result<Self, SieveError> {
+            let dir = root.into();
+            CountingConfig::Spill {
+                dir,
+                budget,
+                partitions,
+            }
+            .counter()
+        }
+    }
+
+    /// The counts the table holds (the whole epoch's, in memory).
+    fn table_counts(counter: &AccessCounter) -> BlockCounts {
+        let counted = counter.slots.iter().filter(|s| s.word >= ONE);
+        counted.map(|s| (s.key, s.word / ONE)).collect()
+    }
+
+    /// The epoch's counts so far, whichever way `counter` is backed.
+    fn totals(mut counter: AccessCounter) -> BlockCounts {
+        counter.spill_table();
+        let mut counts = table_counts(&counter);
+        if let Some(spill) = &mut counter.spill {
+            for i in 0..spill.log.partitions {
+                counts.merge(&spill.log.reduced(i).unwrap().into_iter().collect());
+            }
+        }
+        counts
+    }
+
+    /// Accesses that reached a spill counter's log so far.
+    fn spilled(counter: &AccessCounter) -> u64 {
+        counter.spill.as_ref().map_or(0, |spill| spill.log.logged())
     }
 
     #[test]
@@ -880,7 +814,7 @@ mod tests {
             oracle.record(key);
         }
         let external = log.finish().unwrap();
-        let expected = oracle.finish().unwrap();
+        let expected = totals(oracle);
         assert_eq!(external, expected);
         fs::remove_dir_all(&dir).ok();
     }
@@ -905,7 +839,7 @@ mod tests {
         }
         log.compact().unwrap();
         let counts = log.finish().unwrap();
-        assert_eq!(counts.len(), 50);
+        assert_eq!(counts.unique_blocks(), 50);
         for k in 0..50 {
             assert_eq!(counts.get(k), 300, "key {k}");
         }
@@ -927,8 +861,26 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_selection_empties_the_log_for_the_next_epoch() {
+        let dir = temp_dir("reopen");
+        let mut log = AccessLog::create(&dir, 3).unwrap();
+        [4u64, 4, 5, 6, 6, 6].iter().for_each(|&k| log.record(k));
+        log.compact().unwrap();
+        log.record(5);
+        assert_eq!(log.finish_selection(2).unwrap(), vec![4, 5, 6]);
+        assert_eq!((log.logged(), log.disk_bytes().unwrap()), (0, 0));
+        // The next epoch counts from zero in the same files.
+        [5u64, 6, 6].iter().for_each(|&k| log.record(k));
+        assert_eq!(log.finish_selection(2).unwrap(), vec![6]);
+        log.record(7);
+        let counts = log.finish().unwrap();
+        assert_eq!((counts.unique_blocks(), counts.get(7)), (1, 1));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn threshold_selection_matches_paper_rule() {
-        let counts: AccessCounts = [(1u64, 12u64), (2, 10), (3, 9), (4, 1)]
+        let counts: BlockCounts = [(1u64, 12u64), (2, 10), (3, 9), (4, 1)]
             .into_iter()
             .collect();
         assert_eq!(counts.keys_with_at_least(10), vec![1, 2]);
@@ -937,19 +889,94 @@ mod tests {
     }
 
     #[test]
-    fn top_n_orders_by_count_then_key() {
-        let counts: AccessCounts = [(5u64, 3u64), (1, 7), (9, 3), (2, 7)].into_iter().collect();
-        assert_eq!(counts.top_n(3), vec![(1, 7), (2, 7), (5, 3)]);
-        assert_eq!(counts.top_n(0), vec![]);
-        assert_eq!(counts.top_n(10).len(), 4);
+    fn ranked_orders_by_count_then_key() {
+        let counts: BlockCounts = [(5u64, 3u64), (1, 7), (9, 3), (2, 7)].into_iter().collect();
+        assert_eq!(counts.ranked(), vec![(1, 7), (2, 7), (5, 3), (9, 3)]);
+        assert_eq!(counts.sorted_desc(), vec![7, 7, 3, 3]);
+        assert_eq!(counts.top_fraction(0.75), (vec![1, 2, 5], 17));
     }
 
     #[test]
     fn from_iterator_merges_duplicate_keys() {
-        let counts: AccessCounts = [(1u64, 2u64), (1, 3)].into_iter().collect();
+        let counts: BlockCounts = [(1u64, 2u64), (1, 3)].into_iter().collect();
         assert_eq!(counts.get(1), 5);
-        assert_eq!(counts.len(), 1);
+        assert_eq!((counts.unique_blocks(), counts.total_accesses()), (1, 5));
         assert!(!counts.is_empty());
+    }
+
+    #[test]
+    fn counting_and_ranking() {
+        let blocks = [1u64, 1, 1, 2, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11];
+        let counts = BlockCounts::from_blocks(blocks.iter().copied());
+        assert_eq!(counts.unique_blocks(), 11);
+        assert_eq!(counts.total_accesses(), 14);
+        assert_eq!((counts.get(1), counts.get(99)), (3, 0));
+        assert_eq!(counts.ranked()[..3], [(1, 3), (2, 2), (3, 1)]);
+        // Top ~18% of 11 blocks = 2 blocks: 1 (3 accesses) and 2 (2).
+        assert_eq!(counts.top_fraction(0.18), (vec![1, 2], 5));
+    }
+
+    #[test]
+    fn from_requests_counts_blocks_not_requests() {
+        let req = Request::new(
+            Micros::new(0),
+            BlockAddr::new(ServerId::new(0), VolumeId::new(0), 8),
+            4,
+            RequestKind::Read,
+        );
+        let counts = BlockCounts::from_requests([req].iter());
+        assert_eq!(counts.total_accesses(), 4);
+        assert_eq!(counts.unique_blocks(), 4);
+        let counts: BlockCounts = [req, req].iter().collect();
+        assert_eq!(counts.total_accesses(), 8);
+        assert_eq!(counts.unique_blocks(), 4);
+    }
+
+    #[test]
+    fn top_fraction_and_low_reuse() {
+        let mut blocks = vec![1u64; 10]; // block 1: 10 accesses
+        blocks.extend(2..=100u64); // 99 one-touch blocks
+        let counts = BlockCounts::from_blocks(blocks.into_iter());
+        assert_eq!(counts.top_fraction(0.01), (vec![1], 10));
+        assert!((counts.fraction_with_at_most(1) - 0.99).abs() < 1e-12);
+        assert_eq!(counts.fraction_with_at_most(10), 1.0);
+    }
+
+    #[test]
+    fn top_fraction_edges() {
+        let counts = BlockCounts::from_blocks([1u64, 2, 3].into_iter());
+        assert_eq!(counts.top_fraction(0.0), (vec![], 0));
+        let (all, covered) = counts.top_fraction(1.0);
+        assert_eq!((all.len(), covered), (3, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "fraction")]
+    fn bad_fraction_panics() {
+        let counts = BlockCounts::from_blocks([1u64].into_iter());
+        let _ = counts.top_fraction(1.5);
+    }
+
+    #[test]
+    fn merge_is_commutative() {
+        let a = BlockCounts::from_blocks([1u64, 1, 2].into_iter());
+        let b = BlockCounts::from_blocks([2u64, 3].into_iter());
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab, ba);
+        assert_eq!(ab.get(2), 2);
+        assert_eq!(ab.total_accesses(), 5);
+    }
+
+    #[test]
+    fn empty_counts_are_well_behaved() {
+        let counts = BlockCounts::new();
+        assert!(counts.is_empty());
+        assert_eq!(counts.fraction_with_at_most(5), 0.0);
+        assert_eq!(counts.top_fraction(0.5), (vec![], 0));
+        assert!(counts.sorted_desc().is_empty());
     }
 
     #[test]
@@ -995,10 +1022,11 @@ mod tests {
             spill.record(key);
             oracle.record(key);
         }
-        assert!(spill.spills() > 0, "tiny budget must force drains");
+        assert!(spilled(&spill) > 0, "tiny budget must force drains");
+        assert!(spill.slots.len() <= 32, "the table stays inside its budget");
         assert_eq!(
-            spill.finish().unwrap(),
-            oracle.finish().unwrap(),
+            totals(spill),
+            totals(oracle),
             "spill totals diverge from in-memory"
         );
         fs::remove_dir_all(&dir).ok();
@@ -1035,21 +1063,24 @@ mod tests {
     }
 
     #[test]
-    fn epoch_counter_dispatches_per_config() {
+    fn every_config_selects_alike_epoch_after_epoch() {
         let dir = temp_dir("epoch");
         let configs = [
             CountingConfig::InMemory,
             CountingConfig::spill(&dir).with_budget(4),
         ];
+        let epochs: [&[u64]; 3] = [&[1, 2, 1, 3, 1, 2, 9, 9, 9, 9], &[3, 3, 4], &[]];
         let mut selections = Vec::new();
         for config in &configs {
             let mut counter = config.counter().unwrap();
-            for k in [1u64, 2, 1, 3, 1, 2, 9, 9, 9, 9] {
-                counter.record(k);
+            let mut selected = Vec::new();
+            for keys in epochs {
+                keys.iter().for_each(|&k| counter.record(k));
+                selected.push(counter.end_epoch(2).unwrap());
             }
-            selections.push(counter.finish_selection(2).unwrap());
+            selections.push(selected);
         }
-        assert_eq!(selections[0], vec![1, 2, 9]);
+        assert_eq!(selections[0], [vec![1, 2, 9], vec![3], vec![]]);
         assert_eq!(selections[0], selections[1]);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1061,7 +1092,7 @@ mod tests {
         for k in 0..100u64 {
             counter.record(k);
         }
-        counter.finish().unwrap();
+        counter.finish_selection(1).unwrap();
         let leftover = fs::read_dir(&root).map(|d| d.count()).unwrap_or(0);
         assert_eq!(leftover, 0, "epoch subdirectory must be removed");
         fs::remove_dir_all(&root).ok();
@@ -1074,7 +1105,7 @@ mod tests {
         for k in 0..100u64 {
             counter.record(k);
         }
-        assert!(counter.spills() > 0, "something reached the log");
+        assert!(spilled(&counter) > 0, "something reached the log");
         drop(counter);
         let leftover = fs::read_dir(&root).map(|d| d.count()).unwrap_or(0);
         assert_eq!(leftover, 0, "epoch subdirectory must be removed");
@@ -1091,11 +1122,23 @@ mod tests {
         let dir = temp_dir("rc");
         let mut log = AccessLog::create(&dir, 2).unwrap();
         log.record_count(5, 7);
-        log.record_access(5);
+        log.record(5);
         assert_eq!(log.logged(), 8);
         let counts = log.finish().unwrap();
         assert_eq!(counts.get(5), 8);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn spill_counting_keeps_no_resident_bit() {
+        let root = temp_dir("spill-touch");
+        let mut counter = SpillCounter::create(&root, 8, 2).unwrap();
+        counter.seed_resident(5);
+        counter.prefetch(5);
+        assert_eq!(counter.touch(5), None);
+        assert_eq!(counter.touch(5), None);
+        assert_eq!(counter.end_epoch(2).unwrap(), vec![5], "touch still counts");
+        fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -1104,37 +1147,31 @@ mod tests {
         for key in [7, 8, u64::MAX] {
             table.seed_resident(key);
         }
-        assert!(table.clone().finish().unwrap().is_empty(), "seeded only");
+        assert!(table_counts(&table).is_empty(), "seeded only");
         assert_eq!(table.touch(7), Some(true));
         assert_eq!(table.touch(7), Some(true));
         assert_eq!(table.touch(u64::MAX), Some(true));
         assert_eq!(table.touch(0), Some(false), "key 0 is not the vacancy mark");
         table.seed_resident(7); // seeding twice, or after a touch, changes nothing
-        assert_eq!((table.get(7), table.get(8), table.get(0)), (2, 0, 1));
+        let counts = table_counts(&table);
+        assert_eq!((counts.get(7), counts.get(8), counts.get(0)), (2, 0, 1));
+        assert_eq!((counts.unique_blocks(), counts.total_accesses()), (3, 4));
+        assert_eq!(counts.get(u64::MAX), 1);
         // Resident but touched fewer than `threshold` times: not selected;
         // resident and never touched: not even at threshold 0.
-        assert_eq!(
-            table.clone().finish_selection(3).unwrap(),
-            Vec::<u64>::new()
-        );
-        assert_eq!(table.clone().finish_selection(2).unwrap(), vec![7]);
-        assert_eq!(
-            table.clone().finish_selection(0).unwrap(),
-            vec![0, 7, u64::MAX]
-        );
-        let counts = table.clone().finish().unwrap();
-        assert_eq!((counts.len(), counts.total_accesses()), (3, 4));
-        assert_eq!(counts.get(u64::MAX), 1);
-        // Draining leaves neither counts nor resident marks behind.
-        assert_eq!(table.drain_selection(1), Some(vec![0, 7, u64::MAX]));
+        assert_eq!(table.select(3).unwrap(), Vec::<u64>::new());
+        assert_eq!(table.select(2).unwrap(), vec![7]);
+        assert_eq!(table.select(0).unwrap(), vec![0, 7, u64::MAX]);
+        // Ending the epoch leaves neither counts nor resident marks behind.
+        assert_eq!(table.end_epoch(1).unwrap(), vec![0, 7, u64::MAX]);
         assert_eq!(table.touch(7), Some(false));
-        assert_eq!(table.finish().unwrap().len(), 1);
+        assert_eq!(table_counts(&table).unique_blocks(), 1);
     }
 
     #[test]
-    fn drained_table_keeps_its_size_for_the_next_epoch() {
+    fn an_ended_epoch_keeps_the_table_size_for_the_next() {
         let mut table = InMemoryCounter::new();
-        let epoch = |table: &mut InMemoryCounter, keys: u64| {
+        let epoch = |table: &mut AccessCounter, keys: u64| {
             (0..keys).for_each(|key| table.record(key.wrapping_mul(0x9E37_79B9)));
         };
         epoch(&mut table, 1000);
@@ -1142,13 +1179,13 @@ mod tests {
         // slot count is zero rehashes.
         let grown = table.slots.len();
         assert_eq!(grown, 2048, "grown from 16 slots, at most 3/4 full");
-        assert_eq!(table.drain_selection(1).map(|keys| keys.len()), Some(1000));
-        assert_eq!(table.slots.len(), grown, "draining keeps the size");
+        assert_eq!(table.end_epoch(1).unwrap().len(), 1000);
+        assert_eq!(table.slots.len(), grown, "ending the epoch keeps the size");
         epoch(&mut table, 1000);
         assert_eq!(table.slots.len(), grown, "no rehash in a same-sized epoch");
         epoch(&mut table, 4000);
         assert!(table.slots.len() > grown, "growth past the kept size");
-        assert_eq!(table.finish().unwrap().len(), 4000);
+        assert_eq!(table_counts(&table).unique_blocks(), 4000);
     }
 
     #[derive(Debug, Clone)]
@@ -1195,11 +1232,11 @@ mod tests {
                     TableOp::Touch(key) => {
                         prop_assert_eq!(table.touch(key), Some(resident.contains(&key)));
                         *counts.entry(key).or_insert(0) += 1;
-                        prop_assert_eq!(table.get(key), counts[&key]);
+                        prop_assert_eq!(table_counts(&table).get(key), counts[&key]);
                     }
                     TableOp::EndEpoch(threshold) => {
-                        let totals = table.clone().finish().unwrap();
-                        prop_assert_eq!(totals.len(), counts.len());
+                        let totals = table_counts(&table);
+                        prop_assert_eq!(totals.unique_blocks(), counts.len());
                         for (&k, &c) in &counts {
                             prop_assert_eq!(totals.get(k), c);
                         }
@@ -1209,14 +1246,13 @@ mod tests {
                             .map(|(&k, _)| k)
                             .collect();
                         want.sort_unstable();
-                        prop_assert_eq!(table.clone().finish_selection(threshold).unwrap(), want.clone());
-                        prop_assert_eq!(table.drain_selection(threshold), Some(want));
+                        prop_assert_eq!(table.end_epoch(threshold).unwrap(), want);
                         counts.clear();
                         resident.clear();
                     }
                 }
             }
-            prop_assert_eq!(table.finish().unwrap().len(), counts.len());
+            prop_assert_eq!(totals(table).unique_blocks(), counts.len());
         }
     }
 
@@ -1262,7 +1298,7 @@ mod tests {
                 }
             }
             let external = log.finish().unwrap();
-            prop_assert_eq!(external, oracle.finish().unwrap());
+            prop_assert_eq!(external, totals(oracle));
             fs::remove_dir_all(&dir).ok();
         }
     }

@@ -14,7 +14,8 @@
 //! * [`TwoTierSieve`] — SieveStore-C's IMCT→MCT admission pipeline
 //!   (`t1` = 9 imprecise, then `t2` = 4 precise misses);
 //! * [`DiscreteSieve`] — SieveStore-D's epoch access-count rule
-//!   (`count >= 10` per day), generic over the counting substrate;
+//!   (`count >= 10` per day) over one epoch counter, in memory or
+//!   spilled to disk;
 //! * [`RandomMissSieve`] / [`random_block_selection`] — the randomized
 //!   baselines RandSieve-C and RandSieve-BlkD.
 //!

@@ -45,7 +45,7 @@ pub mod sweep;
 pub use belady::{belady_counterexample, belady_min, belady_selective, pinned_set, OfflineResult};
 pub use engine::{simulate, simulate_many, simulate_server, simulate_with_snapshots, SimConfig};
 pub use metrics::{DayMetrics, SimResult};
-pub use oracle::{day_counts, ideal_top_selections, server_day_counts, DayCounts};
+pub use oracle::{day_counts, ideal_top_selections, server_day_counts};
 pub use per_server::{
     drive_cost_comparison, ensemble_ideal_capture, per_server_ideal_capture, simulate_per_server,
     CaptureSeries,

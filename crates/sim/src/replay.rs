@@ -713,7 +713,7 @@ mod tests {
     #[test]
     fn counting_backend_failure_is_an_error_not_a_panic() {
         // The spill root turns into a regular file after the store is
-        // built, so the next epoch's counter cannot be created.
+        // built, so the epoch's spill log cannot be read back.
         let path = std::env::temp_dir().join(format!("sieve-book-{}", std::process::id()));
         let mut store = sievestore::SieveStoreBuilder::new()
             .capacity_blocks(16)

@@ -1,10 +1,14 @@
 //! Cross-crate integration: the appliance's discrete sieve must agree
-//! with an independent count over the paper's offline log substrate, and
-//! the trace codec must round-trip generator output through the
+//! with an independent count over the paper's offline log substrate, the
+//! sieve must count alike in memory and under spill epoch after epoch,
+//! and the trace codec must round-trip generator output through the
 //! filesystem.
 
+use proptest::prelude::*;
 use sievestore::{PolicySpec, SieveStoreBuilder};
-use sievestore_extsort::{AccessCounter, AccessLog};
+use sievestore_cache::BatchCache;
+use sievestore_extsort::{AccessLog, CountingConfig};
+use sievestore_sieve::DiscreteSieve;
 use sievestore_trace::{EnsembleConfig, SyntheticTrace, TraceReader, TraceStats, TraceWriter};
 use sievestore_types::Day;
 
@@ -51,6 +55,49 @@ fn appliance_batch_selection_matches_external_log_counts() {
         "appliance selection must equal offline log reduction"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// SieveStore-D's sieve over the in-memory table and over a spill log
+    /// with a tiny budget, epoch after epoch, each install's kept keys
+    /// seeded into both: the selections are equal, and every in-memory
+    /// `touch` answers what a shadow epoch cache holds. Dropped, the
+    /// spill sieve leaves no `epoch-*` directory behind.
+    #[test]
+    fn in_memory_and_spill_sieves_agree_across_epochs(
+        epochs in proptest::collection::vec(proptest::collection::vec(0u64..64, 0..800), 3..6),
+        threshold in 1u64..=12,
+        budget in 1usize..=64,
+        capacity in 1usize..64,
+    ) {
+        let root = std::env::temp_dir().join(format!("sievestore-dspill-{}", std::process::id()));
+        let spilled = CountingConfig::spill(&root).with_budget(budget);
+        let mut memory = DiscreteSieve::new(&CountingConfig::InMemory, threshold).unwrap();
+        let mut spill = DiscreteSieve::new(&spilled, threshold).unwrap();
+        let mut shadow = BatchCache::new(capacity);
+        for keys in &epochs {
+            for &key in keys {
+                prop_assert_eq!(memory.counter_mut().touch(key), Some(shadow.contains(key)));
+                prop_assert_eq!(spill.counter_mut().touch(key), None);
+            }
+            let selected = memory.end_epoch().unwrap();
+            prop_assert_eq!(spill.end_epoch().unwrap(), selected.clone());
+            shadow.install_epoch(selected);
+            for key in shadow.iter() {
+                memory.counter_mut().seed_resident(key);
+                spill.counter_mut().seed_resident(key);
+            }
+        }
+        drop(spill);
+        let left: Vec<_> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .filter(|name| name.to_string_lossy().starts_with("epoch-"))
+            .collect();
+        prop_assert!(left.is_empty(), "left {:?}", left);
+        std::fs::remove_dir_all(&root).ok();
+    }
 }
 
 #[test]

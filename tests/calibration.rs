@@ -5,7 +5,8 @@
 //! counts are scale-invariant by construction, so the shape assertions
 //! hold at any scale.
 
-use sievestore_analysis::{popularity_cdf, BlockCounts};
+use sievestore_analysis::popularity_cdf;
+use sievestore_sim::{day_counts, server_day_counts};
 use sievestore_trace::{EnsembleConfig, Scale, SyntheticTrace};
 use sievestore_types::Day;
 
@@ -14,15 +15,11 @@ fn msr_like_coarse() -> SyntheticTrace {
     SyntheticTrace::new(cfg).expect("default ensemble validates")
 }
 
-fn day_counts(trace: &SyntheticTrace, day: u16) -> BlockCounts {
-    BlockCounts::from_requests(trace.day_requests(Day::new(day)).iter())
-}
-
 #[test]
 fn o1_popularity_skew_holds_each_day() {
     let trace = msr_like_coarse();
     for d in 0..trace.days() {
-        let counts = day_counts(&trace, d);
+        let counts = day_counts(&trace, Day::new(d));
         let cdf = popularity_cdf(&counts, 1000);
         let top1 = cdf.top1_share();
         // Paper: the top 1% of blocks take 14-53% of accesses.
@@ -55,7 +52,7 @@ fn o1_popularity_skew_holds_each_day() {
 #[test]
 fn o1_hot_head_is_steep() {
     let trace = msr_like_coarse();
-    let counts = day_counts(&trace, 2);
+    let counts = day_counts(&trace, Day::new(2));
     let sorted = counts.sorted_desc();
     // The hottest blocks must dwarf the 1%-boundary blocks (paper: >1000
     // vs <10 per day at full scale; ratios survive scaling).
@@ -82,7 +79,7 @@ fn o2_skew_varies_across_servers() {
             .iter()
             .position(|s| s.key == key)
             .expect("server exists");
-        let counts = BlockCounts::from_requests(trace.server_day(idx, day).iter());
+        let counts = server_day_counts(&trace, idx, day);
         popularity_cdf(&counts, 500).top1_share()
     };
     let prxy = share("Prxy");
@@ -94,7 +91,7 @@ fn o2_skew_varies_across_servers() {
 #[test]
 fn o2_hot_sets_drift_but_consecutive_days_overlap() {
     let trace = msr_like_coarse();
-    let top = |d: u16| day_counts(&trace, d).top_fraction(0.01).0;
+    let top = |d: u16| day_counts(&trace, Day::new(d)).top_fraction(0.01).0;
     let overlap = |a: &[u64], b: &[u64]| sievestore_analysis::containment_overlap(a, b);
     let d1 = top(1);
     let d2 = top(2);

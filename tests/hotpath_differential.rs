@@ -1,7 +1,7 @@
 //! Differential guard for the allocation-free hot-path refactor.
 //!
 //! The `U64Map`-backed `LruCache`, the `U64Map`-backed `Mct`, the `U64Set`
-//! `BatchCache` and the fast `InMemoryCounter` must be *semantically
+//! `BatchCache` and the in-memory epoch `AccessCounter` must be *semantically
 //! invisible*: every policy's per-day metrics over a seeded trace have to
 //! match, bit for bit, the metrics the pre-refactor `std::collections`
 //! structures produced. The digests below were captured from the
@@ -48,7 +48,7 @@ fn digest(result: &SimResult) -> u64 {
 
 /// `(policy, golden digest)` pairs captured from the pre-refactor
 /// structures (std HashMap-based LRU index, HashMap-of-counters MCT,
-/// HashSet BatchCache, HashMap InMemoryCounter) on this exact trace.
+/// HashSet BatchCache, HashMap-backed epoch counter) on this exact trace.
 fn golden_cases() -> Vec<(PolicySpec, &'static str, u64)> {
     vec![
         (PolicySpec::Aod, "AOD", GOLDEN_AOD),
