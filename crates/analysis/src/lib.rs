@@ -32,7 +32,6 @@
 pub mod binning;
 pub mod cdf;
 pub mod composition;
-pub mod counting;
 pub mod report;
 
 pub use binning::{BinStat, PopularityBins};
@@ -41,6 +40,5 @@ pub use composition::{
     composition_by_server, consecutive_day_overlaps, containment_overlap, jaccard_overlap,
     ServerShare,
 };
-pub use counting::sharded_block_counts;
 pub use report::{pct, thousands, write_csv, TextTable};
 pub use sievestore_extsort::BlockCounts;

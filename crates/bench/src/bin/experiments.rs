@@ -37,7 +37,7 @@ options:
   --threads N  replay each simulation with N sharded workers (default 1,
                at least 1; discrete policies are bit-identical at any N)
   --eviction P continuous caches replace frames with policy P: 'lru'
-               (default) or 'sieve' (lock-free hit path); discrete
+               (default) or 'sieve' (visited bit on hit); discrete
                policies use the epoch-batch cache regardless
   --obs        enable runtime metrics recording; writes one day-boundary
                snapshot JSONL per policy run plus the registry totals

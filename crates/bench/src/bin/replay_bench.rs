@@ -599,7 +599,7 @@ fn micro_phase(reps: usize) -> Vec<MicroReport> {
         }),
     );
 
-    // SIEVE hit path: one map probe plus a relaxed visited-bit store —
+    // SIEVE hit path: one map probe plus a visited-bit store —
     // no list surgery, so this should undercut lru_touch.
     let mut sieve = SieveCache::new(MICRO_KEYS as usize);
     for i in 0..MICRO_KEYS {

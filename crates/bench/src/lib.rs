@@ -140,7 +140,7 @@ impl Harness {
     }
 
     /// Switches the eviction policy the continuous caches replace with
-    /// (LRU by default, SIEVE's lock-free hit path as the alternative).
+    /// (LRU by default, SIEVE as the alternative).
     /// Discrete policies use the epoch-batch cache regardless. Clears
     /// any cached runs.
     #[must_use]

@@ -6,7 +6,7 @@
 //! and a free list for O(1) slot reuse. Only the *replacement decision*
 //! differs — LRU moves hit slots to the front, SIEVE flips a visited bit
 //! and scans with a hand — so the structure is generic over a per-slot
-//! metadata payload `M` (`()` for LRU, `AtomicBool` for SIEVE) and the
+//! metadata payload `M` (`()` for LRU, the visited `bool` for SIEVE) and the
 //! policies stay thin wrappers. Observability counters live in those
 //! wrappers, never here: each policy counts its own hits and evictions.
 
@@ -89,13 +89,8 @@ impl<M> FrameList<M> {
         self.map.get(key).copied()
     }
 
-    pub fn slot(&self, idx: u32) -> &Slot<M> {
-        &self.slots[idx as usize]
-    }
-
-    #[cfg(test)]
-    pub fn head(&self) -> u32 {
-        self.head
+    pub fn slot_mut(&mut self, idx: u32) -> &mut Slot<M> {
+        &mut self.slots[idx as usize]
     }
 
     pub fn tail(&self) -> u32 {
@@ -183,43 +178,11 @@ impl<M> FrameList<M> {
         key
     }
 
-    /// Drops every resident frame (slot storage is released too).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
     /// Resident keys from head to tail (insertion/recency order).
     pub fn iter_from_head(&self) -> IterFromHead<'_, M> {
         IterFromHead {
             frames: self,
             next: self.head,
-        }
-    }
-
-    /// A structural copy with each slot's metadata rebuilt by `f` — how
-    /// [`SieveCache`](crate::SieveCache) clones through its non-`Clone`
-    /// atomics.
-    pub fn clone_with<N>(&self, mut f: impl FnMut(&M) -> N) -> FrameList<N> {
-        FrameList {
-            capacity: self.capacity,
-            map: self.map.clone(),
-            slots: self
-                .slots
-                .iter()
-                .map(|s| Slot {
-                    key: s.key,
-                    prev: s.prev,
-                    next: s.next,
-                    meta: f(&s.meta),
-                })
-                .collect(),
-            free: self.free.clone(),
-            head: self.head,
-            tail: self.tail,
         }
     }
 }
@@ -277,32 +240,5 @@ mod tests {
         let idx = f.index_of(1).unwrap();
         f.move_to_front(idx);
         assert_eq!(f.iter_from_head().collect::<Vec<_>>(), vec![1, 3, 2]);
-        assert_eq!(f.slot(f.head()).key, 1);
-    }
-
-    #[test]
-    fn clone_with_preserves_structure() {
-        let mut f = FrameList::new(4);
-        f.push_front(1, 10u8);
-        f.push_front(2, 20u8);
-        let g: FrameList<u16> = f.clone_with(|&m| u16::from(m) * 2);
-        assert_eq!(g.len(), 2);
-        assert_eq!(g.slot(g.head()).meta, 40);
-        assert_eq!(
-            f.iter_from_head().collect::<Vec<_>>(),
-            g.iter_from_head().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut f = FrameList::new(2);
-        f.push_front(1, ());
-        f.clear();
-        assert!(f.is_empty());
-        assert_eq!(f.head(), NIL);
-        assert_eq!(f.tail(), NIL);
-        f.push_front(5, ());
-        assert!(f.contains(5));
     }
 }

@@ -1,14 +1,14 @@
 //! Block caches for the SieveStore reproduction.
 //!
 //! Three cache organizations, matching the paper's two caching models
-//! plus a lock-free-hit replacement for the parallel replay engine:
+//! plus a second replacement policy for the continuous ones:
 //!
 //! * [`LruCache`] — fully-associative, O(1) LRU; the default for every
 //!   *continuous* configuration (SieveStore-C, AOD, WMNA, RandSieve-C).
-//! * [`SieveCache`] — fully-associative SIEVE (NSDI '24): hits flip an
-//!   atomic visited bit through `&self` instead of moving list nodes, so
-//!   the hit path takes no write lock. Selectable for the continuous
-//!   configurations via [`EvictionPolicy`].
+//! * [`SieveCache`] — fully-associative SIEVE (NSDI '24): a hit sets a
+//!   visited bit instead of moving a list node, and a scanning hand
+//!   evicts. Selectable for the continuous configurations via
+//!   [`EvictionPolicy`].
 //! * [`BatchCache`] — epoch-batched residency with move-cancelling
 //!   reinstallation; the cache of the *discrete* SieveStore-D.
 //!

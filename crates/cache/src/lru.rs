@@ -6,7 +6,7 @@
 //! hash map from block key to slot plus an intrusive doubly-linked list
 //! threaded through a slab of slots — the `FrameList` (`frames.rs`)
 //! bookkeeping shared with [`SieveCache`](crate::SieveCache) — so
-//! `touch`, `insert` and `remove` are all O(1); a 16 GB cache is 33.5 M
+//! `touch` and `insert` are both O(1); a 16 GB cache is 33.5 M
 //! frames at full scale and ~130 K at the default 1/256 scale, both
 //! comfortably in memory.
 //!
@@ -119,34 +119,6 @@ impl LruCache {
         evicted
     }
 
-    /// Removes `key`; returns whether it was resident.
-    pub fn remove(&mut self, key: u64) -> bool {
-        match self.frames.index_of(key) {
-            Some(idx) => {
-                self.frames.release(idx);
-                obs_gauge_adjust!(CacheResidentFrames, -1);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Evicts and returns the least-recently-used key, if any.
-    pub fn pop_lru(&mut self) -> Option<u64> {
-        if self.frames.tail() == NIL {
-            return None;
-        }
-        let key = self.frames.slot(self.frames.tail()).key;
-        self.remove(key);
-        Some(key)
-    }
-
-    /// Drops every resident frame.
-    pub fn clear(&mut self) {
-        obs_gauge_adjust!(CacheResidentFrames, -(self.frames.len() as i64));
-        self.frames.clear();
-    }
-
     /// Iterates over resident keys from most- to least-recently used.
     pub fn iter_mru(&self) -> IterMru<'_> {
         IterMru {
@@ -223,33 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_slot_reuse() {
-        let mut c = LruCache::new(2);
-        c.insert(1);
-        c.insert(2);
-        assert!(c.remove(1));
-        assert!(!c.remove(1));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.insert(3), None); // reuses the freed slot
-        assert_eq!(c.len(), 2);
-        assert!(c.contains(2) && c.contains(3));
-    }
-
-    #[test]
-    fn pop_lru_pops_in_recency_order() {
-        let mut c = LruCache::new(3);
-        c.insert(1);
-        c.insert(2);
-        c.insert(3);
-        c.touch(1);
-        assert_eq!(c.pop_lru(), Some(2));
-        assert_eq!(c.pop_lru(), Some(3));
-        assert_eq!(c.pop_lru(), Some(1));
-        assert_eq!(c.pop_lru(), None);
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn iter_mru_orders_from_most_recent() {
         let mut c = LruCache::new(4);
         for k in [1, 2, 3, 4] {
@@ -257,18 +202,6 @@ mod tests {
         }
         c.touch(2);
         assert_eq!(c.iter_mru().collect::<Vec<_>>(), vec![2, 4, 3, 1]);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut c = LruCache::new(2);
-        c.insert(1);
-        c.insert(2);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.iter_mru().count(), 0);
-        assert_eq!(c.insert(5), None);
-        assert!(c.contains(5));
     }
 
     #[test]
@@ -316,30 +249,18 @@ mod tests {
             self.order.push_front(key);
             evicted
         }
-        fn remove(&mut self, key: u64) -> bool {
-            if let Some(pos) = self.order.iter().position(|&k| k == key) {
-                self.order.remove(pos);
-                true
-            } else {
-                false
-            }
-        }
     }
 
     #[derive(Debug, Clone)]
     enum Op {
         Insert(u64),
         Touch(u64),
-        Remove(u64),
-        PopLru,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
             (0u64..40).prop_map(Op::Insert),
             (0u64..40).prop_map(Op::Touch),
-            (0u64..40).prop_map(Op::Remove),
-            Just(Op::PopLru),
         ]
     }
 
@@ -355,8 +276,6 @@ mod tests {
                 match op {
                     Op::Insert(k) => prop_assert_eq!(fast.insert(k), naive.insert(k)),
                     Op::Touch(k) => prop_assert_eq!(fast.touch(k), naive.touch(k)),
-                    Op::Remove(k) => prop_assert_eq!(fast.remove(k), naive.remove(k)),
-                    Op::PopLru => prop_assert_eq!(fast.pop_lru(), naive.order.pop_back()),
                 }
                 prop_assert_eq!(fast.len(), naive.order.len());
                 prop_assert!(fast.len() <= capacity);

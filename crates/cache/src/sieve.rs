@@ -11,20 +11,16 @@
 //! workloads, where most blocks are touched once and a tiny minority
 //! dominates.
 //!
-//! The property that matters for the sharded replay engine is on the hit
-//! path: [`SieveCache::touch`] takes `&self` and performs one hash-map
-//! probe plus one relaxed atomic store. There is no list surgery and
-//! therefore no write lock — concurrent readers can record hits while a
-//! single evictor advances the hand (see
-//! [`SieveCache::advance_hand`]). Structural mutation (`insert`,
-//! `remove`, `clear`) still requires `&mut self`.
+//! A hit is one hash-map probe plus one store to a plain `bool`: no list
+//! surgery, unlike LRU's move-to-front. Every owner holds the cache
+//! exclusively (a `SieveStore`, one per replay shard; no node path
+//! selects SIEVE), so [`SieveCache::touch`] takes `&mut self` like every
+//! other operation.
 //!
 //! The resident-frame bookkeeping (key index, slot slab, intrusive list)
 //! is the same `FrameList` (`frames.rs`) that backs
 //! [`LruCache`](crate::LruCache); only the replacement decision and its
 //! observability accounting live here.
-
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 use sievestore_types::{obs_count, obs_gauge_adjust};
 
@@ -45,15 +41,14 @@ use crate::frames::{FrameList, IterFromHead, NIL};
 /// assert_eq!(cache.insert(3), Some(2)); // hand skips visited 1, evicts 2
 /// assert!(cache.contains(1) && cache.contains(3));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SieveCache {
     /// Head = newest insertion, tail = oldest. Slot metadata is the
-    /// SIEVE visited bit, atomic so `touch` can set it through `&self`.
-    frames: FrameList<AtomicBool>,
+    /// SIEVE visited bit.
+    frames: FrameList<bool>,
     /// Slot index the eviction hand points at; [`NIL`] means "start from
-    /// the tail". Atomic so [`SieveCache::advance_hand`] can step it
-    /// through `&self` while readers touch.
-    hand: AtomicU32,
+    /// the tail".
+    hand: u32,
 }
 
 impl SieveCache {
@@ -65,7 +60,7 @@ impl SieveCache {
     pub fn new(capacity: usize) -> Self {
         SieveCache {
             frames: FrameList::new(capacity),
-            hand: AtomicU32::new(NIL),
+            hand: NIL,
         }
     }
 
@@ -89,17 +84,12 @@ impl SieveCache {
         self.frames.contains(key)
     }
 
-    /// Records an access to `key`. Returns `true` if it was resident (a
-    /// hit), `false` otherwise.
-    ///
-    /// This is the lock-free hit path: one map probe plus one relaxed
-    /// store to the frame's visited bit. No ordering is needed — the bit
-    /// is advisory (it only biases a future eviction decision), so a
-    /// racing hand sweep may legitimately observe it either way.
-    pub fn touch(&self, key: u64) -> bool {
+    /// Records an access to `key`: sets its visited bit, nothing else.
+    /// Returns `true` if it was resident (a hit), `false` otherwise.
+    pub fn touch(&mut self, key: u64) -> bool {
         match self.frames.index_of(key) {
             Some(idx) => {
-                self.frames.slot(idx).meta.store(true, Ordering::Relaxed);
+                self.frames.slot_mut(idx).meta = true;
                 obs_count!(CacheHits, 1);
                 true
             }
@@ -115,7 +105,7 @@ impl SieveCache {
     /// bit (it counts as a hit) and never evicts.
     pub fn insert(&mut self, key: u64) -> Option<u64> {
         if let Some(idx) = self.frames.index_of(key) {
-            self.frames.slot(idx).meta.store(true, Ordering::Relaxed);
+            self.frames.slot_mut(idx).meta = true;
             return None;
         }
         let evicted = if self.frames.len() >= self.frames.capacity() {
@@ -128,7 +118,7 @@ impl SieveCache {
         } else {
             obs_gauge_adjust!(CacheResidentFrames, 1);
         }
-        self.frames.push_front(key, AtomicBool::new(false));
+        self.frames.push_front(key, false);
         evicted
     }
 
@@ -140,103 +130,32 @@ impl SieveCache {
     /// clears every bit it passes, so the second cannot skip anyone.
     fn evict(&mut self) -> u64 {
         debug_assert!(!self.frames.is_empty(), "evict from an empty cache");
-        let mut idx = self.hand.load(Ordering::Relaxed);
+        let mut idx = self.hand;
         if idx == NIL {
             idx = self.frames.tail();
         }
         loop {
-            let slot = self.frames.slot(idx);
-            if slot.meta.swap(false, Ordering::Relaxed) {
-                idx = if slot.prev == NIL {
+            let slot = self.frames.slot_mut(idx);
+            let older = slot.prev;
+            if std::mem::take(&mut slot.meta) {
+                idx = if older == NIL {
                     self.frames.tail()
                 } else {
-                    slot.prev
+                    older
                 };
             } else {
                 // Park the hand on the next-older neighbor; NIL means it
                 // restarts from the (possibly new) tail next time.
-                let parked = slot.prev;
-                let key = self.frames.release(idx);
-                self.hand.store(parked, Ordering::Relaxed);
-                return key;
+                self.hand = older;
+                return self.frames.release(idx);
             }
         }
-    }
-
-    /// Advances the hand by at most one frame through `&self`, for an
-    /// evictor thread running concurrently with lock-free readers.
-    ///
-    /// If the frame under the hand is visited, its bit is cleared, the
-    /// hand steps toward the head (wrapping to the tail), and `None` is
-    /// returned. If it is unvisited, its key is returned as the eviction
-    /// candidate and the hand stays put — actually removing the frame
-    /// needs `&mut self` (e.g. [`SieveCache::remove`]). Returns `None`
-    /// on an empty cache.
-    ///
-    /// Intended for a *single* sweeper: concurrent `touch` calls are safe
-    /// (the bit race is benign), but two sweepers would trample each
-    /// other's hand position.
-    pub fn advance_hand(&self) -> Option<u64> {
-        let mut idx = self.hand.load(Ordering::Relaxed);
-        if idx == NIL {
-            idx = self.frames.tail();
-            if idx == NIL {
-                return None;
-            }
-        }
-        let slot = self.frames.slot(idx);
-        if slot.meta.swap(false, Ordering::Relaxed) {
-            let next = if slot.prev == NIL {
-                self.frames.tail()
-            } else {
-                slot.prev
-            };
-            self.hand.store(next, Ordering::Relaxed);
-            None
-        } else {
-            Some(slot.key)
-        }
-    }
-
-    /// Removes `key`; returns whether it was resident.
-    pub fn remove(&mut self, key: u64) -> bool {
-        match self.frames.index_of(key) {
-            Some(idx) => {
-                // Never leave the hand on a recycled slot.
-                if self.hand.load(Ordering::Relaxed) == idx {
-                    self.hand
-                        .store(self.frames.slot(idx).prev, Ordering::Relaxed);
-                }
-                self.frames.release(idx);
-                obs_gauge_adjust!(CacheResidentFrames, -1);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drops every resident frame and resets the hand.
-    pub fn clear(&mut self) {
-        obs_gauge_adjust!(CacheResidentFrames, -(self.frames.len() as i64));
-        self.frames.clear();
-        self.hand.store(NIL, Ordering::Relaxed);
     }
 
     /// Iterates over resident keys from newest to oldest insertion.
     pub fn iter(&self) -> IterSieve<'_> {
         IterSieve {
             inner: self.frames.iter_from_head(),
-        }
-    }
-}
-
-impl Clone for SieveCache {
-    fn clone(&self) -> Self {
-        SieveCache {
-            frames: self
-                .frames
-                .clone_with(|v| AtomicBool::new(v.load(Ordering::Relaxed))),
-            hand: AtomicU32::new(self.hand.load(Ordering::Relaxed)),
         }
     }
 }
@@ -254,7 +173,7 @@ impl<'a> IntoIterator for &'a SieveCache {
 /// [`SieveCache::iter`].
 #[derive(Debug)]
 pub struct IterSieve<'a> {
-    inner: IterFromHead<'a, AtomicBool>,
+    inner: IterFromHead<'a, bool>,
 }
 
 impl Iterator for IterSieve<'_> {
@@ -269,8 +188,6 @@ impl Iterator for IterSieve<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
-    use std::sync::RwLock;
 
     #[test]
     #[should_panic(expected = "nonzero")]
@@ -336,27 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_under_the_hand_is_safe() {
-        let mut c = SieveCache::new(3);
-        for k in [1, 2, 3] {
-            c.insert(k);
-        }
-        c.touch(1); // first eviction will park the hand mid-list
-        assert_eq!(c.insert(4), Some(2));
-        // The hand now points at 3 (1's older neighbor after the 2-slot
-        // release... exercise removal at and around it either way).
-        assert!(c.remove(3));
-        assert!(c.remove(1));
-        assert_eq!(c.len(), 1);
-        c.insert(5);
-        c.insert(6);
-        assert_eq!(c.len(), 3);
-        // Cache still evicts correctly after hand fix-ups.
-        assert!(c.insert(7).is_some());
-        assert_eq!(c.len(), 3);
-    }
-
-    #[test]
     fn capacity_one_cache() {
         let mut c = SieveCache::new(1);
         assert_eq!(c.insert(1), None);
@@ -365,20 +261,6 @@ mod tests {
         assert_eq!(c.insert(2), Some(1));
         assert_eq!(c.insert(3), Some(2));
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn clear_resets_hand_and_frames() {
-        let mut c = SieveCache::new(2);
-        c.insert(1);
-        c.insert(2);
-        c.touch(1);
-        c.insert(3); // parks the hand somewhere
-        c.clear();
-        assert!(c.is_empty());
-        c.insert(7);
-        c.insert(8);
-        assert_eq!(c.insert(9), Some(7));
     }
 
     #[test]
@@ -395,31 +277,8 @@ mod tests {
         assert_eq!(c.iter().collect::<Vec<_>>(), d.iter().collect::<Vec<_>>());
     }
 
-    #[test]
-    fn advance_hand_on_empty_cache() {
-        let c = SieveCache::new(2);
-        assert_eq!(c.advance_hand(), None);
-    }
-
-    #[test]
-    fn advance_hand_finds_unvisited_candidate() {
-        let mut c = SieveCache::new(3);
-        for k in [1, 2, 3] {
-            c.insert(k);
-        }
-        c.touch(1);
-        // 1 is the tail and visited: first step clears it, second lands
-        // on 2 which is unvisited.
-        assert_eq!(c.advance_hand(), None);
-        assert_eq!(c.advance_hand(), Some(2));
-        // Candidate is stable until someone acts on it.
-        assert_eq!(c.advance_hand(), Some(2));
-        assert!(c.remove(2));
-        assert_eq!(c.len(), 2);
-    }
-
     /// Reference model: `Vec` of (key, visited), index 0 = head =
-    /// newest; the hand is tracked by key so removals can't skew it.
+    /// newest; the hand is tracked by key, independent of slot reuse.
     struct NaiveSieve {
         capacity: usize,
         frames: Vec<(u64, bool)>,
@@ -485,37 +344,18 @@ mod tests {
             self.frames.insert(0, (key, false));
             evicted
         }
-
-        fn remove(&mut self, key: u64) -> bool {
-            match self.position(key) {
-                Some(pos) => {
-                    if self.hand == Some(key) {
-                        self.hand = if pos == 0 {
-                            None
-                        } else {
-                            Some(self.frames[pos - 1].0)
-                        };
-                    }
-                    self.frames.remove(pos);
-                    true
-                }
-                None => false,
-            }
-        }
     }
 
     #[derive(Debug, Clone)]
     enum Op {
         Insert(u64),
         Touch(u64),
-        Remove(u64),
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
             (0u64..40).prop_map(Op::Insert),
             (0u64..40).prop_map(Op::Touch),
-            (0u64..40).prop_map(Op::Remove),
         ]
     }
 
@@ -531,7 +371,6 @@ mod tests {
                 match op {
                     Op::Insert(k) => prop_assert_eq!(fast.insert(k), naive.insert(k)),
                     Op::Touch(k) => prop_assert_eq!(fast.touch(k), naive.touch(k)),
-                    Op::Remove(k) => prop_assert_eq!(fast.remove(k), naive.remove(k)),
                 }
                 prop_assert_eq!(fast.len(), naive.frames.len());
                 prop_assert!(fast.len() <= capacity);
@@ -540,113 +379,6 @@ mod tests {
                     naive.frames.iter().map(|&(k, _)| k).collect();
                 prop_assert_eq!(fast_order, naive_order);
             }
-        }
-    }
-
-    /// N reader threads hammer `touch` under a read lock while one
-    /// writer admits fresh keys under a write lock. The visited bits
-    /// raced on are advisory, so the accounting must still balance: no
-    /// admission or eviction is lost, and no key is both resident and
-    /// evicted at the end.
-    #[test]
-    fn concurrent_touch_with_locked_evictor_loses_nothing() {
-        const CAPACITY: usize = 64;
-        const FRESH: u64 = 512;
-        const READERS: usize = 4;
-
-        let cache = RwLock::new(SieveCache::new(CAPACITY));
-        {
-            let mut c = cache.write().unwrap();
-            for k in 0..CAPACITY as u64 {
-                c.insert(k);
-            }
-        }
-
-        let evicted = std::thread::scope(|s| {
-            for r in 0..READERS {
-                let cache = &cache;
-                s.spawn(move || {
-                    let mut k = r as u64;
-                    for _ in 0..20_000 {
-                        let c = cache.read().unwrap();
-                        c.touch(k % (CAPACITY as u64 + FRESH));
-                        k = k.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    }
-                });
-            }
-            let mut evicted = Vec::new();
-            for k in CAPACITY as u64..CAPACITY as u64 + FRESH {
-                let mut c = cache.write().unwrap();
-                evicted.extend(c.insert(k));
-            }
-            evicted
-        });
-
-        let cache = cache.into_inner().unwrap();
-        // Every admission once the cache was full evicted exactly one
-        // frame, and the survivor/evictee sets partition the key space.
-        assert_eq!(evicted.len(), FRESH as usize);
-        assert_eq!(cache.len(), CAPACITY);
-        let evicted: BTreeSet<u64> = evicted.into_iter().collect();
-        assert_eq!(
-            evicted.len(),
-            FRESH as usize,
-            "an eviction was double-counted"
-        );
-        let resident: BTreeSet<u64> = cache.iter().collect();
-        assert!(evicted.is_disjoint(&resident));
-        let mut union: BTreeSet<u64> = evicted;
-        union.extend(&resident);
-        assert_eq!(
-            union.len(),
-            CAPACITY + FRESH as usize,
-            "an admission was lost"
-        );
-    }
-
-    /// The fully lock-free variant: readers flip visited bits through
-    /// `&self` while a single sweeper advances the hand through `&self`.
-    /// Nothing is admitted or removed, so residency must be untouched
-    /// and every candidate the hand surfaces must be a real resident.
-    #[test]
-    fn lock_free_readers_race_the_hand() {
-        const CAPACITY: usize = 128;
-        const READERS: usize = 4;
-
-        let mut cache = SieveCache::new(CAPACITY);
-        for k in 0..CAPACITY as u64 {
-            cache.insert(k);
-        }
-        let before: Vec<u64> = cache.iter().collect();
-        let cache = &cache;
-
-        let candidates = std::thread::scope(|s| {
-            for r in 0..READERS {
-                s.spawn(move || {
-                    let mut k = r as u64;
-                    for _ in 0..50_000 {
-                        cache.touch(k % (CAPACITY as u64 * 2));
-                        k = k.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    }
-                });
-            }
-            let mut candidates = BTreeSet::new();
-            for _ in 0..50_000 {
-                if let Some(key) = cache.advance_hand() {
-                    candidates.insert(key);
-                    // Fake an eviction decision being declined: clear the
-                    // stall by marking it visited so the sweep moves on.
-                    cache.touch(key);
-                }
-            }
-            candidates
-        });
-
-        assert_eq!(cache.len(), CAPACITY);
-        assert_eq!(cache.iter().collect::<Vec<u64>>(), before);
-        assert!(!candidates.is_empty());
-        for key in candidates {
-            assert!(cache.contains(key), "hand surfaced a non-resident key");
         }
     }
 }

@@ -150,7 +150,7 @@ impl SieveStoreBuilder {
     }
 
     /// Sets the block-cache eviction policy for continuous allocation
-    /// policies (LRU by default, or SIEVE for the lock-free hit path).
+    /// policies (LRU by default, or SIEVE, whose hit sets a visited bit).
     /// Discrete policies use the epoch-batched cache regardless.
     #[must_use]
     pub fn eviction(mut self, eviction: EvictionPolicy) -> Self {

@@ -180,13 +180,6 @@ impl BlockCounts {
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts.iter().map(|(k, &c)| (k, c))
     }
-
-    /// Folds another count table into this one. Merging is commutative
-    /// and associative (integer sums per key), so shard results combine
-    /// into the same table in any order.
-    pub fn merge(&mut self, other: &BlockCounts) {
-        other.iter().for_each(|(k, c)| self.add(k, c));
-    }
 }
 
 /// Sums `(key, count)` tuples, merging duplicate keys.
@@ -786,7 +779,9 @@ mod tests {
         let mut counts = table_counts(&counter);
         if let Some(spill) = &mut counter.spill {
             for i in 0..spill.log.partitions {
-                counts.merge(&spill.log.reduced(i).unwrap().into_iter().collect());
+                for (key, accesses) in spill.log.reduced(i).unwrap() {
+                    counts.add(key, accesses);
+                }
             }
         }
         counts
@@ -955,19 +950,6 @@ mod tests {
     fn bad_fraction_panics() {
         let counts = BlockCounts::from_blocks([1u64].into_iter());
         let _ = counts.top_fraction(1.5);
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let a = BlockCounts::from_blocks([1u64, 1, 2].into_iter());
-        let b = BlockCounts::from_blocks([2u64, 3].into_iter());
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.get(2), 2);
-        assert_eq!(ab.total_accesses(), 5);
     }
 
     #[test]

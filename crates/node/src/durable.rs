@@ -797,6 +797,12 @@ impl Drop for Sealed<'_> {
 }
 
 impl CommitPipe {
+    /// The newest sequence number durable in the journal. It moves each
+    /// time a group lands, whoever lands it.
+    pub(crate) fn durable_seq(&self) -> u64 {
+        self.durable_seq.load(SeqCst)
+    }
+
     /// Returns once every group sealed so far has finished or failed.
     pub(crate) fn settle(&self) {
         let frames = self.frames.lock();

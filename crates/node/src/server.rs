@@ -75,7 +75,11 @@
 //! of the window that is not already an error becomes an error reply
 //! and the breaker counts one failure; what did not land is retried,
 //! first, by the next commit. A request that finds the durable tier out
-//! of free slots lands the open group before it takes the shard lock.
+//! of free slots lands the open group before it takes the shard lock,
+//! and checks again once it has it: another connection may have staged
+//! into the freed slots in between. It lands again for as long as
+//! groups land, its own or another connection's, and fails only when a
+//! land fails or no group landed at all.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -225,23 +229,35 @@ impl<B: BackingStore> Shared<B> {
     /// the request needs a free slot to stage into, and nothing that
     /// frees slots may run under the shard lock: the groups in flight
     /// return theirs as they finish; failing that, landing the open
-    /// group does (and failing that, the request fails for want of one).
+    /// group does. Other connections may stage into the freed slots
+    /// before this one re-locks, so every re-lock checks again, and the
+    /// settle-and-land repeats while groups land — this call's own or
+    /// another connection's. The request fails for want of a slot only
+    /// when a land fails, or when no group landed at all.
     fn lock_for_request(
         &self,
         index: usize,
     ) -> impl std::ops::DerefMut<Target = CacheEngine<B>> + '_ {
-        let engine = self.lock(index);
-        if !(self.durable && engine.out_of_slots()) {
-            return engine;
-        }
-        drop(engine);
-        if let Some(pipe) = &self.pipes[index] {
+        loop {
+            let engine = self.lock(index);
+            let pipe = match &self.pipes[index] {
+                Some(pipe) if engine.out_of_slots() => pipe,
+                _ => return engine,
+            };
+            drop(engine);
+            let landed_before = pipe.durable_seq();
             pipe.settle();
+            let engine = self.lock(index);
+            if !engine.out_of_slots() {
+                return engine;
+            }
+            drop(engine);
+            match self.land(index) {
+                Ok(true) => {}
+                Ok(false) if pipe.durable_seq() > landed_before => {}
+                _ => return self.lock(index),
+            }
         }
-        if self.lock(index).out_of_slots() {
-            let _ = self.land(index);
-        }
-        self.lock(index)
     }
 
     /// Makes everything staged on shard `index` durable, under the shard

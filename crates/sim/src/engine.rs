@@ -54,7 +54,7 @@ pub struct SimConfig {
     /// space (see [`crate::replay`]). 1 by default; 0 is rejected.
     pub workers: usize,
     /// Block-cache eviction policy for continuous allocation policies
-    /// (LRU by default, SIEVE for the lock-free hit path). Discrete
+    /// (LRU by default, or SIEVE, whose hit sets a visited bit). Discrete
     /// policies use the epoch-batched cache regardless.
     pub eviction: EvictionPolicy,
     /// Epoch access-counting backend for discrete policies: in-memory

@@ -12,9 +12,9 @@ use std::time::{Duration, Instant};
 use sievestore::PolicySpec;
 use sievestore_node::protocol::split_frame;
 use sievestore_node::{
-    ClientConfig, DataCache, ErrorCode, FaultInjectingBacking, FaultPlan, Incoming, MemBacking,
-    NodeClient, NodeConfig, NodeMode, NodeServerBuilder, OpResult, PipedReply, PipedRequest,
-    PipelinedClient, Reply, Request, RetryPolicy, WritePolicy,
+    ClientConfig, DataCache, DurableMediaSet, ErrorCode, FaultInjectingBacking, FaultPlan,
+    Incoming, MemBacking, NodeClient, NodeConfig, NodeMode, NodeServerBuilder, OpResult,
+    PipedReply, PipedRequest, PipelinedClient, Reply, Request, RetryPolicy, WritePolicy,
 };
 use sievestore_types::NodeError;
 
@@ -561,6 +561,105 @@ fn breaker_trips_and_recovers_under_pipelined_load() {
     }
     assert_eq!(server.mode(), NodeMode::Healthy, "breaker recovered");
 
+    client.quit().expect("quit");
+    server.shutdown();
+}
+
+/// A payload naming its key and the version written.
+fn stamped(key: u64, version: u64) -> [u8; 512] {
+    let mut data = [0u8; 512];
+    data[..8].copy_from_slice(&key.to_le_bytes());
+    data[8..16].copy_from_slice(&version.to_le_bytes());
+    data
+}
+
+/// A durable node with few free slots, under connections that stage
+/// into them concurrently: a request that landed a group to free slots
+/// may find them taken again by the time it re-locks the shard. It must
+/// land again, not fail the write — with client retries off, one
+/// "durable segment out of slots" reply fails the op here.
+#[test]
+fn concurrent_connections_never_run_a_durable_node_out_of_slots() {
+    const CONNS: u64 = 4;
+    const KEYS: u64 = 1024;
+    const OPS: u64 = 10_000;
+    let config = NodeConfig {
+        request_deadline: Duration::from_secs(5),
+        ..NodeConfig::default()
+    };
+    let (server, report) = NodeServerBuilder::new("127.0.0.1:0")
+        .config(config)
+        .serve_durable(
+            MemBacking::new(),
+            PolicySpec::Aod,
+            64,
+            WritePolicy::WriteBack,
+            DurableMediaSet::in_memory(),
+        )
+        .expect("bind");
+    report.expect("fresh media formats");
+    let addr = server.addr();
+    let no_retry = ClientConfig {
+        retry: RetryPolicy::none(),
+        ..ClientConfig::default()
+    };
+
+    // Connection `conn` owns the keys `conn, conn + CONNS, ...`, so the
+    // last write it submitted to a key is the one that must read back.
+    let written: Vec<Vec<(u64, u64)>> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CONNS)
+            .map(|conn| {
+                s.spawn(move || {
+                    let mut client =
+                        PipelinedClient::connect_with(addr, no_retry, 16).expect("connect");
+                    let mut latest = vec![None; (KEYS / CONNS) as usize];
+                    let mut completions = Vec::new();
+                    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ conn;
+                    for version in 1..=OPS {
+                        rng = rng
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let slot = (rng >> 33) % (KEYS / CONNS);
+                        let key = slot * CONNS + conn;
+                        if rng >> 63 == 1 {
+                            completions.extend(
+                                client
+                                    .write(key, &stamped(key, version))
+                                    .expect("submit write"),
+                            );
+                            latest[slot as usize] = Some(version);
+                        } else {
+                            completions.extend(client.read(key).expect("submit read"));
+                        }
+                    }
+                    completions.extend(client.quit().expect("quit"));
+                    assert_eq!(completions.len() as u64, OPS);
+                    let failed: Vec<_> = completions.iter().filter(|c| c.result.is_err()).collect();
+                    assert!(
+                        failed.is_empty(),
+                        "connection {conn}: {} of {OPS} ops failed, first {:?}",
+                        failed.len(),
+                        failed[0]
+                    );
+                    latest
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(slot, v)| v.map(|v| (slot as u64 * CONNS + conn, v)))
+                        .collect()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client"))
+            .collect()
+    });
+
+    let mut client = NodeClient::connect(addr).expect("connect reader");
+    for (key, version) in written.into_iter().flatten() {
+        let (data, _) = client.read_block(key).expect("read back");
+        assert_eq!(data, stamped(key, version), "key {key}");
+    }
     client.quit().expect("quit");
     server.shutdown();
 }
