@@ -3,7 +3,8 @@
 //! [`LruCache`](crate::LruCache) and [`SieveCache`](crate::SieveCache)
 //! need the same skeleton: a pre-sized [`U64Map`] from block key to slot
 //! index, a slab of slots threaded into an intrusive doubly-linked list,
-//! and a free list for O(1) slot reuse. Only the *replacement decision*
+//! and in-place slot reuse: an eviction hands the victim's slot straight
+//! to the key that displaced it. Only the *replacement decision*
 //! differs — LRU moves hit slots to the front, SIEVE flips a visited bit
 //! and scans with a hand — so the structure is generic over a per-slot
 //! metadata payload `M` (`()` for LRU, the visited `bool` for SIEVE) and the
@@ -29,16 +30,16 @@ pub(crate) struct Slot<M> {
 
 /// The key index plus intrusive list shared by the list-based caches.
 ///
-/// Invariants: `map` holds exactly the linked slots; `free` holds exactly
-/// the unlinked ones; `head`/`tail` delimit the list. Capacity is *not*
-/// enforced here — callers evict before linking when full, so the policy
-/// owns the replacement decision (and its accounting).
+/// Invariants: `map` holds exactly the slots, every one of them linked;
+/// `head`/`tail` delimit the list. Capacity is *not* enforced here —
+/// callers [`push_front`](FrameList::push_front) until full, then
+/// [`replace`](FrameList::replace) a victim of their choosing, so the
+/// policy owns the replacement decision (and its accounting).
 #[derive(Debug, Clone)]
 pub(crate) struct FrameList<M> {
     capacity: usize,
     map: U64Map<u32>,
     slots: Vec<Slot<M>>,
-    free: Vec<u32>,
     head: u32,
     tail: u32,
 }
@@ -62,7 +63,6 @@ impl<M> FrameList<M> {
             // silently under-reserved above 1M frames).
             map: U64Map::with_capacity(capacity),
             slots: Vec::new(),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
         }
@@ -97,8 +97,8 @@ impl<M> FrameList<M> {
         self.tail
     }
 
-    /// Unlinks a slot from the list (leaves it in the map; callers pair
-    /// this with [`FrameList::link_front`] or [`FrameList::release`]).
+    /// Unlinks a slot from the list (leaves it in the map; callers
+    /// re-link it with [`FrameList::link_front`]).
     fn unlink(&mut self, idx: u32) {
         let (prev, next) = {
             let s = &self.slots[idx as usize];
@@ -140,42 +140,36 @@ impl<M> FrameList<M> {
         }
     }
 
-    /// Inserts a new key at the head, reusing a freed slot when one is
-    /// available. The caller guarantees `key` is not resident and has
-    /// already made room (this never evicts).
+    /// Inserts a new key at the head in a new slot. The caller
+    /// guarantees `key` is not resident and the list is below capacity.
     pub fn push_front(&mut self, key: u64, meta: M) -> u32 {
         debug_assert!(!self.contains(key), "push_front of a resident key");
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                let s = &mut self.slots[idx as usize];
-                s.key = key;
-                s.meta = meta;
-                idx
-            }
-            None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    key,
-                    prev: NIL,
-                    next: NIL,
-                    meta,
-                });
-                idx
-            }
-        };
+        debug_assert!(self.slots.len() < self.capacity, "push_front when full");
+        let idx = self.slots.len() as u32;
+        self.slots.push(Slot {
+            key,
+            prev: NIL,
+            next: NIL,
+            meta,
+        });
         self.link_front(idx);
         self.map.insert(key, idx);
         idx
     }
 
-    /// Unlinks a slot, removes its key from the index, and recycles the
-    /// slot. Returns the key it held.
-    pub fn release(&mut self, idx: u32) -> u64 {
-        let key = self.slots[idx as usize].key;
+    /// Evicts the key in slot `idx` and reuses the slot for `key`, which
+    /// the caller guarantees is not resident: the slot moves to the head
+    /// holding `key` and `meta`. Returns the evicted key.
+    pub fn replace(&mut self, idx: u32, key: u64, meta: M) -> u64 {
+        debug_assert!(!self.contains(key), "replace with a resident key");
         self.unlink(idx);
-        self.map.remove(key);
-        self.free.push(idx);
-        key
+        let slot = &mut self.slots[idx as usize];
+        let evicted = std::mem::replace(&mut slot.key, key);
+        slot.meta = meta;
+        self.map.remove(evicted);
+        self.link_front(idx);
+        self.map.insert(key, idx);
+        evicted
     }
 
     /// Resident keys from head to tail (insertion/recency order).
@@ -218,17 +212,22 @@ mod tests {
     }
 
     #[test]
-    fn push_release_and_reuse() {
-        let mut f = FrameList::new(4);
-        let a = f.push_front(1, ());
-        let b = f.push_front(2, ());
-        assert_eq!(f.iter_from_head().collect::<Vec<_>>(), vec![2, 1]);
+    fn replace_reuses_the_victims_slot_at_the_head() {
+        let mut f = FrameList::new(3);
+        let a = f.push_front(1, 'a');
+        let b = f.push_front(2, 'b');
+        f.push_front(3, 'c');
         assert_eq!(f.tail(), a);
-        assert_eq!(f.release(b), 2);
+        assert_eq!(f.replace(b, 4, 'd'), 2);
+        assert_eq!(f.iter_from_head().collect::<Vec<_>>(), vec![4, 3, 1]);
         assert!(!f.contains(2));
-        // The freed slot is reused for the next insertion.
-        assert_eq!(f.push_front(3, ()), b);
-        assert_eq!(f.len(), 2);
+        assert_eq!(f.index_of(4), Some(b));
+        assert_eq!(f.slot_mut(b).meta, 'd');
+        // Replacing the tail moves the tail to its newer neighbour.
+        assert_eq!(f.replace(a, 5, 'e'), 1);
+        assert_eq!(f.iter_from_head().collect::<Vec<_>>(), vec![5, 4, 3]);
+        assert_eq!(f.tail(), f.index_of(3).unwrap());
+        assert_eq!(f.len(), 3);
     }
 
     #[test]

@@ -103,20 +103,15 @@ impl LruCache {
         if self.promote(key) {
             return None;
         }
-        let evicted = if self.frames.len() >= self.frames.capacity() {
-            let lru = self.frames.tail();
-            debug_assert_ne!(lru, NIL, "full cache must have a tail");
-            Some(self.frames.release(lru))
-        } else {
-            None
-        };
-        if evicted.is_some() {
-            obs_count!(CacheEvictions, 1);
-        } else {
+        if self.frames.len() < self.frames.capacity() {
             obs_gauge_adjust!(CacheResidentFrames, 1);
+            self.frames.push_front(key, ());
+            return None;
         }
-        self.frames.push_front(key, ());
-        evicted
+        let lru = self.frames.tail();
+        debug_assert_ne!(lru, NIL, "full cache must have a tail");
+        obs_count!(CacheEvictions, 1);
+        Some(self.frames.replace(lru, key, ()))
     }
 
     /// Iterates over resident keys from most- to least-recently used.

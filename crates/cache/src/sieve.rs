@@ -108,27 +108,24 @@ impl SieveCache {
             self.frames.slot_mut(idx).meta = true;
             return None;
         }
-        let evicted = if self.frames.len() >= self.frames.capacity() {
-            Some(self.evict())
-        } else {
-            None
-        };
-        if evicted.is_some() {
-            obs_count!(CacheEvictions, 1);
-        } else {
+        if self.frames.len() < self.frames.capacity() {
             obs_gauge_adjust!(CacheResidentFrames, 1);
+            self.frames.push_front(key, false);
+            return None;
         }
-        self.frames.push_front(key, false);
-        evicted
+        let victim = self.victim();
+        obs_count!(CacheEvictions, 1);
+        Some(self.frames.replace(victim, key, false))
     }
 
-    /// Runs the hand until it finds an unvisited frame and releases it.
+    /// Runs the hand until it finds an unvisited frame and returns its
+    /// slot, with the hand parked past it.
     ///
     /// Visited frames get their bit cleared and a reprieve; the hand
     /// moves from the tail toward the head and wraps back to the tail
     /// past the head. Terminates within two sweeps: the first sweep
     /// clears every bit it passes, so the second cannot skip anyone.
-    fn evict(&mut self) -> u64 {
+    fn victim(&mut self) -> u32 {
         debug_assert!(!self.frames.is_empty(), "evict from an empty cache");
         let mut idx = self.hand;
         if idx == NIL {
@@ -147,7 +144,7 @@ impl SieveCache {
                 // Park the hand on the next-older neighbor; NIL means it
                 // restarts from the (possibly new) tail next time.
                 self.hand = older;
-                return self.frames.release(idx);
+                return idx;
             }
         }
     }

@@ -479,6 +479,14 @@ mod tests {
             .policy(PolicySpec::SieveStoreD { threshold: 0 })
             .build()
             .is_err());
+        // Under spill counting too, before any spill directory is made.
+        let dir = std::env::temp_dir().join(format!("sievestore-dzero-{}", std::process::id()));
+        assert!(SieveStoreBuilder::new()
+            .policy(PolicySpec::SieveStoreD { threshold: 0 })
+            .counting(CountingConfig::spill(&dir))
+            .build()
+            .is_err());
+        assert!(!dir.exists());
     }
 
     /// Empties SieveStore-D's epoch cache behind the counter's back, so

@@ -23,8 +23,8 @@
 //! (`SieveStore::day_boundary`) or for the replay engine's shards alike.
 
 use sievestore_cache::{BatchCache, EpochTransition, EvictionPolicy, LruCache, SieveCache};
-use sievestore_extsort::CountingConfig;
-use sievestore_sieve::{random_block_selection, DiscreteSieve, RandomMissSieve, TwoTierSieve};
+use sievestore_extsort::{AccessCounter, CountingConfig};
+use sievestore_sieve::{random_block_selection, RandomMissSieve, TwoTierSieve};
 use sievestore_types::{mix64, shard_of, Day, Micros, RequestKind, SieveError, U64Set};
 
 use crate::appliance::AccessOutcome;
@@ -203,10 +203,15 @@ pub(crate) enum Admission {
 /// A discrete policy's bookkeeping for the current epoch.
 #[derive(Debug)]
 pub(crate) enum Book {
-    /// SieveStore-D's sieve. In memory a key's count and the epoch
-    /// cache's resident bit share one counter slot, so an access is one
-    /// probe; a spill counter's table drains, so it has no bit.
-    SieveD(DiscreteSieve),
+    /// SieveStore-D's sieve: the epoch's access counter and the
+    /// threshold `t` a key's count must reach to be selected. In memory a
+    /// key's count and the epoch cache's resident bit share one counter
+    /// slot, so an access is one probe; a spill counter's table drains,
+    /// so it has no bit.
+    SieveD {
+        counter: AccessCounter,
+        threshold: u64,
+    },
     /// RandSieve-BlkD: the epoch's accessed keys.
     BlkD(U64Set),
     /// The oracle keeps none.
@@ -254,7 +259,15 @@ impl Policy {
             discrete => {
                 let book = match discrete {
                     PolicySpec::SieveStoreD { threshold } => {
-                        Book::SieveD(DiscreteSieve::new(counting, *threshold)?)
+                        if *threshold == 0 {
+                            return Err(SieveError::InvalidConfig(
+                                "discrete sieve threshold must be positive".into(),
+                            ));
+                        }
+                        Book::SieveD {
+                            counter: counting.counter()?,
+                            threshold: *threshold,
+                        }
                     }
                     PolicySpec::RandSieveBlkD { fraction, .. } => {
                         if !(0.0..=1.0).contains(fraction) {
@@ -300,8 +313,7 @@ impl Policy {
             }
         };
         let hit = match book {
-            Book::SieveD(sieve) => sieve
-                .counter_mut()
+            Book::SieveD { counter, .. } => counter
                 .touch(key)
                 .map_or_else(|| cache.contains(key), BatchCache::count_lookup),
             Book::BlkD(accessed) => {
@@ -329,7 +341,7 @@ impl Policy {
             } => sieve.prefetch(key),
             Policy::Continuous { .. } => {}
             Policy::Discrete { cache, book } => match book {
-                Book::SieveD(sieve) => sieve.counter().prefetch(key),
+                Book::SieveD { counter, .. } => counter.prefetch(key),
                 Book::BlkD(_) | Book::Ideal => cache.prefetch(key),
             },
         }
@@ -344,7 +356,7 @@ impl Policy {
             return Ok(Vec::new());
         };
         match book {
-            Book::SieveD(sieve) => sieve.end_epoch(),
+            Book::SieveD { counter, threshold } => counter.end_epoch(*threshold),
             Book::BlkD(accessed) => {
                 let mut keys: Vec<u64> = accessed.iter().collect();
                 keys.sort_unstable();
@@ -363,10 +375,9 @@ impl Policy {
             return None;
         };
         let transition = cache.install_epoch(selection);
-        if let Book::SieveD(sieve) = book {
+        if let Book::SieveD { counter, .. } = book {
             // Seed what the install kept, not what was selected: the bits
             // are right only if exactly the resident keys carry one.
-            let counter = sieve.counter_mut();
             cache.iter().for_each(|key| counter.seed_resident(key));
         }
         Some(transition)

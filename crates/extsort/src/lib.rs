@@ -1124,6 +1124,29 @@ mod tests {
     }
 
     #[test]
+    fn epoch_two_of_a_steady_trace_answers_residency_from_the_kept_table() {
+        let mut table = InMemoryCounter::new();
+        let steady_epoch = |table: &mut AccessCounter| {
+            let mut hits = 0;
+            for key in (0..5000u64).map(|k| k * 977) {
+                for _ in 0..=key % 4 {
+                    hits += u64::from(table.touch(key).expect("the table answers"));
+                }
+            }
+            hits
+        };
+        assert_eq!(steady_epoch(&mut table), 0, "nothing resident in epoch 0");
+        let selected = table.end_epoch(3).unwrap();
+        assert_eq!(selected.len(), 2500);
+        selected.iter().for_each(|&key| table.seed_resident(key));
+        // Every access of a seeded key reads "hit", the first included.
+        let selected_accesses: u64 = selected.iter().map(|key| 1 + key % 4).sum();
+        assert_eq!(steady_epoch(&mut table), selected_accesses);
+        // The seeds changed no count: the same keys are selected again.
+        assert_eq!(table.end_epoch(3).unwrap(), selected);
+    }
+
+    #[test]
     fn resident_bit_never_leaks_into_a_count() {
         let mut table = InMemoryCounter::new();
         for key in [7, 8, u64::MAX] {

@@ -2,8 +2,7 @@
 //!
 //! "Sieving" is the paper's core mechanism — deciding, per miss or per
 //! epoch, whether a block has earned a cache frame, so that low-reuse
-//! blocks never trigger allocation-writes. This crate provides every
-//! sieving data structure the paper describes:
+//! blocks never trigger allocation-writes. This crate provides:
 //!
 //! * [`WindowConfig`] — discretized sliding-window miss counts (`W` =
 //!   8 h in `k` = 4 subwindows), kept per block as one 8-byte value;
@@ -13,11 +12,12 @@
 //!   the same values stored in its slots;
 //! * [`TwoTierSieve`] — SieveStore-C's IMCT→MCT admission pipeline
 //!   (`t1` = 9 imprecise, then `t2` = 4 precise misses);
-//! * [`DiscreteSieve`] — SieveStore-D's epoch access-count rule
-//!   (`count >= 10` per day) over one epoch counter, in memory or
-//!   spilled to disk;
 //! * [`RandomMissSieve`] / [`random_block_selection`] — the randomized
 //!   baselines RandSieve-C and RandSieve-BlkD.
+//!
+//! SieveStore-D's epoch rule (`count >= 10` per day) needs no structure
+//! of its own: it is a `sievestore_extsort::AccessCounter` and its
+//! threshold, held by the `sievestore` policy.
 //!
 //! # Examples
 //!
@@ -34,13 +34,11 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod discrete;
 pub mod random;
 pub mod tables;
 pub mod two_tier;
 pub mod window;
 
-pub use discrete::DiscreteSieve;
 pub use random::{random_block_selection, RandomMissSieve};
 pub use tables::{Imct, Mct};
 pub use two_tier::{TwoTierConfig, TwoTierSieve};

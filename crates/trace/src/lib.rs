@@ -48,5 +48,5 @@ pub use stream::{
     request_order_key, sort_requests, RequestOrderKey, RequestStream, StreamMsg, TraceStream,
     TraceStreamConfig,
 };
-pub use synth::{SizeMix, SyntheticTrace, TraceIter};
+pub use synth::{SizeMix, SyntheticTrace};
 pub use zipf::Zipf;

@@ -53,11 +53,11 @@ impl DayStats {
 /// # Examples
 ///
 /// ```
-/// use sievestore_trace::{EnsembleConfig, SyntheticTrace, TraceStats};
+/// use sievestore_trace::{EnsembleConfig, SyntheticTrace, TraceStats, TraceStreamConfig};
 ///
 /// let trace = SyntheticTrace::new(EnsembleConfig::tiny(7)).unwrap();
 /// let mut stats = TraceStats::new();
-/// for req in trace.iter() {
+/// for req in trace.stream(TraceStreamConfig::default()).requests() {
 ///     stats.observe(&req);
 /// }
 /// assert_eq!(stats.days().len(), 3);

@@ -631,48 +631,6 @@ impl SyntheticTrace {
         assert!(day.index() < self.config.days, "day out of range");
         self.server_day_requests(server_idx, day, &mut Vec::new())
     }
-
-    /// Iterates over every request of the whole trace in time order,
-    /// materializing one day at a time.
-    pub fn iter(&self) -> TraceIter<'_> {
-        TraceIter {
-            trace: self,
-            day: 0,
-            buffer: Vec::new(),
-            pos: 0,
-        }
-    }
-}
-
-/// Iterator over all requests of a [`SyntheticTrace`], day by day.
-///
-/// Produced by [`SyntheticTrace::iter`].
-#[derive(Debug)]
-pub struct TraceIter<'a> {
-    trace: &'a SyntheticTrace,
-    day: u16,
-    buffer: Vec<Request>,
-    pos: usize,
-}
-
-impl Iterator for TraceIter<'_> {
-    type Item = Request;
-
-    fn next(&mut self) -> Option<Request> {
-        loop {
-            if self.pos < self.buffer.len() {
-                let req = self.buffer[self.pos];
-                self.pos += 1;
-                return Some(req);
-            }
-            if self.day >= self.trace.config.days {
-                return None;
-            }
-            self.buffer = self.trace.day_requests(Day::new(self.day));
-            self.pos = 0;
-            self.day += 1;
-        }
-    }
 }
 
 /// A cumulative distribution (nondecreasing, ending at 1.0) with an exact
@@ -910,19 +868,6 @@ mod tests {
         let overlap = inter / d1.len().min(d2.len()) as f64;
         assert!(overlap > 0.2, "consecutive-day hot overlap {overlap}");
         assert!(overlap < 0.999, "hot sets must drift, overlap {overlap}");
-    }
-
-    #[test]
-    fn iterator_covers_all_days_in_order() {
-        let trace = tiny_trace(13);
-        let total: usize = (0..trace.days())
-            .map(|d| trace.day_requests(Day::new(d)).len())
-            .sum();
-        let via_iter: Vec<Request> = trace.iter().collect();
-        assert_eq!(via_iter.len(), total);
-        assert!(via_iter
-            .windows(2)
-            .all(|w| w[0].timestamp.day() <= w[1].timestamp.day()));
     }
 
     #[test]

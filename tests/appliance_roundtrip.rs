@@ -1,6 +1,7 @@
 //! Cross-crate integration: the appliance's discrete sieve must agree
-//! with an independent count over the paper's offline log substrate, the
-//! sieve must count alike in memory and under spill epoch after epoch,
+//! with an independent count over the paper's offline log substrate, its
+//! epoch counter must count alike in memory and under spill epoch after
+//! epoch,
 //! and the trace codec must round-trip generator output through the
 //! filesystem.
 
@@ -8,7 +9,6 @@ use proptest::prelude::*;
 use sievestore::{PolicySpec, SieveStoreBuilder};
 use sievestore_cache::BatchCache;
 use sievestore_extsort::{AccessLog, CountingConfig};
-use sievestore_sieve::DiscreteSieve;
 use sievestore_trace::{EnsembleConfig, SyntheticTrace, TraceReader, TraceStats, TraceWriter};
 use sievestore_types::Day;
 
@@ -59,11 +59,11 @@ fn appliance_batch_selection_matches_external_log_counts() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-    /// SieveStore-D's sieve over the in-memory table and over a spill log
-    /// with a tiny budget, epoch after epoch, each install's kept keys
+    /// SieveStore-D's epoch counter in memory and over a spill log with
+    /// a tiny budget, epoch after epoch, each install's kept keys
     /// seeded into both: the selections are equal, and every in-memory
     /// `touch` answers what a shadow epoch cache holds. Dropped, the
-    /// spill sieve leaves no `epoch-*` directory behind.
+    /// spill counter leaves no `epoch-*` directory behind.
     #[test]
     fn in_memory_and_spill_sieves_agree_across_epochs(
         epochs in proptest::collection::vec(proptest::collection::vec(0u64..64, 0..800), 3..6),
@@ -73,20 +73,20 @@ proptest! {
     ) {
         let root = std::env::temp_dir().join(format!("sievestore-dspill-{}", std::process::id()));
         let spilled = CountingConfig::spill(&root).with_budget(budget);
-        let mut memory = DiscreteSieve::new(&CountingConfig::InMemory, threshold).unwrap();
-        let mut spill = DiscreteSieve::new(&spilled, threshold).unwrap();
+        let mut memory = CountingConfig::InMemory.counter().unwrap();
+        let mut spill = spilled.counter().unwrap();
         let mut shadow = BatchCache::new(capacity);
         for keys in &epochs {
             for &key in keys {
-                prop_assert_eq!(memory.counter_mut().touch(key), Some(shadow.contains(key)));
-                prop_assert_eq!(spill.counter_mut().touch(key), None);
+                prop_assert_eq!(memory.touch(key), Some(shadow.contains(key)));
+                prop_assert_eq!(spill.touch(key), None);
             }
-            let selected = memory.end_epoch().unwrap();
-            prop_assert_eq!(spill.end_epoch().unwrap(), selected.clone());
+            let selected = memory.end_epoch(threshold).unwrap();
+            prop_assert_eq!(spill.end_epoch(threshold).unwrap(), selected.clone());
             shadow.install_epoch(selected);
             for key in shadow.iter() {
-                memory.counter_mut().seed_resident(key);
-                spill.counter_mut().seed_resident(key);
+                memory.seed_resident(key);
+                spill.seed_resident(key);
             }
         }
         drop(spill);
