@@ -9,9 +9,7 @@
 
 use std::process::ExitCode;
 
-use sievestore_bench::{
-    cost, extensions, policies, scenario, sens, shadow, summary, workload, Harness,
-};
+use sievestore_bench::{cost, extensions, policies, sens, shadow, summary, workload, Harness};
 
 const USAGE: &str = "\
 usage: experiments [--scale N|full] [--seed S] [--out DIR] <id>...
@@ -19,14 +17,12 @@ usage: experiments [--scale N|full] [--seed S] [--out DIR] <id>...
 ids:
   table1 fig2a fig2b fig2c fig3a fig3b fig3c fig3d
   table2 table3 fig5 fig6 fig7 fig8 fig9 sec5_3 sens summary
-  belady latency per_server   (extensions beyond the paper's figures)
+  belady per_server   (extensions beyond the paper's figures)
   shadow     continuous policies under LRU and SIEVE eviction, side by
              side, with per-policy day-snapshot JSONL under <out>/shadow/
-  scenarios  adversarial workload suite (flash crowd, hot-set inversion,
-             failover, churn burst) x four policies x both evictions;
-             writes <out>/scenario_report.json and per-scenario
-             day-snapshot JSONL under <out>/scenarios/
   all        every experiment above
+  fidelity   the summary, then exits nonzero naming each of the paper's
+             headline shape claims it breaks (not part of 'all')
 
 options:
   --scale N    trace scale denominator (default 256; smaller = higher
@@ -46,25 +42,14 @@ options:
   --spill DIR  bound memory: stream trace generation through spill files
                under DIR and count discrete epochs with the spill-backed
                counter (bit-identical figures; required for --scale full
-               on ordinary hosts)
-  --check-scenarios FILE
-               after running the scenario suite, gate the fresh
-               <out>/scenario_report.json against the committed baseline
-               FILE (ci/SCENARIOS.json in CI); exits nonzero when any
-               policy's degradation curve regressed beyond tolerance
-               (implies the 'scenarios' id)
-  --scenario-tolerance T
-               absolute hit-ratio tolerance for --check-scenarios
-               (default 0.02)
-  --write-scenario-baseline FILE
-               copy the fresh scenario report to FILE (re-baselining;
-               implies the 'scenarios' id)";
+               on ordinary hosts)";
 
-const ALL: [&str; 22] = [
+/// Every id `all` runs. `fig2b` also makes Figure 2(c): one pass
+/// writes both CSVs.
+const ALL: [&str; 19] = [
     "table1",
     "fig2a",
     "fig2b",
-    "fig2c",
     "fig3a",
     "fig3b",
     "fig3c",
@@ -78,11 +63,9 @@ const ALL: [&str; 22] = [
     "fig9",
     "sec5_3",
     "belady",
-    "latency",
     "per_server",
     "sens",
     "shadow",
-    "scenarios",
 ];
 
 fn main() -> ExitCode {
@@ -105,9 +88,6 @@ fn run() -> Result<(), String> {
     let mut eviction = sievestore_sim::EvictionPolicy::default();
     let mut obs = false;
     let mut spill: Option<String> = None;
-    let mut check_scenarios: Option<String> = None;
-    let mut scenario_tolerance: f64 = 0.02;
-    let mut write_scenario_baseline: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
 
     let mut iter = args.into_iter();
@@ -150,34 +130,12 @@ fn run() -> Result<(), String> {
             }
             "--obs" => obs = true,
             "--spill" => spill = Some(iter.next().ok_or("--spill needs a value")?),
-            "--check-scenarios" => {
-                check_scenarios = Some(iter.next().ok_or("--check-scenarios needs a file")?);
-            }
-            "--scenario-tolerance" => {
-                scenario_tolerance = iter
-                    .next()
-                    .ok_or("--scenario-tolerance needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --scenario-tolerance: {e}"))?;
-            }
-            "--write-scenario-baseline" => {
-                write_scenario_baseline = Some(
-                    iter.next()
-                        .ok_or("--write-scenario-baseline needs a file")?,
-                );
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(());
             }
             id => ids.push(id.to_string()),
         }
-    }
-    // The scenario-gate flags imply the suite that produces the report.
-    if (check_scenarios.is_some() || write_scenario_baseline.is_some())
-        && !ids.iter().any(|i| i == "scenarios" || i == "all")
-    {
-        ids.push("scenarios".to_string());
     }
     if ids.is_empty() && !obs {
         return Err("no experiment ids given".into());
@@ -236,22 +194,8 @@ fn run() -> Result<(), String> {
     // line.
     let prov_path = std::path::Path::new(&out_dir).join("provenance.json");
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("creating {out_dir}: {e}"))?;
-    std::fs::write(&prov_path, scenario::provenance(&harness).to_pretty())
+    std::fs::write(&prov_path, harness.provenance().to_pretty())
         .map_err(|e| format!("writing {}: {e}", prov_path.display()))?;
-
-    let report_path = std::path::Path::new(&out_dir).join("scenario_report.json");
-    if let Some(target) = &write_scenario_baseline {
-        std::fs::copy(&report_path, target)
-            .map_err(|e| format!("copying scenario baseline to {target}: {e}"))?;
-        println!("scenario baseline written: {target}");
-    }
-    if let Some(baseline_path) = &check_scenarios {
-        let current = scenario::load_report(&report_path)?;
-        let baseline = scenario::load_report(std::path::Path::new(baseline_path))?;
-        let summary = scenario::check_scenarios(&current, &baseline, scenario_tolerance)
-            .map_err(|msg| format!("scenario regression vs {baseline_path}:\n{msg}"))?;
-        println!("scenario gate: {summary}");
-    }
     Ok(())
 }
 
@@ -273,12 +217,11 @@ fn dispatch(h: &mut Harness, id: &str) -> Result<String, String> {
         "fig9" => cost::fig9(h),
         "sec5_3" => cost::sec5_3(h),
         "belady" => extensions::belady(h),
-        "latency" => extensions::latency(h),
         "per_server" => extensions::per_server_sim(h),
         "sens" => sens::sensitivity(h),
         "shadow" => shadow::shadow(h),
-        "scenarios" => scenario::run_scenarios(h, &scenario::SCENARIO_IDS),
         "summary" => summary::summary(h),
+        "fidelity" => return summary::fidelity(h),
         other => return Err(format!("unknown experiment id '{other}'")),
     };
     result.map_err(|e| e.to_string())

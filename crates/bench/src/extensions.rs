@@ -1,6 +1,6 @@
 //! Extension experiments beyond the paper's figures: the §3.1 Belady
-//! demonstration as executable output, a latency/speedup summary, and the
-//! simulated (non-oracle) per-server deployment.
+//! demonstration as executable output and the simulated (non-oracle)
+//! per-server deployment.
 
 use sievestore::PolicySpec;
 use sievestore_analysis::{pct, thousands, TextTable};
@@ -8,10 +8,9 @@ use sievestore_sieve::TwoTierConfig;
 use sievestore_sim::{
     belady_counterexample, belady_min, belady_selective, simulate_per_server, SimConfig,
 };
-use sievestore_ssd::LatencyModel;
 use sievestore_types::{Day, SieveError};
 
-use crate::{imct_entries_for_scale, Harness, POLICY_ORDER};
+use crate::{imct_entries_for_scale, Harness};
 
 /// §3.1 as a runnable demonstration: MIN vs selective-MIN vs a pinned set
 /// on the paper's counterexample stream, plus MIN-with-AOD on one real
@@ -69,54 +68,6 @@ pub fn belady(h: &Harness) -> Result<String, SieveError> {
         "Section 3.1: oracle replacement cannot fix allocation-writes \
          (paper: selective allocation that maximizes hits still allocates \
          ~50% of accesses on the counterexample; a fixed set allocates once)\n{}",
-        table.render()
-    ))
-}
-
-/// Latency extension: mean service time and speedup over an HDD-only
-/// baseline for every simulated policy (hits at SSD service time, misses
-/// at HDD service time, allocation-writes charged as SSD writes).
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn latency(h: &mut Harness) -> Result<String, SieveError> {
-    let runs = h.policy_runs()?;
-    let model = LatencyModel::paper_default();
-    let mut table = TextTable::new(vec![
-        "policy".into(),
-        "mean access (us)".into(),
-        "speedup vs HDD-only".into(),
-    ]);
-    for name in POLICY_ORDER {
-        let t = runs.by_name(name).total();
-        let total = t.accesses().max(1) as f64;
-        let mean = model.mean_access_us(
-            t.read_hits as f64 / total,
-            t.write_hits as f64 / total,
-            t.read_misses as f64 / total,
-            t.write_misses as f64 / total,
-            t.total_allocation_writes() as f64 / total,
-            true,
-        );
-        let speedup = model.speedup_vs_hdd(
-            t.read_hits as f64 / total,
-            t.write_hits as f64 / total,
-            t.read_misses as f64 / total,
-            t.write_misses as f64 / total,
-            t.total_allocation_writes() as f64 / total,
-            true,
-        );
-        table.push_row(vec![
-            name.to_string(),
-            format!("{mean:.0}"),
-            format!("{speedup:.2}x"),
-        ]);
-    }
-    Ok(format!(
-        "Latency extension (X25-E service times over 15k HDDs; not a paper \
-         figure): sieving converts hit-rate and write-avoidance into \
-         storage speedup\n{}",
         table.render()
     ))
 }
@@ -192,15 +143,6 @@ mod tests {
         let out = belady(&h).unwrap();
         assert!(out.contains("selective Belady"));
         assert!(out.contains("pinned"));
-        std::fs::remove_dir_all(h.results_dir()).ok();
-    }
-
-    #[test]
-    fn latency_experiment_orders_policies() {
-        let mut h = harness();
-        let out = latency(&mut h).unwrap();
-        assert!(out.contains("speedup"));
-        assert!(out.contains("SieveStore-C"));
         std::fs::remove_dir_all(h.results_dir()).ok();
     }
 

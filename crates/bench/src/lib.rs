@@ -18,7 +18,6 @@ pub mod extensions;
 pub mod node_json;
 pub mod policies;
 pub mod replay_json;
-pub mod scenario;
 pub mod sens;
 pub mod shadow;
 pub mod summary;
@@ -34,6 +33,8 @@ use sievestore_sim::{
 };
 use sievestore_trace::{EnsembleConfig, Scale, SyntheticTrace};
 use sievestore_types::SieveError;
+
+use crate::replay_json::Json;
 
 /// Names of the policies simulated for Figures 5–9, in bar order.
 pub const POLICY_ORDER: [&str; 9] = [
@@ -170,6 +171,26 @@ impl Harness {
     /// The spill directory, when bounded-memory mode is on.
     pub fn spill_dir(&self) -> Option<&Path> {
         self.spill.as_deref()
+    }
+
+    /// Full provenance of a harness run: everything needed to regenerate
+    /// its outputs bit-for-bit from a clean checkout.
+    pub fn provenance(&self) -> Json {
+        Json::Obj(vec![
+            (
+                "trace_seed".into(),
+                Json::Str(format!("{:#x}", self.trace.config().seed)),
+            ),
+            ("scale".into(), Json::Num(self.scale() as f64)),
+            ("days".into(), Json::Num(self.trace.days() as f64)),
+            (
+                "servers".into(),
+                Json::Num(self.trace.config().servers.len() as f64),
+            ),
+            ("threads".into(), Json::Num(self.threads as f64)),
+            ("eviction".into(), Json::Str(self.eviction.to_string())),
+            ("spill".into(), Json::Bool(self.spill.is_some())),
+        ])
     }
 
     /// `base` with the harness's replay workers, eviction policy and

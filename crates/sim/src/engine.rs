@@ -29,7 +29,7 @@ use std::sync::Arc;
 use sievestore::{EvictionPolicy, PolicySpec, SieveStoreBuilder};
 use sievestore_extsort::CountingConfig;
 use sievestore_ssd::{OccupancyTracker, SsdSpec};
-use sievestore_trace::{ScenarioConfig, SyntheticTrace, TraceStreamConfig};
+use sievestore_trace::{SyntheticTrace, TraceStreamConfig};
 use sievestore_types::{Day, Minute, RequestKind, SieveError, BLOCKS_PER_PAGE};
 
 use crate::metrics::{DayMetrics, SimResult};
@@ -130,16 +130,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_trace_stream(mut self, trace_stream: TraceStreamConfig) -> Self {
         self.trace_stream = trace_stream;
-        self
-    }
-
-    /// Applies an adversarial workload scenario to the replayed stream
-    /// (see [`sievestore_trace::scenario`]). Every engine entry point
-    /// replays the transformed stream; the scenario is validated against
-    /// the trace up front.
-    #[must_use]
-    pub fn with_scenario(mut self, scenario: ScenarioConfig) -> Self {
-        self.trace_stream.scenario = scenario;
         self
     }
 
@@ -300,8 +290,7 @@ pub fn simulate_with_snapshots(
 ///
 /// # Errors
 ///
-/// As [`simulate`], and [`SieveError::InvalidConfig`] for a scenario
-/// that moves traffic across servers.
+/// As [`simulate`].
 pub fn simulate_server(
     trace: &SyntheticTrace,
     server_idx: usize,

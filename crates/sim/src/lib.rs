@@ -52,6 +52,5 @@ pub use per_server::{
 };
 pub use replay::{simulate_sharded, ReplayStats};
 pub use sievestore::EvictionPolicy;
-pub use sievestore_trace::{ScenarioConfig, ScenarioStage};
 pub use snapshot::{DaySnapshot, SnapshotLog, SNAPSHOT_SCHEMA};
 pub use sweep::{threshold_sweep, window_sweep, SweepPoint};

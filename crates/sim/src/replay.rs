@@ -327,7 +327,6 @@ pub(crate) fn run_sharded(
             "cache capacity must be nonzero".into(),
         ));
     }
-    validate_scenario(trace, server, cfg)?;
     let name: Arc<str> = Arc::from(spec.name());
 
     // The oracle's selections stay with the coordinator, which selects
@@ -398,24 +397,6 @@ pub(crate) fn run_sharded(
             steals: 0,
         },
     ))
-}
-
-/// Fails fast — with an error instead of the stream's panic — when the
-/// configured scenario does not fit the trace's ensemble, or `server`
-/// selects a single server's slice under a cross-server stage.
-fn validate_scenario(
-    trace: &SyntheticTrace,
-    server: Option<usize>,
-    cfg: &SimConfig,
-) -> Result<(), SieveError> {
-    let scenario = &cfg.trace_stream.scenario;
-    scenario.validate(trace.config())?;
-    if server.is_some() && scenario.moves_across_servers() {
-        return Err(SieveError::InvalidConfig(
-            "cross-server scenario stages (failover) cannot replay a single server's slice".into(),
-        ));
-    }
-    Ok(())
 }
 
 /// The stream every replay path consumes: the whole ensemble, or one

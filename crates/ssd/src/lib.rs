@@ -32,10 +32,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod latency;
-
-pub use latency::LatencyModel;
-
 use std::fmt;
 
 use sievestore_types::{Minute, PAGE_SIZE};

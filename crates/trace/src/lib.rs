@@ -33,7 +33,6 @@
 pub mod io;
 pub mod model;
 pub mod msr;
-pub mod scenario;
 pub mod stats;
 pub mod stream;
 pub mod synth;
@@ -42,7 +41,6 @@ pub mod zipf;
 pub use io::{write_csv, TraceReader, TraceWriter};
 pub use model::{EnsembleConfig, Scale, ServerConfig, VolumeConfig};
 pub use msr::MsrReader;
-pub use scenario::{CompiledScenario, ScenarioConfig, ScenarioStage};
 pub use stats::{DayStats, TraceStats};
 pub use stream::{
     request_order_key, sort_requests, RequestOrderKey, RequestStream, StreamMsg, TraceStream,

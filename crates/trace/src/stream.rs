@@ -40,7 +40,6 @@ use std::thread::JoinHandle;
 use sievestore_types::{Day, GlobalBlock, Request, SieveError};
 
 use crate::io::{TraceReader, TraceWriter};
-use crate::scenario::{CompiledScenario, ScenarioConfig};
 use crate::synth::SyntheticTrace;
 
 /// Sort key produced by [`request_order_key`]: timestamp-major, then
@@ -140,10 +139,6 @@ pub struct TraceStreamConfig {
     /// including when the stream is dropped mid-day or generation fails
     /// (the files are guarded, never orphaned).
     pub spill_dir: Option<PathBuf>,
-    /// Adversarial transform chain applied to the merged request
-    /// sequence (see [`crate::scenario`]). The default empty scenario is
-    /// the identity — the steady-state stream.
-    pub scenario: ScenarioConfig,
 }
 
 impl Default for TraceStreamConfig {
@@ -152,7 +147,6 @@ impl Default for TraceStreamConfig {
             chunk_requests: DEFAULT_CHUNK_REQUESTS,
             depth: DEFAULT_STREAM_DEPTH,
             spill_dir: None,
-            scenario: ScenarioConfig::default(),
         }
     }
 }
@@ -176,17 +170,6 @@ impl TraceStreamConfig {
     #[must_use]
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// Applies an adversarial [`ScenarioConfig`] to the stream.
-    ///
-    /// The transform runs after the k-way merge, so the scenarioed
-    /// sequence inherits the base stream's invariance: bit-identical for
-    /// a given seed across chunk sizes, depths, and spill mode.
-    #[must_use]
-    pub fn with_scenario(mut self, scenario: ScenarioConfig) -> Self {
-        self.scenario = scenario;
         self
     }
 }
@@ -323,12 +306,6 @@ impl SyntheticTrace {
     /// [`request_order_key`] order — the same sequence
     /// [`SyntheticTrace::day_requests`] materializes, day by day, but
     /// generated on a background thread in bounded chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured scenario does not validate against this
-    /// trace's ensemble (call [`ScenarioConfig::validate`] first to get
-    /// a `Result` instead — the `sim` entry points do).
     pub fn stream(&self, config: TraceStreamConfig) -> TraceStream {
         self.stream_scoped(StreamScope::AllServers, config)
     }
@@ -336,15 +313,9 @@ impl SyntheticTrace {
     /// Streams a single server's slice of the trace (the counterpart of
     /// [`SyntheticTrace::server_day`]).
     ///
-    /// A configured scenario applies to this server's generated slice
-    /// only: stages that re-address requests across servers (failover)
-    /// may emit requests addressed elsewhere and will not include
-    /// traffic migrating in from other servers' slices.
-    ///
     /// # Panics
     ///
-    /// Panics if `server_idx` is out of range or the configured scenario
-    /// does not validate against this trace's ensemble.
+    /// Panics if `server_idx` is out of range.
     pub fn stream_server(&self, server_idx: usize, config: TraceStreamConfig) -> TraceStream {
         assert!(
             server_idx < self.config().servers.len(),
@@ -365,13 +336,10 @@ impl SyntheticTrace {
         config: TraceStreamConfig,
         spill: Option<SpillDir>,
     ) -> TraceStream {
-        let scenario = CompiledScenario::compile(&config.scenario, self.config())
-            .expect("scenario must validate against this trace's ensemble");
         let config = TraceStreamConfig {
             chunk_requests: config.chunk_requests.max(1),
             depth: config.depth.max(1),
             spill_dir: config.spill_dir,
-            scenario: config.scenario,
         };
         let (tx, rx) = mpsc::sync_channel::<StreamMsg>(config.depth);
         let (recycle_tx, recycle_rx) = mpsc::channel::<Vec<Request>>();
@@ -383,7 +351,6 @@ impl SyntheticTrace {
                     trace,
                     scope,
                     config,
-                    scenario,
                     spill,
                     tx,
                     recycle_rx,
@@ -440,7 +407,6 @@ struct Generator {
     trace: SyntheticTrace,
     scope: StreamScope,
     config: TraceStreamConfig,
-    scenario: CompiledScenario,
     /// Declared before `tx`, so it is removed before the consumer sees
     /// the stream end.
     spill: Option<SpillDir>,
@@ -568,16 +534,9 @@ impl Generator {
         }
     }
 
-    /// [`merge_runs`] over `runs` pulled by `next`, chunked and sent.
-    ///
-    /// The scenario transform runs here, on each merged request in its
-    /// canonical position — after ordering, before chunking — which is
-    /// what makes a scenarioed stream invariant under chunk shape and
-    /// spill mode: the spilled runs hold untransformed base requests, and
-    /// both backing stores feed the identical merged sequence through the
-    /// identical pure per-request transform. An amplifying stage may push
-    /// a chunk a few requests past the configured size; boundaries carry
-    /// no meaning, so nothing downstream can tell.
+    /// [`merge_runs`] over `runs` pulled by `next`, chunked and sent:
+    /// every chunk holds exactly `chunk_requests` requests except the
+    /// day's last, which holds the remainder.
     ///
     /// Returns `Err(())` when the consumer hung up.
     fn merge_chunks<F>(&mut self, runs: usize, next: F) -> Result<(), ()>
@@ -586,7 +545,7 @@ impl Generator {
     {
         let mut chunk = self.chunk_buf();
         merge_runs(runs, next, |req| {
-            self.scenario.apply(req, &mut chunk);
+            chunk.push(req);
             if chunk.len() < self.config.chunk_requests {
                 return Ok(());
             }
@@ -653,21 +612,48 @@ mod tests {
         all
     }
 
-    fn drain(mut stream: TraceStream) -> (Vec<Day>, Vec<Request>) {
+    fn drain(stream: TraceStream) -> (Vec<Day>, Vec<Request>) {
+        let (days, all, _) = drain_chunks(stream);
+        (days, all)
+    }
+
+    /// [`drain`], plus each day's chunk lengths in order.
+    fn drain_chunks(mut stream: TraceStream) -> (Vec<Day>, Vec<Request>, Vec<Vec<usize>>) {
         let mut days = Vec::new();
         let mut all = Vec::new();
+        let mut lens: Vec<Vec<usize>> = Vec::new();
         while let Some(msg) = stream.next_msg() {
             match msg {
-                StreamMsg::StartDay(d) => days.push(d),
+                StreamMsg::StartDay(d) => {
+                    days.push(d);
+                    lens.push(Vec::new());
+                }
                 StreamMsg::Chunk(chunk) => {
                     assert!(!chunk.is_empty(), "chunks are never empty");
+                    lens.last_mut()
+                        .expect("a day marker first")
+                        .push(chunk.len());
                     all.extend_from_slice(&chunk);
                     stream.recycle(chunk);
                 }
                 StreamMsg::Failed(e) => panic!("generation failed: {e}"),
             }
         }
-        (days, all)
+        (days, all, lens)
+    }
+
+    /// Every chunk but a day's last holds exactly `chunk` requests; the
+    /// last holds at most that many.
+    fn assert_exact_chunks(lens: &[Vec<usize>], chunk: usize) {
+        for (day, day_lens) in lens.iter().enumerate() {
+            if let Some((last, full)) = day_lens.split_last() {
+                assert!(
+                    full.iter().all(|&n| n == chunk),
+                    "day {day}: a non-final chunk is not {chunk} long: {full:?}"
+                );
+                assert!(*last <= chunk, "day {day}: last chunk {last} > {chunk}");
+            }
+        }
     }
 
     /// Requests whose timestamps come from `stamps` (so at most four
@@ -780,9 +766,10 @@ mod tests {
         let expect = materialized(&trace);
         for chunk in [1usize, 7, 1024, DEFAULT_CHUNK_REQUESTS] {
             let cfg = TraceStreamConfig::default().with_chunk_requests(chunk);
-            let (days, got) = drain(trace.stream(cfg));
+            let (days, got, lens) = drain_chunks(trace.stream(cfg));
             assert_eq!(days.len(), trace.days() as usize, "chunk {chunk}");
             assert_eq!(got, expect, "chunk size {chunk} diverged");
+            assert_exact_chunks(&lens, chunk);
         }
     }
 
@@ -794,9 +781,10 @@ mod tests {
         let cfg = TraceStreamConfig::default()
             .with_chunk_requests(513)
             .with_spill_dir(&dir);
-        let (days, got) = drain(trace.stream(cfg));
+        let (days, got, lens) = drain_chunks(trace.stream(cfg));
         assert_eq!(days.len(), trace.days() as usize);
         assert_eq!(got, materialized(&trace));
+        assert_exact_chunks(&lens, 513);
         // Run files are cleaned up as days complete.
         let leftover = std::fs::read_dir(&dir)
             .map(|d| d.count())
@@ -897,43 +885,6 @@ mod tests {
             "the stream's spill dir must be removed on the error path: {leftover:?}"
         );
         std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn scenario_stream_is_identical_in_memory_and_spilled() {
-        use crate::scenario::{ScenarioConfig, ScenarioStage};
-        let trace = tiny();
-        let scenario = ScenarioConfig::new(0xCAFE)
-            .with_stage(ScenarioStage::Failover {
-                from_day: 1,
-                server: 0,
-            })
-            .with_stage(ScenarioStage::FlashCrowd {
-                day: 1,
-                start_minute: 0,
-                duration_minutes: 240,
-                amplification: 3,
-                crowd_fraction: 0.1,
-            });
-        let (_, reference) =
-            drain(trace.stream(TraceStreamConfig::default().with_scenario(scenario.clone())));
-        // Reference path: transform the materialized merge directly.
-        let compiled = CompiledScenario::compile(&scenario, trace.config()).unwrap();
-        assert_eq!(reference, compiled.apply_all(&materialized(&trace)));
-        let dir =
-            std::env::temp_dir().join(format!("sievestore-stream-scenario-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        for chunk in [3usize, 509] {
-            let cfg = TraceStreamConfig::default()
-                .with_chunk_requests(chunk)
-                .with_depth(1)
-                .with_scenario(scenario.clone());
-            let (_, got) = drain(trace.stream(cfg.clone()));
-            assert_eq!(got, reference, "chunk {chunk} diverged");
-            let (_, spilled) = drain(trace.stream(cfg.with_spill_dir(&dir)));
-            assert_eq!(spilled, reference, "spilled chunk {chunk} diverged");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
