@@ -9,7 +9,7 @@
 
 use std::process::ExitCode;
 
-use sievestore_bench::{cost, extensions, policies, sens, shadow, summary, workload, Harness};
+use sievestore_bench::{cost, extensions, policies, sens, summary, workload, Harness};
 
 const USAGE: &str = "\
 usage: experiments [--scale N|full] [--seed S] [--out DIR] <id>...
@@ -18,8 +18,6 @@ ids:
   table1 fig2a fig2b fig2c fig3a fig3b fig3c fig3d
   table2 table3 fig5 fig6 fig7 fig8 fig9 sec5_3 sens summary
   belady per_server   (extensions beyond the paper's figures)
-  shadow     continuous policies under LRU and SIEVE eviction, side by
-             side, with per-policy day-snapshot JSONL under <out>/shadow/
   all        every experiment above
   fidelity   the summary, then exits nonzero naming each of the paper's
              headline shape claims it breaks (not part of 'all')
@@ -46,7 +44,7 @@ options:
 
 /// Every id `all` runs. `fig2b` also makes Figure 2(c): one pass
 /// writes both CSVs.
-const ALL: [&str; 19] = [
+const ALL: [&str; 18] = [
     "table1",
     "fig2a",
     "fig2b",
@@ -65,7 +63,6 @@ const ALL: [&str; 19] = [
     "belady",
     "per_server",
     "sens",
-    "shadow",
 ];
 
 fn main() -> ExitCode {
@@ -219,7 +216,6 @@ fn dispatch(h: &mut Harness, id: &str) -> Result<String, String> {
         "belady" => extensions::belady(h),
         "per_server" => extensions::per_server_sim(h),
         "sens" => sens::sensitivity(h),
-        "shadow" => shadow::shadow(h),
         "summary" => summary::summary(h),
         "fidelity" => return summary::fidelity(h),
         other => return Err(format!("unknown experiment id '{other}'")),

@@ -29,12 +29,6 @@
 //! be measured, the bound degrades to keeping ≥ 50 % of the one-worker
 //! throughput.
 //!
-//! Besides the end-to-end replays, each run times a set of hot-path
-//! micro-benchmarks (`U64Map` insert/get, `LruCache` touch/insert,
-//! `SieveCache` touch/insert, `Mct::record_miss`) and embeds the ns/op
-//! figures in the report so a replay regression can be localized to a
-//! structure. Micro figures are informational only; they are never gated.
-//!
 //! Every report also embeds the day-boundary snapshot export
 //! (`sievestore-day-snapshot/v1` JSONL) for the one-worker run, and the
 //! differential check requires the wider runs to reproduce it
@@ -58,18 +52,16 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use sievestore::PolicySpec;
-use sievestore_bench::replay_json::{compare_reports, MicroReport, ReplayReport, RunReport};
-use sievestore_cache::{LruCache, SieveCache};
+use sievestore_bench::replay_json::{compare_reports, ReplayReport, RunReport};
 use sievestore_extsort::CountingConfig;
-use sievestore_sieve::{Mct, WindowConfig};
-use sievestore_sim::{simulate_sharded, EvictionPolicy, SimConfig, SimResult, SnapshotLog};
+use sievestore_sim::{simulate_sharded, SimConfig, SimResult, SnapshotLog};
 use sievestore_trace::{EnsembleConfig, Scale, SyntheticTrace, TraceStreamConfig};
-use sievestore_types::{mix64, peak_rss_bytes, Micros, U64Map};
+use sievestore_types::peak_rss_bytes;
 
 const USAGE: &str = "\
 usage: replay_bench [--scale N|full] [--seed S] [--reps R] [--out FILE]
                     [--check BASELINE] [--tolerance T] [--min-speedup X]
-                    [--write-baseline] [--eviction P] [--obs] [--spill DIR]
+                    [--write-baseline] [--obs] [--spill DIR]
                     [--max-rss-mb N]
 
 options:
@@ -90,10 +82,6 @@ options:
   --write-baseline
                   also write the fresh report to ci/BENCH_replay.json,
                   so re-baselining the committed gate is one command
-  --eviction P    eviction policy for the continuous caches: 'lru'
-                  (default) or 'sieve'; the gated replay is discrete, so
-                  this only affects the eviction micro-benchmarks' labels
-                  and any continuous diagnostics
   --obs           enable runtime metrics recording and embed the
                   observability-registry totals in the report (hot-path
                   counters need a build with --features obs)
@@ -134,7 +122,6 @@ fn run() -> Result<ExitCode, String> {
     let mut tolerance: f64 = 0.2;
     let mut min_speedup: Option<f64> = None;
     let mut write_baseline = false;
-    let mut eviction = EvictionPolicy::default();
     let mut obs = false;
     let mut spill: Option<String> = None;
     let mut max_rss_mb: Option<u64> = None;
@@ -191,13 +178,6 @@ fn run() -> Result<ExitCode, String> {
                 min_speedup = Some(value);
             }
             "--write-baseline" => write_baseline = true,
-            "--eviction" => {
-                eviction = iter
-                    .next()
-                    .ok_or("--eviction needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --eviction: {e}"))?;
-            }
             "--obs" => obs = true,
             "--spill" => spill = Some(iter.next().ok_or("--spill needs a value")?),
             "--max-rss-mb" => {
@@ -229,7 +209,7 @@ fn run() -> Result<ExitCode, String> {
     // under sharding at any thread count, so the differential check below
     // can demand exact equality.
     let spec = PolicySpec::SieveStoreD { threshold: 10 };
-    let mut cfg = SimConfig::paper_16gb(scale).with_eviction(eviction);
+    let mut cfg = SimConfig::paper_16gb(scale);
     if let Some(dir) = &spill {
         // Both the trace generator and the epoch counter spill under the
         // same root, so one flag bounds every unbounded structure: stream
@@ -284,18 +264,12 @@ fn run() -> Result<ExitCode, String> {
     let (one, snapshot_log) = reference.expect("reps >= 1");
     let events = one.total().accesses();
 
-    // Peak RSS is sampled before the micro phase: VmHWM is a process-wide
-    // high-water mark, and the micro benchmarks allocate working sets that
-    // have nothing to do with the replay pipeline's footprint.
     let peak_rss = peak_rss_bytes();
     println!(
         "peak RSS: {:.1} MiB (VmHWM)",
         peak_rss as f64 / (1 << 20) as f64
     );
 
-    // Registry totals are captured before the micro phase so the
-    // instrumented structures exercised there don't pollute the replay
-    // figures.
     let obs_metrics = if obs {
         let line = sievestore_types::obs::global().snapshot().to_json_line();
         println!("obs registry: {line}");
@@ -304,14 +278,11 @@ fn run() -> Result<ExitCode, String> {
         None
     };
 
-    let micro = micro_phase(reps);
-
     let report = ReplayReport {
         scale,
         seed,
         events,
         runs,
-        micro,
         day_snapshots_jsonl: Some(snapshot_log.to_jsonl()),
         obs_metrics,
         peak_rss_bytes: Some(peak_rss),
@@ -505,147 +476,6 @@ fn write_step_summary(report: &ReplayReport, baseline: Option<&ReplayReport>) {
     {
         let _ = writeln!(file, "{md}");
     }
-}
-
-/// Operations per micro-benchmark repetition.
-const MICRO_OPS: u64 = 1 << 20;
-
-/// Resident key-set size for the steady-state micros (power of two).
-const MICRO_KEYS: u64 = 1 << 16;
-
-/// Fastest-of-`reps` wall time for `f`, scaled to ns per operation.
-fn best_ns(reps: usize, ops: u64, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let started = Instant::now();
-        f();
-        best = best.min(started.elapsed().as_secs_f64());
-    }
-    best * 1e9 / ops as f64
-}
-
-/// Times the structures the replay hot path is built from, so an
-/// end-to-end regression in the gated events/sec figure can be localized
-/// without a profiler. Key streams come from [`mix64`] — deterministic,
-/// cheap, and uncorrelated with the map's own hash.
-fn micro_phase(reps: usize) -> Vec<MicroReport> {
-    use std::hint::black_box;
-    println!("hot-path micro-benchmarks ({MICRO_OPS} ops, fastest of {reps}):");
-    let mut micro = Vec::new();
-    let mut record = |name: &str, ns_per_op: f64| {
-        println!("  {name:<16} {ns_per_op:>7.1} ns/op");
-        micro.push(MicroReport {
-            name: name.into(),
-            ns_per_op,
-        });
-    };
-
-    // Growth-inclusive inserts: a fresh map filled with distinct keys.
-    record(
-        "u64map_insert",
-        best_ns(reps, MICRO_OPS, || {
-            let mut map = U64Map::new();
-            for i in 0..MICRO_OPS {
-                map.insert(mix64(i), i as u32);
-            }
-            black_box(map.len());
-        }),
-    );
-
-    let mut map = U64Map::new();
-    for i in 0..MICRO_OPS {
-        map.insert(mix64(i), i as u32);
-    }
-    record(
-        "u64map_get",
-        best_ns(reps, MICRO_OPS, || {
-            let mut sum = 0u64;
-            for i in 0..MICRO_OPS {
-                if let Some(&v) = map.get(mix64(i)) {
-                    sum += u64::from(v);
-                }
-            }
-            black_box(sum);
-        }),
-    );
-
-    // Hit path: touches cycling through a resident working set.
-    let mut lru = LruCache::new(MICRO_KEYS as usize);
-    for i in 0..MICRO_KEYS {
-        lru.insert(mix64(i));
-    }
-    record(
-        "lru_touch",
-        best_ns(reps, MICRO_OPS, || {
-            let mut hits = 0u64;
-            for i in 0..MICRO_OPS {
-                hits += u64::from(lru.touch(mix64(i & (MICRO_KEYS - 1))));
-            }
-            black_box(hits);
-        }),
-    );
-
-    // Allocation path: distinct keys through a full cache, so every
-    // insert past warm-up also evicts the LRU victim.
-    record(
-        "lru_insert",
-        best_ns(reps, MICRO_OPS, || {
-            let mut lru = LruCache::new(MICRO_KEYS as usize);
-            let mut evicted = 0u64;
-            for i in 0..MICRO_OPS {
-                evicted += u64::from(lru.insert(mix64(i)).is_some());
-            }
-            black_box(evicted);
-        }),
-    );
-
-    // SIEVE hit path: one map probe plus a visited-bit store —
-    // no list surgery, so this should undercut lru_touch.
-    let mut sieve = SieveCache::new(MICRO_KEYS as usize);
-    for i in 0..MICRO_KEYS {
-        sieve.insert(mix64(i));
-    }
-    record(
-        "sieve_touch",
-        best_ns(reps, MICRO_OPS, || {
-            let mut hits = 0u64;
-            for i in 0..MICRO_OPS {
-                hits += u64::from(sieve.touch(mix64(i & (MICRO_KEYS - 1))));
-            }
-            black_box(hits);
-        }),
-    );
-
-    // SIEVE allocation path: distinct keys through a full cache; every
-    // insert past warm-up walks the hand and evicts.
-    record(
-        "sieve_insert",
-        best_ns(reps, MICRO_OPS, || {
-            let mut sieve = SieveCache::new(MICRO_KEYS as usize);
-            let mut evicted = 0u64;
-            for i in 0..MICRO_OPS {
-                evicted += u64::from(sieve.insert(mix64(i)).is_some());
-            }
-            black_box(evicted);
-        }),
-    );
-
-    // Steady-state misses against a bounded tracked set: after the first
-    // lap every key resolves to an existing counter.
-    let mut mct = Mct::new(WindowConfig::paper_default());
-    let now = Micros::from_hours(1);
-    record(
-        "mct_record_miss",
-        best_ns(reps, MICRO_OPS, || {
-            let mut total = 0u64;
-            for i in 0..MICRO_OPS {
-                total += u64::from(mct.record_miss(mix64(i & (MICRO_KEYS - 1)), now));
-            }
-            black_box(total);
-        }),
-    );
-
-    micro
 }
 
 fn print_run(run: &RunReport) {

@@ -19,7 +19,6 @@ pub mod node_json;
 pub mod policies;
 pub mod replay_json;
 pub mod sens;
-pub mod shadow;
 pub mod summary;
 pub mod workload;
 

@@ -288,20 +288,6 @@ pub struct RunReport {
     pub imbalance: f64,
 }
 
-/// One hot-path micro-benchmark result inside a [`ReplayReport`].
-///
-/// Micro figures are informational: they localize a replay regression to
-/// a specific structure (map, LRU, MCT) but are not gated by
-/// [`compare_reports`] — ns/op on shared runners is too noisy for a hard
-/// floor, and the end-to-end events/sec gate already bounds the damage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MicroReport {
-    /// Operation name, e.g. `"lru_touch"`.
-    pub name: String,
-    /// Nanoseconds per operation (fastest repetition).
-    pub ns_per_op: f64,
-}
-
 /// The full `BENCH_replay.json` document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayReport {
@@ -313,8 +299,6 @@ pub struct ReplayReport {
     pub events: u64,
     /// One entry per timed configuration.
     pub runs: Vec<RunReport>,
-    /// Hot-path micro-benchmarks (absent in pre-micro reports).
-    pub micro: Vec<MicroReport>,
     /// Day-boundary snapshot export (`sievestore-day-snapshot/v1` JSON
     /// Lines, embedded verbatim). Deterministic for the benchmark's
     /// discrete policy: byte-identical at any shard count. Absent in
@@ -355,20 +339,6 @@ impl ReplayReport {
                                 ("wall_secs".into(), Json::Num(r.wall_secs)),
                                 ("events_per_sec".into(), Json::Num(r.events_per_sec)),
                                 ("imbalance".into(), Json::Num(r.imbalance)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "micro".into(),
-                Json::Arr(
-                    self.micro
-                        .iter()
-                        .map(|m| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::Str(m.name.clone())),
-                                ("ns_per_op".into(), Json::Num(m.ns_per_op)),
                             ])
                         })
                         .collect(),
@@ -431,32 +401,11 @@ impl ReplayReport {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        // `micro` is optional so pre-micro baselines still parse.
-        let micro = doc
-            .get("micro")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .map(|m| {
-                Ok(MicroReport {
-                    name: m
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("micro entry missing name")?
-                        .to_string(),
-                    ns_per_op: m
-                        .get("ns_per_op")
-                        .and_then(Json::as_f64)
-                        .ok_or("micro entry missing ns_per_op")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         Ok(ReplayReport {
             scale: num("scale")? as u32,
             seed: num("seed")? as u64,
             events: num("events")? as u64,
             runs,
-            micro,
             // Both observability sections are optional so pre-obs
             // baselines (and obs-less runs) still parse.
             day_snapshots_jsonl: doc
@@ -605,10 +554,6 @@ mod tests {
                     imbalance: 1.07,
                 },
             ],
-            micro: vec![MicroReport {
-                name: "lru_touch".into(),
-                ns_per_op: 14.2,
-            }],
             day_snapshots_jsonl: Some(
                 "{\"schema\":\"sievestore-day-snapshot/v1\",\"policy\":\"sievestore-d\",\"capacity_blocks\":64,\"days\":1}\n{\"day\":0,\"read_hits\":3,\"write_hits\":1,\"read_misses\":2,\"write_misses\":0,\"allocation_writes\":1,\"batch_allocations\":1,\"cum_read_hits\":3,\"cum_write_hits\":1,\"cum_read_misses\":2,\"cum_write_misses\":0,\"cum_allocation_writes\":1,\"cum_batch_allocations\":1}\n"
                     .into(),
@@ -659,26 +604,35 @@ mod tests {
     }
 
     #[test]
-    fn pre_micro_baselines_still_parse() {
-        // Reports written before the micro section existed have no
-        // "micro" key; they must keep parsing (as an empty list) so a
-        // refreshed binary can gate against an old committed baseline.
+    fn baselines_with_a_micro_array_still_parse() {
+        // Reports written while the bench also timed single structures
+        // carry a "micro" array of {name, ns_per_op}; the parser ignores
+        // it, so a refreshed binary can gate against such a baseline.
         let mut doc = Json::parse(&report().to_json()).unwrap();
         if let Json::Obj(entries) = &mut doc {
-            entries.retain(|(k, _)| k != "micro");
+            entries.insert(
+                5,
+                (
+                    "micro".into(),
+                    Json::Arr(vec![Json::Obj(vec![
+                        ("name".into(), Json::Str("lru_touch".into())),
+                        ("ns_per_op".into(), Json::Num(14.2)),
+                    ])]),
+                ),
+            );
         }
-        let back = ReplayReport::from_json(&doc.to_pretty()).unwrap();
-        assert!(back.micro.is_empty());
-        assert_eq!(back.runs, report().runs);
-        // Micro figures are informational: they never gate.
-        assert!(compare_reports(&back, &report(), 0.2).is_ok());
+        let text = doc.to_pretty();
+        assert!(text.contains("\"micro\""));
+        let back = ReplayReport::from_json(&text).unwrap();
+        assert_eq!(back, report());
+        assert!(compare_reports(&report(), &back, 0.2).is_ok());
     }
 
     #[test]
     fn pre_obs_baselines_still_parse() {
         // Reports written before the observability sections existed have
         // neither "day_snapshots_jsonl" nor "obs_metrics"; they must keep
-        // parsing (as None) and gating just like pre-micro baselines.
+        // parsing (as None) and gating just like before.
         let mut doc = Json::parse(&report().to_json()).unwrap();
         if let Json::Obj(entries) = &mut doc {
             entries.retain(|(k, _)| k != "day_snapshots_jsonl" && k != "obs_metrics");

@@ -120,6 +120,14 @@ mod tests {
         sensitivity(&mut h).unwrap();
         // The threshold sweep's epoch counters were created under it.
         assert!(spill.join("counts").is_dir(), "spill dir unused");
+        // Each trace stream spilled under its own subdirectory of
+        // `trace/` and removed it when done; the root stays behind.
+        let trace_root = spill.join("trace");
+        assert!(
+            trace_root.is_dir(),
+            "trace generation ignored the spill dir"
+        );
+        assert_eq!(std::fs::read_dir(&trace_root).unwrap().count(), 0);
         std::fs::remove_dir_all(&spill).ok();
         std::fs::remove_dir_all(h.results_dir()).ok();
     }

@@ -12,7 +12,13 @@ use crate::Harness;
 pub struct Headline {
     /// Trace scale denominator the runs used.
     pub scale: u32,
-    /// Mean daily captured fraction of the best unsieved policy.
+    /// The run the capture rows compare against: the AOD/WMNA run (16
+    /// or 32 GB) with the most whole-trace hits.
+    pub capture_baseline: String,
+    /// The run the allocation-write reduction rows divide: the 32 GB
+    /// AOD/WMNA run with fewer allocation-writes.
+    pub alloc_baseline: String,
+    /// Mean daily captured fraction of [`capture_baseline`](Self::capture_baseline).
     pub best_mean: f64,
     /// Mean daily captured fraction of SieveStore-D (bootstrap day 0
     /// excluded).
@@ -21,9 +27,11 @@ pub struct Headline {
     pub c_mean: f64,
     /// Mean daily captured fraction of the day-by-day ideal.
     pub ideal_mean: f64,
-    /// Unsieved (32 GB) over SieveStore-D allocation-writes.
+    /// [`alloc_baseline`](Self::alloc_baseline) over SieveStore-D
+    /// allocation-writes.
     pub d_reduction: f64,
-    /// Unsieved (32 GB) over SieveStore-C allocation-writes.
+    /// [`alloc_baseline`](Self::alloc_baseline) over SieveStore-C
+    /// allocation-writes.
     pub c_reduction: f64,
     /// Fraction of minutes one drive covers under SieveStore-D.
     pub d_coverage: f64,
@@ -33,6 +41,10 @@ pub struct Headline {
     pub wmna_drives: u32,
     /// X25-E lifetime in years under SieveStore-C's write rate.
     pub lifetime_years: f64,
+    /// Each day's share of accesses taken by that day's top 1 % of
+    /// blocks (Figure 2(b)), from the Ideal oracle's exact per-day
+    /// counts.
+    pub top1_shares: Vec<f64>,
 }
 
 impl Headline {
@@ -48,14 +60,21 @@ impl Headline {
         let runs = h.policy_runs()?;
 
         let alloc = |name: &str| runs.by_name(name).total().total_allocation_writes();
-        let unsieved_alloc = alloc("AOD-32GB").min(alloc("WMNA-32GB"));
+        let alloc_baseline = ["AOD-32GB", "WMNA-32GB"]
+            .into_iter()
+            .min_by_key(|&name| alloc(name))
+            .expect("two unsieved 32 GB runs");
+        let unsieved_alloc = alloc(alloc_baseline);
+        let best = runs.best_unsieved();
 
         let c_occ = &runs.by_name("SieveStore-C").occupancy;
         let c_write_bytes_day = c_occ.total_write_bytes() / days.max(1) as f64;
 
         Ok(Headline {
             scale,
-            best_mean: runs.best_unsieved().mean_captured_fraction(&[]),
+            capture_baseline: best.policy.to_string(),
+            alloc_baseline: alloc_baseline.to_string(),
+            best_mean: best.mean_captured_fraction(&[]),
             d_mean: runs.by_name("SieveStore-D").mean_captured_fraction(&[0]),
             c_mean: runs.by_name("SieveStore-C").mean_captured_fraction(&[]),
             ideal_mean: runs.by_name("Ideal").mean_captured_fraction(&[]),
@@ -71,6 +90,12 @@ impl Headline {
                 .occupancy
                 .drives_for_coverage(0.999),
             lifetime_years: endurance_years(c_occ.spec(), c_write_bytes_day),
+            top1_shares: runs
+                .ideal_covered
+                .iter()
+                .zip(&runs.day_totals)
+                .map(|(&covered, &total)| covered as f64 / total.max(1) as f64)
+                .collect(),
         })
     }
 
@@ -82,12 +107,18 @@ impl Headline {
             "this reproduction".into(),
         ]);
         table.push_row(vec![
-            "SieveStore-D hits vs best unsieved".into(),
+            format!(
+                "SieveStore-D hits vs best unsieved ({})",
+                self.capture_baseline
+            ),
             "+35%".into(),
             format!("{:+.0}%", (self.d_mean / self.best_mean - 1.0) * 100.0),
         ]);
         table.push_row(vec![
-            "SieveStore-C hits vs best unsieved".into(),
+            format!(
+                "SieveStore-C hits vs best unsieved ({})",
+                self.capture_baseline
+            ),
             "+50%".into(),
             format!("{:+.0}%", (self.c_mean / self.best_mean - 1.0) * 100.0),
         ]);
@@ -110,12 +141,12 @@ impl Headline {
             vs_ideal(self.c_mean),
         ]);
         table.push_row(vec![
-            "allocation-write reduction (D)".into(),
+            format!("allocation-write reduction (D) vs {}", self.alloc_baseline),
             ">100x".into(),
             format!("{:.0}x", self.d_reduction),
         ]);
         table.push_row(vec![
-            "allocation-write reduction (C)".into(),
+            format!("allocation-write reduction (C) vs {}", self.alloc_baseline),
             ">100x".into(),
             format!("{:.0}x", self.c_reduction),
         ]);
@@ -156,6 +187,14 @@ impl Headline {
         let one_drive =
             self.d_coverage >= 0.999 && self.c_coverage >= 0.999 && self.wmna_drives > 1;
         let durable = self.lifetime_years > 10.0;
+        let off_band: Vec<String> = self
+            .top1_shares
+            .iter()
+            .enumerate()
+            .filter(|(_, share)| !(0.14..=0.53).contains(*share))
+            .map(|(day, &share)| format!("day {day} {}", pct(share)))
+            .collect();
+        let skewed = off_band.is_empty();
         [
             (
                 ordered,
@@ -190,6 +229,14 @@ impl Headline {
                     self.lifetime_years
                 ),
             ),
+            (
+                skewed,
+                format!(
+                    "top-1% share: each day's top 1% of blocks must take 14-53% of its \
+                     accesses, got {}",
+                    off_band.join(", ")
+                ),
+            ),
         ]
         .into_iter()
         .filter(|(holds, _)| !holds)
@@ -219,9 +266,14 @@ pub fn fidelity(h: &mut Harness) -> Result<String, String> {
     let headline = Headline::measure(h).map_err(|e| e.to_string())?;
     let violations = headline.shape_violations();
     if violations.is_empty() {
+        let shares = &headline.top1_shares;
+        let lowest = shares.iter().copied().fold(f64::INFINITY, f64::min);
+        let highest = shares.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         Ok(format!(
-            "{}paper shape: all four headline claims hold",
-            headline.render()
+            "{}paper shape: all five shape claims hold (daily top-1% share {}-{})",
+            headline.render(),
+            pct(lowest),
+            pct(highest)
         ))
     } else {
         Err(format!(
@@ -257,6 +309,8 @@ mod tests {
     fn at_1024() -> Headline {
         Headline {
             scale: 1024,
+            capture_baseline: "WMNA-32GB".into(),
+            alloc_baseline: "WMNA-32GB".into(),
             best_mean: 0.20,
             d_mean: 0.22,
             c_mean: 0.274,
@@ -267,6 +321,7 @@ mod tests {
             c_coverage: 1.0,
             wmna_drives: 3,
             lifetime_years: 14.0,
+            top1_shares: vec![0.250, 0.268, 0.242, 0.269, 0.249, 0.249, 0.278, 0.233],
         }
     }
 
@@ -274,7 +329,7 @@ mod tests {
     fn shape_gate_names_each_broken_claim_alone() {
         assert_eq!(at_1024().shape_violations(), Vec::<String>::new());
         type Breaker = fn(&mut Headline);
-        let broken: [(&str, Breaker); 9] = [
+        let broken: [(&str, Breaker); 11] = [
             ("capture order", |h| h.c_mean = h.d_mean),
             ("capture order", |h| h.d_mean = h.best_mean * 0.99),
             ("allocation-write reduction", |h| h.d_reduction = 99.0),
@@ -284,6 +339,8 @@ mod tests {
             ("single-drive coverage", |h| h.wmna_drives = 1),
             ("X25-E lifetime", |h| h.lifetime_years = 10.0),
             ("X25-E lifetime", |h| h.lifetime_years = f64::NAN),
+            ("top-1% share", |h| h.top1_shares[3] = 0.54),
+            ("top-1% share", |h| h.top1_shares[0] = 0.13),
         ];
         for (claim, brk) in broken {
             let mut h = at_1024();
@@ -292,5 +349,37 @@ mod tests {
             assert_eq!(violations.len(), 1, "{claim}: {violations:?}");
             assert!(violations[0].starts_with(claim), "{claim}: {violations:?}");
         }
+        // The top-1% violation names each offending day and its share.
+        let mut h = at_1024();
+        h.top1_shares[2] = 0.60;
+        h.top1_shares[6] = 0.10;
+        let violations = h.shape_violations();
+        assert!(
+            violations[0].ends_with("got day 2 60.0%, day 6 10.0%"),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn summary_names_the_baseline_run_of_each_comparison() {
+        let mut h = at_1024();
+        h.capture_baseline = "AOD-32GB".into();
+        let out = h.render();
+        assert!(
+            out.contains("SieveStore-D hits vs best unsieved (AOD-32GB)"),
+            "{out}"
+        );
+        assert!(
+            out.contains("SieveStore-C hits vs best unsieved (AOD-32GB)"),
+            "{out}"
+        );
+        assert!(
+            out.contains("allocation-write reduction (D) vs WMNA-32GB"),
+            "{out}"
+        );
+        assert!(
+            out.contains("allocation-write reduction (C) vs WMNA-32GB"),
+            "{out}"
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Trace serialization: a compact binary format plus CSV export.
+//! Trace serialization: a compact binary format.
 //!
 //! The binary format is a fixed little-endian record stream with a small
 //! header, so multi-gigabyte traces stream through `BufReader`/`BufWriter`
@@ -9,15 +9,11 @@
 //! record:  u64 timestamp_us | u64 packed block key | u32 len_blocks
 //!          | u32 response_us | u8 kind tag | 3 pad bytes
 //! ```
-//!
-//! CSV export mirrors the shape of the public MSR-Cambridge block traces
-//! (timestamp, server, volume, kind, byte offset, byte length, response
-//! time), which keeps our outputs comparable to the originals.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 
 use sievestore_types::{
-    BlockAddr, GlobalBlock, Micros, ParseRequestError, Request, RequestKind, SieveError, BLOCK_SIZE,
+    BlockAddr, GlobalBlock, Micros, ParseRequestError, Request, RequestKind, SieveError,
 };
 
 const MAGIC: &[u8; 4] = b"SSTR";
@@ -201,65 +197,6 @@ impl<R: Read> Iterator for TraceReader<R> {
     }
 }
 
-/// Writes requests as CSV in the shape of the MSR-Cambridge block traces.
-///
-/// Columns: `timestamp_us,server,volume,kind,offset_bytes,length_bytes,response_us`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the destination.
-///
-/// # Examples
-///
-/// ```
-/// use sievestore_trace::write_csv;
-/// use sievestore_types::{BlockAddr, Micros, Request, RequestKind, ServerId, VolumeId};
-///
-/// # fn main() -> Result<(), sievestore_types::SieveError> {
-/// let req = Request::new(
-///     Micros::from_secs(2),
-///     BlockAddr::new(ServerId::new(1), VolumeId::new(0), 8),
-///     8,
-///     RequestKind::Write,
-/// );
-/// let mut out = Vec::new();
-/// write_csv(&mut out, [req].iter())?;
-/// let text = String::from_utf8(out).unwrap();
-/// assert!(text.lines().nth(1).unwrap().contains("Write"));
-/// # Ok(())
-/// # }
-/// ```
-pub fn write_csv<'a, W: Write>(
-    out: W,
-    requests: impl Iterator<Item = &'a Request>,
-) -> Result<u64, SieveError> {
-    let mut out = BufWriter::new(out);
-    writeln!(
-        out,
-        "timestamp_us,server,volume,kind,offset_bytes,length_bytes,response_us"
-    )?;
-    let mut n = 0;
-    for req in requests {
-        writeln!(
-            out,
-            "{},{},{},{},{},{},{}",
-            req.timestamp.as_u64(),
-            req.start.server.index(),
-            req.start.volume.index(),
-            match req.kind {
-                RequestKind::Read => "Read",
-                RequestKind::Write => "Write",
-            },
-            req.start.block * BLOCK_SIZE as u64,
-            req.len_bytes(),
-            req.response_time.as_u64(),
-        )?;
-        n += 1;
-    }
-    out.flush()?;
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,20 +291,6 @@ mod tests {
         // First record intact, second lost to truncation.
         let ok: Vec<_> = reader.filter_map(|r| r.ok()).collect();
         assert_eq!(ok.len(), 1);
-    }
-
-    #[test]
-    fn csv_has_header_and_one_row_per_request() {
-        let reqs = sample_requests();
-        let mut out = Vec::new();
-        let n = write_csv(&mut out, reqs.iter()).unwrap();
-        assert_eq!(n, reqs.len() as u64);
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), reqs.len() + 1);
-        assert!(lines[0].starts_with("timestamp_us,"));
-        // Offsets are in bytes.
-        assert!(lines[2].contains(&(8 * BLOCK_SIZE as u64).to_string()));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! popularity skew (O1), per-server/volume/day skew variation and hot-set
 //! drift (O2), diurnal load and rare independent bursts.
 //!
-//! The crate also provides trace serialization ([`TraceWriter`],
-//! [`TraceReader`], [`write_csv`]) and streaming summary statistics
-//! ([`TraceStats`]).
+//! The crate also provides binary trace serialization ([`TraceWriter`],
+//! [`TraceReader`]) and an importer for the real MSR-Cambridge CSV traces
+//! ([`MsrReader`]).
 //!
 //! # Quick start
 //!
@@ -33,15 +33,13 @@
 pub mod io;
 pub mod model;
 pub mod msr;
-pub mod stats;
 pub mod stream;
 pub mod synth;
 pub mod zipf;
 
-pub use io::{write_csv, TraceReader, TraceWriter};
+pub use io::{TraceReader, TraceWriter};
 pub use model::{EnsembleConfig, Scale, ServerConfig, VolumeConfig};
 pub use msr::MsrReader;
-pub use stats::{DayStats, TraceStats};
 pub use stream::{
     request_order_key, sort_requests, RequestOrderKey, RequestStream, StreamMsg, TraceStream,
     TraceStreamConfig,

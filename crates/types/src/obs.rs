@@ -1,5 +1,5 @@
 //! Zero-dependency observability: a lock-free metrics registry and
-//! lightweight structured event tracing.
+//! the structured events a node reports to its own sink.
 //!
 //! The replay engine processes tens of millions of block accesses per
 //! second, so the only affordable instrumentation is the kind that costs
@@ -13,9 +13,9 @@
 //!   [`merge`](MetricsSnapshot::merge) is commutative and associative, so
 //!   per-shard snapshots combine into the same totals in any order (the
 //!   same contract `DayMetrics` follows in the simulator);
-//! * **structured events** ([`Event`]) delivered to a pluggable
-//!   [`EventSink`] — no-op, stderr, JSONL file, or a capturing sink for
-//!   tests.
+//! * **structured events** ([`Event`]) that a node delivers to the
+//!   [`EventSink`] its configuration names — [`NoopSink`] by default, or
+//!   a [`CapturingSink`] that tests assert on.
 //!
 //! # Cost model
 //!
@@ -52,9 +52,8 @@
 //! ```
 
 use std::fmt;
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Mutex;
 
 // ---------------------------------------------------------------------------
 // Metric identifiers
@@ -749,8 +748,7 @@ impl fmt::Display for FieldValue {
 }
 
 /// A structured trace event: a static name plus a handful of typed
-/// fields. Events are cheap to build (fields live in a small `Vec`) and
-/// only built at all when a sink is installed.
+/// fields. Events are cheap to build (fields live in a small `Vec`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Dotted event name, e.g. `"node.breaker.transition"`.
@@ -779,26 +777,12 @@ impl Event {
     pub fn field(&self, key: &str) -> Option<&FieldValue> {
         self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
-
-    /// One deterministic JSON line (string values are static identifiers,
-    /// so no escaping is needed).
-    pub fn to_json_line(&self) -> String {
-        let mut out = format!("{{\"event\":\"{}\"", self.name);
-        for (key, value) in &self.fields {
-            match value {
-                FieldValue::Str(s) => out.push_str(&format!(",\"{key}\":\"{s}\"")),
-                other => out.push_str(&format!(",\"{key}\":{other}")),
-            }
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// A destination for structured [`Event`]s.
 ///
 /// Sinks must be cheap and non-panicking: they run inline on the
-/// emitting thread (server request handlers, replay coordinator).
+/// emitting thread (the node's request handlers and engine).
 pub trait EventSink: Send + Sync {
     /// Delivers one event.
     fn record(&self, event: &Event);
@@ -810,57 +794,6 @@ pub struct NoopSink;
 
 impl EventSink for NoopSink {
     fn record(&self, _event: &Event) {}
-}
-
-/// Writes one JSON line per event to stderr.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StderrSink;
-
-impl EventSink for StderrSink {
-    fn record(&self, event: &Event) {
-        eprintln!("{}", event.to_json_line());
-    }
-}
-
-/// Appends one JSON line per event to an owned writer (typically a file).
-pub struct JsonlSink {
-    writer: Mutex<Box<dyn std::io::Write + Send>>,
-}
-
-impl JsonlSink {
-    /// A sink writing JSONL to `writer`.
-    pub fn new(writer: Box<dyn std::io::Write + Send>) -> Self {
-        JsonlSink {
-            writer: Mutex::new(writer),
-        }
-    }
-
-    /// A sink appending to the file at `path` (created if absent).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the open failure.
-    pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(JsonlSink::new(Box::new(file)))
-    }
-}
-
-impl fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JsonlSink").finish_non_exhaustive()
-    }
-}
-
-impl EventSink for JsonlSink {
-    fn record(&self, event: &Event) {
-        if let Ok(mut writer) = self.writer.lock() {
-            let _ = writeln!(writer, "{}", event.to_json_line());
-        }
-    }
 }
 
 /// Buffers every event in memory — the assertion surface for tests.
@@ -900,42 +833,6 @@ impl EventSink for CapturingSink {
             .lock()
             .expect("capturing sink poisoned")
             .push(event.clone());
-    }
-}
-
-static TRACING: AtomicBool = AtomicBool::new(false);
-static SINK: RwLock<Option<Arc<dyn EventSink>>> = RwLock::new(None);
-
-/// Installs the process-global event sink (replacing any previous one)
-/// and turns event emission on.
-pub fn set_sink(sink: Arc<dyn EventSink>) {
-    *SINK.write().expect("sink lock poisoned") = Some(sink);
-    TRACING.store(true, Ordering::Release);
-}
-
-/// Removes the global sink; [`emit`] becomes a cheap no-op again.
-pub fn clear_sink() {
-    TRACING.store(false, Ordering::Release);
-    *SINK.write().expect("sink lock poisoned") = None;
-}
-
-/// Whether a global sink is installed.
-#[inline]
-pub fn tracing_enabled() -> bool {
-    TRACING.load(Ordering::Acquire)
-}
-
-/// Delivers an event to the global sink, if one is installed. The
-/// disabled path is one atomic load and a branch; callers should build
-/// the [`Event`] lazily behind [`tracing_enabled`] when fields are
-/// expensive.
-pub fn emit(event: &Event) {
-    if !tracing_enabled() {
-        return;
-    }
-    let guard = SINK.read().expect("sink lock poisoned");
-    if let Some(sink) = guard.as_ref() {
-        sink.record(event);
     }
 }
 
@@ -1126,11 +1023,6 @@ mod tests {
             .with("from", FieldValue::Str("healthy"))
             .with("to", FieldValue::Str("degraded"))
             .with("failures", FieldValue::U64(3));
-        assert_eq!(
-            event.to_json_line(),
-            "{\"event\":\"node.breaker.transition\",\"from\":\"healthy\",\
-             \"to\":\"degraded\",\"failures\":3}"
-        );
         assert_eq!(event.field("to"), Some(&FieldValue::Str("degraded")));
         let sink = CapturingSink::new();
         sink.record(&event);
@@ -1139,25 +1031,5 @@ mod tests {
         assert_eq!(sink.named("node.breaker.transition").len(), 1);
         assert_eq!(sink.take().len(), 2);
         assert!(sink.events().is_empty());
-    }
-
-    #[test]
-    fn jsonl_sink_writes_lines() {
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for Shared {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let sink = JsonlSink::new(Box::new(Shared(buf.clone())));
-        sink.record(&Event::new("a").with("x", FieldValue::I64(-4)));
-        sink.record(&Event::new("b"));
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        assert_eq!(text, "{\"event\":\"a\",\"x\":-4}\n{\"event\":\"b\"}\n");
     }
 }

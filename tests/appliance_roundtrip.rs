@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use sievestore::{PolicySpec, SieveStoreBuilder};
 use sievestore_cache::BatchCache;
 use sievestore_extsort::{AccessLog, CountingConfig};
-use sievestore_trace::{EnsembleConfig, SyntheticTrace, TraceReader, TraceStats, TraceWriter};
+use sievestore_trace::{EnsembleConfig, SyntheticTrace, TraceReader, TraceWriter};
 use sievestore_types::Day;
 
 #[test]
@@ -120,12 +120,8 @@ fn trace_survives_filesystem_roundtrip() {
     let mut reader = TraceReader::new(file).expect("valid header");
     assert_eq!(reader.declared_count(), Some(requests.len() as u64));
     let reread: Vec<_> = (&mut reader).map(|r| r.expect("valid record")).collect();
+    // Every field of every request comes back as written.
     assert_eq!(reread, requests);
-
-    // Statistics agree between the in-memory and re-read streams.
-    let direct: TraceStats = requests.iter().collect();
-    let via_disk: TraceStats = reread.iter().collect();
-    assert_eq!(direct.days(), via_disk.days());
 
     std::fs::remove_dir_all(&dir).ok();
 }
