@@ -35,8 +35,8 @@ options:
                policies use the epoch-batch cache regardless
   --obs        enable runtime metrics recording; writes one day-boundary
                snapshot JSONL per policy run plus the registry totals
-               (obs_metrics.json) to the output dir (hot-path counters
-               need a build with --features obs)
+               (obs_metrics.json: replay batches, day boundaries and
+               their timings) to the output dir
   --spill DIR  bound memory: stream trace generation through spill files
                under DIR and count discrete epochs with the spill-backed
                counter (bit-identical figures; required for --scale full

@@ -33,8 +33,8 @@
 //! (`sievestore-day-snapshot/v1` JSONL) for the one-worker run, and the
 //! differential check requires the wider runs to reproduce it
 //! byte-for-byte. With `--obs`, runtime metrics recording is switched on
-//! and the observability-registry totals are embedded as diagnostics
-//! (full counters need a build with `--features obs`).
+//! and the observability-registry totals (replay batches, day boundaries,
+//! channel-wait and barrier timings) are embedded as diagnostics.
 //!
 //! `--scale` also accepts the literal `full` (denominator 1 — the paper's
 //! complete 13-server ensemble). For such runs `--spill DIR` routes both
@@ -83,8 +83,8 @@ options:
                   also write the fresh report to ci/BENCH_replay.json,
                   so re-baselining the committed gate is one command
   --obs           enable runtime metrics recording and embed the
-                  observability-registry totals in the report (hot-path
-                  counters need a build with --features obs)
+                  observability-registry totals in the report (replay
+                  batches, day boundaries and their timings)
   --spill DIR     bound memory: stream trace chunks through spill files
                   under DIR and count epoch accesses with the spill-backed
                   counter, so peak RSS tracks one server-day instead of

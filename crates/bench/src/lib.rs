@@ -8,7 +8,8 @@
 //!
 //! Simulation results are computed once per harness instance and shared
 //! across the figures that need them (Figures 5–9 and the summary all
-//! read the same nine policy runs).
+//! read the same nine policy runs; `sens` and the summary the same
+//! sensitivity sweeps).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -98,6 +99,7 @@ pub struct Harness {
     eviction: EvictionPolicy,
     spill: Option<PathBuf>,
     runs: Option<PolicyRuns>,
+    sweeps: Option<sens::Sweeps>,
 }
 
 impl Harness {
@@ -118,6 +120,7 @@ impl Harness {
             eviction: EvictionPolicy::default(),
             spill: None,
             runs: None,
+            sweeps: None,
         })
     }
 
@@ -131,6 +134,7 @@ impl Harness {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self.runs = None;
+        self.sweeps = None;
         self
     }
 
@@ -147,6 +151,7 @@ impl Harness {
     pub fn with_eviction(mut self, eviction: EvictionPolicy) -> Self {
         self.eviction = eviction;
         self.runs = None;
+        self.sweeps = None;
         self
     }
 
@@ -164,6 +169,7 @@ impl Harness {
     pub fn with_spill(mut self, dir: impl AsRef<Path>) -> Self {
         self.spill = Some(dir.as_ref().to_path_buf());
         self.runs = None;
+        self.sweeps = None;
         self
     }
 
@@ -246,6 +252,18 @@ impl Harness {
             self.runs = Some(self.compute_policy_runs()?);
         }
         Ok(self.runs.as_ref().expect("just computed"))
+    }
+
+    /// The §5.1 sensitivity sweeps (computed on first use, then cached).
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation failures.
+    pub fn sens_sweeps(&mut self) -> Result<&sens::Sweeps, SieveError> {
+        if self.sweeps.is_none() {
+            self.sweeps = Some(sens::Sweeps::measure(self)?);
+        }
+        Ok(self.sweeps.as_ref().expect("just computed"))
     }
 
     /// Writes one day-boundary snapshot log (`sievestore-day-snapshot/v1`

@@ -558,7 +558,7 @@ mod tests {
                 "{\"schema\":\"sievestore-day-snapshot/v1\",\"policy\":\"sievestore-d\",\"capacity_blocks\":64,\"days\":1}\n{\"day\":0,\"read_hits\":3,\"write_hits\":1,\"read_misses\":2,\"write_misses\":0,\"allocation_writes\":1,\"batch_allocations\":1,\"cum_read_hits\":3,\"cum_write_hits\":1,\"cum_read_misses\":2,\"cum_write_misses\":0,\"cum_allocation_writes\":1,\"cum_batch_allocations\":1}\n"
                     .into(),
             ),
-            obs_metrics: Some("{\"counters\":{\"replay_events_routed\":6}}".into()),
+            obs_metrics: Some("{\"counters\":{\"replay_batches_sent\":6}}".into()),
             peak_rss_bytes: Some(384 << 20),
         }
     }

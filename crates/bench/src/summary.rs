@@ -5,6 +5,7 @@ use sievestore_analysis::{pct, TextTable};
 use sievestore_ssd::endurance_years;
 use sievestore_types::SieveError;
 
+use crate::sens::Point;
 use crate::Harness;
 
 /// The paper's headline results as this reproduction measures them.
@@ -45,11 +46,22 @@ pub struct Headline {
     /// blocks (Figure 2(b)), from the Ideal oracle's exact per-day
     /// counts.
     pub top1_shares: Vec<f64>,
+    /// SieveStore-D's mean capture (bootstrap day 0 excluded) at each
+    /// threshold `t` of the §5.1 sweep, as `(t, capture)`.
+    pub threshold_captures: Vec<(u64, f64)>,
+    /// SieveStore-C's mean capture at each window length of the §5.1
+    /// sweep, as `(hours, capture)`.
+    pub window_captures: Vec<(u64, f64)>,
 }
+
+/// The thresholds whose SieveStore-D capture must stay on the plateau.
+const PLATEAU_THRESHOLDS: std::ops::RangeInclusive<u64> = 6..=14;
+/// How far below the threshold sweep's best a plateau point may sit.
+const PLATEAU_SLACK: f64 = 0.05;
 
 impl Headline {
     /// Computes the headline numbers from the harness's shared policy
-    /// runs.
+    /// runs and sensitivity sweeps.
     ///
     /// # Errors
     ///
@@ -57,6 +69,10 @@ impl Headline {
     pub fn measure(h: &mut Harness) -> Result<Self, SieveError> {
         let scale = h.scale();
         let days = h.trace().days();
+        let sweeps = h.sens_sweeps()?;
+        let captures = |points: &[Point]| points.iter().map(|p| (p.value, p.capture)).collect();
+        let threshold_captures = captures(&sweeps.thresholds);
+        let window_captures = captures(&sweeps.windows);
         let runs = h.policy_runs()?;
 
         let alloc = |name: &str| runs.by_name(name).total().total_allocation_writes();
@@ -96,7 +112,50 @@ impl Headline {
                 .zip(&runs.day_totals)
                 .map(|(&covered, &total)| covered as f64 / total.max(1) as f64)
                 .collect(),
+            threshold_captures,
+            window_captures,
         })
+    }
+
+    /// The plateau claim's two bars: the threshold sweep's best capture,
+    /// and SieveStore-C's capture at W = 4 h.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window sweep has no W = 4 h point.
+    fn plateau_bars(&self) -> (f64, f64) {
+        let best = self
+            .threshold_captures
+            .iter()
+            .map(|&(_, capture)| capture)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let at_4h = self
+            .window_captures
+            .iter()
+            .find(|&&(hours, _)| hours == 4)
+            .expect("the window sweep includes W = 4 h")
+            .1;
+        (best, at_4h)
+    }
+
+    /// The sweep points that break the plateau claim, labelled: t = 6-14
+    /// more than [`PLATEAU_SLACK`] below the threshold sweep's best, and
+    /// W >= 8 h below W = 4 h.
+    fn off_plateau(&self) -> Vec<String> {
+        let (best, at_4h) = self.plateau_bars();
+        let sagging = self
+            .threshold_captures
+            .iter()
+            .filter(|&&(t, capture)| {
+                PLATEAU_THRESHOLDS.contains(&t) && capture < (1.0 - PLATEAU_SLACK) * best
+            })
+            .map(|&(t, capture)| format!("t={t} {}", pct(capture)));
+        let worse = self
+            .window_captures
+            .iter()
+            .filter(|&&(hours, capture)| hours >= 8 && capture < at_4h)
+            .map(|&(hours, capture)| format!("W={hours}h {}", pct(capture)));
+        sagging.chain(worse).collect()
     }
 
     /// The headline numbers next to the paper's reported values.
@@ -170,6 +229,28 @@ impl Headline {
             ">10 years".into(),
             format!("{:.0} years", self.lifetime_years),
         ]);
+        let (best, at_4h) = self.plateau_bars();
+        let lowest = |points: &[(u64, f64)], keep: fn(u64) -> bool| {
+            points
+                .iter()
+                .filter(|&&(value, _)| keep(value))
+                .map(|&(_, capture)| capture)
+                .fold(f64::INFINITY, f64::min)
+        };
+        let plateau_low = lowest(&self.threshold_captures, |t| {
+            PLATEAU_THRESHOLDS.contains(&t)
+        });
+        let long_low = lowest(&self.window_captures, |hours| hours >= 8);
+        table.push_row(vec![
+            "SieveStore-D capture, t = 6-14 vs sweep best".into(),
+            "flat in 8-20".into(),
+            format!("{:+.0}%", (plateau_low / best - 1.0) * 100.0),
+        ]);
+        table.push_row(vec![
+            "SieveStore-C capture, W >= 8h vs W = 4h".into(),
+            "shorter than 8h degrades".into(),
+            format!("{:+.0}%", (long_low / at_4h - 1.0) * 100.0),
+        ]);
         format!(
             "Headline results at trace scale 1/{} \
              (shapes, not absolute numbers, are the reproduction target)\n{}",
@@ -195,6 +276,8 @@ impl Headline {
             .map(|(day, &share)| format!("day {day} {}", pct(share)))
             .collect();
         let skewed = off_band.is_empty();
+        let off_plateau = self.off_plateau();
+        let plateau = off_plateau.is_empty();
         [
             (
                 ordered,
@@ -237,6 +320,15 @@ impl Headline {
                     off_band.join(", ")
                 ),
             ),
+            (
+                plateau,
+                format!(
+                    "sensitivity plateau: SieveStore-D capture for t = 6-14 must stay within \
+                     5% of the threshold sweep's best and SieveStore-C with W >= 8h must \
+                     capture no less than with W = 4h, got {}",
+                    off_plateau.join(", ")
+                ),
+            ),
         ]
         .into_iter()
         .filter(|(holds, _)| !holds)
@@ -270,7 +362,7 @@ pub fn fidelity(h: &mut Harness) -> Result<String, String> {
         let lowest = shares.iter().copied().fold(f64::INFINITY, f64::min);
         let highest = shares.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         Ok(format!(
-            "{}paper shape: all five shape claims hold (daily top-1% share {}-{})",
+            "{}paper shape: all six shape claims hold (daily top-1% share {}-{})",
             headline.render(),
             pct(lowest),
             pct(highest)
@@ -322,6 +414,15 @@ mod tests {
             wmna_drives: 3,
             lifetime_years: 14.0,
             top1_shares: vec![0.250, 0.268, 0.242, 0.269, 0.249, 0.249, 0.278, 0.233],
+            threshold_captures: vec![
+                (4, 0.188),
+                (6, 0.280),
+                (8, 0.274),
+                (10, 0.271),
+                (14, 0.271),
+                (20, 0.233),
+            ],
+            window_captures: vec![(2, 0.197), (4, 0.277), (8, 0.337), (16, 0.338), (24, 0.334)],
         }
     }
 
@@ -329,7 +430,7 @@ mod tests {
     fn shape_gate_names_each_broken_claim_alone() {
         assert_eq!(at_1024().shape_violations(), Vec::<String>::new());
         type Breaker = fn(&mut Headline);
-        let broken: [(&str, Breaker); 11] = [
+        let broken: [(&str, Breaker); 16] = [
             ("capture order", |h| h.c_mean = h.d_mean),
             ("capture order", |h| h.d_mean = h.best_mean * 0.99),
             ("allocation-write reduction", |h| h.d_reduction = 99.0),
@@ -341,6 +442,13 @@ mod tests {
             ("X25-E lifetime", |h| h.lifetime_years = f64::NAN),
             ("top-1% share", |h| h.top1_shares[3] = 0.54),
             ("top-1% share", |h| h.top1_shares[0] = 0.13),
+            // t = 6 is the sweep's best; lowered, t = 8 becomes it.
+            ("sensitivity plateau", |h| h.threshold_captures[1].1 = 0.25),
+            ("sensitivity plateau", |h| h.threshold_captures[4].1 = 0.26),
+            // A best outside 6-14 still sets the bar.
+            ("sensitivity plateau", |h| h.threshold_captures[5].1 = 0.30),
+            ("sensitivity plateau", |h| h.window_captures[2].1 = 0.27),
+            ("sensitivity plateau", |h| h.window_captures[1].1 = 0.34),
         ];
         for (claim, brk) in broken {
             let mut h = at_1024();
@@ -356,6 +464,20 @@ mod tests {
         let violations = h.shape_violations();
         assert!(
             violations[0].ends_with("got day 2 60.0%, day 6 10.0%"),
+            "{violations:?}"
+        );
+        // The plateau violation names each offending point; t = 4, t = 20
+        // and W = 2h sit outside the claim however low they fall.
+        let mut h = at_1024();
+        h.threshold_captures[0].1 = 0.01;
+        h.threshold_captures[5].1 = 0.01;
+        h.window_captures[0].1 = 0.01;
+        assert_eq!(h.shape_violations(), Vec::<String>::new());
+        h.threshold_captures[3].1 = 0.20;
+        h.window_captures[4].1 = 0.20;
+        let violations = h.shape_violations();
+        assert!(
+            violations[0].ends_with("got t=10 20.0%, W=24h 20.0%"),
             "{violations:?}"
         );
     }

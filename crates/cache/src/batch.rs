@@ -14,7 +14,7 @@
 //! seeded from [`BatchCache::iter`] after every install) and never probes
 //! this set.
 
-use sievestore_types::{obs_count, obs_gauge_adjust, U64Set};
+use sievestore_types::U64Set;
 
 /// Summary of one epoch installation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -84,19 +84,7 @@ impl BatchCache {
 
     /// Whether `key` is resident this epoch.
     pub fn contains(&self, key: u64) -> bool {
-        Self::count_lookup(self.resident.contains(key))
-    }
-
-    /// Counts a residency answer that came from the epoch table's
-    /// resident bit exactly as [`BatchCache::contains`] would have.
-    #[inline]
-    pub fn count_lookup(hit: bool) -> bool {
-        if hit {
-            obs_count!(CacheHits, 1);
-        } else {
-            obs_count!(CacheMisses, 1);
-        }
-        hit
+        self.resident.contains(key)
     }
 
     /// Hints that `key` is about to be looked up. Changes no state.
@@ -131,10 +119,6 @@ impl BatchCache {
             }
         }
         let evicted = (self.resident.len() as u64) - retained;
-        obs_count!(CacheEvictions, evicted);
-        // Adjust (not set): sharded replays keep one BatchCache per shard
-        // and the deltas must sum into a meaningful ensemble total.
-        obs_gauge_adjust!(CacheResidentFrames, allocated.len() as i64 - evicted as i64);
         self.resident = next;
         EpochTransition {
             allocated,

@@ -15,7 +15,7 @@
 //! [`LruCache`] and [`SieveCache`] share their resident-frame
 //! bookkeeping (pre-sized key index, slot slab, intrusive list) through
 //! one private module, so the policies differ only in the replacement
-//! decision and its per-policy observability counters.
+//! decision.
 //!
 //! All of them operate on packed [`sievestore_types::GlobalBlock`] keys
 //! supplied as raw `u64`s, so they are usable with any 64-bit keyed

@@ -15,8 +15,6 @@
 //! because `touch` runs once per trace event and SipHash dominates the
 //! lookup at that rate.
 
-use sievestore_types::{obs_count, obs_gauge_adjust};
-
 use crate::frames::{FrameList, IterFromHead, NIL};
 
 /// A fully-associative LRU cache over packed block keys.
@@ -87,13 +85,7 @@ impl LruCache {
     /// Marks `key` as most recently used. Returns `true` if it was
     /// resident (a hit), `false` otherwise (no state change).
     pub fn touch(&mut self, key: u64) -> bool {
-        let hit = self.promote(key);
-        if hit {
-            obs_count!(CacheHits, 1);
-        } else {
-            obs_count!(CacheMisses, 1);
-        }
-        hit
+        self.promote(key)
     }
 
     /// Inserts `key` as most recently used, evicting the LRU entry if the
@@ -104,13 +96,11 @@ impl LruCache {
             return None;
         }
         if self.frames.len() < self.frames.capacity() {
-            obs_gauge_adjust!(CacheResidentFrames, 1);
             self.frames.push_front(key, ());
             return None;
         }
         let lru = self.frames.tail();
         debug_assert_ne!(lru, NIL, "full cache must have a tail");
-        obs_count!(CacheEvictions, 1);
         Some(self.frames.replace(lru, key, ()))
     }
 

@@ -19,10 +19,8 @@
 //!
 //! The resident-frame bookkeeping (key index, slot slab, intrusive list)
 //! is the same `FrameList` (`frames.rs`) that backs
-//! [`LruCache`](crate::LruCache); only the replacement decision and its
-//! observability accounting live here.
-
-use sievestore_types::{obs_count, obs_gauge_adjust};
+//! [`LruCache`](crate::LruCache); only the replacement decision lives
+//! here.
 
 use crate::frames::{FrameList, IterFromHead, NIL};
 
@@ -90,13 +88,9 @@ impl SieveCache {
         match self.frames.index_of(key) {
             Some(idx) => {
                 self.frames.slot_mut(idx).meta = true;
-                obs_count!(CacheHits, 1);
                 true
             }
-            None => {
-                obs_count!(CacheMisses, 1);
-                false
-            }
+            None => false,
         }
     }
 
@@ -109,12 +103,10 @@ impl SieveCache {
             return None;
         }
         if self.frames.len() < self.frames.capacity() {
-            obs_gauge_adjust!(CacheResidentFrames, 1);
             self.frames.push_front(key, false);
             return None;
         }
         let victim = self.victim();
-        obs_count!(CacheEvictions, 1);
         Some(self.frames.replace(victim, key, false))
     }
 

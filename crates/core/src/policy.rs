@@ -313,9 +313,9 @@ impl Policy {
             }
         };
         let hit = match book {
-            Book::SieveD { counter, .. } => counter
-                .touch(key)
-                .map_or_else(|| cache.contains(key), BatchCache::count_lookup),
+            Book::SieveD { counter, .. } => {
+                counter.touch(key).unwrap_or_else(|| cache.contains(key))
+            }
             Book::BlkD(accessed) => {
                 accessed.insert(key);
                 cache.contains(key)

@@ -9,11 +9,10 @@
 //! time and in pipelined bursts of eight, then bursts of eight from four
 //! connections at once — whose windows share commits, landed outside
 //! the engine's lock — with the syncs, commits, journal records per
-//! commit and shared windows the node's own counters report (these need
-//! the `obs` feature; without it the figures are skipped).
+//! commit and shared windows the node's own counters report.
 //!
 //! ```sh
-//! cargo run --release -p sievestore-node --features obs --example durable_demo
+//! cargo run --release -p sievestore-node --example durable_demo
 //! ```
 
 use std::sync::Arc;
@@ -73,13 +72,6 @@ fn group_commit_burst(dir: &std::path::Path, depth: usize) -> std::io::Result<()
     server.shutdown();
     std::fs::remove_dir_all(dir).ok();
     let [syncs, commits, records] = [0, 1, 2].map(|i| after[i] - before[i]);
-    if commits == 0 {
-        println!(
-            "[group]   depth {depth}: 64 writes acknowledged \
-             (build with --features obs for the sync counters)"
-        );
-        return Ok(());
-    }
     println!(
         "[group]   depth {depth}: 64 writes -> {syncs} syncs, {commits} commits, records/commit {:.2}",
         records as f64 / commits as f64
@@ -129,10 +121,6 @@ fn shared_commit_burst(dir: &std::path::Path) -> std::io::Result<()> {
     server.shutdown();
     std::fs::remove_dir_all(dir).ok();
     let [commits, shared] = [0, 1].map(|i| after[i] - before[i]);
-    if commits == 0 {
-        println!("[pipeline] {CONNS} connections x depth 8: all acknowledged (no obs counters)");
-        return Ok(());
-    }
     println!(
         "[pipeline] {CONNS} connections x depth 8: {} windows -> {commits} commits, shared {shared}",
         CONNS * ROUNDS

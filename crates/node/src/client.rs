@@ -24,7 +24,8 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use sievestore_types::{obs_count, NodeError, BLOCK_SIZE};
+use sievestore_types::obs::{self, CounterId};
+use sievestore_types::{NodeError, BLOCK_SIZE};
 
 use crate::protocol::{
     encode_request_into, ErrorCode, NodeMode, PipedReply, ReadBuffer, Reply, Request,
@@ -454,7 +455,7 @@ impl PipelinedClient {
                 Ok(stream) => {
                     self.stream = Some(stream);
                     self.reconnects += 1;
-                    obs_count!(ClientReconnects, 1);
+                    obs::count(CounterId::ClientReconnects, 1);
                 }
                 Err(e) => return self.fail_attempt(&e, NodeError::Connect),
             }
@@ -529,7 +530,7 @@ impl PipelinedClient {
         if error.is_transient() && op.attempts < self.config.retry.attempts.max(1) {
             op.attempts += 1;
             self.retries += 1;
-            obs_count!(ClientRetries, 1);
+            obs::count(CounterId::ClientRetries, 1);
             return Some(op);
         }
         if error.is_transient() && op.attempts > 1 {

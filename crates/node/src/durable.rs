@@ -127,7 +127,8 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sievestore_types::{obs_count, obs_observe, DurableError, U64Map, BLOCK_SIZE};
+use sievestore_types::obs::{self, CounterId, HistId};
+use sievestore_types::{DurableError, U64Map, BLOCK_SIZE};
 
 use crate::backing::Block;
 
@@ -832,7 +833,7 @@ impl CommitPipe {
             sealed
                 .group
                 .write_frames(frames.as_mut())
-                .inspect_err(|_| obs_count!(DurableMediaErrors, 1))?;
+                .inspect_err(|_| obs::count(CounterId::DurableMediaErrors, 1))?;
             sealed.group.frames.clear();
             sealed.group.slots.clear();
             syncs += 1;
@@ -853,7 +854,7 @@ impl CommitPipe {
         media
             .write_at(journal.end, &carry.records)
             .and_then(|()| media.sync())
-            .inspect_err(|_| obs_count!(DurableMediaErrors, 1))?;
+            .inspect_err(|_| obs::count(CounterId::DurableMediaErrors, 1))?;
         let records = (carry.records.len() / JOURNAL_RECORD_LEN) as u64;
         journal.end += carry.records.len() as u64;
         carry.records.clear();
@@ -861,10 +862,10 @@ impl CommitPipe {
         // us finds these slots free and this group covered.
         (sealed.with_store)(&mut |store| store.free.append(&mut carry.frees));
         self.durable_seq.store(carry.high_seq, SeqCst);
-        obs_count!(DurableJournalRecords, records);
-        obs_count!(DurableSyncs, syncs);
-        obs_count!(DurableCommits, 1);
-        obs_observe!(DurableGroupRecords, records);
+        obs::count(CounterId::DurableJournalRecords, records);
+        obs::count(CounterId::DurableSyncs, syncs);
+        obs::count(CounterId::DurableCommits, 1);
+        obs::observe(HistId::DurableGroupRecords, records);
         Ok(true)
     }
 }

@@ -12,8 +12,8 @@ use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sievestore_types::obs::{Event, EventSink, FieldValue};
-use sievestore_types::{obs_count, obs_enabled, obs_observe, Micros};
+use sievestore_types::obs::{self, CounterId, Event, EventSink, FieldValue, HistId};
+use sievestore_types::Micros;
 
 use crate::backing::{BackingStore, Block};
 use crate::durable::DurableStore;
@@ -167,11 +167,11 @@ impl<B: BackingStore> CacheEngine<B> {
         corr: Option<u32>,
         out: &mut Vec<u8>,
     ) -> Result<(), Reply> {
-        let observed = obs_enabled!().then(Instant::now);
+        let observed = obs::enabled().then(Instant::now);
         let result = self.handle_read_inner(key, now, corr, out);
-        obs_count!(NodeReads, 1);
+        obs::count(CounterId::NodeReads, 1);
         if let Some(started) = observed {
-            obs_observe!(NodeReadNanos, started.elapsed().as_nanos() as u64);
+            obs::observe(HistId::NodeReadNanos, started.elapsed().as_nanos() as u64);
         }
         result
     }
@@ -189,7 +189,7 @@ impl<B: BackingStore> CacheEngine<B> {
                 match self.cache.read_bypass(key) {
                     Ok(data) => {
                         self.degraded_reads += 1;
-                        obs_count!(NodeDegraded, 1);
+                        obs::count(CounterId::NodeDegraded, 1);
                         encode_read_into(out, corr, false, &data);
                         Ok(())
                     }
@@ -211,7 +211,7 @@ impl<B: BackingStore> CacheEngine<B> {
                             // The reply is already encoded: take it back.
                             out.truncate(mark);
                             self.record_failure();
-                            obs_count!(NodeDeadlineOverruns, 1);
+                            obs::count(CounterId::NodeDeadlineOverruns, 1);
                             return Err(Reply::Error {
                                 code: ErrorCode::Deadline,
                                 message: format!(
@@ -237,11 +237,11 @@ impl<B: BackingStore> CacheEngine<B> {
 
     /// Serves one write, instrumented; mirrors [`Self::handle_read`].
     pub(crate) fn handle_write(&mut self, key: u64, data: &Block, now: Micros) -> Reply {
-        let observed = obs_enabled!().then(Instant::now);
+        let observed = obs::enabled().then(Instant::now);
         let reply = self.handle_write_inner(key, data, now);
-        obs_count!(NodeWrites, 1);
+        obs::count(CounterId::NodeWrites, 1);
         if let Some(started) = observed {
-            obs_observe!(NodeWriteNanos, started.elapsed().as_nanos() as u64);
+            obs::observe(HistId::NodeWriteNanos, started.elapsed().as_nanos() as u64);
         }
         reply
     }
@@ -253,7 +253,7 @@ impl<B: BackingStore> CacheEngine<B> {
                 match self.cache.write_bypass_staged(key, data) {
                     Ok(()) => {
                         self.degraded_writes += 1;
-                        obs_count!(NodeDegraded, 1);
+                        obs::count(CounterId::NodeDegraded, 1);
                         Reply::Write { hit: false }
                     }
                     Err(e) => Reply::Error {
@@ -268,7 +268,7 @@ impl<B: BackingStore> CacheEngine<B> {
                     Ok(outcome) => {
                         if started.elapsed() > self.config.request_deadline {
                             self.record_failure();
-                            obs_count!(NodeDeadlineOverruns, 1);
+                            obs::count(CounterId::NodeDeadlineOverruns, 1);
                             return Reply::Error {
                                 code: ErrorCode::Deadline,
                                 message: format!(
@@ -373,7 +373,7 @@ impl<B: BackingStore> CacheEngine<B> {
     pub(crate) fn flush_round(&mut self, context: &'static str) -> u64 {
         let (flushed, still_dirty) = self.cache.flush_best_effort_staged();
         if still_dirty > 0 {
-            obs_count!(NodeFlushFailures, still_dirty);
+            obs::count(CounterId::NodeFlushFailures, still_dirty);
             self.sink.record(
                 &Event::new("node.flush.failed")
                     .with("context", FieldValue::Str(context))
@@ -421,10 +421,10 @@ impl<B: BackingStore> CacheEngine<B> {
             return;
         }
         if to.mode() == NodeMode::Degraded {
-            obs_count!(NodeBreakerTrips, 1);
+            obs::count(CounterId::NodeBreakerTrips, 1);
         }
         if to.mode() == NodeMode::Healthy {
-            obs_count!(NodeBreakerRecoveries, 1);
+            obs::count(CounterId::NodeBreakerRecoveries, 1);
         }
         self.sink.record(
             &Event::new("node.breaker.transition")

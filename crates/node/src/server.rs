@@ -90,8 +90,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use sievestore_types::obs::{Event, EventSink, FieldValue, NoopSink};
-use sievestore_types::{obs_count, obs_enabled, obs_gauge_adjust, obs_observe, shard_of, Micros};
+use sievestore_types::obs::{
+    self, CounterId, Event, EventSink, FieldValue, GaugeId, HistId, NoopSink,
+};
+use sievestore_types::{shard_of, Micros};
 
 use crate::backing::BackingStore;
 use crate::durable::{CommitPipe, DurableStore};
@@ -220,7 +222,7 @@ impl<B: BackingStore> Shared<B> {
     fn lock(&self, index: usize) -> impl std::ops::DerefMut<Target = CacheEngine<B>> + '_ {
         let shard = &self.shards[index];
         shard.try_lock().unwrap_or_else(|| {
-            obs_count!(NodeShardLockContended, 1);
+            obs::count(CounterId::NodeShardLockContended, 1);
             shard.lock()
         })
     }
@@ -280,14 +282,17 @@ impl<B: BackingStore> Shared<B> {
     fn commit(&self, index: usize) -> Result<(), Reply> {
         let started = Instant::now();
         let landed = self.land(index);
-        obs_observe!(DurableCommitWaitNanos, started.elapsed().as_nanos() as u64);
+        if obs::enabled() {
+            let waited = started.elapsed().as_nanos() as u64;
+            obs::observe(HistId::DurableCommitWaitNanos, waited);
+        }
         let failure = match landed {
             Err(e) => Reply::Error {
                 code: classify_backing(&e),
                 message: format!("durable commit failed: {e}"),
             },
             Ok(_) if started.elapsed() > self.config.request_deadline => {
-                obs_count!(NodeDeadlineOverruns, 1);
+                obs::count(CounterId::NodeDeadlineOverruns, 1);
                 Reply::Error {
                     code: ErrorCode::Deadline,
                     message: format!(
@@ -297,7 +302,7 @@ impl<B: BackingStore> Shared<B> {
                 }
             }
             Ok(led) => {
-                obs_count!(DurableCommitsShared, u64::from(!led));
+                obs::count(CounterId::DurableCommitsShared, u64::from(!led));
                 return Ok(());
             }
         };
@@ -435,12 +440,12 @@ impl NodeServerBuilder {
         let mut cache = DataCache::new(backing, policy, capacity_blocks)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?
             .with_write_policy(write_policy);
-        let started = obs_enabled!().then(Instant::now);
+        let started = obs::enabled().then(Instant::now);
         match crate::durable::DurableStore::open(media, capacity_blocks) {
             Ok(recovery) => {
                 let report = cache.attach_recovery(recovery);
                 if let Some(t) = started {
-                    obs_observe!(DurableRecoveryNanos, t.elapsed().as_nanos() as u64);
+                    obs::observe(HistId::DurableRecoveryNanos, t.elapsed().as_nanos() as u64);
                 }
                 sink.record(
                     &Event::new("node.recovery.complete")
@@ -455,7 +460,7 @@ impl NodeServerBuilder {
                 Ok((server, Some(report)))
             }
             Err(err) => {
-                obs_count!(DurableMediaErrors, 1);
+                obs::count(CounterId::DurableMediaErrors, 1);
                 sink.record(
                     &Event::new("node.recovery.failed")
                         .with("error", FieldValue::Str(err.kind_name())),
@@ -830,7 +835,7 @@ struct ConnGuard<'a>(&'a AtomicU64);
 impl Drop for ConnGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::Relaxed);
-        obs_gauge_adjust!(NodeLiveConnections, -1);
+        obs::gauge_adjust(GaugeId::NodeLiveConnections, -1);
     }
 }
 
@@ -933,7 +938,7 @@ fn serve_connection<B: BackingStore + 'static>(
     shared: &Shared<B>,
 ) -> io::Result<()> {
     shared.live_conns.fetch_add(1, Ordering::Relaxed);
-    obs_gauge_adjust!(NodeLiveConnections, 1);
+    obs::gauge_adjust(GaugeId::NodeLiveConnections, 1);
     let _guard = ConnGuard(&shared.live_conns);
     stream.set_nodelay(true).ok();
     // One timeout for both directions: a client that stops sending is

@@ -47,9 +47,8 @@ use std::io;
 use std::time::Instant;
 
 use sievestore::{AccessOutcome, ApplianceStats, PolicySpec, SieveStore, SieveStoreBuilder};
-use sievestore_types::{
-    obs_count, obs_enabled, obs_observe, Day, Micros, RequestKind, SieveError, U64Map, U64Set,
-};
+use sievestore_types::obs::{self, CounterId, HistId};
+use sievestore_types::{Day, Micros, RequestKind, SieveError, U64Map, U64Set};
 
 use crate::backing::{BackingStore, Block};
 use crate::durable::{DurableMediaSet, DurableStore, Recovery, RecoveryReport, ScrubPass};
@@ -173,11 +172,11 @@ impl<B: BackingStore> DataCache<B> {
         media: DurableMediaSet,
     ) -> Result<(Self, RecoveryReport), SieveError> {
         let mut cache = Self::new(backing, policy, capacity_blocks)?;
-        let started = obs_enabled!().then(Instant::now);
+        let started = obs::enabled().then(Instant::now);
         let recovery = DurableStore::open(media, capacity_blocks)?;
         let report = cache.attach_recovery(recovery);
         if let Some(t) = started {
-            obs_observe!(DurableRecoveryNanos, t.elapsed().as_nanos() as u64);
+            obs::observe(HistId::DurableRecoveryNanos, t.elapsed().as_nanos() as u64);
         }
         Ok((cache, report))
     }
@@ -212,9 +211,9 @@ impl<B: BackingStore> DataCache<B> {
         }
         // Best-effort: the retirements only save a restart some work.
         let _ = self.commit();
-        obs_count!(DurableRecoveredFrames, report.recovered);
-        obs_count!(DurableQuarantinedFrames, report.quarantined);
-        obs_count!(DurableLostDirtyFrames, report.lost_dirty);
+        obs::count(CounterId::DurableRecoveredFrames, report.recovered);
+        obs::count(CounterId::DurableQuarantinedFrames, report.quarantined);
+        obs::count(CounterId::DurableLostDirtyFrames, report.lost_dirty);
         report
     }
 
@@ -303,7 +302,7 @@ impl<B: BackingStore> DataCache<B> {
         match d.stage_put(key, data, dirty) {
             Ok(()) => Ok(()),
             Err(e) => {
-                obs_count!(DurableMediaErrors, 1);
+                obs::count(CounterId::DurableMediaErrors, 1);
                 if dirty {
                     Err(e)
                 } else {
@@ -421,15 +420,18 @@ impl<B: BackingStore> DataCache<B> {
             Some(d) => match d.scrub(cursor, max_slots) {
                 Ok(pass) => pass,
                 Err(_) => {
-                    obs_count!(DurableMediaErrors, 1);
+                    obs::count(CounterId::DurableMediaErrors, 1);
                     return ScrubPass::default();
                 }
             },
             None => return ScrubPass::default(),
         };
         self.scrub_cursor = pass.next_slot;
-        obs_count!(DurableScrubbedFrames, pass.verified);
-        obs_count!(DurableQuarantinedFrames, pass.quarantined.len() as u64);
+        obs::count(CounterId::DurableScrubbedFrames, pass.verified);
+        obs::count(
+            CounterId::DurableQuarantinedFrames,
+            pass.quarantined.len() as u64,
+        );
         for &key in &pass.quarantined {
             if let Some(data) = self.frame_copy(key) {
                 let dirty = self.dirty.contains(key);

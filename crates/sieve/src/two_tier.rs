@@ -8,7 +8,7 @@
 //! `t1` = 9 and `t2` = 4 over an 8-hour window of 4 subwindows, and
 //! reports ~8 GB of metastate for its traces.
 
-use sievestore_types::{obs_count, obs_gauge_set, Micros, SieveError};
+use sievestore_types::{Micros, SieveError};
 
 use crate::tables::{Imct, Mct};
 use crate::window::WindowConfig;
@@ -239,11 +239,9 @@ impl TwoTierSieve {
             self.last_sub = sub;
         }
         if self.imct.record_at(key, sub) < self.config.t1 {
-            obs_count!(SieveRejections, 1);
             return false;
         }
         self.graduated += 1;
-        obs_count!(SieveGraduations, 1);
         // The miss that first graduates a block past the IMCT does not
         // count toward the *additional* t2 precise misses.
         let admitted = self
@@ -253,11 +251,7 @@ impl TwoTierSieve {
         if admitted {
             self.granted += 1;
             self.mct.remove(key);
-            obs_count!(SieveAdmissions, 1);
-        } else {
-            obs_count!(SieveRejections, 1);
         }
-        obs_gauge_set!(MctTrackedBlocks, self.mct.len() as i64);
         admitted
     }
 

@@ -11,10 +11,9 @@
 //! * SSD device cost is accounted at 4 KiB page granularity, charging a
 //!   full page for sub-page remainders (the paper's conservative
 //!   treatment of unaligned I/O);
-//! * SieveStore-D's batch moves are, by default, *not* charged to the
-//!   per-minute occupancy — the paper staggers them into slack periods —
-//!   but they are counted as allocation-writes in the daily totals.
-//!   Set [`SimConfig::charge_batch_moves`] to include them.
+//! * SieveStore-D's batch moves are *not* charged to the per-minute
+//!   occupancy — the paper staggers them into slack periods — but they
+//!   are counted as allocation-writes in the daily totals.
 //!
 //! Every entry point replays through one stream loop: the sharded
 //! engine of [`crate::replay`] at [`SimConfig::workers`] workers. It
@@ -47,9 +46,6 @@ pub struct SimConfig {
     /// Factor to re-scale simulated loads to full-scale device terms
     /// (use the trace's scale denominator).
     pub load_multiplier: f64,
-    /// Charge discrete batch moves to the per-minute occupancy (spread
-    /// over the boundary hour) instead of assuming slack scheduling.
-    pub charge_batch_moves: bool,
     /// Replay workers, each owning one hash partition of the block
     /// space (see [`crate::replay`]). 1 by default; 0 is rejected.
     pub workers: usize,
@@ -74,7 +70,6 @@ impl SimConfig {
                 as usize,
             ssd: SsdSpec::x25e(),
             load_multiplier: scale_denominator as f64,
-            charge_batch_moves: false,
             workers: 1,
             eviction: EvictionPolicy::default(),
             counting: CountingConfig::InMemory,
@@ -94,13 +89,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_capacity_blocks(mut self, blocks: usize) -> Self {
         self.capacity_blocks = blocks;
-        self
-    }
-
-    /// Includes discrete batch moves in the occupancy series.
-    #[must_use]
-    pub fn with_charge_batch_moves(mut self, charge: bool) -> Self {
-        self.charge_batch_moves = charge;
         self
     }
 
@@ -205,21 +193,6 @@ impl SimResult {
     /// `day`'s boundary.
     pub(crate) fn record_batch_install(&mut self, day: Day, moved: u64) {
         self.day_mut(day).batch_allocations = moved;
-    }
-
-    /// Charges `day`'s batch move to the occupancy series, its pages
-    /// spread evenly over the first hour of the day.
-    pub(crate) fn charge_batch_moves(&mut self, day: Day) {
-        let mut left = pages(self.day(day).batch_allocations);
-        let per_minute = left.div_ceil(60);
-        let mut minute = day.start().minute().index();
-        while left > 0 {
-            let chunk = per_minute.min(left);
-            self.occupancy
-                .record_write_pages(Minute::new(minute), chunk);
-            left -= chunk;
-            minute += 1;
-        }
     }
 
     /// Folds a partial result — one shard's, or one server's — into the
@@ -452,22 +425,6 @@ mod tests {
             .filter(|&&o| o > 0.0)
             .count();
         assert!(busy_minutes > 0, "AOD must load the device");
-    }
-
-    #[test]
-    fn charge_batch_moves_adds_write_load() {
-        let trace = tiny();
-        let base = cfg(&trace, 16384);
-        let uncharged = simulate(&trace, PolicySpec::SieveStoreD { threshold: 5 }, &base).unwrap();
-        let charged = simulate(
-            &trace,
-            PolicySpec::SieveStoreD { threshold: 5 },
-            &base.clone().with_charge_batch_moves(true),
-        )
-        .unwrap();
-        assert!(charged.occupancy.total_write_bytes() > uncharged.occupancy.total_write_bytes());
-        // Metrics are unaffected by the accounting choice.
-        assert_eq!(charged.total(), uncharged.total());
     }
 
     #[test]

@@ -74,10 +74,8 @@ use crossbeam::thread;
 
 use sievestore::{PolicySpec, SieveStore};
 use sievestore_trace::{StreamMsg, SyntheticTrace, TraceStream};
-use sievestore_types::{
-    obs_count, obs_enabled, obs_observe, shard_index, Day, Micros, Minute, Request, RequestKind,
-    SieveError,
-};
+use sievestore_types::obs::{self, CounterId, HistId};
+use sievestore_types::{shard_index, Day, Micros, Minute, Request, RequestKind, SieveError};
 
 use crate::engine::SimConfig;
 use crate::metrics::SimResult;
@@ -248,12 +246,15 @@ impl ShardState {
 /// until the coordinator hangs up, and returns the shard's result.
 fn run_worker(mut state: ShardState, queue: Receiver<ToWorker>) -> SimResult {
     loop {
-        let idle_since = obs_enabled!().then(std::time::Instant::now);
+        let idle_since = obs::enabled().then(std::time::Instant::now);
         let Ok(msg) = queue.recv() else {
             return state.result;
         };
         if let Some(started) = idle_since {
-            obs_observe!(ReplayChannelWaitNanos, started.elapsed().as_nanos() as u64);
+            obs::observe(
+                HistId::ReplayChannelWaitNanos,
+                started.elapsed().as_nanos() as u64,
+            );
         }
         state.process(msg);
     }
@@ -276,7 +277,7 @@ fn ship(queue: &Sender<ToWorker>, pending: &mut Batch) -> Result<(), SieveError>
     if pending.groups.is_empty() {
         return Ok(());
     }
-    obs_count!(ReplayBatchesSent, 1);
+    obs::count(CounterId::ReplayBatchesSent, 1);
     push(queue, ToWorker::Batch(std::mem::take(pending)))
 }
 
@@ -382,14 +383,6 @@ pub(crate) fn run_sharded(
     for part in parts {
         merged.absorb(&part.map_err(|_| worker_panicked())?);
     }
-    if cfg.charge_batch_moves {
-        // Charged on the merged per-day totals — total first, then one
-        // page-rounding — so the occupancy series is the same at any
-        // shard count.
-        for day in 0..merged.days.len() {
-            merged.charge_batch_moves(Day::new(day as u16));
-        }
-    }
     Ok((
         merged,
         ReplayStats {
@@ -425,9 +418,9 @@ fn coordinate(
     while let Some(msg) = stream.next_msg() {
         match msg {
             StreamMsg::StartDay(day) => {
-                obs_count!(ReplayDayBoundaries, 1);
+                obs::count(CounterId::ReplayDayBoundaries, 1);
                 if !contributions.is_empty() {
-                    let barrier_started = obs_enabled!().then(std::time::Instant::now);
+                    let barrier_started = obs::enabled().then(std::time::Instant::now);
                     // Boundary barrier: drain in-flight work and gather
                     // every shard's epoch contribution. Each shard then
                     // installs its partition of the merged selection into
@@ -442,7 +435,10 @@ fn coordinate(
                         push(queue, ToWorker::Install(day, part))?;
                     }
                     if let Some(started) = barrier_started {
-                        obs_observe!(ReplayDayBarrierNanos, started.elapsed().as_nanos() as u64);
+                        obs::observe(
+                            HistId::ReplayDayBarrierNanos,
+                            started.elapsed().as_nanos() as u64,
+                        );
                     }
                 }
             }
@@ -492,7 +488,6 @@ fn route_request(
             len: len as u32,
         });
         *routed += len as u64;
-        obs_count!(ReplayEventsRouted, len as u64);
     }
 }
 
@@ -594,7 +589,7 @@ mod tests {
     #[test]
     fn discrete_metrics_are_identical_at_any_shard_count() {
         let trace = tiny();
-        let c = cfg(&trace, 16384).with_charge_batch_moves(true);
+        let c = cfg(&trace, 16384);
         let spec = PolicySpec::SieveStoreD { threshold: 5 };
         let want = reference(&trace, None, spec.clone(), &c);
         for shards in [2usize, 4, 8] {
@@ -603,36 +598,6 @@ mod tests {
             assert_eq!(stats.per_shard_blocks.len(), shards);
             assert_eq!(stats.total_blocks(), want.total().accesses());
             assert!(stats.imbalance() >= 1.0);
-        }
-    }
-
-    #[test]
-    fn batch_move_charge_is_identical_at_any_shard_count() {
-        // The spread is charged on the merged per-day totals, so the
-        // write load it adds cannot depend on how the installs were
-        // partitioned.
-        let trace = tiny();
-        let spec = PolicySpec::SieveStoreD { threshold: 5 };
-        let plain = cfg(&trace, 16384);
-        let charged = plain.clone().with_charge_batch_moves(true);
-        let added = |charged: &SimResult, plain: &SimResult| {
-            charged.occupancy.total_write_bytes() - plain.occupancy.total_write_bytes()
-        };
-        let want = added(
-            &simulate(&trace, spec.clone(), &charged).unwrap(),
-            &simulate(&trace, spec.clone(), &plain).unwrap(),
-        );
-        assert!(want > 0.0);
-        for shards in [1usize, 2, 4] {
-            let got = added(
-                &simulate_sharded(&trace, spec.clone(), &charged, shards)
-                    .unwrap()
-                    .0,
-                &simulate_sharded(&trace, spec.clone(), &plain, shards)
-                    .unwrap()
-                    .0,
-            );
-            assert_eq!(got, want, "{shards} shards");
         }
     }
 

@@ -19,18 +19,15 @@
 //!
 //! # Cost model
 //!
-//! Instrumented call sites go through [`count`] / [`observe`], which test
-//! one `AtomicBool` with a relaxed load and branch away when runtime
-//! recording is off ([`set_enabled`]). Crates additionally compile their
-//! call sites behind an `obs` cargo feature (via the [`obs_count!`](crate::obs_count) and
-//! [`obs_observe!`](crate::obs_observe) macros), so a default build carries no instrumentation
-//! at all. The hierarchy is:
-//!
-//! | build                  | runtime flag | per-event cost              |
-//! |------------------------|--------------|-----------------------------|
-//! | default (no `obs`)     | —            | zero (code compiled out)    |
-//! | `--features obs`       | disabled     | one relaxed load + branch   |
-//! | `--features obs`       | enabled      | one relaxed `fetch_add`     |
+//! Instrumented call sites go through [`count`] / [`observe`] /
+//! [`gauge_adjust`], which test one `AtomicBool` with a relaxed load and
+//! branch away when runtime recording is off ([`set_enabled`], off by
+//! default); with recording on, each is one relaxed `fetch_add`. There is
+//! one build: every call site is compiled in, and none sits in the
+//! replay's per-access loop — the simulator counts hits, misses and
+//! allocation-writes exactly in `DayMetrics`, so the registry carries
+//! only what no figure counts (node requests and faults, durable-tier
+//! commits, replay channel and barrier timings).
 //!
 //! # Examples
 //!
@@ -39,15 +36,15 @@
 //!
 //! // Private registries are cheap and need no global state:
 //! let reg = Registry::new();
-//! reg.add(CounterId::CacheHits, 3);
+//! reg.add(CounterId::NodeReads, 3);
 //! let snap = reg.snapshot();
-//! assert_eq!(snap.counter(CounterId::CacheHits), 3);
+//! assert_eq!(snap.counter(CounterId::NodeReads), 3);
 //!
 //! // Snapshot merges are commutative:
 //! let mut a = reg.snapshot();
 //! let b = reg.snapshot();
 //! a.merge(&b);
-//! assert_eq!(a.counter(CounterId::CacheHits), 6);
+//! assert_eq!(a.counter(CounterId::NodeReads), 6);
 //! # let _ = obs::enabled();
 //! ```
 
@@ -66,24 +63,10 @@ use std::sync::Mutex;
 /// and snapshot serialization deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterId {
-    /// Block accesses routed to replay workers by the coordinator.
-    ReplayEventsRouted,
     /// Batches of request groups sent over worker channels.
     ReplayBatchesSent,
     /// Day boundaries crossed by the replay coordinator.
     ReplayDayBoundaries,
-    /// LRU cache hits (`touch` found the key resident).
-    CacheHits,
-    /// LRU cache misses (`touch` missed).
-    CacheMisses,
-    /// LRU evictions performed by `insert`.
-    CacheEvictions,
-    /// Sieve decisions that rejected a miss (allocation-writes avoided).
-    SieveRejections,
-    /// Sieve decisions that admitted a block (allocation granted).
-    SieveAdmissions,
-    /// Misses that graduated past the imprecise IMCT tier.
-    SieveGraduations,
     /// Read requests served by a node (any path).
     NodeReads,
     /// Write requests served by a node (any path).
@@ -128,16 +111,9 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in canonical (serialization) order.
-    pub const ALL: [CounterId; 28] = [
-        CounterId::ReplayEventsRouted,
+    pub const ALL: [CounterId; 21] = [
         CounterId::ReplayBatchesSent,
         CounterId::ReplayDayBoundaries,
-        CounterId::CacheHits,
-        CounterId::CacheMisses,
-        CounterId::CacheEvictions,
-        CounterId::SieveRejections,
-        CounterId::SieveAdmissions,
-        CounterId::SieveGraduations,
         CounterId::NodeReads,
         CounterId::NodeWrites,
         CounterId::NodeDegraded,
@@ -162,15 +138,8 @@ impl CounterId {
     /// The counter's stable snake-case name (used in snapshots and JSON).
     pub const fn name(self) -> &'static str {
         match self {
-            CounterId::ReplayEventsRouted => "replay_events_routed",
             CounterId::ReplayBatchesSent => "replay_batches_sent",
             CounterId::ReplayDayBoundaries => "replay_day_boundaries",
-            CounterId::CacheHits => "cache_hits",
-            CounterId::CacheMisses => "cache_misses",
-            CounterId::CacheEvictions => "cache_evictions",
-            CounterId::SieveRejections => "sieve_rejections",
-            CounterId::SieveAdmissions => "sieve_admissions",
-            CounterId::SieveGraduations => "sieve_graduations",
             CounterId::NodeReads => "node_reads",
             CounterId::NodeWrites => "node_writes",
             CounterId::NodeDegraded => "node_degraded",
@@ -200,33 +169,22 @@ impl CounterId {
 
 /// Point-in-time gauges tracked by a [`Registry`].
 ///
-/// Gauges are set (not accumulated) by their owner. In snapshot merges
+/// Gauges are adjusted up and down by their owners. In snapshot merges
 /// they *sum*, which is meaningful when each contributor owns a disjoint
-/// share of the quantity (per-shard resident frames, per-shard tracked
-/// blocks).
+/// share of the quantity (per-server live connections).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GaugeId {
-    /// Frames currently resident in LRU caches.
-    CacheResidentFrames,
-    /// Blocks currently tracked precisely by MCTs.
-    MctTrackedBlocks,
     /// TCP connections currently served by node servers.
     NodeLiveConnections,
 }
 
 impl GaugeId {
     /// Every gauge, in canonical (serialization) order.
-    pub const ALL: [GaugeId; 3] = [
-        GaugeId::CacheResidentFrames,
-        GaugeId::MctTrackedBlocks,
-        GaugeId::NodeLiveConnections,
-    ];
+    pub const ALL: [GaugeId; 1] = [GaugeId::NodeLiveConnections];
 
     /// The gauge's stable snake-case name.
     pub const fn name(self) -> &'static str {
         match self {
-            GaugeId::CacheResidentFrames => "cache_resident_frames",
-            GaugeId::MctTrackedBlocks => "mct_tracked_blocks",
             GaugeId::NodeLiveConnections => "node_live_connections",
         }
     }
@@ -466,12 +424,6 @@ impl Registry {
         self.counters[id.index()].load(Ordering::Relaxed)
     }
 
-    /// Sets a gauge to `value`.
-    #[inline]
-    pub fn set_gauge(&self, id: GaugeId, value: i64) {
-        self.gauges[id.index()].store(value, Ordering::Relaxed);
-    }
-
     /// Adjusts a gauge by `delta`.
     #[inline]
     pub fn adjust_gauge(&self, id: GaugeId, delta: i64) {
@@ -706,14 +658,6 @@ pub fn observe(id: HistId, value: u64) {
     }
 }
 
-/// Sets a global gauge if recording is enabled.
-#[inline]
-pub fn gauge_set(id: GaugeId, value: i64) {
-    if enabled() {
-        GLOBAL.set_gauge(id, value);
-    }
-}
-
 /// Adjusts a global gauge if recording is enabled.
 #[inline]
 pub fn gauge_adjust(id: GaugeId, delta: i64) {
@@ -836,70 +780,6 @@ impl EventSink for CapturingSink {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Instrumentation macros
-// ---------------------------------------------------------------------------
-//
-// These expand `cfg!(feature = "obs")` in the *invoking* crate, so each
-// instrumented crate gates its own call sites behind its own `obs`
-// feature while the disabled path still type-checks (the compile-out
-// branch can't rot). The macros live here (and are `#[macro_export]`ed
-// from the crate root) so every crate shares one spelling.
-
-/// `true` when the invoking crate compiled with its `obs` feature *and*
-/// runtime recording is enabled — the guard for instrumentation with
-/// setup cost (e.g. reading a clock).
-#[macro_export]
-macro_rules! obs_enabled {
-    () => {
-        cfg!(feature = "obs") && $crate::obs::enabled()
-    };
-}
-
-/// Adds `$n` to the global counter `CounterId::$id` when the invoking
-/// crate's `obs` feature is on (and recording is enabled at runtime).
-#[macro_export]
-macro_rules! obs_count {
-    ($id:ident, $n:expr) => {
-        if cfg!(feature = "obs") {
-            $crate::obs::count($crate::obs::CounterId::$id, $n);
-        }
-    };
-}
-
-/// Records `$value` in the global histogram `HistId::$id` when the
-/// invoking crate's `obs` feature is on (and recording is enabled).
-#[macro_export]
-macro_rules! obs_observe {
-    ($id:ident, $value:expr) => {
-        if cfg!(feature = "obs") {
-            $crate::obs::observe($crate::obs::HistId::$id, $value);
-        }
-    };
-}
-
-/// Sets the global gauge `GaugeId::$id` when the invoking crate's `obs`
-/// feature is on (and recording is enabled).
-#[macro_export]
-macro_rules! obs_gauge_set {
-    ($id:ident, $value:expr) => {
-        if cfg!(feature = "obs") {
-            $crate::obs::gauge_set($crate::obs::GaugeId::$id, $value);
-        }
-    };
-}
-
-/// Adjusts the global gauge `GaugeId::$id` by `$delta` when the invoking
-/// crate's `obs` feature is on (and recording is enabled).
-#[macro_export]
-macro_rules! obs_gauge_adjust {
-    ($id:ident, $delta:expr) => {
-        if cfg!(feature = "obs") {
-            $crate::obs::gauge_adjust($crate::obs::GaugeId::$id, $delta);
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -950,16 +830,16 @@ mod tests {
     #[test]
     fn registry_counters_gauges_hists() {
         let reg = Registry::new();
-        reg.add(CounterId::CacheHits, 2);
-        reg.add(CounterId::CacheHits, 3);
-        reg.set_gauge(GaugeId::CacheResidentFrames, 7);
-        reg.adjust_gauge(GaugeId::CacheResidentFrames, -2);
+        reg.add(CounterId::NodeReads, 2);
+        reg.add(CounterId::NodeReads, 3);
+        reg.adjust_gauge(GaugeId::NodeLiveConnections, 7);
+        reg.adjust_gauge(GaugeId::NodeLiveConnections, -2);
         reg.record(HistId::NodeReadNanos, 100);
-        assert_eq!(reg.counter(CounterId::CacheHits), 5);
-        assert_eq!(reg.gauge(GaugeId::CacheResidentFrames), 5);
+        assert_eq!(reg.counter(CounterId::NodeReads), 5);
+        assert_eq!(reg.gauge(GaugeId::NodeLiveConnections), 5);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter(CounterId::CacheHits), 5);
-        assert_eq!(snap.gauge(GaugeId::CacheResidentFrames), 5);
+        assert_eq!(snap.counter(CounterId::NodeReads), 5);
+        assert_eq!(snap.gauge(GaugeId::NodeLiveConnections), 5);
         assert_eq!(snap.histogram(HistId::NodeReadNanos).count(), 1);
         assert!(!snap.is_empty());
         reg.reset();
@@ -969,14 +849,14 @@ mod tests {
     #[test]
     fn snapshot_merge_sums_everything() {
         let reg = Registry::new();
-        reg.add(CounterId::SieveRejections, 4);
-        reg.set_gauge(GaugeId::MctTrackedBlocks, 3);
+        reg.add(CounterId::DurableSyncs, 4);
+        reg.adjust_gauge(GaugeId::NodeLiveConnections, 3);
         reg.record(HistId::NodeWriteNanos, 9);
         let mut a = reg.snapshot();
         let b = reg.snapshot();
         a.merge(&b);
-        assert_eq!(a.counter(CounterId::SieveRejections), 8);
-        assert_eq!(a.gauge(GaugeId::MctTrackedBlocks), 6);
+        assert_eq!(a.counter(CounterId::DurableSyncs), 8);
+        assert_eq!(a.gauge(GaugeId::NodeLiveConnections), 6);
         assert_eq!(a.histogram(HistId::NodeWriteNanos).count(), 2);
     }
 
@@ -988,14 +868,14 @@ mod tests {
             "{\"counters\":{},\"gauges\":{},\"hists\":{}}"
         );
         snap.set_counter(CounterId::NodeShardLockContended, 3);
-        snap.set_counter(CounterId::CacheHits, 12);
-        snap.set_gauge(GaugeId::MctTrackedBlocks, -1);
+        snap.set_counter(CounterId::NodeReads, 12);
+        snap.set_gauge(GaugeId::NodeLiveConnections, -1);
         snap.histogram_mut(HistId::NodeReadNanos).buckets[3] = 2;
         let line = snap.to_json_line();
         assert_eq!(
             line,
-            "{\"counters\":{\"cache_hits\":12,\"node_shard_lock_contended\":3},\
-             \"gauges\":{\"mct_tracked_blocks\":-1},\
+            "{\"counters\":{\"node_reads\":12,\"node_shard_lock_contended\":3},\
+             \"gauges\":{\"node_live_connections\":-1},\
              \"hists\":{\"node_read_ns\":{\"4\":2}}}"
         );
         // Equal snapshots serialize to identical bytes.

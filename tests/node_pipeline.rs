@@ -985,9 +985,7 @@ mod group_commit {
             NodeMode::Degraded,
             "the overrun counted as one cache-path failure"
         );
-        if cfg!(feature = "obs") {
-            assert!(overruns() > overruns_before);
-        }
+        assert!(overruns() > overruns_before);
 
         // With the media fast again the same connection is served.
         script.sync_delay_ms.store(0, Ordering::SeqCst);

@@ -869,9 +869,7 @@ fn a_request_that_waits_for_its_shard_lock_is_counted() {
             .expect("write behind the lock");
         b.quit().expect("quit b");
     });
-    if cfg!(feature = "obs") {
-        wait_for(|| contended() > before, "b's wait to be counted");
-    }
+    wait_for(|| contended() > before, "b's wait to be counted");
     release_tx.send(()).expect("release the gate");
     holder.join().expect("connection a");
     waiter.join().expect("connection b");

@@ -165,14 +165,14 @@ proptest! {
         vs in values(),
     ) {
         let reg = Registry::new();
-        reg.add(CounterId::ReplayEventsRouted, n);
-        reg.adjust_gauge(GaugeId::MctTrackedBlocks, delta);
+        reg.add(CounterId::ReplayBatchesSent, n);
+        reg.adjust_gauge(GaugeId::NodeLiveConnections, delta);
         for &v in &vs {
             reg.record(HistId::ReplayChannelWaitNanos, v);
         }
         let snap = reg.snapshot();
-        prop_assert_eq!(snap.counter(CounterId::ReplayEventsRouted), n);
-        prop_assert_eq!(snap.gauge(GaugeId::MctTrackedBlocks), delta);
+        prop_assert_eq!(snap.counter(CounterId::ReplayBatchesSent), n);
+        prop_assert_eq!(snap.gauge(GaugeId::NodeLiveConnections), delta);
         prop_assert_eq!(snap.histogram(HistId::ReplayChannelWaitNanos), &hist_from(&vs));
         reg.reset();
         prop_assert!(reg.snapshot().is_empty());
