@@ -16,7 +16,6 @@
 
 pub mod cost;
 pub mod extensions;
-pub mod node_json;
 pub mod policies;
 pub mod replay_json;
 pub mod sens;

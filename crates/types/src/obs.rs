@@ -349,26 +349,6 @@ impl HistogramSnapshot {
             *mine += *theirs;
         }
     }
-
-    /// A conservative (lower-bound) estimate of the `q`-quantile:
-    /// the floor of the bucket where the cumulative count crosses
-    /// `q * count`. Returns `None` for an empty histogram; `q` is clamped
-    /// to `[0, 1]`.
-    pub fn quantile_floor(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(bucket_floor(i));
-            }
-        }
-        Some(bucket_floor(HIST_BUCKETS - 1))
-    }
 }
 
 impl Default for HistogramSnapshot {
@@ -812,19 +792,6 @@ mod tests {
         assert_eq!(snap.buckets[10], 2); // 1000 has 10 significant bits
         h.reset();
         assert_eq!(h.snapshot().count(), 0);
-    }
-
-    #[test]
-    fn quantile_floor_is_conservative() {
-        let mut snap = HistogramSnapshot::empty();
-        assert_eq!(snap.quantile_floor(0.5), None);
-        // 10 samples in bucket 4 (values 8..=15), 10 in bucket 8.
-        snap.buckets[4] = 10;
-        snap.buckets[8] = 10;
-        assert_eq!(snap.quantile_floor(0.0), Some(bucket_floor(4)));
-        assert_eq!(snap.quantile_floor(0.5), Some(bucket_floor(4)));
-        assert_eq!(snap.quantile_floor(0.51), Some(bucket_floor(8)));
-        assert_eq!(snap.quantile_floor(1.0), Some(bucket_floor(8)));
     }
 
     #[test]

@@ -12,9 +12,10 @@ use std::time::{Duration, Instant};
 use sievestore::PolicySpec;
 use sievestore_node::protocol::split_frame;
 use sievestore_node::{
-    ClientConfig, DataCache, DurableMediaSet, ErrorCode, FaultInjectingBacking, FaultPlan,
-    Incoming, MemBacking, NodeClient, NodeConfig, NodeMode, NodeServerBuilder, OpResult,
-    PipedReply, PipedRequest, PipelinedClient, Reply, Request, RetryPolicy, WritePolicy,
+    BackingStore, ClientConfig, DataCache, DurableMediaSet, ErrorCode, FaultHandle,
+    FaultInjectingBacking, FaultPlan, Incoming, MemBacking, NodeClient, NodeConfig, NodeMode,
+    NodeServer, NodeServerBuilder, OpResult, PipedReply, PipedRequest, PipelinedClient, Reply,
+    Request, RetryPolicy, WritePolicy,
 };
 use sievestore_types::NodeError;
 
@@ -513,24 +514,38 @@ fn control_ops_settle_the_window_and_keep_its_completions() {
     server.shutdown();
 }
 
-/// Fault smoke for satellite (e): sustained faults trip the breaker
-/// while a pipelined client is driving, degraded pass-through keeps
-/// serving correct data, and the node probes back to healthy.
+/// Fault smoke: sustained faults trip the breaker while a pipelined
+/// client is driving, degraded pass-through keeps serving correct data,
+/// and the node probes back to healthy — on one shard, and on the
+/// four-shard node, whose mode is its worst shard's.
 #[test]
 fn breaker_trips_and_recovers_under_pipelined_load() {
-    let backing = FaultInjectingBacking::new(MemBacking::new(), FaultPlan::new(0x93));
-    let handle = backing.handle();
-    let cache = DataCache::new(backing, PolicySpec::Aod, 64).expect("valid appliance");
     let config = NodeConfig {
         breaker_threshold: 3,
         breaker_cooldown: 4,
         ..NodeConfig::default()
     };
+    let backing = FaultInjectingBacking::new(MemBacking::new(), FaultPlan::new(0x93));
+    let handle = backing.handle();
+    let cache = DataCache::new(backing, PolicySpec::Aod, 64).expect("valid appliance");
     let server = NodeServerBuilder::new("127.0.0.1:0")
         .config(config)
         .serve(cache)
         .expect("bind");
+    trip_and_recover(server, &handle);
 
+    let backing = FaultInjectingBacking::new(MemBacking::new(), FaultPlan::new(0x93));
+    let handle = backing.handle();
+    let server = NodeServerBuilder::new("127.0.0.1:0")
+        .workers(4)
+        .config(config)
+        .serve_sharded(backing, PolicySpec::Aod, 64, WritePolicy::WriteThrough)
+        .expect("bind");
+    trip_and_recover(server, &handle);
+}
+
+fn trip_and_recover<B: BackingStore + 'static>(server: NodeServer<B>, handle: &FaultHandle) {
+    let shards = server.workers();
     let mut client =
         PipelinedClient::connect_with(server.addr(), fast_client(), 4).expect("connect");
     client.write(1, &block(0x5A)).expect("seed");
@@ -538,12 +553,16 @@ fn breaker_trips_and_recovers_under_pipelined_load() {
 
     // Three consecutive failures open the breaker; the retried request
     // then completes via degraded pass-through. The key must be
-    // uncached so every attempt reaches the (faulting) backing store.
+    // uncached so every attempt reaches the (faulting) backing store,
+    // and on the seeded key's shard, whose breaker the reads below
+    // then pass through and probe.
+    let shard = |key| sievestore_types::shard_of(key, shards);
+    let cold = (2..).find(|&key| shard(key) == shard(1)).expect("a key");
     handle.fail_next(3);
-    client.read(2).expect("submit");
+    client.read(cold).expect("submit");
     let done = client.drain().expect("drain");
     assert!(done.iter().all(|c| c.result.is_ok()));
-    assert_eq!(server.mode(), NodeMode::Degraded, "breaker tripped");
+    assert_eq!(server.mode(), NodeMode::Degraded, "{shards} shards");
 
     // Degraded reads still return correct bytes.
     client.read(1).expect("submit degraded");
@@ -559,8 +578,13 @@ fn breaker_trips_and_recovers_under_pipelined_load() {
         client.read(1).expect("submit recovery");
         client.drain().expect("drain recovery");
     }
-    assert_eq!(server.mode(), NodeMode::Healthy, "breaker recovered");
+    assert_eq!(server.mode(), NodeMode::Healthy, "{shards} shards");
 
+    // The node still serves the seeded bytes end to end.
+    let mut check = NodeClient::connect(server.addr()).expect("connect");
+    let (data, _) = check.read_block(1).expect("read after recovery");
+    assert_eq!(data[0], 0x5A, "{shards} shards");
+    check.quit().expect("quit check");
     client.quit().expect("quit");
     server.shutdown();
 }

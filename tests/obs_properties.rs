@@ -113,22 +113,6 @@ proptest! {
         prop_assert_eq!(merged(&HistogramSnapshot::empty(), &ha), ha);
     }
 
-    /// Extreme quantiles land exactly on the lowest and highest
-    /// populated buckets.
-    #[test]
-    fn quantile_floor_spans_populated_buckets(
-        vs in values().prop_filter("needs samples", |v| !v.is_empty()),
-    ) {
-        let h = hist_from(&vs);
-        let lo = h.quantile_floor(0.0).expect("non-empty");
-        let hi = h.quantile_floor(1.0).expect("non-empty");
-        prop_assert!(lo <= hi);
-        let min = *vs.iter().min().expect("non-empty");
-        let max = *vs.iter().max().expect("non-empty");
-        prop_assert_eq!(lo, bucket_floor(bucket_of(min)));
-        prop_assert_eq!(hi, bucket_floor(bucket_of(max)));
-    }
-
     /// Registry-snapshot merge is commutative and associative, and equal
     /// snapshots serialize to identical bytes regardless of merge order.
     #[test]
