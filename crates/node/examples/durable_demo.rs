@@ -3,13 +3,13 @@
 //! Spawns a durable write-back [`NodeServer`] over a real TCP socket
 //! and an on-disk frame store, then walks the recovery surface: a
 //! fresh format, a warm restart after clean shutdown, and a restart
-//! over bit-rotted media showing the quarantine path (a corrupt frame
-//! is never served — the read falls back to the backing store).
+//! over bit-rotted media (a corrupt frame is never served — its key
+//! falls back to the backing store).
 //! It ends with group commit at work: the same 64 writes sent one at a
 //! time and in pipelined bursts of eight, then bursts of eight from four
 //! connections at once — whose windows share commits, landed outside
-//! the engine's lock — with the syncs, commits, journal records per
-//! commit and shared windows the node's own counters report.
+//! the engine's lock — with the frames per sync, syncs per commit and
+//! shared windows the node's own counters report.
 //!
 //! ```sh
 //! cargo run --release -p sievestore-node --example durable_demo
@@ -42,7 +42,9 @@ fn spawn(
 }
 
 /// Sends 64 allocating write-back writes, `depth` per pipelined burst,
-/// to a fresh durable node and prints what its durable tier did.
+/// to a fresh durable node and prints what its durable tier did. Each
+/// write lands one frame and no journal record, so a burst is one
+/// put-only group: one frame write and one sync.
 fn group_commit_burst(dir: &std::path::Path, depth: usize) -> std::io::Result<()> {
     std::fs::remove_dir_all(dir).ok();
     let (server, _) = spawn(dir)?;
@@ -73,8 +75,9 @@ fn group_commit_burst(dir: &std::path::Path, depth: usize) -> std::io::Result<()
     std::fs::remove_dir_all(dir).ok();
     let [syncs, commits, records] = [0, 1, 2].map(|i| after[i] - before[i]);
     println!(
-        "[group]   depth {depth}: 64 writes -> {syncs} syncs, {commits} commits, records/commit {:.2}",
-        records as f64 / commits as f64
+        "[group]   depth {depth}: 64 writes -> {syncs} syncs, {commits} commits, {records} journal records, frames/sync {:.2}, syncs/commit {:.2}",
+        64.0 / syncs as f64,
+        syncs as f64 / commits as f64
     );
     Ok(())
 }
@@ -170,8 +173,10 @@ fn main() -> std::io::Result<()> {
     server.shutdown();
 
     // Bit rot: flip one payload bit in slot 0 of the segment file.
-    // Recovery checksums every journaled frame and quarantines the
-    // mismatch instead of ever serving it.
+    // Recovery checksums every frame and counts the mismatch as a torn
+    // slot instead of ever serving it. It cannot tell whose frame rotted,
+    // so a clean frame may be that key's stale previous version: every
+    // clean frame comes back cold and reads fall back to the backing store.
     let seg_path = dir.join("frames.seg");
     let mut seg = std::fs::read(&seg_path)?;
     let payload0 = FILE_HEADER_LEN + FRAME_HEADER_LEN + 100;
@@ -182,8 +187,8 @@ fn main() -> std::io::Result<()> {
     let (server, report) = spawn(&dir)?;
     let report = report.expect("media recovers");
     println!(
-        "[restart] recovered {} warm, quarantined {} (checksum mismatch, never served)",
-        report.recovered, report.quarantined
+        "[restart] recovered {} warm, torn slots {} (checksum mismatch, never served)",
+        report.recovered, report.torn_slots
     );
     let mut client = NodeClient::connect(server.addr())?;
     let mut warm = 0u64;

@@ -1,109 +1,97 @@
 //! The durable cache tier: a crash-consistent on-disk frame store.
 //!
-//! The paper's SSD absorbs the ensemble's hot blocks; until now our
-//! stand-in was a `HashMap` that evaporated on crash, forfeiting exactly
-//! the warm hit-ratio the sieve's selectivity buys (and, in write-back
-//! mode, potentially the only copy of acked dirty data). This module
-//! gives [`crate::DataCache`] real persistent media:
+//! It gives [`crate::DataCache`] persistent media, so a restart keeps the
+//! warm hit ratio and, in write-back mode, the only copy of dirty data:
 //!
-//! * a **frame segment** — a slot-based file of 544-byte records (32-byte
-//!   header + 512-byte payload) with a per-frame CRC64 over header and
-//!   payload. Payloads are never rewritten in place: every update lands
-//!   in a fresh slot, so a torn write can corrupt only bytes that were
-//!   never acknowledged;
-//! * a **metadata journal** — fixed-size, sequenced, checksummed records
-//!   (allocate/evict/dirty/flush), appended a *group* at a time and
-//!   synced before anything in the group is acknowledged. Recovery
-//!   replays the journal's valid prefix to decide which segment slots
-//!   are live;
-//! * **dual journal files** with a generation-stamped header, so journal
-//!   compaction at open is crash-safe: the compacted copy is written to
-//!   the inactive file and published by writing its header (with a higher
-//!   generation) last. A crash at any step leaves the previous journal
-//!   intact and authoritative.
-//!
-//! # Recovery state machine
-//!
-//! 1. **Headers** — verify magic, version and header CRC of the segment
-//!    and both journals; pick the journal with the highest valid
-//!    generation. Unreadable headers on non-empty media are
-//!    unrecoverable ([`DurableError`]); the node then starts memory-only
-//!    in degraded pass-through mode.
-//! 2. **Segment scan** — classify every slot: CRC-valid frame, empty
-//!    (all zeroes), or torn/rotted (quarantined; never served).
-//! 3. **Journal replay** — scan fixed-size records, verifying each CRC;
-//!    stop at the first invalid record (the torn, never-acked tail) and
-//!    truncate it. Fold records into a final per-key state.
-//! 4. **Merge** — a key the journal says is resident recovers from its
-//!    slot if the slot is CRC-valid and holds that key; otherwise the
-//!    key is quarantined (re-fetched from the backing store on next
-//!    access) and counted as lost dirty data if its journaled state was
-//!    dirty. Segment frames the journal does not vouch for are ignored:
-//!    their allocation was never acknowledged. Clean frames are trusted
-//!    only when the journal ends with a [`JournalKind::Shutdown`]
-//!    marker (orderly shutdown, written by [`DurableStore::shutdown`]):
-//!    after a crash, the backing store may have advanced past a failed
-//!    best-effort mirror, so clean frames are dropped cold while dirty
-//!    frames — the only copy of their data — are always kept.
-//! 5. **Compact** — rewrite the surviving state into the inactive
-//!    journal and bump the generation, bounding journal growth across
-//!    restarts.
+//! * a **frame segment** of 544-byte slots (a 32-byte header and a
+//!   512-byte payload). Each frame names its key, sequence number, flags
+//!   and the number of frames in its group, under a CRC64. Every update
+//!   lands in a fresh slot, so a torn write corrupts only unacked bytes;
+//! * a **metadata journal** of fixed-size, sequenced, checksummed records
+//!   for what a frame cannot say about itself: its key left residency
+//!   ([`JournalKind::Evict`]), its dirty data reached the backing store
+//!   ([`JournalKind::MarkClean`]), the session ended in order
+//!   ([`JournalKind::Shutdown`]);
+//! * **dual journal files** with a generation-stamped header: compaction
+//!   at open writes the inactive file and publishes it by writing its
+//!   header (a higher generation) last, so a crash at any step is safe.
 //!
 //! # Group commit
 //!
 //! The unit of durability is the **group**: every mutation staged
 //! ([`DurableStore::stage_put`], [`DurableStore::stage_evict`],
 //! [`DurableStore::stage_mark_clean`]) since the last commit. Staging is
-//! memory-only: the encoded 544-byte frame record, addressed to a fresh
-//! slot, and its 32-byte journal record are appended to the open group;
-//! no device is touched.
-//!
-//! # Commit pipeline
-//!
-//! The devices sit behind two locks of their own (frames, journal), not
-//! behind whatever guards the store, and one procedure lands a group:
+//! memory-only. The devices sit behind two locks of their own (frames,
+//! journal), and one procedure lands a group:
 //!
 //! 1. **seal** — under the frames lock, and briefly the store's guard:
-//!    take the open group (frame bytes, slots, journal bytes, released
-//!    slots, highest sequence number);
-//! 2. **stage 1** — write the frames (adjacent slots in one write) and
-//!    sync the segment;
+//!    take the open group and drop the frames a later mutation in it
+//!    superseded or evicted; stamp the rest with the group's newest
+//!    sequence number and frame count;
+//! 2. **stage 1** — write the frames (adjacent slots in one write), sync;
 //! 3. **stage 2** — take the journal lock *before* letting go of the
-//!    frames lock, so groups reach the journal in the order they were
-//!    sealed; one append at the journal's end, one sync;
-//! 4. **finish** — still under the journal lock, and briefly the
-//!    store's guard: the slots the group released join the free list,
-//!    and the durable high-water mark moves to the group's last record.
+//!    frames lock, so groups pass it in seal order; append the group's
+//!    records, if any, and sync;
+//! 4. **finish** — still under the journal lock, and briefly the store's
+//!    guard: free the slots the group released, and move the durable
+//!    high-water mark to the group's newest sequence number.
 //!
-//! While one group is in stage 2 the next can be sealed and in stage 1:
-//! two syncs overlap, and the store's guard is never held across I/O.
-//! Lock order is frames → journal → store guard, never the reverse.
-//! [`DurableStore::commit`] is that procedure run by a single owner;
-//! [`crate::NodeServer`] runs it from connection threads, under the
-//! shard lock for steps 1 and 4 only, and skips it when the high-water
-//! mark already covers all that was staged.
+//! A put-only group — a window that evicts and flushes nothing — is one
+//! coalesced write and one sync. While one group is in stage 2 the next
+//! can be in stage 1; the store's guard is never held across I/O. Lock
+//! order is frames → journal → store guard. [`DurableStore::commit`] runs
+//! the procedure for a single owner; [`crate::NodeServer`] runs it from
+//! connection threads, under the shard lock for steps 1 and 4 only.
 //!
-//! Two rules make a power cut anywhere in that sequence equivalent to a
-//! cut between two records of a one-record-at-a-time journal. **A
-//! journal record never reaches the media before its frame is synced**
-//! (stage 2 follows stage 1, and journal order is seal order), so
-//! whatever prefix of the records survives the cut, every frame it names
-//! is intact. **A slot released inside a group is not reused until that
-//! group's records are durable** (step 4), so no frame can overwrite a
-//! slot the on-media journal still vouches for. A torn append leaves a
-//! record prefix, which recovery's replay accepts and truncates after.
-//! Frames reach the media at commit, not when staged, so the crash
-//! states are a subset of those of write-at-stage-time.
+//! Two rules leave at most one group torn by a power cut. **A journal
+//! record never reaches the media before its group's frames are synced**,
+//! and **a slot released inside a group is not reused until that group
+//! has finished**. Nothing of a failed land was acknowledged, and all of
+//! it is retried ahead of newer work: a group whose stage 1 failed
+//! returns to the head of the open group and is *written* again (a failed
+//! `fdatasync` leaves the pages clean, so syncing again proves nothing);
+//! records whose stage 2 failed wait at the journal as the **carry**,
+//! written ahead of the next stage 2's own. [`DurableStore::put`],
+//! `evict`, `mark_clean` and `shutdown` are groups of one.
 //!
-//! Nothing of a failed land was acknowledged, and all of it is retried
-//! ahead of newer work. A group whose stage 1 failed returns to the head
-//! of the open group and is *written* again — a failed `fdatasync`
-//! reports once and leaves the pages clean, so syncing again proves
-//! nothing. Records whose stage 2 failed wait at the journal as the
-//! **carry**, which the next stage 2 writes ahead of its own records:
-//! a later group's `MarkClean`/`Evict` never reaches the journal without
-//! the `Alloc*` it follows. [`DurableStore::put`], `evict`, `mark_clean`
-//! and `shutdown` are groups of one: stage, commit, durable on return.
+//! # Recovery
+//!
+//! 1. **Headers** — magic, version and CRC of the segment and both
+//!    journals; the highest valid generation is the active journal.
+//!    Unreadable headers on non-empty media are unrecoverable
+//!    ([`DurableError`]): the node starts memory-only, degraded.
+//! 2. **Scan** — each slot is a CRC-valid frame, empty (all zeroes), or
+//!    torn (counted in `torn_slots`, never served).
+//! 3. **Replay** — the journal's valid record prefix; a torn tail is cut.
+//! 4. **Fold** — each key recovers its **newest valid frame** unless a
+//!    newer `Evict` names it; a newer `MarkClean` makes it clean. Groups
+//!    sealed after the newest record are **all-or-nothing**: stage 1 and
+//!    finish run in seal order, so only the newest can have fewer valid
+//!    frames than its count, and then it is discarded. Clean frames are
+//!    kept only after a `Shutdown` marker no frame is newer than, with no
+//!    slot torn; otherwise one may be older than the backing store (a
+//!    failed best-effort mirror, or the previous version of a rotted
+//!    frame). Dirty frames, the only copy of their data, are always kept.
+//! 5. **Compact** — leaves every valid frame its key's survivor. A
+//!    surviving key's other frames are zeroed; the inactive journal is
+//!    rewritten with an *anchor* (an `Evict` newer than every frame, so no
+//!    accepted group is checked again), an `Evict` per key that recovered
+//!    nothing, and a `MarkClean` per survivor whose frame says dirty but
+//!    is clean; then those keys' frames and the torn slots are zeroed
+//!    (earlier, an open cut part-way could find an accepted group torn).
+//!
+//! A version-1 journal vouches for every frame with an `Alloc*` record;
+//! such an image folds by those records, and step 5 leaves it version 2.
+//!
+//! **What self-describing frames cost.** Recovery cannot name the key of
+//! an unreadable slot: a rotted newest frame counts in `torn_slots` (only
+//! a version-1 fold reports `quarantined`, `lost_dirty`), and its key
+//! falls back to its previous frame if that is dirty — a clean frame put
+//! over a dirty one stages a `MarkClean`, as a flush does, so the backing
+//! store holds nothing newer. The rotted frame's data is lost. Rot in an
+//! unanchored group looks torn, and the group falls back. A `MarkClean`
+//! in the same group as its key's frame does not cover it: the key is
+//! flushed again, an idempotent extra write.
 //!
 //! The three crash-consistency invariants this buys (proved by the
 //! property suite in `tests/crash_consistency.rs`, per operation and per
@@ -114,10 +102,6 @@
 //!    holds it; recovery can only lose warmth);
 //! 3. **acked write-back dirty data survives restart**, at exactly the
 //!    acked payload.
-//!
-//! A pipeline is as deep as the free list allows: a store formatted
-//! with `SPARE_SLOTS` beyond a *full* cache has eight slots to stage
-//! into before a request must wait for a group in flight to finish.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -128,7 +112,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sievestore_types::obs::{self, CounterId, HistId};
-use sievestore_types::{DurableError, U64Map, BLOCK_SIZE};
+use sievestore_types::{DurableError, U64Map, U64Set, BLOCK_SIZE};
 
 use crate::backing::Block;
 
@@ -392,16 +376,22 @@ impl Media for MemMedia {
 pub const SEGMENT_MAGIC: [u8; 8] = *b"SVSTSEG1";
 /// Magic bytes opening each journal file.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"SVSTJNL1";
-/// On-disk format version this build reads and writes.
-pub const FORMAT_VERSION: u16 = 1;
+/// On-disk format version this build writes. It also reads version 1,
+/// whose journal vouches for every frame, and migrates it at open.
+pub const FORMAT_VERSION: u16 = 2;
+/// The format whose frames are live only while an `Alloc*` record names
+/// them.
+const FORMAT_V1: u16 = 1;
 
 /// File header: magic(8) | version u16 | reserved u16 | param u32 |
 /// crc64 u64, all little-endian. `param` is the slot count for the
 /// segment and the generation for a journal.
 pub const FILE_HEADER_LEN: usize = 24;
 
-/// Frame record header: key u64 | seq u64 | flags u32 | reserved u32 |
-/// crc64 u64 (over the first 24 header bytes then the payload).
+/// Frame record header: key u64 | seq u64 | flags u32 | group u32 |
+/// crc64 u64 (over the first 24 header bytes then the payload). `seq` is
+/// the newest sequence number of the group the frame was written in and
+/// `group` that group's frame count (zero in a version-1 image).
 pub const FRAME_HEADER_LEN: usize = 32;
 /// One frame slot: header plus the 512-byte payload.
 pub const FRAME_RECORD_LEN: usize = FRAME_HEADER_LEN + BLOCK_SIZE;
@@ -415,28 +405,27 @@ pub const FLAG_OCCUPIED: u32 = 1;
 /// Frame flag: the payload was dirty (unflushed) when written.
 pub const FLAG_DIRTY: u32 = 2;
 
-/// Journal record kinds.
+/// The key no block may have: a free slot's owner, and the key of the
+/// `Evict` that anchors a compacted journal.
+const NO_KEY: u64 = u64::MAX;
+
+/// Journal record kinds. A record with sequence number `s` applies to its
+/// key's frames older than `s`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum JournalKind {
-    /// A clean frame was installed at `slot`.
+    /// Version 1 only, read when migrating: a clean frame was installed
+    /// at `slot`.
     AllocClean = 1,
-    /// A dirty frame (the cache holds the only copy) was installed.
+    /// Version 1 only, read when migrating: a dirty frame (the cache holds
+    /// the only copy) was installed at `slot`.
     AllocDirty = 2,
     /// The key left residency; its slot is free for reuse.
     Evict = 3,
-    /// The key's frame became dirty in place (reserved; the cache
-    /// currently re-installs on every payload change).
-    MarkDirty = 4,
     /// The key's dirty data reached the backing store (flush).
     MarkClean = 5,
-    /// Clean-shutdown marker: the session ended in an orderly fashion
-    /// and the journal reflects every acknowledged write. Recovery
-    /// trusts recovered *clean* frames only when the journal ends with
-    /// this marker; after a crash the backing store may have advanced
-    /// past a failed best-effort mirror, so clean frames are dropped
-    /// and re-fetched on next access (dirty frames — the only copy —
-    /// are always kept).
+    /// Clean-shutdown marker: the session ended in order, so recovery
+    /// may trust clean frames ([module docs](self#recovery), step 4).
     Shutdown = 6,
 }
 
@@ -446,7 +435,6 @@ impl JournalKind {
             1 => JournalKind::AllocClean,
             2 => JournalKind::AllocDirty,
             3 => JournalKind::Evict,
-            4 => JournalKind::MarkDirty,
             5 => JournalKind::MarkClean,
             6 => JournalKind::Shutdown,
             _ => return None,
@@ -469,8 +457,11 @@ fn encode_file_header(magic: [u8; 8], param: u32) -> [u8; FILE_HEADER_LEN] {
     buf
 }
 
-/// Parses and verifies a file header; returns the `param` field.
-fn decode_file_header(buf: &[u8; FILE_HEADER_LEN], magic: [u8; 8]) -> Result<u32, DurableError> {
+/// Parses and verifies a file header; returns its version and `param`.
+fn decode_file_header(
+    buf: &[u8; FILE_HEADER_LEN],
+    magic: [u8; 8],
+) -> Result<(u16, u32), DurableError> {
     if buf[0..8] != magic {
         let what = if magic == SEGMENT_MAGIC {
             "segment"
@@ -480,7 +471,7 @@ fn decode_file_header(buf: &[u8; FILE_HEADER_LEN], magic: [u8; 8]) -> Result<u32
         return Err(DurableError::BadMagic { what });
     }
     let version = u16::from_le_bytes([buf[8], buf[9]]);
-    if version != FORMAT_VERSION {
+    if !(FORMAT_V1..=FORMAT_VERSION).contains(&version) {
         return Err(DurableError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -493,17 +484,24 @@ fn decode_file_header(buf: &[u8; FILE_HEADER_LEN], magic: [u8; 8]) -> Result<u32
             detail: "header crc mismatch".into(),
         });
     }
-    Ok(u32::from_le_bytes(buf[12..16].try_into().unwrap()))
+    Ok((version, u32::from_le_bytes(buf[12..16].try_into().unwrap())))
 }
 
-fn encode_frame_record(key: u64, seq: u64, flags: u32, payload: &Block, buf: &mut [u8]) {
+/// Stages a frame record: key, flags and payload. The sequence number,
+/// group size and checksum are stamped when its group is sealed.
+fn encode_frame_record(key: u64, flags: u32, payload: &Block, buf: &mut [u8]) {
     debug_assert_eq!(buf.len(), FRAME_RECORD_LEN);
     buf[0..8].copy_from_slice(&key.to_le_bytes());
-    buf[8..16].copy_from_slice(&seq.to_le_bytes());
     buf[16..20].copy_from_slice(&flags.to_le_bytes());
-    buf[20..24].fill(0); // reserved
     buf[32..].copy_from_slice(payload);
-    let crc = crc64(&[&buf[0..24], payload]);
+}
+
+/// Stamps a staged frame record with its group's newest sequence number
+/// and frame count, and checksums it.
+fn seal_frame_record(buf: &mut [u8], seq: u64, group: u32) {
+    buf[8..16].copy_from_slice(&seq.to_le_bytes());
+    buf[20..24].copy_from_slice(&group.to_le_bytes());
+    let crc = crc64(&[&buf[0..24], &buf[32..]]);
     buf[24..32].copy_from_slice(&crc.to_le_bytes());
 }
 
@@ -511,6 +509,10 @@ fn encode_frame_record(key: u64, seq: u64, flags: u32, payload: &Block, buf: &mu
 struct FrameRecord {
     key: u64,
     seq: u64,
+    /// The payload was dirty when written.
+    dirty: bool,
+    /// Frames in the group it was written in.
+    group: u32,
     payload: Box<Block>,
 }
 
@@ -535,6 +537,8 @@ fn decode_frame_record(buf: &[u8]) -> Result<Option<FrameRecord>, ()> {
     Ok(Some(FrameRecord {
         key: u64::from_le_bytes(buf[0..8].try_into().unwrap()),
         seq: u64::from_le_bytes(buf[8..16].try_into().unwrap()),
+        dirty: flags & FLAG_DIRTY != 0,
+        group: u32::from_le_bytes(buf[20..24].try_into().unwrap()),
         payload,
     }))
 }
@@ -589,10 +593,12 @@ pub struct RecoveredFrame {
 /// What recovery found on the media.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Frames restored warm (CRC-verified, journal-vouched).
+    /// Frames restored warm (CRC-verified, and each its key's newest).
     pub recovered: u64,
-    /// Journal-resident keys whose slot failed verification; they will
-    /// be re-fetched from the backing store on next access.
+    /// Keys a version-1 journal vouched for whose slot failed
+    /// verification; they will be re-fetched from the backing store on
+    /// next access. A version-2 image cannot name such a key: its rotted
+    /// frame counts in `torn_slots`.
     pub quarantined: u64,
     /// Quarantined keys whose journaled state was dirty — the only copy
     /// of that data is gone.
@@ -607,7 +613,8 @@ pub struct RecoveryReport {
     pub clean_shutdown: bool,
     /// Clean frames dropped because the shutdown was unclean (the
     /// backing store may have advanced past a failed best-effort
-    /// mirror); they are re-fetched from backing on next access.
+    /// mirror) or a slot was torn (the frame may be the previous version
+    /// of a rotted one); they are re-fetched from backing on next access.
     pub dropped_clean: u64,
     /// The journal generation now active (after compaction).
     pub generation: u32,
@@ -695,10 +702,10 @@ struct Group {
     frames: Vec<u8>,
     slots: Vec<u32>,
     records: Vec<u8>,
-    /// Slots the group released: the on-media journal vouches for them
-    /// until `records` are durable, so they join `free` only then.
+    /// Slots the group released: recovery may still need their frames
+    /// until the group has finished, so they join `free` only then.
     frees: Vec<u32>,
-    /// Highest sequence number in `records`.
+    /// Newest sequence number staged in the group, which its frames carry.
     high_seq: u64,
 }
 
@@ -712,8 +719,33 @@ impl Group {
         self.high_seq = self.high_seq.max(later.high_seq);
     }
 
-    /// Stage 1: every frame to its slot (adjacent slots in one write), sync.
-    fn write_frames(&self, media: &mut dyn Media) -> io::Result<()> {
+    /// Drops every frame whose slot no longer holds its key: a later
+    /// mutation in the group superseded or evicted it. Each frame left is
+    /// its key's newest, so none of them is released before a later
+    /// group finishes, and the group's frame count stays checkable.
+    fn drop_superseded(&mut self, slot_key: &[u64]) {
+        let mut kept = 0;
+        for i in 0..self.slots.len() {
+            let (slot, at) = (self.slots[i], i * FRAME_RECORD_LEN);
+            if slot_key[slot as usize].to_le_bytes() == self.frames[at..at + 8] {
+                let to = kept * FRAME_RECORD_LEN;
+                self.frames.copy_within(at..at + FRAME_RECORD_LEN, to);
+                self.slots[kept] = slot;
+                kept += 1;
+            }
+        }
+        self.slots.truncate(kept);
+        self.frames.truncate(kept * FRAME_RECORD_LEN);
+    }
+
+    /// Stage 1: stamps every frame with the group's sequence number and
+    /// frame count, writes each to its slot (adjacent slots in one
+    /// write), and syncs once.
+    fn write_frames(&mut self, media: &mut dyn Media) -> io::Result<()> {
+        let count = self.slots.len() as u32;
+        for frame in self.frames.chunks_exact_mut(FRAME_RECORD_LEN) {
+            seal_frame_record(frame, self.high_seq, count);
+        }
         let mut start = 0;
         for i in 1..=self.slots.len() {
             if i == self.slots.len() || self.slots[i] != self.slots[i - 1] + 1 {
@@ -763,14 +795,14 @@ impl Journal {
 }
 
 /// A store's media, each device behind its own lock so a group can land
-/// without the store's owner being locked out (module docs, "Commit
-/// pipeline"). Lock order: `frames` → `journal` → the store's guard.
+/// without the store's owner being locked out (module docs, "Group
+/// commit"). Lock order: `frames` → `journal` → the store's guard.
 pub(crate) struct CommitPipe {
     frames: Mutex<Box<dyn Media>>,
     journal: Mutex<Journal>,
     /// Newest sequence number staged; written by the store's owner.
     staged_seq: AtomicU64,
-    /// Newest sequence number durable in the journal.
+    /// Newest sequence number durable.
     durable_seq: AtomicU64,
 }
 
@@ -788,7 +820,7 @@ struct Sealed<'a> {
 impl Drop for Sealed<'_> {
     fn drop(&mut self) {
         let group = &mut self.group;
-        if !group.records.is_empty() {
+        if !(group.slots.is_empty() && group.records.is_empty() && group.frees.is_empty()) {
             (self.with_store)(&mut |store| {
                 group.absorb(&mut store.open);
                 std::mem::swap(group, &mut store.open);
@@ -798,8 +830,8 @@ impl Drop for Sealed<'_> {
 }
 
 impl CommitPipe {
-    /// The newest sequence number durable in the journal. It moves each
-    /// time a group lands, whoever lands it.
+    /// The newest sequence number durable. It moves each time a group
+    /// lands, whoever lands it.
     pub(crate) fn durable_seq(&self) -> u64 {
         self.durable_seq.load(SeqCst)
     }
@@ -827,8 +859,11 @@ impl CommitPipe {
             group: Group::default(),
             with_store,
         };
-        (sealed.with_store)(&mut |store| sealed.group = std::mem::take(&mut store.open));
-        let mut syncs = 1;
+        (sealed.with_store)(&mut |store| {
+            sealed.group = std::mem::take(&mut store.open);
+            sealed.group.drop_superseded(&store.slot_key);
+        });
+        let mut syncs = 0;
         if !sealed.group.slots.is_empty() {
             sealed
                 .group
@@ -839,25 +874,28 @@ impl CommitPipe {
             syncs += 1;
         }
         // Hand over hand: the journal lock before the frames lock goes,
-        // so groups reach the journal in the order they were sealed.
+        // so groups pass the journal in the order they were sealed.
         let mut journal = self.journal.lock();
         journal.carry.absorb(&mut sealed.group);
         drop(frames);
-        if journal.carry.records.is_empty() {
-            // Every earlier lander has left stage 2: all is durable.
-            return Ok(false);
-        }
-        // Stage 2. On failure the carry stays: the next stage 2 rewrites
-        // it at this offset, ahead of its own records.
         let journal = &mut *journal;
         let (media, carry) = (&mut journal.media[journal.active], &mut journal.carry);
-        media
-            .write_at(journal.end, &carry.records)
-            .and_then(|()| media.sync())
-            .inspect_err(|_| obs::count(CounterId::DurableMediaErrors, 1))?;
         let records = (carry.records.len() / JOURNAL_RECORD_LEN) as u64;
-        journal.end += carry.records.len() as u64;
-        carry.records.clear();
+        if records > 0 {
+            // Stage 2. On failure the carry stays: the next stage 2
+            // rewrites it at this offset, ahead of its own records.
+            media
+                .write_at(journal.end, &carry.records)
+                .and_then(|()| media.sync())
+                .inspect_err(|_| obs::count(CounterId::DurableMediaErrors, 1))?;
+            journal.end += carry.records.len() as u64;
+            carry.records.clear();
+            syncs += 1;
+        }
+        if syncs == 0 {
+            // Every earlier lander has finished: all is durable.
+            return Ok(false);
+        }
         // Finish, still under the journal lock: whoever passes it after
         // us finds these slots free and this group covered.
         (sealed.with_store)(&mut |store| store.free.append(&mut carry.frees));
@@ -883,8 +921,10 @@ pub struct DurableStore {
     slot_count: u32,
     /// key → occupied slot.
     slot_of: U64Map<u32>,
-    /// slot → key (u64::MAX = free). Drives scrub and slot accounting.
+    /// slot → key ([`NO_KEY`] = free). Drives scrub and slot accounting.
     slot_key: Vec<u64>,
+    /// Keys whose newest frame is dirty with no `MarkClean` staged since.
+    dirty: U64Set,
     /// Slots a put may take: free on media as well as in memory.
     free: Vec<u32>,
     /// The open group: everything staged since the last seal. None of
@@ -909,8 +949,8 @@ impl std::fmt::Debug for DurableStore {
 
 impl DurableStore {
     /// Opens the store: formats fresh media, or recovers existing state
-    /// (verifying checksums, replaying the journal, quarantining torn
-    /// frames and compacting the journal).
+    /// (verifying checksums, replaying the journal, skipping torn frames
+    /// and compacting the journal).
     ///
     /// `capacity_blocks` is the cache capacity the store must be able to
     /// hold; fresh media is formatted with a few spare slots beyond it.
@@ -949,8 +989,7 @@ impl DurableStore {
         frames: Box<dyn Media>,
         journal: Journal,
         generation: u32,
-        slot_of: U64Map<u32>,
-        slot_key: Vec<u64>,
+        (slot_of, slot_key, dirty): (U64Map<u32>, Vec<u64>, U64Set),
         next_seq: u64,
     ) -> Self {
         let slot_count = slot_key.len() as u32;
@@ -966,9 +1005,10 @@ impl DurableStore {
             slot_of,
             free: (0..slot_count)
                 .rev()
-                .filter(|&s| slot_key[s as usize] == u64::MAX)
+                .filter(|&s| slot_key[s as usize] == NO_KEY)
                 .collect(),
             slot_key,
+            dirty,
             open: Group::default(),
             next_seq,
             shutdown_marked: false,
@@ -997,9 +1037,13 @@ impl DurableStore {
             carry: Group::default(),
         };
         let slots = slot_count as usize;
-        let (slot_of, slot_key) = (U64Map::with_capacity(slots), vec![u64::MAX; slots]);
+        let placement = (
+            U64Map::with_capacity(slots),
+            vec![NO_KEY; slots],
+            U64Set::new(),
+        );
         Ok(Recovery {
-            store: Self::assemble(frames, journal, 1, slot_of, slot_key, 1),
+            store: Self::assemble(frames, journal, 1, placement, 1),
             frames: Vec::new(),
             report: RecoveryReport {
                 generation: 1,
@@ -1011,15 +1055,15 @@ impl DurableStore {
 
     /// Recovers existing media per the module-level state machine.
     fn recover(
-        frames: Box<dyn Media>,
+        mut frames: Box<dyn Media>,
         journal_a: Box<dyn Media>,
         journal_b: Box<dyn Media>,
     ) -> Result<Recovery, DurableError> {
-        // 1. Headers.
+        // 1. Headers. The active journal's version says how to fold.
         let mut header = [0u8; FILE_HEADER_LEN];
         frames.read_at(0, &mut header)?;
-        let slot_count = decode_file_header(&header, SEGMENT_MAGIC)?;
-        let gen_of = |media: &dyn Media| -> Option<u32> {
+        let (segment_version, slot_count) = decode_file_header(&header, SEGMENT_MAGIC)?;
+        let header_of = |media: &dyn Media| -> Option<(u16, u32)> {
             if media.len().ok()? < FILE_HEADER_LEN as u64 {
                 return None;
             }
@@ -1028,169 +1072,122 @@ impl DurableStore {
             decode_file_header(&header, JOURNAL_MAGIC).ok()
         };
         let media = [journal_a, journal_b];
-        let gen_a = gen_of(media[0].as_ref());
-        let gen_b = gen_of(media[1].as_ref());
-        let (active, generation) = match (gen_a, gen_b) {
-            (Some(a), Some(b)) if b > a => (1, b),
-            (Some(a), _) => (0, a),
-            (None, Some(b)) => (1, b),
-            (None, None) => {
-                return Err(DurableError::Corrupt {
-                    what: "journal",
-                    detail: "no journal file has a valid header".into(),
-                })
-            }
-        };
+        let (active, (version, generation)) =
+            match (header_of(media[0].as_ref()), header_of(media[1].as_ref())) {
+                (Some(a), Some(b)) if b.1 > a.1 => (1, b),
+                (Some(a), _) => (0, a),
+                (None, Some(b)) => (1, b),
+                (None, None) => {
+                    return Err(DurableError::Corrupt {
+                        what: "journal",
+                        detail: "no journal file has a valid header".into(),
+                    })
+                }
+            };
 
         // 2. Segment scan.
         let mut slots: Vec<Option<FrameRecord>> = Vec::with_capacity(slot_count as usize);
-        let mut torn = vec![false; slot_count as usize];
-        let mut torn_slots = 0u64;
-        let mut max_seq = 0u64;
+        let mut torn = Vec::new();
         let mut buf = vec![0u8; FRAME_RECORD_LEN];
         for slot in 0..slot_count {
             frames.read_at(Self::slot_offset(slot), &mut buf)?;
-            match decode_frame_record(&buf) {
-                Ok(Some(rec)) => {
-                    max_seq = max_seq.max(rec.seq);
-                    slots.push(Some(rec));
-                }
-                Ok(None) => slots.push(None),
-                Err(()) => {
-                    torn[slot as usize] = true;
-                    torn_slots += 1;
-                    slots.push(None);
-                }
-            }
+            slots.push(decode_frame_record(&buf).unwrap_or_else(|()| {
+                torn.push(slot);
+                None
+            }));
         }
+        let newest_frame = slots.iter().flatten().map(|f| f.seq).max().unwrap_or(0);
 
         // 3. Journal replay (valid prefix only).
         let journal = media[active].as_ref();
         let journal_len = journal.len()?;
         let mut offset = FILE_HEADER_LEN as u64;
         let mut rec_buf = [0u8; JOURNAL_RECORD_LEN];
-        #[derive(Clone, Copy, Default)]
-        enum KeyState {
-            Resident {
-                slot: u32,
-                dirty: bool,
-            },
-            #[default]
-            Gone,
-        }
-        let mut state: U64Map<KeyState> = U64Map::new();
-        // Track journal order per key (insertion order of final states
-        // is reconstructed below by seq).
-        let mut journal_records = 0u64;
-        let mut clean_shutdown = false;
-        let journal_truncated;
-        loop {
+        let mut replayed = Vec::new();
+        let journal_truncated = loop {
             if offset + JOURNAL_RECORD_LEN as u64 > journal_len {
-                journal_truncated = offset < journal_len;
-                break;
+                break offset < journal_len;
             }
             journal.read_at(offset, &mut rec_buf)?;
             let Some(rec) = decode_journal_record(&rec_buf) else {
-                journal_truncated = true;
-                break;
+                break true;
             };
-            max_seq = max_seq.max(rec.seq);
-            // Clean only when the marker is the *last* valid record.
-            clean_shutdown = rec.kind == JournalKind::Shutdown;
-            match rec.kind {
-                JournalKind::AllocClean => {
-                    state.insert(
-                        rec.key,
-                        KeyState::Resident {
-                            slot: rec.slot,
-                            dirty: false,
-                        },
-                    );
-                }
-                JournalKind::AllocDirty => {
-                    state.insert(
-                        rec.key,
-                        KeyState::Resident {
-                            slot: rec.slot,
-                            dirty: true,
-                        },
-                    );
-                }
-                JournalKind::Evict => {
-                    state.insert(rec.key, KeyState::Gone);
-                }
-                JournalKind::MarkDirty | JournalKind::MarkClean => {
-                    if let Some(KeyState::Resident { dirty, .. }) = state.get_mut(rec.key) {
-                        *dirty = rec.kind == JournalKind::MarkDirty;
-                    }
-                }
-                JournalKind::Shutdown => {}
-            }
-            journal_records += 1;
+            replayed.push(rec);
             offset += JOURNAL_RECORD_LEN as u64;
-        }
-        // A torn tail means appends were attempted after the last valid
-        // record, so any marker in the prefix is not the session's end.
-        if journal_truncated {
-            clean_shutdown = false;
-        }
+        };
+        let anchor = replayed.iter().map(|r| r.seq).max().unwrap_or(0);
+        // Clean only when the marker is the *last* valid record, no frame
+        // is newer, and no append after it tore (a truncated tail).
+        let clean_shutdown = !journal_truncated
+            && replayed
+                .last()
+                .is_some_and(|r| r.kind == JournalKind::Shutdown && r.seq >= newest_frame);
 
-        // 4. Merge: journal-resident keys recover from their verified
-        // slot or are quarantined.
-        let mut recovered: Vec<RecoveredFrame> = Vec::new();
-        let mut quarantined = 0u64;
-        let mut lost_dirty = 0u64;
-        let mut dropped_clean = 0u64;
-        let mut slot_of = U64Map::with_capacity(slot_count as usize);
-        let mut slot_key = vec![u64::MAX; slot_count as usize];
-        let mut order: Vec<(u64, u64, u32, bool)> = Vec::new(); // (seq, key, slot, dirty)
-        for (key, st) in state.iter() {
-            let KeyState::Resident { slot, dirty } = *st else {
-                continue;
-            };
-            // After an unclean shutdown a clean frame may be staler than
-            // the backing store (a best-effort mirror failure is
-            // swallowed while backing writes keep being acknowledged),
-            // so only dirty frames — the sole copy of their data — are
-            // trusted. Clean frames re-fetch from backing on access.
-            if !clean_shutdown && !dirty {
+        // 4. Fold into (key, slot, dirty) candidates, then keep those whose
+        // slot holds the key: a version-1 journal can name a torn slot.
+        let candidates = if version == FORMAT_V1 {
+            Self::fold_v1(&replayed)
+        } else {
+            Self::fold(&slots, &replayed, anchor)
+        };
+        let (mut quarantined, mut lost_dirty, mut dropped_clean) = (0u64, 0u64, 0u64);
+        let mut order: Vec<(u64, u32, u64, bool)> = Vec::new(); // (seq, slot, key, dirty)
+        for (key, slot, dirty) in candidates {
+            // A clean frame may be older than the backing store after a
+            // crash (a failed best-effort mirror) or rot (a rotted
+            // frame's previous version); it re-fetches on access.
+            if !dirty && (!clean_shutdown || !torn.is_empty()) {
                 dropped_clean += 1;
                 continue;
             }
-            let valid = (slot < slot_count)
-                .then(|| slots[slot as usize].as_ref())
-                .flatten()
-                .filter(|rec| rec.key == key);
-            match valid {
-                Some(rec) => order.push((rec.seq, key, slot, dirty)),
-                None => {
+            match slots.get(slot as usize).and_then(Option::as_ref) {
+                Some(frame) if frame.key == key => order.push((frame.seq, slot, key, dirty)),
+                _ => {
                     quarantined += 1;
-                    if dirty {
-                        lost_dirty += 1;
-                    }
+                    lost_dirty += u64::from(dirty);
                 }
             }
         }
         // Oldest first: LRU warm-insertion leaves the newest most recent.
         order.sort_unstable();
-        for (_, key, slot, dirty) in &order {
-            // A well-formed journal never maps two keys to one slot; on
-            // forged media, quarantine the loser instead of panicking.
-            let Some(rec) = slots[*slot as usize].take() else {
-                quarantined += 1;
-                if *dirty {
-                    lost_dirty += 1;
-                }
-                continue;
-            };
-            slot_of.insert(*key, *slot);
-            slot_key[*slot as usize] = *key;
-            recovered.push(RecoveredFrame {
-                key: *key,
-                data: rec.payload,
-                dirty: *dirty,
-            });
+        let mut slot_of = U64Map::with_capacity(slot_count as usize);
+        let (mut slot_key, mut dirty_keys) = (vec![NO_KEY; slot_count as usize], U64Set::new());
+        for &(_, slot, key, dirty) in &order {
+            slot_of.insert(key, slot);
+            slot_key[slot as usize] = key;
+            if dirty {
+                dirty_keys.insert(key);
+            }
         }
+
+        // 5. Compact: no frame may outlive the journal that passed over
+        // it. Zeroing a dead key's frame or a torn slot before the new
+        // journal is published could make a cut open see an accepted
+        // group torn, or rot gone; a surviving key's other frames cannot.
+        let mut compacted = vec![(JournalKind::Evict, 0, NO_KEY)]; // the anchor
+        let (mut stale, mut dead, mut dead_keys) = (Vec::new(), Vec::new(), U64Set::new());
+        for (slot, frame) in (0..).zip(&slots) {
+            let Some(frame) = frame else { continue };
+            match slot_of.get(frame.key) {
+                Some(&live) if live == slot => {}
+                Some(_) => stale.push(slot),
+                None => {
+                    if dead_keys.insert(frame.key) {
+                        compacted.push((JournalKind::Evict, slot, frame.key));
+                    }
+                    dead.push(slot);
+                }
+            }
+        }
+        for &(_, slot, key, dirty) in &order {
+            if !dirty && slots[slot as usize].as_ref().is_some_and(|f| f.dirty) {
+                compacted.push((JournalKind::MarkClean, slot, key));
+            }
+        }
+        if segment_version != FORMAT_VERSION {
+            frames.write_at(0, &encode_file_header(SEGMENT_MAGIC, slot_count))?;
+        }
+        Self::zero_slots(frames.as_mut(), &stale)?;
         let mut journal = Journal {
             media,
             active,
@@ -1201,39 +1198,133 @@ impl DurableStore {
         // can never be followed by stale-but-valid phantom records.
         journal.media[active].truncate(offset)?;
         journal.media[active].sync()?;
-
-        // 5. Crash-safe compaction into the inactive journal: one record
-        // per surviving frame.
-        let mut next_seq = max_seq + 1;
-        let mut records = Vec::with_capacity(recovered.len() * JOURNAL_RECORD_LEN);
-        for frame in &recovered {
-            let slot = *slot_of.get(frame.key).expect("live frame has a slot");
-            let kind = if frame.dirty {
-                JournalKind::AllocDirty
-            } else {
-                JournalKind::AllocClean
-            };
-            records.extend_from_slice(&encode_journal_record(next_seq, kind, slot, frame.key));
-            next_seq += 1;
-        }
+        let next_seq = newest_frame.max(anchor) + 1;
+        let records: Vec<u8> = compacted
+            .iter()
+            .zip(next_seq..)
+            .flat_map(|(&(kind, slot, key), seq)| encode_journal_record(seq, kind, slot, key))
+            .collect();
         journal.compact(&records, generation + 1)?;
+        dead.extend(&torn);
+        dead.sort_unstable();
+        Self::zero_slots(frames.as_mut(), &dead)?;
 
+        let recovered: Vec<RecoveredFrame> = order
+            .iter()
+            .map(|&(_, slot, key, dirty)| RecoveredFrame {
+                key,
+                data: slots[slot as usize]
+                    .take()
+                    .expect("a survivor's frame")
+                    .payload,
+                dirty,
+            })
+            .collect();
         let report = RecoveryReport {
             recovered: recovered.len() as u64,
             quarantined,
             lost_dirty,
-            torn_slots,
-            journal_records,
+            torn_slots: torn.len() as u64,
+            journal_records: replayed.len() as u64,
             journal_truncated,
             clean_shutdown,
             dropped_clean,
             generation: generation + 1,
         };
+        let next_seq = next_seq + compacted.len() as u64;
+        let placement = (slot_of, slot_key, dirty_keys);
         Ok(Recovery {
-            store: Self::assemble(frames, journal, generation + 1, slot_of, slot_key, next_seq),
+            store: Self::assemble(frames, journal, generation + 1, placement, next_seq),
             frames: recovered,
             report,
         })
+    }
+
+    /// The version-1 fold: a key is resident at the slot its last
+    /// `Alloc*` record names, unless an `Evict` followed.
+    fn fold_v1(replayed: &[JournalRecord]) -> Vec<(u64, u32, bool)> {
+        let mut state: U64Map<Option<(u32, bool)>> = U64Map::new();
+        for rec in replayed {
+            match rec.kind {
+                JournalKind::AllocClean | JournalKind::AllocDirty => {
+                    let dirty = rec.kind == JournalKind::AllocDirty;
+                    state.insert(rec.key, Some((rec.slot, dirty)));
+                }
+                JournalKind::Evict => {
+                    state.insert(rec.key, None);
+                }
+                JournalKind::MarkClean => {
+                    if let Some(Some((_, dirty))) = state.get_mut(rec.key) {
+                        *dirty = false;
+                    }
+                }
+                JournalKind::Shutdown => {}
+            }
+        }
+        state
+            .iter()
+            .filter_map(|(key, st)| st.map(|(slot, dirty)| (key, slot, dirty)))
+            .collect()
+    }
+
+    /// The version-2 fold: each key's newest valid frame outside a torn
+    /// group, unless a newer `Evict` names the key; a newer `MarkClean`
+    /// makes it clean.
+    fn fold(
+        slots: &[Option<FrameRecord>],
+        replayed: &[JournalRecord],
+        anchor: u64,
+    ) -> Vec<(u64, u32, bool)> {
+        let (mut evicted, mut cleaned) = (U64Map::new(), U64Map::new());
+        for rec in replayed {
+            match rec.kind {
+                JournalKind::Evict => evicted.insert(rec.key, rec.seq),
+                JournalKind::MarkClean => cleaned.insert(rec.key, rec.seq),
+                _ => None,
+            };
+        }
+        // The groups sealed after the newest record, newest first: one
+        // with fewer valid frames than its count was cut mid-write, and it
+        // goes with everything above it.
+        let mut unanchored: Vec<(u64, u32)> = slots
+            .iter()
+            .flatten()
+            .filter(|f| f.seq > anchor)
+            .map(|f| (f.seq, f.group))
+            .collect();
+        unanchored.sort_unstable();
+        let mut cut_above = u64::MAX;
+        for group in unanchored.chunk_by(|a, b| a.0 == b.0).rev() {
+            if group.iter().all(|g| g.1 as usize == group.len()) {
+                break;
+            }
+            cut_above = group[0].0 - 1;
+        }
+        let seq_at = |slot: u32| slots[slot as usize].as_ref().map_or(0, |f| f.seq);
+        let mut newest: U64Map<u32> = U64Map::new();
+        for (slot, f) in (0..).zip(slots).filter_map(|(s, f)| Some((s, f.as_ref()?))) {
+            if f.seq <= cut_above && newest.get(f.key).is_none_or(|&s| seq_at(s) <= f.seq) {
+                newest.insert(f.key, slot);
+            }
+        }
+        let newer = |map: &U64Map<u64>, key, seq| map.get(key).is_some_and(|&s| s > seq);
+        newest
+            .iter()
+            .filter(|&(key, &slot)| !newer(&evicted, key, seq_at(slot)))
+            .map(|(key, &slot)| {
+                let frame = slots[slot as usize].as_ref().expect("a valid frame");
+                (key, slot, frame.dirty && !newer(&cleaned, key, frame.seq))
+            })
+            .collect()
+    }
+
+    /// Zeroes `slots` (ascending), adjacent ones in one write, and syncs.
+    fn zero_slots(frames: &mut dyn Media, slots: &[u32]) -> io::Result<()> {
+        for run in slots.chunk_by(|a, b| a + 1 == *b) {
+            let zeroes = vec![0; run.len() * FRAME_RECORD_LEN];
+            frames.write_at(Self::slot_offset(run[0]), &zeroes)?;
+        }
+        frames.sync()
     }
 
     fn slot_offset(slot: u32) -> u64 {
@@ -1252,23 +1343,27 @@ impl DurableStore {
         self.free.is_empty()
     }
 
-    /// Appends one journal record to the open group.
-    fn stage_record(&mut self, kind: JournalKind, slot: u32, key: u64) {
-        self.shutdown_marked = kind == JournalKind::Shutdown;
-        self.open
-            .records
-            .extend_from_slice(&encode_journal_record(self.next_seq, kind, slot, key));
+    /// Draws the next sequence number into the open group.
+    fn next_staged_seq(&mut self) -> u64 {
         self.open.high_seq = self.next_seq;
         self.pipe.staged_seq.store(self.next_seq, SeqCst);
         self.next_seq += 1;
+        self.open.high_seq
     }
 
-    /// Stages `data` for `key` in the open group: the frame record,
-    /// addressed to a fresh slot, and its journal record are buffered in
-    /// memory — no device is touched. Nothing staged is durable, or may
-    /// be acknowledged, until [`DurableStore::commit`] returns `Ok`. An
-    /// existing slot for `key` is released when the group commits (never
-    /// overwritten in place, never reused inside the group).
+    /// Appends one journal record to the open group.
+    fn stage_record(&mut self, kind: JournalKind, slot: u32, key: u64) {
+        let seq = self.next_staged_seq();
+        self.shutdown_marked = kind == JournalKind::Shutdown;
+        self.open
+            .records
+            .extend_from_slice(&encode_journal_record(seq, kind, slot, key));
+    }
+
+    /// Stages `data` for `key` in the open group: a frame record for a
+    /// fresh slot, buffered in memory. Nothing staged is durable, or may
+    /// be acknowledged, until [`DurableStore::commit`] returns `Ok`. The
+    /// key's previous slot is released when the group commits.
     ///
     /// # Errors
     ///
@@ -1282,28 +1377,31 @@ impl DurableStore {
                 self.open.frees.len()
             ))
         })?;
+        // A clean frame covers a dirty one with a `MarkClean`: should it
+        // rot, the dirty one must not come back (module docs, "Recovery").
+        if dirty {
+            self.dirty.insert(key);
+        } else if self.dirty.contains(key) {
+            self.stage_mark_clean(key);
+        }
         let flags = FLAG_OCCUPIED | if dirty { FLAG_DIRTY } else { 0 };
         let at = self.open.frames.len();
         self.open.frames.resize(at + FRAME_RECORD_LEN, 0);
-        encode_frame_record(key, self.next_seq, flags, data, &mut self.open.frames[at..]);
+        encode_frame_record(key, flags, data, &mut self.open.frames[at..]);
         self.open.slots.push(slot);
-        let kind = if dirty {
-            JournalKind::AllocDirty
-        } else {
-            JournalKind::AllocClean
-        };
-        self.stage_record(kind, slot, key);
+        self.next_staged_seq();
+        self.shutdown_marked = false;
         if let Some(old) = self.slot_of.insert(key, slot) {
-            self.slot_key[old as usize] = u64::MAX;
+            self.slot_key[old as usize] = NO_KEY;
             self.open.frees.push(old);
         }
         self.slot_key[slot as usize] = key;
         Ok(())
     }
 
-    /// Stages the record that `key`'s dirty data reached the backing
-    /// store.
+    /// Stages the record that `key`'s dirty data reached the backing store.
     pub fn stage_mark_clean(&mut self, key: u64) {
+        self.dirty.remove(key);
         if let Some(slot) = self.slot_of.get(key).copied() {
             self.stage_record(JournalKind::MarkClean, slot, key);
         }
@@ -1312,9 +1410,10 @@ impl DurableStore {
     /// Stages the record that `key` left residency; its slot becomes
     /// reusable when the group commits.
     pub fn stage_evict(&mut self, key: u64) {
+        self.dirty.remove(key);
         if let Some(slot) = self.slot_of.remove(key) {
             self.stage_record(JournalKind::Evict, slot, key);
-            self.slot_key[slot as usize] = u64::MAX;
+            self.slot_key[slot as usize] = NO_KEY;
             self.open.frees.push(slot);
         }
     }
@@ -1328,7 +1427,7 @@ impl DurableStore {
     }
 
     /// Makes everything staged durable — the
-    /// [commit pipeline](self#commit-pipeline) run inline by the store's
+    /// [group commit](self#group-commit) procedure run inline by the store's
     /// single owner. An empty group costs nothing.
     ///
     /// # Errors
@@ -1459,7 +1558,7 @@ impl DurableStore {
         for _ in 0..max_slots.min(self.slot_count) {
             pass.scanned += 1;
             let key = self.slot_key[slot as usize];
-            if key != u64::MAX && !self.open.slots.contains(&slot) {
+            if key != NO_KEY && !self.open.slots.contains(&slot) {
                 frames.read_at(Self::slot_offset(slot), &mut buf)?;
                 let ok = matches!(&decode_frame_record(&buf), Ok(Some(rec)) if rec.key == key);
                 if ok {
@@ -1577,27 +1676,78 @@ mod tests {
         assert_eq!(*r.frames[0].data, block(0xA2));
     }
 
-    #[test]
-    fn recovery_quarantines_rotted_slots() {
-        let mut r = open_mem(8);
-        r.store.put(1, &block(0x11), false).unwrap();
-        r.store.put(2, &block(0x22), true).unwrap();
-        let slot2 = *r.store.slot_of.get(2).unwrap();
-        // Flip one payload bit of key 2's slot behind the store's back.
-        let offset = DurableStore::slot_offset(slot2) + FRAME_HEADER_LEN as u64 + 100;
+    /// Flips one payload bit of `key`'s slot behind the store's back.
+    fn rot(store: &DurableStore, key: u64) {
+        let slot = *store.slot_of.get(key).unwrap();
+        let offset = DurableStore::slot_offset(slot) + FRAME_HEADER_LEN as u64 + 100;
         let mut byte = [0u8; 1];
-        let mut frames = r.store.pipe.frames.lock();
+        let mut frames = store.pipe.frames.lock();
         frames.read_at(offset, &mut byte).unwrap();
         byte[0] ^= 0x40;
         frames.write_at(offset, &byte).unwrap();
-        drop(frames);
+    }
 
+    #[test]
+    fn a_rotted_newest_frame_falls_back_to_the_previous_one() {
+        let mut r = open_mem(8);
+        r.store.put(1, &block(0x11), false).unwrap();
+        r.store.put(2, &block(0x22), true).unwrap();
+        r.store.put(3, &block(0x33), true).unwrap();
+        r.store.put(2, &block(0x23), true).unwrap();
+        rot(&r.store, 2);
+        rot(&r.store, 3);
+
+        // No journal record names a put's slot, so an unreadable slot
+        // is torn, not quarantined: key 2 recovers its previous dirty
+        // frame, key 3 (no previous frame) recovers nothing, and the
+        // clean key 1 is dropped — a clean frame may be the stale
+        // previous version of a rotted one.
+        let r = reopen(r.store, 8);
+        assert!(r.report.clean_shutdown);
+        assert_eq!(r.report.torn_slots, 2);
+        assert_eq!((r.report.quarantined, r.report.lost_dirty), (0, 0));
+        assert_eq!(r.report.dropped_clean, 1);
+        let got: Vec<(u64, u8)> = r.frames.iter().map(|f| (f.key, f.data[0])).collect();
+        assert_eq!(got, vec![(2, 0x22)]);
+        assert!(!r.store.contains(3));
+
+        // The open zeroed the torn slots and every frame that did not
+        // survive: rot in the survivor now has nothing to fall back to.
+        let r = reopen(r.store, 8);
+        assert_eq!((r.report.torn_slots, r.report.recovered), (0, 1));
+        rot(&r.store, 2);
+        let r = reopen(r.store, 8);
+        assert_eq!((r.report.torn_slots, r.report.recovered), (1, 0));
+    }
+
+    #[test]
+    fn a_clean_frame_over_a_dirty_one_is_marked_clean() {
+        let mut r = open_mem(8);
+        r.store.put(1, &block(0x11), true).unwrap();
+        let end = journal_end(&r.store);
+        r.store.put(1, &block(0x12), false).unwrap();
+        assert_eq!(journal_end(&r.store), end + JOURNAL_RECORD_LEN as u64);
+        // A second clean frame has no dirty one to answer for.
+        r.store.put(1, &block(0x13), false).unwrap();
+        assert_eq!(journal_end(&r.store), end + JOURNAL_RECORD_LEN as u64);
+        rot(&r.store, 1);
+
+        // Both older frames are covered by the `MarkClean`: neither
+        // comes back dirty to be flushed over the backing store's copy.
+        let r = reopen_unclean(r.store, 8);
+        assert_eq!(r.report.torn_slots, 1);
+        assert!(r.frames.is_empty(), "{:?}", r.report);
+
+        // Across an open too: the compacted journal keeps no record for
+        // a clean survivor, so the open must zero the dirty frame.
+        let mut r = open_mem(8);
+        r.store.put(1, &block(0x11), true).unwrap();
+        r.store.put(1, &block(0x12), false).unwrap();
         let r = reopen(r.store, 8);
         assert_eq!(r.report.recovered, 1);
-        assert_eq!(r.report.quarantined, 1);
-        assert_eq!(r.report.lost_dirty, 1, "key 2 was dirty");
-        assert_eq!(r.frames[0].key, 1);
-        assert!(!r.store.contains(2));
+        rot(&r.store, 1);
+        let r = reopen_unclean(r.store, 8);
+        assert!(r.frames.is_empty(), "{:?}", r.report);
     }
 
     #[test]
@@ -1649,11 +1799,12 @@ mod tests {
         r.store.shutdown().unwrap();
         r.store.shutdown().unwrap();
         let end = journal_end(&r.store);
-        // A second shutdown with no intervening writes appends nothing.
+        // A put appends nothing; a second shutdown with no intervening
+        // writes appends nothing either.
         assert_eq!(
             end,
-            (FILE_HEADER_LEN + 2 * JOURNAL_RECORD_LEN) as u64,
-            "alloc + one marker only"
+            (FILE_HEADER_LEN + JOURNAL_RECORD_LEN) as u64,
+            "one marker only"
         );
         // A write after the marker makes the journal unclean again.
         r.store.put(2, &block(0x22), false).unwrap();
@@ -1669,10 +1820,11 @@ mod tests {
             r.store.put(i % 4, &block(i as u8), false).unwrap();
         }
         let r = reopen(r.store, 8);
-        // After compaction the journal holds one record per live frame.
+        // After compaction the journal holds only its anchor: the live
+        // frames describe themselves, and their stale copies are older.
         assert_eq!(
             journal_end(&r.store),
-            (FILE_HEADER_LEN + 4 * JOURNAL_RECORD_LEN) as u64
+            (FILE_HEADER_LEN + JOURNAL_RECORD_LEN) as u64
         );
         let r2 = reopen(r.store, 8);
         assert_eq!(r2.report.recovered, 4);
@@ -1853,7 +2005,7 @@ mod tests {
 
     #[test]
     fn running_out_of_free_slots_is_an_error_until_a_commit_releases_them() {
-        let (mut store, script, _) = open_scripted(2);
+        let (mut store, _, script) = open_scripted(2);
         let slots = store.slots() as usize;
         // Every rewrite of key 1 takes a fresh slot and releases the old
         // one into the open group; after `slots` rewrites the free list
@@ -1866,8 +2018,9 @@ mod tests {
         let err = store.stage_put(1, &block(0xEE), true).unwrap_err();
         assert!(err.to_string().contains("out of slots"), "{err}");
         assert_eq!(script.syncs.load(Ordering::SeqCst), 0, "no hidden commit");
-        assert_eq!(store.open.records.len(), slots * JOURNAL_RECORD_LEN);
-        // One commit releases every superseded slot.
+        assert_eq!(store.open.slots.len(), slots);
+        // One commit writes the newest frame only and releases every
+        // superseded slot.
         store.commit().unwrap();
         assert_eq!(script.syncs.load(Ordering::SeqCst), 1);
         assert_eq!(store.free.len(), slots - 1);
@@ -1883,35 +2036,40 @@ mod tests {
     fn a_failed_commit_keeps_the_group_open_and_the_next_one_lands_it() {
         let (mut store, script, _) = open_scripted(8);
         store.put(1, &block(0x11), true).unwrap();
+        store.put(2, &block(0x22), true).unwrap();
         store.stage_put(1, &block(0x12), true).unwrap();
-        store.stage_put(2, &block(0x22), true).unwrap();
+        store.stage_evict(2);
         let end = journal_end(&store);
         script.fail_syncs.store(1, Ordering::SeqCst);
         assert!(store.commit().is_err());
         assert_eq!(journal_end(&store), end, "nothing was appended for good");
-        // The frames landed; the records and the released slot wait at
+        // The frame landed; the record and the released slots wait at
         // the journal for the next commit.
         {
             let journal = store.pipe.journal.lock();
-            assert_eq!(journal.carry.records.len(), 2 * JOURNAL_RECORD_LEN);
+            assert_eq!(journal.carry.records.len(), JOURNAL_RECORD_LEN);
             assert!(
                 journal.carry.frames.is_empty(),
                 "frame bytes stop at stage 1"
             );
-            assert_eq!(journal.carry.frees.len(), 1, "key 1's old slot still held");
+            assert_eq!(
+                journal.carry.frees.len(),
+                2,
+                "keys 1 and 2's old slots held"
+            );
         }
         assert!(store.open.records.is_empty());
-        // More work is staged; the retry writes the failed records
-        // again (the failed sync dropped them) ahead of the new one.
+        // More work is staged; the retry writes the failed record again
+        // (the failed sync dropped it) with the new put-only group.
         store.stage_put(3, &block(0x33), true).unwrap();
         store.commit().unwrap();
-        assert_eq!(journal_end(&store), end + 3 * JOURNAL_RECORD_LEN as u64);
+        assert_eq!(journal_end(&store), end + JOURNAL_RECORD_LEN as u64);
         assert!(store.pipe.journal.lock().carry.frees.is_empty());
         let r = reopen_unclean(store, 8);
         assert_eq!(r.report.quarantined, 0);
         assert_eq!(r.report.lost_dirty, 0);
         let got: Vec<(u64, u8)> = r.frames.iter().map(|f| (f.key, f.data[0])).collect();
-        assert_eq!(got, vec![(1, 0x12), (2, 0x22), (3, 0x33)]);
+        assert_eq!(got, vec![(1, 0x12), (3, 0x33)]);
     }
 
     /// Linux reports a failed `fdatasync` once and marks the pages
@@ -1938,10 +2096,11 @@ mod tests {
             "no record reaches the journal before its frame is synced"
         );
         // The whole group is back at the head of the open group, in
-        // order, its released slots still held.
-        assert_eq!(store.open.slots.len(), 3);
-        assert_eq!(store.open.frames.len(), 3 * FRAME_RECORD_LEN);
-        assert_eq!(store.open.records.len(), 4 * JOURNAL_RECORD_LEN);
+        // order, its released slots still held; key 2's frame, evicted
+        // inside the group, was never written.
+        assert_eq!(store.open.slots.len(), 2);
+        assert_eq!(store.open.frames.len(), 2 * FRAME_RECORD_LEN);
+        assert_eq!(store.open.records.len(), JOURNAL_RECORD_LEN);
         assert_eq!(store.open.frees.len(), 2);
         store.stage_put(4, &block(0x44), true).unwrap();
         store.commit().unwrap();
@@ -2056,6 +2215,27 @@ mod tests {
     }
 
     #[test]
+    fn a_put_only_group_is_one_frame_sync_and_no_journal_io() {
+        let (mut store, journal, frames) = open_scripted(8);
+        let end = journal_end(&store);
+        for key in 0..5u64 {
+            store.stage_put(key, &block(key as u8), true).unwrap();
+        }
+        store.commit().unwrap();
+        assert_eq!(frames.syncs.load(Ordering::SeqCst), 1);
+        assert_eq!(journal.syncs.load(Ordering::SeqCst), 0);
+        assert_eq!(journal_end(&store), end);
+        // Every frame carries the group's newest sequence number and size.
+        let (seg, _, _) = store.clone_media_bytes().unwrap();
+        for slot in 0..5 {
+            let at = DurableStore::slot_offset(slot) as usize;
+            let frame = decode_frame_record(&seg[at..at + FRAME_RECORD_LEN]);
+            let frame = frame.unwrap().expect("a frame");
+            assert_eq!((frame.seq, frame.group), (5, 5));
+        }
+    }
+
+    #[test]
     fn an_empty_commit_touches_no_media() {
         let (mut store, script, _) = open_scripted(4);
         store.commit().unwrap();
@@ -2065,10 +2245,10 @@ mod tests {
         assert_eq!(script.syncs.load(Ordering::SeqCst), 0);
     }
 
-    /// The on-disk format did not move with group commit: an image
-    /// written by the per-record build (one synced journal record per
-    /// mutation, `fixtures/durable_v1_*.bin`) opens here, and what
-    /// this build appends to it is laid out the same way.
+    /// A version-1 image, written by the per-record build (one synced
+    /// journal record per mutation, `fixtures/durable_v1_*.bin`), opens
+    /// here to the state its `Alloc*` records vouch for, and is left a
+    /// version-2 image that later opens fold the same way.
     #[test]
     fn a_per_record_builds_image_opens_and_extends() {
         let media = DurableMediaSet {
@@ -2088,6 +2268,33 @@ mod tests {
         assert_eq!(r.report.dropped_clean, 1, "key 3 was clean");
         assert_eq!((r.report.quarantined, r.report.lost_dirty), (0, 0));
         let got: Vec<(u64, u8)> = r.frames.iter().map(|f| (f.key, f.data[0])).collect();
+        assert_eq!(got, vec![(1, 0xA2), (4, 0xD4)]);
+        let (seg, ja, jb) = r.store.clone_media_bytes().unwrap();
+        let header = |bytes: &[u8], magic| {
+            decode_file_header(bytes[..FILE_HEADER_LEN].try_into().unwrap(), magic)
+        };
+        assert_eq!(header(&seg, SEGMENT_MAGIC).unwrap(), (FORMAT_VERSION, 12));
+        let active = [ja, jb]
+            .into_iter()
+            .find(|j| {
+                j.len() >= FILE_HEADER_LEN
+                    && header(j, JOURNAL_MAGIC).is_ok_and(|h| h.1 == r.report.generation)
+            })
+            .expect("the compacted journal");
+        assert_eq!(header(&active, JOURNAL_MAGIC).unwrap().0, FORMAT_VERSION);
+        let kinds: Vec<JournalKind> = active[FILE_HEADER_LEN..]
+            .chunks(JOURNAL_RECORD_LEN)
+            .map(|rec| decode_journal_record(rec).expect("a valid record").kind)
+            .collect();
+        assert!(!kinds
+            .iter()
+            .any(|k| matches!(k, JournalKind::AllocClean | JournalKind::AllocDirty)));
+        // Folded as version 2 after a clean shutdown, it says the same:
+        // key 3, dropped cold, stays gone.
+        r.store.shutdown().unwrap();
+        let again = DurableStore::open(media_copy(&r.store), 4).expect("migrated image opens");
+        assert!(again.report.clean_shutdown);
+        let got: Vec<(u64, u8)> = again.frames.iter().map(|f| (f.key, f.data[0])).collect();
         assert_eq!(got, vec![(1, 0xA2), (4, 0xD4)]);
         r.store.stage_put(5, &block(0xE5), true).unwrap();
         r.store.stage_put(1, &block(0xA3), true).unwrap();

@@ -19,7 +19,7 @@
 //! commit, the scrubber and shutdown. Nothing waits for a second shard
 //! lock while holding a first, and a `Stats` reply is exact — every
 //! counter is read under its lock. A durable shard's two media locks
-//! ([`crate::durable`], "Commit pipeline") come *before* its shard lock:
+//! ([`crate::durable`], "Group commit") come *before* its shard lock:
 //! **no shard lock is held across a media write or sync, or waits for
 //! one** — a commit takes it only to seal a group and release its slots.
 //!

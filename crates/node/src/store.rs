@@ -21,17 +21,17 @@
 //! [`DataCache::new_durable`] attaches a [`DurableStore`] — the
 //! checksummed on-disk frame store of [`crate::durable`] — and the cache
 //! then mirrors every frame mutation onto it. Restart recovery
-//! ([`DurableStore::open`]) replays the metadata journal, verifies every
-//! frame checksum and hands the survivors back; `new_durable` warms the
+//! ([`DurableStore::open`]) verifies every frame checksum, folds in the
+//! metadata journal and hands the survivors back; `new_durable` warms the
 //! policy with them so the node resumes with its working set intact.
 //!
 //! Mutations are *staged* — in memory — into the durable store's open
 //! group and made durable together by [`DataCache::commit`] (frames
-//! written and synced, then one journal append, synced). Every public
-//! mutating call ends with that commit, so it is durable on return; the
+//! synced, then any evict/clean records appended and synced). Every
+//! public mutating call ends with that commit, durable on return; the
 //! node's server calls the same bodies without it and lands the group
 //! once per pipelined window, *outside* the lock the cache sits behind
-//! ([`crate::durable`], "Commit pipeline"), holding the window's replies
+//! ([`crate::durable`], "Group commit"), holding the window's replies
 //! until a commit covers them.
 //!
 //! The mirroring discipline follows the data's exposure:
@@ -152,8 +152,8 @@ impl<B: BackingStore> DataCache<B> {
     /// Creates a cache backed by a durable frame store, recovering
     /// whatever a previous incarnation persisted.
     ///
-    /// Recovery replays the metadata journal against the checksummed
-    /// segment, quarantines torn or rotted frames, then warms the policy
+    /// Recovery takes each key's newest checksummed frame, folds in the
+    /// metadata journal, never serves torn or rotted frames, warms the policy
     /// with the survivors (oldest sequence first, so recency order
     /// approximates the pre-crash state). Recovered dirty frames — data
     /// the backing store has never seen — re-enter the dirty set and are
@@ -266,8 +266,8 @@ impl<B: BackingStore> DataCache<B> {
     }
 
     /// Makes every mutation staged so far durable: the group's frames
-    /// written and synced, then one journal append + sync for the whole
-    /// group ([`DurableStore::commit`]). Until this returns `Ok`,
+    /// written and synced, then, if the group holds records, one journal
+    /// append + sync ([`DurableStore::commit`]). Until this returns `Ok`,
     /// nothing staged may be acknowledged; on `Err` what did not land is
     /// retried by the next commit. A no-op without a durable store or
     /// with nothing staged.
@@ -315,9 +315,9 @@ impl<B: BackingStore> DataCache<B> {
     /// Stages `key`'s retirement from the durable tier.
     ///
     /// Should the record never commit, the stale durable copy survives a
-    /// restart as a clean extra frame — recovery re-admits or
-    /// quarantines it; it can never shadow newer data because recovery's
-    /// journal replay orders by sequence.
+    /// restart as a clean extra frame — recovery re-admits or drops
+    /// it; it can never shadow newer data because recovery orders
+    /// frames and records by sequence.
     fn durable_evict(&mut self, key: u64) {
         if let Some(d) = self.durable.as_mut() {
             d.stage_evict(key);
@@ -544,7 +544,7 @@ impl<B: BackingStore> DataCache<B> {
         // access a miss (recovery can leave a dirty frame the policy did
         // not re-admit): never serve the stale backing copy over it, and
         // if the read re-allocates, the frame must stay labelled dirty —
-        // journalling it AllocClean would let the next power cut drop
+        // staging it clean would let the next power cut drop
         // the only copy of acked write-back data.
         let mut still_dirty = false;
         let data = match self.frame_copy(key) {

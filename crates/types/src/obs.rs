@@ -101,7 +101,7 @@ pub enum CounterId {
     DurableJournalRecords,
     /// Media syncs issued by durable group commits.
     DurableSyncs,
-    /// Durable group commits (one journal append each).
+    /// Durable group commits (one landed group each).
     DurableCommits,
     /// Node windows released without leading a commit: another
     /// connection's commit had covered, or went on to cover, all they

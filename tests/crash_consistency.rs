@@ -455,9 +455,9 @@ fn run_schedule_grouped(schedule: u64, crash_at: u64, policy: WritePolicy, torn:
         }
     };
     if rot == 0 {
-        // Whatever the cut left of the open group — nothing, a torn
-        // prefix of its journal records, all of it — no frame the
-        // journal vouches for may be missing or overwritten.
+        // Whatever the cut left of the group in flight — none, some or
+        // all of its frames, a torn prefix of its journal records — no
+        // acknowledged frame may be missing or overwritten.
         assert_eq!(
             report.quarantined, 0,
             "schedule {schedule}: acked frame quarantined without bit rot"
@@ -525,82 +525,101 @@ fn power_cut_schedules_preserve_all_invariants_grouped_write_through() {
     }
 }
 
+/// A store on crash-point media formatted fresh, and the images a cut
+/// leaves behind.
+fn open_crash_store(
+    plan: CrashPlan,
+) -> (
+    DurableStore,
+    CrashHandle,
+    (MediaImage, MediaImage, MediaImage),
+) {
+    let formatted = fresh_formatted_bytes();
+    let handle = CrashHandle::new(plan);
+    let frames = CrashPointMedia::with_initial(formatted.0, handle.clone());
+    let journal_a = CrashPointMedia::with_initial(formatted.1, handle.clone());
+    let journal_b = CrashPointMedia::with_initial(formatted.2, handle.clone());
+    let images = (frames.image(), journal_a.image(), journal_b.image());
+    let store = DurableStore::open(
+        DurableMediaSet {
+            frames: Box::new(frames),
+            journal_a: Box::new(journal_a),
+            journal_b: Box::new(journal_b),
+        },
+        CAPACITY,
+    )
+    .expect("formatted media opens")
+    .store;
+    (store, handle, images)
+}
+
+/// Reopens a store from what a cut left: every key it recovered, with
+/// its fill byte.
+fn recovered_after_cut(images: &(MediaImage, MediaImage, MediaImage)) -> Vec<(u64, u8)> {
+    let recovery = DurableStore::open(
+        DurableMediaSet {
+            frames: Box::new(MemMedia::from_bytes(images.0.bytes())),
+            journal_a: Box::new(MemMedia::from_bytes(images.1.bytes())),
+            journal_b: Box::new(MemMedia::from_bytes(images.2.bytes())),
+        },
+        CAPACITY,
+    )
+    .expect("a cut is recoverable");
+    assert_eq!(recovery.report.quarantined, 0);
+    assert_eq!(recovery.report.lost_dirty, 0);
+    let mut keys: Vec<(u64, u8)> = recovery
+        .frames
+        .iter()
+        .map(|frame| {
+            assert!(frame.data.iter().all(|&b| b == frame.data[0]), "garbage");
+            (frame.key, frame.data[0])
+        })
+        .collect();
+    keys.sort_unstable();
+    keys
+}
+
 /// A group's journal records go to the media in one write. Tear that
 /// write at every byte the harness will pick: recovery must keep a
 /// *prefix* of the group's records — never a later record without the
-/// earlier ones, never a frame the surviving records do not vouch for.
+/// earlier ones.
 #[test]
 fn a_torn_group_append_recovers_a_record_prefix() {
     const GROUP: u64 = 6;
-    let open = |plan: CrashPlan| {
-        let formatted = fresh_formatted_bytes();
-        let handle = CrashHandle::new(plan);
-        let frames = CrashPointMedia::with_initial(formatted.0, handle.clone());
-        let journal_a = CrashPointMedia::with_initial(formatted.1, handle.clone());
-        let journal_b = CrashPointMedia::with_initial(formatted.2, handle.clone());
-        let images = (frames.image(), journal_a.image(), journal_b.image());
-        let store = DurableStore::open(
-            DurableMediaSet {
-                frames: Box::new(frames),
-                journal_a: Box::new(journal_a),
-                journal_b: Box::new(journal_b),
-            },
-            CAPACITY,
-        )
-        .expect("formatted media opens")
-        .store;
-        (store, handle, images)
-    };
-    let stage = |store: &mut DurableStore| {
+    let run = |plan: CrashPlan| {
+        let (mut store, handle, images) = open_crash_store(plan);
         for key in 0..GROUP {
-            store
-                .stage_put(key, &block(0x50 + key as u8), true)
-                .unwrap();
+            store.put(key, &block(0x50 + key as u8), true).unwrap();
         }
+        let before = handle.steps();
+        for key in 0..GROUP {
+            store.stage_evict(key);
+        }
+        assert_eq!(handle.steps(), before, "staging touches no device");
+        let committed = store.commit();
+        std::mem::forget(store);
+        (committed, handle, images, before)
     };
-    // Dry run: a commit ends with the journal append and its sync, so
-    // the append is the last step but one — however many writes the
-    // frames took before it.
-    let (mut store, handle, _) = open(CrashPlan::no_crash(0));
-    let opened = handle.steps();
-    stage(&mut store);
-    assert_eq!(handle.steps(), opened, "staging touches no device");
-    store.commit().expect("no cut in the dry run");
-    let append_step = handle.steps() - 2;
-    std::mem::forget(store);
+    // Dry run: a records-only commit is the journal append and its sync.
+    let (committed, handle, _, before) = run(CrashPlan::no_crash(0));
+    committed.expect("no cut in the dry run");
+    assert_eq!(handle.steps(), before + 2);
 
     let mut prefix_lengths = std::collections::BTreeSet::new();
     for seed in 0..64u64 {
-        let (mut store, handle, images) = open(
-            CrashPlan::no_crash(seed)
-                .crash_at_step(append_step)
-                .with_torn_tail(),
-        );
-        stage(&mut store);
-        assert!(store.commit().is_err(), "the append is where the cut lands");
+        let plan = CrashPlan::no_crash(seed)
+            .crash_at_step(before)
+            .with_torn_tail();
+        let (committed, handle, images, _) = run(plan);
+        assert!(committed.is_err(), "the append is where the cut lands");
         assert!(handle.crashed());
-        std::mem::forget(store);
-        let recovery = DurableStore::open(
-            DurableMediaSet {
-                frames: Box::new(MemMedia::from_bytes(images.0.bytes())),
-                journal_a: Box::new(MemMedia::from_bytes(images.1.bytes())),
-                journal_b: Box::new(MemMedia::from_bytes(images.2.bytes())),
-            },
-            CAPACITY,
-        )
-        .expect("a torn append is recoverable");
-        assert_eq!(recovery.report.quarantined, 0, "seed {seed}");
-        assert_eq!(recovery.report.lost_dirty, 0, "seed {seed}");
-        let keys: Vec<u64> = recovery.frames.iter().map(|f| f.key).collect();
-        let expect: Vec<u64> = (0..keys.len() as u64).collect();
-        assert_eq!(
-            keys, expect,
-            "seed {seed}: survivors are a prefix of the group"
-        );
-        for frame in &recovery.frames {
-            assert_eq!(*frame.data, block(0x50 + frame.key as u8));
-        }
-        prefix_lengths.insert(keys.len());
+        // The keys evicted are a prefix of the group: the survivors are
+        // the rest of it, unchanged.
+        let survivors = recovered_after_cut(&images);
+        let evicted = GROUP - survivors.len() as u64;
+        let expect: Vec<(u64, u8)> = (evicted..GROUP).map(|k| (k, 0x50 + k as u8)).collect();
+        assert_eq!(survivors, expect, "seed {seed}: the evictions are a prefix");
+        prefix_lengths.insert(evicted);
     }
     assert!(
         prefix_lengths.len() > 2,
@@ -608,10 +627,102 @@ fn a_torn_group_append_recovers_a_record_prefix() {
     );
 }
 
+/// A put-only group is one frame write per run of adjacent slots and one
+/// sync, with no journal record to order it. Cut power at each of those
+/// steps — tearing the write in flight, keeping each earlier unsynced
+/// write or not by a seeded coin — and recovery must keep all of the
+/// group or none of it, whatever subset of its frames reached the media.
+#[test]
+fn a_torn_put_only_group_recovers_all_or_none_of_it() {
+    const KEYS: u64 = 8;
+    let before: Vec<(u64, u8)> = (0..KEYS)
+        .map(|k| (k, if k % 2 == 0 { 0x60 } else { 0x40 } + k as u8))
+        .collect();
+    let after: Vec<(u64, u8)> = (0..KEYS)
+        .map(|k| (k, if k % 2 == 0 { 0x60 } else { 0x80 } + k as u8))
+        .collect();
+    let run = |plan: CrashPlan| {
+        let (mut store, handle, images) = open_crash_store(plan);
+        for key in 0..KEYS {
+            store
+                .stage_put(key, &block(0x40 + key as u8), true)
+                .unwrap();
+        }
+        store.commit().unwrap();
+        // Rewriting the even keys frees their slots; the odd keys'
+        // rewrite then lands in them, which are not adjacent.
+        for key in (0..KEYS).step_by(2) {
+            store
+                .stage_put(key, &block(0x60 + key as u8), true)
+                .unwrap();
+        }
+        store.commit().unwrap();
+        let start = handle.steps();
+        for key in (1..KEYS).step_by(2) {
+            store
+                .stage_put(key, &block(0x80 + key as u8), true)
+                .unwrap();
+        }
+        let committed = store.commit();
+        std::mem::forget(store);
+        (committed, handle, images, start)
+    };
+    let (committed, handle, dry, start) = run(CrashPlan::no_crash(0));
+    committed.expect("no cut in the dry run");
+    let steps = handle.steps() - start;
+    assert_eq!(
+        steps,
+        KEYS / 2 + 1,
+        "one write per frame, one sync, no journal"
+    );
+    // Where the group's frames sit, and their bytes once landed.
+    const FILE_HEADER_LEN: usize = 24;
+    const FRAME_RECORD_LEN: usize = 544;
+    let dry = dry.0.bytes();
+    let group: Vec<(usize, Vec<u8>)> = (0..(dry.len() - FILE_HEADER_LEN) / FRAME_RECORD_LEN)
+        .map(|slot| FILE_HEADER_LEN + slot * FRAME_RECORD_LEN)
+        .map(|at| (at, dry[at..at + FRAME_RECORD_LEN].to_vec()))
+        .filter(|(_, frame)| frame[32] >= 0x80)
+        .collect();
+    assert_eq!(group.len() as u64, KEYS / 2);
+
+    let mut landed = std::collections::BTreeSet::new();
+    for seed in 0..96u64 {
+        let plan = CrashPlan::no_crash(seed)
+            .crash_at_step(start + seed % steps)
+            .with_torn_tail();
+        let (committed, _, images, _) = run(plan);
+        assert!(
+            committed.is_err(),
+            "seed {seed}: the cut lands in the group"
+        );
+        let media = images.0.bytes();
+        let whole = group
+            .iter()
+            .filter(|(at, frame)| media[*at..*at + FRAME_RECORD_LEN] == frame[..])
+            .count();
+        let survivors = recovered_after_cut(&images);
+        let expect = if whole == group.len() {
+            &after
+        } else {
+            &before
+        };
+        assert_eq!(
+            &survivors, expect,
+            "seed {seed}: {whole} of the group's frames landed"
+        );
+        landed.insert(whole);
+    }
+    assert!(
+        landed.iter().any(|&whole| whole > 0 && whole < group.len()),
+        "the cuts left part of the group on the media: {landed:?}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Pipelined commits: two groups in flight on a live server, group N+1's
 // frames written and synced while group N's journal sync is still
-// running (DESIGN §5e "Commit pipeline").
+// running (DESIGN §5e, "Group commit").
 // ---------------------------------------------------------------------------
 
 mod pipelined {
@@ -716,14 +827,22 @@ mod pipelined {
     }
 
     /// The three windows, in the order they are staged: A and B overlap
-    /// on keys 2 and 3, so the journal's order decides what they read as.
+    /// on keys 2 and 3, so the order groups land in decides what they
+    /// read as. A ends with a `Flush`, whose clean records give its group
+    /// a journal append to park in; B and C are put-only.
     const WINDOWS: [&[(u64, u8)]; 3] = [
         &[(0, 0xA0), (1, 0xA1), (2, 0xA2), (3, 0xA3)],
         &[(2, 0xB2), (3, 0xB3), (4, 0xB4), (5, 0xB5), (6, 0xB6)],
         &[(7, 0xC7)],
     ];
 
-    fn send_window(stream: &mut TcpStream, writes: &[(u64, u8)]) {
+    /// Whether window `i` ends with a `Flush`.
+    fn flushes(i: usize) -> bool {
+        i == 0
+    }
+
+    fn send_window(stream: &mut TcpStream, i: usize) {
+        let writes = WINDOWS[i];
         let mut frames = Vec::new();
         for &(key, fill) in writes {
             PipedRequest {
@@ -735,13 +854,20 @@ mod pipelined {
             }
             .encode_into(&mut frames);
         }
+        if flushes(i) {
+            PipedRequest {
+                corr: u32::MAX,
+                request: Request::Flush,
+            }
+            .encode_into(&mut frames);
+        }
         stream.write_all(&frames).expect("send window");
     }
 
-    /// Whether every write of the window was acknowledged.
-    fn acked(stream: &mut TcpStream, writes: &[(u64, u8)]) -> bool {
-        let replies: Vec<Reply> = writes
-            .iter()
+    /// Whether every write of window `i` was acknowledged.
+    fn acked(stream: &mut TcpStream, i: usize) -> bool {
+        let writes = WINDOWS[i];
+        let replies: Vec<Reply> = (0..writes.len() + usize::from(flushes(i)))
             .map(|_| {
                 PipedReply::decode(stream)
                     .expect("a reply per request")
@@ -829,9 +955,9 @@ mod pipelined {
             .collect();
 
         ctl.update(|s| s.armed = true);
-        send_window(&mut conns[0], WINDOWS[0]);
+        send_window(&mut conns[0], 0);
         ctl.wait(|s| s.parked);
-        send_window(&mut conns[1], WINDOWS[1]);
+        send_window(&mut conns[1], 1);
         ctl.wait(|s| s.frame_syncs >= 2);
         let mut overtaking_ops = 0;
         if probe {
@@ -839,15 +965,13 @@ mod pipelined {
             // hold it until A lets go of the journal: a third group
             // cannot reach the device — or the journal before B.
             let quiet = ctl.stage.lock().unwrap().frame_ops;
-            send_window(&mut conns[2], WINDOWS[2]);
+            send_window(&mut conns[2], 2);
             std::thread::sleep(Duration::from_millis(50));
             overtaking_ops = ctl.stage.lock().unwrap().frame_ops - quiet;
         }
         ctl.update(|s| s.released = true);
         let windows = if probe { 3 } else { 2 };
-        let acked = (0..windows)
-            .map(|i| acked(&mut conns[i], WINDOWS[i]))
-            .collect();
+        let acked = (0..windows).map(|i| acked(&mut conns[i], i)).collect();
         let steps = handle.steps();
         drop(conns);
         server.shutdown();
@@ -990,15 +1114,15 @@ fn clean_restart_recovers_the_full_resident_set_warm() {
 
 #[test]
 fn targeted_bit_rot_is_quarantined_never_served() {
-    // Rot one resident frame's payload on the "disk", reboot, and make
-    // sure recovery quarantines it and the read falls back to backing.
+    // Rot every frame's payload on the "disk", reboot, and make sure
+    // recovery never serves one and the read falls back to backing.
     let mut rig = build_rig(CrashPlan::no_crash(7), WritePolicy::WriteThrough);
     let mut live = rig.cache.take().expect("no cut");
     for key in 0..4u64 {
         live.write(key, &block(key as u8 + 0x10), Micros::from_secs(key))
             .unwrap();
     }
-    let resident = live.resident_blocks();
+    assert_eq!(live.resident_blocks(), 4);
     let backing = clone_backing(&live);
     drop(live);
 
@@ -1009,13 +1133,18 @@ fn targeted_bit_rot_is_quarantined_never_served() {
     const FRAME_RECORD_LEN: usize = 544;
     let seg_len = rig.images.0.bytes().len();
     let mut offset = FILE_HEADER_LEN + 100;
+    let mut rotted = 0;
     while offset < seg_len {
         rig.images.0.flip_bit(offset, 3);
         offset += FRAME_RECORD_LEN;
+        rotted += 1;
     }
 
     let (mut cache, report) = reboot(&rig.images, backing, WritePolicy::WriteThrough).unwrap();
-    assert_eq!(report.quarantined as usize, resident, "all slots rotted");
+    // A frame names its own key, so a rotted one is an unreadable slot
+    // no key claims: torn, not quarantined, and nothing recovers.
+    assert_eq!(report.torn_slots, rotted, "all slots rotted");
+    assert_eq!(report.recovered, 0);
     assert_eq!(report.lost_dirty, 0, "write-through: backing has a copy");
     // Every key still reads correctly — re-fetched from backing, the
     // rotted payloads are never served.
@@ -1023,6 +1152,81 @@ fn targeted_bit_rot_is_quarantined_never_served() {
         let (data, _) = cache.read(key, Micros::from_secs(100 + key)).unwrap();
         assert_eq!(data, block(key as u8 + 0x10));
     }
+}
+
+/// Flips one payload bit in every frame slot whose payload is all
+/// `fill`, and returns how many it rotted.
+fn rot_frames_holding(images: &(MediaImage, MediaImage, MediaImage), fill: u8) -> usize {
+    const FILE_HEADER_LEN: usize = 24;
+    const FRAME_HEADER_LEN: usize = 32;
+    const FRAME_RECORD_LEN: usize = 544;
+    let bytes = images.0.bytes();
+    let mut rotted = 0;
+    for start in (FILE_HEADER_LEN..bytes.len()).step_by(FRAME_RECORD_LEN) {
+        let payload = start + FRAME_HEADER_LEN..start + FRAME_RECORD_LEN;
+        if bytes.get(payload.clone()) == Some(&block(fill)[..]) {
+            images.0.flip_bit(payload.start + 100, 3);
+            rotted += 1;
+        }
+    }
+    rotted
+}
+
+#[test]
+fn a_rotted_rewrite_never_falls_back_to_a_stale_clean_frame() {
+    // Each key written twice, flushed, a clean shutdown, then rot in
+    // every newest frame: the older frames are still valid on the media,
+    // but the backing store holds the newer data, so none may be served.
+    for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+        let mut rig = build_rig(CrashPlan::no_crash(11), policy);
+        let mut live = rig.cache.take().expect("no cut");
+        for (i, fill) in [0x10u8, 0x20].into_iter().enumerate() {
+            for key in 0..4u64 {
+                let now = Micros::from_secs(10 * i as u64 + key);
+                live.write(key, &block(fill + key as u8), now).unwrap();
+            }
+        }
+        live.flush().unwrap();
+        live.shutdown_durable().unwrap();
+        let backing = clone_backing(&live);
+        drop(live);
+        for key in 0..4u8 {
+            assert_eq!(rot_frames_holding(&rig.images, 0x20 + key), 1, "{policy:?}");
+        }
+
+        let (mut cache, report) = reboot(&rig.images, backing, policy).unwrap();
+        assert!(report.clean_shutdown, "{policy:?}");
+        assert_eq!(report.torn_slots, 4, "{policy:?}");
+        assert_eq!((report.recovered, report.lost_dirty), (0, 0), "{policy:?}");
+        for key in 0..4u64 {
+            let (data, _) = cache.read(key, Micros::from_secs(100 + key)).unwrap();
+            assert_eq!(data, block(0x20 + key as u8), "{policy:?}");
+        }
+    }
+}
+
+#[test]
+fn a_rotted_clean_rewrite_never_resurrects_the_dirty_frame_under_it() {
+    // A dirty frame, then the degraded path's clean rewrite of the same
+    // key (the backing store takes it first). Should the clean frame
+    // rot, recovery must not bring the dirty one back and flush it over
+    // the backing store's newer copy.
+    let mut rig = build_rig(CrashPlan::no_crash(13), WritePolicy::WriteBack);
+    let mut live = rig.cache.take().expect("no cut");
+    live.write(1, &block(0x31), Micros::from_secs(1)).unwrap();
+    assert_eq!(live.dirty_blocks(), 1);
+    live.write_bypass(1, &block(0x32)).unwrap();
+    assert_eq!(live.dirty_blocks(), 0);
+    let backing = clone_backing(&live);
+    drop(live);
+    assert_eq!(rot_frames_holding(&rig.images, 0x32), 1);
+
+    let (mut cache, report) = reboot(&rig.images, backing, WritePolicy::WriteBack).unwrap();
+    assert_eq!((report.recovered, report.lost_dirty), (0, 0));
+    cache.flush().unwrap();
+    assert_eq!(cache.backing().read_block(1).unwrap(), block(0x32));
+    let (data, _) = cache.read(1, Micros::from_secs(100)).unwrap();
+    assert_eq!(data, block(0x32));
 }
 
 // ---------------------------------------------------------------------------

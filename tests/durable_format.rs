@@ -3,7 +3,11 @@
 //! These constants are a compatibility contract: segment and journal
 //! files written by one build must be readable by the next. Any change
 //! here is a format break and must bump `FORMAT_VERSION` plus add a
-//! migration path — it must never be silent.
+//! migration path — it must never be silent. Version 2 made frames
+//! self-describing (the reserved header word became the group's frame
+//! count, and puts left the journal); version-1 images migrate at open,
+//! pinned by `a_per_record_builds_image_opens_and_extends` in
+//! `crates/node/src/durable.rs`.
 
 use sievestore::PolicySpec;
 use sievestore_node::{crc64, DataCache, DurableMediaSet, MemBacking, WritePolicy};
@@ -11,7 +15,7 @@ use sievestore_types::Micros;
 
 const SEGMENT_MAGIC: &[u8; 8] = b"SVSTSEG1";
 const JOURNAL_MAGIC: &[u8; 8] = b"SVSTJNL1";
-const FORMAT_VERSION: u16 = 1;
+const FORMAT_VERSION: u16 = 2;
 const FILE_HEADER_LEN: usize = 24;
 const FRAME_HEADER_LEN: usize = 32;
 const FRAME_RECORD_LEN: usize = 544;
@@ -28,7 +32,8 @@ fn crc64_is_crc64_xz() {
 }
 
 /// Builds a durable cache on in-memory media, writes one known frame,
-/// and returns the raw bytes of all three devices.
+/// flushes it (one journal record), and returns the raw bytes of all
+/// three devices.
 fn golden_media() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let media = DurableMediaSet::in_memory();
     let (cache, _) = DataCache::new_durable(MemBacking::new(), PolicySpec::Aod, 4, media)
@@ -38,6 +43,7 @@ fn golden_media() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     cache
         .write(key, &[0xAB; 512], Micros::from_secs(1))
         .unwrap();
+    assert_eq!(cache.flush().unwrap(), 1);
     cache
         .durable()
         .expect("durable store attached")
@@ -95,6 +101,15 @@ fn frame_record_layout_is_pinned() {
     }
     let base = found.expect("written key present in the segment");
 
+    // Header: key | seq | flags | group | crc. The write was the store's
+    // first mutation (seq 1), dirty and occupied (flags 3), alone in its
+    // group (one frame).
+    let mut header = key_le.to_vec();
+    header.extend_from_slice(&1u64.to_le_bytes());
+    header.extend_from_slice(&3u32.to_le_bytes());
+    header.extend_from_slice(&1u32.to_le_bytes());
+    assert_eq!(seg[base..base + 24], header[..], "frame header layout");
+
     // Payload is stored verbatim after the 32-byte frame header.
     let payload = &seg[base + FRAME_HEADER_LEN..base + FRAME_RECORD_LEN];
     assert_eq!(payload.len(), 512);
@@ -114,7 +129,7 @@ fn frame_record_layout_is_pinned() {
 fn journal_record_layout_is_pinned() {
     let (_, ja, jb) = golden_media();
     // Exactly one of the two journals is active for generation 1; the
-    // write above appended at least one record to it.
+    // flush above appended one record to it.
     let active = [&ja, &jb]
         .into_iter()
         .find(|j| j.len() > FILE_HEADER_LEN)
@@ -126,6 +141,23 @@ fn journal_record_layout_is_pinned() {
         "journal body is whole 32-byte records"
     );
     let record = &body[..JOURNAL_RECORD_LEN];
+    // seq | kind | slot | key | crc: the flush's MarkClean (kind 5), the
+    // store's second mutation, for the written key.
+    assert_eq!(
+        u64::from_le_bytes(record[0..8].try_into().unwrap()),
+        2,
+        "seq"
+    );
+    assert_eq!(
+        u32::from_le_bytes(record[8..12].try_into().unwrap()),
+        5,
+        "kind"
+    );
+    assert_eq!(
+        u64::from_le_bytes(record[16..24].try_into().unwrap()),
+        0x1122_3344_5566_7788,
+        "key"
+    );
     let stored = u64::from_le_bytes(record[24..32].try_into().unwrap());
     let computed = crc64(&[&record[..24]]);
     assert_eq!(
@@ -136,8 +168,9 @@ fn journal_record_layout_is_pinned() {
 
 #[test]
 fn record_sizes_are_pinned() {
-    // Writing one more frame grows the active journal by exactly one
-    // record; the segment file is slot-granular at 544 bytes.
+    // Writing one more frame grows the journal by nothing (the frame
+    // describes itself); flushing two frames grows it by two records;
+    // the segment file is slot-granular at 544 bytes.
     let media = DurableMediaSet::in_memory();
     let (cache, _) = DataCache::new_durable(MemBacking::new(), PolicySpec::Aod, 4, media).unwrap();
     let mut cache = cache.with_write_policy(WritePolicy::WriteBack);
@@ -146,11 +179,18 @@ fn record_sizes_are_pinned() {
     cache.write(2, &[2u8; 512], Micros::from_secs(2)).unwrap();
     let after = cache.durable().unwrap().clone_media_bytes().unwrap();
 
-    let journal_growth =
-        (after.1.len() + after.2.len()) as i64 - (before.1.len() + before.2.len()) as i64;
+    let journal_len = |media: &(Vec<u8>, Vec<u8>, Vec<u8>)| media.1.len() + media.2.len();
     assert_eq!(
-        journal_growth, JOURNAL_RECORD_LEN as i64,
-        "one journal record per allocation"
+        journal_len(&after),
+        journal_len(&before),
+        "no record per allocation"
+    );
+    assert_eq!(cache.flush().unwrap(), 2);
+    let flushed = cache.durable().unwrap().clone_media_bytes().unwrap();
+    assert_eq!(
+        journal_len(&flushed) - journal_len(&after),
+        2 * JOURNAL_RECORD_LEN,
+        "one journal record per flushed frame"
     );
     assert_eq!(
         (before.0.len() - FILE_HEADER_LEN) % FRAME_RECORD_LEN,

@@ -1,5 +1,5 @@
 //! Repro: a recovered dirty frame the policy did not re-admit gets
-//! re-journaled as AllocClean on a read-allocation, so a subsequent
+//! re-staged as a clean frame on a read-allocation, so a subsequent
 //! unclean crash loses the acked write-back data.
 
 use sievestore::PolicySpec;
